@@ -1,32 +1,48 @@
-//! The cooperative block scheduler and executor.
+//! The collaborative block scheduler and executor.
 //!
-//! Workers pull tasks from two ordered queues — **execute** and
-//! **validate** — always preferring the lowest transaction index across
-//! both (the Block-STM discipline: progress on the earliest unsettled
-//! transaction unblocks the most downstream work). A transaction's
-//! lifecycle:
+//! Every lane (the calling thread plus whatever helpers joined) runs the
+//! same loop over two atomic cursors and one atomic status word — state
+//! plus incarnation — per transaction.
+//!
+//! * `execution_idx` hands out the lowest unclaimed transaction; a lane
+//!   claims it by CAS-ing its status `Ready → Executing`. The cursor moves
+//!   back only when a suspended transaction is resumed.
+//! * `validation_idx` is the **settled prefix**. Whichever lane finds the
+//!   transaction at the cursor `Executed` validates it — against a prefix
+//!   that can no longer change, so one pass settles it for good — and
+//!   advances the cursor. A failed validation aborts it: its writes become
+//!   estimates and the same lane re-executes it on the spot, now reading
+//!   only final values.
 //!
 //! ```text
-//! Ready ──execute──▶ Executing ──publish──▶ Executed ──validation ok──▶ (settled)
-//!   ▲                    │                      │
-//!   │                    │ read hit an          │ validation failed:
-//!   │                    ▼ estimate             ▼ writes → estimates
-//!   └─resume── Blocked(on writer)         Ready (incarnation + 1)
+//! Ready ──claim──▶ Executing ──publish──▶ Executed ──validated at the cursor──▶ (settled)
+//!   ▲                  │    ▲                 │
+//!   │                  │    └─────────────────┘ validation failed: writes → estimates,
+//!   │                  ▼ read hit an estimate   incarnation + 1, re-executed in place
+//!   └──resume── Blocked(on writer)
 //! ```
 //!
-//! Whenever a transaction aborts, or republishes along a new write path,
-//! every later already-executed transaction is pushed back into the
-//! validation queue (a *wave*). The block completes when both queues are
-//! empty, no worker holds a task, and no transaction is suspended — at
-//! which point every transaction's final incarnation has been validated
-//! against the final multi-version state, which is exactly the state
-//! sequential block-order execution would have produced. The schedule
-//! (thread count, interleaving) can change *how many* waves and
-//! re-executions it takes, never the outcome.
+//! Publication needs no global lock: a transaction's versions are in the
+//! multi-version map *before* its status says `Executed`, only the lane
+//! holding the validation cursor looks at its recorded reads, and nothing
+//! below the cursor is ever republished. What locks remain are the map's
+//! stripes and the stall list, touched only when a read hits an estimate.
+//!
+//! Validating in block order against settled state bounds the work: a
+//! transaction is aborted at most once and stalls at most once per earlier
+//! transaction that aborts, so transaction `i`'s body runs at most `i + 1`
+//! times (transaction 0's exactly once) on any schedule. When the cursor
+//! reaches the end, every final incarnation has been validated against the
+//! final multi-version state — the state sequential block-order execution
+//! produces. Lane count and interleaving change how many re-executions
+//! that takes, never the outcome. A lane with nothing to claim parks until
+//! a resume, the block's end, or a panicking body (which halts the block).
 
-use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::mvmap::{MvMap, ReadVersion, Resolution};
 use crate::pool::BlockPool;
@@ -41,16 +57,16 @@ pub struct Blocked {
 }
 
 /// The read context handed to a transaction body: resolves reads against
-/// the multi-version map (falling back to the caller's base state) and
-/// records the observed versions for later validation.
+/// the multi-version map (else the base state) and records what they saw.
 pub struct TxnCtx<'a, K, V> {
     map: &'a MvMap<K, V>,
-    base: &'a (dyn Fn(&K) -> Option<V> + Sync),
+    base: &'a Base<'a, K, V>,
     reader: usize,
-    reads: Vec<(K, ReadVersion)>,
+    /// `None` once every earlier transaction is settled: the reads are final.
+    reads: Option<Vec<(K, ReadVersion)>>,
 }
 
-impl<K: Hash + Eq + Ord + Clone, V: Clone> TxnCtx<'_, K, V> {
+impl<K: Hash + Ord + Clone, V: Clone> TxnCtx<'_, K, V> {
     /// Reads `key` as of this transaction's position in the block order.
     ///
     /// # Errors
@@ -58,17 +74,15 @@ impl<K: Hash + Eq + Ord + Clone, V: Clone> TxnCtx<'_, K, V> {
     /// Returns [`Blocked`] when the newest earlier-ordered write of `key`
     /// is an estimate; propagate it out of the transaction body with `?`.
     pub fn read(&mut self, key: &K) -> Result<Option<V>, Blocked> {
-        match self.map.resolve(key, self.reader) {
-            Resolution::Speculative(v, observed) => {
-                self.reads.push((key.clone(), observed));
-                Ok(Some(v))
-            }
-            Resolution::FromBase => {
-                self.reads.push((key.clone(), ReadVersion::Base));
-                Ok((self.base)(key))
-            }
-            Resolution::Blocked(writer) => Err(Blocked { on: writer }),
+        let (value, observed) = match self.map.resolve(key, self.reader) {
+            Resolution::Speculative(v, observed) => (Some(v), observed),
+            Resolution::FromBase => ((self.base)(key), ReadVersion::Base),
+            Resolution::Blocked(writer) => return Err(Blocked { on: writer }),
+        };
+        if let Some(reads) = &mut self.reads {
+            reads.push((key.clone(), observed));
         }
+        Ok(value)
     }
 
     /// This transaction's index in the block order.
@@ -83,8 +97,7 @@ pub struct BlockOutcome<K, V, O> {
     /// Per-transaction outputs, in block order — byte-identical to what
     /// sequential execution of the same order would have returned.
     pub outputs: Vec<O>,
-    /// Per-transaction final write sets, in block order (the commit phase
-    /// applies these one transaction at a time, in order).
+    /// Per-transaction final write sets, in block order.
     pub txn_writes: Vec<Vec<(K, V)>>,
     /// The block's net effect: for every written key, the highest-ordered
     /// writer's value, sorted by key.
@@ -93,181 +106,282 @@ pub struct BlockOutcome<K, V, O> {
     pub stats: BlockStats,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Status {
-    Ready { incarnation: u32 },
-    Executing { incarnation: u32 },
-    Executed { incarnation: u32 },
-    Blocked { incarnation: u32 },
+/// A transaction's state; its status word is `incarnation << 2 | state`.
+/// Stalls keep the incarnation, only an abort bumps it.
+const READY: u32 = 0;
+const EXECUTING: u32 = 1;
+const EXECUTED: u32 = 2;
+const BLOCKED: u32 = 3;
+
+/// The lock-free part of a block's shared state: who may run what.
+#[derive(Default)]
+struct Scheduler {
+    status: Vec<AtomicU32>,
+    execution_idx: AtomicUsize,
+    validation_idx: AtomicUsize,
+    /// Held by the one lane advancing the validation cursor.
+    validating: AtomicBool,
+    /// `(writer, suspended reader)` pairs, and how many there are — checked
+    /// on every publish without taking the lock.
+    stalled: Mutex<Vec<(usize, usize)>>,
+    stalls: AtomicUsize,
+    /// A transaction body panicked: every lane leaves the block.
+    halted: AtomicBool,
+    /// How many lanes are parked on `wake`.
+    parked: Mutex<usize>,
+    wake: Condvar,
 }
 
-enum Task {
-    Execute { txn: usize, incarnation: u32 },
-    Validate { txn: usize, incarnation: u32 },
+impl Scheduler {
+    /// Call after changing what [`Scheduler::park`] waits for: a parker
+    /// checks under the lock, so it has either seen the change or is waiting.
+    fn wake_sleepers(&self) {
+        if *self.parked.lock().expect("no lane panics while parked") > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    fn settled(&self) -> bool {
+        self.validation_idx.load(SeqCst) == self.status.len()
+    }
+
+    /// The transaction at the validation cursor, if it is `Executed`.
+    fn executed_at_cursor(&self) -> Option<(usize, u32)> {
+        let txn = self.validation_idx.load(SeqCst);
+        let status = self.status.get(txn)?.load(SeqCst);
+        (status & 3 == EXECUTED).then_some((txn, status >> 2))
+    }
+
+    /// Parks until there may be something to claim or nothing left to do.
+    fn park(&self) {
+        let mut parked = self.parked.lock().expect("no lane panics while parked");
+        *parked += 1;
+        while self.execution_idx.load(SeqCst) >= self.status.len()
+            && !self.settled()
+            && !self.halted.load(SeqCst)
+        {
+            parked = self.wake.wait(parked).expect("no lane panics while parked");
+        }
+        *parked -= 1;
+    }
+
+    /// Claims the lowest `Ready` transaction at or past the cursor.
+    fn claim(&self) -> Option<(usize, u32)> {
+        while self.execution_idx.load(SeqCst) < self.status.len() {
+            let txn = self.execution_idx.fetch_add(1, SeqCst);
+            let Some(status) = self.status.get(txn) else { break };
+            let seen = status.load(SeqCst);
+            if seen & 3 == READY
+                && status.compare_exchange(seen, seen | EXECUTING, SeqCst, SeqCst).is_ok()
+            {
+                return Some((txn, seen >> 2));
+            }
+        }
+        None
+    }
+
+    /// Suspends `txn` until `on` republishes. Returns `false` if `on`
+    /// already has: the caller retries the body at once.
+    fn suspend(&self, txn: usize, incarnation: u32, on: usize) -> bool {
+        let mut stalled = self.stalled.lock().expect("stall list poisoned");
+        // Counted before looking at the writer: either it sees the count
+        // after publishing and takes the list, or we see it `Executed`.
+        self.stalls.fetch_add(1, SeqCst);
+        if self.status[on].load(SeqCst) & 3 == EXECUTED {
+            self.stalls.fetch_sub(1, SeqCst);
+            return false;
+        }
+        self.status[txn].store(incarnation << 2 | BLOCKED, SeqCst);
+        stalled.push((on, txn));
+        true
+    }
+
+    /// Makes every transaction suspended on `writer` claimable again.
+    fn resume_suspended_on(&self, writer: usize) {
+        if self.stalls.load(SeqCst) == 0 {
+            return;
+        }
+        let mut lowest = usize::MAX;
+        self.stalled.lock().expect("stall list poisoned").retain(|&(on, txn)| {
+            if on == writer {
+                self.status[txn].fetch_and(!3, SeqCst); // Blocked → Ready, same incarnation
+                self.stalls.fetch_sub(1, SeqCst);
+                lowest = lowest.min(txn);
+            }
+            on != writer
+        });
+        if self.execution_idx.fetch_min(lowest, SeqCst) > lowest {
+            self.wake_sleepers();
+        }
+    }
 }
 
+/// What a transaction's last published execution read, wrote and returned.
 struct TxnRecord<K, V, O> {
-    /// Incarnation of the last *published* execution.
-    incarnation: u32,
     reads: Vec<(K, ReadVersion)>,
     writes: Vec<(K, V)>,
     output: Option<O>,
 }
 
-struct SchedulerInner {
-    status: Vec<Status>,
-    exec_queue: BTreeSet<usize>,
-    valid_queue: BTreeSet<usize>,
-    /// writer index → transactions suspended until it republishes.
-    deps: HashMap<usize, Vec<usize>>,
-    /// Tasks currently held by workers outside the lock.
-    active: usize,
-    stats: BlockStats,
-}
+type Base<'a, K, V> = dyn Fn(&K) -> Option<V> + Sync + 'a;
+type Body<'a, K, V, O> =
+    dyn Fn(usize, &mut TxnCtx<'_, K, V>) -> Result<(Vec<(K, V)>, O), Blocked> + Sync + 'a;
 
-impl SchedulerInner {
-    fn done(&self) -> bool {
-        self.exec_queue.is_empty()
-            && self.valid_queue.is_empty()
-            && self.deps.is_empty()
-            && self.active == 0
-    }
-
-    /// Lowest-index task across both queues; validation entries whose
-    /// transaction is not currently `Executed` are stale (the transaction
-    /// aborted or resumed since they were enqueued) and are dropped — a
-    /// fresh validation is always re-enqueued when it finishes again.
-    fn pick(&mut self) -> Option<Task> {
-        let valid = loop {
-            match self.valid_queue.first().copied() {
-                Some(i) => match self.status[i] {
-                    Status::Executed { incarnation } => break Some((i, incarnation)),
-                    _ => {
-                        self.valid_queue.remove(&i);
-                    }
-                },
-                None => break None,
-            }
-        };
-        let exec = self.exec_queue.first().copied();
-        match (exec, valid) {
-            (Some(e), Some((v, _))) if e <= v => self.claim_execute(e),
-            (Some(_), Some((v, incarnation))) => {
-                self.valid_queue.remove(&v);
-                Some(Task::Validate { txn: v, incarnation })
-            }
-            (Some(e), None) => self.claim_execute(e),
-            (None, Some((v, incarnation))) => {
-                self.valid_queue.remove(&v);
-                Some(Task::Validate { txn: v, incarnation })
-            }
-            (None, None) => None,
-        }
-    }
-
-    fn claim_execute(&mut self, txn: usize) -> Option<Task> {
-        self.exec_queue.remove(&txn);
-        let Status::Ready { incarnation } = self.status[txn] else {
-            unreachable!("exec queue holds only Ready transactions")
-        };
-        self.status[txn] = Status::Executing { incarnation };
-        Some(Task::Execute { txn, incarnation })
-    }
-
-    /// Pushes every already-executed transaction after `txn` back into the
-    /// validation queue. Returns whether anything was actually enqueued
-    /// (the wave counter only counts cascades that created work).
-    fn revalidate_after(&mut self, txn: usize) -> bool {
-        let mut any = false;
-        for k in (txn + 1)..self.status.len() {
-            if matches!(self.status[k], Status::Executed { .. }) {
-                any |= self.valid_queue.insert(k);
-            }
-        }
-        any
-    }
-}
-
-struct Scheduler {
-    inner: Mutex<SchedulerInner>,
-    wake: Condvar,
-}
-
-/// The per-block shared state a set of workers cooperates over: the
-/// multi-version map, the transaction records, and the scheduler.
+/// The per-block shared state the lanes cooperate over.
 struct BlockCore<K, V, O> {
     map: MvMap<K, V>,
-    records: Vec<Mutex<TxnRecord<K, V, O>>>,
     sched: Scheduler,
+    /// Written by the executing lane, read by the validating one: never
+    /// contended, the mutex is just the safe way to hand the data over.
+    records: Vec<Mutex<TxnRecord<K, V, O>>>,
+    stats: Mutex<BlockStats>,
 }
 
-impl<K: Hash + Eq + Ord + Clone, V: Clone, O> BlockCore<K, V, O> {
+impl<K: Hash + Ord + Clone, V: Clone, O> BlockCore<K, V, O> {
     fn new(cfg: &BlockConfig, txns: usize) -> Self {
+        let record = || TxnRecord { reads: Vec::new(), writes: Vec::new(), output: None };
         BlockCore {
             map: MvMap::new(cfg.parts),
-            records: (0..txns)
-                .map(|_| {
-                    Mutex::new(TxnRecord {
-                        incarnation: 0,
-                        reads: Vec::new(),
-                        writes: Vec::new(),
-                        output: None,
-                    })
-                })
-                .collect(),
             sched: Scheduler {
-                inner: Mutex::new(SchedulerInner {
-                    status: vec![Status::Ready { incarnation: 0 }; txns],
-                    exec_queue: (0..txns).collect(),
-                    valid_queue: BTreeSet::new(),
-                    deps: HashMap::new(),
-                    active: 0,
-                    stats: BlockStats { waves: 1, ..BlockStats::default() },
-                }),
-                wake: Condvar::new(),
+                status: (0..txns).map(|_| AtomicU32::new(READY)).collect(),
+                ..Scheduler::default()
             },
+            records: (0..txns).map(|_| Mutex::new(record())).collect(),
+            stats: Mutex::default(),
+        }
+    }
+
+    /// One lane's share of the block: returns once the block has settled
+    /// or halted, whichever lane did the work — or, given `alone_until`,
+    /// once that instant has passed. A panicking body halts every lane.
+    fn work(&self, base: &Base<K, V>, run: &Body<K, V, O>, alone_until: Option<Instant>) {
+        let mut stats = BlockStats::default();
+        let lane = catch_unwind(AssertUnwindSafe(|| loop {
+            self.validate_ready(&mut stats, base, run);
+            if self.sched.settled()
+                || self.sched.halted.load(SeqCst)
+                || alone_until.is_some_and(|deadline| Instant::now() >= deadline)
+            {
+                break;
+            }
+            match self.sched.claim() {
+                Some((txn, incarnation)) => self.execute(txn, incarnation, &mut stats, base, run),
+                None => self.sched.park(),
+            }
+        }));
+        self.stats.lock().expect("stats poisoned").merge(&stats);
+        if let Err(payload) = lane {
+            self.sched.halted.store(true, SeqCst);
+            self.sched.wake_sleepers();
+            resume_unwind(payload);
+        }
+    }
+
+    /// Runs `txn`'s body until it publishes or suspends.
+    fn execute(
+        &self,
+        txn: usize,
+        incarnation: u32,
+        stats: &mut BlockStats,
+        base: &Base<K, V>,
+        run: &Body<K, V, O>,
+    ) {
+        loop {
+            // At the validation cursor the reads are final: none are
+            // recorded, and validation passes on the empty read set.
+            let speculative = self.sched.validation_idx.load(SeqCst) < txn;
+            let reads = speculative.then(Vec::new);
+            let mut ctx = TxnCtx { map: &self.map, base, reader: txn, reads };
+            match run(txn, &mut ctx) {
+                Ok((writes, output)) => {
+                    let reads = ctx.reads.unwrap_or_default();
+                    let mut record = self.records[txn].lock().expect("record poisoned");
+                    let prev_keys = record.writes.iter().map(|(k, _)| k);
+                    self.map.publish(txn, incarnation, &writes, prev_keys);
+                    *record = TxnRecord { reads, writes, output: Some(output) };
+                    drop(record);
+                    // After the versions: whoever sees `Executed` sees them.
+                    self.sched.status[txn].store(incarnation << 2 | EXECUTED, SeqCst);
+                    stats.executions += 1;
+                    stats.re_executions += u64::from(incarnation > 0);
+                    return self.sched.resume_suspended_on(txn);
+                }
+                Err(Blocked { on }) => {
+                    stats.dependency_stalls += 1;
+                    if self.sched.suspend(txn, incarnation, on) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Advances the validation cursor over every `Executed` transaction it
+    /// reaches, unless another lane is already doing so.
+    fn validate_ready(&self, stats: &mut BlockStats, base: &Base<K, V>, run: &Body<K, V, O>) {
+        let sched = &self.sched;
+        while sched.executed_at_cursor().is_some() && !sched.validating.swap(true, SeqCst) {
+            while let Some((txn, incarnation)) = sched.executed_at_cursor() {
+                stats.validations += 1;
+                let record = self.records[txn].lock().expect("record poisoned");
+                if record.reads.iter().all(|(k, seen)| self.map.still_valid(k, txn, *seen)) {
+                    drop(record);
+                    sched.validation_idx.store(txn + 1, SeqCst);
+                    continue;
+                }
+                // Abort. The status moves first, so that a reader who meets
+                // an estimate never finds its writer still `Executed` and
+                // retries into it. Everything earlier is settled, so the
+                // re-execution reads final values: it cannot stall.
+                stats.validation_fails += 1;
+                sched.status[txn].store((incarnation + 1) << 2 | EXECUTING, SeqCst);
+                self.map.mark_estimates(txn, incarnation, record.writes.iter().map(|(k, _)| k));
+                drop(record);
+                self.execute(txn, incarnation + 1, stats, base, run);
+            }
+            // A lane that published the transaction at the cursor while we
+            // held the flag gave up on the swap above: the loop looks again.
+            sched.validating.store(false, SeqCst);
+        }
+        if sched.settled() {
+            sched.wake_sleepers();
         }
     }
 
     /// Tears the settled core down into the block's outcome.
     fn collect(self) -> BlockOutcome<K, V, O> {
-        let inner = self.sched.inner.into_inner().expect("scheduler poisoned");
-        debug_assert!(inner.status.iter().all(|s| matches!(s, Status::Executed { .. })));
-        let stats = inner.stats;
-        let mut outputs = Vec::with_capacity(self.records.len());
-        let mut txn_writes = Vec::with_capacity(self.records.len());
-        for record in self.records {
+        debug_assert!(self.sched.status.iter().all(|s| s.load(SeqCst) & 3 == EXECUTED));
+        let mut stats = self.stats.into_inner().expect("stats poisoned");
+        stats.waves = stats.validation_fails + u64::from(!self.records.is_empty());
+        let settled = self.records.into_iter().map(|record| {
             let r = record.into_inner().expect("record poisoned");
-            outputs.push(r.output.expect("settled transaction has an output"));
-            txn_writes.push(r.writes);
-        }
+            (r.output.expect("settled transaction has an output"), r.writes)
+        });
+        let (outputs, txn_writes) = settled.unzip();
         let final_writes = self.map.into_final_writes();
         BlockOutcome { outputs, txn_writes, final_writes, stats }
     }
 }
 
-fn empty_outcome<K, V, O>() -> BlockOutcome<K, V, O> {
-    BlockOutcome {
-        outputs: Vec::new(),
-        txn_writes: Vec::new(),
-        final_writes: Vec::new(),
-        stats: BlockStats::default(),
-    }
-}
+/// How long the caller works on a pooled block before asking the pool in.
+/// On a short block a second lane only bounces the scheduler's and the
+/// map's cache lines between cores: 64 ledger transfers take 25–30 µs alone,
+/// 36 µs with a helper woken at the start, 60–96 µs with two lanes throughout.
+const ALONE: Duration = Duration::from_micros(50);
 
-/// Executes a block of `txns` transactions over `threads` workers.
+/// Executes a block of `txns` transactions over `threads` lanes: the
+/// calling thread plus `threads − 1` scoped helpers.
 ///
 /// `base` supplies the pre-block committed state; `run` is the
 /// transaction body — called with the transaction's block index and a
-/// [`TxnCtx`], it returns the transaction's write set and output, or
-/// propagates [`Blocked`] from [`TxnCtx::read`]. `run` may be called
-/// multiple times per transaction (re-executions) and must be a pure
-/// function of its reads.
+/// [`TxnCtx`], it returns the write set and output, or propagates
+/// [`Blocked`] from [`TxnCtx::read`]. `run` may be called up to
+/// `index + 1` times and must be a pure function of its reads.
 ///
 /// # Panics
 ///
-/// Panics if `txns` exceeds `cfg.block_size`, if `threads` is zero, or if
-/// a worker panics.
+/// Panics if `txns` exceeds `cfg.block_size` or if `threads` is zero. A
+/// panic in `run` halts the block and is re-raised here.
 pub fn execute_block<K, V, O, B, F>(
     cfg: &BlockConfig,
     txns: usize,
@@ -284,38 +398,34 @@ where
 {
     assert!(txns <= cfg.block_size, "{txns} transactions exceed block_size {}", cfg.block_size);
     assert!(threads > 0, "need at least one block worker");
-    if txns == 0 {
-        return empty_outcome();
-    }
     let core: BlockCore<K, V, O> = BlockCore::new(cfg, txns);
-
-    let workers = threads.min(txns);
+    let work = || core.work(&base, &run, None);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| worker_loop(&core.sched, &core.map, &core.records, &base, &run))
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("block worker panicked");
+        let helpers: Vec<_> = (1..threads.min(txns)).map(|_| scope.spawn(work)).collect();
+        work();
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                resume_unwind(payload);
+            }
         }
     });
-
     core.collect()
 }
 
-/// Executes a block on a persistent [`BlockPool`] instead of spawning
-/// scoped workers — same semantics and outcome as [`execute_block`], but
-/// amortizing thread spawns across the many blocks of a batch run (spawn
-/// latency dwarfs a small block's entire execution).
+/// Executes a block on a persistent [`BlockPool`] — same semantics and
+/// outcome as [`execute_block`] without a thread spawn per helper per
+/// block. The calling thread starts on the block at once; pool helpers are
+/// asked in only once it has run long enough for a second lane to pay, and
+/// join if it is still unsettled when they wake up.
 ///
-/// Because pool workers outlive the call, `base` and `run` must own what
-/// they capture (`'static`): share the pre-block state behind an
-/// `Arc<RwLock<..>>` and the block's transactions behind an `Arc<[..]>`.
+/// Pool helpers outlive the call, so `base` and `run` must own what they
+/// capture (`'static`): share the pre-block state and the block's
+/// transactions behind `Arc`s.
 ///
 /// # Panics
 ///
-/// Panics if `txns` exceeds `cfg.block_size`, or if a worker panics.
+/// Panics if `txns` exceeds `cfg.block_size`. A panic in `run` halts the
+/// block and is re-raised here; the pool stays usable.
 pub fn execute_block_on<K, V, O, B, F>(
     pool: &BlockPool,
     cfg: &BlockConfig,
@@ -334,147 +444,150 @@ where
         + 'static,
 {
     assert!(txns <= cfg.block_size, "{txns} transactions exceed block_size {}", cfg.block_size);
-    if txns == 0 {
-        return empty_outcome();
-    }
     let core: Arc<BlockCore<K, V, O>> = Arc::new(BlockCore::new(cfg, txns));
-    let job_core = Arc::clone(&core);
-    pool.run(
-        txns,
-        Arc::new(move || {
-            worker_loop(&job_core.sched, &job_core.map, &job_core.records, &base, &run)
-        }),
-    );
-    Arc::try_unwrap(core).unwrap_or_else(|_| unreachable!("pool.run joined every worker")).collect()
-}
-
-fn worker_loop<K, V, O, B, F>(
-    sched: &Scheduler,
-    map: &MvMap<K, V>,
-    records: &[Mutex<TxnRecord<K, V, O>>],
-    base: &B,
-    run: &F,
-) where
-    K: Hash + Eq + Ord + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-    O: Send,
-    B: Fn(&K) -> Option<V> + Sync,
-    F: Fn(usize, &mut TxnCtx<'_, K, V>) -> Result<(Vec<(K, V)>, O), Blocked> + Sync,
-{
-    loop {
-        let task = {
-            let mut inner = sched.inner.lock().expect("scheduler poisoned");
-            loop {
-                if inner.done() {
-                    // Everyone else may be parked on the condvar with no
-                    // task left to hand out; wake them so they observe done.
-                    sched.wake.notify_all();
-                    return;
-                }
-                if let Some(task) = inner.pick() {
-                    inner.active += 1;
-                    break task;
-                }
-                inner = sched.wake.wait(inner).expect("scheduler poisoned");
-            }
-        };
-        match task {
-            Task::Execute { txn, incarnation } => {
-                let mut ctx = TxnCtx { map, base, reader: txn, reads: Vec::new() };
-                let result = run(txn, &mut ctx);
-                let mut inner = sched.inner.lock().expect("scheduler poisoned");
-                inner.active -= 1;
-                match result {
-                    Ok((writes, output)) => {
-                        // Publish outside the scheduler lock would be
-                        // nicer, but publication must be atomic with the
-                        // Executed transition or a concurrent validator
-                        // could observe the new status over the old
-                        // versions. Blocks are small; the hold is short.
-                        let mut record = records[txn].lock().expect("record poisoned");
-                        let prev_keys: Vec<K> =
-                            record.writes.iter().map(|(k, _)| k.clone()).collect();
-                        let wrote_new = map.publish(txn, incarnation, &writes, &prev_keys);
-                        record.incarnation = incarnation;
-                        record.reads = ctx.reads;
-                        record.writes = writes;
-                        record.output = Some(output);
-                        drop(record);
-                        inner.status[txn] = Status::Executed { incarnation };
-                        inner.stats.executions += 1;
-                        if incarnation > 0 {
-                            inner.stats.re_executions += 1;
-                        }
-                        // Resume transactions suspended on us.
-                        if let Some(waiters) = inner.deps.remove(&txn) {
-                            for w in waiters {
-                                let Status::Blocked { incarnation } = inner.status[w] else {
-                                    unreachable!("deps hold only Blocked transactions")
-                                };
-                                inner.status[w] = Status::Ready { incarnation };
-                                inner.exec_queue.insert(w);
-                            }
-                        }
-                        inner.valid_queue.insert(txn);
-                        // A new write path (or any republication) can
-                        // invalidate later reads that already validated.
-                        if (wrote_new || incarnation > 0) && inner.revalidate_after(txn) {
-                            inner.stats.waves += 1;
-                        }
-                    }
-                    Err(Blocked { on }) => {
-                        inner.stats.dependency_stalls += 1;
-                        if matches!(inner.status[on], Status::Executed { .. }) {
-                            // The writer republished while we were
-                            // resolving: retry immediately.
-                            inner.status[txn] = Status::Ready { incarnation };
-                            inner.exec_queue.insert(txn);
-                        } else {
-                            inner.status[txn] = Status::Blocked { incarnation };
-                            inner.deps.entry(on).or_default().push(txn);
-                        }
-                    }
-                }
-                sched.wake.notify_all();
-            }
-            Task::Validate { txn, incarnation } => {
-                let ok = {
-                    let record = records[txn].lock().expect("record poisoned");
-                    // A stale task for a republished incarnation validates
-                    // nothing; the fresh publication enqueued its own.
-                    record.incarnation == incarnation
-                        && record.reads.iter().all(|(k, seen)| map.still_valid(k, txn, *seen))
-                };
-                let mut inner = sched.inner.lock().expect("scheduler poisoned");
-                inner.active -= 1;
-                inner.stats.validations += 1;
-                if !ok && inner.status[txn] == (Status::Executed { incarnation }) {
-                    // Abort: our writes become estimates, we re-execute,
-                    // and every later settled transaction revalidates.
-                    inner.stats.validation_fails += 1;
-                    inner.stats.waves += 1;
-                    let keys: Vec<K> = {
-                        let record = records[txn].lock().expect("record poisoned");
-                        record.writes.iter().map(|(k, _)| k.clone()).collect()
-                    };
-                    map.mark_estimates(txn, incarnation, &keys);
-                    inner.status[txn] = Status::Ready { incarnation: incarnation + 1 };
-                    inner.exec_queue.insert(txn);
-                    inner.revalidate_after(txn);
-                }
-                sched.wake.notify_all();
-            }
-        }
+    core.work(&base, &run, Some(Instant::now() + ALONE));
+    if !core.sched.settled() {
+        let lane = Arc::clone(&core);
+        pool.run(txns, Arc::new(move || lane.work(&base, &run, None)));
     }
+    Arc::try_unwrap(core).unwrap_or_else(|_| unreachable!("pool.run joined every lane")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use gstm_core::rng::SmallRng;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
     fn cfg() -> BlockConfig {
         BlockConfig::new(512, 8).expect("valid config")
+    }
+
+    /// Runs `f` on a thread of its own and fails the test if it has not
+    /// returned (or panicked) within ten seconds: a hang must be a test
+    /// failure, not a stuck test run.
+    fn within_timeout<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(catch_unwind(AssertUnwindSafe(f))));
+        match outcome.recv_timeout(Duration::from_secs(10)) {
+            Ok(Ok(value)) => value,
+            Ok(Err(payload)) => std::panic::resume_unwind(payload),
+            Err(_) => panic!("block execution hung"),
+        }
+    }
+
+    /// Busy-waits past the caller-alone budget, so that a pooled block
+    /// whose first transaction calls this does ask the pool for help.
+    fn outlast_alone_budget() {
+        let start = Instant::now();
+        while start.elapsed() < ALONE * 2 {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// One transaction of the mixed workload: reads a few keys of a small
+    /// key space (keys 8.. are missing from the base state), then writes a
+    /// data-dependent prefix of `writes` — so a re-execution that reads
+    /// differently can shrink or grow its write set.
+    struct Program {
+        reads: Vec<u64>,
+        writes: Vec<u64>,
+        salt: i64,
+    }
+
+    const MIXED_KEYS: u64 = 12;
+
+    fn mixed_programs(seed: u64, txns: usize) -> Arc<Vec<Program>> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let hot = rng.gen_range(0..MIXED_KEYS);
+        let key = |rng: &mut SmallRng| {
+            if rng.gen_bool(0.4) {
+                hot
+            } else {
+                rng.gen_range(0..MIXED_KEYS)
+            }
+        };
+        let programs = (0..txns)
+            .map(|_| Program {
+                reads: (0..rng.gen_range(0..4usize)).map(|_| key(&mut rng)).collect(),
+                writes: (0..rng.gen_range(0..4usize)).map(|_| key(&mut rng)).collect(),
+                salt: rng.gen_range(1..1000i64),
+            })
+            .collect();
+        Arc::new(programs)
+    }
+
+    fn mixed_base(key: &u64) -> Option<i64> {
+        (*key < 8).then_some(*key as i64 * 10)
+    }
+
+    type MixedResult = (Vec<(u64, i64)>, i64);
+
+    fn mixed_body<E>(
+        program: &Program,
+        mut read: impl FnMut(u64) -> Result<Option<i64>, E>,
+    ) -> Result<MixedResult, E> {
+        let mut acc = program.salt;
+        for &key in &program.reads {
+            acc = acc.wrapping_mul(31).wrapping_add(read(key)?.unwrap_or(-7));
+        }
+        let mut writes: Vec<(u64, i64)> = Vec::new();
+        for &key in &program.writes[..program.writes.len().min(acc.rem_euclid(4) as usize)] {
+            // A write set holds each key once.
+            if !writes.iter().any(|(k, _)| *k == key) {
+                writes.push((key, acc ^ key as i64));
+            }
+        }
+        Ok((writes, acc))
+    }
+
+    /// The mixed body as the parallel runs execute it. Transaction 0 keeps
+    /// the validation cursor (and, on a pool, the caller-alone phase) busy
+    /// long enough for the other lanes to arrive and speculate past it on
+    /// stale state; yielding before every read then shuffles the lanes, so
+    /// that some read while an aborted writer's estimates are in place.
+    fn contended_mixed_body(
+        program: &Program,
+        index: usize,
+        ctx: &mut TxnCtx<'_, u64, i64>,
+    ) -> Result<MixedResult, Blocked> {
+        if index == 0 {
+            outlast_alone_budget();
+        }
+        mixed_body(program, |k| {
+            std::thread::yield_now();
+            ctx.read(&k)
+        })
+    }
+
+    /// The sequential fold the executor must reproduce byte for byte.
+    fn sequential_mixed(programs: &[Program]) -> BlockOutcome<u64, i64, i64> {
+        let mut state: BTreeMap<u64, i64> = BTreeMap::new();
+        let mut want = BlockCore::new(&cfg(), 0).collect();
+        for program in programs {
+            let read = |k: u64| Ok::<_, ()>(state.get(&k).copied().or_else(|| mixed_base(&k)));
+            let (writes, output) = mixed_body(program, read).expect("infallible read");
+            state.extend(writes.iter().copied());
+            want.outputs.push(output);
+            want.txn_writes.push(writes);
+        }
+        want.final_writes = state.into_iter().collect();
+        want
+    }
+
+    fn assert_matches_sequential(
+        out: &BlockOutcome<u64, i64, i64>,
+        programs: &[Program],
+        context: &str,
+    ) {
+        let want = sequential_mixed(programs);
+        assert_eq!(out.outputs, want.outputs, "outputs diverged: {context}");
+        assert_eq!(out.txn_writes, want.txn_writes, "write sets diverged: {context}");
+        assert_eq!(out.final_writes, want.final_writes, "final writes diverged: {context}");
+        let stats = out.stats;
+        assert_eq!(stats.executions, programs.len() as u64 + stats.re_executions, "{context}");
+        assert!(stats.validations >= programs.len() as u64, "{context}");
     }
 
     /// A tiny counter workload: txn i reads key (i % keys), adds i+1, and
@@ -534,6 +647,21 @@ mod tests {
             let (outputs, finals, _) = run_counters(96, 3, threads);
             assert_eq!(outputs, want_out, "outputs diverged at {threads} threads");
             assert_eq!(finals, want_fin, "final writes diverged at {threads} threads");
+        }
+        // The mixed workload: reads of missing keys, data-dependent write
+        // sets that shrink between incarnations, estimate stalls.
+        for seed in 0..200u64 {
+            let programs = mixed_programs(seed, 40);
+            for threads in [1, 2, 4, 8] {
+                let out = execute_block(&cfg(), programs.len(), threads, mixed_base, |i, ctx| {
+                    contended_mixed_body(&programs[i], i, ctx)
+                });
+                assert_matches_sequential(
+                    &out,
+                    &programs,
+                    &format!("seed {seed}, {threads} threads"),
+                );
+            }
         }
     }
 
@@ -619,6 +747,18 @@ mod tests {
             assert_eq!(out.final_writes, want_fin, "round {round}");
             assert_eq!(out.stats.executions, txns as u64 + out.stats.re_executions);
         }
+        for lanes in [1, 2, 4, 8] {
+            let pool = BlockPool::new(lanes);
+            for seed in 0..200u64 {
+                let programs = mixed_programs(seed, 40);
+                let block = Arc::clone(&programs);
+                let out =
+                    execute_block_on(&pool, &cfg(), programs.len(), mixed_base, move |i, ctx| {
+                        contended_mixed_body(&block[i], i, ctx)
+                    });
+                assert_matches_sequential(&out, &programs, &format!("seed {seed}, {lanes} lanes"));
+            }
+        }
     }
 
     #[test]
@@ -668,5 +808,169 @@ mod tests {
         assert_eq!(out.outputs, vec![0, 1]);
         assert!(runs.load(Ordering::Relaxed) >= 1);
         assert_eq!(out.final_writes, vec![(0, 2)]);
+    }
+
+    /// Liveness (the starvation-freedom bound): on a single-key
+    /// read-modify-write chain — every transaction conflicts with every
+    /// earlier one — transaction 0's body runs exactly once and
+    /// transaction `i`'s at most `i + 1` times, on any schedule.
+    #[test]
+    fn no_transaction_reruns_more_often_than_its_index() {
+        for threads in [1, 2, 4, 8] {
+            for round in 0..25 {
+                let (outputs, runs) = within_timeout(move || {
+                    let runs: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+                    let out = execute_block(
+                        &cfg(),
+                        64,
+                        threads,
+                        |_: &u64| Some(0i64),
+                        |i, ctx| {
+                            runs[i].fetch_add(1, Ordering::Relaxed);
+                            // As in `contended_mixed_body`: let the other
+                            // lanes speculate past a slow transaction 0.
+                            if i == 0 {
+                                outlast_alone_budget();
+                            }
+                            std::thread::yield_now();
+                            let v = ctx.read(&0)?.unwrap();
+                            Ok((vec![(0u64, v + i as i64 + 1)], v))
+                        },
+                    );
+                    (out.outputs, runs.into_iter().map(AtomicU32::into_inner).collect::<Vec<_>>())
+                });
+                assert_eq!(outputs, sequential_counters(64, 1).0);
+                assert_eq!(runs[0], 1, "transaction 0 never re-runs");
+                for (i, &n) in runs.iter().enumerate() {
+                    assert!(
+                        (1..=i as u32 + 1).contains(&n),
+                        "txn {i} ran {n} times at {threads} threads, round {round}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A helper that wakes up after its block has settled must neither
+    /// touch the finished block nor hold up the next one: tiny blocks
+    /// (over before any helper is asked) interleaved with blocks long
+    /// enough to call the helpers in, back to back on one pool.
+    #[test]
+    fn late_helpers_disturb_neither_the_settled_block_nor_the_next() {
+        let pool = Arc::new(BlockPool::new(4));
+        within_timeout(move || {
+            for round in 0..400u64 {
+                let (txns, keys) = (1 + (round % 7) as usize, 1 + round % 2);
+                let out = execute_block_on(
+                    &pool,
+                    &cfg(),
+                    txns,
+                    |_: &u64| Some(0i64),
+                    move |i, ctx| {
+                        if i == 0 && round % 5 == 0 {
+                            outlast_alone_budget();
+                        }
+                        let key = i as u64 % keys;
+                        let v = ctx.read(&key)?.unwrap_or(0);
+                        Ok((vec![(key, v + i as i64 + 1)], v))
+                    },
+                );
+                let (want_out, want_fin) = sequential_counters(txns, keys);
+                assert_eq!(out.outputs, want_out, "round {round}");
+                assert_eq!(out.final_writes, want_fin, "round {round}");
+            }
+        });
+    }
+
+    /// A panicking body used to leave the pool's barrier waiting forever.
+    /// It must halt the block, surface on the submitting thread, and leave
+    /// the pool usable — whether the caller is still alone on the block
+    /// (`slow == false`) or helpers have been called in and one of two
+    /// lanes inside the block draws the panicking transaction.
+    #[test]
+    fn a_panicking_body_fails_the_pooled_block_instead_of_hanging_it() {
+        let pool = Arc::new(BlockPool::new(4));
+        for slow in [false, true] {
+            let block_pool = Arc::clone(&pool);
+            let payload = within_timeout(move || {
+                let reached_txn_3 = AtomicBool::new(false);
+                catch_unwind(AssertUnwindSafe(|| {
+                    execute_block_on(
+                        &block_pool,
+                        &cfg(),
+                        8,
+                        |_: &u64| Some(0i64),
+                        move |i, ctx| {
+                            match (slow, i) {
+                                (true, 0) => outlast_alone_budget(),
+                                // Hold one lane inside a body until another
+                                // lane is about to panic.
+                                (true, 1) => {
+                                    while !reached_txn_3.load(SeqCst) {
+                                        std::thread::yield_now();
+                                    }
+                                }
+                                (_, 3) => {
+                                    reached_txn_3.store(true, SeqCst);
+                                    panic!("txn 3 blew up");
+                                }
+                                _ => {}
+                            }
+                            let v = ctx.read(&(i as u64 % 2))?.unwrap();
+                            Ok((vec![(i as u64 % 2, v + 1)], v))
+                        },
+                    )
+                }))
+                .map(|_| ())
+                .expect_err("the body's panic must reach the caller")
+            });
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"txn 3 blew up"));
+
+            let block_pool = Arc::clone(&pool);
+            let (outputs, finals) = within_timeout(move || {
+                let out = execute_block_on(
+                    &block_pool,
+                    &cfg(),
+                    48,
+                    |_: &u64| Some(0i64),
+                    |i, ctx| {
+                        let v = ctx.read(&(i as u64 % 3))?.unwrap_or(0);
+                        Ok((vec![(i as u64 % 3, v + i as i64 + 1)], v))
+                    },
+                );
+                (out.outputs, out.final_writes)
+            });
+            assert_eq!(
+                (outputs, finals),
+                sequential_counters(48, 3),
+                "pool unusable after a panic"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_body_fails_the_scoped_block_instead_of_hanging_it() {
+        for threads in [1, 4] {
+            let payload = within_timeout(move || {
+                catch_unwind(AssertUnwindSafe(|| {
+                    execute_block(
+                        &cfg(),
+                        8,
+                        threads,
+                        |_: &u64| Some(0i64),
+                        |i, ctx| {
+                            if i == 3 {
+                                panic!("txn 3 blew up");
+                            }
+                            let v = ctx.read(&0)?.unwrap();
+                            Ok((vec![(0u64, v + 1)], v))
+                        },
+                    )
+                }))
+                .map(|_| ())
+                .expect_err("the body's panic must reach the caller")
+            });
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"txn 3 blew up"), "{threads} threads");
+        }
     }
 }

@@ -5,34 +5,32 @@
 //! per-batch multi-version map and guarantees the outcome — every
 //! transaction's output and the block's final write set — is **byte
 //! identical to executing the same transactions sequentially in block
-//! order**, at any worker-thread count. The serial order is fixed up
-//! front, so the commit order is not a race outcome: this is the ordered
-//! second half of the multi-version story (DESIGN.md §6h), and the reason
-//! block mode collapses cross-seed execution variance.
+//! order**, at any lane count. The serial order is fixed up front, so the
+//! commit order is not a race outcome: this is the ordered second half of
+//! the multi-version story (DESIGN.md §6h), and the reason block mode
+//! collapses cross-seed execution variance.
 //!
 //! ## How it works
 //!
-//! * Every transaction's writes go into a [`MvMap`](mvmap::MvMap): a
-//!   striped multi-version map keyed by `(key, writer index)`. A read by
-//!   transaction `i` resolves to the newest write by a transaction `j < i`
-//!   (or the caller's base state when no such write exists) and records
-//!   the observed `(writer, incarnation)` version in `i`'s read set.
-//! * An aborted transaction's writes become **estimates** (the
-//!   PENDING/ESTIMATE publish protocol): a later reader that hits an
-//!   estimate knows a conflicting earlier write is coming and suspends on
-//!   the writer instead of speculating through it.
-//! * A cooperative [scheduler](executor) drives execute/validate tasks:
-//!   transactions are validated in order, and a failed validation aborts
-//!   and re-executes **only** the invalidated transaction (plus, via
-//!   cascading revalidation, anything that read from it) — each cascade is
-//!   one *wave*, and the per-block [`BlockStats`] count waves,
-//!   re-executions, validation failures and dependency stalls.
+//! * Writes go into an [`MvMap`](mvmap::MvMap) keyed `(key, writer index)`.
+//!   A read by transaction `i` resolves to the newest write by a `j < i`
+//!   (or the caller's base state) and records the version it saw.
+//! * The [scheduler](executor) is lock-free: an execution cursor hands
+//!   out transactions, a validation cursor settles them **in block
+//!   order**, one atomic status word per transaction says who owns it. A
+//!   transaction whose reads no longer hold when the cursor reaches it is
+//!   aborted — its writes become **estimates**, which suspend any reader
+//!   that meets them — and re-executed at once against the settled prefix.
+//!   None is aborted twice; transaction `i`'s body runs at most `i + 1`
+//!   times.
+//! * The calling thread is always the first lane. [`execute_block`] adds
+//!   scoped helpers; [`execute_block_on`] asks a persistent [`BlockPool`]
+//!   for help once a block has run long enough for a second lane to pay.
 //!
-//! The executor is deliberately engine-agnostic: it knows nothing about
-//! TL2, lock tables or WALs. `gstm-serve` layers `ServeMode::Block` on
-//! top, committing each block's results through the real engine in block
-//! order (one commit sequence number per transaction) so the WAL stays
-//! gap-free.
+//! The executor knows nothing about TL2, lock tables or WALs: `gstm-serve`
+//! layers `ServeMode::Block` on top, committing each block's results
+//! through the real engine in block order, one commit sequence number per
+//! transaction, so the WAL stays gap-free.
 
 #![warn(missing_docs)]
 
@@ -48,8 +46,8 @@ pub use pool::BlockPool;
 pub struct BlockConfig {
     /// Maximum transactions per block (callers chop longer sequences).
     pub block_size: usize,
-    /// Stripes in the multi-version map — the `(txn, stripe)` granularity
-    /// at which dependency stalls are tracked.
+    /// Stripes in the multi-version map (they spread lock contention and
+    /// never change an outcome).
     pub parts: usize,
 }
 
@@ -66,8 +64,7 @@ impl BlockConfig {
     /// # Errors
     ///
     /// Returns a descriptive message when either knob is zero or exceeds
-    /// its cap — the loud-at-the-boundary alternative to a panic deep
-    /// inside stripe sizing.
+    /// its cap, instead of a panic deep inside stripe sizing.
     pub fn new(block_size: usize, parts: usize) -> Result<Self, String> {
         if block_size == 0 || block_size > Self::MAX_BLOCK_SIZE {
             return Err(format!(
@@ -87,8 +84,8 @@ impl BlockConfig {
 pub struct BlockStats {
     /// Transaction executions, including the first run of each.
     pub executions: u64,
-    /// Executions beyond each transaction's first (aborted or suspended
-    /// incarnations re-run).
+    /// Executions beyond each transaction's first (aborted incarnations
+    /// re-run).
     pub re_executions: u64,
     /// Validation passes performed.
     pub validations: u64,
@@ -96,8 +93,8 @@ pub struct BlockStats {
     pub validation_fails: u64,
     /// Reads that hit an estimate and suspended on the writer.
     pub dependency_stalls: u64,
-    /// Revalidation cascades (1 + the number of times an abort or a
-    /// re-execution forced later transactions back into validation).
+    /// Validation waves: 1 + the number of aborts (each one sends the
+    /// readers of the aborted writes back through validation).
     pub waves: u64,
 }
 

@@ -56,7 +56,7 @@ where
     /// ([`TVar::new_placed`]).
     ///
     /// On an [`Stm`](gstm_core::Stm) configured with
-    /// `StmConfig::with_table_shards(n)`, every bucket of this map hashes
+    /// `StmConfig::builder(..).table_shards(n)`, every bucket of this map hashes
     /// into lock-table partition `place % n` — `gstm-serve` tags each store
     /// shard's map this way so different shards can never false-share a
     /// lock stripe.

@@ -207,70 +207,6 @@ impl StmConfig {
         StmConfigBuilder { cfg: StmConfig::new(max_threads) }
     }
 
-    /// Sets the detection mode.
-    #[deprecated(since = "0.8.0", note = "use StmConfig::builder(..).detection(..)")]
-    pub fn with_detection(mut self, d: Detection) -> Self {
-        self.detection = d;
-        self
-    }
-
-    /// Sets the resolution mode.
-    #[deprecated(since = "0.8.0", note = "use StmConfig::builder(..).resolution(..)")]
-    pub fn with_resolution(mut self, r: Resolution) -> Self {
-        self.resolution = r;
-        self
-    }
-
-    /// Sets the lock-table size (`1 << log2_stripes` stripes).
-    #[deprecated(since = "0.8.0", note = "use StmConfig::builder(..).log2_stripes(..)")]
-    pub fn with_log2_stripes(mut self, n: u32) -> Self {
-        self.log2_stripes = n;
-        self
-    }
-
-    /// Sets the tick cost model.
-    #[deprecated(since = "0.8.0", note = "use StmConfig::builder(..).costs(..)")]
-    pub fn with_costs(mut self, c: CostModel) -> Self {
-        self.costs = c;
-        self
-    }
-
-    /// Sets the `WaitForReaders` patience (polls before self-aborting).
-    #[deprecated(since = "0.8.0", note = "use StmConfig::builder(..).reader_wait_limit(..)")]
-    pub fn with_reader_wait_limit(mut self, polls: u32) -> Self {
-        self.reader_wait_limit = polls;
-        self
-    }
-
-    /// Enables emission of the oracle's `*Check` events (requires the
-    /// `check` feature to have any effect).
-    #[deprecated(since = "0.8.0", note = "use StmConfig::builder(..).check_events(..)")]
-    pub fn with_check_events(mut self, on: bool) -> Self {
-        self.check_events = on;
-        self
-    }
-
-    /// Sets the version-clock strategy.
-    #[deprecated(since = "0.8.0", note = "use StmConfig::builder(..).clock_strategy(..)")]
-    pub fn with_clock_strategy(mut self, s: ClockStrategy) -> Self {
-        self.clock = s;
-        self
-    }
-
-    /// Sets the number of lock-table partitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0 or exceeds 64 (partitions multiply the table's
-    /// `1 << log2_stripes` footprint; 64 already gives a 64 MiB spine at the
-    /// default stripe count).
-    #[deprecated(since = "0.8.0", note = "use StmConfig::builder(..).table_shards(..)")]
-    pub fn with_table_shards(mut self, n: u32) -> Self {
-        assert!((1..=64).contains(&n), "table_shards must be in 1..=64, got {n}");
-        self.table_shards = n;
-        self
-    }
-
     /// Checks every sizing knob against the limits the engine's guts
     /// enforce, returning one loud message instead of letting an
     /// out-of-range value panic deep inside `LockTable` or ring sizing.
@@ -320,8 +256,7 @@ impl StmConfig {
 }
 
 /// Fluent builder for [`StmConfig`] — the consolidated home of every knob
-/// that used to live on scattered `with_*` constructors (now deprecated
-/// shims). Obtained from [`StmConfig::builder`]; finish with
+/// that used to live on scattered `with_*` constructors. Obtained from [`StmConfig::builder`]; finish with
 /// [`build`](StmConfigBuilder::build).
 ///
 /// ```
@@ -471,25 +406,6 @@ mod tests {
         assert_eq!(c.table_shards, 8);
         assert_eq!(c.read_mode, ReadMode::Snapshot);
         assert_eq!(c.version_ring_capacity, 4);
-    }
-
-    /// The deprecated `with_*` shims must keep producing the exact configs
-    /// the builder does, so pre-redesign call sites behave identically.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_builder() {
-        let shimmed = StmConfig::new(4)
-            .with_clock_strategy(ClockStrategy::SkipAhead)
-            .with_table_shards(8)
-            .with_reader_wait_limit(3)
-            .with_check_events(true);
-        let built = StmConfig::builder(4)
-            .clock_strategy(ClockStrategy::SkipAhead)
-            .table_shards(8)
-            .reader_wait_limit(3)
-            .check_events(true)
-            .build();
-        assert_eq!(shimmed, built);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub const GAUGE_BLOCK_VALIDATIONS: &str = "gstm_block_validations_total";
 pub const GAUGE_BLOCK_VALIDATION_FAILS: &str = "gstm_block_validation_fails_total";
 /// Gauge name: reads that hit an estimate and suspended on the writer.
 pub const GAUGE_BLOCK_DEPENDENCY_STALLS: &str = "gstm_block_dependency_stalls_total";
-/// Gauge name: revalidation cascades across all blocks.
+/// Gauge name: validation waves (blocks + aborts) across all blocks.
 pub const GAUGE_BLOCK_WAVES: &str = "gstm_block_waves_total";
 
 /// Lock-free counters describing one run's block-executor behaviour.
@@ -43,7 +43,7 @@ pub struct BlockGauges {
     pub validation_fails: AtomicU64,
     /// Reads that hit an estimate and suspended.
     pub dependency_stalls: AtomicU64,
-    /// Revalidation cascades (waves) across all blocks.
+    /// Validation waves (one per block plus one per abort) across all blocks.
     pub waves: AtomicU64,
 }
 

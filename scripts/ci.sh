@@ -12,7 +12,7 @@ echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> tier-1: release build"
-cargo build --release --offline
+cargo build --release --offline --workspace
 
 echo "==> tier-1: tests"
 cargo test -q --workspace --offline
@@ -148,6 +148,12 @@ echo "==> block bench smoke: artifact must be well-formed"
 ./target/release/experiments bench-block --preset tiny --smoke --profile release \
     --out target/BENCH_block_smoke.json
 ./target/release/experiments bench-check target/BENCH_block_smoke.json
+
+echo "==> benchmark package: its own tests (traced mirror of the block loop) + serve_block smoke"
+(cd benchmark && cargo test --offline -q)
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    run --workload serve_block --quick >/dev/null \
+    || { echo "benchmark smoke: serve_block failed its own verification"; exit 1; }
 
 echo "==> determinism goldens: default knobs must still pin the legacy spine"
 cargo test -q --offline --test determinism
