@@ -9,7 +9,7 @@
 //! array, no deletion (transactions only ever add to their write set), and
 //! `clear()`-based reuse so a retry never reallocates.
 //!
-//! One reserved key: [`EMPTY_KEY`] (`u64::MAX`) marks free slots. Var ids
+//! One reserved key: `EMPTY_KEY` (`u64::MAX`) marks free slots. Var ids
 //! come from a monotonically increasing counter and can never reach it.
 
 /// Reserved key marking an empty slot. Callers must never insert it.

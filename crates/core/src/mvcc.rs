@@ -49,7 +49,7 @@ const INACTIVE: u64 = u64::MAX;
 const PENDING: u64 = u64::MAX - 1;
 
 /// Counters for the snapshot read path, all maintained relaxed (they are
-/// observability, not synchronization). Snapshot via [`SnapshotRegistry::stats`].
+/// observability, not synchronization). Snapshot via [`crate::Stm::mvcc_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MvccStats {
     /// Snapshot-mode read-only transactions begun.

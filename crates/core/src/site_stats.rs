@@ -69,7 +69,7 @@ impl SiteStatsSink {
         self.table.lock().clone()
     }
 
-    /// Folds the table into a placement [`TouchMap`]: every commit or
+    /// Folds the table into a placement [`crate::TouchMap`]: every commit or
     /// abort a `(thread, site)` pair recorded counts as one touch of slot
     /// `site_to_slot(site)` by that thread. This is the
     /// `site_stats → placement` bridge (DESIGN.md §3.1c): workloads whose

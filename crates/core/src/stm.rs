@@ -52,7 +52,7 @@ impl DoomHandle {
 
     /// Dooms `thread`'s in-flight attempt: its next transactional operation
     /// aborts with [`AbortReason::DoomedByCommitter`] naming the synthetic
-    /// chaos participant (see [`CHAOS_DOOM`]'s doc). Out-of-range threads
+    /// chaos participant (see `CHAOS_DOOM`'s doc). Out-of-range threads
     /// are ignored; a doom landing between attempts is cleared by the next
     /// begin — a lost injection, not an error.
     pub fn doom(&self, thread: ThreadId) {

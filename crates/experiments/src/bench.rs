@@ -2,7 +2,7 @@
 //!
 //! Criterion is off-limits (the workspace builds offline), so this module
 //! is a self-contained harness: each microloop drives `gstm-core`
-//! transactions directly on a [`NullGate`] STM — no simulator, no virtual
+//! transactions directly on a [`gstm_core::NullGate`] STM — no simulator, no virtual
 //! time — and reports wall-clock ops/sec for the engine paths the TL2
 //! overhaul targets (read, read+validate, write buffering, commit lock
 //! acquisition, read-own-write lookup, validation abort). One small STAMP
@@ -36,7 +36,7 @@ use gstm_core::{
     Resolution, Stm, StmConfig, TVar, ThreadId, TxId,
 };
 use gstm_guide::{run_workload, RunOptions};
-use gstm_telemetry::{JsonValue, MvccGauges, SpineGauges};
+use gstm_telemetry::JsonValue;
 
 use crate::progress::Progress;
 
@@ -45,165 +45,242 @@ pub const BENCH_SCHEMA: &str = "gstm-bench";
 /// Version of the bench artifact layout.
 pub const BENCH_VERSION: u32 = 1;
 
-/// Suite tag of the TL2 hot-path artifact (the default when an artifact
-/// predates the `suite` field).
-pub const SUITE_HOTPATH: &str = "tl2_hotpath";
-/// Suite tag of the experiment-pipeline artifact (`BENCH_pipeline.json`).
-pub const SUITE_PIPELINE: &str = "pipeline";
-/// Suite tag of the write-ahead-log artifact (`BENCH_wal.json`).
-pub const SUITE_WAL: &str = "wal";
-/// Suite tag of the commit-spine scaling artifact (`BENCH_scale.json`).
-pub const SUITE_SCALE: &str = "scale";
-/// Suite tag of the multi-version read-path artifact (`BENCH_mvcc.json`).
-pub const SUITE_MVCC: &str = "mvcc";
-/// Suite tag of the online-adaptive-guidance artifact
-/// (`BENCH_adaptive.json`).
-pub const SUITE_ADAPTIVE: &str = "adaptive";
-/// Suite tag of the ordered block-execution artifact (`BENCH_block.json`).
-pub const SUITE_BLOCK: &str = "block";
+/// A suite's runner: `(config, the command's argument list — for a flag
+/// only this suite takes —, progress)` to the metric map in artifact order.
+pub type SuiteRun = fn(&BenchConfig, &[String], &dyn Progress) -> Vec<(String, f64)>;
 
-/// Metric keys every valid hot-path artifact must contain (`bench-check`
-/// gates on presence, never on values).
-pub const REQUIRED_METRICS: &[&str] = &[
-    "lazy.read_ops_per_sec",
-    "lazy.read_validate_ops_per_sec",
-    "lazy.write_ops_per_sec",
-    "lazy.commit_ops_per_sec",
-    "lazy.read_own_write_ops_per_sec",
-    "lazy.abort_ops_per_sec",
-    "eager.read_ops_per_sec",
-    "eager.read_validate_ops_per_sec",
-    "eager.write_ops_per_sec",
-    "eager.commit_ops_per_sec",
-    "eager.read_own_write_ops_per_sec",
-    "eager.abort_ops_per_sec",
-    "stamp.kmeans.lazy.makespan_ticks",
-    "stamp.kmeans.lazy.commits_per_sec",
-    "stamp.kmeans.eager.makespan_ticks",
-    "stamp.kmeans.eager.commits_per_sec",
+/// One bench suite: everything `experiments <command>` and `bench-check`
+/// need to know about it.
+pub struct Suite {
+    /// CLI subcommand that runs the suite.
+    pub command: &'static str,
+    /// Tag recorded in the artifact's `suite` field; the artifact path
+    /// when `--out` is not given is `BENCH_<suite>.json`.
+    pub suite: &'static str,
+    /// Preset the suite always runs at, whatever `--preset` says; `None`
+    /// takes `--preset` (default `default`).
+    pub pinned_preset: Option<&'static str>,
+    /// Metric keys every valid artifact of this suite must contain
+    /// (`bench-check` gates on presence, never on values).
+    pub required: &'static [&'static str],
+    /// Runs the suite.
+    pub run: SuiteRun,
+}
+
+/// Every bench suite. The first entry (the TL2 hot path) is what an
+/// artifact predating the `suite` field is.
+pub const SUITES: &[Suite] = &[
+    Suite {
+        command: "bench",
+        suite: "tl2_hotpath",
+        pinned_preset: None,
+        required: &[
+            "lazy.read_ops_per_sec",
+            "lazy.read_validate_ops_per_sec",
+            "lazy.write_ops_per_sec",
+            "lazy.commit_ops_per_sec",
+            "lazy.read_own_write_ops_per_sec",
+            "lazy.abort_ops_per_sec",
+            "eager.read_ops_per_sec",
+            "eager.read_validate_ops_per_sec",
+            "eager.write_ops_per_sec",
+            "eager.commit_ops_per_sec",
+            "eager.read_own_write_ops_per_sec",
+            "eager.abort_ops_per_sec",
+            "stamp.kmeans.lazy.makespan_ticks",
+            "stamp.kmeans.lazy.commits_per_sec",
+            "stamp.kmeans.eager.makespan_ticks",
+            "stamp.kmeans.eager.commits_per_sec",
+        ],
+        run: |cfg, _, progress| run_hotpath_suite(cfg, progress),
+    },
+    Suite {
+        command: "bench-pipeline",
+        suite: "pipeline",
+        pinned_preset: Some("tiny"),
+        required: &[
+            "pipeline.cold_wall_ms",
+            "pipeline.warm_wall_ms",
+            "pipeline.warm_speedup",
+            "pipeline.cells",
+            "pipeline.cold_model_misses",
+            "pipeline.cold_train_wall_ms",
+            "pipeline.warm_model_hits",
+            "pipeline.warm_model_misses",
+            "pipeline.warm_run_hits",
+            "pipeline.warm_run_misses",
+            "pipeline.warm_train_wall_ms",
+        ],
+        run: |_, args, progress| run_pipeline_suite_at(flag(args, "--cache-dir"), progress),
+    },
+    Suite {
+        command: "bench-wal",
+        suite: "wal",
+        pinned_preset: Some("tiny"),
+        required: &[
+            "wal.append_ops_per_sec",
+            "wal.recover_1k_us",
+            "wal.recover_8k_us",
+            "wal.recover_32k_us",
+            "wal.serve_ephemeral_wall_ms",
+            "wal.serve_durable_wall_ms",
+            "wal.durable_overhead_pct",
+        ],
+        run: |cfg, _, progress| run_wal_suite(cfg, progress),
+    },
+    Suite {
+        command: "bench-scale",
+        suite: "scale",
+        pinned_preset: None,
+        required: &[
+            "scale.legacy.t1.commit_ops_per_sec",
+            "scale.legacy.t2.commit_ops_per_sec",
+            "scale.legacy.t4.commit_ops_per_sec",
+            "scale.legacy.t8.commit_ops_per_sec",
+            "scale.legacy.t16.commit_ops_per_sec",
+            "scale.skip.t1.commit_ops_per_sec",
+            "scale.skip.t2.commit_ops_per_sec",
+            "scale.skip.t4.commit_ops_per_sec",
+            "scale.skip.t8.commit_ops_per_sec",
+            "scale.skip.t16.commit_ops_per_sec",
+            "scale.skip.t4.cas_success",
+            "scale.skip.t4.skip_ahead",
+            "scale.skip.read_only_ticks_avoided",
+            "serve.global.req_per_sec",
+            "serve.global.sojourn_p99_ticks",
+            "serve.sharded.req_per_sec",
+            "serve.sharded.sojourn_p99_ticks",
+            "footprint.reader_registries_allocated",
+            "footprint.reader_registry_lazy_bytes",
+            "footprint.reader_registry_eager_bytes",
+        ],
+        run: |cfg, _, progress| run_scale_suite(cfg, progress),
+    },
+    // The read-mostly serve cell under each read mode (throughput, overall
+    // and read-only tail, read-only aborts), plus the snapshot engine's
+    // version-ring counters.
+    Suite {
+        command: "bench-mvcc",
+        suite: "mvcc",
+        pinned_preset: None,
+        required: &[
+            "mvcc.latest.req_per_sec",
+            "mvcc.latest.sojourn_p99_ticks",
+            "mvcc.latest.sojourn_ro_p99_ticks",
+            "mvcc.latest.ro_aborts",
+            "mvcc.snapshot.req_per_sec",
+            "mvcc.snapshot.sojourn_p99_ticks",
+            "mvcc.snapshot.sojourn_ro_p99_ticks",
+            "mvcc.snapshot.ro_aborts",
+            "mvcc.snapshot.snapshot_txns",
+            "mvcc.snapshot.snapshot_reads",
+            "mvcc.snapshot.spared_validations",
+            "mvcc.snapshot.versions_published",
+            "mvcc.snapshot.gc_lag_events",
+            "mvcc.snapshot.ring_len_max",
+        ],
+        run: |cfg, _, progress| run_mvcc_suite(cfg, progress),
+    },
+    // The drifting serve cell under the stale static model vs the
+    // online-adaptive loop (throughput in virtual time, tail, harness
+    // wall-clock), the loop's own counters, and the §IV gate's negative
+    // control.
+    Suite {
+        command: "bench-adaptive",
+        suite: "adaptive",
+        pinned_preset: None,
+        required: &[
+            "adaptive.static.req_per_ktick",
+            "adaptive.static.sojourn_p99_ticks",
+            "adaptive.static.wall_ms",
+            "adaptive.adaptive.req_per_ktick",
+            "adaptive.adaptive.sojourn_p99_ticks",
+            "adaptive.adaptive.wall_ms",
+            "adaptive.loop.retrain_attempts",
+            "adaptive.loop.installs",
+            "adaptive.loop.rejects",
+            "adaptive.loop.stand_downs",
+            "adaptive.gate.uniform_rejected",
+        ],
+        run: |cfg, _, progress| run_adaptive_suite(cfg, progress),
+    },
+    // The same read-mostly serve cell under interleaved TL2, interleaved
+    // snapshot reads, and ordered block execution (throughput and tail
+    // each), the block arm's speedup over TL2, the executor's counters, and
+    // the schedule-invariance verdict (1.0 = parallel output byte-identical
+    // to the sequential reference at every checked thread count).
+    Suite {
+        command: "bench-block",
+        suite: "block",
+        pinned_preset: None,
+        required: &[
+            "block.tl2.req_per_sec",
+            "block.tl2.sojourn_p99_ticks",
+            "block.snapshot.req_per_sec",
+            "block.snapshot.sojourn_p99_ticks",
+            "block.block.req_per_sec",
+            "block.block.sojourn_p99_ticks",
+            "block.block.speedup_vs_tl2",
+            "block.block.blocks",
+            "block.block.re_executions",
+            "block.block.validation_fails",
+            "block.block.dependency_stalls",
+            "block.block.waves",
+            "block.block.determinism_ok",
+        ],
+        run: |cfg, _, progress| run_block_suite(cfg, progress),
+    },
 ];
 
-/// Metric keys every valid pipeline artifact must contain.
-pub const PIPELINE_REQUIRED_METRICS: &[&str] = &[
-    "pipeline.cold_wall_ms",
-    "pipeline.warm_wall_ms",
-    "pipeline.warm_speedup",
-    "pipeline.cells",
-    "pipeline.cold_model_misses",
-    "pipeline.cold_train_wall_ms",
-    "pipeline.warm_model_hits",
-    "pipeline.warm_model_misses",
-    "pipeline.warm_run_hits",
-    "pipeline.warm_run_misses",
-    "pipeline.warm_train_wall_ms",
-];
-
-/// Metric keys every valid WAL artifact must contain.
-pub const WAL_REQUIRED_METRICS: &[&str] = &[
-    "wal.append_ops_per_sec",
-    "wal.recover_1k_us",
-    "wal.recover_8k_us",
-    "wal.recover_32k_us",
-    "wal.serve_ephemeral_wall_ms",
-    "wal.serve_durable_wall_ms",
-    "wal.durable_overhead_pct",
-];
+/// The suite an artifact's `suite` tag names.
+pub fn suite(tag: &str) -> Option<&'static Suite> {
+    SUITES.iter().find(|s| s.suite == tag)
+}
 
 /// Thread counts the scale suite sweeps.
 pub const SCALE_THREADS: &[usize] = &[1, 2, 4, 8, 16];
 
-/// Metric keys every valid scale artifact must contain.
-pub const SCALE_REQUIRED_METRICS: &[&str] = &[
-    "scale.legacy.t1.commit_ops_per_sec",
-    "scale.legacy.t2.commit_ops_per_sec",
-    "scale.legacy.t4.commit_ops_per_sec",
-    "scale.legacy.t8.commit_ops_per_sec",
-    "scale.legacy.t16.commit_ops_per_sec",
-    "scale.skip.t1.commit_ops_per_sec",
-    "scale.skip.t2.commit_ops_per_sec",
-    "scale.skip.t4.commit_ops_per_sec",
-    "scale.skip.t8.commit_ops_per_sec",
-    "scale.skip.t16.commit_ops_per_sec",
-    "scale.skip.t4.cas_success",
-    "scale.skip.t4.skip_ahead",
-    "scale.skip.read_only_ticks_avoided",
-    "serve.global.req_per_sec",
-    "serve.global.sojourn_p99_ticks",
-    "serve.sharded.req_per_sec",
-    "serve.sharded.sojourn_p99_ticks",
-    "footprint.reader_registries_allocated",
-    "footprint.reader_registry_lazy_bytes",
-    "footprint.reader_registry_eager_bytes",
-];
+/// The value following `name` in a command's argument list.
+fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
+}
 
-/// Metric keys every valid MVCC artifact must contain: the read-mostly
-/// serve cell under each read mode (throughput, overall and read-only
-/// tail, read-only aborts), plus the snapshot engine's version-ring
-/// counters.
-pub const MVCC_REQUIRED_METRICS: &[&str] = &[
-    "mvcc.latest.req_per_sec",
-    "mvcc.latest.sojourn_p99_ticks",
-    "mvcc.latest.sojourn_ro_p99_ticks",
-    "mvcc.latest.ro_aborts",
-    "mvcc.snapshot.req_per_sec",
-    "mvcc.snapshot.sojourn_p99_ticks",
-    "mvcc.snapshot.sojourn_ro_p99_ticks",
-    "mvcc.snapshot.ro_aborts",
-    "mvcc.snapshot.snapshot_txns",
-    "mvcc.snapshot.snapshot_reads",
-    "mvcc.snapshot.spared_validations",
-    "mvcc.snapshot.versions_published",
-    "mvcc.snapshot.gc_lag_events",
-    "mvcc.snapshot.ring_len_max",
-];
-
-/// Metric keys every valid adaptive artifact must contain: the drifting
-/// serve cell under the stale static model vs the online-adaptive loop
-/// (throughput in virtual time, tail, harness wall-clock), the loop's own
-/// counters, and the §IV gate's negative control.
-pub const ADAPTIVE_REQUIRED_METRICS: &[&str] = &[
-    "adaptive.static.req_per_ktick",
-    "adaptive.static.sojourn_p99_ticks",
-    "adaptive.static.wall_ms",
-    "adaptive.adaptive.req_per_ktick",
-    "adaptive.adaptive.sojourn_p99_ticks",
-    "adaptive.adaptive.wall_ms",
-    "adaptive.loop.retrain_attempts",
-    "adaptive.loop.installs",
-    "adaptive.loop.rejects",
-    "adaptive.loop.stand_downs",
-    "adaptive.gate.uniform_rejected",
-];
-
-/// Metric keys every valid block artifact must contain: the same
-/// read-mostly serve cell under interleaved TL2, interleaved snapshot
-/// reads, and ordered block execution (throughput and tail each), the
-/// block arm's speedup over TL2, the executor's counters, and the
-/// schedule-invariance verdict (1.0 = parallel output byte-identical to
-/// the sequential reference at every checked thread count).
-pub const BLOCK_REQUIRED_METRICS: &[&str] = &[
-    "block.tl2.req_per_sec",
-    "block.tl2.sojourn_p99_ticks",
-    "block.snapshot.req_per_sec",
-    "block.snapshot.sojourn_p99_ticks",
-    "block.block.req_per_sec",
-    "block.block.sojourn_p99_ticks",
-    "block.block.speedup_vs_tl2",
-    "block.block.blocks",
-    "block.block.re_executions",
-    "block.block.validation_fails",
-    "block.block.dependency_stalls",
-    "block.block.waves",
-    "block.block.determinism_ok",
-];
+/// Runs one suite's command line — `[--out PATH] [--preset tiny|default]
+/// [--smoke] [--profile NAME] [--baseline FILE]` — and writes the artifact.
+///
+/// # Errors
+///
+/// Returns the message to print (unknown preset, unreadable or malformed
+/// baseline, unwritable artifact path).
+pub fn run_command(suite: &Suite, args: &[String], progress: &dyn Progress) -> Result<(), String> {
+    let default_out = format!("BENCH_{}.json", suite.suite);
+    let out = flag(args, "--out").unwrap_or(&default_out);
+    let preset = suite.pinned_preset.or(flag(args, "--preset")).unwrap_or("default");
+    let mut cfg = BenchConfig::for_preset(preset, args.iter().any(|a| a == "--smoke"))?;
+    cfg.suite = suite.suite.to_string();
+    if let Some(profile) = flag(args, "--profile") {
+        cfg.profile = profile.to_string();
+    }
+    let baseline = flag(args, "--baseline")
+        .map(|path| {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+            parse_metrics(&text).map_err(|e| format!("bad baseline {path}: {e}"))
+        })
+        .transpose()?;
+    let metrics = (suite.run)(&cfg, args, progress);
+    let text = render_artifact(&cfg, &metrics, baseline.as_deref());
+    std::fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
+    progress.report(&format!("wrote {out}"));
+    Ok(())
+}
 
 /// Harness parameters (iteration counts scale with the preset, repetition
 /// counts with smoke mode).
 #[derive(Clone, Debug)]
 pub struct BenchConfig {
-    /// Suite tag recorded in the artifact ([`SUITE_HOTPATH`] or
-    /// [`SUITE_PIPELINE`]); selects which metric keys `bench-check`
-    /// requires.
+    /// Suite tag recorded in the artifact ([`Suite::suite`]); selects
+    /// which metric keys `bench-check` requires.
     pub suite: String,
     /// Preset name recorded in the artifact: `tiny` (CI smoke) or `default`.
     pub preset: String,
@@ -231,7 +308,7 @@ impl BenchConfig {
             other => return Err(format!("unknown bench preset {other:?} (tiny|default)")),
         };
         Ok(BenchConfig {
-            suite: SUITE_HOTPATH.to_string(),
+            suite: SUITES[0].suite.to_string(),
             preset: preset.to_string(),
             smoke,
             profile: "unknown".to_string(),
@@ -591,7 +668,7 @@ fn bench_scale_footprint() -> RegistryFootprint {
 /// Runs the commit-spine scale suite: the legacy-vs-skip-ahead clock sweep
 /// over [`SCALE_THREADS`] OS threads, the GV4 read-only tick counter, the
 /// global-vs-per-shard native serve cell, and the reader-registry
-/// footprint. Returns the [`SCALE_REQUIRED_METRICS`] map.
+/// footprint.
 pub fn run_scale_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(String, f64)> {
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let mut t4 = ClockStats::default();
@@ -623,14 +700,7 @@ pub fn run_scale_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(Strin
     metrics.push(("footprint.reader_registries_allocated".into(), fp.allocated as f64));
     metrics.push(("footprint.reader_registry_lazy_bytes".into(), fp.lazy_bytes as f64));
     metrics.push(("footprint.reader_registry_eager_bytes".into(), fp.eager_bytes as f64));
-    let gauges = SpineGauges::new();
-    SpineGauges::set(&gauges.cas_success, t4.cas_success);
-    SpineGauges::set(&gauges.skip_ahead, t4.skip_ahead);
-    SpineGauges::set(&gauges.read_only_spared, spared as u64);
-    SpineGauges::set(&gauges.registries_allocated, fp.allocated as u64);
-    SpineGauges::set(&gauges.registry_lazy_bytes, fp.lazy_bytes as u64);
-    SpineGauges::set(&gauges.registry_eager_bytes, fp.eager_bytes as u64);
-    progress.report(&gauges.summary());
+    progress.report(&format!("spine (skip, t4): {t4:?}; read-only spared {spared:.0}; {fp:?}"));
     metrics
 }
 
@@ -674,8 +744,7 @@ fn bench_mvcc_serve(cfg: &BenchConfig, read_mode: ReadMode) -> (f64, f64, f64, u
 /// Runs the multi-version read-path suite: the same read-mostly serve
 /// cell under `ReadMode::Latest` (validated read-only transactions) and
 /// `ReadMode::Snapshot` (version-ring reads at a frozen timestamp), plus
-/// the snapshot engine's ring counters. Returns the
-/// [`MVCC_REQUIRED_METRICS`] map.
+/// the snapshot engine's ring counters.
 pub fn run_mvcc_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(String, f64)> {
     let mut metrics: Vec<(String, f64)> = Vec::new();
     let mut snap = MvccStats::default();
@@ -699,20 +768,11 @@ pub fn run_mvcc_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(String
     metrics.push(("mvcc.snapshot.versions_published".into(), snap.versions_published as f64));
     metrics.push(("mvcc.snapshot.gc_lag_events".into(), snap.gc_lag_events as f64));
     metrics.push(("mvcc.snapshot.ring_len_max".into(), snap.ring_len_max as f64));
-    let gauges = MvccGauges::new();
-    MvccGauges::set(&gauges.snapshot_txns, snap.snapshot_txns);
-    MvccGauges::set(&gauges.snapshot_reads, snap.snapshot_reads);
-    MvccGauges::set(&gauges.fallback_initial, snap.fallback_initial);
-    MvccGauges::set(&gauges.spared_validations, snap.spared_validations);
-    MvccGauges::set(&gauges.versions_published, snap.versions_published);
-    MvccGauges::set(&gauges.versions_evicted, snap.versions_evicted);
-    MvccGauges::set(&gauges.gc_lag_events, snap.gc_lag_events);
-    MvccGauges::set(&gauges.ring_len_max, snap.ring_len_max);
-    progress.report(&gauges.summary());
+    progress.report(&format!("mvcc.snapshot: {snap:?}"));
     metrics
 }
 
-///// The block study's serve cell: the contended hot store shape under the
+/// The block study's serve cell: the contended hot store shape under the
 /// read-mostly `mvcc_read` mix, offered well past service capacity
 /// (mean inter-arrival gap 8 ticks across 3 streams) — so every arm's
 /// throughput reflects how fast it drains requests, not the arrival
@@ -755,7 +815,6 @@ fn bench_block_serve(
 /// under interleaved TL2, interleaved snapshot reads, and
 /// `ServeMode::Block`, plus the schedule-invariance oracle (parallel
 /// block output vs the sequential reference at 1/2/4 worker threads).
-/// Returns the [`BLOCK_REQUIRED_METRICS`] map.
 pub fn run_block_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(String, f64)> {
     const BLOCK_SIZE: usize = 64;
     let mut metrics: Vec<(String, f64)> = Vec::new();
@@ -786,21 +845,7 @@ pub fn run_block_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(Strin
                 report.stats.dependency_stalls as f64,
             ));
             metrics.push(("block.block.waves".into(), report.stats.waves as f64));
-            let gauges = gstm_telemetry::BlockGauges::new();
-            gstm_telemetry::BlockGauges::set(&gauges.blocks, report.blocks);
-            gstm_telemetry::BlockGauges::set(&gauges.executions, report.stats.executions);
-            gstm_telemetry::BlockGauges::set(&gauges.re_executions, report.stats.re_executions);
-            gstm_telemetry::BlockGauges::set(&gauges.validations, report.stats.validations);
-            gstm_telemetry::BlockGauges::set(
-                &gauges.validation_fails,
-                report.stats.validation_fails,
-            );
-            gstm_telemetry::BlockGauges::set(
-                &gauges.dependency_stalls,
-                report.stats.dependency_stalls,
-            );
-            gstm_telemetry::BlockGauges::set(&gauges.waves, report.stats.waves);
-            progress.report(&gauges.summary());
+            progress.report(&format!("block.block: {} blocks, {:?}", report.blocks, report.stats));
         }
     }
     // Schedule invariance: the pure parallel runner (no engine, no clock)
@@ -862,7 +907,6 @@ fn bench_adaptive_serve(
 /// the stale static model and under the full adaptive loop (windowed
 /// ingestion, incremental retraining, §IV gate, hot-swap), plus the loop's
 /// telemetry counters and the gate's near-uniform negative control.
-/// Returns the [`ADAPTIVE_REQUIRED_METRICS`] map.
 pub fn run_adaptive_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(String, f64)> {
     use std::sync::Arc;
 
@@ -975,9 +1019,9 @@ fn mode_name(detection: Detection) -> &'static str {
     }
 }
 
-/// Runs the full suite and returns the flat `metrics` map in artifact key
+/// Runs the hot-path suite and returns the flat `metrics` map in artifact key
 /// order. `progress` receives one line per completed metric group.
-pub fn run_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(String, f64)> {
+pub fn run_hotpath_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(String, f64)> {
     let mut metrics: Vec<(String, f64)> = Vec::new();
     for detection in [Detection::CommitTime, Detection::EncounterTime] {
         let mode = mode_name(detection);
@@ -1010,7 +1054,7 @@ pub fn run_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(String, f64
 /// Runs the pipeline cold-vs-warm benchmark: a tiny study resolved twice
 /// against a fresh cache at `cache_root`. The cold pass trains and
 /// measures everything; the warm pass must hit the cache for every model
-/// and every run. Returns the [`PIPELINE_REQUIRED_METRICS`] map.
+/// and every run.
 ///
 /// # Panics
 ///
@@ -1070,6 +1114,22 @@ pub fn run_pipeline_suite(
     ]
 }
 
+/// [`run_pipeline_suite`] at `--cache-dir`, or — so the first pass is
+/// genuinely cold — at a fresh directory that is removed afterwards.
+fn run_pipeline_suite_at(cache_dir: Option<&str>, progress: &dyn Progress) -> Vec<(String, f64)> {
+    if let Some(dir) = cache_dir {
+        return run_pipeline_suite(progress, std::path::Path::new(dir));
+    }
+    let dir = std::path::PathBuf::from(format!(
+        "target/gstm-bench-pipeline-cache-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let metrics = run_pipeline_suite(progress, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    metrics
+}
+
 /// Assembles the versioned artifact. `baseline` carries an earlier
 /// capture's `metrics` map to commit before/after together.
 pub fn render_artifact(
@@ -1115,10 +1175,9 @@ pub fn parse_metrics(text: &str) -> Result<Vec<(String, f64)>, String> {
 
 /// Validates a committed artifact: parseable JSON, correct schema/version,
 /// and every required key of its suite present and numeric (the `suite`
-/// field picks [`REQUIRED_METRICS`], [`PIPELINE_REQUIRED_METRICS`] or
-/// [`WAL_REQUIRED_METRICS`]; artifacts predating the field are hot-path
-/// artifacts). Absolute values
-/// are never gated — this protects the artifact's shape, not its numbers.
+/// field picks the [`SUITES`] entry; artifacts predating the field are
+/// hot-path artifacts). Absolute values are never gated — this protects
+/// the artifact's shape, not its numbers.
 ///
 /// # Errors
 ///
@@ -1133,15 +1192,12 @@ pub fn check_artifact(text: &str) -> Result<(), String> {
         Some(ver) if ver == f64::from(BENCH_VERSION) => {}
         other => return Err(format!("unsupported version: {other:?}")),
     }
-    let required: &[&str] = match v.get("suite").map(|s| s.as_str().ok_or(s)) {
-        None | Some(Ok(SUITE_HOTPATH)) => REQUIRED_METRICS,
-        Some(Ok(SUITE_PIPELINE)) => PIPELINE_REQUIRED_METRICS,
-        Some(Ok(SUITE_WAL)) => WAL_REQUIRED_METRICS,
-        Some(Ok(SUITE_SCALE)) => SCALE_REQUIRED_METRICS,
-        Some(Ok(SUITE_MVCC)) => MVCC_REQUIRED_METRICS,
-        Some(Ok(SUITE_ADAPTIVE)) => ADAPTIVE_REQUIRED_METRICS,
-        Some(Ok(SUITE_BLOCK)) => BLOCK_REQUIRED_METRICS,
-        Some(other) => return Err(format!("unknown suite: {other:?}")),
+    let required = match v.get("suite") {
+        None => SUITES[0].required,
+        Some(tag) => match tag.as_str().and_then(suite) {
+            Some(s) => s.required,
+            None => return Err(format!("unknown suite: {tag:?}")),
+        },
     };
     let metrics = v.get("metrics").ok_or("missing \"metrics\" object")?;
     if metrics.as_obj().is_none() {
@@ -1168,11 +1224,18 @@ mod tests {
         cfg
     }
 
+    /// A config tagged for `tag`'s suite plus a metrics map holding exactly
+    /// that suite's required keys.
+    fn shape(tag: &str) -> (BenchConfig, Vec<(String, f64)>) {
+        let mut cfg = smoke_cfg();
+        cfg.suite = tag.to_string();
+        let required = suite(tag).expect("known suite").required;
+        (cfg, required.iter().map(|k| (k.to_string(), 1.0)).collect())
+    }
+
     #[test]
     fn artifact_round_trips_and_checks() {
-        let cfg = smoke_cfg();
-        let metrics: Vec<(String, f64)> =
-            REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
+        let (cfg, metrics) = shape("tl2_hotpath");
         let text = render_artifact(&cfg, &metrics, Some(&metrics));
         check_artifact(&text).unwrap();
         assert_eq!(parse_metrics(&text).unwrap(), metrics);
@@ -1182,9 +1245,7 @@ mod tests {
     fn check_rejects_broken_artifacts() {
         assert!(check_artifact("not json").is_err());
         assert!(check_artifact("{}").is_err());
-        let cfg = smoke_cfg();
-        let mut metrics: Vec<(String, f64)> =
-            REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
+        let (cfg, mut metrics) = shape("tl2_hotpath");
         metrics.pop();
         let text = render_artifact(&cfg, &metrics, None);
         let err = check_artifact(&text).unwrap_err();
@@ -1205,12 +1266,8 @@ mod tests {
     }
 
     #[test]
-    fn scale_suite_keys_and_microloops() {
-        let mut cfg = smoke_cfg();
-        cfg.suite = SUITE_SCALE.to_string();
-        let scale: Vec<(String, f64)> =
-            SCALE_REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
-        check_artifact(&render_artifact(&cfg, &scale, None)).unwrap();
+    fn scale_microloops() {
+        let cfg = smoke_cfg();
         let (legacy_rate, legacy_stats) = bench_scale_commit(&cfg, 2, ClockStrategy::FetchAdd);
         assert!(legacy_rate > 0.0);
         assert_eq!(legacy_stats, ClockStats::default(), "legacy path carries no counters");
@@ -1225,12 +1282,8 @@ mod tests {
     }
 
     #[test]
-    fn mvcc_suite_keys_and_serve_cell() {
-        let mut cfg = smoke_cfg();
-        cfg.suite = SUITE_MVCC.to_string();
-        let mvcc: Vec<(String, f64)> =
-            MVCC_REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
-        check_artifact(&render_artifact(&cfg, &mvcc, None)).unwrap();
+    fn mvcc_serve_cell() {
+        let cfg = smoke_cfg();
         let (rate, _p99, _ro_p99, ro_aborts, stats) = bench_mvcc_serve(&cfg, ReadMode::Snapshot);
         assert!(rate > 0.0);
         assert_eq!(ro_aborts, 0, "snapshot reads never abort");
@@ -1238,18 +1291,12 @@ mod tests {
     }
 
     #[test]
-    fn block_suite_keys_and_full_run() {
-        let mut cfg = smoke_cfg();
-        cfg.suite = SUITE_BLOCK.to_string();
-        let shape: Vec<(String, f64)> =
-            BLOCK_REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
-        check_artifact(&render_artifact(&cfg, &shape, None)).unwrap();
+    fn block_suite_full_run() {
         // The tiny suite end-to-end: every required key present, the
         // invariance oracle non-vacuous and green.
+        let (cfg, _) = shape("block");
         let metrics = run_block_suite(&cfg, &crate::progress::NoProgress);
-        for key in BLOCK_REQUIRED_METRICS {
-            assert!(metrics.iter().any(|(k, _)| k == key), "missing {key}");
-        }
+        check_artifact(&render_artifact(&cfg, &metrics, None)).unwrap();
         let get = |key: &str| metrics.iter().find(|(k, _)| k == key).unwrap().1;
         assert_eq!(get("block.block.determinism_ok"), 1.0);
         assert!(get("block.block.blocks") >= 1.0);
@@ -1257,12 +1304,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_suite_keys_and_serve_cell() {
-        let mut cfg = smoke_cfg();
-        cfg.suite = SUITE_ADAPTIVE.to_string();
-        let shape: Vec<(String, f64)> =
-            ADAPTIVE_REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
-        check_artifact(&render_artifact(&cfg, &shape, None)).unwrap();
+    fn adaptive_serve_cell_is_deterministic() {
+        let cfg = smoke_cfg();
         // The drifting cell runs in virtual time: two runs under the same
         // policy agree on every stat the suite reports.
         let spec = adaptive_bench_spec(&cfg);
@@ -1279,7 +1322,7 @@ mod tests {
         let cfg = smoke_cfg();
         let metrics = run_adaptive_suite(&cfg, &crate::progress::NoProgress);
         let keys: Vec<&str> = metrics.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ADAPTIVE_REQUIRED_METRICS.to_vec());
+        assert_eq!(keys, suite("adaptive").unwrap().required.to_vec());
         let get = |k: &str| metrics.iter().find(|(n, _)| n == k).unwrap().1;
         assert_eq!(get("adaptive.gate.uniform_rejected"), 1.0, "gate must refuse uniform");
         assert!(get("adaptive.adaptive.req_per_ktick") > 0.0);
@@ -1293,46 +1336,51 @@ mod tests {
 
     #[test]
     fn suite_field_selects_required_metrics() {
+        let (_, hot) = shape("tl2_hotpath");
+        for s in SUITES {
+            let (cfg, own) = shape(s.suite);
+            check_artifact(&render_artifact(&cfg, &own, None)).unwrap();
+            if s.suite != "tl2_hotpath" {
+                // Hot-path keys do not satisfy any other suite's artifact.
+                let err = check_artifact(&render_artifact(&cfg, &hot, None)).unwrap_err();
+                assert!(err.contains(s.required[0]), "{}: {err}", s.suite);
+            }
+        }
+        // An unknown suite is rejected outright...
         let mut cfg = smoke_cfg();
-        cfg.suite = SUITE_PIPELINE.to_string();
-        let pipeline: Vec<(String, f64)> =
-            PIPELINE_REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
-        check_artifact(&render_artifact(&cfg, &pipeline, None)).unwrap();
-        // Hot-path keys do not satisfy a pipeline artifact...
-        let hot: Vec<(String, f64)> =
-            REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
-        let err = check_artifact(&render_artifact(&cfg, &hot, None)).unwrap_err();
-        assert!(err.contains("pipeline."), "{err}");
-        // ...the WAL suite gates on its own keys...
-        cfg.suite = SUITE_WAL.to_string();
-        let wal: Vec<(String, f64)> =
-            WAL_REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
-        check_artifact(&render_artifact(&cfg, &wal, None)).unwrap();
-        let err = check_artifact(&render_artifact(&cfg, &hot, None)).unwrap_err();
-        assert!(err.contains("wal."), "{err}");
-        // ...as does the MVCC suite...
-        cfg.suite = SUITE_MVCC.to_string();
-        let mvcc: Vec<(String, f64)> =
-            MVCC_REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
-        check_artifact(&render_artifact(&cfg, &mvcc, None)).unwrap();
-        let err = check_artifact(&render_artifact(&cfg, &hot, None)).unwrap_err();
-        assert!(err.contains("mvcc."), "{err}");
-        // ...as does the adaptive suite...
-        cfg.suite = SUITE_ADAPTIVE.to_string();
-        let adaptive: Vec<(String, f64)> =
-            ADAPTIVE_REQUIRED_METRICS.iter().map(|k| (k.to_string(), 1.0)).collect();
-        check_artifact(&render_artifact(&cfg, &adaptive, None)).unwrap();
-        let err = check_artifact(&render_artifact(&cfg, &hot, None)).unwrap_err();
-        assert!(err.contains("adaptive."), "{err}");
-        // ...an unknown suite is rejected outright...
         cfg.suite = "nonsense".to_string();
         let err = check_artifact(&render_artifact(&cfg, &hot, None)).unwrap_err();
         assert!(err.contains("unknown suite"), "{err}");
         // ...and an artifact with no suite field is a hot-path artifact.
         let legacy = format!(
             "{{\"schema\":\"gstm-bench\",\"version\":1,\"metrics\":{{{}}}}}",
-            REQUIRED_METRICS.iter().map(|k| format!("\"{k}\":1")).collect::<Vec<_>>().join(",")
+            hot.iter().map(|(k, _)| format!("\"{k}\":1")).collect::<Vec<_>>().join(",")
         );
         check_artifact(&legacy).unwrap();
+    }
+
+    #[test]
+    fn run_command_writes_a_checked_artifact_and_reports_bad_flags() {
+        let wal = suite("wal").unwrap();
+        let out = std::env::temp_dir().join(format!("gstm-bench-cmd-{}.json", std::process::id()));
+        let args: Vec<String> =
+            ["--out", out.to_str().unwrap(), "--smoke", "--profile", "test", "--preset", "default"]
+                .map(String::from)
+                .to_vec();
+        run_command(wal, &args, &crate::progress::NoProgress).unwrap();
+        let text = std::fs::read_to_string(&out).unwrap();
+        let _ = std::fs::remove_file(&out);
+        check_artifact(&text).unwrap();
+        let v = JsonValue::parse(&text).unwrap();
+        assert_eq!(v.get("suite").and_then(JsonValue::as_str), Some("wal"));
+        assert_eq!(
+            v.get("preset").and_then(JsonValue::as_str),
+            Some("tiny"),
+            "wal pins its preset"
+        );
+        assert_eq!(v.get("profile").and_then(JsonValue::as_str), Some("test"));
+        let bad: Vec<String> = ["--preset", "huge"].map(String::from).to_vec();
+        let err = run_command(&SUITES[0], &bad, &crate::progress::NoProgress).unwrap_err();
+        assert!(err.contains("unknown bench preset"), "{err}");
     }
 }

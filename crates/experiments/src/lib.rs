@@ -2,7 +2,7 @@
 //!
 //! One module per concern:
 //!
-//! * [`bench`] — TL2 hot-path microbenchmarks and `BENCH_*.json` output;
+//! * [`mod@bench`] — TL2 hot-path microbenchmarks and `BENCH_*.json` output;
 //! * [`config`] — sweep parameters (threads, seeds, sizes, Tfactor);
 //! * [`study`] — study data types and the training passes;
 //! * [`pipeline`] — [`pipeline::StudyPlan`] / [`pipeline::Pipeline`]: the

@@ -19,10 +19,16 @@
 //!   ablate-tfactor | ablate-k | ablate-cm | ablate-train | ablate-policy | ablate-detection
 //!   train-model --bench NAME   (profile + build + save results/NAME-<threads>t.gtsa)
 //!   inspect-model FILE         (analyzer report + hottest states of a saved model)
-//!   bench [--out PATH] [--preset tiny|default] [--smoke] [--baseline FILE]
-//!         [--profile NAME]     (hot-path microbenchmarks -> BENCH_tl2_hotpath.json)
-//!   bench-pipeline [--out PATH] [--cache-dir PATH] [--profile NAME]
-//!                              (cold-vs-warm pipeline timing -> BENCH_pipeline.json)
+//!   bench | bench-pipeline | bench-wal | bench-scale | bench-mvcc |
+//!   bench-adaptive | bench-block
+//!         [--out PATH] [--preset tiny|default] [--smoke] [--profile NAME]
+//!         [--baseline FILE]    (one entry of `bench::SUITES` each ->
+//!                               BENCH_<suite>.json: TL2 hot-path microloops;
+//!                               cold-vs-warm pipeline timing (also takes
+//!                               --cache-dir); WAL append, recovery and
+//!                               durable overhead; commit-spine scaling;
+//!                               multi-version read path; online adaptive
+//!                               guidance; ordered block execution)
 //!   bench-check FILE           (validate a BENCH_*.json artifact's shape)
 //!   check [--tiny] [--seed N] [--threads N] [--ops N] [--jobs N]
 //!                              (fault-injected chaos matrix judged by the
@@ -34,32 +40,6 @@
 //!                               backends x CMs, recovered stores checked
 //!                               against the serial history ->
 //!                               results/recover.txt; exits 1 on any violation)
-//!   bench-wal [--out PATH] [--smoke] [--profile NAME]
-//!                              (WAL microbenchmarks: append throughput,
-//!                               recovery time vs log length, durable-vs-
-//!                               ephemeral overhead -> BENCH_wal.json)
-//!   bench-scale [--out PATH] [--preset tiny|default] [--smoke] [--profile NAME]
-//!                              (commit-spine scaling: legacy vs skip-ahead
-//!                               clock over 1..16 OS threads, global vs
-//!                               per-shard serve spine, reader-registry
-//!                               footprint -> BENCH_scale.json)
-//!   bench-mvcc [--out PATH] [--preset tiny|default] [--smoke] [--profile NAME]
-//!                              (multi-version read path: the read-mostly
-//!                               serve cell under Latest vs Snapshot read
-//!                               modes, read-only aborts, version-ring
-//!                               counters -> BENCH_mvcc.json)
-//!   bench-adaptive [--out PATH] [--preset tiny|default] [--smoke] [--profile NAME]
-//!                              (online adaptive guidance: the drifting
-//!                               serve cell under the stale static model vs
-//!                               the retrain/gate/hot-swap loop, loop
-//!                               counters, gate negative control ->
-//!                               BENCH_adaptive.json)
-//!   bench-block [--out PATH] [--preset tiny|default] [--smoke] [--profile NAME]
-//!                              (ordered block execution: the read-mostly
-//!                               serve cell under interleaved TL2 vs
-//!                               snapshot reads vs ServeMode::Block,
-//!                               executor counters, schedule-invariance
-//!                               verdict -> BENCH_block.json)
 //!   block-smoke [--threads N,N,..] [--requests N] [--seed N]
 //!                              (block determinism smoke: one ordered block
 //!                               workload executed at each worker-thread
@@ -103,173 +83,6 @@ fn usage() -> ! {
          [--cache-dir PATH] [--no-cache]"
     );
     std::process::exit(2);
-}
-
-/// `bench`: run the hot-path suite and write the JSON artifact.
-fn run_bench(args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
-    };
-    let out = flag("--out").map_or("BENCH_tl2_hotpath.json", String::as_str);
-    let preset = flag("--preset").map_or("default", String::as_str);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut cfg =
-        gstm_experiments::bench::BenchConfig::for_preset(preset, smoke).unwrap_or_else(|e| {
-            eprintln!("bench: {e}");
-            std::process::exit(2);
-        });
-    if let Some(profile) = flag("--profile") {
-        cfg.profile = profile.clone();
-    }
-    let baseline: Option<Vec<(String, f64)>> = flag("--baseline").map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench: cannot read baseline {path}: {e}");
-            std::process::exit(2);
-        });
-        gstm_experiments::bench::parse_metrics(&text).unwrap_or_else(|e| {
-            eprintln!("bench: bad baseline {path}: {e}");
-            std::process::exit(2);
-        })
-    });
-    let progress = StderrProgress::new();
-    let metrics = gstm_experiments::bench::run_suite(&cfg, &progress);
-    let text = gstm_experiments::bench::render_artifact(&cfg, &metrics, baseline.as_deref());
-    std::fs::write(out, &text).unwrap_or_else(|e| {
-        eprintln!("bench: cannot write {out}: {e}");
-        std::process::exit(2);
-    });
-    progress.report(&format!("wrote {out}"));
-    std::process::exit(0);
-}
-
-/// `bench-pipeline`: time the tiny study cold-vs-warm and write the JSON
-/// artifact.
-fn run_bench_pipeline(args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
-    };
-    let out = flag("--out").map_or("BENCH_pipeline.json", String::as_str);
-    let (cache_root, ephemeral) = match flag("--cache-dir") {
-        Some(dir) => (std::path::PathBuf::from(dir), false),
-        None => {
-            // A fresh directory so the first pass is genuinely cold.
-            let dir = std::path::PathBuf::from(format!(
-                "target/gstm-bench-pipeline-cache-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            (dir, true)
-        }
-    };
-    let mut cfg = gstm_experiments::bench::BenchConfig::for_preset("tiny", false)
-        .expect("tiny is a known preset");
-    cfg.suite = gstm_experiments::bench::SUITE_PIPELINE.to_string();
-    if let Some(profile) = flag("--profile") {
-        cfg.profile = profile.clone();
-    }
-    let progress = StderrProgress::new();
-    let metrics = gstm_experiments::bench::run_pipeline_suite(&progress, &cache_root);
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&cache_root);
-    }
-    let text = gstm_experiments::bench::render_artifact(&cfg, &metrics, None);
-    std::fs::write(out, &text).unwrap_or_else(|e| {
-        eprintln!("bench-pipeline: cannot write {out}: {e}");
-        std::process::exit(2);
-    });
-    progress.report(&format!("wrote {out}"));
-    std::process::exit(0);
-}
-
-/// `bench-scale`: run the commit-spine scale suite (legacy vs skip-ahead
-/// clock over real OS threads, global vs per-shard serve spine, registry
-/// footprint) and write the JSON artifact.
-fn run_bench_scale(args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
-    };
-    let out = flag("--out").map_or("BENCH_scale.json", String::as_str);
-    let preset = flag("--preset").map_or("default", String::as_str);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut cfg =
-        gstm_experiments::bench::BenchConfig::for_preset(preset, smoke).unwrap_or_else(|e| {
-            eprintln!("bench-scale: {e}");
-            std::process::exit(2);
-        });
-    cfg.suite = gstm_experiments::bench::SUITE_SCALE.to_string();
-    if let Some(profile) = flag("--profile") {
-        cfg.profile = profile.clone();
-    }
-    let progress = StderrProgress::new();
-    let metrics = gstm_experiments::bench::run_scale_suite(&cfg, &progress);
-    let text = gstm_experiments::bench::render_artifact(&cfg, &metrics, None);
-    std::fs::write(out, &text).unwrap_or_else(|e| {
-        eprintln!("bench-scale: cannot write {out}: {e}");
-        std::process::exit(2);
-    });
-    progress.report(&format!("wrote {out}"));
-    std::process::exit(0);
-}
-
-/// `bench-mvcc`: run the multi-version read-path suite (the read-mostly
-/// serve cell under `Latest` vs `Snapshot` read modes, plus the snapshot
-/// engine's version-ring counters) and write the JSON artifact.
-fn run_bench_mvcc(args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
-    };
-    let out = flag("--out").map_or("BENCH_mvcc.json", String::as_str);
-    let preset = flag("--preset").map_or("default", String::as_str);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut cfg =
-        gstm_experiments::bench::BenchConfig::for_preset(preset, smoke).unwrap_or_else(|e| {
-            eprintln!("bench-mvcc: {e}");
-            std::process::exit(2);
-        });
-    cfg.suite = gstm_experiments::bench::SUITE_MVCC.to_string();
-    if let Some(profile) = flag("--profile") {
-        cfg.profile = profile.clone();
-    }
-    let progress = StderrProgress::new();
-    let metrics = gstm_experiments::bench::run_mvcc_suite(&cfg, &progress);
-    let text = gstm_experiments::bench::render_artifact(&cfg, &metrics, None);
-    std::fs::write(out, &text).unwrap_or_else(|e| {
-        eprintln!("bench-mvcc: cannot write {out}: {e}");
-        std::process::exit(2);
-    });
-    progress.report(&format!("wrote {out}"));
-    std::process::exit(0);
-}
-
-/// `bench-block`: run the ordered block-execution suite (the read-mostly
-/// serve cell under interleaved TL2 vs snapshot reads vs
-/// `ServeMode::Block`, plus the executor's counters and the
-/// schedule-invariance verdict) and write the JSON artifact.
-fn run_bench_block(args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
-    };
-    let out = flag("--out").map_or("BENCH_block.json", String::as_str);
-    let preset = flag("--preset").map_or("default", String::as_str);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut cfg =
-        gstm_experiments::bench::BenchConfig::for_preset(preset, smoke).unwrap_or_else(|e| {
-            eprintln!("bench-block: {e}");
-            std::process::exit(2);
-        });
-    cfg.suite = gstm_experiments::bench::SUITE_BLOCK.to_string();
-    if let Some(profile) = flag("--profile") {
-        cfg.profile = profile.clone();
-    }
-    let progress = StderrProgress::new();
-    let metrics = gstm_experiments::bench::run_block_suite(&cfg, &progress);
-    let text = gstm_experiments::bench::render_artifact(&cfg, &metrics, None);
-    std::fs::write(out, &text).unwrap_or_else(|e| {
-        eprintln!("bench-block: cannot write {out}: {e}");
-        std::process::exit(2);
-    });
-    progress.report(&format!("wrote {out}"));
-    std::process::exit(0);
 }
 
 /// `block-smoke`: execute one ordered block workload at each requested
@@ -331,37 +144,6 @@ fn run_block_smoke(args: &[String]) -> ! {
         eprintln!("block-smoke:   {v}");
     }
     std::process::exit(1);
-}
-
-/// `bench-adaptive`: run the online-adaptive-guidance suite (the drifting
-/// serve cell under the stale static model vs the full retrain/gate/
-/// hot-swap loop, plus the loop's counters and the §IV gate's negative
-/// control) and write the JSON artifact.
-fn run_bench_adaptive(args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
-    };
-    let out = flag("--out").map_or("BENCH_adaptive.json", String::as_str);
-    let preset = flag("--preset").map_or("default", String::as_str);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut cfg =
-        gstm_experiments::bench::BenchConfig::for_preset(preset, smoke).unwrap_or_else(|e| {
-            eprintln!("bench-adaptive: {e}");
-            std::process::exit(2);
-        });
-    cfg.suite = gstm_experiments::bench::SUITE_ADAPTIVE.to_string();
-    if let Some(profile) = flag("--profile") {
-        cfg.profile = profile.clone();
-    }
-    let progress = StderrProgress::new();
-    let metrics = gstm_experiments::bench::run_adaptive_suite(&cfg, &progress);
-    let text = gstm_experiments::bench::render_artifact(&cfg, &metrics, None);
-    std::fs::write(out, &text).unwrap_or_else(|e| {
-        eprintln!("bench-adaptive: cannot write {out}: {e}");
-        std::process::exit(2);
-    });
-    progress.report(&format!("wrote {out}"));
-    std::process::exit(0);
 }
 
 /// `bench-check`: validate an artifact's shape (never its numbers).
@@ -475,30 +257,6 @@ fn run_recover(args: &[String]) -> ! {
     std::process::exit(i32::from(!ok));
 }
 
-/// `bench-wal`: run the WAL suite and write the JSON artifact.
-fn run_bench_wal(args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
-    };
-    let out = flag("--out").map_or("BENCH_wal.json", String::as_str);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let mut cfg = gstm_experiments::bench::BenchConfig::for_preset("tiny", smoke)
-        .expect("tiny is a known preset");
-    cfg.suite = gstm_experiments::bench::SUITE_WAL.to_string();
-    if let Some(profile) = flag("--profile") {
-        cfg.profile = profile.clone();
-    }
-    let progress = StderrProgress::new();
-    let metrics = gstm_experiments::bench::run_wal_suite(&cfg, &progress);
-    let text = gstm_experiments::bench::render_artifact(&cfg, &metrics, None);
-    std::fs::write(out, &text).unwrap_or_else(|e| {
-        eprintln!("bench-wal: cannot write {out}: {e}");
-        std::process::exit(2);
-    });
-    progress.report(&format!("wrote {out}"));
-    std::process::exit(0);
-}
-
 /// Deterministic per-seed summary of one STAMP cell — the `cell` command's
 /// output, diffed byte-for-byte by the CI pipeline smoke (jobs/cache
 /// invariance).
@@ -536,15 +294,16 @@ fn main() {
         usage();
     }
     let command = args[0].as_str();
+    // These paths never touch the study machinery.
+    if let Some(suite) = gstm_experiments::bench::SUITES.iter().find(|s| s.command == command) {
+        let progress = StderrProgress::new();
+        if let Err(e) = gstm_experiments::bench::run_command(suite, &args[1..], &progress) {
+            eprintln!("{command}: {e}");
+            std::process::exit(2);
+        }
+        std::process::exit(0);
+    }
     match command {
-        // These paths never touch the study machinery.
-        "bench" => run_bench(&args[1..]),
-        "bench-pipeline" => run_bench_pipeline(&args[1..]),
-        "bench-wal" => run_bench_wal(&args[1..]),
-        "bench-scale" => run_bench_scale(&args[1..]),
-        "bench-mvcc" => run_bench_mvcc(&args[1..]),
-        "bench-adaptive" => run_bench_adaptive(&args[1..]),
-        "bench-block" => run_bench_block(&args[1..]),
         "block-smoke" => run_block_smoke(&args[1..]),
         "bench-check" => run_bench_check(&args[1..]),
         "check" => run_check(&args[1..]),

@@ -27,12 +27,14 @@
 //! interval.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use gstm_core::sync::Mutex;
+use gstm_core::TxnKind;
 use gstm_wal::{fnv1a64, recover, LogDevice, MemDevice, Recovered, Wal, WalConfig, WalError};
 
-use crate::store::{Entry, Request, ShardedStore, INITIAL_BALANCE, MAX_SCAN_LEN};
+use crate::store::{interpret, Entry, EntryAccess, Request, ShardedStore, INITIAL_BALANCE};
 
 /// Which backend a [`crate::ServeSpec`] runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -70,38 +72,20 @@ pub trait StoreBackend: Send + Sync {
         let _ = (seq, req);
     }
 
-    /// Called for a request that was served on the engine's **snapshot
-    /// read path** (`Stm::run_read_only` under `ReadMode::Snapshot`), in
-    /// addition to [`StoreBackend::on_commit`] — snapshot reads still
-    /// claim a commit sequence number, so durable backends must keep
-    /// logging them through `on_commit` to keep the recoverable prefix
-    /// gap-free. This hook only observes that the validation-free
-    /// multi-version path served the request.
-    fn on_snapshot_read(&self, req: &Request) {
-        let _ = req;
-    }
-
     /// Called once per worker when its schedule is drained.
     fn flush(&self) {}
 }
 
-/// The no-durability backend: exactly the pre-WAL serve behavior, plus a
-/// counter of requests served on the snapshot read path.
+/// The no-durability backend: exactly the pre-WAL serve behavior.
 #[derive(Debug)]
 pub struct EphemeralBackend {
     store: ShardedStore,
-    snapshot_reads: std::sync::atomic::AtomicU64,
 }
 
 impl EphemeralBackend {
     /// Wraps a populated store.
     pub fn new(store: ShardedStore) -> Self {
-        EphemeralBackend { store, snapshot_reads: std::sync::atomic::AtomicU64::new(0) }
-    }
-
-    /// Requests this backend observed on the snapshot read path.
-    pub fn snapshot_reads(&self) -> u64 {
-        self.snapshot_reads.load(std::sync::atomic::Ordering::Relaxed)
+        EphemeralBackend { store }
     }
 }
 
@@ -112,10 +96,6 @@ impl StoreBackend for EphemeralBackend {
 
     fn label(&self) -> &'static str {
         BackendKind::Ephemeral.label()
-    }
-
-    fn on_snapshot_read(&self, _req: &Request) {
-        self.snapshot_reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -197,10 +177,11 @@ pub fn store_digest(store: &ShardedStore) -> u64 {
 
 // --- serial replay ----------------------------------------------------------
 
-/// Applies logged requests serially to a plain map, mirroring
-/// [`ShardedStore::apply`]'s semantics exactly — the replay engine used
-/// both for snapshot construction and for the recovery oracle's expected
-/// state.
+/// The plain-map substrate: a keyspace held in a `BTreeMap`, no STM and no
+/// speculation. [`interpret`] over it is serial execution — the replay
+/// engine behind snapshot construction and recovery, the recovery oracle's
+/// expected state, and the block executor's sequential reference and
+/// between-block base state.
 #[derive(Clone, Debug)]
 pub struct Materializer {
     state: BTreeMap<u64, Entry>,
@@ -221,34 +202,24 @@ impl Materializer {
         Materializer { state: entries.iter().copied().collect(), keys }
     }
 
-    /// Applies one request. Read-only kinds and failed conditionals are
-    /// no-ops, exactly as in the transactional store.
+    /// Replays one logged request for its effect on the state. Read-only
+    /// kinds are skipped outright: they cannot change the state, and every
+    /// commit is logged, so interpreting them would make replay pay for
+    /// each scan a second time.
     pub fn apply(&mut self, req: &Request) {
-        match *req {
-            Request::Get { .. } => {}
-            Request::Put { key, blob } => {
-                if let Some(e) = self.state.get_mut(&key) {
-                    e.blob = blob;
-                }
-            }
-            Request::Cas { key, expect, update } => {
-                if let Some(e) = self.state.get_mut(&key) {
-                    if e.blob == expect {
-                        e.blob = update;
-                    }
-                }
-            }
-            Request::Transfer { from, to, amount } => {
-                if from == to || !self.state.contains_key(&from) || !self.state.contains_key(&to) {
-                    return;
-                }
-                self.state.get_mut(&from).expect("checked").balance -= amount;
-                self.state.get_mut(&to).expect("checked").balance += amount;
-            }
-            Request::Scan { .. } | Request::GetMany { .. } => {
-                let _ = MAX_SCAN_LEN; // reads; nothing to do
-            }
+        if req.txn_kind() == TxnKind::Update {
+            let Ok(_) = interpret(req, self.keys, self);
         }
+    }
+
+    /// The entry stored under `key`, if the key exists.
+    pub fn get(&self, key: u64) -> Option<Entry> {
+        self.state.get(&key).copied()
+    }
+
+    /// Stores `entry` under `key`.
+    pub fn set(&mut self, key: u64, entry: Entry) {
+        self.state.insert(key, entry);
     }
 
     /// The state as sorted entries.
@@ -260,15 +231,18 @@ impl Materializer {
     pub fn digest(&self) -> u64 {
         fnv1a64(&encode_state(&self.entries()))
     }
+}
 
-    /// Balance total (for conservation checks at any prefix).
-    pub fn total_balance(&self) -> i64 {
-        self.state.values().map(|e| e.balance).sum()
+impl EntryAccess for Materializer {
+    type Err = Infallible;
+
+    fn read(&mut self, key: u64) -> Result<Option<Entry>, Infallible> {
+        Ok(self.get(key))
     }
 
-    /// Keyspace size this materializer was built for.
-    pub fn key_count(&self) -> u64 {
-        self.keys
+    fn write(&mut self, key: u64, entry: Entry) -> Result<(), Infallible> {
+        self.set(key, entry);
+        Ok(())
     }
 }
 
@@ -461,23 +435,6 @@ mod tests {
         ];
         assert_eq!(decode_state(&encode_state(&entries)), Some(entries));
         assert_eq!(decode_state(&[1, 2, 3]), None, "misaligned payload");
-    }
-
-    #[test]
-    fn materializer_mirrors_store_apply_semantics() {
-        let mut m = Materializer::initial(4);
-        m.apply(&Request::Put { key: 2, blob: 7 });
-        m.apply(&Request::Put { key: 99, blob: 7 }); // missing key: no-op
-        m.apply(&Request::Cas { key: 2, expect: 7, update: 8 });
-        m.apply(&Request::Cas { key: 2, expect: 7, update: 9 }); // stale expect
-        m.apply(&Request::Transfer { from: 0, to: 1, amount: 25 });
-        m.apply(&Request::Transfer { from: 3, to: 3, amount: 5 }); // self: no-op
-        m.apply(&Request::Scan { start: 0, len: 4 });
-        let entries = m.entries();
-        assert_eq!(entries[2].1.blob, 8);
-        assert_eq!(entries[0].1.balance, INITIAL_BALANCE - 25);
-        assert_eq!(entries[1].1.balance, INITIAL_BALANCE + 25);
-        assert_eq!(m.total_balance(), 4 * INITIAL_BALANCE, "transfers conserve");
     }
 
     #[test]

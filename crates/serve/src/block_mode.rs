@@ -12,24 +12,21 @@
 //! included, so a durable backend's WAL stays exactly as gap-free as
 //! under the interleaved loop.
 //!
-//! Three interpreters share [`apply_with`], the store semantics factored
-//! over an abstract read:
+//! Every lane here runs the store's one interpreter
+//! ([`crate::store::interpret`]) over a different substrate:
 //!
-//! * the **speculative** body (reads through the block's multi-version
-//!   map, may suspend on an estimate),
-//! * the **sequential reference** ([`run_block_reference`] — plain map,
-//!   no STM, no scheduler: the oracle's ground truth),
+//! * the **speculative** body ([`apply_with`]: reads through the block's
+//!   multi-version map and may suspend on an estimate; writes are
+//!   collected into the transaction's write set),
+//! * the **sequential reference** ([`run_block_reference`] — a
+//!   [`Materializer`], no STM, no scheduler: the oracle's ground truth),
 //! * the **pure parallel runner** ([`execute_block_order`] — executor
 //!   without the engine, used by the determinism smoke to compare thread
 //!   counts cheaply).
 //!
-//! No request kind reads a key it has already written (transfers read
-//! both accounts before writing either), so own-write invisibility in
-//! the multi-version map cannot change any outcome — [`apply_with`]
-//! computes each write from the values it read, exactly like
-//! `ShardedStore::apply`.
+//! The state between blocks (the speculative base) is a [`Materializer`]
+//! too, so the reference and the parallel lanes digest the same type.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
 
@@ -39,11 +36,11 @@ use gstm_core::cm::Aggressive;
 use gstm_core::{AdmitAll, RealGate, SiteStatsSink, Stm, ThreadId, TxnKind};
 use gstm_wal::fnv1a64;
 
-use crate::backend::{encode_state, store_digest, StoreBackend};
+use crate::backend::{store_digest, Materializer, StoreBackend};
 use crate::service::{
     spine_config, NativeReport, ServeClock, ServeMode, ServeSpec, ThreadLog, WallClock,
 };
-use crate::store::{Entry, Request, Response, ShardedStore, INITIAL_BALANCE, MAX_SCAN_LEN};
+use crate::store::{interpret, Entry, EntryAccess, Request, Response};
 use crate::traffic::{generate_schedule, ScheduledRequest};
 
 /// Block-mode extras carried in a [`NativeReport`]: the run's digests
@@ -60,81 +57,37 @@ pub struct BlockModeReport {
 }
 
 /// Executes one request against an abstract read, returning the write set
-/// (final entries) and the response — the store's semantics with the read
-/// source factored out. Mirrors `ShardedStore::apply` exactly: same
-/// clamps, same missing-key behaviour, same conditional no-ops.
+/// (final entries, in the order the interpreter issued them) and the
+/// response: [`interpret`] over a substrate that reads through `read` and
+/// collects writes instead of applying them. Collected writes are not
+/// visible to later reads — sound because no request kind reads a key it
+/// has already written.
 ///
 /// # Errors
 ///
-/// Propagates the read's error (the speculative interpreter's
-/// `Blocked`); the sequential interpreters instantiate `E = Infallible`.
+/// Propagates the read's error (the speculative body's `Blocked`).
 pub fn apply_with<E>(
     req: &Request,
     keys: u64,
     read: &mut dyn FnMut(u64) -> Result<Option<Entry>, E>,
 ) -> Result<(Vec<(u64, Entry)>, Response), E> {
-    let mut writes: Vec<(u64, Entry)> = Vec::new();
-    let resp = match *req {
-        Request::Get { key } => Response::Value(read(key)?),
-        Request::Put { key, blob } => {
-            if let Some(mut e) = read(key)? {
-                e.blob = blob;
-                writes.push((key, e));
-            }
-            Response::Ok
+    struct Collect<'r, E> {
+        read: &'r mut dyn FnMut(u64) -> Result<Option<Entry>, E>,
+        writes: Vec<(u64, Entry)>,
+    }
+    impl<E> EntryAccess for Collect<'_, E> {
+        type Err = E;
+        fn read(&mut self, key: u64) -> Result<Option<Entry>, E> {
+            (self.read)(key)
         }
-        Request::Cas { key, expect, update } => match read(key)? {
-            Some(mut e) if e.blob == expect => {
-                e.blob = update;
-                writes.push((key, e));
-                Response::Swapped(true)
-            }
-            _ => Response::Swapped(false),
-        },
-        Request::Transfer { from, to, amount } => {
-            if from == to {
-                Response::Transferred(false)
-            } else {
-                match (read(from)?, read(to)?) {
-                    (Some(mut f), Some(mut t)) => {
-                        f.balance -= amount;
-                        t.balance += amount;
-                        writes.push((from, f));
-                        writes.push((to, t));
-                        Response::Transferred(true)
-                    }
-                    _ => Response::Transferred(false),
-                }
-            }
+        fn write(&mut self, key: u64, entry: Entry) -> Result<(), E> {
+            self.writes.push((key, entry));
+            Ok(())
         }
-        Request::Scan { start, len } => {
-            let len = len.min(MAX_SCAN_LEN).min(keys);
-            let mut key = start % keys;
-            let mut sum = 0i64;
-            for _ in 0..len {
-                if let Some(e) = read(key)? {
-                    sum += e.balance;
-                }
-                key = ShardedStore::advance(key, 1, keys);
-            }
-            Response::ScanSum { count: len, sum }
-        }
-        Request::GetMany { start, stride, count } => {
-            let count = count.min(MAX_SCAN_LEN).min(keys);
-            let stride = stride.max(1) % keys;
-            let mut key = start % keys;
-            let (mut found, mut sum) = (0u32, 0i64);
-            for _ in 0..count {
-                if let Some(e) = read(key)? {
-                    found += 1;
-                    sum += e.balance;
-                }
-                key = ShardedStore::advance(key, stride, keys);
-            }
-            Response::Many { found, sum }
-        }
-    };
-    Ok((writes, resp))
+    }
+    let mut access = Collect { read, writes: Vec::new() };
+    let resp = interpret(req, keys, &mut access)?;
+    Ok((access.writes, resp))
 }
 
 /// Canonical response encoding for digesting: kind byte, a flag byte, two
@@ -186,33 +139,19 @@ pub fn block_parts(spec: &ServeSpec) -> usize {
     (spec.shards * spec.buckets_per_shard).clamp(1, BlockConfig::MAX_PARTS)
 }
 
-fn initial_state(keys: u64) -> BTreeMap<u64, Entry> {
-    (0..keys).map(|k| (k, Entry { balance: INITIAL_BALANCE, blob: 0 })).collect()
-}
-
-fn state_digest(state: &BTreeMap<u64, Entry>) -> u64 {
-    let entries: Vec<(u64, Entry)> = state.iter().map(|(&k, &e)| (k, e)).collect();
-    fnv1a64(&encode_state(&entries))
-}
-
 /// The sequential reference: executes the merged order one transaction at
-/// a time against a plain map — no STM, no scheduler, no speculation.
-/// This is the oracle's ground truth for schedule invariance.
+/// a time against a [`Materializer`] — no STM, no scheduler, no
+/// speculation. This is the oracle's ground truth for schedule invariance.
 pub fn run_block_reference(spec: &ServeSpec, streams: usize, seed: u64) -> BlockRecord {
-    let order = merge_block_order(spec, streams, seed);
-    let mut state = initial_state(spec.keys);
-    let mut outputs = Vec::with_capacity(order.len());
-    for sr in &order {
-        let (writes, resp) = apply_with::<std::convert::Infallible>(&sr.req, spec.keys, &mut |k| {
-            Ok(state.get(&k).copied())
+    let mut state = Materializer::initial(spec.keys);
+    let outputs = merge_block_order(spec, streams, seed)
+        .iter()
+        .map(|sr| {
+            let Ok(resp) = interpret(&sr.req, spec.keys, &mut state);
+            response_digest(&resp)
         })
-        .expect("infallible read");
-        for (k, e) in writes {
-            state.insert(k, e);
-        }
-        outputs.push(response_digest(&resp));
-    }
-    BlockRecord { outputs, final_digest: state_digest(&state) }
+        .collect();
+    BlockRecord { outputs, final_digest: state.digest() }
 }
 
 /// The pure parallel runner: the block executor over the merged order,
@@ -235,7 +174,7 @@ pub fn execute_block_order(
     let cfg = BlockConfig::new(block_size, block_parts(spec))
         .unwrap_or_else(|e| panic!("invalid block config: {e}"));
     let order = merge_block_order(spec, streams, seed);
-    let mut state = initial_state(spec.keys);
+    let mut state = Materializer::initial(spec.keys);
     let mut outputs = Vec::with_capacity(order.len());
     let mut stats = BlockStats::default();
     for chunk in order.chunks(block_size) {
@@ -243,16 +182,16 @@ pub fn execute_block_order(
             &cfg,
             chunk.len(),
             exec_threads,
-            |k: &u64| state.get(k).copied(),
+            |k: &u64| state.get(*k),
             |i, ctx| apply_with(&chunk[i].req, spec.keys, &mut |k| ctx.read(&k)),
         );
         stats.merge(&outcome.stats);
         for (k, e) in outcome.final_writes {
-            state.insert(k, e);
+            state.set(k, e);
         }
         outputs.extend(outcome.outputs.iter().map(response_digest));
     }
-    (BlockRecord { outputs, final_digest: state_digest(&state) }, stats)
+    (BlockRecord { outputs, final_digest: state.digest() }, stats)
 }
 
 /// The native block-mode run behind [`crate::run_native`]: merged global
@@ -299,7 +238,7 @@ pub(crate) fn run_native_block(
     // lock because the pool's workers (which outlive any one block) read
     // it while executing; the commit loop holds the only write access and
     // only touches it between blocks.
-    let shadow: Arc<RwLock<BTreeMap<u64, Entry>>> = Arc::new(RwLock::new(initial_state(spec.keys)));
+    let shadow = Arc::new(RwLock::new(Materializer::initial(spec.keys)));
     // One persistent worker pool for the whole run: spawning threads per
     // block would cost more than executing a small block does.
     let pool = BlockPool::new(threads);
@@ -319,7 +258,7 @@ pub(crate) fn run_native_block(
             &pool,
             &cfg,
             chunk.len(),
-            move |k: &u64| block_shadow.read().expect("shadow poisoned").get(k).copied(),
+            move |k: &u64| block_shadow.read().expect("shadow poisoned").get(*k),
             move |i, ctx| apply_with(&block_order[start + i].req, keys, &mut |k| ctx.read(&k)),
         );
         blocks += 1;
@@ -343,11 +282,14 @@ pub(crate) fn run_native_block(
         }
         // The block's net effect in one go: nothing reads the shadow
         // between blocks, so per-transaction order does not matter here.
-        shadow.write().expect("shadow poisoned").extend(outcome.final_writes);
         outputs.extend(outcome.outputs.iter().map(response_digest));
+        let mut settled = shadow.write().expect("shadow poisoned");
+        for (k, e) in outcome.final_writes {
+            settled.set(k, e);
+        }
     }
     backend.flush();
-    let final_digest = state_digest(&shadow.read().expect("shadow poisoned"));
+    let final_digest = shadow.read().expect("shadow poisoned").digest();
     if let Err(v) =
         gstm_check::check_conserved_total(store.total_balance_unlogged(), store.expected_total())
     {
@@ -380,51 +322,15 @@ mod tests {
     use super::*;
     use crate::backend::DurableBackend;
     use crate::service::run_native;
+    use crate::store::ShardedStore;
     use crate::traffic::{Arrival, Mix};
     use gstm_check::check_block_equivalence;
     use gstm_wal::WalConfig;
-    use std::convert::Infallible;
 
     fn block_spec(requests: usize, block_size: usize) -> ServeSpec {
         ServeSpec::ledger(requests)
             .with_arrival(Arrival::Poisson { mean_gap: 20.0 })
             .with_block_mode(block_size)
-    }
-
-    fn infallible_read(
-        state: &BTreeMap<u64, Entry>,
-    ) -> impl FnMut(u64) -> Result<Option<Entry>, Infallible> + '_ {
-        move |k| Ok(state.get(&k).copied())
-    }
-
-    #[test]
-    fn apply_with_mirrors_store_apply_semantics() {
-        let mut state = initial_state(8);
-        state.get_mut(&3).unwrap().blob = 7;
-        let keys = 8;
-        let cases = [
-            (Request::get(3), Response::Value(Some(Entry { balance: 100, blob: 7 })), 0usize),
-            (Request::get(99), Response::Value(None), 0),
-            (Request::put(2, 5), Response::Ok, 1),
-            (Request::put(99, 5), Response::Ok, 0),
-            (Request::cas(3, 7, 9), Response::Swapped(true), 1),
-            (Request::cas(3, 8, 9), Response::Swapped(false), 0),
-            (Request::transfer(0, 1, 30), Response::Transferred(true), 2),
-            (Request::transfer(4, 4, 30), Response::Transferred(false), 0),
-            (Request::transfer(0, 99, 30), Response::Transferred(false), 0),
-            (Request::scan(6, 4), Response::ScanSum { count: 4, sum: 400 }, 0),
-            (Request::get_many(0, 2, 4), Response::Many { found: 4, sum: 400 }, 0),
-        ];
-        for (req, want_resp, want_writes) in cases {
-            let (writes, resp) =
-                apply_with(&req, keys, &mut infallible_read(&state)).expect("infallible");
-            assert_eq!(resp, want_resp, "response for {req:?}");
-            assert_eq!(writes.len(), want_writes, "write count for {req:?}");
-        }
-        // Extreme caller-supplied values reduce like the store's apply.
-        let (_, resp) = apply_with(&Request::scan(u64::MAX, 3), keys, &mut infallible_read(&state))
-            .expect("infallible");
-        assert_eq!(resp, Response::ScanSum { count: 3, sum: 300 });
     }
 
     #[test]
@@ -512,7 +418,7 @@ mod tests {
         }
         // The logged order is the block order: replaying the ledger
         // serially reproduces the committed store.
-        let mut m = crate::backend::Materializer::initial(spec.keys);
+        let mut m = Materializer::initial(spec.keys);
         for (_, req) in ledger {
             m.apply(&req);
         }

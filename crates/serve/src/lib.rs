@@ -21,7 +21,7 @@
 //! * **Simulated** ([`run_simulated`], or the pipeline's `serve` study):
 //!   `SimGate` virtual time, deterministic per seed — byte-identical
 //!   tables across reruns.
-//! * **Native** ([`run_native`]): OS threads on [`RealGate`] with
+//! * **Native** ([`run_native`]): OS threads on [`gstm_core::RealGate`] with
 //!   wall-clock arrivals — same store, schedules and loop.
 //!
 //! ```
@@ -59,5 +59,7 @@ pub use service::{
     run_native, run_simulated, serve_schedule, spine_config, GateClock, NativeReport, ServeClock,
     ServeMode, ServeRun, ServeSpec, ServeWorkload, SpineMode, ThreadLog, WallClock,
 };
-pub use store::{Entry, Request, Response, ShardedStore, INITIAL_BALANCE, MAX_SCAN_LEN};
+pub use store::{
+    interpret, Entry, EntryAccess, Request, Response, ShardedStore, INITIAL_BALANCE, MAX_SCAN_LEN,
+};
 pub use traffic::{generate_schedule, Arrival, Drift, Mix, ScheduledRequest, TrafficSpec};

@@ -482,9 +482,6 @@ pub fn serve_schedule(
                 tx.work(work);
                 store.apply(tx, &req)
             });
-            if spec.read_mode == ReadMode::Snapshot {
-                backend.on_snapshot_read(&req);
-            }
         } else {
             stm.run(thread, req.site(), |tx| {
                 tx.work(work);
@@ -1098,34 +1095,6 @@ mod tests {
         let b = run_simulated(&spec, &RunOptions::new(3, 5));
         assert_eq!(a.workload_stats, b.workload_stats);
         assert_eq!(a.makespan, b.makespan);
-    }
-
-    #[test]
-    fn snapshot_reads_hit_the_backend_hook() {
-        let mut spec = tiny_spec().with_read_mode(ReadMode::Snapshot);
-        spec.max_queue_depth = 100_000; // serve everything, shed nothing
-        let eph = Arc::new(EphemeralBackend::new(build_store(&spec)));
-        let run =
-            ServeRun::with_backend(spec.clone(), Arc::clone(&eph) as Arc<dyn StoreBackend>, 2, 13);
-        let stm = Stm::new_on(spine_config(&spec, 2), Arc::new(RealGate::new(64)));
-        let clock = WallClock::new(1);
-        for t in 0..2usize {
-            serve_schedule(
-                &stm,
-                ThreadId::new(t as u16),
-                eph.as_ref(),
-                &run.schedules[t],
-                &clock,
-                &spec,
-                &run.logs[t],
-            );
-        }
-        run.verify().expect("snapshot run conserves");
-        let ro = run.total_read_only();
-        assert!(ro > 0);
-        assert_eq!(eph.snapshot_reads(), ro, "every served RO request hit the hook once");
-        assert_eq!(stm.mvcc_stats().snapshot_txns, ro, "every RO request ran as a snapshot txn");
-        assert_eq!(run.sojourn_ro_snapshot().count(), ro);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! shards for free — that is the point of layering a service on the STM
 //! rather than on per-shard locks.
 //!
+//! What a request *means* is written once, in [`interpret`], against the
+//! two-method [`EntryAccess`] substrate. The transactional store, the
+//! block executor's speculative reads (`apply_with`) and WAL replay
+//! (`Materializer`) are three substrates under that one interpreter
+//! (DESIGN.md §6e).
+//!
 //! Each key holds an [`Entry`] with two independent faces:
 //!
 //! * `balance` — mutated only by `Transfer` (conserved: the sum over all
@@ -197,6 +203,137 @@ pub enum Response {
     },
 }
 
+/// What a request executes against: one keyed read and one keyed write.
+/// The substrates are the transactional store (reads and writes are STM
+/// operations that can abort), the block executor's multi-version reads
+/// (a read can suspend on an estimate) and a plain map (WAL replay, the
+/// sequential block reference; cannot fail).
+pub trait EntryAccess {
+    /// Why a read or write can fail; [`interpret`] propagates it untouched.
+    type Err;
+
+    /// The entry stored under `key`, if the key exists.
+    ///
+    /// # Errors
+    ///
+    /// Substrate-specific (an STM conflict, a blocked speculative read).
+    fn read(&mut self, key: u64) -> Result<Option<Entry>, Self::Err>;
+
+    /// Stores `entry` under `key`.
+    ///
+    /// # Errors
+    ///
+    /// Substrate-specific (an STM conflict).
+    fn write(&mut self, key: u64, entry: Entry) -> Result<(), Self::Err>;
+}
+
+/// The request semantics — the only place they are written. Clamps,
+/// missing-key behaviour and conditional no-ops are the same on every
+/// substrate because every substrate runs this function.
+///
+/// No request kind reads a key it has already written (a transfer reads
+/// both accounts before writing either), so a substrate need not make its
+/// own writes visible to its reads. Reads and writes are issued in a fixed
+/// order per kind: the simulator charges virtual time per STM access, so
+/// reordering them would move every serve golden.
+///
+/// # Errors
+///
+/// Propagates the substrate's error from the first failing access.
+///
+/// # Panics
+///
+/// Panics on a `Scan` or `GetMany` if `keys` (the keyspace size) is zero.
+#[inline]
+pub fn interpret<A: EntryAccess>(
+    req: &Request,
+    keys: u64,
+    access: &mut A,
+) -> Result<Response, A::Err> {
+    Ok(match *req {
+        Request::Get { key } => Response::Value(access.read(key)?),
+        Request::Put { key, blob } => {
+            if let Some(mut e) = access.read(key)? {
+                e.blob = blob;
+                access.write(key, e)?;
+            }
+            Response::Ok
+        }
+        Request::Cas { key, expect, update } => match access.read(key)? {
+            Some(mut e) if e.blob == expect => {
+                e.blob = update;
+                access.write(key, e)?;
+                Response::Swapped(true)
+            }
+            _ => Response::Swapped(false),
+        },
+        Request::Transfer { from, to, amount } => {
+            if from == to {
+                return Ok(Response::Transferred(false));
+            }
+            let (Some(mut f), Some(mut t)) = (access.read(from)?, access.read(to)?) else {
+                return Ok(Response::Transferred(false));
+            };
+            // `amount` is caller-supplied (and WAL-decoded): a transfer that
+            // would overflow either balance is refused, not wrapped.
+            let (Some(debited), Some(credited)) =
+                (f.balance.checked_sub(amount), t.balance.checked_add(amount))
+            else {
+                return Ok(Response::Transferred(false));
+            };
+            f.balance = debited;
+            t.balance = credited;
+            access.write(from, f)?;
+            access.write(to, t)?;
+            Response::Transferred(true)
+        }
+        Request::Scan { start, len } => {
+            let len = len.min(MAX_SCAN_LEN).min(keys);
+            let mut key = start % keys;
+            let mut sum = 0i64;
+            for _ in 0..len {
+                if let Some(e) = access.read(key)? {
+                    // Single balances can sit near either `i64` limit (only
+                    // the keyspace total is conserved), so the sum wraps.
+                    sum = sum.wrapping_add(e.balance);
+                }
+                key = advance(key, 1, keys);
+            }
+            Response::ScanSum { count: len, sum }
+        }
+        Request::GetMany { start, stride, count } => {
+            let count = count.min(MAX_SCAN_LEN).min(keys);
+            let stride = stride.max(1) % keys;
+            let mut key = start % keys;
+            let (mut found, mut sum) = (0u32, 0i64);
+            for _ in 0..count {
+                if let Some(e) = access.read(key)? {
+                    found += 1;
+                    sum = sum.wrapping_add(e.balance);
+                }
+                key = advance(key, stride, keys);
+            }
+            Response::Many { found, sum }
+        }
+    })
+}
+
+/// `(key + step) % keys` without the intermediate sum `start + i *
+/// stride` risks: `Request` fields are public and caller-supplied, so
+/// the naive form overflows `u64` for large start/stride — panicking
+/// in debug builds and silently wrapping (onto different keys) in
+/// release. With `key < keys` and `step <= keys` one conditional wrap
+/// is exact.
+#[inline]
+fn advance(key: u64, step: u64, keys: u64) -> u64 {
+    debug_assert!(key < keys && step <= keys);
+    if step >= keys - key {
+        step - (keys - key)
+    } else {
+        key + step
+    }
+}
+
 /// The sharded in-memory transactional store.
 #[derive(Clone)]
 pub struct ShardedStore {
@@ -273,86 +410,18 @@ impl ShardedStore {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
-    fn read_entry(&self, tx: &mut Txn<'_>, key: u64) -> Result<Option<Entry>, Abort> {
-        self.shard_of(key).get(tx, &key)
-    }
-
-    fn write_entry(&self, tx: &mut Txn<'_>, key: u64, entry: Entry) -> Result<(), Abort> {
-        self.shard_of(key).insert(tx, key, entry).map(|_| ())
-    }
-
-    /// Executes one request inside the caller's transaction.
+    /// Executes one request inside the caller's transaction: [`interpret`]
+    /// over the store's transactional maps.
     ///
     /// # Errors
     ///
     /// Propagates STM conflicts (the caller's `Stm::run` retries).
     pub fn apply(&self, tx: &mut Txn<'_>, req: &Request) -> Result<Response, Abort> {
-        match *req {
-            Request::Get { key } => Ok(Response::Value(self.read_entry(tx, key)?)),
-            Request::Put { key, blob } => {
-                if let Some(mut e) = self.read_entry(tx, key)? {
-                    e.blob = blob;
-                    self.write_entry(tx, key, e)?;
-                }
-                Ok(Response::Ok)
-            }
-            Request::Cas { key, expect, update } => {
-                let Some(mut e) = self.read_entry(tx, key)? else {
-                    return Ok(Response::Swapped(false));
-                };
-                if e.blob != expect {
-                    return Ok(Response::Swapped(false));
-                }
-                e.blob = update;
-                self.write_entry(tx, key, e)?;
-                Ok(Response::Swapped(true))
-            }
-            Request::Transfer { from, to, amount } => {
-                if from == to {
-                    return Ok(Response::Transferred(false));
-                }
-                let (Some(mut f), Some(mut t)) =
-                    (self.read_entry(tx, from)?, self.read_entry(tx, to)?)
-                else {
-                    return Ok(Response::Transferred(false));
-                };
-                f.balance -= amount;
-                t.balance += amount;
-                self.write_entry(tx, from, f)?;
-                self.write_entry(tx, to, t)?;
-                Ok(Response::Transferred(true))
-            }
-            Request::Scan { start, len } => {
-                let len = len.min(MAX_SCAN_LEN).min(self.keys);
-                let mut key = start % self.keys;
-                let mut sum = 0i64;
-                for _ in 0..len {
-                    if let Some(e) = self.read_entry(tx, key)? {
-                        sum += e.balance;
-                    }
-                    key = Self::advance(key, 1, self.keys);
-                }
-                Ok(Response::ScanSum { count: len, sum })
-            }
-            Request::GetMany { start, stride, count } => {
-                let count = count.min(MAX_SCAN_LEN).min(self.keys);
-                let stride = stride.max(1) % self.keys;
-                let mut key = start % self.keys;
-                let (mut found, mut sum) = (0u32, 0i64);
-                for _ in 0..count {
-                    if let Some(e) = self.read_entry(tx, key)? {
-                        found += 1;
-                        sum += e.balance;
-                    }
-                    key = Self::advance(key, stride, self.keys);
-                }
-                Ok(Response::Many { found, sum })
-            }
-        }
+        interpret(req, self.keys, &mut TxnAccess { store: self, tx })
     }
 
     /// Applies a block-executor write set inside the caller's transaction:
-    /// plain inserts of pre-computed entries, in key order. The block
+    /// plain inserts of pre-computed entries, in write-set order. The block
     /// executor already resolved every read against the block's
     /// multi-version state, so commit only has to publish the final
     /// values — this is what keeps the per-transaction commit cost of
@@ -363,26 +432,8 @@ impl ShardedStore {
     /// Propagates STM conflicts (the caller's `Stm::run` retries; under
     /// block mode's single committer this only happens on capacity aborts).
     pub fn apply_writes(&self, tx: &mut Txn<'_>, writes: &[(u64, Entry)]) -> Result<(), Abort> {
-        for &(key, entry) in writes {
-            self.write_entry(tx, key, entry)?;
-        }
-        Ok(())
-    }
-
-    /// `(key + step) % keys` without the intermediate sum `start + i *
-    /// stride` risks: `Request` fields are public and caller-supplied, so
-    /// the naive form overflows `u64` for large start/stride — panicking
-    /// in debug builds and silently wrapping (onto different keys) in
-    /// release. With `key < keys` and `step <= keys` one conditional wrap
-    /// is exact.
-    #[inline]
-    pub(crate) fn advance(key: u64, step: u64, keys: u64) -> u64 {
-        debug_assert!(key < keys && step <= keys);
-        if step >= keys - key {
-            step - (keys - key)
-        } else {
-            key + step
-        }
+        let mut access = TxnAccess { store: self, tx };
+        writes.iter().try_for_each(|&(key, entry)| access.write(key, entry))
     }
 
     /// Rebuilds a store of the given shape directly from recovered
@@ -429,14 +480,34 @@ impl ShardedStore {
     }
 }
 
+/// The transactional substrate: entries live in the store's `THashMap`s
+/// and every access is an STM read or write of the caller's transaction.
+struct TxnAccess<'a, 'tx> {
+    store: &'a ShardedStore,
+    tx: &'a mut Txn<'tx>,
+}
+
+impl EntryAccess for TxnAccess<'_, '_> {
+    type Err = Abort;
+
+    #[inline]
+    fn read(&mut self, key: u64) -> Result<Option<Entry>, Abort> {
+        self.store.shard_of(key).get(self.tx, &key)
+    }
+
+    #[inline]
+    fn write(&mut self, key: u64, entry: Entry) -> Result<(), Abort> {
+        self.store.shard_of(key).insert(self.tx, key, entry).map(|_| ())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gstm_core::{Stm, StmConfig, ThreadId};
 
-    fn with_tx<R>(store: &ShardedStore, f: impl FnMut(&mut Txn<'_>) -> Result<R, Abort>) -> R {
+    fn with_tx<R>(f: impl FnMut(&mut Txn<'_>) -> Result<R, Abort>) -> R {
         let stm = Stm::new(StmConfig::new(1));
-        let _ = store; // site ids are irrelevant in unit tests
         stm.run(ThreadId::new(0), TxId::new(0), f)
     }
 
@@ -453,68 +524,10 @@ mod tests {
         let plain = ShardedStore::new(3, 4, 30);
         let placed = ShardedStore::with_placement(3, 4, 30, true);
         assert_eq!(placed.total_balance_unlogged(), plain.total_balance_unlogged());
-        let resp = with_tx(&placed, |tx| {
-            placed.apply(tx, &Request::Transfer { from: 0, to: 1, amount: 10 })
-        });
+        let resp =
+            with_tx(|tx| placed.apply(tx, &Request::Transfer { from: 0, to: 1, amount: 10 }));
         assert_eq!(resp, Response::Transferred(true), "cross-shard transfer still atomic");
         assert_eq!(placed.total_balance_unlogged(), placed.expected_total());
-    }
-
-    #[test]
-    fn get_put_cas_round_trip() {
-        let store = ShardedStore::new(2, 4, 10);
-        let resp = with_tx(&store, |tx| store.apply(tx, &Request::Get { key: 3 }));
-        assert_eq!(resp, Response::Value(Some(Entry { balance: INITIAL_BALANCE, blob: 0 })));
-        with_tx(&store, |tx| store.apply(tx, &Request::Put { key: 3, blob: 9 }));
-        let resp =
-            with_tx(&store, |tx| store.apply(tx, &Request::Cas { key: 3, expect: 9, update: 11 }));
-        assert_eq!(resp, Response::Swapped(true));
-        let resp =
-            with_tx(&store, |tx| store.apply(tx, &Request::Cas { key: 3, expect: 9, update: 12 }));
-        assert_eq!(resp, Response::Swapped(false));
-        let resp = with_tx(&store, |tx| store.apply(tx, &Request::Get { key: 999 }));
-        assert_eq!(resp, Response::Value(None));
-    }
-
-    #[test]
-    fn transfer_moves_and_conserves() {
-        let store = ShardedStore::new(3, 4, 9);
-        let resp = with_tx(&store, |tx| {
-            store.apply(tx, &Request::Transfer { from: 1, to: 5, amount: 30 })
-        });
-        assert_eq!(resp, Response::Transferred(true));
-        let resp =
-            with_tx(&store, |tx| store.apply(tx, &Request::Transfer { from: 2, to: 2, amount: 5 }));
-        assert_eq!(resp, Response::Transferred(false), "self-transfer is a no-op");
-        assert_eq!(store.total_balance_unlogged(), store.expected_total());
-    }
-
-    #[test]
-    fn scan_wraps_and_is_bounded() {
-        let store = ShardedStore::new(2, 4, 8);
-        let resp = with_tx(&store, |tx| store.apply(tx, &Request::Scan { start: 6, len: 4 }));
-        assert_eq!(resp, Response::ScanSum { count: 4, sum: 4 * INITIAL_BALANCE });
-        let resp = with_tx(&store, |tx| store.apply(tx, &Request::Scan { start: 0, len: 10_000 }));
-        // Clamped to the keyspace (8 < MAX_SCAN_LEN).
-        assert_eq!(resp, Response::ScanSum { count: 8, sum: 8 * INITIAL_BALANCE });
-    }
-
-    /// Regression (REVIEW: `start + i * stride` overflow): Request fields
-    /// are public, so extreme caller-supplied values must reduce modulo
-    /// the keyspace instead of overflowing — which panicked in debug
-    /// builds and silently walked different keys in release.
-    #[test]
-    fn scan_and_get_many_survive_extreme_start_and_stride() {
-        let store = ShardedStore::new(2, 4, 8);
-        let resp =
-            with_tx(&store, |tx| store.apply(tx, &Request::Scan { start: u64::MAX, len: 3 }));
-        assert_eq!(resp, Response::ScanSum { count: 3, sum: 3 * INITIAL_BALANCE });
-        let resp = with_tx(&store, |tx| {
-            store.apply(tx, &Request::GetMany { start: u64::MAX, stride: u64::MAX - 3, count: 8 })
-        });
-        // start ≡ 7, stride ≡ 4 (mod 8): the walk alternates keys 7 and 3,
-        // all populated.
-        assert_eq!(resp, Response::Many { found: 8, sum: 8 * INITIAL_BALANCE });
     }
 
     #[test]
@@ -555,23 +568,12 @@ mod tests {
             (1u64, Entry { balance: INITIAL_BALANCE - 30, blob: 0 }),
             (5u64, Entry { balance: INITIAL_BALANCE + 30, blob: 7 }),
         ];
-        with_tx(&store, |tx| store.apply_writes(tx, &writes));
+        with_tx(|tx| store.apply_writes(tx, &writes));
         assert_eq!(store.total_balance_unlogged(), store.expected_total());
-        let resp = with_tx(&store, |tx| store.apply(tx, &Request::Get { key: 5 }));
+        let resp = with_tx(|tx| store.apply(tx, &Request::Get { key: 5 }));
         assert_eq!(resp, Response::Value(Some(Entry { balance: INITIAL_BALANCE + 30, blob: 7 })));
         // An empty write set (a read-only request's block commit) is a
         // legal transaction.
-        with_tx(&store, |tx| store.apply_writes(tx, &[]));
-    }
-
-    #[test]
-    fn get_many_strides_wraps_and_is_bounded() {
-        let store = ShardedStore::new(2, 4, 8);
-        let resp = with_tx(&store, |tx| store.apply(tx, &Request::get_many(6, 3, 4)));
-        // Keys 6, 1, 4, 7 — all present.
-        assert_eq!(resp, Response::Many { found: 4, sum: 4 * INITIAL_BALANCE });
-        let resp = with_tx(&store, |tx| store.apply(tx, &Request::get_many(0, 0, 10_000)));
-        // Stride 0 degrades to 1; count clamped to the keyspace.
-        assert_eq!(resp, Response::Many { found: 8, sum: 8 * INITIAL_BALANCE });
+        with_tx(|tx| store.apply_writes(tx, &[]));
     }
 }

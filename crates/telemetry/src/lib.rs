@@ -37,24 +37,18 @@
 
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod histogram;
 pub mod json;
-pub mod mvcc;
 pub mod pipeline;
 pub mod recorder;
 pub mod registry;
 pub mod sink;
 pub mod snapshot;
-pub mod spine;
 
-pub use block::BlockGauges;
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use json::JsonValue;
-pub use mvcc::MvccGauges;
 pub use pipeline::PipelineGauges;
 pub use recorder::{AnomalyConfig, AnomalyDump, FlightRecorder};
 pub use registry::{reason_index, MetricsRegistry, ThreadMetrics, ABORT_REASONS};
 pub use sink::{SnapshotAccumulator, TelemetrySink};
 pub use snapshot::{Snapshot, MACHINE_FORMAT_VERSION};
-pub use spine::SpineGauges;

@@ -17,10 +17,15 @@ cargo build --release --offline --workspace
 echo "==> tier-1: tests"
 cargo test -q --workspace --offline
 
-echo "==> bench smoke (tiny preset): artifact must be well-formed"
-./target/release/experiments bench --preset tiny --smoke --profile release \
-    --out target/BENCH_smoke.json
-./target/release/experiments bench-check target/BENCH_smoke.json
+echo "==> docs: no broken intra-doc links (deny rustdoc warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+echo "==> bench smokes (tiny preset): every suite's artifact must be well-formed"
+for cmd in bench bench-pipeline bench-wal bench-scale bench-mvcc bench-adaptive bench-block; do
+    ./target/release/experiments "$cmd" --preset tiny --smoke --profile release \
+        --out "target/BENCH_${cmd}_smoke.json"
+    ./target/release/experiments bench-check "target/BENCH_${cmd}_smoke.json"
+done
 
 echo "==> pipeline smoke: warm rerun must hit the cache and match byte-for-byte"
 smoke_dir="target/gstm-ci-pipeline-smoke"
@@ -95,26 +100,6 @@ grep -qE "runs [1-9][0-9]* hit / 0 miss" "$recover_dir/warm.err" \
     || { echo "recovery smoke: warm run missed the run cache"; exit 1; }
 rm -rf "$recover_dir"
 
-echo "==> wal bench smoke: artifact must be well-formed"
-./target/release/experiments bench-wal --smoke --profile release \
-    --out target/BENCH_wal_smoke.json
-./target/release/experiments bench-check target/BENCH_wal_smoke.json
-
-echo "==> pipeline bench: cold-vs-warm artifact must be well-formed"
-./target/release/experiments bench-pipeline --profile release \
-    --out target/BENCH_pipeline_smoke.json
-./target/release/experiments bench-check target/BENCH_pipeline_smoke.json
-
-echo "==> scale bench smoke: commit-spine artifact must be well-formed"
-./target/release/experiments bench-scale --preset tiny --smoke --profile release \
-    --out target/BENCH_scale_smoke.json
-./target/release/experiments bench-check target/BENCH_scale_smoke.json
-
-echo "==> mvcc bench smoke: read-path artifact must be well-formed"
-./target/release/experiments bench-mvcc --preset tiny --smoke --profile release \
-    --out target/BENCH_mvcc_smoke.json
-./target/release/experiments bench-check target/BENCH_mvcc_smoke.json
-
 echo "==> serve-adaptive smoke: online loop must be deterministic and cache-stable"
 adapt_dir="target/gstm-ci-adaptive-smoke"
 rm -rf "$adapt_dir"
@@ -135,19 +120,9 @@ grep -q "gate negative control" "$adapt_dir/cold.txt" \
     || { echo "serve-adaptive smoke: missing the gate's negative-control row"; exit 1; }
 rm -rf "$adapt_dir"
 
-echo "==> adaptive bench smoke: artifact must be well-formed"
-./target/release/experiments bench-adaptive --preset tiny --smoke --profile release \
-    --out target/BENCH_adaptive_smoke.json
-./target/release/experiments bench-check target/BENCH_adaptive_smoke.json
-
 echo "==> block determinism smoke: same block order must hash identically at 1/2/4/8 threads"
 ./target/release/experiments block-smoke --threads 1,2,4,8 --requests 200 --seed 11 \
     || { echo "block smoke: parallel block output diverged from the sequential reference"; exit 1; }
-
-echo "==> block bench smoke: artifact must be well-formed"
-./target/release/experiments bench-block --preset tiny --smoke --profile release \
-    --out target/BENCH_block_smoke.json
-./target/release/experiments bench-check target/BENCH_block_smoke.json
 
 echo "==> benchmark package: its own tests (traced mirror of the block loop) + serve_block smoke"
 (cd benchmark && cargo test --offline -q)
