@@ -52,23 +52,6 @@ where
         THashMap { buckets: (0..buckets).map(|_| TVar::new(Vec::new())).collect() }
     }
 
-    /// Creates a map whose bucket `TVar`s all carry placement tag `place`
-    /// ([`TVar::new_placed`]).
-    ///
-    /// On an [`Stm`](gstm_core::Stm) configured with
-    /// `StmConfig::builder(..).table_shards(n)`, every bucket of this map hashes
-    /// into lock-table partition `place % n` — `gstm-serve` tags each store
-    /// shard's map this way so different shards can never false-share a
-    /// lock stripe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is zero.
-    pub fn new_placed(buckets: usize, place: u8) -> Self {
-        assert!(buckets > 0, "a map needs at least one bucket");
-        THashMap { buckets: (0..buckets).map(|_| TVar::new_placed(place, Vec::new())).collect() }
-    }
-
     /// Number of buckets (conflict granularity).
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
@@ -285,18 +268,6 @@ mod tests {
         let mut snap = map.snapshot_unlogged();
         snap.sort_unstable();
         assert_eq!(snap[10], (10, 20));
-    }
-
-    #[test]
-    fn placed_map_tags_every_bucket_and_still_works() {
-        let map: THashMap<u32, u32> = THashMap::new_placed(4, 2);
-        assert!(map.buckets.iter().all(|b| b.id().place() == Some(2)));
-        let got = with_tx(|tx| {
-            map.insert(tx, 9, 90)?;
-            map.get(tx, &9)
-        });
-        assert_eq!(got, Some(90));
-        assert_eq!(map.bucket_count(), 4);
     }
 
     #[test]

@@ -1,62 +1,17 @@
-//! TL2's global version clock, with a low-contention skip-ahead variant.
+//! TL2's global version clock.
 //!
 //! The clock is the first of the commit spine's two shared-write hot spots
-//! (the other is the [lock table](crate::lock_table)). Two strategies are
-//! provided, selected by [`ClockStrategy`]:
-//!
-//! * [`ClockStrategy::FetchAdd`] — classic TL2 GV1: every writer
-//!   `fetch_add(1)`s the word. The default; the sim-mode determinism
-//!   goldens pin this behavior.
-//! * [`ClockStrategy::SkipAhead`] — GV4/GV5-flavoured: a committer first
-//!   tries `compare_exchange(rv, rv + 1)`. Success means nothing committed
-//!   since it sampled `rv`, so `wv = rv + 1` *and* read-set validation can
-//!   be skipped (the `wv == rv + 1` fast path in `Txn::commit`). On failure
-//!   it does **not** spin retrying the CAS — it skips ahead with one
-//!   wait-free `fetch_add(SKIP_AHEAD_DELTA)`, claiming a unique `wv` in a
-//!   single shot.
-//!
-//! Uniqueness under `SkipAhead` holds because every successful RMW on the
-//! word strictly increases it and each committer claims the value the word
-//! holds *immediately after its own RMW*: the after-values of a strictly
-//! increasing RMW sequence are strictly increasing, hence all distinct.
+//! (the other is the [lock table](crate::lock_table)): classic TL2 GV1,
+//! every writer `fetch_add(1)`s the word, which the sim-mode determinism
+//! goldens pin. Read-only transactions never touch it.
 //!
 //! The word itself is [`CachePadded`] so the clock never false-shares a
 //! line with the commit-sequence counter or anything else in
-//! [`crate::Stm`]; the stat counters live on their own lines for the same
-//! reason.
+//! [`crate::Stm`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::config::ClockStrategy;
 use crate::pad::CachePadded;
-
-/// How far a skip-ahead committer advances the clock when its CAS loses.
-///
-/// Any value ≥ 1 is correct; a small gap (rather than 1) spreads the `rv`s
-/// that concurrent committers will CAS from, lowering the chance that two
-/// threads target the same expected value on their next commits. 47 bits of
-/// version space (see `lock_table::MAX_VERSION`) absorb the waste: even at
-/// 10⁸ commits/s, all skipping, the clock lasts half a year before the
-/// overflow assert fires.
-pub const SKIP_AHEAD_DELTA: u64 = 8;
-
-/// Counters describing how the clock has been exercised.
-///
-/// Read through [`crate::Stm::clock_stats`] by `experiments bench-scale`;
-/// deliberately *not* part of the default telemetry snapshot, which the
-/// determinism goldens digest byte-for-byte.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClockStats {
-    /// Skip-ahead commits whose `compare_exchange(rv, rv + 1)` won (these
-    /// also skipped read-set validation).
-    pub cas_success: u64,
-    /// Skip-ahead commits whose CAS lost and claimed a `wv` via one
-    /// `fetch_add(SKIP_AHEAD_DELTA)` instead.
-    pub skip_ahead: u64,
-    /// Read-only commits that never touched the clock word (the GV4
-    /// read-mostly fast path; "clock ticks avoided").
-    pub read_only_spared: u64,
-}
 
 /// The global version clock at the heart of TL2.
 ///
@@ -75,35 +30,12 @@ pub struct ClockStats {
 #[derive(Debug, Default)]
 pub struct VersionClock {
     value: CachePadded<AtomicU64>,
-    strategy: ClockStrategy,
-    // Stat counters: only the SkipAhead strategy bumps these (Relaxed, on
-    // dedicated lines). The legacy path stays instruction-identical to the
-    // pre-spine engine — no shared-counter writes sneak onto it.
-    cas_success: CachePadded<AtomicU64>,
-    skip_ahead: CachePadded<AtomicU64>,
-    read_only_spared: CachePadded<AtomicU64>,
 }
 
 impl VersionClock {
-    /// Creates a legacy (`FetchAdd`) clock at version 0.
+    /// Creates a clock at version 0.
     pub fn new() -> Self {
-        VersionClock::with_strategy(ClockStrategy::FetchAdd)
-    }
-
-    /// Creates a clock at version 0 using `strategy`.
-    pub fn with_strategy(strategy: ClockStrategy) -> Self {
-        VersionClock {
-            value: CachePadded::new(AtomicU64::new(0)),
-            strategy,
-            cas_success: CachePadded::new(AtomicU64::new(0)),
-            skip_ahead: CachePadded::new(AtomicU64::new(0)),
-            read_only_spared: CachePadded::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// The strategy this clock was built with.
-    pub fn strategy(&self) -> ClockStrategy {
-        self.strategy
+        VersionClock { value: CachePadded::new(AtomicU64::new(0)) }
     }
 
     /// Samples the current version (a transaction's `rv`).
@@ -115,63 +47,13 @@ impl VersionClock {
     }
 
     /// Atomically increments the clock and returns the new value (a
-    /// committer's `wv`) — the legacy GV1 tick, regardless of strategy.
+    /// committer's `wv`).
     pub fn tick(&self) -> u64 {
         // AcqRel: the RMW must order after this committer's write-set locks
         // (Acquire side) and publish a unique `wv` to later samplers
         // (Release side); uniqueness itself comes from RMW atomicity, which
         // holds at any ordering.
         self.value.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Obtains a committer's `wv` given the `rv` it sampled at begin,
-    /// honouring the configured strategy.
-    ///
-    /// Under `FetchAdd` this is exactly [`tick`](Self::tick). Under
-    /// `SkipAhead` the returned `wv` always equals the clock word
-    /// immediately after this committer's RMW, so the TL2 invariant
-    /// "every published stripe version ≤ current clock" is preserved and
-    /// later samplers' `rv` covers it.
-    pub fn tick_for(&self, rv: u64) -> u64 {
-        match self.strategy {
-            ClockStrategy::FetchAdd => self.tick(),
-            ClockStrategy::SkipAhead => {
-                // AcqRel / Relaxed-on-failure: same ordering contract as
-                // `tick`; a failed CAS publishes nothing, and the fallback
-                // fetch_add re-establishes the Release edge.
-                match self.value.compare_exchange(rv, rv + 1, Ordering::AcqRel, Ordering::Relaxed) {
-                    Ok(_) => {
-                        self.cas_success.fetch_add(1, Ordering::Relaxed);
-                        rv + 1
-                    }
-                    Err(_) => {
-                        self.skip_ahead.fetch_add(1, Ordering::Relaxed);
-                        self.value.fetch_add(SKIP_AHEAD_DELTA, Ordering::AcqRel) + SKIP_AHEAD_DELTA
-                    }
-                }
-            }
-        }
-    }
-
-    /// Records a read-only commit that (by TL2's read-mostly fast path)
-    /// never touched the clock word.
-    ///
-    /// Counted only under `SkipAhead`: the legacy default path must stay
-    /// free of shared-counter writes so the pre-spine hot-path numbers and
-    /// determinism goldens are untouched.
-    pub fn note_read_only_commit(&self) {
-        if self.strategy == ClockStrategy::SkipAhead {
-            self.read_only_spared.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot of the clock's stat counters.
-    pub fn stats(&self) -> ClockStats {
-        ClockStats {
-            cas_success: self.cas_success.load(Ordering::Relaxed),
-            skip_ahead: self.skip_ahead.load(Ordering::Relaxed),
-            read_only_spared: self.read_only_spared.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -206,78 +88,5 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 4000, "every tick must be unique");
-    }
-
-    #[test]
-    fn default_strategy_is_legacy_fetch_add() {
-        let c = VersionClock::new();
-        assert_eq!(c.strategy(), ClockStrategy::FetchAdd);
-        // tick_for under FetchAdd ignores rv and behaves exactly like tick.
-        assert_eq!(c.tick_for(999), 1);
-        assert_eq!(c.stats(), ClockStats::default(), "legacy path must not count");
-    }
-
-    #[test]
-    fn skip_ahead_cas_win_claims_rv_plus_one() {
-        let c = VersionClock::with_strategy(ClockStrategy::SkipAhead);
-        let rv = c.sample();
-        assert_eq!(c.tick_for(rv), rv + 1, "uncontended CAS must win and skip validation");
-        assert_eq!(c.stats().cas_success, 1);
-        assert_eq!(c.stats().skip_ahead, 0);
-    }
-
-    #[test]
-    fn skip_ahead_cas_loss_jumps_by_delta_without_retry() {
-        let c = VersionClock::with_strategy(ClockStrategy::SkipAhead);
-        let rv = c.sample();
-        c.tick(); // someone else commits between our sample and our CAS
-        let wv = c.tick_for(rv);
-        assert_eq!(wv, rv + 1 + SKIP_AHEAD_DELTA);
-        assert_eq!(c.sample(), wv, "claimed wv is the word's post-RMW value");
-        assert_eq!(c.stats().skip_ahead, 1);
-    }
-
-    /// Mirrors `concurrent_ticks_are_unique` for the new strategy
-    /// (ISSUE 7 satellite): under contention every committer's `wv` stays
-    /// unique and the clock word never moves backwards.
-    #[test]
-    fn skip_ahead_concurrent_wvs_unique_and_monotone() {
-        let c = Arc::new(VersionClock::with_strategy(ClockStrategy::SkipAhead));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                let mut wvs = Vec::with_capacity(1000);
-                let mut last_sample = 0;
-                for _ in 0..1000 {
-                    let rv = c.sample();
-                    assert!(rv >= last_sample, "clock moved backwards: {rv} < {last_sample}");
-                    let wv = c.tick_for(rv);
-                    assert!(wv > rv, "wv must exceed the rv it was derived from");
-                    last_sample = rv;
-                    wvs.push(wv);
-                }
-                wvs
-            }));
-        }
-        let mut all: Vec<u64> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 4000, "every skip-ahead wv must be unique");
-        let stats = c.stats();
-        assert_eq!(stats.cas_success + stats.skip_ahead, 4000, "every commit counted once");
-    }
-
-    #[test]
-    fn read_only_commits_counted_only_under_skip_ahead() {
-        let skip = VersionClock::with_strategy(ClockStrategy::SkipAhead);
-        skip.note_read_only_commit();
-        skip.note_read_only_commit();
-        assert_eq!(skip.stats().read_only_spared, 2);
-        assert_eq!(skip.sample(), 0, "read-only commits never move the clock");
-
-        let legacy = VersionClock::new();
-        legacy.note_read_only_commit();
-        assert_eq!(legacy.stats().read_only_spared, 0, "legacy path stays counter-free");
     }
 }

@@ -85,27 +85,6 @@ pub enum TxnKind {
     ReadOnly,
 }
 
-/// How the global [version clock](crate::VersionClock) hands out commit
-/// timestamps (DESIGN.md §3.1c).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ClockStrategy {
-    /// Classic TL2 GV1: every writer `fetch_add(1)`s the shared word.
-    ///
-    /// Simple and wait-free, but at high thread counts the cache line
-    /// carrying the clock ping-pongs between cores on every commit. This is
-    /// the default so the sim-mode determinism goldens keep pinning the
-    /// behavior every digest was captured on.
-    #[default]
-    FetchAdd,
-    /// GV4/GV5-style low-contention clock: try one
-    /// `compare_exchange(rv, rv + 1)`; on success the committer owns
-    /// `wv = rv + 1` and — because nobody else advanced the clock since it
-    /// sampled `rv` — may skip read-set validation. On failure it does not
-    /// retry the CAS but *skips ahead* with a single wait-free
-    /// `fetch_add(Δ)`, claiming a unique `wv` in one shot.
-    SkipAhead,
-}
-
 /// Configuration of an [`crate::Stm`] instance.
 ///
 /// Build one with the fluent [`StmConfig::builder`]:
@@ -146,18 +125,6 @@ pub struct StmConfig {
     /// pass the gate, so enabling them does not perturb virtual-time
     /// schedules.
     pub check_events: bool,
-    /// Version-clock strategy (default [`ClockStrategy::FetchAdd`], the
-    /// legacy behavior the determinism goldens pin).
-    pub clock: ClockStrategy,
-    /// Lock-table partitions (default 1 — the single global table).
-    ///
-    /// With `n > 1` the table is split into `n` equally-sized partitions of
-    /// `1 << log2_stripes` stripes each. Variables created with a placement
-    /// tag ([`crate::TVar::new_placed`]) hash only within partition
-    /// `tag % n`, so transactions confined to different partitions never
-    /// false-share a stripe — `gstm-serve` tags each store shard's keys so
-    /// single-shard requests get a private lock table.
-    pub table_shards: u32,
     /// Read-path strategy for [`TxnKind::ReadOnly`] transactions (default
     /// [`ReadMode::Latest`], the legacy behavior the determinism goldens
     /// pin). See DESIGN.md §3.1d.
@@ -189,16 +156,14 @@ impl StmConfig {
             costs: CostModel::default(),
             reader_wait_limit: 32,
             check_events: false,
-            clock: ClockStrategy::default(),
-            table_shards: 1,
             read_mode: ReadMode::default(),
             version_ring_capacity: 8,
         }
     }
 
     /// Starts a fluent [`StmConfigBuilder`] with defaults for `max_threads`
-    /// threads — the one place every knob (detection, resolution, clock
-    /// strategy, table shards, read mode, …) is set.
+    /// threads — the one place every knob (detection, resolution, read
+    /// mode, …) is set.
     ///
     /// # Panics
     ///
@@ -225,15 +190,8 @@ impl StmConfig {
         if !(1..=24).contains(&self.log2_stripes) {
             return Err(format!(
                 "log2_stripes must be in 1..=24 (the lock table allocates 1 << log2_stripes \
-                 stripes per partition), got {}",
+                 stripes), got {}",
                 self.log2_stripes
-            ));
-        }
-        if !(1..=64).contains(&self.table_shards) {
-            return Err(format!(
-                "table_shards must be in 1..=64 (partitions multiply the lock-table footprint), \
-                 got {}",
-                self.table_shards
             ));
         }
         if self.version_ring_capacity == 0 {
@@ -260,13 +218,12 @@ impl StmConfig {
 /// [`build`](StmConfigBuilder::build).
 ///
 /// ```
-/// use gstm_core::{ClockStrategy, ReadMode, StmConfig};
+/// use gstm_core::{ReadMode, StmConfig};
 /// let cfg = StmConfig::builder(8)
-///     .clock_strategy(ClockStrategy::SkipAhead)
-///     .table_shards(4)
+///     .log2_stripes(10)
 ///     .read_mode(ReadMode::Snapshot)
 ///     .build();
-/// assert_eq!(cfg.table_shards, 4);
+/// assert_eq!(cfg.log2_stripes, 10);
 /// assert_eq!(cfg.read_mode, ReadMode::Snapshot);
 /// ```
 #[derive(Clone, Copy, Debug)]
@@ -309,23 +266,6 @@ impl StmConfigBuilder {
     /// `check` feature to have any effect).
     pub fn check_events(mut self, on: bool) -> Self {
         self.cfg.check_events = on;
-        self
-    }
-
-    /// Sets the version-clock strategy.
-    pub fn clock_strategy(mut self, s: ClockStrategy) -> Self {
-        self.cfg.clock = s;
-        self
-    }
-
-    /// Sets the number of lock-table partitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0 or exceeds 64.
-    pub fn table_shards(mut self, n: u32) -> Self {
-        assert!((1..=64).contains(&n), "table_shards must be in 1..=64, got {n}");
-        self.cfg.table_shards = n;
         self
     }
 
@@ -373,10 +313,8 @@ mod tests {
         assert_eq!(c.detection, Detection::CommitTime);
         assert_eq!(c.resolution, Resolution::SelfAbort);
         assert!(!c.resolution.needs_visible_readers());
-        // The determinism goldens were captured on the legacy spine and the
-        // legacy read path; these defaults are what keeps them bit-identical.
-        assert_eq!(c.clock, ClockStrategy::FetchAdd);
-        assert_eq!(c.table_shards, 1);
+        // The determinism goldens were captured on the legacy read path;
+        // this default is what keeps them bit-identical.
         assert_eq!(c.read_mode, ReadMode::Latest);
         assert!(c.version_ring_capacity >= 1);
     }
@@ -391,8 +329,6 @@ mod tests {
             .costs(costs)
             .reader_wait_limit(7)
             .check_events(true)
-            .clock_strategy(ClockStrategy::SkipAhead)
-            .table_shards(8)
             .read_mode(ReadMode::Snapshot)
             .version_ring_capacity(4)
             .build();
@@ -402,8 +338,6 @@ mod tests {
         assert_eq!(c.costs, costs);
         assert_eq!(c.reader_wait_limit, 7);
         assert!(c.check_events);
-        assert_eq!(c.clock, ClockStrategy::SkipAhead);
-        assert_eq!(c.table_shards, 8);
         assert_eq!(c.read_mode, ReadMode::Snapshot);
         assert_eq!(c.version_ring_capacity, 4);
     }
@@ -413,12 +347,6 @@ mod tests {
         assert_eq!(ReadMode::Latest.label(), "latest");
         assert_eq!(ReadMode::Snapshot.label(), "snapshot");
         assert_eq!(TxnKind::default(), TxnKind::Update);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_table_shards_rejected() {
-        let _ = StmConfig::builder(1).table_shards(0);
     }
 
     #[test]
@@ -433,7 +361,6 @@ mod tests {
         assert_eq!(
             StmConfig::builder(u16::MAX as usize)
                 .log2_stripes(24)
-                .table_shards(64)
                 .version_ring_capacity(1)
                 .build()
                 .validate(),
@@ -454,11 +381,6 @@ mod tests {
         let mut c = StmConfig::new(4);
         c.log2_stripes = 0;
         assert!(c.validate().unwrap_err().contains("log2_stripes"));
-
-        let mut c = StmConfig::new(4);
-        c.table_shards = 65;
-        let msg = c.validate().unwrap_err();
-        assert!(msg.contains("table_shards") && msg.contains("1..=64"), "{msg}");
 
         let mut c = StmConfig::new(4);
         c.version_ring_capacity = 0;

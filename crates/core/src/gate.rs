@@ -21,7 +21,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::ids::ThreadId;
-use crate::placement::{pin_current_thread, Placement};
 
 /// Abstract cost unit charged through a [`Gate`].
 pub type Ticks = u64;
@@ -129,12 +128,6 @@ pub struct RealGate {
     yield_every: u32,
     counters: Vec<AtomicU64>,
     charged: Vec<AtomicU64>,
-    /// Optional core-affinity plan (DESIGN.md §3.1c). Applied lazily: the
-    /// first `pass` a worker thread makes is, by construction, made *on*
-    /// that thread, so that is where the pin attempt happens.
-    placement: Option<Placement>,
-    placed: Vec<AtomicU64>,
-    placements_attempted: AtomicU64,
 }
 
 /// Maximum thread count a [`RealGate`] tracks per-thread state for.
@@ -143,44 +136,11 @@ const MAX_TRACKED_THREADS: usize = 256;
 impl RealGate {
     /// Creates a real gate. `yield_every == 0` disables yield injection.
     pub fn new(yield_every: u32) -> Self {
-        RealGate::with_placement(yield_every, Placement::noop())
-    }
-
-    /// Creates a real gate that applies `placement`: the first time each
-    /// worker thread passes the gate, the gate attempts (best-effort, see
-    /// [`crate::placement::pin_current_thread`]) to pin it to its planned
-    /// CPU. A [`Placement::noop`] — the single-core case — adds no
-    /// per-pass work beyond one predictable branch.
-    pub fn with_placement(yield_every: u32, placement: Placement) -> Self {
         RealGate {
             epoch: Instant::now(),
             yield_every,
             counters: (0..MAX_TRACKED_THREADS).map(|_| AtomicU64::new(0)).collect(),
             charged: (0..MAX_TRACKED_THREADS).map(|_| AtomicU64::new(0)).collect(),
-            placement: (!placement.is_noop()).then_some(placement),
-            placed: (0..MAX_TRACKED_THREADS).map(|_| AtomicU64::new(0)).collect(),
-            placements_attempted: AtomicU64::new(0),
-        }
-    }
-
-    /// The placement plan this gate applies, if any.
-    pub fn placement(&self) -> Option<&Placement> {
-        self.placement.as_ref()
-    }
-
-    /// Worker threads whose pin was attempted so far.
-    pub fn placements_attempted(&self) -> u64 {
-        self.placements_attempted.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn maybe_place(&self, thread: ThreadId, i: usize) {
-        let Some(placement) = &self.placement else { return };
-        if self.placed[i].swap(1, Ordering::Relaxed) == 0 {
-            if let Some(cpu) = placement.cpu_of(thread) {
-                self.placements_attempted.fetch_add(1, Ordering::Relaxed);
-                let _ = pin_current_thread(cpu);
-            }
         }
     }
 }
@@ -194,7 +154,6 @@ impl Default for RealGate {
 impl Gate for RealGate {
     fn pass(&self, thread: ThreadId, cost: Ticks) {
         let i = thread.index() % MAX_TRACKED_THREADS;
-        self.maybe_place(thread, i);
         self.charged[i].fetch_add(cost, Ordering::Relaxed);
         if self.yield_every > 0 {
             let n = self.counters[i].fetch_add(1, Ordering::Relaxed);
@@ -212,7 +171,6 @@ impl Gate for RealGate {
             }
         } else {
             let i = thread.index() % MAX_TRACKED_THREADS;
-            self.maybe_place(thread, i);
             self.charged[i].fetch_add(cost * count, Ordering::Relaxed);
         }
     }
@@ -294,31 +252,6 @@ mod tests {
         assert_eq!(g.thread_time(t), 15, "yield path charges identically");
         NullGate.pass_batch(t, 3, 5);
         assert_eq!(NullGate.thread_time(t), 0);
-    }
-
-    #[test]
-    fn placement_attempted_once_per_thread() {
-        use crate::placement::{Placement, TouchMap};
-        let mut m = TouchMap::new(2, 2);
-        m.record(ThreadId::new(0), 0, 5);
-        m.record(ThreadId::new(1), 1, 5);
-        let g = RealGate::with_placement(0, Placement::plan(&m, 2));
-        assert!(g.placement().is_some());
-        for _ in 0..10 {
-            g.pass(ThreadId::new(0), 1);
-            g.pass(ThreadId::new(1), 1);
-        }
-        assert_eq!(g.placements_attempted(), 2, "one pin attempt per worker thread");
-        assert_eq!(g.thread_time(ThreadId::new(0)), 10, "charging unaffected");
-    }
-
-    #[test]
-    fn noop_placement_never_attempts() {
-        let g = RealGate::new(0);
-        assert!(g.placement().is_none());
-        g.pass(ThreadId::new(0), 1);
-        g.pass_batch(ThreadId::new(1), 1, 3);
-        assert_eq!(g.placements_attempted(), 0);
     }
 
     #[test]

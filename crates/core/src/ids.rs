@@ -113,13 +113,6 @@ impl From<u16> for TxId {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VarId(u64);
 
-/// Bit 63 of a [`VarId`]: set iff the id carries a placement tag.
-const PLACE_FLAG: u64 = 1 << 63;
-/// Placement tag position: bits 48..56 (the allocation counter never gets
-/// anywhere near 2^48, so the tag can never collide with a counter value).
-const PLACE_SHIFT: u32 = 48;
-const PLACE_MASK: u64 = 0xFF;
-
 impl VarId {
     /// Creates a variable id from its raw value (for tests and decoding of
     /// persisted event logs; normal ids come from [`crate::TVar::new`]).
@@ -130,30 +123,6 @@ impl VarId {
     /// Raw 64-bit representation.
     pub fn raw(self) -> u64 {
         self.0
-    }
-
-    /// Stamps a placement tag into the id's high bits.
-    ///
-    /// A placed id steers the variable into partition `place % parts` of a
-    /// sharded [lock table](crate::lock_table::LockTable), so variables with
-    /// different tags can never conflict on a stripe. The low 48 bits — the
-    /// allocation counter — are untouched, so distinct ids stay distinct
-    /// whatever tags they carry.
-    pub fn with_place(self, place: u8) -> Self {
-        VarId(
-            (self.0 & !(PLACE_MASK << PLACE_SHIFT))
-                | PLACE_FLAG
-                | (u64::from(place) << PLACE_SHIFT),
-        )
-    }
-
-    /// The placement tag, if [`with_place`](Self::with_place) stamped one.
-    pub fn place(self) -> Option<u8> {
-        if self.0 & PLACE_FLAG != 0 {
-            Some(((self.0 >> PLACE_SHIFT) & PLACE_MASK) as u8)
-        } else {
-            None
-        }
     }
 }
 
@@ -239,18 +208,6 @@ mod tests {
     fn participant_display_matches_paper() {
         let p = Participant::new(ThreadId::new(6), TxId::new(0));
         assert_eq!(p.to_string(), "a6");
-    }
-
-    #[test]
-    fn var_id_place_tag_round_trips_and_preserves_identity() {
-        let plain = VarId::from_raw(42);
-        assert_eq!(plain.place(), None);
-        let placed = plain.with_place(5);
-        assert_eq!(placed.place(), Some(5));
-        // Tagging never collapses distinct ids.
-        assert_ne!(VarId::from_raw(1).with_place(5), VarId::from_raw(2).with_place(5));
-        // Re-tagging replaces the old tag rather than ORing over it.
-        assert_eq!(placed.with_place(0).place(), Some(0));
     }
 
     #[test]

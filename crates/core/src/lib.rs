@@ -52,7 +52,6 @@ pub mod kill;
 pub mod lock_table;
 pub mod mvcc;
 pub mod pad;
-pub mod placement;
 pub mod policy;
 pub mod readset;
 pub mod rng;
@@ -61,19 +60,15 @@ pub mod stm;
 pub mod sync;
 pub mod tvar;
 
-pub use clock::{ClockStats, VersionClock};
-pub use config::{
-    ClockStrategy, Detection, ReadMode, Resolution, StmConfig, StmConfigBuilder, TxnKind,
-};
+pub use clock::VersionClock;
+pub use config::{Detection, ReadMode, Resolution, StmConfig, StmConfigBuilder, TxnKind};
 pub use error::{Abort, AbortReason, StmError};
 pub use events::{CountingSink, EventSink, MemorySink, MulticastSink, NullSink, TxEvent};
 pub use gate::{CostModel, Gate, NullGate, RealGate, Ticks};
 pub use ids::{CommitSeq, Participant, ThreadId, TxId, VarId};
 pub use kill::{KillPoint, KillSwitch};
-pub use lock_table::RegistryFootprint;
 pub use mvcc::MvccStats;
 pub use pad::CachePadded;
-pub use placement::{available_cores, Placement, TouchMap};
 pub use policy::{AdmissionPolicy, AdmitAll};
 pub use site_stats::{SiteStats, SiteStatsSink};
 pub use stm::{retry, CommitInfo, DoomHandle, Stm, Txn};

@@ -13,16 +13,12 @@
 //! its versioned-lock array; distinct variables may share a stripe, giving
 //! the same (rare) false conflicts a word-based STM has.
 //!
-//! Since the commit-spine work (DESIGN.md §3.1c) the table is the second
-//! de-contended hot spot:
+//! The table is the commit spine's second shared-write hot spot (DESIGN.md
+//! §3.1c):
 //!
 //! * each stripe's lock word and stamp live together on their own 64-byte
-//!   [`CachePadded`] line, so committers hammering neighbouring stripes no
-//!   longer false-share;
-//! * the table can be built with several **partitions**
-//!   ([`LockTable::new_sharded`]): variables whose [`VarId`] carries a
-//!   placement tag hash only within partition `tag % parts`, which gives
-//!   `gstm-serve` a private lock table per store shard;
+//!   [`CachePadded`] line, so committers hammering neighbouring stripes
+//!   never false-share;
 //! * the visible-reader registries are **lazily allocated** per stripe —
 //!   a table serving `AbortReaders`/`WaitForReaders` traffic only pays for
 //!   the registries of stripes that actually see visible readers
@@ -109,8 +105,7 @@ struct ReaderTable {
     allocated: AtomicUsize,
 }
 
-/// Memory-footprint report for the visible-reader registries
-/// (`experiments bench-scale` publishes these in `BENCH_scale.json`).
+/// Memory-footprint report for the visible-reader registries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistryFootprint {
     /// Stripes in the table.
@@ -135,11 +130,8 @@ pub struct LockTable {
     stripes: Vec<CachePadded<Stripe>>,
     /// Visible-reader registries; entries are `(thread raw id, nesting count)`.
     readers: Option<ReaderTable>,
-    /// Intra-partition stripe mask (`(1 << log2_stripes) - 1`).
+    /// Stripe mask (`(1 << log2_stripes) - 1`).
     mask: u64,
-    /// Number of partitions (1 = the classic single global table).
-    parts: u32,
-    log2_stripes: u32,
     /// Unlock attempts rejected because the caller did not own the stripe.
     /// Always zero in a correct engine; the opacity oracle and the chaos
     /// harness assert on it.
@@ -155,39 +147,20 @@ impl LockTable {
     ///
     /// Panics if `log2_stripes` is 0 or greater than 24.
     pub fn new(log2_stripes: u32, visible_readers: bool) -> Self {
-        LockTable::new_sharded(log2_stripes, visible_readers, 1)
-    }
-
-    /// Creates a table with `parts` partitions of `1 << log2_stripes`
-    /// stripes each.
-    ///
-    /// Placement-tagged variables ([`VarId::place`]) hash only within
-    /// partition `tag % parts`; untagged variables are spread over all
-    /// partitions by hash. With `parts == 1` the stripe mapping is
-    /// bit-identical to the classic table, which is what keeps the sim-mode
-    /// determinism goldens stable at the default configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `log2_stripes` is outside 1..=24 or `parts` outside 1..=64.
-    pub fn new_sharded(log2_stripes: u32, visible_readers: bool, parts: u32) -> Self {
         assert!((1..=24).contains(&log2_stripes), "log2_stripes must be in 1..=24");
-        assert!((1..=64).contains(&parts), "parts must be in 1..=64");
-        let n = (parts as usize) << log2_stripes;
+        let n = 1usize << log2_stripes;
         LockTable {
             stripes: (0..n).map(|_| CachePadded::new(Stripe::default())).collect(),
             readers: visible_readers.then(|| ReaderTable {
                 slots: (0..n).map(|_| OnceLock::new()).collect(),
                 allocated: AtomicUsize::new(0),
             }),
-            mask: ((1usize << log2_stripes) - 1) as u64,
-            parts,
-            log2_stripes,
+            mask: (n - 1) as u64,
             violations: AtomicU64::new(0),
         }
     }
 
-    /// Number of stripes (across all partitions).
+    /// Number of stripes.
     pub fn len(&self) -> usize {
         self.stripes.len()
     }
@@ -197,25 +170,11 @@ impl LockTable {
         false
     }
 
-    /// Number of partitions.
-    pub fn parts(&self) -> u32 {
-        self.parts
-    }
-
-    /// Maps a variable to its stripe (Fibonacci hashing of the id; the
-    /// placement tag, if any, selects the partition).
+    /// Maps a variable to its stripe (Fibonacci hashing of the id).
     #[inline]
     pub fn stripe_of(&self, var: VarId) -> StripeIndex {
         let h = var.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let intra = ((h >> 24) & self.mask) as u32;
-        if self.parts == 1 {
-            return StripeIndex(intra);
-        }
-        let part = match var.place() {
-            Some(p) => u32::from(p) % self.parts,
-            None => ((h >> 32) as u32) % self.parts,
-        };
-        StripeIndex((part << self.log2_stripes) | intra)
+        StripeIndex(((h >> 24) & self.mask) as u32)
     }
 
     /// Loads and decodes a stripe's lock word.
@@ -445,6 +404,7 @@ impl LockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SmallRng;
 
     fn p(t: u16, x: u16) -> Participant {
         Participant::new(ThreadId::new(t), TxId::new(x))
@@ -557,13 +517,12 @@ mod tests {
         }
     }
 
-    /// The single-partition mapping is the determinism contract: it must
-    /// stay bit-identical to the classic table's Fibonacci hash, or every
+    /// The stripe mapping is the determinism contract: it must stay
+    /// bit-identical to the classic table's Fibonacci hash, or every
     /// sim-mode golden digest moves.
     #[test]
-    fn single_part_mapping_matches_legacy_hash() {
+    fn stripe_mapping_matches_legacy_hash() {
         let lt = LockTable::new(6, false);
-        assert_eq!(lt.parts(), 1);
         for i in 0..1000u64 {
             let v = VarId::from_raw(i * 2_654_435_761 + 1);
             let legacy = ((v.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24) & 63) as u32;
@@ -578,44 +537,6 @@ mod tests {
         let b = &lt.stripes[1] as *const _ as usize;
         assert_eq!(a % 64, 0, "stripe 0 not line-aligned");
         assert!(b - a >= 64, "stripes {a:#x}/{b:#x} share a cache line");
-    }
-
-    #[test]
-    fn sharded_table_confines_tagged_vars_to_their_partition() {
-        let parts = 4u32;
-        let log2 = 6u32;
-        let lt = LockTable::new_sharded(log2, false, parts);
-        assert_eq!(lt.len(), (parts as usize) << log2);
-        for base in 0..500u64 {
-            for tag in 0..8u8 {
-                let v = VarId::from_raw(base + 1).with_place(tag);
-                let s = lt.stripe_of(v);
-                assert_eq!(
-                    s.0 >> log2,
-                    u32::from(tag) % parts,
-                    "tag {tag} must land in partition {}",
-                    u32::from(tag) % parts
-                );
-            }
-            // Untagged vars stay in range (spread by hash).
-            let s = lt.stripe_of(VarId::from_raw(base + 1));
-            assert!((s.0 as usize) < lt.len());
-        }
-    }
-
-    #[test]
-    fn sharded_table_isolates_different_tags() {
-        // Two vars with different placement tags may never share a stripe,
-        // whatever their ids hash to — that is the whole point of the
-        // per-shard spine.
-        let lt = LockTable::new_sharded(4, false, 4);
-        for a in 0..200u64 {
-            for b in 0..8u64 {
-                let va = VarId::from_raw(a + 1).with_place(0);
-                let vb = VarId::from_raw(b + 1).with_place(1);
-                assert_ne!(lt.stripe_of(va), lt.stripe_of(vb));
-            }
-        }
     }
 
     #[test]
@@ -733,5 +654,58 @@ mod tests {
         let owner = ThreadId::new(0);
         lt.try_lock(s, owner).unwrap();
         let _ = lt.unlock_publish(s, owner, MAX_VERSION + 1);
+    }
+
+    // Seeded property loops (the case counts the proptest suites used);
+    // every assert names the failing seed.
+
+    /// Lock words survive arbitrary lock/publish cycles: the version always
+    /// reads back exactly, the lock bit and owner are faithful.
+    #[test]
+    fn prop_lock_word_round_trips() {
+        for seed in 0..128 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let lt = LockTable::new(4, false);
+            let s = StripeIndex(3);
+            let owner = ThreadId::new(rng.gen_range(0u16..512));
+            for _ in 0..rng.gen_range(1..20) {
+                let v = rng.gen_range(0u64..(1 << 40));
+                let pre = lt.try_lock(s, owner).expect("unlocked");
+                let locked = LockWord { version: pre, locked: true, owner: Some(owner) };
+                assert_eq!(lt.load(s), locked, "seed {seed}");
+                assert!(lt.unlock_publish(s, owner, v), "seed {seed}");
+                let unlocked = LockWord { version: v, locked: false, owner: None };
+                assert_eq!(lt.load(s), unlocked, "seed {seed}");
+            }
+        }
+    }
+
+    /// Stamps round-trip any (thread, tx, seq-low-32) combination.
+    #[test]
+    fn prop_stamp_round_trips() {
+        for seed in 0..128 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let lt = LockTable::new(2, false);
+            let s = StripeIndex(1);
+            let who = p(rng.gen_range(0..u16::MAX), rng.gen_range(0..u16::MAX));
+            let seq = rng.gen_range(1u64..(1 << 32));
+            lt.stamp(s, who, CommitSeq::new(seq));
+            assert_eq!(lt.last_writer(s), Some((who, CommitSeq::new(seq))), "seed {seed}");
+        }
+    }
+
+    /// Stripe mapping is total and stable for arbitrary ids.
+    #[test]
+    fn prop_stripe_mapping_is_total() {
+        for seed in 0..128 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let lt = LockTable::new(rng.gen_range(1u32..12), false);
+            for _ in 0..rng.gen_range(1..50) {
+                let v = VarId::from_raw(rng.gen_range(0..u64::MAX));
+                let s = lt.stripe_of(v);
+                assert_eq!(s, lt.stripe_of(v), "seed {seed}");
+                assert!((s.0 as usize) < lt.len(), "seed {seed}: {v} -> {s:?}");
+            }
+        }
     }
 }

@@ -304,10 +304,9 @@ impl Drop for CommitLbGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ClockStrategy;
 
     fn clock_at(v: u64) -> VersionClock {
-        let clock = VersionClock::with_strategy(ClockStrategy::FetchAdd);
+        let clock = VersionClock::new();
         while clock.sample() < v {
             clock.tick();
         }

@@ -69,26 +69,6 @@ impl SiteStatsSink {
         self.table.lock().clone()
     }
 
-    /// Folds the table into a placement [`crate::TouchMap`]: every commit or
-    /// abort a `(thread, site)` pair recorded counts as one touch of slot
-    /// `site_to_slot(site)` by that thread. This is the
-    /// `site_stats → placement` bridge (DESIGN.md §3.1c): workloads whose
-    /// sites map onto store shards — `gstm-serve` numbers its request
-    /// sites statically — can derive a core-affinity plan from observed
-    /// traffic instead of a static schedule.
-    pub fn touch_map(
-        &self,
-        threads: usize,
-        slots: usize,
-        site_to_slot: impl Fn(crate::ids::TxId) -> usize,
-    ) -> crate::placement::TouchMap {
-        let mut map = crate::placement::TouchMap::new(threads, slots);
-        for (p, s) in self.snapshot() {
-            map.record(p.thread, site_to_slot(p.tx), s.commits + s.aborts);
-        }
-        map
-    }
-
     /// Renders a compact text report, worst abort-ratio first.
     pub fn report(&self) -> String {
         let mut rows: Vec<(Participant, SiteStats)> = self.snapshot().into_iter().collect();
@@ -177,32 +157,6 @@ mod tests {
         assert_eq!(a.worst_retry, 1);
         assert!((a.abort_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(table[&p(1, 1)].abort_ratio(), 0.0);
-    }
-
-    #[test]
-    fn touch_map_counts_commits_and_aborts_per_slot() {
-        let s = SiteStatsSink::new();
-        for seq in 0..3 {
-            s.record(&TxEvent::Commit {
-                who: p(0, 4),
-                seq: CommitSeq::new(seq),
-                aborts: 0,
-                reads: 0,
-                writes: 0,
-                at: 0,
-            });
-        }
-        s.record(&TxEvent::Abort {
-            who: p(1, 5),
-            attempt: 0,
-            abort: Abort::new(AbortReason::UserRetry),
-            at: 0,
-        });
-        // Sites 4 and 5 map to shards 0 and 1.
-        let m = s.touch_map(2, 2, |tx| tx.index() - 4);
-        assert_eq!(m.get(ThreadId::new(0), 0), 3, "commits count as touches");
-        assert_eq!(m.get(ThreadId::new(1), 1), 1, "aborts count as touches");
-        assert_eq!(m.home_slot(ThreadId::new(0)), Some(0));
     }
 
     #[test]

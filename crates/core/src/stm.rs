@@ -162,12 +162,8 @@ impl Stm {
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
         Stm {
-            locks: LockTable::new_sharded(
-                config.log2_stripes,
-                config.resolution.needs_visible_readers(),
-                config.table_shards,
-            ),
-            clock: VersionClock::with_strategy(config.clock),
+            locks: LockTable::new(config.log2_stripes, config.resolution.needs_visible_readers()),
+            clock: VersionClock::new(),
             gate,
             sink,
             policy,
@@ -199,30 +195,15 @@ impl Stm {
         self.commit_seq.load(Ordering::SeqCst)
     }
 
-    /// Version-clock stat counters (CAS wins, skip-aheads, read-only
-    /// commits spared a tick).
-    ///
-    /// Read by `experiments bench-scale`; deliberately *not* folded into
-    /// the default telemetry snapshot, whose text the determinism goldens
-    /// digest byte-for-byte.
-    pub fn clock_stats(&self) -> crate::clock::ClockStats {
-        self.clock.stats()
-    }
-
     /// Snapshot-read stat counters (ring hits, fallbacks, publications,
     /// GC evictions/lag, spared validations). All-zero under
     /// [`ReadMode::Latest`], where no snapshot machinery exists.
     ///
-    /// Like [`Stm::clock_stats`], read by the bench harness and
-    /// deliberately not part of the default telemetry snapshot.
+    /// Read by the bench harness; deliberately *not* folded into the
+    /// default telemetry snapshot, whose text the determinism goldens
+    /// digest byte-for-byte.
     pub fn mvcc_stats(&self) -> MvccStats {
         self.mvcc.as_ref().map(SnapshotRegistry::stats).unwrap_or_default()
-    }
-
-    /// Memory-footprint report for the lock table's visible-reader
-    /// registries (all-zero when the resolution needs none).
-    pub fn reader_registry_footprint(&self) -> crate::lock_table::RegistryFootprint {
-        self.locks.reader_registry_footprint()
     }
 
     /// Global sequence number of `thread`'s most recent commit (0 if the
@@ -875,10 +856,8 @@ impl<'stm> Txn<'stm> {
 
         // Read-only fast path: every read was validated inline against rv,
         // so a read-only transaction is already serializable. TL2 commits it
-        // without touching the clock (the GV4 read-mostly fast path; the
-        // clock only counts the spared tick, and only under SkipAhead).
+        // without touching the clock (the GV4 read-mostly fast path).
         if self.scratch.writes.is_empty() {
-            stm.clock.note_read_only_commit();
             // Snapshot commits additionally count the validations the
             // legacy read-only path would have performed on these reads.
             if self.snapshot.is_some() {
@@ -947,9 +926,7 @@ impl<'stm> Txn<'stm> {
         scratch.held.extend_from_slice(&scratch.acquired);
         scratch.eager_filter.clear();
 
-        // 2. Obtain the write version. Under the skip-ahead strategy a CAS
-        //    win yields wv == rv + 1, which step 3 rewards by skipping
-        //    validation; a loss claims a unique wv in one wait-free RMW.
+        // 2. Obtain the write version.
         //
         //    Snapshot mode: publish a commit lower bound *before* ticking,
         //    so a reader beginning between the tick and our version-ring
@@ -960,7 +937,7 @@ impl<'stm> Txn<'stm> {
         //    unwind, so a panicking commit cannot clamp future readers.
         let lb_guard =
             stm.mvcc.as_ref().map(|reg| reg.publish_commit_lb_guarded(thread, &stm.clock));
-        let wv = stm.clock.tick_for(self.rv);
+        let wv = stm.clock.tick();
 
         // 3. Validate the read set (skippable when nobody committed since
         //    our snapshot — the TL2 rv + 1 == wv optimization). Sorting
@@ -1263,50 +1240,6 @@ mod tests {
         assert_eq!(got, 7);
         assert_eq!(stm.clock.sample(), before);
         assert_eq!(stm.commit_count(), 1, "commit still sequenced");
-    }
-
-    /// ISSUE 7 satellite: under the skip-ahead strategy an empty-write-set
-    /// transaction must never touch the clock word, and the spared tick is
-    /// counted; writer commits count as CAS wins or skip-aheads.
-    #[test]
-    fn skip_ahead_read_only_never_ticks_and_is_counted() {
-        use crate::config::ClockStrategy;
-        let stm = Stm::new(StmConfig::builder(1).clock_strategy(ClockStrategy::SkipAhead).build());
-        let v = TVar::new(7u8);
-
-        stm.run(t(0), x(0), |tx| tx.read(&v));
-        stm.run(t(0), x(0), |tx| tx.read(&v));
-        assert_eq!(stm.clock.sample(), 0, "read-only commits must never tick");
-        assert_eq!(stm.clock_stats().read_only_spared, 2);
-        assert_eq!(stm.clock_stats().cas_success, 0);
-
-        stm.run(t(0), x(1), |tx| tx.write(&v, 9));
-        let stats = stm.clock_stats();
-        assert_eq!(stats.read_only_spared, 2, "writer commit is not a spared tick");
-        assert_eq!(stats.cas_success + stats.skip_ahead, 1, "writer commit ticked once");
-        assert_eq!(*v.load_unlogged(), 9);
-    }
-
-    /// The per-shard table is transparent to transaction semantics:
-    /// cross-partition writes commit atomically and conflicts still abort.
-    #[test]
-    fn sharded_table_preserves_conflict_detection() {
-        let stm = Stm::new(StmConfig::builder(2).table_shards(4).build());
-        let a = TVar::new_placed(0, 0i64);
-        let b = TVar::new_placed(1, 0i64);
-        // Cross-partition transaction commits atomically.
-        stm.run(t(0), x(0), |tx| {
-            tx.write(&a, 1)?;
-            tx.write(&b, 2)
-        });
-        assert_eq!((*a.load_unlogged(), *b.load_unlogged()), (1, 2));
-        // A stale read in partition 1 still aborts.
-        let r = stm.try_run_once(t(0), x(0), |tx| {
-            let _ = tx.read(&a)?;
-            stm.run(t(1), x(1), |tx2| tx2.write(&b, 5));
-            tx.read(&b)
-        });
-        assert!(r.is_err(), "conflict across partitions must still be caught: {r:?}");
     }
 
     #[test]
@@ -1830,5 +1763,53 @@ mod tests {
         assert_eq!(unheld, 1, "early write-back must be observed outside the lock");
         assert_eq!(*a.load_unlogged(), 1, "single-threaded result is still right");
         assert_eq!(stm.lock_discipline_violations(), 0, "unlocks themselves stay by-owner");
+    }
+
+    /// Property (128 seeded cases): single-threaded transactional programs
+    /// behave exactly like their sequential interpretation over arbitrary
+    /// op sequences.
+    #[test]
+    fn prop_sequential_equivalence() {
+        use crate::rng::SmallRng;
+        for seed in 0..128 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let stm = Stm::new(StmConfig::new(1));
+            let vars: Vec<TVar<i64>> = (0..4).map(|_| TVar::new(0)).collect();
+            let mut reference = [0i64; 4];
+            for _ in 0..rng.gen_range(1..60) {
+                let (i, delta) = (rng.gen_range(0usize..4), rng.gen_range(-50i64..50));
+                stm.run(t(0), x(0), |tx| {
+                    let v = tx.read(&vars[i])?;
+                    tx.write(&vars[i], v + delta)
+                });
+                reference[i] += delta;
+            }
+            let got: Vec<i64> = vars.iter().map(|v| *v.load_unlogged()).collect();
+            assert_eq!(got, reference, "seed {seed}");
+        }
+    }
+
+    /// Property (128 seeded cases): write-after-write within one
+    /// transaction keeps only the last value, and read-own-write always
+    /// observes the latest buffered value.
+    #[test]
+    fn prop_redo_log_last_write_wins() {
+        use crate::rng::SmallRng;
+        for seed in 0..128 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let writes: Vec<i64> =
+                (0..rng.gen_range(1..20)).map(|_| rng.gen_range(-100i64..100)).collect();
+            let last = *writes.last().expect("nonempty");
+            let stm = Stm::new(StmConfig::new(1));
+            let v = TVar::new(i64::MIN);
+            let observed = stm.run(t(0), x(0), |tx| {
+                for &w in &writes {
+                    tx.write(&v, w)?;
+                    assert_eq!(tx.read(&v)?, w, "seed {seed}: read-own-write must see the buffer");
+                }
+                tx.read(&v)
+            });
+            assert_eq!((observed, *v.load_unlogged()), (last, last), "seed {seed}");
+        }
     }
 }

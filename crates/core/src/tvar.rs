@@ -301,19 +301,6 @@ impl<T: Send + Sync + 'static> TVar<T> {
         TVar { cell: Arc::new(VarCell::new(id, Arc::new(value))), _marker: PhantomData }
     }
 
-    /// Creates a transactional variable whose id carries placement tag
-    /// `place` ([`VarId::with_place`]).
-    ///
-    /// On a sharded [lock table](crate::lock_table::LockTable) the tag
-    /// confines the variable to partition `place % parts`, so variables
-    /// with different tags can never false-share a stripe. On the default
-    /// single-partition table the tag is inert (it changes which stripe the
-    /// id hashes to, nothing more).
-    pub fn new_placed(place: u8, value: T) -> Self {
-        let id = next_var_id().with_place(place);
-        TVar { cell: Arc::new(VarCell::new(id, Arc::new(value))), _marker: PhantomData }
-    }
-
     /// This variable's globally unique id.
     #[inline]
     pub fn id(&self) -> VarId {
@@ -388,16 +375,6 @@ mod tests {
         let a = TVar::new(0u32);
         let b = TVar::new(0u32);
         assert_ne!(a.id(), b.id());
-    }
-
-    #[test]
-    fn placed_vars_carry_their_tag_and_stay_unique() {
-        let a = TVar::new_placed(3, 0u32);
-        let b = TVar::new_placed(3, 0u32);
-        assert_eq!(a.id().place(), Some(3));
-        assert_ne!(a.id(), b.id());
-        assert_eq!(TVar::new(0u32).id().place(), None);
-        assert_eq!(*a.load_unlogged(), 0);
     }
 
     #[test]

@@ -31,10 +31,7 @@
 
 use std::time::Instant;
 
-use gstm_core::{
-    ClockStats, ClockStrategy, Detection, MvccStats, ReadMode, RealGate, RegistryFootprint,
-    Resolution, Stm, StmConfig, TVar, ThreadId, TxId,
-};
+use gstm_core::{Detection, MvccStats, ReadMode, Stm, StmConfig, TVar, ThreadId, TxId};
 use gstm_guide::{run_workload, RunOptions};
 use gstm_telemetry::JsonValue;
 
@@ -128,34 +125,6 @@ pub const SUITES: &[Suite] = &[
         ],
         run: |cfg, _, progress| run_wal_suite(cfg, progress),
     },
-    Suite {
-        command: "bench-scale",
-        suite: "scale",
-        pinned_preset: None,
-        required: &[
-            "scale.legacy.t1.commit_ops_per_sec",
-            "scale.legacy.t2.commit_ops_per_sec",
-            "scale.legacy.t4.commit_ops_per_sec",
-            "scale.legacy.t8.commit_ops_per_sec",
-            "scale.legacy.t16.commit_ops_per_sec",
-            "scale.skip.t1.commit_ops_per_sec",
-            "scale.skip.t2.commit_ops_per_sec",
-            "scale.skip.t4.commit_ops_per_sec",
-            "scale.skip.t8.commit_ops_per_sec",
-            "scale.skip.t16.commit_ops_per_sec",
-            "scale.skip.t4.cas_success",
-            "scale.skip.t4.skip_ahead",
-            "scale.skip.read_only_ticks_avoided",
-            "serve.global.req_per_sec",
-            "serve.global.sojourn_p99_ticks",
-            "serve.sharded.req_per_sec",
-            "serve.sharded.sojourn_p99_ticks",
-            "footprint.reader_registries_allocated",
-            "footprint.reader_registry_lazy_bytes",
-            "footprint.reader_registry_eager_bytes",
-        ],
-        run: |cfg, _, progress| run_scale_suite(cfg, progress),
-    },
     // The read-mostly serve cell under each read mode (throughput, overall
     // and read-only tail, read-only aborts), plus the snapshot engine's
     // version-ring counters.
@@ -236,9 +205,6 @@ pub const SUITES: &[Suite] = &[
 pub fn suite(tag: &str) -> Option<&'static Suite> {
     SUITES.iter().find(|s| s.suite == tag)
 }
-
-/// Thread counts the scale suite sweeps.
-pub const SCALE_THREADS: &[usize] = &[1, 2, 4, 8, 16];
 
 /// The value following `name` in a command's argument list.
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -553,155 +519,6 @@ fn bench_wal_serve(cfg: &BenchConfig, backend: gstm_serve::BackendKind) -> f64 {
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
     }
     best
-}
-
-/// Contended-commit microloop on real OS threads: every thread owns a
-/// private 4-var working set, so transactions never conflict on data and
-/// the sweep isolates the commit spine itself — the version-clock RMW plus
-/// the commit-sequence word. Returns best-of-reps committed transactions
-/// per second and the last rep's clock counters (all-zero under the
-/// legacy strategy, whose path carries no counters).
-fn bench_scale_commit(
-    cfg: &BenchConfig,
-    threads: usize,
-    strategy: ClockStrategy,
-) -> (f64, ClockStats) {
-    use std::sync::Arc;
-    // Total work is held roughly flat across the sweep so a 16-thread cell
-    // does not run 16x longer than a 1-thread cell on a small host.
-    let iters = (cfg.iters / threads).max(64);
-    let mut best = 0.0f64;
-    let mut stats = ClockStats::default();
-    for _ in 0..cfg.reps {
-        let stm = Arc::new(Stm::new_on(
-            StmConfig::builder(threads).clock_strategy(strategy).build(),
-            Arc::new(RealGate::new(0)),
-        ));
-        let vars: Vec<Vec<TVar<u64>>> =
-            (0..threads).map(|_| (0..4u64).map(TVar::new).collect()).collect();
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for (t, vs) in vars.iter().enumerate() {
-                let stm = Arc::clone(&stm);
-                scope.spawn(move || {
-                    let thread = ThreadId::new(t as u16);
-                    for i in 0..iters as u64 {
-                        stm.run(thread, TxId::new(1), |txn| {
-                            for v in vs {
-                                let x = txn.read(v)?;
-                                txn.write(v, x.wrapping_add(i))?;
-                            }
-                            Ok(())
-                        });
-                    }
-                });
-            }
-        });
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        best = best.max((threads * iters) as f64 / secs);
-        stats = stm.clock_stats();
-    }
-    (best, stats)
-}
-
-/// Counts the clock ticks the GV4 read-only fast path avoids: a skip-ahead
-/// engine runs `iters` read-only transactions and reports how many were
-/// spared a clock RMW (all of them — the assertion is the suite's
-/// plumbing check, the artifact publishes the count).
-fn bench_scale_read_only(cfg: &BenchConfig) -> f64 {
-    let stm = Stm::new(StmConfig::builder(1).clock_strategy(ClockStrategy::SkipAhead).build());
-    let vs = vars(SET_SIZE);
-    for _ in 0..cfg.iters {
-        stm.run(t0(), TxId::new(1), |txn| {
-            let mut acc = 0u64;
-            for v in &vs {
-                acc = acc.wrapping_add(txn.read(v)?);
-            }
-            Ok(acc)
-        });
-    }
-    let stats = stm.clock_stats();
-    assert_eq!(
-        stats.read_only_spared, cfg.iters as u64,
-        "every read-only commit must skip the clock"
-    );
-    stats.read_only_spared as f64
-}
-
-/// One native serve cell: the hot spec served on OS threads under the
-/// given spine mode. Returns best-of-reps `(requests/sec, sojourn p99)`.
-fn bench_scale_serve(cfg: &BenchConfig, spine: gstm_serve::SpineMode) -> (f64, f64) {
-    let requests = (cfg.iters / 10).clamp(50, 1_000);
-    let spec = gstm_serve::ServeSpec::hot(requests).with_spine(spine);
-    let mut best_rate = 0.0f64;
-    let mut p99 = 0.0f64;
-    for _ in 0..cfg.reps {
-        let start = Instant::now();
-        let report = gstm_serve::run_native(&spec, 3, 11, 50, 64);
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let rate = report.done as f64 / secs;
-        if rate > best_rate {
-            best_rate = rate;
-            p99 = report.sojourn.p(0.99);
-        }
-    }
-    (best_rate, p99)
-}
-
-/// Measures the visible-reader registry footprint: a LibTM-mode engine
-/// runs one short read transaction, so only the stripes it actually read
-/// hold allocated registries — the lazy-vs-eager byte delta is the
-/// ridealong fix's win.
-fn bench_scale_footprint() -> RegistryFootprint {
-    let stm = Stm::new(StmConfig::builder(2).resolution(Resolution::AbortReaders).build());
-    let vs = vars(8);
-    stm.run(t0(), TxId::new(1), |txn| {
-        let mut acc = 0u64;
-        for v in &vs {
-            acc = acc.wrapping_add(txn.read(v)?);
-        }
-        Ok(acc)
-    });
-    stm.reader_registry_footprint()
-}
-
-/// Runs the commit-spine scale suite: the legacy-vs-skip-ahead clock sweep
-/// over [`SCALE_THREADS`] OS threads, the GV4 read-only tick counter, the
-/// global-vs-per-shard native serve cell, and the reader-registry
-/// footprint.
-pub fn run_scale_suite(cfg: &BenchConfig, progress: &dyn Progress) -> Vec<(String, f64)> {
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let mut t4 = ClockStats::default();
-    for (label, strategy) in
-        [("legacy", ClockStrategy::FetchAdd), ("skip", ClockStrategy::SkipAhead)]
-    {
-        for &threads in SCALE_THREADS {
-            let (rate, stats) = bench_scale_commit(cfg, threads, strategy);
-            progress.report(&format!("scale.{label}.t{threads}.commit_ops_per_sec: {rate:.0}"));
-            metrics.push((format!("scale.{label}.t{threads}.commit_ops_per_sec"), rate));
-            if strategy == ClockStrategy::SkipAhead && threads == 4 {
-                t4 = stats;
-            }
-        }
-    }
-    metrics.push(("scale.skip.t4.cas_success".into(), t4.cas_success as f64));
-    metrics.push(("scale.skip.t4.skip_ahead".into(), t4.skip_ahead as f64));
-    let spared = bench_scale_read_only(cfg);
-    metrics.push(("scale.skip.read_only_ticks_avoided".into(), spared));
-    for (label, spine) in
-        [("global", gstm_serve::SpineMode::Global), ("sharded", gstm_serve::SpineMode::PerShard)]
-    {
-        let (rate, p99) = bench_scale_serve(cfg, spine);
-        progress.report(&format!("serve.{label}: {rate:.0} req/s, p99 {p99:.0} ticks"));
-        metrics.push((format!("serve.{label}.req_per_sec"), rate));
-        metrics.push((format!("serve.{label}.sojourn_p99_ticks"), p99));
-    }
-    let fp = bench_scale_footprint();
-    metrics.push(("footprint.reader_registries_allocated".into(), fp.allocated as f64));
-    metrics.push(("footprint.reader_registry_lazy_bytes".into(), fp.lazy_bytes as f64));
-    metrics.push(("footprint.reader_registry_eager_bytes".into(), fp.eager_bytes as f64));
-    progress.report(&format!("spine (skip, t4): {t4:?}; read-only spared {spared:.0}; {fp:?}"));
-    metrics
 }
 
 /// The MVCC study's serve cell: the contended hot store shape under the
@@ -1263,22 +1080,6 @@ mod tests {
             assert!(bench_read_own_write(&cfg, detection) > 0.0);
             assert!(bench_abort(&cfg, detection) > 0.0);
         }
-    }
-
-    #[test]
-    fn scale_microloops() {
-        let cfg = smoke_cfg();
-        let (legacy_rate, legacy_stats) = bench_scale_commit(&cfg, 2, ClockStrategy::FetchAdd);
-        assert!(legacy_rate > 0.0);
-        assert_eq!(legacy_stats, ClockStats::default(), "legacy path carries no counters");
-        let (skip_rate, stats) = bench_scale_commit(&cfg, 2, ClockStrategy::SkipAhead);
-        assert!(skip_rate > 0.0);
-        // Two threads x 64 floor iterations, each claiming exactly one wv.
-        assert_eq!(stats.cas_success + stats.skip_ahead, 128);
-        assert_eq!(bench_scale_read_only(&cfg), cfg.iters as f64);
-        let fp = bench_scale_footprint();
-        assert!(fp.allocated > 0, "visible readers must allocate registries");
-        assert!(fp.lazy_bytes < fp.eager_bytes, "lazy scheme must be smaller");
     }
 
     #[test]

@@ -19,16 +19,16 @@
 //!   ablate-tfactor | ablate-k | ablate-cm | ablate-train | ablate-policy | ablate-detection
 //!   train-model --bench NAME   (profile + build + save results/NAME-<threads>t.gtsa)
 //!   inspect-model FILE         (analyzer report + hottest states of a saved model)
-//!   bench | bench-pipeline | bench-wal | bench-scale | bench-mvcc |
-//!   bench-adaptive | bench-block
+//!   bench | bench-pipeline | bench-wal | bench-mvcc | bench-adaptive |
+//!   bench-block
 //!         [--out PATH] [--preset tiny|default] [--smoke] [--profile NAME]
 //!         [--baseline FILE]    (one entry of `bench::SUITES` each ->
 //!                               BENCH_<suite>.json: TL2 hot-path microloops;
 //!                               cold-vs-warm pipeline timing (also takes
 //!                               --cache-dir); WAL append, recovery and
-//!                               durable overhead; commit-spine scaling;
-//!                               multi-version read path; online adaptive
-//!                               guidance; ordered block execution)
+//!                               durable overhead; multi-version read path;
+//!                               online adaptive guidance; ordered block
+//!                               execution)
 //!   bench-check FILE           (validate a BENCH_*.json artifact's shape)
 //!   check [--tiny] [--seed N] [--threads N] [--ops N] [--jobs N]
 //!                              (fault-injected chaos matrix judged by the
@@ -76,7 +76,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: experiments <table1|table2|table3|table4|table5|fig3..fig12|stamp|quake|serve|\
          serve-adaptive|all|\
-         cell|train-model|inspect-model|sites|bench|bench-pipeline|bench-wal|bench-scale|\
+         cell|train-model|inspect-model|sites|bench|bench-pipeline|bench-wal|\
          bench-mvcc|bench-adaptive|bench-block|block-smoke|bench-check|check|\
          recover|ablate-tfactor|ablate-k|ablate-cm|ablate-train|ablate-policy|ablate-detection> \
          [--fast|--tiny] [--bench NAME] [--metrics PATH] [--jobs N] \

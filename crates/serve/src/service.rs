@@ -35,14 +35,14 @@ use std::time::Instant;
 
 use gstm_core::cm::Aggressive;
 use gstm_core::{
-    available_cores, AdmitAll, ClockStrategy, Gate, MvccStats, Participant, Placement, ReadMode,
-    RealGate, SiteStats, SiteStatsSink, Stm, StmConfig, ThreadId, TouchMap, TxnKind,
+    AdmitAll, Gate, MvccStats, Participant, ReadMode, RealGate, SiteStats, SiteStatsSink, Stm,
+    StmConfig, ThreadId, TxnKind,
 };
 use gstm_guide::{RunOptions, RunOutcome, WorkerEnv, Workload, WorkloadRun};
 use gstm_telemetry::histogram::{HistogramSnapshot, LogHistogram};
 
 use crate::backend::{BackendKind, DurableBackend, EphemeralBackend, StoreBackend};
-use crate::store::{Request, ShardedStore};
+use crate::store::ShardedStore;
 use crate::traffic::{generate_schedule, Arrival, Drift, Mix, ScheduledRequest, TrafficSpec};
 use gstm_wal::{FileDevice, LogDevice, Wal, WalConfig};
 
@@ -51,30 +51,13 @@ use gstm_wal::{FileDevice, LogDevice, Wal, WalConfig};
 /// jitter from overshooting the scheduled arrival by more than one chunk.
 const WAIT_CHUNK: u64 = 32;
 
-/// How the engine's commit spine is organized for this service
-/// (DESIGN.md §3.1c).
+/// The commit spine's one organization: a global lock table and clock.
+/// Kept only because the frozen `benchmark/` package names it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpineMode {
-    /// One global lock table and the legacy `fetch_add` clock — the
-    /// configuration every run before this knob existed used, and still
-    /// the default (so cached sim results and goldens stay valid).
+    /// One global lock table and the `fetch_add` clock.
     #[default]
     Global,
-    /// One lock-table partition per store shard (every shard's buckets are
-    /// placement-tagged into their own padded stripe range), the skip-ahead
-    /// version clock, and — native runs only — core-affinity placement of
-    /// worker threads derived from their schedules' shard touch counts.
-    PerShard,
-}
-
-impl SpineMode {
-    /// Short tag used in cache keys and result tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SpineMode::Global => "global",
-            SpineMode::PerShard => "pershard",
-        }
-    }
 }
 
 /// How requests are executed against the store (DESIGN.md §6h).
@@ -138,7 +121,8 @@ pub struct ServeSpec {
     /// Storage backend: ephemeral (in-memory only) or durable
     /// (WAL-backed command logging with snapshots).
     pub backend: BackendKind,
-    /// Commit-spine organization (global vs per-shard lock tables).
+    /// Always [`SpineMode::Global`]; kept only because the frozen
+    /// `benchmark/` package reads it.
     pub spine: SpineMode,
     /// Read path for read-only requests: `Latest` is the legacy validated
     /// path (the default — cached results and goldens unchanged);
@@ -240,12 +224,6 @@ impl ServeSpec {
         self
     }
 
-    /// Replaces the commit-spine mode.
-    pub fn with_spine(mut self, spine: SpineMode) -> Self {
-        self.spine = spine;
-        self
-    }
-
     /// Replaces the read path for read-only requests.
     pub fn with_read_mode(mut self, read_mode: ReadMode) -> Self {
         self.read_mode = read_mode;
@@ -302,13 +280,8 @@ impl ServeSpec {
             self.backend.label(),
         );
         // Appended (rather than inlined) and only when non-default, so the
-        // key of every spec that predates the spine knob is byte-identical
-        // to what the pipeline cache already holds.
-        if self.spine != SpineMode::Global {
-            key.push_str(";spine=");
-            key.push_str(self.spine.label());
-        }
-        // Same append-only discipline for the read path.
+        // key of every spec that predates the read-mode knob is
+        // byte-identical to what the pipeline cache already holds.
         if self.read_mode != ReadMode::Latest {
             key.push_str(";rm=snapshot");
         }
@@ -519,7 +492,7 @@ impl ServeRun {
     /// deterministic simulator disk; native runs that want real files use
     /// [`run_native`], which builds the backend itself.
     pub fn new(spec: ServeSpec, threads: usize, seed: u64) -> Self {
-        let store = build_store(&spec);
+        let store = ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys);
         let backend: Arc<dyn StoreBackend> = match spec.backend {
             BackendKind::Ephemeral => Arc::new(EphemeralBackend::new(store)),
             BackendKind::Durable => Arc::new(DurableBackend::in_memory(store, WalConfig::new()).0),
@@ -668,70 +641,12 @@ impl Workload for ServeWorkload {
     }
 }
 
-/// The engine configuration a spec's spine mode implies. `Global` is the
-/// untouched default (`fetch_add` clock, one lock-table partition) so sim
-/// outcomes at default specs stay byte-identical; `PerShard` gives the
-/// engine one padded lock-table partition per store shard and the
-/// skip-ahead clock.
+/// The engine configuration a spec implies (today: its read mode). The
+/// name is kept only because the frozen `benchmark/` package calls it.
 pub fn spine_config(spec: &ServeSpec, threads: usize) -> StmConfig {
-    let mut cfg = match spec.spine {
-        SpineMode::Global => StmConfig::new(threads),
-        SpineMode::PerShard => StmConfig::builder(threads)
-            .table_shards(spec.shards.clamp(1, 64) as u32)
-            .clock_strategy(ClockStrategy::SkipAhead)
-            .build(),
-    };
+    let mut cfg = StmConfig::new(threads);
     cfg.read_mode = spec.read_mode;
     cfg
-}
-
-/// The store a spec implies: placement-tagged shards under `PerShard` (so
-/// each shard's buckets hash into their own lock-table partition),
-/// untagged otherwise.
-fn build_store(spec: &ServeSpec) -> ShardedStore {
-    ShardedStore::with_placement(
-        spec.shards,
-        spec.buckets_per_shard,
-        spec.keys,
-        spec.spine == SpineMode::PerShard,
-    )
-}
-
-/// Derives a placement [`TouchMap`] (threads × shards) from the
-/// pre-materialized schedules: each single-key request touches its key's
-/// shard, a transfer touches both endpoints' shards, and a scan touches
-/// every shard its range crosses. Schedules are pure functions of
-/// `(spec, seed, thread)`, so the plan is known before any worker starts —
-/// no warm-up pass needed.
-fn schedule_touch_map(spec: &ServeSpec, schedules: &[Arc<Vec<ScheduledRequest>>]) -> TouchMap {
-    let shards = spec.shards.max(1) as u64;
-    let mut map = TouchMap::new(schedules.len(), shards as usize);
-    for (t, schedule) in schedules.iter().enumerate() {
-        let thread = ThreadId::new(t as u16);
-        for sr in schedule.iter() {
-            match sr.req {
-                Request::Get { key } | Request::Put { key, .. } | Request::Cas { key, .. } => {
-                    map.record(thread, (key % shards) as usize, 1)
-                }
-                Request::Transfer { from, to, .. } => {
-                    map.record(thread, (from % shards) as usize, 1);
-                    map.record(thread, (to % shards) as usize, 1);
-                }
-                Request::Scan { start, len } => {
-                    for i in 0..len.min(shards) {
-                        map.record(thread, ((start + i) % shards) as usize, 1);
-                    }
-                }
-                Request::GetMany { start, stride, count } => {
-                    let stride = stride.max(1);
-                    for i in 0..count.min(shards) {
-                        map.record(thread, ((start + i * stride) % shards) as usize, 1);
-                    }
-                }
-            }
-        }
-    }
-    map
 }
 
 /// Convenience: one simulated serve run under `opts`, via the guide
@@ -782,12 +697,36 @@ impl NativeReport {
     }
 }
 
+/// A durable native run's WAL directory: unique per call, removed on drop.
+struct WalDir(std::path::PathBuf);
+
+impl WalDir {
+    /// Creates `temp_dir()/gstm-serve-wal-{pid}-{seed}-{n}`, `n` from a
+    /// process-wide counter: concurrent same-seed runs in one process each
+    /// get their own log files.
+    fn create(seed: u64) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("gstm-serve-wal-{}-{seed}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create WAL dir");
+        WalDir(dir)
+    }
+}
+
+impl Drop for WalDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Runs the service natively: OS threads, [`RealGate`], wall-clock
 /// arrivals. Same store, same schedules, same loop as the simulated path —
 /// only the gate and clock differ. `nanos_per_tick` maps schedule ticks to
 /// wall time; `yield_every` is forwarded to [`RealGate`]. A durable spec
-/// writes its WAL to real files under a per-run temp directory (removed on
-/// success — native runs measure overhead, they don't archive logs).
+/// writes its WAL to real files under a per-call temp directory, removed
+/// on every exit path — native runs measure overhead, they don't archive
+/// logs.
 ///
 /// # Panics
 ///
@@ -801,17 +740,14 @@ pub fn run_native(
     yield_every: u32,
 ) -> NativeReport {
     assert!(threads > 0, "need at least one serve thread");
-    let store = build_store(spec);
-    let mut wal_dir = None;
-    let backend: Arc<dyn StoreBackend> = match spec.backend {
-        BackendKind::Ephemeral => Arc::new(EphemeralBackend::new(store)),
-        BackendKind::Durable => {
-            let dir =
-                std::env::temp_dir().join(format!("gstm-serve-wal-{}-{seed}", std::process::id()));
-            std::fs::create_dir_all(&dir).expect("create WAL dir");
+    let store = ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys);
+    // Declared before the backend so that on unwind it drops after it.
+    let wal_dir = (spec.backend == BackendKind::Durable).then(|| WalDir::create(seed));
+    let backend: Arc<dyn StoreBackend> = match &wal_dir {
+        None => Arc::new(EphemeralBackend::new(store)),
+        Some(WalDir(dir)) => {
             let log: Arc<dyn LogDevice> = Arc::new(FileDevice::new(dir.join("wal.log")));
             let snap: Arc<dyn LogDevice> = Arc::new(FileDevice::new(dir.join("wal.snap")));
-            wal_dir = Some(dir);
             Arc::new(DurableBackend::new(store, Wal::new(WalConfig::new(), log, snap)))
         }
     };
@@ -819,7 +755,7 @@ pub fn run_native(
         // Ordered block execution replaces the per-thread worker loop
         // entirely; it shares the store, schedules, backend and clock
         // mapping, so its report is comparable cell-for-cell.
-        let report = crate::block_mode::run_native_block(
+        return crate::block_mode::run_native_block(
             spec,
             block_size,
             threads,
@@ -828,24 +764,8 @@ pub fn run_native(
             yield_every,
             backend,
         );
-        if let Some(dir) = wal_dir {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        return report;
     }
     let run = ServeRun::with_backend(spec.clone(), backend, threads, seed);
-    // Under the per-shard spine, home each worker thread on the core
-    // nearest the shard partition its schedule touches most. On a host
-    // with fewer than two cores the plan is a no-op, and without an OS
-    // affinity binding pinning itself is best-effort — the gate still
-    // counts attempts so the bench can report what happened.
-    let gate = match spec.spine {
-        SpineMode::Global => RealGate::new(yield_every),
-        SpineMode::PerShard => {
-            let touches = schedule_touch_map(spec, &run.schedules);
-            RealGate::with_placement(yield_every, Placement::plan(&touches, available_cores()))
-        }
-    };
     // Same engine defaults as `Stm::new_on` (AdmitAll, Aggressive), plus a
     // per-site stats sink: lifecycle events are recorded unconditionally,
     // so the bench gets commit/abort tallies per request site — including
@@ -853,7 +773,7 @@ pub fn run_native(
     let sink = Arc::new(SiteStatsSink::new());
     let stm = Arc::new(Stm::with_parts(
         spine_config(spec, threads),
-        Arc::new(gate),
+        Arc::new(RealGate::new(yield_every)),
         Arc::clone(&sink) as Arc<dyn gstm_core::EventSink>,
         Arc::new(AdmitAll),
         Arc::new(Aggressive),
@@ -877,9 +797,10 @@ pub fn run_native(
             h.join().expect("serve worker panicked");
         }
     });
-    if let Some(dir) = wal_dir {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    // The workers are done with the log: remove it now, before
+    // `elapsed_ticks` is read, where the removal has always been counted.
+    // The guard itself is for the exits that never get here.
+    drop(wal_dir);
     if let Err(msg) = run.verify() {
         panic!("native serve run failed verification: {msg}");
     }
@@ -990,48 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn default_spec_cache_key_has_no_spine_suffix() {
-        // Pre-spine cached artifacts stay addressable: the default key is
-        // the exact pre-knob string, and only PerShard extends it.
-        let key = ServeSpec::hot(100).cache_key();
-        assert!(!key.contains("spine"), "default key must be unchanged: {key}");
-        let sharded = ServeSpec::hot(100).with_spine(SpineMode::PerShard).cache_key();
-        assert!(sharded.ends_with(";spine=pershard"), "unexpected key: {sharded}");
-        assert_ne!(key, sharded);
-    }
-
-    #[test]
-    fn per_shard_spine_serves_and_conserves_in_sim() {
-        let spec = tiny_spec().with_spine(SpineMode::PerShard);
-        let cfg = spine_config(&spec, 3);
-        assert_eq!(cfg.table_shards, 2, "hot spec has two shards");
-        assert_eq!(cfg.clock, ClockStrategy::SkipAhead);
-        let out = run_simulated(&spec, &RunOptions::new(3, 5));
-        let stats: std::collections::HashMap<_, _> = out.workload_stats.iter().cloned().collect();
-        assert_eq!(stats["req_done"] + stats["req_shed"], 3.0 * 120.0);
-        assert!(stats["req_done"] > 0.0);
-    }
-
-    #[test]
-    fn schedule_touch_map_routes_threads_to_their_shards() {
-        let spec = tiny_spec();
-        let schedules: Vec<Arc<Vec<ScheduledRequest>>> = vec![
-            Arc::new(vec![
-                ScheduledRequest { at: 0, req: Request::Get { key: 4 } },
-                ScheduledRequest { at: 1, req: Request::Put { key: 6, blob: 0 } },
-                ScheduledRequest { at: 2, req: Request::Transfer { from: 2, to: 3, amount: 1 } },
-            ]),
-            Arc::new(vec![ScheduledRequest { at: 0, req: Request::Scan { start: 1, len: 1 } }]),
-        ];
-        let map = schedule_touch_map(&spec, &schedules);
-        // Thread 0: keys 4, 6, 2 are shard 0; transfer also touches shard 1.
-        assert_eq!(map.get(ThreadId::new(0), 0), 3);
-        assert_eq!(map.get(ThreadId::new(0), 1), 1);
-        assert_eq!(map.home_slot(ThreadId::new(0)), Some(0));
-        assert_eq!(map.home_slot(ThreadId::new(1)), Some(1));
-    }
-
-    #[test]
     fn default_spec_cache_key_is_unchanged_by_mix_widening_and_read_mode() {
         // Pre-GetMany cached artifacts stay addressable: the sixth (zero)
         // mix weight is trimmed out of the rendered key, and only a
@@ -1046,11 +925,32 @@ mod tests {
         assert!(mvcc.contains("mix=[50, 10, 5, 5, 15, 15];"), "unexpected key: {mvcc}");
     }
 
+    /// The run cache is content-addressed by these strings: the three
+    /// presets' keys must stay byte-equal to what cached artifacts hold.
+    #[test]
+    fn preset_cache_keys_are_pinned() {
+        assert_eq!(
+            ServeSpec::hot(100).cache_key(),
+            "sh=2;bk=2;keys=32;th=0.99;arr=poisson(g=220);rq=100;qd=24;wk=40;sc=8;\
+             mix=[20, 10, 10, 55, 5];be=ephemeral"
+        );
+        assert_eq!(
+            ServeSpec::wide(100).cache_key(),
+            "sh=8;bk=32;keys=4096;th=0.6;arr=poisson(g=220);rq=100;qd=24;wk=40;sc=8;\
+             mix=[55, 20, 10, 10, 5];be=ephemeral"
+        );
+        assert_eq!(
+            ServeSpec::ledger(100).cache_key(),
+            "sh=4;bk=8;keys=256;th=0.9;arr=poisson(g=180);rq=100;qd=24;wk=40;sc=8;\
+             mix=[12, 0, 0, 80, 8];be=ephemeral"
+        );
+    }
+
     #[test]
     fn default_spec_cache_key_has_no_drift_suffix() {
         // Stationary cached artifacts stay addressable: only a drifting
         // spec extends the key, with the same append-only discipline as
-        // the spine and read-mode knobs.
+        // the read-mode knob.
         let key = ServeSpec::hot(100).cache_key();
         assert!(!key.contains("drift"), "default key must be unchanged: {key}");
         let drifting = ServeSpec::hot(100)
@@ -1123,7 +1023,7 @@ mod tests {
         spec.backend = crate::backend::BackendKind::Durable;
         spec.max_queue_depth = 100_000;
         let (backend, log_dev, snap_dev) = crate::backend::DurableBackend::in_memory(
-            build_store(&spec),
+            ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys),
             gstm_wal::WalConfig::new(),
         );
         let backend = Arc::new(backend);

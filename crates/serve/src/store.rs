@@ -357,37 +357,9 @@ impl ShardedStore {
     ///
     /// Panics if any dimension is zero.
     pub fn new(shards: usize, buckets_per_shard: usize, keys: u64) -> Self {
-        ShardedStore::with_placement(shards, buckets_per_shard, keys, false)
-    }
-
-    /// Like [`ShardedStore::new`], but when `placed` is true every shard's
-    /// map carries placement tag `shard index` ([`THashMap::new_placed`]):
-    /// on an STM configured with `table_shards == shards`, each store shard
-    /// then owns a private lock-table partition (the per-shard commit
-    /// spine, DESIGN.md §3.1c). The default untagged store is what the sim
-    /// studies run — their `VarId`s, stripe mapping and therefore golden
-    /// outcomes are unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn with_placement(
-        shards: usize,
-        buckets_per_shard: usize,
-        keys: u64,
-        placed: bool,
-    ) -> Self {
         assert!(shards > 0 && keys > 0, "store needs at least one shard and one key");
         let store = ShardedStore {
-            shards: (0..shards)
-                .map(|i| {
-                    if placed {
-                        THashMap::new_placed(buckets_per_shard, (i % 256) as u8)
-                    } else {
-                        THashMap::new(buckets_per_shard)
-                    }
-                })
-                .collect(),
+            shards: (0..shards).map(|_| THashMap::new(buckets_per_shard)).collect(),
             keys,
         };
         for key in 0..keys {
@@ -517,17 +489,6 @@ mod tests {
         assert_eq!(store.total_balance_unlogged(), store.expected_total());
         assert_eq!(store.key_count(), 100);
         assert_eq!(store.shard_count(), 4);
-    }
-
-    #[test]
-    fn placed_store_tags_shards_and_behaves_identically() {
-        let plain = ShardedStore::new(3, 4, 30);
-        let placed = ShardedStore::with_placement(3, 4, 30, true);
-        assert_eq!(placed.total_balance_unlogged(), plain.total_balance_unlogged());
-        let resp =
-            with_tx(|tx| placed.apply(tx, &Request::Transfer { from: 0, to: 1, amount: 10 }));
-        assert_eq!(resp, Response::Transferred(true), "cross-shard transfer still atomic");
-        assert_eq!(placed.total_balance_unlogged(), placed.expected_total());
     }
 
     #[test]

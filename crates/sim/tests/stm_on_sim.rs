@@ -90,33 +90,42 @@ fn different_seeds_vary_execution_time() {
 #[test]
 fn all_commits_applied_exactly_once() {
     // The sum of per-step increments must survive contention: every commit's
-    // write-back is applied exactly once and no lost updates occur.
-    let threads = 4;
-    let per = 25;
-    let machine = SimMachine::new(SimConfig::new(threads, 3));
-    let stm = Arc::new(Stm::with_parts(
-        StmConfig::new(threads),
-        machine.gate(),
-        Arc::new(gstm_core::NullSink),
-        Arc::new(AdmitAll),
-        Arc::new(Aggressive),
-    ));
-    let v = TVar::new(0i64);
-    let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
-        .map(|i| {
-            let stm = Arc::clone(&stm);
-            let v = v.clone();
-            Box::new(move || {
-                let t = ThreadId::new(i as u16);
-                for _ in 0..per {
-                    stm.run(t, TxId::new(0), |tx| {
-                        let x = tx.read(&v)?;
-                        tx.write(&v, x + 1)
-                    });
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    machine.run(workers);
-    assert_eq!(*v.load_unlogged(), (threads * per) as i64);
+    // write-back is applied exactly once and no lost updates occur — at one
+    // fixed shape and at eight seeded random (machine seed, threads,
+    // increments per thread) shapes.
+    let mut rng = gstm_core::rng::SmallRng::seed_from_u64(0);
+    let random = (0..8)
+        .map(|_| (rng.gen_range(0u64..1000), rng.gen_range(2usize..5), rng.gen_range(5usize..30)));
+    for (seed, threads, per) in std::iter::once((3, 4, 25)).chain(random) {
+        let machine = SimMachine::new(SimConfig::new(threads, seed));
+        let stm = Arc::new(Stm::with_parts(
+            StmConfig::new(threads),
+            machine.gate(),
+            Arc::new(gstm_core::NullSink),
+            Arc::new(AdmitAll),
+            Arc::new(Aggressive),
+        ));
+        let v = TVar::new(0i64);
+        let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
+            .map(|i| {
+                let stm = Arc::clone(&stm);
+                let v = v.clone();
+                Box::new(move || {
+                    let t = ThreadId::new(i as u16);
+                    for _ in 0..per {
+                        stm.run(t, TxId::new(0), |tx| {
+                            let x = tx.read(&v)?;
+                            tx.write(&v, x + 1)
+                        });
+                    }
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        machine.run(workers);
+        assert_eq!(
+            *v.load_unlogged(),
+            (threads * per) as i64,
+            "lost update at seed {seed}, {threads} threads x {per}"
+        );
+    }
 }

@@ -179,4 +179,20 @@ mod tests {
         assert_eq!(s.mean, 3.0);
         assert!(s.to_string().contains("n=3"));
     }
+
+    /// Property (64 seeded cases): sample stddev is translation-invariant
+    /// and non-negative.
+    #[test]
+    fn prop_stddev_is_translation_invariant() {
+        for seed in 0..64 {
+            let mut rng = gstm_core::rng::SmallRng::seed_from_u64(seed);
+            let xs: Vec<f64> =
+                (0..rng.gen_range(2..30)).map(|_| rng.gen_range(-1e6..1e6)).collect();
+            let shift = rng.gen_range(-1e6..1e6);
+            let shifted: Vec<f64> = xs.iter().map(|x| x + shift).collect();
+            let (s1, s2) = (sample_stddev(&xs), sample_stddev(&shifted));
+            assert!(s1 >= 0.0, "seed {seed}: {s1}");
+            assert!((s1 - s2).abs() < 1e-6 * s1.max(1.0), "seed {seed}: {s1} vs {s2}");
+        }
+    }
 }

@@ -73,9 +73,13 @@ impl LogDevice for MemDevice {
 
 /// A real file. `reset` writes a temp file and renames it over the target,
 /// so a crash during snapshot install leaves either the old or the new
-/// contents, never a mix. I/O errors are deliberately swallowed — the
-/// recovery path treats unreadable state as an empty device, and durability
-/// experiments assert on recovered *contents*, not on syscalls.
+/// contents, never a mix.
+///
+/// Write-side failures are loud: `append` and `reset` panic with the path
+/// and the `io::Error`, because a dropped write is an acknowledged commit
+/// that was never logged. Read-side `contents`/`len` treat an unreadable
+/// file as an empty device, which is what recovery of a never-written log
+/// relies on.
 #[derive(Debug)]
 pub struct FileDevice {
     path: PathBuf,
@@ -99,9 +103,12 @@ impl LogDevice for FileDevice {
     fn append(&self, bytes: &[u8]) {
         let _g = self.guard.lock();
         use std::io::Write as _;
-        if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&self.path) {
-            let _ = f.write_all(bytes);
-        }
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.path)
+            .and_then(|mut f| f.write_all(bytes))
+            .unwrap_or_else(|e| panic!("WAL append to {} failed: {e}", self.path.display()));
     }
 
     fn contents(&self) -> Vec<u8> {
@@ -112,8 +119,10 @@ impl LogDevice for FileDevice {
     fn reset(&self, bytes: &[u8]) {
         let _g = self.guard.lock();
         let tmp = self.path.with_extension(format!("tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, &self.path).is_err() {
+        if let Err(e) = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, &self.path))
+        {
             let _ = std::fs::remove_file(&tmp);
+            panic!("WAL reset of {} failed: {e}", self.path.display());
         }
     }
 
@@ -152,5 +161,22 @@ mod tests {
         assert_eq!(d.contents(), b"xy");
         assert_eq!(d.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write that cannot reach the disk must not be acknowledged: both
+    /// write-side calls used to drop the error and return normally.
+    #[test]
+    fn file_device_write_failures_are_loud() {
+        let missing = std::env::temp_dir()
+            .join(format!("gstm-wal-missing-{}", std::process::id()))
+            .join("wal.log");
+        let d = FileDevice::new(&missing);
+        assert_eq!((d.len(), d.contents()), (0, Vec::new()), "read side still reads as empty");
+        for write in [|d: &FileDevice| d.append(b"abc"), |d: &FileDevice| d.reset(b"abc")] {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| write(&d)))
+                .expect_err("a write into a missing directory must panic");
+            let msg = err.downcast_ref::<String>().expect("panic carries a message");
+            assert!(msg.contains("wal.log") && msg.contains("failed"), "{msg}");
+        }
     }
 }

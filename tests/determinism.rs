@@ -68,20 +68,6 @@ const GOLDEN: [(&str, u64); 4] = [
     ("synquake/guided", 0x84bf_c748_9a48_98e9),
 ];
 
-/// The golden digests below were captured under the original `fetch_add`
-/// clock and single-partition lock table. The low-contention spine knobs
-/// (`ClockStrategy::SkipAhead`, `table_shards > 1`) are strictly opt-in:
-/// if a default `StmConfig` ever stops pinning the legacy spine, the
-/// goldens stop meaning what they claim — fail here, with a message, not
-/// there with a mystery digest.
-#[test]
-fn default_config_pins_the_legacy_commit_spine() {
-    use gstm::core::{ClockStrategy, StmConfig};
-    let c = StmConfig::new(4);
-    assert_eq!(c.clock, ClockStrategy::FetchAdd, "goldens assume the legacy fetch_add clock");
-    assert_eq!(c.table_shards, 1, "goldens assume the single-partition lock table");
-}
-
 #[test]
 fn golden_digests_are_stable() {
     let threads = 4;

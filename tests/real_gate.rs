@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 
-use gstm::core::{ClockStrategy, RealGate, Stm, StmConfig, TVar, ThreadId, TxId};
-use gstm::serve::{run_native, Arrival, ServeSpec, SpineMode};
+use gstm::core::{RealGate, Stm, StmConfig, TVar, ThreadId, TxId};
+use gstm::serve::{run_native, Arrival, BackendKind, ServeSpec};
 
 /// Raw engine stress: N threads shuffle balance between A accounts through
 /// real concurrent transactions; the total must be conserved exactly.
@@ -55,62 +55,6 @@ fn concurrent_bank_transfers_conserve_total() {
     assert_eq!(total, ACCOUNTS as i64 * INITIAL, "concurrent transfers lost money");
 }
 
-/// The full low-contention spine under real contention: skip-ahead clock
-/// plus a sharded lock table, same conserved-balance workload. Beyond
-/// conservation, the clock counters must account for every committed
-/// writer — each commit claims exactly one `wv` (a won CAS or one
-/// skip-ahead jump; aborted attempts may claim extras, never fewer).
-#[test]
-fn skip_ahead_spine_conserves_and_accounts_for_every_commit() {
-    const THREADS: usize = 4;
-    const ACCOUNTS: usize = 16;
-    const TRANSFERS_PER_THREAD: usize = 2_000;
-    const INITIAL: i64 = 1_000;
-
-    let stm = Arc::new(Stm::new_on(
-        StmConfig::builder(THREADS)
-            .clock_strategy(ClockStrategy::SkipAhead)
-            .table_shards(4)
-            .build(),
-        Arc::new(RealGate::new(3)),
-    ));
-    let accounts: Arc<Vec<TVar<i64>>> =
-        Arc::new((0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect());
-
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let stm = Arc::clone(&stm);
-            let accounts = Arc::clone(&accounts);
-            scope.spawn(move || {
-                let me = ThreadId::new(t as u16);
-                for i in 0..TRANSFERS_PER_THREAD {
-                    let from = (i * 7 + t * 3) % ACCOUNTS;
-                    let to = (from + 1 + i % (ACCOUNTS - 1)) % ACCOUNTS;
-                    let amount = (i % 9 + 1) as i64;
-                    stm.run(me, TxId::new(0), |tx| {
-                        let f = tx.read(&accounts[from])?;
-                        let g = tx.read(&accounts[to])?;
-                        tx.write(&accounts[from], f - amount)?;
-                        tx.write(&accounts[to], g + amount)
-                    });
-                }
-            });
-        }
-    });
-
-    let total: i64 = accounts.iter().map(|a| *a.load_unlogged()).sum();
-    assert_eq!(total, ACCOUNTS as i64 * INITIAL, "skip-ahead spine lost money");
-    let stats = stm.clock_stats();
-    let commits = (THREADS * TRANSFERS_PER_THREAD) as u64;
-    assert!(
-        stats.cas_success + stats.skip_ahead >= commits,
-        "only {} + {} wv claims for {commits} writer commits",
-        stats.cas_success,
-        stats.skip_ahead
-    );
-    assert_eq!(stats.read_only_spared, 0, "every transfer writes");
-}
-
 /// The serve subsystem end-to-end on RealGate: native threads, wall-clock
 /// arrivals, contended hot store. `run_native` panics internally if the
 /// balance-conservation or request-accounting invariants break.
@@ -127,19 +71,6 @@ fn native_serve_run_conserves_and_accounts() {
     assert!(report.elapsed_ticks > 0);
 }
 
-/// The per-shard spine end-to-end: placement-tagged store, sharded lock
-/// table, skip-ahead clock, and schedule-derived core placement (a no-op
-/// on a single-core host — `run_native` still exercises the whole path).
-#[test]
-fn native_per_shard_spine_serves_and_conserves() {
-    let mut spec = ServeSpec::hot(300).with_spine(SpineMode::PerShard);
-    spec.arrival = Arrival::Poisson { mean_gap: 80.0 };
-    let report = run_native(&spec, 4, 42, 1_000, 2);
-    assert_eq!(report.done + report.shed, 4 * 300, "every request served or shed");
-    assert!(report.done > 0, "the sharded spine made progress");
-    assert_eq!(report.sojourn.count(), report.done);
-}
-
 /// Bursty native traffic with a shallow queue bound must shed rather than
 /// stall, and still conserve balances.
 #[test]
@@ -150,4 +81,39 @@ fn native_overload_sheds_gracefully() {
     let report = run_native(&spec, 3, 7, 250, 0);
     assert_eq!(report.done + report.shed, 3 * 400);
     assert!(report.shed > 0, "overload with a shallow queue must shed");
+}
+
+/// Two durable native runs with the same seed, at once, in one process:
+/// each must log to its own WAL directory (they used to share one, and the
+/// first to finish deleted the other's live log) and remove it on exit.
+#[test]
+fn concurrent_same_seed_durable_runs_keep_their_wals_apart() {
+    // A seed no other test in this binary uses, so the leftover check
+    // below sees only this test's directories.
+    const SEED: u64 = 0x5EED_D00D;
+    let mut spec = ServeSpec::ledger(200).with_backend(BackendKind::Durable);
+    spec.arrival = Arrival::Poisson { mean_gap: 80.0 };
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    run_native(&spec, 2, SEED, 1_000, 2)
+                })
+            })
+            .collect();
+        for run in runs {
+            let report = run.join().expect("durable run panicked");
+            assert_eq!(report.done + report.shed, 2 * 200, "every request served or shed");
+        }
+    });
+    let prefix = format!("gstm-serve-wal-{}-{SEED}-", std::process::id());
+    let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .expect("list the temp directory")
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(&prefix))
+        .collect();
+    assert!(left.is_empty(), "WAL directories left behind: {left:?}");
 }
