@@ -59,7 +59,7 @@ pub enum ReadMode {
 }
 
 impl ReadMode {
-    /// Short label used in cache keys and bench artifacts.
+    /// Short label (`latest` / `snapshot`).
     pub fn label(self) -> &'static str {
         match self {
             ReadMode::Latest => "latest",
@@ -102,8 +102,6 @@ pub struct StmConfig {
     /// Number of worker threads (thread ids must be `< max_threads`).
     /// The paper pins one thread per core: 8 or 16.
     pub max_threads: usize,
-    /// Lock table size: `1 << log2_stripes` stripes.
-    pub log2_stripes: u32,
     /// Conflict detection time.
     pub detection: Detection,
     /// Conflict resolution against readers.
@@ -129,15 +127,6 @@ pub struct StmConfig {
     /// [`ReadMode::Latest`], the legacy behavior the determinism goldens
     /// pin). See DESIGN.md §3.1d.
     pub read_mode: ReadMode,
-    /// Soft capacity of each cell's version ring under
-    /// [`ReadMode::Snapshot`] (default 8).
-    ///
-    /// The watermark GC never evicts a version a registered snapshot reader
-    /// could still need, so a ring may temporarily exceed this bound while
-    /// readers lag — each such publication is counted as a `gc_lag` event
-    /// in [`crate::MvccStats`] rather than breaking the zero-abort
-    /// guarantee. Ignored under [`ReadMode::Latest`].
-    pub version_ring_capacity: u32,
 }
 
 impl StmConfig {
@@ -150,14 +139,12 @@ impl StmConfig {
         assert!(max_threads > 0 && max_threads <= u16::MAX as usize);
         StmConfig {
             max_threads,
-            log2_stripes: 14,
             detection: Detection::default(),
             resolution: Resolution::default(),
             costs: CostModel::default(),
             reader_wait_limit: 32,
             check_events: false,
             read_mode: ReadMode::default(),
-            version_ring_capacity: 8,
         }
     }
 
@@ -172,9 +159,9 @@ impl StmConfig {
         StmConfigBuilder { cfg: StmConfig::new(max_threads) }
     }
 
-    /// Checks every sizing knob against the limits the engine's guts
+    /// Checks `max_threads` against the limit the engine's thread ids
     /// enforce, returning one loud message instead of letting an
-    /// out-of-range value panic deep inside `LockTable` or ring sizing.
+    /// out-of-range value panic deep inside the engine.
     ///
     /// [`StmConfigBuilder::build`] runs this automatically; call it
     /// directly when a config is assembled field-by-field (struct literal,
@@ -186,19 +173,6 @@ impl StmConfig {
                 u16::MAX,
                 self.max_threads
             ));
-        }
-        if !(1..=24).contains(&self.log2_stripes) {
-            return Err(format!(
-                "log2_stripes must be in 1..=24 (the lock table allocates 1 << log2_stripes \
-                 stripes), got {}",
-                self.log2_stripes
-            ));
-        }
-        if self.version_ring_capacity == 0 {
-            return Err(
-                "version_ring_capacity must be at least 1 (a ring must hold the newest version)"
-                    .to_string(),
-            );
         }
         Ok(())
     }
@@ -220,10 +194,10 @@ impl StmConfig {
 /// ```
 /// use gstm_core::{ReadMode, StmConfig};
 /// let cfg = StmConfig::builder(8)
-///     .log2_stripes(10)
+///     .reader_wait_limit(8)
 ///     .read_mode(ReadMode::Snapshot)
 ///     .build();
-/// assert_eq!(cfg.log2_stripes, 10);
+/// assert_eq!(cfg.reader_wait_limit, 8);
 /// assert_eq!(cfg.read_mode, ReadMode::Snapshot);
 /// ```
 #[derive(Clone, Copy, Debug)]
@@ -241,12 +215,6 @@ impl StmConfigBuilder {
     /// Sets the resolution mode.
     pub fn resolution(mut self, r: Resolution) -> Self {
         self.cfg.resolution = r;
-        self
-    }
-
-    /// Sets the lock-table size (`1 << log2_stripes` stripes).
-    pub fn log2_stripes(mut self, n: u32) -> Self {
-        self.cfg.log2_stripes = n;
         self
     }
 
@@ -275,26 +243,12 @@ impl StmConfigBuilder {
         self
     }
 
-    /// Sets the soft per-cell version-ring capacity used under
-    /// [`ReadMode::Snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0 (a ring must hold at least the newest version).
-    pub fn version_ring_capacity(mut self, n: u32) -> Self {
-        assert!(n > 0, "version_ring_capacity must be at least 1");
-        self.cfg.version_ring_capacity = n;
-        self
-    }
-
     /// Finalizes the configuration.
     ///
     /// # Panics
     ///
-    /// Panics with the [`StmConfig::validate`] message if any sizing knob
-    /// is out of range — the error names the knob and its legal interval,
-    /// instead of an index panic later inside lock-table or ring
-    /// construction.
+    /// Panics with the [`StmConfig::validate`] message if `max_threads` is
+    /// out of range.
     pub fn build(self) -> StmConfig {
         if let Err(msg) = self.cfg.validate() {
             panic!("invalid StmConfig: {msg}");
@@ -316,7 +270,6 @@ mod tests {
         // The determinism goldens were captured on the legacy read path;
         // this default is what keeps them bit-identical.
         assert_eq!(c.read_mode, ReadMode::Latest);
-        assert!(c.version_ring_capacity >= 1);
     }
 
     #[test]
@@ -325,21 +278,17 @@ mod tests {
         let c = StmConfig::builder(4)
             .detection(Detection::EncounterTime)
             .resolution(Resolution::WaitForReaders)
-            .log2_stripes(10)
             .costs(costs)
             .reader_wait_limit(7)
             .check_events(true)
             .read_mode(ReadMode::Snapshot)
-            .version_ring_capacity(4)
             .build();
         assert_eq!(c.detection, Detection::EncounterTime);
         assert_eq!(c.resolution, Resolution::WaitForReaders);
-        assert_eq!(c.log2_stripes, 10);
         assert_eq!(c.costs, costs);
         assert_eq!(c.reader_wait_limit, 7);
         assert!(c.check_events);
         assert_eq!(c.read_mode, ReadMode::Snapshot);
-        assert_eq!(c.version_ring_capacity, 4);
     }
 
     #[test]
@@ -350,51 +299,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn zero_ring_capacity_rejected() {
-        let _ = StmConfig::builder(1).version_ring_capacity(0);
-    }
-
-    #[test]
     fn validate_accepts_every_builder_reachable_config() {
         assert_eq!(StmConfig::new(1).validate(), Ok(()));
-        assert_eq!(
-            StmConfig::builder(u16::MAX as usize)
-                .log2_stripes(24)
-                .version_ring_capacity(1)
-                .build()
-                .validate(),
-            Ok(())
-        );
+        assert_eq!(StmConfig::builder(u16::MAX as usize).build().validate(), Ok(()));
     }
 
-    /// Out-of-range sizing knobs must fail at `build()` with a message
-    /// naming the knob and its legal interval — not as an index panic
-    /// deep inside lock-table construction.
+    /// A config assembled field-by-field must fail `validate()` with a
+    /// message naming the knob and its legal interval.
     #[test]
     fn validate_names_the_offending_knob() {
         let mut c = StmConfig::new(4);
-        c.log2_stripes = 25;
-        let msg = c.validate().unwrap_err();
-        assert!(msg.contains("log2_stripes") && msg.contains("1..=24"), "{msg}");
-
-        let mut c = StmConfig::new(4);
-        c.log2_stripes = 0;
-        assert!(c.validate().unwrap_err().contains("log2_stripes"));
-
-        let mut c = StmConfig::new(4);
-        c.version_ring_capacity = 0;
-        assert!(c.validate().unwrap_err().contains("version_ring_capacity"));
-
-        let mut c = StmConfig::new(4);
         c.max_threads = 0;
-        assert!(c.validate().unwrap_err().contains("max_threads"));
-    }
-
-    #[test]
-    #[should_panic(expected = "log2_stripes must be in 1..=24")]
-    fn build_rejects_oversized_stripe_exponent_loudly() {
-        let _ = StmConfig::builder(4).log2_stripes(31).build();
+        let msg = c.validate().unwrap_err();
+        assert!(msg.contains("max_threads") && msg.contains("1..=65535"), "{msg}");
     }
 
     #[test]

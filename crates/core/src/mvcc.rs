@@ -74,6 +74,14 @@ pub struct MvccStats {
     pub ring_len_max: u64,
 }
 
+/// Soft capacity of each cell's version ring.
+///
+/// The watermark GC never evicts a version a registered snapshot reader
+/// could still need, so a ring may temporarily exceed this bound while
+/// readers lag — each such publication is counted as a `gc_lag` event in
+/// [`MvccStats`] rather than breaking the zero-abort guarantee.
+pub(crate) const VERSION_RING_CAPACITY: u32 = 8;
+
 /// Reader/committer registries + counters backing snapshot mode.
 ///
 /// Allocated once per [`crate::Stm`] when `read_mode == Snapshot`; engines
@@ -84,8 +92,6 @@ pub(crate) struct SnapshotRegistry {
     readers: Vec<CachePadded<AtomicU64>>,
     /// Per-thread in-flight commit lower bound (or sentinel).
     commit_lb: Vec<CachePadded<AtomicU64>>,
-    /// Soft per-ring version bound from `StmConfig::version_ring_capacity`.
-    ring_capacity: u32,
     snapshot_txns: CachePadded<AtomicU64>,
     snapshot_reads: CachePadded<AtomicU64>,
     fallback_initial: CachePadded<AtomicU64>,
@@ -97,12 +103,11 @@ pub(crate) struct SnapshotRegistry {
 }
 
 impl SnapshotRegistry {
-    pub(crate) fn new(max_threads: u32, ring_capacity: u32) -> Self {
+    pub(crate) fn new(max_threads: u32) -> Self {
         let slot = || CachePadded::new(AtomicU64::new(INACTIVE));
         SnapshotRegistry {
             readers: (0..max_threads).map(|_| slot()).collect(),
             commit_lb: (0..max_threads).map(|_| slot()).collect(),
-            ring_capacity,
             snapshot_txns: CachePadded::new(AtomicU64::new(0)),
             snapshot_reads: CachePadded::new(AtomicU64::new(0)),
             fallback_initial: CachePadded::new(AtomicU64::new(0)),
@@ -112,10 +117,6 @@ impl SnapshotRegistry {
             gc_lag_events: CachePadded::new(AtomicU64::new(0)),
             ring_len_max: CachePadded::new(AtomicU64::new(0)),
         }
-    }
-
-    pub(crate) fn ring_capacity(&self) -> u32 {
-        self.ring_capacity
     }
 
     #[inline]
@@ -315,7 +316,7 @@ mod tests {
 
     #[test]
     fn begin_returns_clock_sample_when_no_commits_in_flight() {
-        let reg = SnapshotRegistry::new(4, 8);
+        let reg = SnapshotRegistry::new(4);
         let clock = clock_at(7);
         let ts = reg.begin(ThreadId::new(0), &clock);
         assert_eq!(ts, 7);
@@ -325,7 +326,7 @@ mod tests {
 
     #[test]
     fn begin_clamps_to_active_commit_lower_bound() {
-        let reg = SnapshotRegistry::new(4, 8);
+        let reg = SnapshotRegistry::new(4);
         let clock = clock_at(3);
         reg.publish_commit_lb(ThreadId::new(1), &clock);
         clock.tick(); // the committer claimed wv=4
@@ -339,7 +340,7 @@ mod tests {
 
     #[test]
     fn watermark_is_min_of_clock_and_active_readers() {
-        let reg = SnapshotRegistry::new(4, 8);
+        let reg = SnapshotRegistry::new(4);
         let clock = clock_at(10);
         assert_eq!(reg.watermark(&clock), 10, "no readers: watermark is the clock");
         let t0 = ThreadId::new(0);
@@ -351,7 +352,7 @@ mod tests {
 
     #[test]
     fn watermark_sees_commit_bounds_and_pending_slots() {
-        let reg = SnapshotRegistry::new(4, 8);
+        let reg = SnapshotRegistry::new(4);
         let clock = clock_at(5);
         reg.publish_commit_lb(ThreadId::new(2), &clock);
         assert_eq!(reg.watermark(&clock), 5, "published bound == clock here");
@@ -365,7 +366,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let reg = SnapshotRegistry::new(2, 4);
+        let reg = SnapshotRegistry::new(2);
         reg.note_read(true);
         reg.note_read(true);
         reg.note_read(false);
@@ -384,7 +385,7 @@ mod tests {
 
     #[test]
     fn guards_release_their_slots_on_unwind() {
-        let reg = SnapshotRegistry::new(4, 8);
+        let reg = SnapshotRegistry::new(4);
         let clock = clock_at(6);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _reader = reg.begin_guarded(ThreadId::new(0), &clock);

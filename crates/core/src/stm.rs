@@ -19,7 +19,8 @@ use crate::fxmap::FxMap;
 use crate::gate::{Gate, NullGate, Ticks};
 use crate::ids::{CommitSeq, Participant, ThreadId, TxId, VarId};
 use crate::lock_table::{LockTable, StripeIndex};
-use crate::mvcc::{MvccStats, SnapshotRegistry};
+use crate::mvcc::{MvccStats, SnapshotRegistry, VERSION_RING_CAPACITY};
+use crate::pad::CachePadded;
 use crate::policy::{AdmissionPolicy, AdmitAll};
 use crate::readset::{ReadSet, StripeFilter};
 use crate::tvar::{downcast, ErasedValue, TVar, VarCell};
@@ -75,6 +76,9 @@ pub struct CommitInfo {
     pub writes: u32,
 }
 
+/// Lock-table size of every [`Stm`]: `1 << 14` stripes.
+const LOG2_STRIPES: u32 = 14;
+
 /// A software transactional memory instance.
 ///
 /// One `Stm` owns the global version clock, the striped lock table, the
@@ -103,7 +107,10 @@ pub struct Stm {
     sink: Arc<dyn EventSink>,
     policy: Arc<dyn AdmissionPolicy>,
     cm: Arc<dyn ContentionManager>,
-    commit_seq: AtomicU64,
+    /// Bumped by every commit. On a line of its own: unpadded it lands,
+    /// depending on the size of `config`, beside the lock-table header or
+    /// the gate/sink pointers that every read loads (false sharing).
+    commit_seq: CachePadded<AtomicU64>,
     /// Snapshot-read registries, allocated only under
     /// [`ReadMode::Snapshot`]; `None` keeps the legacy engine (and the
     /// determinism goldens) entirely untouched.
@@ -162,16 +169,15 @@ impl Stm {
         cm: Arc<dyn ContentionManager>,
     ) -> Self {
         Stm {
-            locks: LockTable::new(config.log2_stripes, config.resolution.needs_visible_readers()),
+            locks: LockTable::new(LOG2_STRIPES, config.resolution.needs_visible_readers()),
             clock: VersionClock::new(),
             gate,
             sink,
             policy,
             cm,
-            commit_seq: AtomicU64::new(0),
-            mvcc: (config.read_mode == ReadMode::Snapshot).then(|| {
-                SnapshotRegistry::new(config.max_threads as u32, config.version_ring_capacity)
-            }),
+            commit_seq: CachePadded::new(AtomicU64::new(0)),
+            mvcc: (config.read_mode == ReadMode::Snapshot)
+                .then(|| SnapshotRegistry::new(config.max_threads as u32)),
             last_seq: (0..config.max_threads).map(|_| AtomicU64::new(0)).collect(),
             doomed: Arc::new((0..config.max_threads).map(|_| AtomicU64::new(0)).collect()),
             #[cfg(feature = "check")]
@@ -199,7 +205,7 @@ impl Stm {
     /// GC evictions/lag, spared validations). All-zero under
     /// [`ReadMode::Latest`], where no snapshot machinery exists.
     ///
-    /// Read by the bench harness; deliberately *not* folded into the
+    /// Read into serve's `NativeReport`; deliberately *not* folded into the
     /// default telemetry snapshot, whose text the determinism goldens
     /// digest byte-for-byte.
     pub fn mvcc_stats(&self) -> MvccStats {
@@ -1058,7 +1064,7 @@ impl<'stm> Txn<'stm> {
             let watermark = reg.watermark(&stm.clock);
             for w in &self.scratch.writes {
                 let out =
-                    w.cell.push_version(wv, Arc::clone(&w.value), watermark, reg.ring_capacity());
+                    w.cell.push_version(wv, Arc::clone(&w.value), watermark, VERSION_RING_CAPACITY);
                 reg.note_publication(out.evicted as u64, out.len as u64, out.over_capacity);
             }
         }
@@ -1659,26 +1665,28 @@ mod tests {
     /// drain the next publication collapses history back down.
     #[test]
     fn ring_gc_lag_is_counted_and_recovers() {
-        let stm = Stm::new(
-            StmConfig::builder(2).read_mode(ReadMode::Snapshot).version_ring_capacity(2).build(),
-        );
+        let stm = Stm::new(StmConfig::builder(2).read_mode(ReadMode::Snapshot).build());
         let v = TVar::new(0i64);
         stm.run(t(0), x(0), |tx| tx.write(&v, 1));
+        let last = i64::from(VERSION_RING_CAPACITY) + 4;
         stm.run_read_only(t(1), x(1), |tx| {
             // This reader's timestamp pins every version committed below:
-            for i in 2..=6i64 {
+            for i in 2..=last {
                 stm.run(t(0), x(0), |tx2| tx2.write(&v, i));
             }
             tx.read(&v)
         });
         let s = stm.mvcc_stats();
-        assert!(s.gc_lag_events > 0, "capacity-2 ring must overflow under the pinned reader");
-        assert!(s.ring_len_max > 2);
+        assert!(s.gc_lag_events > 0, "the ring must overflow under the pinned reader");
+        assert!(s.ring_len_max > u64::from(VERSION_RING_CAPACITY));
         // Reader gone: the next publication GCs everything stale.
-        stm.run(t(0), x(0), |tx2| tx2.write(&v, 7));
-        assert_eq!(stm.run_read_only(t(1), x(1), |tx| tx.read(&v)), 7);
+        stm.run(t(0), x(0), |tx2| tx2.write(&v, last + 1));
+        assert_eq!(stm.run_read_only(t(1), x(1), |tx| tx.read(&v)), last + 1);
         let s2 = stm.mvcc_stats();
-        assert!(s2.versions_evicted >= 5, "drained reader unpins history: {s2:?}");
+        assert!(
+            s2.versions_evicted >= u64::from(VERSION_RING_CAPACITY) + 3,
+            "drained reader unpins history: {s2:?}"
+        );
     }
 
     #[cfg(feature = "check")]

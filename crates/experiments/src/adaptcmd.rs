@@ -37,23 +37,23 @@ use crate::servecmd::{shed_pct, stat_cov_pct, throughput};
 /// The Zipf exponent the run *starts* at (and the static model trains
 /// on): mild skew, little contention, few abort-carrying states for a
 /// model to learn.
-pub const STUDY_THETA_START: f64 = 0.4;
+const STUDY_THETA_START: f64 = 0.4;
 
 /// The drift the study applies: the skew sharpens from the mild
 /// [`STUDY_THETA_START`] up to the hot shape's 0.99 while the hotspot
 /// migrates across the keyspace — the contention the static model never
 /// saw during training arrives mid-run, which is exactly the staleness
 /// the online loop exists to repair.
-pub const STUDY_DRIFT: Drift = Drift { theta_end: 0.99, phases: 4, hotspot_step: 8 };
+const STUDY_DRIFT: Drift = Drift { theta_end: 0.99, phases: 4, hotspot_step: 8 };
 
 /// Window length (in commit tuples) of the adaptive loop's re-evaluation
 /// and retrain cadence.
-pub const STUDY_WINDOW: u64 = 128;
+const STUDY_WINDOW: u64 = 128;
 
 /// Stand-down threshold: guidance pauses above this unknown-tuple share.
-pub const STUDY_MAX_UNKNOWN_PCT: u32 = 60;
+const STUDY_MAX_UNKNOWN_PCT: u32 = 60;
 
-/// The retrain knobs the study (and the adaptive bench suite) run with.
+/// The retrain knobs the study runs with.
 ///
 /// Decay is pinned to 100 — pure accumulation, provably equivalent to
 /// training on the concatenated runs — because the serve automata are
@@ -69,14 +69,14 @@ pub const STUDY_MAX_UNKNOWN_PCT: u32 = 60;
 /// candidate ships only when fresh data leaves the §IV metric no worse
 /// than the serving model's, and the gate's live rejects (plus the
 /// negative-control row) keep its willingness to refuse visible.
-pub fn study_retrain() -> RetrainSpec {
+fn study_retrain() -> RetrainSpec {
     RetrainSpec { decay_pct: 100, require_no_regression: true, ..RetrainSpec::default() }
 }
 
 /// The drifting spec the three arms serve, scaled by the config's
 /// `serve_requests`: starts mild ([`STUDY_THETA_START`]) and sharpens
 /// into the hot shape per [`STUDY_DRIFT`].
-pub fn adaptive_spec(cfg: &crate::config::ExpConfig) -> ServeSpec {
+fn adaptive_spec(cfg: &crate::config::ExpConfig) -> ServeSpec {
     let mut spec = ServeSpec::hot(cfg.serve_requests).with_drift(STUDY_DRIFT);
     spec.zipf_theta = STUDY_THETA_START;
     spec
@@ -84,7 +84,7 @@ pub fn adaptive_spec(cfg: &crate::config::ExpConfig) -> ServeSpec {
 
 /// The stationary spec the static model trains on — the pre-drift world
 /// the model believes in (mild skew, before the contention arrives).
-pub fn training_spec(cfg: &crate::config::ExpConfig) -> ServeSpec {
+fn training_spec(cfg: &crate::config::ExpConfig) -> ServeSpec {
     let mut spec = ServeSpec::hot(cfg.serve_requests);
     spec.zipf_theta = STUDY_THETA_START;
     spec
@@ -110,7 +110,7 @@ fn gauge_sum(runs: &[RunOutcome], name: &str) -> u64 {
 /// A deliberately near-uniform automaton: plenty of states, every
 /// destination equally likely, no abort-carrying tuples. The §IV analyzer
 /// must refuse to ship it — there is no bias to exploit.
-pub fn uniform_candidate() -> gstm_model::Tsa {
+fn uniform_candidate() -> gstm_model::Tsa {
     use gstm_core::{Participant, ThreadId, TxId};
     let p = |t: u16| Participant::new(ThreadId::new(t), TxId::new(0));
     let mut b = TsaBuilder::new();

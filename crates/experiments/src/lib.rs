@@ -2,7 +2,6 @@
 //!
 //! One module per concern:
 //!
-//! * [`mod@bench`] — TL2 hot-path microbenchmarks and `BENCH_*.json` output;
 //! * [`config`] — sweep parameters (threads, seeds, sizes, Tfactor);
 //! * [`study`] — study data types and the training passes;
 //! * [`pipeline`] — [`pipeline::StudyPlan`] / [`pipeline::Pipeline`]: the
@@ -29,7 +28,6 @@
 
 pub mod ablation;
 pub mod adaptcmd;
-pub mod bench;
 pub mod cache;
 pub mod checkcmd;
 pub mod config;

@@ -19,17 +19,6 @@
 //!   ablate-tfactor | ablate-k | ablate-cm | ablate-train | ablate-policy | ablate-detection
 //!   train-model --bench NAME   (profile + build + save results/NAME-<threads>t.gtsa)
 //!   inspect-model FILE         (analyzer report + hottest states of a saved model)
-//!   bench | bench-pipeline | bench-wal | bench-mvcc | bench-adaptive |
-//!   bench-block
-//!         [--out PATH] [--preset tiny|default] [--smoke] [--profile NAME]
-//!         [--baseline FILE]    (one entry of `bench::SUITES` each ->
-//!                               BENCH_<suite>.json: TL2 hot-path microloops;
-//!                               cold-vs-warm pipeline timing (also takes
-//!                               --cache-dir); WAL append, recovery and
-//!                               durable overhead; multi-version read path;
-//!                               online adaptive guidance; ordered block
-//!                               execution)
-//!   bench-check FILE           (validate a BENCH_*.json artifact's shape)
 //!   check [--tiny] [--seed N] [--threads N] [--ops N] [--jobs N]
 //!                              (fault-injected chaos matrix judged by the
 //!                               gstm-check opacity oracle -> results/check.txt;
@@ -61,8 +50,6 @@
 //!
 //! Output is printed and archived under `results/`.
 
-use std::io::Write as _;
-
 use gstm_experiments::ablation;
 use gstm_experiments::cache::DiskCache;
 use gstm_experiments::config::ExpConfig;
@@ -76,13 +63,44 @@ fn usage() -> ! {
     eprintln!(
         "usage: experiments <table1|table2|table3|table4|table5|fig3..fig12|stamp|quake|serve|\
          serve-adaptive|all|\
-         cell|train-model|inspect-model|sites|bench|bench-pipeline|bench-wal|\
-         bench-mvcc|bench-adaptive|bench-block|block-smoke|bench-check|check|\
-         recover|ablate-tfactor|ablate-k|ablate-cm|ablate-train|ablate-policy|ablate-detection> \
+         cell|train-model|inspect-model|sites|block-smoke|check|recover|\
+         ablate-tfactor|ablate-k|ablate-cm|ablate-train|ablate-policy|ablate-detection> \
          [--fast|--tiny] [--bench NAME] [--metrics PATH] [--jobs N] \
          [--cache-dir PATH] [--no-cache]"
     );
     std::process::exit(2);
+}
+
+/// The value following `name` in `args`; exits 2 when the flag is given
+/// without one (a forgotten value must not silently run the default).
+fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
+    args.iter().position(|a| a == name).map(|i| {
+        args.get(i + 1).filter(|v| !v.starts_with("--")).unwrap_or_else(|| {
+            eprintln!("{name} requires an argument");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// [`flag_value`] parsed as a non-negative integer; exits 2 on anything else.
+fn flag_number<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    flag_value(args, name).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("{name} requires a non-negative integer, got {v}");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// Archives one result body as `<out_dir>/<id>.txt`. `scripts/ci.sh` diffs
+/// these files against the committed tables, so a failed write exits 1
+/// instead of letting the stale committed copy pass.
+fn write_result(out_dir: &std::path::Path, id: &str, body: &str) {
+    let path = out_dir.join(format!("{id}.txt"));
+    if let Err(e) = std::fs::create_dir_all(out_dir).and_then(|()| std::fs::write(&path, body)) {
+        eprintln!("cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
 }
 
 /// `block-smoke`: execute one ordered block workload at each requested
@@ -91,20 +109,9 @@ fn usage() -> ! {
 /// success; exits 1 naming the first divergence otherwise. This is the CI
 /// gate for the executor's schedule-invariance guarantee.
 fn run_block_smoke(args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
-    };
-    let parse = |name: &str, default: usize| -> usize {
-        flag(name).map_or(default, |s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("block-smoke: {name} wants a number, got {s:?}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let requests = parse("--requests", 200);
-    let seed = parse("--seed", 11) as u64;
-    let threads: Vec<usize> = flag("--threads").map_or(vec![1, 2, 4, 8], |s| {
+    let requests: usize = flag_number(args, "--requests").unwrap_or(200);
+    let seed: u64 = flag_number(args, "--seed").unwrap_or(11);
+    let threads: Vec<usize> = flag_value(args, "--threads").map_or(vec![1, 2, 4, 8], |s| {
         s.split(',')
             .map(|part| {
                 part.trim().parse().unwrap_or_else(|_| {
@@ -146,62 +153,32 @@ fn run_block_smoke(args: &[String]) -> ! {
     std::process::exit(1);
 }
 
-/// `bench-check`: validate an artifact's shape (never its numbers).
-fn run_bench_check(args: &[String]) -> ! {
-    let path = args.first().map_or("BENCH_tl2_hotpath.json", String::as_str);
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench-check: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    match gstm_experiments::bench::check_artifact(&text) {
-        Ok(()) => {
-            eprintln!("bench-check: {path} ok");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("bench-check: {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `check`: the fault-injected chaos matrix judged by the opacity oracle.
 /// Prints the per-cell report, archives it to `results/check.txt`, and
 /// exits nonzero if any cell saw a violation (or the history was vacuous).
 fn run_check(args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
-    };
-    let parsed = |name: &str, v: &String| -> u64 {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("check: {name} requires a non-negative integer, got {v}");
-            std::process::exit(2);
-        })
-    };
-    let seed = flag("--seed").map_or(7, |s| parsed("--seed", s));
+    let seed: u64 = flag_number(args, "--seed").unwrap_or(7);
     let mut opts = if args.iter().any(|a| a == "--tiny") {
         gstm_experiments::checkcmd::CheckOptions::tiny(seed)
     } else {
         gstm_experiments::checkcmd::CheckOptions::new(seed)
     };
-    if let Some(t) = flag("--threads") {
-        opts.threads = parsed("--threads", t).max(2) as usize;
+    if let Some(t) = flag_number::<usize>(args, "--threads") {
+        opts.threads = t.max(2);
     }
-    if let Some(o) = flag("--ops") {
-        opts.ops_per_thread = parsed("--ops", o) as u32;
+    if let Some(o) = flag_number(args, "--ops") {
+        opts.ops_per_thread = o;
     }
     // The matrix needs only the pipeline's worker pool; the tiny study
     // config supplies the pool defaults (jobs, results dir).
     let mut cfg = ExpConfig::tiny();
-    if let Some(jobs) = flag("--jobs") {
-        cfg.jobs = parsed("--jobs", jobs).max(1) as usize;
+    if let Some(jobs) = flag_number::<usize>(args, "--jobs") {
+        cfg.jobs = jobs.max(1);
     }
     let progress = StderrProgress::new();
     let pipe = Pipeline::new(&cfg, &progress).with_jobs(cfg.jobs);
     let (body, ok) = gstm_experiments::checkcmd::run_matrix(&opts, &pipe, &progress);
-    if std::fs::create_dir_all(&cfg.out_dir).is_ok() {
-        let _ = std::fs::write(cfg.out_dir.join("check.txt"), &body);
-    }
+    write_result(&cfg.out_dir, "check", &body);
     println!("{body}");
     std::process::exit(i32::from(!ok));
 }
@@ -211,36 +188,27 @@ fn run_check(args: &[String]) -> ! {
 /// it to `results/recover.txt`, and exits nonzero if any cell's recovered
 /// store diverged from the serial history (or injection was vacuous).
 fn run_recover(args: &[String]) -> ! {
-    let flag = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
-    };
-    let parsed = |name: &str, v: &String| -> u64 {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("recover: {name} requires a non-negative integer, got {v}");
-            std::process::exit(2);
-        })
-    };
-    let seed = flag("--seed").map_or(7, |s| parsed("--seed", s));
+    let seed: u64 = flag_number(args, "--seed").unwrap_or(7);
     let mut opts = if args.iter().any(|a| a == "--tiny") {
         gstm_experiments::recovercmd::RecoverOptions::tiny(seed)
     } else {
         gstm_experiments::recovercmd::RecoverOptions::new(seed)
     };
-    if let Some(t) = flag("--threads") {
-        opts.threads = parsed("--threads", t).max(2) as usize;
+    if let Some(t) = flag_number::<usize>(args, "--threads") {
+        opts.threads = t.max(2);
     }
-    if let Some(r) = flag("--requests") {
-        opts.requests_per_thread = parsed("--requests", r).max(1) as usize;
+    if let Some(r) = flag_number::<usize>(args, "--requests") {
+        opts.requests_per_thread = r.max(1);
     }
     // The matrix uses the pipeline's worker pool and its text cache; the
     // tiny study config supplies the pool defaults (jobs, results dir).
     let mut cfg = ExpConfig::tiny();
-    if let Some(jobs) = flag("--jobs") {
-        cfg.jobs = parsed("--jobs", jobs).max(1) as usize;
+    if let Some(jobs) = flag_number::<usize>(args, "--jobs") {
+        cfg.jobs = jobs.max(1);
     }
     if args.iter().any(|a| a == "--no-cache") {
         cfg.cache_dir = None;
-    } else if let Some(dir) = flag("--cache-dir") {
+    } else if let Some(dir) = flag_value(args, "--cache-dir") {
         cfg.cache_dir = Some(std::path::PathBuf::from(dir));
     }
     let progress = StderrProgress::new();
@@ -249,9 +217,7 @@ fn run_recover(args: &[String]) -> ! {
         pipe = pipe.with_cache(DiskCache::new(dir.clone()));
     }
     let (body, ok) = gstm_experiments::recovercmd::run_matrix(&opts, &pipe, &progress);
-    if std::fs::create_dir_all(&cfg.out_dir).is_ok() {
-        let _ = std::fs::write(cfg.out_dir.join("recover.txt"), &body);
-    }
+    write_result(&cfg.out_dir, "recover", &body);
     progress.report(&pipe.gauges().summary());
     println!("{body}");
     std::process::exit(i32::from(!ok));
@@ -295,17 +261,8 @@ fn main() {
     }
     let command = args[0].as_str();
     // These paths never touch the study machinery.
-    if let Some(suite) = gstm_experiments::bench::SUITES.iter().find(|s| s.command == command) {
-        let progress = StderrProgress::new();
-        if let Err(e) = gstm_experiments::bench::run_command(suite, &args[1..], &progress) {
-            eprintln!("{command}: {e}");
-            std::process::exit(2);
-        }
-        std::process::exit(0);
-    }
     match command {
         "block-smoke" => run_block_smoke(&args[1..]),
-        "bench-check" => run_bench_check(&args[1..]),
         "check" => run_check(&args[1..]),
         "recover" => run_recover(&args[1..]),
         _ => {}
@@ -313,15 +270,7 @@ fn main() {
     let fast = args.iter().any(|a| a == "--fast");
     let tiny = args.iter().any(|a| a == "--tiny");
     let no_cache = args.iter().any(|a| a == "--no-cache");
-    let flag_value = |name: &str| -> Option<&String> {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1).filter(|v| !v.starts_with("--")).unwrap_or_else(|| {
-                eprintln!("{name} requires an argument");
-                std::process::exit(2);
-            })
-        })
-    };
-    let bench_name: &'static str = flag_value("--bench")
+    let bench_name: &'static str = flag_value(&args, "--bench")
         .map(|s| {
             gstm_stamp::BENCHMARK_NAMES.iter().copied().find(|n| *n == s.as_str()).unwrap_or_else(
                 || {
@@ -332,7 +281,7 @@ fn main() {
         })
         .unwrap_or("kmeans");
     let metrics_path: Option<std::path::PathBuf> =
-        flag_value("--metrics").map(std::path::PathBuf::from);
+        flag_value(&args, "--metrics").map(std::path::PathBuf::from);
     let mut cfg = if tiny {
         ExpConfig::tiny()
     } else if fast {
@@ -341,18 +290,14 @@ fn main() {
         ExpConfig::full()
     };
     cfg.telemetry = metrics_path.is_some();
-    if let Some(jobs) = flag_value("--jobs") {
-        cfg.jobs = jobs.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs requires a positive integer, got {jobs}");
-            std::process::exit(2);
-        });
+    if let Some(jobs) = flag_number(&args, "--jobs") {
+        cfg.jobs = jobs;
     }
     if no_cache {
         cfg.cache_dir = None;
-    } else if let Some(dir) = flag_value("--cache-dir") {
+    } else if let Some(dir) = flag_value(&args, "--cache-dir") {
         cfg.cache_dir = Some(std::path::PathBuf::from(dir));
     }
-    std::fs::create_dir_all(&cfg.out_dir).expect("create results dir");
 
     let progress = StderrProgress::new();
     let mut pipe = Pipeline::new(&cfg, &progress).with_jobs(cfg.jobs);
@@ -412,10 +357,7 @@ fn main() {
     let mut emit = |id: &str, body: String| {
         // Flush incrementally so long sweeps leave results behind even if
         // interrupted.
-        let path = out_dir.join(format!("{id}.txt"));
-        if let Ok(mut f) = std::fs::File::create(&path) {
-            let _ = f.write_all(body.as_bytes());
-        }
+        write_result(&out_dir, id, &body);
         outputs.push((id.to_string(), body));
     };
     match command {
@@ -490,6 +432,7 @@ fn main() {
             let threads = cfg.threads_list[0];
             progress.report(&format!("training {bench_name} at {threads} threads"));
             let trained = pipe.trained_stamp(bench_name, threads);
+            std::fs::create_dir_all(&cfg.out_dir).expect("create results dir");
             let path = cfg.out_dir.join(format!("{bench_name}-{threads}t.gtsa"));
             gstm_model::serialize::save(&trained.tsa, &path).expect("save model");
             emit(

@@ -674,9 +674,9 @@ pub struct NativeReport {
     /// The engine's multi-version read-path counters (all zero under
     /// [`ReadMode::Latest`]).
     pub mvcc: MvccStats,
-    /// Per-site commit/abort tallies, keyed by participant. The bench uses
-    /// the read-only sites' abort counts to prove the snapshot path's
-    /// zero-abort claim.
+    /// Per-site commit/abort tallies, keyed by participant. The read-only
+    /// sites' abort counts are what proves the snapshot path's zero-abort
+    /// claim.
     pub sites: BTreeMap<Participant, SiteStats>,
     /// Block-mode extras: the run's output/state digests (for the
     /// schedule-invariance oracle) and the executor's counters. `None`
@@ -768,7 +768,7 @@ pub fn run_native(
     let run = ServeRun::with_backend(spec.clone(), backend, threads, seed);
     // Same engine defaults as `Stm::new_on` (AdmitAll, Aggressive), plus a
     // per-site stats sink: lifecycle events are recorded unconditionally,
-    // so the bench gets commit/abort tallies per request site — including
+    // so the report gets commit/abort tallies per request site — including
     // the read-only sites' abort count — without `check_events` overhead.
     let sink = Arc::new(SiteStatsSink::new());
     let stm = Arc::new(Stm::with_parts(

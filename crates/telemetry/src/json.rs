@@ -1,8 +1,8 @@
 //! Minimal dependency-free JSON: a value model, a stable writer and a
 //! strict parser.
 //!
-//! The workspace builds offline, so snapshot exports and the benchmark
-//! harness cannot pull in `serde`. This module covers exactly the JSON
+//! The workspace builds offline, so snapshot exports and the `benchmark/`
+//! package cannot pull in `serde`. This module covers exactly the JSON
 //! subset those producers need — objects, arrays, strings, finite numbers,
 //! booleans and `null` — with two properties the rest of the repo relies
 //! on:
@@ -79,8 +79,8 @@ impl JsonValue {
         out
     }
 
-    /// Renders the value with `indent`-space pretty-printing (for committed
-    /// artifacts that humans diff, like `BENCH_*.json`).
+    /// Renders the value with `indent`-space pretty-printing (for
+    /// artifacts that humans diff, like `benchmark/run.sh`'s `--out` file).
     pub fn render_pretty(&self, indent: usize) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(indent), 0);

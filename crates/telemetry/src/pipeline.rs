@@ -64,7 +64,7 @@ impl PipelineGauges {
     /// Only the counters appear here — they are deterministic for a given
     /// cache state, preserving the "snapshots are byte-identical" guarantee.
     /// The wall-clock fields (`cell_wall_ms`, `train_wall_ms`) are genuinely
-    /// nondeterministic and are reported through the bench artifact instead.
+    /// nondeterministic and stay out of every exported snapshot.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         snap.set_gauge(GAUGE_MODEL_HITS, self.model_hits.load(Ordering::Relaxed));

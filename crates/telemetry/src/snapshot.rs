@@ -161,7 +161,7 @@ impl Snapshot {
     }
 
     /// JSON view of the snapshot, built on the in-tree [`crate::json`]
-    /// writer (the same one the benchmark harness uses for `BENCH_*.json`).
+    /// writer (the same one the `benchmark/` package writes its results with).
     ///
     /// Counters become an object of `series name -> value`; histograms an
     /// object of `series name -> {"sum": .., "buckets": {"i": count, ..}}`.

@@ -20,13 +20,6 @@ cargo test -q --workspace --offline
 echo "==> docs: no broken intra-doc links (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> bench smokes (tiny preset): every suite's artifact must be well-formed"
-for cmd in bench bench-pipeline bench-wal bench-mvcc bench-adaptive bench-block; do
-    ./target/release/experiments "$cmd" --preset tiny --smoke --profile release \
-        --out "target/BENCH_${cmd}_smoke.json"
-    ./target/release/experiments bench-check "target/BENCH_${cmd}_smoke.json"
-done
-
 echo "==> pipeline smoke: warm rerun must hit the cache and match byte-for-byte"
 smoke_dir="target/gstm-ci-pipeline-smoke"
 rm -rf "$smoke_dir"
@@ -124,10 +117,10 @@ echo "==> block determinism smoke: same block order must hash identically at 1/2
 ./target/release/experiments block-smoke --threads 1,2,4,8 --requests 200 --seed 11 \
     || { echo "block smoke: parallel block output diverged from the sequential reference"; exit 1; }
 
-echo "==> benchmark package: its own tests (traced mirror of the block loop) + serve_block smoke"
+echo "==> benchmark package: its own tests (traced mirror of the block loop) + every workload's output checks"
 (cd benchmark && cargo test --offline -q)
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    run --workload serve_block --quick >/dev/null \
-    || { echo "benchmark smoke: serve_block failed its own verification"; exit 1; }
+    run --workload all --quick >/dev/null \
+    || { echo "benchmark smoke: a workload failed its own verification"; exit 1; }
 
 echo "CI gate passed."
