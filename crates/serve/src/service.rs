@@ -697,8 +697,13 @@ impl NativeReport {
     }
 }
 
-/// A durable native run's WAL directory: unique per call, removed on drop.
-struct WalDir(std::path::PathBuf);
+/// A durable native run's WAL files: a directory unique per call, removed
+/// on drop.
+struct WalDir {
+    dir: std::path::PathBuf,
+    log: Arc<FileDevice>,
+    snap: Arc<FileDevice>,
+}
 
 impl WalDir {
     /// Creates `temp_dir()/gstm-serve-wal-{pid}-{seed}-{n}`, `n` from a
@@ -710,13 +715,20 @@ impl WalDir {
         let dir =
             std::env::temp_dir().join(format!("gstm-serve-wal-{}-{seed}-{n}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create WAL dir");
-        WalDir(dir)
+        let log = Arc::new(FileDevice::new(dir.join("wal.log")));
+        let snap = Arc::new(FileDevice::new(dir.join("wal.snap")));
+        WalDir { dir, log, snap }
     }
 }
 
 impl Drop for WalDir {
     fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
+        // After a run the backend outlives this guard and holds the
+        // devices: without the close, the unlinked files' blocks would be
+        // freed when *it* drops, outside the window that counts removal.
+        self.log.close();
+        self.snap.close();
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -745,9 +757,9 @@ pub fn run_native(
     let wal_dir = (spec.backend == BackendKind::Durable).then(|| WalDir::create(seed));
     let backend: Arc<dyn StoreBackend> = match &wal_dir {
         None => Arc::new(EphemeralBackend::new(store)),
-        Some(WalDir(dir)) => {
-            let log: Arc<dyn LogDevice> = Arc::new(FileDevice::new(dir.join("wal.log")));
-            let snap: Arc<dyn LogDevice> = Arc::new(FileDevice::new(dir.join("wal.snap")));
+        Some(files) => {
+            let log: Arc<dyn LogDevice> = Arc::clone(&files.log) as _;
+            let snap: Arc<dyn LogDevice> = Arc::clone(&files.snap) as _;
             Arc::new(DurableBackend::new(store, Wal::new(WalConfig::new(), log, snap)))
         }
     };

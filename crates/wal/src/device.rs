@@ -8,7 +8,8 @@
 //!   deterministic disk: a `(seed, workload)` pair produces byte-identical
 //!   device contents on every run, so crash/recovery experiments replay
 //!   exactly.
-//! * [`FileDevice`] — a real file, for native `RealGate` runs.
+//! * [`FileDevice`] — a real file (one per `reset` generation), for native
+//!   `RealGate` runs.
 //!
 //! Devices are deliberately dumb: append, read back, and atomically replace
 //! (the snapshot-install/truncate primitive). Crash semantics live above
@@ -17,6 +18,8 @@
 //! disk retains whatever had been written.
 
 use gstm_core::sync::Mutex;
+use std::fs::{File, OpenOptions};
+use std::io::Write as _;
 use std::path::PathBuf;
 
 /// An append-only byte store with atomic whole-content replacement.
@@ -71,9 +74,16 @@ impl LogDevice for MemDevice {
     }
 }
 
-/// A real file. `reset` writes a temp file and renames it over the target,
-/// so a crash during snapshot install leaves either the old or the new
-/// contents, never a mix.
+/// A real file, replaced generation by generation: the contents live in
+/// `path` until the first `reset` and in `<path>.<n>` after the `n`-th.
+/// `reset` writes `<path>.tmp.<pid>`, renames it to the next generation's
+/// name — one that does not exist: renaming *over* the live file makes ext4
+/// flush the new file first — and only then unlinks the previous one. A
+/// crash leaves the old contents, the new, or both files whole, never a
+/// mix; a device opened on `path` later reads the highest generation
+/// present. Names build on the full file name, so `wal.log` and `wal.snap`
+/// in one directory share none. The handle that wrote a generation stays
+/// open for the appends that follow.
 ///
 /// Write-side failures are loud: `append` and `reset` panic with the path
 /// and the `io::Error`, because a dropped write is an acknowledged commit
@@ -84,51 +94,108 @@ impl LogDevice for MemDevice {
 pub struct FileDevice {
     path: PathBuf,
     /// Serializes append/reset so interleaved writers cannot tear frames.
-    guard: Mutex<()>,
+    state: Mutex<FileState>,
+}
+
+#[derive(Debug, Default)]
+struct FileState {
+    /// The generation holding the contents; `None` until first use looks.
+    generation: Option<u64>,
+    /// Write handle on that generation's file, positioned at its end.
+    file: Option<File>,
 }
 
 impl FileDevice {
     /// A device backed by `path` (created on first write).
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        FileDevice { path: path.into(), guard: Mutex::new(()) }
+        FileDevice { path: path.into(), state: Mutex::default() }
     }
 
-    /// The backing path.
+    /// The path the device was opened on (generation 0's file).
     pub fn path(&self) -> &std::path::Path {
         &self.path
+    }
+
+    /// Closes the write handle (the next `append` reopens the file): an
+    /// unlinked file's blocks are only freed when its last handle closes.
+    pub fn close(&self) {
+        self.state.lock().file = None;
+    }
+
+    /// `<path>.<suffix>`.
+    fn sibling(&self, suffix: impl std::fmt::Display) -> PathBuf {
+        let mut name = self.path.clone().into_os_string();
+        name.push(format!(".{suffix}"));
+        name.into()
+    }
+
+    fn generation_path(&self, generation: u64) -> PathBuf {
+        if generation == 0 {
+            self.path.clone()
+        } else {
+            self.sibling(generation)
+        }
+    }
+
+    /// The generation holding the contents and its file. Found on first
+    /// use: the highest `<file name>.<n>` in the directory, else 0.
+    fn current(&self, state: &mut FileState) -> (u64, PathBuf) {
+        let generation = *state.generation.get_or_insert_with(|| {
+            let name = self.path.file_name().and_then(|n| n.to_str());
+            let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+            std::fs::read_dir(dir.unwrap_or(std::path::Path::new(".")))
+                .into_iter()
+                .flatten()
+                .flatten()
+                .filter_map(|entry| {
+                    let entry = entry.file_name();
+                    entry.to_str()?.strip_prefix(name?)?.strip_prefix('.')?.parse::<u64>().ok()
+                })
+                .max()
+                .unwrap_or(0)
+        });
+        (generation, self.generation_path(generation))
     }
 }
 
 impl LogDevice for FileDevice {
     fn append(&self, bytes: &[u8]) {
-        let _g = self.guard.lock();
-        use std::io::Write as _;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .and_then(|mut f| f.write_all(bytes))
-            .unwrap_or_else(|e| panic!("WAL append to {} failed: {e}", self.path.display()));
+        let mut state = self.state.lock();
+        let (_, path) = self.current(&mut state);
+        let written = match &mut state.file {
+            Some(file) => file.write_all(bytes),
+            None => OpenOptions::new().create(true).append(true).open(&path).and_then(|mut f| {
+                f.write_all(bytes)?;
+                state.file = Some(f);
+                Ok(())
+            }),
+        };
+        written.unwrap_or_else(|e| panic!("WAL append to {} failed: {e}", path.display()));
     }
 
     fn contents(&self) -> Vec<u8> {
-        let _g = self.guard.lock();
-        std::fs::read(&self.path).unwrap_or_default()
+        std::fs::read(self.current(&mut self.state.lock()).1).unwrap_or_default()
     }
 
     fn reset(&self, bytes: &[u8]) {
-        let _g = self.guard.lock();
-        let tmp = self.path.with_extension(format!("tmp.{}", std::process::id()));
-        if let Err(e) = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, &self.path))
-        {
+        let mut state = self.state.lock();
+        let (old, old_path) = self.current(&mut state);
+        let tmp = self.sibling(format_args!("tmp.{}", std::process::id()));
+        let written = File::create(&tmp).and_then(|mut f| {
+            f.write_all(bytes)?;
+            std::fs::rename(&tmp, self.generation_path(old + 1))?;
+            Ok(f)
+        });
+        let file = written.unwrap_or_else(|e| {
             let _ = std::fs::remove_file(&tmp);
-            panic!("WAL reset of {} failed: {e}", self.path.display());
-        }
+            panic!("WAL reset of {} failed: {e}", self.path.display())
+        });
+        *state = FileState { generation: Some(old + 1), file: Some(file) };
+        let _ = std::fs::remove_file(old_path);
     }
 
     fn len(&self) -> u64 {
-        let _g = self.guard.lock();
-        std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0)
+        std::fs::metadata(self.current(&mut self.state.lock()).1).map(|m| m.len()).unwrap_or(0)
     }
 }
 
@@ -148,10 +215,26 @@ mod tests {
         assert_eq!(d.contents(), b"xy");
     }
 
+    /// A fresh, empty directory under `temp_dir()`, unique to this test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("gstm-wal-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn file_names(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn file_device_round_trips() {
-        let dir = std::env::temp_dir().join(format!("gstm-wal-dev-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("dev");
         let d = FileDevice::new(dir.join("log.bin"));
         assert!(d.is_empty(), "missing file reads as empty");
         d.append(b"abc");
@@ -160,6 +243,63 @@ mod tests {
         d.reset(b"xy");
         assert_eq!(d.contents(), b"xy");
         assert_eq!(d.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each reset moves the contents to the next generation's file and
+    /// leaves nothing else behind; appends follow them there, through the
+    /// kept handle or a reopened one; a second device on the same path
+    /// finds the newest generation.
+    #[test]
+    fn file_device_generations_replace_each_other() {
+        let dir = scratch_dir("gen");
+        let d = FileDevice::new(dir.join("wal.log"));
+        d.append(b"zero");
+        assert_eq!(file_names(&dir), ["wal.log"]);
+        d.reset(b"one");
+        d.append(b"+");
+        assert_eq!(file_names(&dir), ["wal.log.1"]);
+        d.reset(b"two");
+        assert_eq!(file_names(&dir), ["wal.log.2"]);
+        d.close();
+        d.append(b"+");
+        assert_eq!(d.contents(), b"two+");
+
+        // What a crash between the rename and the unlink leaves: both
+        // generations whole. The newest one is the contents.
+        std::fs::write(dir.join("wal.log.1"), b"stale").unwrap();
+        let reopened = FileDevice::new(dir.join("wal.log"));
+        assert_eq!(reopened.contents(), b"two+");
+        reopened.append(b"+");
+        reopened.reset(b"three");
+        assert_eq!(reopened.contents(), b"three");
+        assert_eq!(file_names(&dir), ["wal.log.1", "wal.log.3"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `wal.log` and `wal.snap` used to share the temp name `wal.tmp.<pid>`
+    /// (`with_extension` replaces the extension), and only the WAL's own
+    /// lock kept their resets apart.
+    #[test]
+    fn devices_sharing_a_stem_reset_concurrently() {
+        let dir = scratch_dir("stem");
+        let devices = [FileDevice::new(dir.join("wal.log")), FileDevice::new(dir.join("wal.snap"))];
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (d, tag) in devices.iter().zip([b'l', b's']) {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..1000u32 {
+                        let mut bytes = vec![tag; 64];
+                        bytes.extend_from_slice(&round.to_le_bytes());
+                        d.reset(&bytes);
+                        assert_eq!(d.contents(), bytes, "round {round} of {}", tag as char);
+                    }
+                });
+            }
+        });
+        assert_eq!(file_names(&dir), ["wal.log.1000", "wal.snap.1000"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -67,11 +67,14 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// Appends one encoded frame to `out`.
+/// Appends one encoded frame to `out`. Panics on a payload longer than the
+/// `u32` length field can say (truncated, it would fail recovery instead).
 pub fn encode_frame(seq: u64, payload: &[u8], out: &mut Vec<u8>) {
+    let len = u32::try_from(payload.len())
+        .unwrap_or_else(|_| panic!("record {seq}: {} payload bytes overflow u32", payload.len()));
     let start = out.len();
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(payload);
     let check = fnv1a64(&out[start..]);
     out.extend_from_slice(&check.to_le_bytes());
@@ -121,12 +124,17 @@ pub fn decode_log(bytes: &[u8]) -> Result<DecodedLog, WalError> {
     Ok(DecodedLog { frames, torn: false })
 }
 
-/// Encodes a snapshot envelope covering commits `1..=upto_seq`.
+/// Encodes a snapshot envelope covering commits `1..=upto_seq`. Panics on
+/// a state longer than the `u32` length field can say — at install, while
+/// the log it would replace is still whole.
 pub fn encode_snapshot(upto_seq: u64, state: &[u8]) -> Vec<u8> {
+    let len = u32::try_from(state.len()).unwrap_or_else(|_| {
+        panic!("snapshot at seq {upto_seq}: {} state bytes overflow u32", state.len())
+    });
     let mut out = Vec::with_capacity(28 + state.len());
     out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
     out.extend_from_slice(&upto_seq.to_le_bytes());
-    out.extend_from_slice(&(state.len() as u32).to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(state);
     let check = fnv1a64(&out);
     out.extend_from_slice(&check.to_le_bytes());

@@ -5,19 +5,25 @@
 //!
 //! [`Wal::append`] is called *after* a transaction committed (the caller
 //! tags the record with the engine's global commit sequence number), so
-//! logging is entirely off the lock-hold path: the committer published its
-//! writes and released its stripes before the record exists. Records land
-//! in a bounded in-flight buffer; when [`WalConfig::batch_records`]
-//! accumulate (or on an explicit [`Wal::flush`]) the whole batch is encoded
-//! and appended to the log device in one call — group commit. A crash
-//! loses at most one buffer of records, never a committed-and-flushed one.
+//! logging is entirely off the lock-hold path. The record is encoded
+//! straight into the batch under assembly: one short critical section on
+//! the *assembly* lock, no allocation, no I/O. The appender that brings the
+//! batch to [`WalConfig::batch_records`] (or an explicit [`Wal::flush`])
+//! swaps the buffer out and writes it to the log device in one call — group
+//! commit — under the separate *device* lock, while the others fill the
+//! next batch. Nothing holds both locks at once, so batches may reach the
+//! device in either order; [`recover`] sorts the frames and cuts at the
+//! first gap. A crash loses the batch under assembly plus the batches
+//! swapped out and not yet written (at most one per appending thread),
+//! never a committed-and-flushed record.
 //!
 //! ## Snapshot / truncate
 //!
 //! [`Wal::install_snapshot`] persists an opaque state blob covering
 //! commits `1..=upto_seq`, then rewrites the log device keeping only the
 //! flushed frames beyond `upto_seq`. Recovery work is therefore bounded by
-//! the snapshot interval (O(delta), not O(history)).
+//! the snapshot interval (O(delta), not O(history)). It runs under the
+//! device lock only: appends continue beside it.
 //!
 //! ## Crash model
 //!
@@ -26,7 +32,8 @@
 //! and full log survive; the new snapshot never installs), or
 //! post-truncate (the freshly truncated state survives). After the switch
 //! trips, every device mutation silently stops — exactly the bytes a real
-//! crash would leave are what [`recover`] later reads.
+//! crash would leave are what [`recover`] later reads. Kill points are
+//! observed, and device calls made, under the device lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,8 +50,8 @@ pub struct WalConfig {
     /// Group-commit batch size: the in-flight buffer flushes when this many
     /// records accumulate.
     pub batch_records: usize,
-    /// Callers are advised (via [`Wal::wants_snapshot`]) to snapshot after
-    /// this many records were flushed since the last snapshot.
+    /// Callers are advised (by [`Wal::append`]'s return value) to snapshot
+    /// once this many records were appended since the last truncation.
     pub snapshot_every: u64,
 }
 
@@ -90,14 +97,74 @@ pub struct WalStats {
     pub lost_dead: u64,
 }
 
-struct WalInner {
-    /// The bounded in-flight buffer (group-commit batch under assembly).
-    buf: Vec<(u64, Vec<u8>)>,
-    /// Flushed frames currently in the log device, in append order —
+/// Encoded frames back to back, with `(seq, offset)` of each in order.
+#[derive(Default)]
+struct Frames {
+    bytes: Vec<u8>,
+    index: Vec<(u64, usize)>,
+}
+
+impl Frames {
+    fn push(&mut self, seq: u64, payload: &[u8]) {
+        self.index.push((seq, self.bytes.len()));
+        encode_frame(seq, payload, &mut self.bytes);
+    }
+
+    fn extend(&mut self, other: &Frames) {
+        let base = self.bytes.len();
+        self.index.extend(other.index.iter().map(|&(seq, at)| (seq, base + at)));
+        self.bytes.extend_from_slice(&other.bytes);
+    }
+
+    /// Drops every frame with `seq <= upto`, closing the gaps in place and
+    /// keeping the order of the rest. Returns how many frames went.
+    fn drop_through(&mut self, upto: u64) -> usize {
+        let before = self.index.len();
+        let (mut kept, mut end) = (0, 0);
+        for i in 0..before {
+            let (seq, at) = self.index[i];
+            let next = self.index.get(i + 1).map_or(self.bytes.len(), |&(_, at)| at);
+            if seq > upto {
+                self.bytes.copy_within(at..next, end);
+                self.index[kept] = (seq, end);
+                kept += 1;
+                end += next - at;
+            }
+        }
+        self.index.truncate(kept);
+        self.bytes.truncate(end);
+        before - kept
+    }
+}
+
+/// The appenders' side: held for one frame encode, never across I/O.
+#[derive(Default)]
+struct Assembly {
+    /// The group-commit batch under assembly.
+    batch: Frames,
+    /// The last written batch's cleared buffer: swapping allocates nothing.
+    spare: Frames,
+    /// Records accepted and not yet truncated away (here, in flight or in
+    /// the log): what the snapshot advice counts.
+    unsnapshotted: u64,
+    appended: u64,
+}
+
+impl Assembly {
+    fn swap_out(&mut self) -> Frames {
+        std::mem::replace(&mut self.batch, std::mem::take(&mut self.spare))
+    }
+}
+
+/// The device side: held across the devices' I/O by the one thread that
+/// writes a batch or installs a snapshot.
+#[derive(Default)]
+struct DeviceSide {
+    /// Mirror of the log device: the flushed frames in device order,
     /// needed to rewrite the device at truncation.
-    in_log: Vec<(u64, Vec<u8>)>,
-    /// Sequence number the installed snapshot covers (0 = none).
-    snapshot_seq: u64,
+    in_log: Frames,
+    /// The four counters device calls move (the other two stay 0 here).
+    stats: WalStats,
 }
 
 /// A write-ahead log over two [`LogDevice`]s (log + snapshot).
@@ -106,12 +173,10 @@ pub struct Wal {
     log: Arc<dyn LogDevice>,
     snap: Arc<dyn LogDevice>,
     kill: Option<Arc<KillSwitch>>,
-    inner: Mutex<WalInner>,
-    appended: AtomicU64,
-    flushes: AtomicU64,
-    flushed_records: AtomicU64,
-    snapshots: AtomicU64,
-    truncated_records: AtomicU64,
+    asm: Mutex<Assembly>,
+    dev: Mutex<DeviceSide>,
+    /// A tally nothing is ordered against (the other five counters sit
+    /// under the lock whose holder moves them): `Relaxed`.
     lost_dead: AtomicU64,
 }
 
@@ -133,12 +198,8 @@ impl Wal {
             log,
             snap,
             kill: None,
-            inner: Mutex::new(WalInner { buf: Vec::new(), in_log: Vec::new(), snapshot_seq: 0 }),
-            appended: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            flushed_records: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
-            truncated_records: AtomicU64::new(0),
+            asm: Mutex::default(),
+            dev: Mutex::default(),
             lost_dead: AtomicU64::new(0),
         }
     }
@@ -159,104 +220,107 @@ impl Wal {
         self.kill.as_ref().is_some_and(|k| k.observe(point))
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot (one cut per lock, not across the two).
     pub fn stats(&self) -> WalStats {
-        WalStats {
-            appended: self.appended.load(Ordering::SeqCst),
-            flushes: self.flushes.load(Ordering::SeqCst),
-            flushed_records: self.flushed_records.load(Ordering::SeqCst),
-            snapshots: self.snapshots.load(Ordering::SeqCst),
-            truncated_records: self.truncated_records.load(Ordering::SeqCst),
-            lost_dead: self.lost_dead.load(Ordering::SeqCst),
-        }
+        let appended = self.asm.lock().appended;
+        let lost_dead = self.lost_dead.load(Ordering::Relaxed);
+        WalStats { appended, lost_dead, ..self.dev.lock().stats }
     }
 
     /// Buffers one committed record. `seq` is the engine's global commit
-    /// sequence number; replay applies records in `seq` order. Triggers a
-    /// group-commit flush when the buffer reaches its bound.
-    pub fn append(&self, seq: u64, payload: &[u8]) {
+    /// sequence number; replay applies records in `seq` order. The append
+    /// that fills the batch writes it to the device (one group commit).
+    ///
+    /// Returns the snapshot advice: [`WalConfig::snapshot_every`] records
+    /// accumulated since the last truncation, so the caller should build a
+    /// snapshot and [install](Wal::install_snapshot) it.
+    pub fn append(&self, seq: u64, payload: &[u8]) -> bool {
         if self.is_dead() {
-            self.lost_dead.fetch_add(1, Ordering::SeqCst);
-            return;
+            self.lost_dead.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
-        let mut inner = self.inner.lock();
-        inner.buf.push((seq, payload.to_vec()));
-        self.appended.fetch_add(1, Ordering::SeqCst);
-        if inner.buf.len() >= self.cfg.batch_records {
-            self.flush_locked(&mut inner);
+        let (full, advised) = {
+            let mut asm = self.asm.lock();
+            asm.batch.push(seq, payload);
+            asm.appended += 1;
+            asm.unsnapshotted += 1;
+            let full = (asm.batch.index.len() >= self.cfg.batch_records).then(|| asm.swap_out());
+            (full, asm.unsnapshotted >= self.cfg.snapshot_every)
+        };
+        if let Some(batch) = full {
+            self.write_batch(batch);
         }
+        advised
     }
 
-    /// Flushes the in-flight buffer to the device (one group commit).
+    /// Flushes the batch under assembly to the device (one group commit).
     pub fn flush(&self) {
-        let mut inner = self.inner.lock();
-        self.flush_locked(&mut inner);
+        let batch = {
+            let mut asm = self.asm.lock();
+            if asm.batch.index.is_empty() || self.is_dead() {
+                return;
+            }
+            asm.swap_out()
+        };
+        self.write_batch(batch);
     }
 
-    fn flush_locked(&self, inner: &mut WalInner) {
-        if inner.buf.is_empty() || self.is_dead() {
-            return;
+    /// Writes a swapped-out batch to the log device and recycles its buffer.
+    fn write_batch(&self, mut batch: Frames) {
+        {
+            let mut dev = self.dev.lock();
+            let records = batch.index.len() as u64;
+            if self.is_dead() {
+                // The disk froze while the batch was in flight.
+                self.lost_dead.fetch_add(records, Ordering::Relaxed);
+            } else if self.observe(KillPoint::MidBatch) {
+                // The crash lands partway through the device write: a torn
+                // prefix, cut inside the final frame's checksum so the tear
+                // is structural, is all that reaches the disk.
+                let cut = batch.bytes.len() - crate::frame::FRAME_OVERHEAD / 2;
+                self.log.append(&batch.bytes[..cut]);
+                self.lost_dead.fetch_add(records, Ordering::Relaxed);
+            } else {
+                self.log.append(&batch.bytes);
+                dev.stats.flushes += 1;
+                dev.stats.flushed_records += records;
+                dev.in_log.extend(&batch);
+            }
         }
-        let batch: Vec<(u64, Vec<u8>)> = std::mem::take(&mut inner.buf);
-        let mut bytes = Vec::new();
-        for (seq, payload) in &batch {
-            encode_frame(*seq, payload, &mut bytes);
-        }
-        if self.observe(KillPoint::MidBatch) {
-            // The crash lands partway through the device write: a torn
-            // prefix, cut inside the final frame's checksum so the tear is
-            // structural, is all that reaches the disk.
-            let cut = bytes.len() - crate::frame::FRAME_OVERHEAD / 2;
-            self.log.append(&bytes[..cut]);
-            self.lost_dead.fetch_add(batch.len() as u64, Ordering::SeqCst);
-            return;
-        }
-        self.log.append(&bytes);
-        self.flushes.fetch_add(1, Ordering::SeqCst);
-        self.flushed_records.fetch_add(batch.len() as u64, Ordering::SeqCst);
-        inner.in_log.extend(batch);
-    }
-
-    /// Whether enough records accumulated since the last snapshot that the
-    /// caller should build one ([`WalConfig::snapshot_every`]).
-    pub fn wants_snapshot(&self) -> bool {
-        let inner = self.inner.lock();
-        (inner.in_log.len() + inner.buf.len()) as u64 >= self.cfg.snapshot_every
+        batch.bytes.clear();
+        batch.index.clear();
+        self.asm.lock().spare = batch;
     }
 
     /// Installs a snapshot covering commits `1..=upto_seq` and truncates
     /// the log to the flushed frames beyond `upto_seq`. The caller
     /// guarantees `state` is the materialized effect of exactly those
-    /// commits. Returns whether the install completed (a crash at a
-    /// snapshot-phase kill point aborts it).
+    /// commits, and that `upto_seq` never goes back. Returns whether the
+    /// install completed (a crash at a snapshot kill point aborts it).
     pub fn install_snapshot(&self, upto_seq: u64, state: &[u8]) -> bool {
-        let mut inner = self.inner.lock();
         // Everything the snapshot covers must be durable one way or the
-        // other; flushing first keeps the log a superset until the rename.
-        self.flush_locked(&mut inner);
-        if self.is_dead() {
-            return false;
-        }
-        if self.observe(KillPoint::MidSnapshot) {
-            // Crashed before the atomic install: old snapshot + full log
-            // survive untouched.
-            return false;
-        }
-        self.snap.reset(&encode_snapshot(upto_seq, state));
-        let (keep, drop): (Vec<_>, Vec<_>) =
-            std::mem::take(&mut inner.in_log).into_iter().partition(|(seq, _)| *seq > upto_seq);
-        let mut bytes = Vec::new();
-        for (seq, payload) in &keep {
-            encode_frame(*seq, payload, &mut bytes);
-        }
-        self.log.reset(&bytes);
-        inner.in_log = keep;
-        inner.snapshot_seq = upto_seq;
-        self.snapshots.fetch_add(1, Ordering::SeqCst);
-        self.truncated_records.fetch_add(drop.len() as u64, Ordering::SeqCst);
-        // The crash lands after a fully consistent snapshot+truncate; the
-        // disk merely stops accepting new writes.
-        self.observe(KillPoint::PostTruncate);
+        // other; flushing first keeps the log a superset until the
+        // snapshot is in place.
+        self.flush();
+        let envelope = encode_snapshot(upto_seq, state);
+        let dropped = {
+            let mut dev = self.dev.lock();
+            if self.is_dead() || self.observe(KillPoint::MidSnapshot) {
+                // Crashed before the atomic install: old snapshot + full
+                // log survive untouched.
+                return false;
+            }
+            self.snap.reset(&envelope);
+            let dropped = dev.in_log.drop_through(upto_seq) as u64;
+            self.log.reset(&dev.in_log.bytes);
+            dev.stats.snapshots += 1;
+            dev.stats.truncated_records += dropped;
+            // The crash lands after a fully consistent snapshot+truncate;
+            // the disk merely stops accepting new writes.
+            self.observe(KillPoint::PostTruncate);
+            dropped
+        };
+        self.asm.lock().unsnapshotted -= dropped;
         true
     }
 
@@ -474,16 +538,101 @@ mod tests {
         assert!(matches!(recover(&log, &snap), Err(WalError::CorruptFrame { .. })));
     }
 
-    #[test]
-    fn wants_snapshot_tracks_volume() {
-        let w = wal(2, 5);
-        assert!(!w.wants_snapshot());
-        for seq in 1..=5u64 {
-            w.append(seq, b"x");
+    /// FNV digests of the `(log, snapshot)` images plus the counters.
+    fn image(w: &Wal) -> (u64, u64, WalStats) {
+        let (log, snap) = w.disk_image();
+        (crate::frame::fnv1a64(&log), crate::frame::fnv1a64(&snap), w.stats())
+    }
+
+    fn stats(c: [u64; 6]) -> WalStats {
+        WalStats {
+            appended: c[0],
+            flushes: c[1],
+            flushed_records: c[2],
+            snapshots: c[3],
+            truncated_records: c[4],
+            lost_dead: c[5],
         }
-        assert!(w.wants_snapshot());
+    }
+
+    /// The device bytes are a function of the sequential call sequence.
+    /// These digests were recorded on the pre-PR-16 `Wal` (records kept as
+    /// `Vec<(u64, Vec<u8>)>`, everything under one lock); any rewrite of
+    /// the write path must reproduce them bit for bit.
+    #[test]
+    fn sequential_images_are_pinned() {
+        // Out-of-order appends, a partial flush, an install that flushes
+        // two buffered records and keeps four frames, then more appends.
+        let w = wal(4, 1000);
+        for seq in [2u64, 1, 3, 5, 4, 6] {
+            w.append(seq, &seq.to_le_bytes());
+        }
         w.flush();
+        w.append(8, b"eight");
+        w.append(7, b"");
+        assert_eq!(image(&w), (PIN[0].0, PIN[0].1, stats([8, 2, 6, 0, 0, 0])));
+        assert!(w.install_snapshot(4, b"state-at-4"));
+        assert_eq!(image(&w), (PIN[1].0, PIN[1].1, stats([8, 3, 8, 1, 4, 0])));
+        w.append(9, b"nine");
+        w.flush();
+        assert_eq!(image(&w), (PIN[2].0, PIN[2].1, stats([9, 4, 9, 1, 4, 0])));
+
+        // Mid-batch: the first full batch tears; later appends are lost.
+        let kill = Arc::new(KillSwitch::new());
+        kill.request(KillPoint::MidBatch);
+        let w = wal(4, 1000).with_kill(Arc::clone(&kill));
+        for seq in 1..=6u64 {
+            w.append(seq, b"payload");
+        }
+        w.flush();
+        assert_eq!(image(&w), (PIN[3].0, PIN[3].1, stats([4, 0, 0, 0, 0, 6])));
+
+        // Mid-snapshot: the second install never lands, the log is whole.
+        let kill = Arc::new(KillSwitch::new());
+        let w = wal(4, 1000).with_kill(Arc::clone(&kill));
+        for seq in 1..=4u64 {
+            w.append(seq, &[seq as u8]);
+        }
+        assert!(w.install_snapshot(4, b"first"));
+        w.append(5, b"five");
+        w.append(6, b"six");
+        kill.request(KillPoint::MidSnapshot);
+        assert!(!w.install_snapshot(6, b"second"));
+        w.append(7, b"lost");
+        assert_eq!(image(&w), (PIN[4].0, PIN[4].1, stats([6, 2, 6, 1, 4, 1])));
+
+        // Post-truncate: the install completes, then the disk is frozen.
+        let kill = Arc::new(KillSwitch::new());
+        kill.request(KillPoint::PostTruncate);
+        let w = wal(4, 1000).with_kill(Arc::clone(&kill));
+        for seq in 1..=5u64 {
+            w.append(seq, &[seq as u8]);
+        }
+        assert!(w.install_snapshot(3, b"state"));
+        w.append(6, b"lost");
+        w.flush();
+        assert_eq!(image(&w), (PIN[5].0, PIN[5].1, stats([5, 2, 5, 1, 3, 1])));
+    }
+
+    /// `(log digest, snapshot digest)` after each step of
+    /// [`sequential_images_are_pinned`].
+    const PIN: [(u64, u64); 6] = [
+        (0xa036_a7ca_e46c_f712, 0xcbf2_9ce4_8422_2325),
+        (0xbc35_4104_48ae_8bbe, 0xea2c_36b7_97e4_f989),
+        (0x9345_5ba0_401d_459b, 0xea2c_36b7_97e4_f989),
+        (0x022a_a594_4d83_53de, 0xcbf2_9ce4_8422_2325),
+        (0x7735_bca0_9447_da5e, 0xd46a_a045_a0e3_c715),
+        (0x32d9_d256_f539_e6d4, 0x78a0_8e16_4cbf_02cc),
+    ];
+
+    #[test]
+    fn append_advises_a_snapshot_by_volume() {
+        let w = wal(2, 5);
+        for seq in 1..=4u64 {
+            assert!(!w.append(seq, b"x"));
+        }
+        assert!(w.append(5, b"x"), "five records since the last truncation");
         assert!(w.install_snapshot(5, b"s"));
-        assert!(!w.wants_snapshot(), "truncation resets the counter");
+        assert!(!w.append(6, b"x"), "truncation resets the count");
     }
 }

@@ -12,10 +12,10 @@ echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> tier-1: release build"
-cargo build --release --offline --workspace
+cargo build --release --offline
 
 echo "==> tier-1: tests"
-cargo test -q --workspace --offline
+cargo test -q --offline
 
 echo "==> docs: no broken intra-doc links (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
@@ -112,6 +112,10 @@ grep -qE "runs [1-9][0-9]* hit / 0 miss" "$adapt_dir/warm.err" \
 grep -q "gate negative control" "$adapt_dir/cold.txt" \
     || { echo "serve-adaptive smoke: missing the gate's negative-control row"; exit 1; }
 rm -rf "$adapt_dir"
+
+echo "==> durable native smoke: 4 threads x 20k ledger requests on the file WAL, optimized; nothing left in the temp directory"
+cargo test -q --release --offline --test real_gate durable_native_smoke \
+    || { echo "durable smoke: the native durable run failed or left WAL files behind"; exit 1; }
 
 echo "==> block determinism smoke: same block order must hash identically at 1/2/4/8 threads"
 ./target/release/experiments block-smoke --threads 1,2,4,8 --requests 200 --seed 11 \
