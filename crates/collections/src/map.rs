@@ -57,10 +57,14 @@ where
         self.buckets.len()
     }
 
-    fn bucket_of(&self, key: &K) -> &TVar<Vec<(K, V)>> {
+    fn bucket_index(&self, key: &K) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.buckets[(h.finish() as usize) % self.buckets.len()]
+        (h.finish() as usize) % self.buckets.len()
+    }
+
+    fn bucket_of(&self, key: &K) -> &TVar<Vec<(K, V)>> {
+        &self.buckets[self.bucket_index(key)]
     }
 
     /// Transactionally inserts, returning the previous value if any.
@@ -70,25 +74,22 @@ where
     /// Propagates STM conflicts.
     pub fn insert(&self, tx: &mut Txn<'_>, key: K, value: V) -> Result<Option<V>, Abort> {
         let var = self.bucket_of(&key);
-        let mut entries = tx.read(var)?;
-        let old = match entries.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => Some(std::mem::replace(&mut slot.1, value)),
-            None => {
-                entries.push((key, value));
-                None
-            }
-        };
+        let mut entries = copy_with_room(&tx.read_arc(var)?);
+        let old = put(&mut entries, key, value);
         tx.write(var, entries)?;
         Ok(old)
     }
 
     /// Transactionally looks a key up.
     ///
+    /// Reads the bucket's shared snapshot in place: only the value found
+    /// is cloned, never the bucket.
+    ///
     /// # Errors
     ///
     /// Propagates STM conflicts.
     pub fn get(&self, tx: &mut Txn<'_>, key: &K) -> Result<Option<V>, Abort> {
-        let entries = tx.read(self.bucket_of(key))?;
+        let entries = tx.read_arc(self.bucket_of(key))?;
         Ok(entries.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()))
     }
 
@@ -98,7 +99,8 @@ where
     ///
     /// Propagates STM conflicts.
     pub fn contains_key(&self, tx: &mut Txn<'_>, key: &K) -> Result<bool, Abort> {
-        Ok(self.get(tx, key)?.is_some())
+        let entries = tx.read_arc(self.bucket_of(key))?;
+        Ok(entries.iter().any(|(k, _)| k == key))
     }
 
     /// Transactionally removes a key, returning its value if present.
@@ -108,9 +110,10 @@ where
     /// Propagates STM conflicts.
     pub fn remove(&self, tx: &mut Txn<'_>, key: &K) -> Result<Option<V>, Abort> {
         let var = self.bucket_of(key);
-        let mut entries = tx.read(var)?;
-        match entries.iter().position(|(k, _)| k == key) {
+        let shared = tx.read_arc(var)?;
+        match shared.iter().position(|(k, _)| k == key) {
             Some(i) => {
+                let mut entries = (*shared).clone();
                 let (_, v) = entries.swap_remove(i);
                 tx.write(var, entries)?;
                 Ok(Some(v))
@@ -133,7 +136,7 @@ where
         f: impl FnOnce(&mut V),
     ) -> Result<(), Abort> {
         let var = self.bucket_of(&key);
-        let mut entries = tx.read(var)?;
+        let mut entries = copy_with_room(&tx.read_arc(var)?);
         match entries.iter_mut().find(|(k, _)| *k == key) {
             Some((_, v)) => f(v),
             None => {
@@ -150,16 +153,29 @@ where
     /// Returns the previous value if the key was present.
     pub fn insert_unlogged(&self, key: K, value: V) -> Option<V> {
         let var = self.bucket_of(&key);
-        let mut entries = (*var.load_unlogged()).clone();
-        let old = match entries.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => Some(std::mem::replace(&mut slot.1, value)),
-            None => {
-                entries.push((key, value));
-                None
-            }
-        };
+        let mut entries = copy_with_room(&var.load_unlogged());
+        let old = put(&mut entries, key, value);
         var.store_unlogged(entries);
         old
+    }
+
+    /// Non-transactional bulk insert for pre-run population (setup only,
+    /// like [`THashMap::insert_unlogged`], and with the same outcome as
+    /// calling it once per entry in order) that rebuilds and stores every
+    /// touched bucket once instead of once per entry.
+    pub fn extend_unlogged(&self, entries: impl IntoIterator<Item = (K, V)>) {
+        let mut staged: Vec<Option<Vec<(K, V)>>> = self.buckets.iter().map(|_| None).collect();
+        for (key, value) in entries {
+            let b = self.bucket_index(&key);
+            let bucket =
+                staged[b].get_or_insert_with(|| (*self.buckets[b].load_unlogged()).clone());
+            put(bucket, key, value);
+        }
+        for (var, bucket) in self.buckets.iter().zip(staged) {
+            if let Some(bucket) = bucket {
+                var.store_unlogged(bucket);
+            }
+        }
     }
 
     /// Non-transactional snapshot of all entries (teardown only).
@@ -170,6 +186,26 @@ where
     /// Non-transactional entry count (teardown only).
     pub fn len_unlogged(&self) -> usize {
         self.buckets.iter().map(|b| b.load_unlogged().len()).sum()
+    }
+}
+
+/// A private copy of a bucket's shared snapshot with room for one more
+/// entry: the one allocation an update of the bucket makes.
+fn copy_with_room<K: Clone, V: Clone>(shared: &[(K, V)]) -> Vec<(K, V)> {
+    let mut entries = Vec::with_capacity(shared.len() + 1);
+    entries.extend_from_slice(shared);
+    entries
+}
+
+/// Sets `key` to `value` in one bucket's entry list — in place if present,
+/// appended otherwise — returning the previous value.
+fn put<K: Eq, V>(entries: &mut Vec<(K, V)>, key: K, value: V) -> Option<V> {
+    match entries.iter_mut().find(|(k, _)| *k == key) {
+        Some(slot) => Some(std::mem::replace(&mut slot.1, value)),
+        None => {
+            entries.push((key, value));
+            None
+        }
     }
 }
 
@@ -288,6 +324,60 @@ mod tests {
         assert_eq!(map.insert_unlogged(5, 55), Some(50));
         let got = with_tx(|tx| map.get(tx, &5));
         assert_eq!(got, Some(55));
+    }
+
+    #[test]
+    fn extend_unlogged_matches_one_insert_per_entry() {
+        // Repeated keys, and buckets that already hold entries.
+        let entries: Vec<(u32, u32)> = (0..64).map(|i| (i * 7 % 40, i)).collect();
+        let (bulk, single): (THashMap<u32, u32>, THashMap<u32, u32>) =
+            (THashMap::new(4), THashMap::new(4));
+        for map in [&bulk, &single] {
+            map.insert_unlogged(3, 1000);
+            map.insert_unlogged(99, 1001);
+        }
+        bulk.extend_unlogged(entries.iter().copied());
+        for &(k, v) in &entries {
+            single.insert_unlogged(k, v);
+        }
+        // Bucket by bucket, in bucket order: entry order is part of the
+        // store digests built from this.
+        assert_eq!(bulk.snapshot_unlogged(), single.snapshot_unlogged());
+        assert_eq!(bulk.len_unlogged(), 41);
+        assert_eq!(with_tx(|tx| bulk.get(tx, &3)), Some(29), "the last write to a key wins");
+    }
+
+    /// A value that counts how often it is cloned.
+    #[derive(Debug)]
+    struct Counted(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Counted(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn lookups_never_copy_the_bucket() {
+        let clones = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let map: THashMap<u32, Counted> = THashMap::new(1);
+        for k in 0..8 {
+            map.insert_unlogged(k, Counted(clones.clone()));
+        }
+        let count = |f: &mut dyn FnMut()| {
+            let before = clones.load(std::sync::atomic::Ordering::Relaxed);
+            f();
+            clones.load(std::sync::atomic::Ordering::Relaxed) - before
+        };
+        assert_eq!(count(&mut || assert!(with_tx(|tx| map.get(tx, &5)).is_some())), 1);
+        assert_eq!(count(&mut || assert!(with_tx(|tx| map.get(tx, &50)).is_none())), 0);
+        assert_eq!(count(&mut || assert!(with_tx(|tx| map.contains_key(tx, &5)))), 0);
+        assert_eq!(count(&mut || assert!(with_tx(|tx| map.remove(tx, &50)).is_none())), 0);
+        // An update copies the bucket exactly once.
+        let fresh = Counted(clones.clone());
+        assert_eq!(count(&mut || drop(with_tx(|tx| map.insert(tx, 5, fresh.clone())))), 8 + 1);
+        assert_eq!(count(&mut || drop(with_tx(|tx| map.remove(tx, &5)))), 8);
     }
 
     #[test]

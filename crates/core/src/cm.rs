@@ -22,8 +22,17 @@ pub trait ContentionManager: Send + Sync {
     /// Name for reports.
     fn name(&self) -> &'static str;
 
-    /// An invocation (re)starts; `now` is gate time.
+    /// An invocation (re)starts; `now` is gate time — or 0 for a manager
+    /// whose [`reads_time`](ContentionManager::reads_time) says it is not
+    /// read.
     fn on_begin(&self, _thread: ThreadId, _now: u64) {}
+
+    /// Whether [`on_begin`](ContentionManager::on_begin) reads its `now`.
+    /// The engine asks once, at construction, and samples the gate clock at
+    /// begin only for a manager that says yes.
+    fn reads_time(&self) -> bool {
+        true
+    }
 
     /// A transactional read or write executed (priority accumulation).
     fn on_access(&self, _thread: ThreadId) {}
@@ -43,6 +52,10 @@ pub struct Aggressive;
 impl ContentionManager for Aggressive {
     fn name(&self) -> &'static str {
         "aggressive"
+    }
+
+    fn reads_time(&self) -> bool {
+        false
     }
 
     fn on_abort(&self, _thread: ThreadId, _abort: &Abort, _attempt: u32) -> Ticks {

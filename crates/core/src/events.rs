@@ -215,6 +215,15 @@ pub trait EventSink: Send + Sync {
     /// Records one event. Order of delivery equals arrival order at the
     /// sink's internal synchronization point.
     fn record(&self, event: &TxEvent);
+
+    /// Whether this sink reads the `at` timestamps of the events it is
+    /// handed. The engine asks once, at construction, and hands a sink that
+    /// says no `at: 0` instead of sampling the gate clock per event — on a
+    /// native gate each sample is a clock read. Say no only if `record`
+    /// never looks at `at`.
+    fn reads_time(&self) -> bool {
+        true
+    }
 }
 
 /// Discards all events.
@@ -223,6 +232,10 @@ pub struct NullSink;
 
 impl EventSink for NullSink {
     fn record(&self, _event: &TxEvent) {}
+
+    fn reads_time(&self) -> bool {
+        false
+    }
 }
 
 /// Buffers the full transaction sequence in memory (profiling mode).
@@ -393,6 +406,10 @@ impl EventSink for MulticastSink {
         for s in &self.sinks {
             s.record(event);
         }
+    }
+
+    fn reads_time(&self) -> bool {
+        self.sinks.iter().any(|s| s.reads_time())
     }
 }
 

@@ -45,6 +45,12 @@ impl FxMap {
         self.len == 0
     }
 
+    /// Allocated slots — what [`clear`](Self::clear) refills when the map
+    /// is not empty.
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Removes every entry, keeping the allocation for reuse.
     pub fn clear(&mut self) {
         if self.len > 0 {
@@ -158,10 +164,10 @@ mod tests {
         for k in 0..100 {
             m.insert(k, 1);
         }
-        let cap = m.slots.len();
+        let cap = m.capacity();
         m.clear();
         assert!(m.is_empty());
-        assert_eq!(m.slots.len(), cap);
+        assert_eq!(m.capacity(), cap);
         assert_eq!(m.get(5), None);
         m.insert(5, 9);
         assert_eq!(m.get(5), Some(9));

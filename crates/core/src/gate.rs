@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::ids::ThreadId;
+use crate::pad::CachePadded;
 
 /// Abstract cost unit charged through a [`Gate`].
 pub type Ticks = u64;
@@ -126,8 +127,18 @@ pub trait Gate: Send + Sync {
 pub struct RealGate {
     epoch: Instant,
     yield_every: u32,
-    counters: Vec<AtomicU64>,
-    charged: Vec<AtomicU64>,
+    /// One line per thread: every pass adds to its thread's slot, so slots
+    /// sharing a line would bounce it between cores on every step.
+    slots: Vec<CachePadded<GateSlot>>,
+}
+
+/// What a [`RealGate`] tracks per thread.
+#[derive(Debug, Default)]
+struct GateSlot {
+    /// Ticks charged so far.
+    charged: AtomicU64,
+    /// Passes so far (the yield cadence; counted only when yielding).
+    passes: AtomicU64,
 }
 
 /// Maximum thread count a [`RealGate`] tracks per-thread state for.
@@ -139,9 +150,12 @@ impl RealGate {
         RealGate {
             epoch: Instant::now(),
             yield_every,
-            counters: (0..MAX_TRACKED_THREADS).map(|_| AtomicU64::new(0)).collect(),
-            charged: (0..MAX_TRACKED_THREADS).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..MAX_TRACKED_THREADS).map(|_| CachePadded::default()).collect(),
         }
+    }
+
+    fn slot(&self, thread: ThreadId) -> &GateSlot {
+        &self.slots[thread.index() % MAX_TRACKED_THREADS]
     }
 }
 
@@ -153,10 +167,10 @@ impl Default for RealGate {
 
 impl Gate for RealGate {
     fn pass(&self, thread: ThreadId, cost: Ticks) {
-        let i = thread.index() % MAX_TRACKED_THREADS;
-        self.charged[i].fetch_add(cost, Ordering::Relaxed);
+        let slot = self.slot(thread);
+        slot.charged.fetch_add(cost, Ordering::Relaxed);
         if self.yield_every > 0 {
-            let n = self.counters[i].fetch_add(1, Ordering::Relaxed);
+            let n = slot.passes.fetch_add(1, Ordering::Relaxed);
             if n.is_multiple_of(self.yield_every as u64) {
                 std::thread::yield_now();
             }
@@ -170,8 +184,7 @@ impl Gate for RealGate {
                 self.pass(thread, cost);
             }
         } else {
-            let i = thread.index() % MAX_TRACKED_THREADS;
-            self.charged[i].fetch_add(cost * count, Ordering::Relaxed);
+            self.slot(thread).charged.fetch_add(cost * count, Ordering::Relaxed);
         }
     }
 
@@ -180,7 +193,7 @@ impl Gate for RealGate {
     }
 
     fn thread_time(&self, thread: ThreadId) -> u64 {
-        self.charged[thread.index() % MAX_TRACKED_THREADS].load(Ordering::Relaxed)
+        self.slot(thread).charged.load(Ordering::Relaxed)
     }
 }
 
@@ -215,6 +228,14 @@ mod tests {
         g.pass(t, 4);
         assert_eq!(g.thread_time(t), 7);
         assert_eq!(g.thread_time(ThreadId::new(2)), 0);
+    }
+
+    #[test]
+    fn layout_threads_charge_to_separate_lines() {
+        let g = RealGate::new(0);
+        let (a, b) = (g.slot(ThreadId::new(0)), g.slot(ThreadId::new(1)));
+        assert!(crate::pad::bytes_apart(&a.charged, &b.charged) >= 64);
+        assert!(crate::pad::bytes_apart(&a.passes, &b.passes) >= 64);
     }
 
     #[test]

@@ -60,6 +60,13 @@ impl<T> DerefMut for CachePadded<T> {
     }
 }
 
+/// Bytes between two values' addresses — what the layout tests of the
+/// per-thread slots (engine, gate, sink) compare against the line size.
+#[cfg(test)]
+pub(crate) fn bytes_apart<T>(a: &T, b: &T) -> usize {
+    (a as *const T as usize).abs_diff(b as *const T as usize)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,7 +79,10 @@ mod tests {
         let b = &pair[1] as *const _ as usize;
         assert_eq!(a % 64, 0, "first word is not line-aligned");
         assert_eq!(b % 64, 0, "second word is not line-aligned");
-        assert!(b - a >= 64, "words {a:#x} and {b:#x} share a cache line");
+        assert!(
+            bytes_apart(&pair[0], &pair[1]) >= 64,
+            "words {a:#x} and {b:#x} share a cache line"
+        );
     }
 
     #[test]

@@ -103,6 +103,11 @@ impl ReadSet {
         self.len == 0
     }
 
+    /// The larger of the spill vector's and the index's allocated slots.
+    pub fn capacity(&self) -> usize {
+        self.spill.capacity().max(self.index.capacity())
+    }
+
     /// Empties the set, keeping allocations for reuse across attempts.
     pub fn clear(&mut self) {
         self.filter.clear();

@@ -7,6 +7,7 @@
 //! the locks publishing `wv`. Reads are validated inline (pre/post lock-word
 //! sample), so doomed zombies cannot observe inconsistent snapshots.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,7 +43,7 @@ const CHAOS_DOOM: u64 = DOOM_FLAG | (0xFFFF << 8) | 0xFF;
 /// aborts at seeded random points without reaching into engine internals.
 #[derive(Clone, Debug)]
 pub struct DoomHandle {
-    slots: Arc<Vec<AtomicU64>>,
+    slots: Arc<Vec<CachePadded<AtomicU64>>>,
 }
 
 impl DoomHandle {
@@ -78,6 +79,11 @@ pub struct CommitInfo {
 
 /// Lock-table size of every [`Stm`]: `1 << 14` stripes.
 const LOG2_STRIPES: u32 = 14;
+
+/// One zeroed word per thread, each on a cache line of its own.
+fn padded_slots(threads: usize) -> Vec<CachePadded<AtomicU64>> {
+    (0..threads).map(|_| CachePadded::default()).collect()
+}
 
 /// A software transactional memory instance.
 ///
@@ -119,9 +125,18 @@ pub struct Stm {
     /// (0 = none yet). A thread reading its own slot right after its own
     /// `run` returns sees exactly that invocation's commit — the seam a
     /// durability layer uses to tag its log records with the global
-    /// serialization order.
-    last_seq: Vec<AtomicU64>,
-    doomed: Arc<Vec<AtomicU64>>,
+    /// serialization order. Padded: a thread stores its slot on every
+    /// commit, and unpadded the slots of eight threads share one line.
+    last_seq: Vec<CachePadded<AtomicU64>>,
+    /// Per-thread doom words. Padded for the same reason: the owner stores
+    /// its slot at every begin and loads it on every read and write, so a
+    /// neighbour on the same line would make each of those a coherence miss.
+    doomed: Arc<Vec<CachePadded<AtomicU64>>>,
+    /// Whether the sink / the contention manager read the gate timestamps
+    /// they are handed (asked once, at construction). When neither does,
+    /// the clock is not sampled.
+    sink_reads_time: bool,
+    cm_reads_time: bool,
     /// Test-only fault hook (`check` builds): when set, commit performs its
     /// write-back *before* acquiring the write-set locks — a deliberate
     /// lock-discipline violation the opacity oracle must catch. Never set
@@ -171,6 +186,8 @@ impl Stm {
         Stm {
             locks: LockTable::new(LOG2_STRIPES, config.resolution.needs_visible_readers()),
             clock: VersionClock::new(),
+            sink_reads_time: sink.reads_time(),
+            cm_reads_time: cm.reads_time(),
             gate,
             sink,
             policy,
@@ -178,8 +195,8 @@ impl Stm {
             commit_seq: CachePadded::new(AtomicU64::new(0)),
             mvcc: (config.read_mode == ReadMode::Snapshot)
                 .then(|| SnapshotRegistry::new(config.max_threads as u32)),
-            last_seq: (0..config.max_threads).map(|_| AtomicU64::new(0)).collect(),
-            doomed: Arc::new((0..config.max_threads).map(|_| AtomicU64::new(0)).collect()),
+            last_seq: padded_slots(config.max_threads),
+            doomed: Arc::new(padded_slots(config.max_threads)),
             #[cfg(feature = "check")]
             broken_early_write_back: std::sync::atomic::AtomicBool::new(false),
             config,
@@ -351,10 +368,7 @@ impl Stm {
         tx: TxId,
         mut body: impl FnMut(&mut Txn<'_>) -> Result<R, Abort>,
     ) -> Result<R, StmError> {
-        self.run_attempts(thread, tx, &mut body, 1, TxnKind::Update).map_err(|e| match e {
-            StmError::RetryBudgetExhausted { .. } => e,
-            aborted => aborted,
-        })
+        self.run_attempts(thread, tx, &mut body, 1, TxnKind::Update)
     }
 
     fn run_attempts<R>(
@@ -374,9 +388,11 @@ impl Stm {
         let costs = self.config.costs;
         let mut attempt: u32 = 0;
         let mut last_abort: Option<Abort> = None;
-        // One scratch per invocation: every retry (guided holds included)
-        // reuses the same read/write/lock buffers instead of allocating.
-        let mut scratch = TxnScratch::default();
+        // The thread's own buffers, on loan until this invocation returns or
+        // unwinds: neither a retry nor the thread's next transaction
+        // allocates for its read/write/lock sets.
+        let mut lease = ScratchLease::take();
+        let scratch = lease.scratch();
         while attempt < max_attempts {
             // Admission: guided execution's hold loop lives in the policy.
             let polls = self.policy.admit(who, &mut || {
@@ -384,11 +400,11 @@ impl Stm {
                 std::thread::yield_now();
             });
             if polls > 0 {
-                self.sink.record(&TxEvent::Held { who, polls, at: self.gate.now() });
+                self.sink.record(&TxEvent::Held { who, polls, at: self.event_time() });
             }
 
             self.doomed[thread.index()].store(0, Ordering::SeqCst);
-            self.cm.on_begin(thread, self.gate.now());
+            self.cm.on_begin(thread, if self.cm_reads_time { self.gate.now() } else { 0 });
             self.gate.pass(thread, costs.begin);
             // Snapshot mode: a read-only transaction registers with the
             // reader registry and takes its clamped timestamp as rv, so
@@ -403,7 +419,7 @@ impl Stm {
             };
             let snapshot = reader_guard.as_ref().map(|g| g.ts());
             let rv = snapshot.unwrap_or_else(|| self.clock.sample());
-            self.sink.record(&TxEvent::Begin { who, attempt, at: self.gate.now() });
+            self.sink.record(&TxEvent::Begin { who, attempt, at: self.event_time() });
 
             scratch.reset();
             let mut txn = Txn {
@@ -414,7 +430,7 @@ impl Stm {
                 kind,
                 snapshot,
                 snapshot_reads: 0,
-                scratch: &mut scratch,
+                scratch: &mut *scratch,
             };
             let outcome = match body(&mut txn) {
                 Ok(result) => txn.commit().map(|info| (result, info)),
@@ -434,7 +450,7 @@ impl Stm {
                         aborts: attempt,
                         reads: info.reads,
                         writes: info.writes,
-                        at: self.gate.now(),
+                        at: self.event_time(),
                     });
                     return Ok(result);
                 }
@@ -443,7 +459,7 @@ impl Stm {
                         who,
                         attempt,
                         abort: abort.clone(),
-                        at: self.gate.now(),
+                        at: self.event_time(),
                     });
                     let backoff = self.cm.on_abort(thread, &abort, attempt);
                     self.gate.pass(thread, costs.abort + backoff);
@@ -458,6 +474,17 @@ impl Stm {
         match (max_attempts, last_abort) {
             (1, Some(a)) => Err(StmError::Aborted(a)),
             _ => Err(StmError::RetryBudgetExhausted { attempts: max_attempts }),
+        }
+    }
+
+    /// The `at` of an event: gate time, sampled only for a sink that reads
+    /// it (on a [`crate::RealGate`] each sample is a clock read).
+    #[inline]
+    fn event_time(&self) -> u64 {
+        if self.sink_reads_time {
+            self.gate.now()
+        } else {
+            0
         }
     }
 
@@ -503,11 +530,13 @@ struct WriteEntry {
     value: ErasedValue,
 }
 
-/// Per-invocation transaction buffers, allocated once in
-/// [`Stm::run_attempts`] and reused across every retry of the same
-/// invocation (including guided retries, where a held transaction may
-/// re-attempt many times). `reset` empties the sets but keeps their
-/// allocations, so an abort-retry cycle costs no allocator traffic.
+/// Transaction buffers, one set per OS thread: [`Stm::run_attempts`] leases
+/// them ([`ScratchLease`]) for one invocation and reuses them across every
+/// retry (including guided retries, where a held transaction may re-attempt
+/// many times). `reset` empties the sets but keeps their allocations, so
+/// neither an abort-retry cycle nor the thread's next transaction costs
+/// allocator traffic — up to [`PARK_LIMIT`]: buffers a large transaction
+/// grew past it are dropped, not parked.
 ///
 /// Invariants the commit path relies on:
 ///
@@ -556,6 +585,62 @@ impl TxnScratch {
         self.acquired.clear();
         self.held.clear();
     }
+
+    /// The largest allocation among the read set, the redo log and its
+    /// index, in slots. The other buffers hold at most one entry per read
+    /// or written stripe, so they grow no faster than these three.
+    fn capacity(&self) -> usize {
+        self.reads.capacity().max(self.writes.capacity()).max(self.write_index.capacity())
+    }
+}
+
+/// Most slots a buffer may have and still be parked for the thread's next
+/// transaction. Emptying a non-empty [`FxMap`] refills every slot, so a
+/// parked table the size of the largest transaction the thread ever ran
+/// would charge each later small transaction for it (and hold that memory
+/// for the thread's lifetime). 128 slots is 2 KiB to refill, and covers
+/// about 96 writes or reads; a larger transaction allocates its sets
+/// afresh, as every transaction did before the lease.
+const PARK_LIMIT: usize = 128;
+
+thread_local! {
+    /// This thread's transaction buffers while no invocation holds them.
+    static PARKED_SCRATCH: Cell<Option<Box<TxnScratch>>> = const { Cell::new(None) };
+}
+
+/// The calling thread's [`TxnScratch`], taken out of its thread-local slot
+/// for one invocation and put back, emptied (and, past [`PARK_LIMIT`],
+/// without its allocations), on drop — so also when the body panics. An
+/// invocation nested inside a body (a second [`Stm`]) finds
+/// the slot empty and starts from fresh buffers; whichever lease drops last
+/// stays parked.
+struct ScratchLease(Option<Box<TxnScratch>>);
+
+impl ScratchLease {
+    fn take() -> Self {
+        // `try_with`: a transaction run from another thread-local's
+        // destructor may find this one already gone.
+        let parked = PARKED_SCRATCH.try_with(Cell::take).ok().flatten();
+        ScratchLease(Some(parked.unwrap_or_default()))
+    }
+
+    fn scratch(&mut self) -> &mut TxnScratch {
+        self.0.as_mut().expect("present until drop")
+    }
+}
+
+impl Drop for ScratchLease {
+    fn drop(&mut self) {
+        if let Some(mut scratch) = self.0.take() {
+            // A parked redo log must not keep cells and values alive.
+            if scratch.capacity() > PARK_LIMIT {
+                *scratch = TxnScratch::default();
+            } else {
+                scratch.reset();
+            }
+            let _ = PARKED_SCRATCH.try_with(|slot| slot.set(Some(scratch)));
+        }
+    }
 }
 
 /// One transaction attempt: the context handed to the transaction body.
@@ -576,7 +661,7 @@ pub struct Txn<'stm> {
     snapshot: Option<u64>,
     /// Reads served by the snapshot path (which bypasses the read set).
     snapshot_reads: u32,
-    /// Read/write/lock sets, owned by the invocation and reused across
+    /// Read/write/lock sets, leased by the invocation and reused across
     /// attempts.
     scratch: &'stm mut TxnScratch,
 }
@@ -679,7 +764,7 @@ impl<'stm> Txn<'stm> {
                     var: var.id(),
                     wv,
                     ts,
-                    at: stm.gate.now(),
+                    at: stm.event_time(),
                 });
             }
             return Ok(downcast(value));
@@ -746,7 +831,7 @@ impl<'stm> Txn<'stm> {
                 version: pre_version,
                 stamp,
                 rv: self.rv,
-                at: stm.gate.now(),
+                at: stm.event_time(),
             });
         }
         Ok(downcast(value))
@@ -841,8 +926,8 @@ impl<'stm> Txn<'stm> {
     /// Commit protocol (TL2 §II-A). Consumes the attempt.
     ///
     /// Hot-path invariants (see DESIGN.md "Hot-path performance"):
-    /// every buffer used here lives in the invocation's [`TxnScratch`] and
-    /// is rebuilt — never carried over — per attempt; the write-back loop
+    /// every buffer used here lives in the leased [`TxnScratch`] and is
+    /// rebuilt — never carried over — per attempt; the write-back loop
     /// is the only Gate crossing that may be batched, because it runs
     /// entirely under the write-set locks and is therefore invisible to
     /// every other thread until `unlock_publish`.
@@ -871,7 +956,7 @@ impl<'stm> Txn<'stm> {
                     reg.note_spared_validations(self.snapshot_reads as u64);
                 }
             }
-            self.release(None);
+            self.release();
             let seq = CommitSeq::new(stm.commit_seq.fetch_add(1, Ordering::SeqCst) + 1);
             self.record_commit_check(seq, self.rv, 0);
             return Ok(CommitInfo { seq, wv: self.rv, reads: n_reads, writes: 0 });
@@ -921,7 +1006,7 @@ impl<'stm> Txn<'stm> {
                     let reason =
                         AbortReason::WriteLockBusy { var: var.unwrap_or(VarId::from_raw(0)) };
                     let abort = self.abort_at(reason, s);
-                    self.release(None);
+                    self.release();
                     return Err(abort);
                 }
             }
@@ -974,7 +1059,7 @@ impl<'stm> Txn<'stm> {
                         self.unlock_restore(h, old);
                     }
                     drop(lb_guard);
-                    self.release(None);
+                    self.release();
                     return Err(abort);
                 }
             }
@@ -1007,7 +1092,7 @@ impl<'stm> Txn<'stm> {
                             self.unlock_restore(h, old);
                         }
                         drop(lb_guard);
-                        self.release(None);
+                        self.release();
                         return Err(Abort::new(AbortReason::ReaderWaitTimeout));
                     }
                     polls += 1;
@@ -1031,7 +1116,7 @@ impl<'stm> Txn<'stm> {
         }
         // The versions are in the rings: readers no longer need the bound.
         drop(lb_guard);
-        self.release(None);
+        self.release();
         self.record_commit_check(seq, wv, n_writes);
         Ok(CommitInfo { seq, wv, reads: n_reads, writes: n_writes })
     }
@@ -1079,7 +1164,7 @@ impl<'stm> Txn<'stm> {
                     stripe: w.stripe.0,
                     stamp,
                     held,
-                    at: stm.gate.now(),
+                    at: stm.event_time(),
                 });
             }
             return;
@@ -1115,7 +1200,7 @@ impl<'stm> Txn<'stm> {
                 stripe: stripe.0,
                 owner_ok,
                 publish,
-                at: self.stm.gate.now(),
+                at: self.stm.event_time(),
             });
         }
     }
@@ -1130,7 +1215,7 @@ impl<'stm> Txn<'stm> {
                 rv: self.rv,
                 wv,
                 writes,
-                at: self.stm.gate.now(),
+                at: self.stm.event_time(),
             });
         }
     }
@@ -1143,10 +1228,10 @@ impl<'stm> Txn<'stm> {
         }
         self.scratch.eager_locks.clear();
         self.scratch.eager_filter.clear();
-        self.release(None);
+        self.release();
     }
 
-    fn release(&mut self, _unused: Option<()>) {
+    fn release(&mut self) {
         let thread = self.who.thread;
         for s in self.scratch.registered.drain(..) {
             self.stm.locks.unregister_reader(s, thread);
@@ -1379,6 +1464,167 @@ mod tests {
         let stm = Stm::new(StmConfig::new(1));
         let v = TVar::new(0);
         stm.run(t(5), x(0), |tx| tx.read(&v));
+    }
+
+    #[test]
+    fn layout_per_thread_words_sit_on_their_own_lines() {
+        use crate::pad::bytes_apart;
+        let stm = Stm::new(StmConfig::new(2));
+        assert!(bytes_apart(&*stm.doomed[0], &*stm.doomed[1]) >= 64);
+        assert!(bytes_apart(&*stm.last_seq[0], &*stm.last_seq[1]) >= 64);
+        let h = stm.doom_handle();
+        assert_eq!(bytes_apart(&*h.slots[0], &*stm.doomed[0]), 0, "the handle shares the slots");
+    }
+
+    /// Counts `now` calls and reports a recognisable time.
+    #[derive(Debug, Default)]
+    struct ClockCountingGate {
+        samples: AtomicU64,
+    }
+
+    impl Gate for ClockCountingGate {
+        fn pass(&self, _thread: ThreadId, _cost: Ticks) {}
+
+        fn now(&self) -> u64 {
+            self.samples.fetch_add(1, Ordering::SeqCst);
+            77
+        }
+
+        fn thread_time(&self, _thread: ThreadId) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn clock_is_sampled_only_for_a_consumer_that_reads_it() {
+        use crate::cm::Greedy;
+        use crate::events::{MemorySink, MulticastSink};
+        let run = |sink: Arc<dyn EventSink>, cm: Arc<dyn ContentionManager>| {
+            let gate = Arc::new(ClockCountingGate::default());
+            let stm =
+                Stm::with_parts(StmConfig::new(1), gate.clone(), sink, Arc::new(AdmitAll), cm);
+            let v = TVar::new(0i64);
+            stm.run(t(0), x(0), |tx| tx.modify(&v, |n| n + 1));
+            gate.samples.load(Ordering::SeqCst)
+        };
+        let stats = || Arc::new(crate::SiteStatsSink::new());
+        assert_eq!(run(Arc::new(NullSink), Arc::new(Aggressive)), 0);
+        assert_eq!(run(stats(), Arc::new(Aggressive)), 0);
+        assert_eq!(run(stats(), Arc::new(Greedy::new(1, 1))), 1, "begin, for the manager");
+        let memory = Arc::new(MemorySink::new());
+        assert_eq!(run(memory.clone(), Arc::new(Aggressive)), 2, "Begin and Commit");
+        assert!(memory
+            .take()
+            .iter()
+            .all(|e| matches!(e, TxEvent::Begin { at: 77, .. } | TxEvent::Commit { at: 77, .. })));
+        // A fan-out reads time as soon as one child does.
+        let fan = MulticastSink::new().with(stats()).with(Arc::new(NullSink));
+        assert_eq!(run(Arc::new(fan), Arc::new(Aggressive)), 0);
+        let fan = MulticastSink::new().with(stats()).with(Arc::new(MemorySink::new()));
+        assert_eq!(run(Arc::new(fan), Arc::new(Aggressive)), 2);
+    }
+
+    /// The parked buffers' `(reads, writes, write_index)` entry counts and
+    /// their largest allocation; `None` while a lease holds them.
+    fn parked_scratch() -> Option<((usize, usize, usize), usize)> {
+        PARKED_SCRATCH.with(|slot| {
+            let parked = slot.take();
+            let seen = parked
+                .as_ref()
+                .map(|s| ((s.reads.len(), s.writes.len(), s.write_index.len()), s.capacity()));
+            slot.set(parked);
+            seen
+        })
+    }
+
+    fn parked_scratch_is_empty() -> bool {
+        parked_scratch().is_some_and(|(lens, _)| lens == (0, 0, 0))
+    }
+
+    /// Reads and rewrites every var in one transaction.
+    fn bump_all(stm: &Stm, vars: &[TVar<i64>]) {
+        stm.run(t(0), x(0), |tx| {
+            for (i, v) in vars.iter().enumerate() {
+                let cur = tx.read(v)?;
+                tx.write(v, cur + i as i64)?;
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn next_transaction_on_the_thread_starts_from_empty_sets() {
+        let stm = Stm::new(StmConfig::new(1));
+        // Large enough to spill the read set and build its index, small
+        // enough that the buffers are parked as they are.
+        let vars: Vec<TVar<i64>> = (0..80).map(|_| TVar::new(0)).collect();
+        bump_all(&stm, &vars);
+        assert!(parked_scratch_is_empty(), "the lease came back emptied");
+        let (_, parked) = parked_scratch().unwrap();
+        assert!((80..=PARK_LIMIT).contains(&parked), "grown buffers are reused, not dropped");
+        // A redo log surviving in the reused buffers would serve this read.
+        vars[7].store_unlogged(-1);
+        let seen = stm.run(t(0), x(1), |tx| {
+            assert!(tx.scratch.reads.is_empty() && tx.scratch.writes.is_empty());
+            assert_eq!(tx.scratch.capacity(), parked, "the same buffers");
+            tx.read(&vars[7])
+        });
+        assert_eq!(seen, -1, "stale read-own-write from the previous transaction");
+    }
+
+    #[test]
+    fn large_transaction_does_not_leave_its_buffers_parked() {
+        let stm = Stm::new(StmConfig::new(1));
+        let vars: Vec<TVar<i64>> = (0..2000).map(|_| TVar::new(0)).collect();
+        bump_all(&stm, &vars);
+        assert_eq!(parked_scratch(), Some(((0, 0, 0), 0)), "oversized buffers were dropped");
+        // The small transaction after it works on — and empties — a small
+        // table, and what it grew stays for the one after.
+        stm.run(t(0), x(1), |tx| {
+            assert_eq!(tx.scratch.capacity(), 0);
+            tx.write(&vars[0], 5)
+        });
+        let (lens, parked) = parked_scratch().unwrap();
+        assert_eq!(lens, (0, 0, 0));
+        assert!((1..=PARK_LIMIT).contains(&parked), "parked {parked} slots");
+        assert_eq!(stm.run(t(0), x(2), |tx| tx.read(&vars[0])), 5);
+    }
+
+    #[test]
+    fn panicking_body_returns_the_lease() {
+        let stm = Stm::new(StmConfig::new(1));
+        let v = TVar::new(0i64);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stm.run(t(0), x(0), |tx| {
+                tx.write(&v, 1)?;
+                panic!("body failed");
+                #[allow(unreachable_code)]
+                Ok(())
+            });
+        }));
+        assert!(panicked.is_err());
+        assert!(parked_scratch_is_empty(), "unwinding parked the buffers, redo log dropped");
+        assert_eq!(stm.run(t(0), x(0), |tx| tx.read(&v)), 0, "the panicked write is gone");
+        stm.run(t(0), x(0), |tx| tx.write(&v, 2));
+        assert_eq!(*v.load_unlogged(), 2);
+    }
+
+    #[test]
+    fn run_on_a_second_stm_nested_in_a_body_commits() {
+        let (outer, inner) = (Stm::new(StmConfig::new(1)), Stm::new(StmConfig::new(1)));
+        let (a, b) = (TVar::new(0i64), TVar::new(0i64));
+        let seen = outer.run(t(0), x(0), |tx| {
+            tx.write(&a, 1)?;
+            inner.run(t(0), x(1), |tx2| {
+                assert!(tx2.scratch.writes.is_empty(), "the nested run has buffers of its own");
+                tx2.write(&b, 2)
+            });
+            tx.read(&a)
+        });
+        assert_eq!(seen, 1, "the outer redo log survived the nested run");
+        assert_eq!((*a.load_unlogged(), *b.load_unlogged()), (1, 2));
+        assert_eq!((outer.commit_count(), inner.commit_count()), (1, 1));
+        assert!(parked_scratch_is_empty());
     }
 
     /// Distinctive tick cost assigned to `CostModel::poll` so a counting

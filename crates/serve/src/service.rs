@@ -403,6 +403,13 @@ pub struct ThreadLog {
     pub shed: AtomicU64,
 }
 
+/// Whether more than `depth` requests from cursor `i` on are already due at
+/// `now`. The schedule is sorted by arrival, so that is the case exactly when
+/// the request `depth` places past the cursor is due.
+fn backlog_exceeds(schedule: &[ScheduledRequest], i: usize, now: u64, depth: usize) -> bool {
+    i.checked_add(depth).and_then(|j| schedule.get(j)).is_some_and(|s| s.at <= now)
+}
+
 /// Replays one thread's schedule against the store: the core serve loop.
 ///
 /// Open-loop semantics: if the next request's arrival is in the future the
@@ -433,10 +440,7 @@ pub fn serve_schedule(
         if sr.at > now {
             clock.wait_until(thread, sr.at);
         } else {
-            // Backlog = requests already due. The schedule is sorted, so a
-            // partition point from the cursor counts them.
-            let due = schedule[i..].partition_point(|s| s.at <= now);
-            if due > max_queue_depth {
+            if backlog_exceeds(schedule, i, now, max_queue_depth) {
                 log.shed.fetch_add(1, Ordering::Relaxed);
                 i += 1;
                 continue;
@@ -906,6 +910,29 @@ mod tests {
         let stats: std::collections::HashMap<_, _> = out.workload_stats.iter().cloned().collect();
         assert!(stats["req_shed"] > 0.0, "overload must shed");
         assert_eq!(stats["req_done"] + stats["req_shed"], 2.0 * 120.0);
+    }
+
+    /// The O(1) backlog test sheds exactly the requests the partition-point
+    /// count it replaced shed, at every cursor of an overloaded schedule.
+    #[test]
+    fn backlog_test_matches_the_partition_point_count() {
+        let mut spec = tiny_spec();
+        spec.requests_per_thread = 400;
+        spec.arrival = Arrival::Bursty { mean_gap: 3.0, burst: 8 };
+        let schedule = generate_schedule(&spec.traffic(), 11, 0);
+        let last = schedule.last().expect("nonempty").at;
+        let mut agreed_to_shed = 0;
+        for depth in [0, 1, 4, 64, 399, 400, usize::MAX] {
+            for i in 0..schedule.len() {
+                for now in [schedule[i].at, schedule[i].at + 9, schedule[i].at + 200, last] {
+                    let due = schedule[i..].partition_point(|s| s.at <= now);
+                    let shed = backlog_exceeds(&schedule, i, now, depth);
+                    assert_eq!(shed, due > depth, "cursor {i}, now {now}, depth {depth}");
+                    agreed_to_shed += usize::from(shed);
+                }
+            }
+        }
+        assert!(agreed_to_shed > 1000, "the schedule must actually be overloaded");
     }
 
     #[test]

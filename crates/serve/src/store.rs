@@ -357,15 +357,31 @@ impl ShardedStore {
     ///
     /// Panics if any dimension is zero.
     pub fn new(shards: usize, buckets_per_shard: usize, keys: u64) -> Self {
+        Self::populated(shards, buckets_per_shard, keys, (0..keys).map(|key| (key, Entry::fresh())))
+    }
+
+    /// A store of the given shape holding `entries`, inserted in order —
+    /// each bucket built and stored once, not once per key.
+    fn populated(
+        shards: usize,
+        buckets_per_shard: usize,
+        keys: u64,
+        entries: impl Iterator<Item = (u64, Entry)>,
+    ) -> Self {
         assert!(shards > 0 && keys > 0, "store needs at least one shard and one key");
-        let store = ShardedStore {
-            shards: (0..shards).map(|_| THashMap::new(buckets_per_shard)).collect(),
-            keys,
-        };
-        for key in 0..keys {
-            store.shard_of(key).insert_unlogged(key, Entry::fresh());
+        let mut per_shard = vec![Vec::new(); shards];
+        for (key, entry) in entries {
+            per_shard[(key % shards as u64) as usize].push((key, entry));
         }
-        store
+        let shards = per_shard
+            .into_iter()
+            .map(|entries| {
+                let shard = THashMap::new(buckets_per_shard);
+                shard.extend_unlogged(entries);
+                shard
+            })
+            .collect();
+        ShardedStore { shards, keys }
     }
 
     /// Number of shards.
@@ -421,15 +437,7 @@ impl ShardedStore {
         keys: u64,
         entries: &[(u64, Entry)],
     ) -> Self {
-        assert!(shards > 0 && keys > 0, "store needs at least one shard and one key");
-        let store = ShardedStore {
-            shards: (0..shards).map(|_| THashMap::new(buckets_per_shard)).collect(),
-            keys,
-        };
-        for &(key, entry) in entries {
-            store.shard_of(key).insert_unlogged(key, entry);
-        }
-        store
+        Self::populated(shards, buckets_per_shard, keys, entries.iter().copied())
     }
 
     /// Non-transactional dump of every entry, sorted by key — the
@@ -489,6 +497,32 @@ mod tests {
         assert_eq!(store.total_balance_unlogged(), store.expected_total());
         assert_eq!(store.key_count(), 100);
         assert_eq!(store.shard_count(), 4);
+    }
+
+    /// The bucket-at-a-time constructors lay every bucket out exactly as
+    /// one `insert_unlogged` per key did: the digests built from
+    /// `entries_unlogged` and the per-bucket entry order both hold.
+    #[test]
+    fn bulk_population_matches_one_insert_per_key() {
+        let per_key = |entries: &[(u64, Entry)]| {
+            let shards: Vec<THashMap<u64, Entry>> = (0..3).map(|_| THashMap::new(4)).collect();
+            for &(key, entry) in entries {
+                shards[(key % 3) as usize].insert_unlogged(key, entry);
+            }
+            shards.iter().map(THashMap::snapshot_unlogged).collect::<Vec<_>>()
+        };
+        let layout = |store: &ShardedStore| {
+            store.shards.iter().map(THashMap::snapshot_unlogged).collect::<Vec<_>>()
+        };
+        let fresh: Vec<(u64, Entry)> = (0..100).map(|key| (key, Entry::fresh())).collect();
+        let store = ShardedStore::new(3, 4, 100);
+        assert_eq!(layout(&store), per_key(&fresh));
+        assert_eq!(store.entries_unlogged(), fresh);
+        // Recovered entries arrive in any order and may skip keys.
+        let recovered: Vec<(u64, Entry)> =
+            (0..60u64).map(|i| (i * 37 % 100, Entry { balance: i as i64, blob: i * 3 })).collect();
+        let store = ShardedStore::from_entries(3, 4, 100, &recovered);
+        assert_eq!(layout(&store), per_key(&recovered));
     }
 
     #[test]

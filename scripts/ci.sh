@@ -117,6 +117,12 @@ echo "==> durable native smoke: 4 threads x 20k ledger requests on the file WAL,
 cargo test -q --release --offline --test real_gate durable_native_smoke \
     || { echo "durable smoke: the native durable run failed or left WAL files behind"; exit 1; }
 
+echo "==> release-profile checks (the profile the benchmark builds): per-thread slots a line apart, per-request allocation budget"
+cargo test -q --release --offline -p gstm-core --lib layout_ \
+    || { echo "layout: two threads' slots share a cache line"; exit 1; }
+cargo test -q --release --offline --test alloc_budget \
+    || { echo "alloc budget: a served request allocates more than its budget"; exit 1; }
+
 echo "==> block determinism smoke: same block order must hash identically at 1/2/4/8 threads"
 ./target/release/experiments block-smoke --threads 1,2,4,8 --requests 200 --seed 11 \
     || { echo "block smoke: parallel block output diverged from the sequential reference"; exit 1; }

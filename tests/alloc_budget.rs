@@ -1,0 +1,109 @@
+//! Heap allocations per served request, counted on the serving thread.
+//!
+//! The engine the native service builds (`RealGate`, `SiteStatsSink`,
+//! `Aggressive`) replays a schedule of one request kind through
+//! `serve_schedule` on an ephemeral store. Once the thread's transaction
+//! buffers and the sink's per-site rows exist, a read costs no allocation
+//! at all, and an update costs two per written key: the new bucket and the
+//! `Arc` the redo log holds it in.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use gstm::core::cm::Aggressive;
+use gstm::core::{AdmitAll, RealGate, SiteStatsSink, Stm, StmConfig, ThreadId};
+use gstm::serve::{
+    serve_schedule, EphemeralBackend, Request, ScheduledRequest, ServeSpec, ShardedStore,
+    ThreadLog, WallClock,
+};
+
+thread_local! {
+    /// Allocations made by this thread (reallocations included).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting calls per thread.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a `const`-initialised thread-local
+// `Cell<u64>` with no destructor, so touching it neither allocates nor
+// re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `alloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `alloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const REQUESTS: u64 = 200;
+
+/// Allocations per request of `REQUESTS` requests, each built by `request`
+/// from two distinct existing keys, after a warm-up pass over the same
+/// schedule.
+fn allocations_per_request(request: impl Fn(u64, u64) -> Request) -> f64 {
+    let spec = ServeSpec::wide(REQUESTS as usize);
+    let backend =
+        EphemeralBackend::new(ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys));
+    let stm = Stm::with_parts(
+        StmConfig::new(1),
+        Arc::new(RealGate::new(0)),
+        Arc::new(SiteStatsSink::new()),
+        Arc::new(AdmitAll),
+        Arc::new(Aggressive),
+    );
+    // Everything is due at once and nothing is shed.
+    let schedule: Vec<ScheduledRequest> = (0..REQUESTS)
+        .map(|i| i * 37 % spec.keys)
+        .map(|key| ScheduledRequest { at: 0, req: request(key, (key + 1) % spec.keys) })
+        .collect();
+    let spec = ServeSpec { max_queue_depth: schedule.len(), ..spec };
+    let (clock, log) = (WallClock::new(10), ThreadLog::default());
+    let serve = || {
+        let before = ALLOCATIONS.with(Cell::get);
+        serve_schedule(&stm, ThreadId::new(0), &backend, &schedule, &clock, &spec, &log);
+        ALLOCATIONS.with(Cell::get) - before
+    };
+    serve();
+    let counted = serve();
+    assert_eq!(stm.commit_count(), 2 * REQUESTS, "every request of both passes committed");
+    counted as f64 / REQUESTS as f64
+}
+
+#[test]
+fn get_allocates_nothing() {
+    assert_eq!(allocations_per_request(|key, _| Request::get(key)), 0.0);
+}
+
+#[test]
+fn scan_of_eight_keys_allocates_nothing() {
+    assert_eq!(allocations_per_request(|key, _| Request::scan(key, 8)), 0.0);
+}
+
+#[test]
+fn put_allocates_the_new_bucket_and_its_arc() {
+    let per_request = allocations_per_request(Request::put);
+    assert!(per_request <= 2.0, "{per_request} allocations per Put");
+}
+
+#[test]
+fn transfer_allocates_two_buckets_and_their_arcs() {
+    let per_request = allocations_per_request(|from, to| Request::transfer(from, to, 1));
+    assert!(per_request <= 4.0, "{per_request} allocations per Transfer");
+}
