@@ -1,24 +1,15 @@
-//! In-tree synchronization primitives.
+//! The workspace's mutex.
 //!
-//! The workspace must build offline, so the `parking_lot` mutex and the
-//! `crossbeam` channels it previously used are replaced by these thin
-//! std-based equivalents:
-//!
-//! * [`Mutex`] — `std::sync::Mutex` with `parking_lot`'s ergonomics:
-//!   `lock()` returns the guard directly (poisoning is transparently
-//!   recovered: every critical section in this workspace leaves the data
-//!   consistent at each await-free step, so a panicking holder cannot
-//!   expose a torn invariant);
-//! * [`channel`] — an unbounded MPMC blocking queue whose [`Sender`] and
-//!   [`Receiver`] are both `Sync`, as `gstm-sim`'s scheduler requires
-//!   (worker threads share one request sender and index into a vector of
-//!   grant receivers).
+//! The workspace must build offline, so the `parking_lot` mutex it
+//! previously used is replaced by [`Mutex`] — `std::sync::Mutex` with
+//! `parking_lot`'s ergonomics: `lock()` returns the guard directly
+//! (poisoning is transparently recovered: every critical section in this
+//! workspace leaves the data consistent at each await-free step, so a
+//! panicking holder cannot expose a torn invariant). The guard is std's,
+//! so it works with `std::sync::Condvar`.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::{MutexGuard, PoisonError};
 
 /// A mutex that hands out its guard directly, recovering from poison.
 #[derive(Default)]
@@ -57,164 +48,10 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-/// Error returned by [`Sender::send`] when every receiver is gone; carries
-/// the unsent value back.
-pub struct SendError<T>(pub T);
-
-impl<T> fmt::Debug for SendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("SendError(..)")
-    }
-}
-
-impl<T> fmt::Display for SendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("sending on a channel with no receivers")
-    }
-}
-
-/// Error returned by [`Receiver::recv_timeout`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The deadline passed with the queue still empty.
-    Timeout,
-    /// Every sender is gone and the queue is drained.
-    Disconnected,
-}
-
-struct ChannelInner<T> {
-    queue: std::sync::Mutex<VecDeque<T>>,
-    ready: Condvar,
-    senders: AtomicUsize,
-    receivers: AtomicUsize,
-}
-
-impl<T> ChannelInner<T> {
-    fn queue(&self) -> MutexGuard<'_, VecDeque<T>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Sending half of an unbounded MPMC channel. Cloneable and `Sync`.
-pub struct Sender<T> {
-    inner: Arc<ChannelInner<T>>,
-}
-
-/// Receiving half of an unbounded MPMC channel. Cloneable and `Sync`.
-pub struct Receiver<T> {
-    inner: Arc<ChannelInner<T>>,
-}
-
-/// Creates an unbounded MPMC channel.
-pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    let inner = Arc::new(ChannelInner {
-        queue: std::sync::Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
-        senders: AtomicUsize::new(1),
-        receivers: AtomicUsize::new(1),
-    });
-    (Sender { inner: Arc::clone(&inner) }, Receiver { inner })
-}
-
-impl<T> Sender<T> {
-    /// Enqueues `value`, waking one waiting receiver.
-    ///
-    /// # Errors
-    ///
-    /// Returns the value if every [`Receiver`] has been dropped.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        if self.inner.receivers.load(Ordering::Acquire) == 0 {
-            return Err(SendError(value));
-        }
-        self.inner.queue().push_back(value);
-        self.inner.ready.notify_one();
-        Ok(())
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.inner.senders.fetch_add(1, Ordering::Relaxed);
-        Sender { inner: Arc::clone(&self.inner) }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        if self.inner.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last sender: wake blocked receivers so they observe the hangup.
-            self.inner.ready.notify_all();
-        }
-    }
-}
-
-impl<T> fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sender").field("queued", &self.inner.queue().len()).finish()
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Dequeues a value, blocking up to `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvTimeoutError::Timeout`] if the deadline passes;
-    /// [`RecvTimeoutError::Disconnected`] when the queue is drained and no
-    /// sender remains.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut queue = self.inner.queue();
-        loop {
-            if let Some(v) = queue.pop_front() {
-                return Ok(v);
-            }
-            if self.inner.senders.load(Ordering::Acquire) == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
-                return Err(RecvTimeoutError::Timeout);
-            };
-            let (guard, _result) = self
-                .inner
-                .ready
-                .wait_timeout(queue, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            queue = guard;
-        }
-    }
-
-    /// Dequeues without blocking; `None` when empty.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.queue().pop_front()
-    }
-}
-
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        self.inner.receivers.fetch_add(1, Ordering::Relaxed);
-        Receiver { inner: Arc::clone(&self.inner) }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        self.inner.receivers.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-impl<T> fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Receiver").field("queued", &self.inner.queue().len()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::sync::Arc;
 
     #[test]
     fn mutex_basic_and_into_inner() {
@@ -234,63 +71,5 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 7, "poisoned lock must still hand out the data");
-    }
-
-    #[test]
-    fn channel_round_trip() {
-        let (tx, rx) = channel();
-        tx.send(5u32).unwrap();
-        tx.send(6).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(5));
-        assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(6));
-    }
-
-    #[test]
-    fn recv_times_out_when_empty() {
-        let (_tx, rx) = channel::<u8>();
-        let err = rx.recv_timeout(Duration::from_millis(10)).unwrap_err();
-        assert_eq!(err, RecvTimeoutError::Timeout);
-    }
-
-    #[test]
-    fn recv_reports_disconnect() {
-        let (tx, rx) = channel::<u8>();
-        tx.send(1).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv_timeout(Duration::from_secs(1)), Ok(1));
-        let err = rx.recv_timeout(Duration::from_secs(1)).unwrap_err();
-        assert_eq!(err, RecvTimeoutError::Disconnected);
-    }
-
-    #[test]
-    fn send_fails_without_receivers() {
-        let (tx, rx) = channel::<u8>();
-        drop(rx);
-        assert!(tx.send(1).is_err());
-    }
-
-    #[test]
-    fn cross_thread_delivery() {
-        let (tx, rx) = channel();
-        let h = std::thread::spawn(move || {
-            for i in 0..100u32 {
-                tx.send(i).unwrap();
-            }
-        });
-        let mut got = Vec::new();
-        for _ in 0..100 {
-            got.push(rx.recv_timeout(Duration::from_secs(5)).unwrap());
-        }
-        h.join().unwrap();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn blocked_receiver_wakes_on_send() {
-        let (tx, rx) = channel();
-        let h = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(20));
-        tx.send(9u8).unwrap();
-        assert_eq!(h.join().unwrap(), Ok(9));
     }
 }

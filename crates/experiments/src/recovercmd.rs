@@ -39,7 +39,7 @@ use gstm_core::{
 use gstm_serve::{
     generate_schedule, recover_store, serve_schedule, store_digest, Arrival, BackendKind,
     DurableBackend, EphemeralBackend, GateClock, Materializer, Request, ServeSpec, ShardedStore,
-    StoreBackend, ThreadLog, TrafficSpec,
+    StoreBackend, ThreadLog,
 };
 use gstm_sim::{ChaosConfig, ChaosGate, SimConfig, SimMachine};
 use gstm_wal::{LogDevice, MemDevice, Wal, WalConfig, WalError};
@@ -208,15 +208,7 @@ fn run_seed(cell: CellSpec, opts: &RecoverOptions, run_seed: u64) -> String {
     chaos.arm(stm.doom_handle());
     chaos.arm_kill(Arc::clone(&kill));
 
-    let traffic = TrafficSpec {
-        keys: spec.keys,
-        zipf_theta: spec.zipf_theta,
-        arrival: spec.arrival,
-        requests_per_thread: spec.requests_per_thread,
-        mix: spec.mix,
-        scan_len: spec.scan_len,
-        drift: spec.drift,
-    };
+    let traffic = spec.traffic();
     let schedules: Vec<_> =
         (0..threads).map(|t| generate_schedule(&traffic, run_seed, t)).collect();
     let logs: Vec<ThreadLog> = (0..threads).map(|_| ThreadLog::default()).collect();

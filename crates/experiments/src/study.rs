@@ -169,7 +169,7 @@ pub fn train_serve(cfg: &ExpConfig, spec: &ServeSpec, threads: usize) -> Trained
 /// training quests (`4worst_case` and `4moving`), pooling their profiled
 /// transaction sequences into one automaton.
 pub fn train_quake(cfg: &ExpConfig, threads: usize) -> TrainedModel {
-    use gstm_model::{analyze, parse_states, Grouping, GuidedModel, TsaBuilder};
+    use gstm_model::{analyze, parse_states, GuidedModel, TsaBuilder};
 
     let mut builder = TsaBuilder::new();
     for quest in Quest::training() {
@@ -179,7 +179,7 @@ pub fn train_quake(cfg: &ExpConfig, threads: usize) -> TrainedModel {
             let opts = RunOptions::new(threads, seed).capturing();
             let outcome = run_workload(&workload, &opts);
             let events = outcome.events.expect("capture enabled");
-            builder.add_run(&parse_states(&events, Grouping::Arrival));
+            builder.add_run(&parse_states(&events));
         }
     }
     let tsa = builder.build();

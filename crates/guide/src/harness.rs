@@ -117,17 +117,6 @@ pub enum PolicyChoice {
         /// Hold-retry bound `k`.
         k: u32,
     },
-    /// Guided execution that stands down while the model misses too often.
-    Adaptive {
-        /// Compiled model.
-        model: Arc<GuidedModel>,
-        /// Hold-retry bound `k`.
-        k: u32,
-        /// Stand guidance down above this unknown-tuple percentage.
-        max_unknown_pct: u32,
-        /// Re-evaluate every this many tuples.
-        window: u64,
-    },
     /// Adaptive guidance with the online retrain loop engaged: the model
     /// serves through a hot-swap handle, ingested windows merge into it on
     /// the window-claim cadence, and the §IV gate decides what ships.
@@ -157,9 +146,6 @@ impl std::fmt::Debug for PolicyChoice {
         match self {
             PolicyChoice::Default => write!(f, "Default"),
             PolicyChoice::Guided { k, .. } => write!(f, "Guided {{ k: {k} }}"),
-            PolicyChoice::Adaptive { k, max_unknown_pct, .. } => {
-                write!(f, "Adaptive {{ k: {k}, max_unknown_pct: {max_unknown_pct} }}")
-            }
             PolicyChoice::AdaptiveOnline { k, max_unknown_pct, window, retrain, .. } => write!(
                 f,
                 "AdaptiveOnline {{ k: {k}, max_unknown_pct: {max_unknown_pct}, \
@@ -334,14 +320,6 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
             let tracker = Arc::new(StateTracker::with_model(Arc::clone(model)));
             let policy = Arc::new(GuidedPolicy::new(Arc::clone(&tracker), *k));
             guided_policy = Some(Arc::clone(&policy));
-            (tracker, policy)
-        }
-        PolicyChoice::Adaptive { model, k, max_unknown_pct, window } => {
-            let tracker = Arc::new(StateTracker::with_model(Arc::clone(model)));
-            let inner = Arc::new(GuidedPolicy::new(Arc::clone(&tracker), *k));
-            guided_policy = Some(Arc::clone(&inner));
-            let policy = Arc::new(AdaptivePolicy::new(inner, *max_unknown_pct, *window));
-            adaptive_policy = Some(Arc::clone(&policy));
             (tracker, policy)
         }
         PolicyChoice::AdaptiveOnline { model, k, max_unknown_pct, window, retrain } => {

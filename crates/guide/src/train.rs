@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use gstm_model::{analyze, parse_states, Grouping, GuidedModel, ModelAnalysis, Tsa, TsaBuilder};
+use gstm_model::{analyze, parse_states, GuidedModel, ModelAnalysis, Tsa, TsaBuilder};
 
 use crate::harness::{run_workload, RunOptions, Workload};
 
@@ -50,7 +50,7 @@ pub fn train(
         };
         let outcome = run_workload(workload, &opts);
         let events = outcome.events.expect("capture was enabled");
-        let states = parse_states(&events, Grouping::Arrival);
+        let states = parse_states(&events);
         builder.add_run(&states);
     }
     let tsa = builder.build();

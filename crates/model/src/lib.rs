@@ -35,5 +35,5 @@ pub use analyzer::{analyze, analyze_with, ModelAnalysis, Verdict};
 pub use online::{merge_decayed, ModelHandle, WindowIngest};
 pub use tracker::StateTracker;
 pub use tsa::{GuidedModel, Tsa, TsaBuilder, DEFAULT_MIN_SUPPORT, DEFAULT_TFACTOR};
-pub use tseq::{parse_states, Grouping};
+pub use tseq::parse_states;
 pub use tts::{StateId, StateSpace, Tts};

@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn arrival_grouping_matches_offline_parser() {
         let evs = vec![abort(6, 0), commit(7, 1, 1), commit(0, 1, 2)];
-        let offline = crate::tseq::parse_states(&evs, crate::tseq::Grouping::Arrival);
+        let offline = crate::tseq::parse_states(&evs);
         let tracker = StateTracker::new();
         for e in &evs {
             tracker.record(e);

@@ -3,46 +3,23 @@
 //! The paper's profiler logs every commit "and the corresponding aborts, if
 //! any" (Algorithm 1, line 2–3); the parser groups them into TTS tuples. In
 //! TL2 a victim discovers its conflict *after* the culprit commits, so the
-//! raw log interleaves a commit with the aborts it caused. We support two
-//! grouping rules:
-//!
-//! * [`Grouping::Arrival`] — an abort joins the tuple of the **next** commit
-//!   in arrival order. This rule is *online-computable* (a tuple closes the
-//!   moment its commit arrives), so it is the rule guided execution's
-//!   [`crate::StateTracker`] uses, and therefore the rule models intended
-//!   for guidance must be built with.
-//! * [`Grouping::Culprit`] — an abort joins the tuple of the commit its
-//!   conflict was *attributed to* (via the lock table's last-writer stamps),
-//!   falling back to arrival order when unattributed. Closer to the paper's
-//!   causal narrative; available for offline analysis.
+//! raw log interleaves a commit with the aborts it caused. The grouping
+//! rule is arrival order: an abort joins the tuple of the **next** commit
+//! in the log. This rule is *online-computable* (a tuple closes the moment
+//! its commit arrives), so it is the rule guided execution's
+//! [`crate::StateTracker`] uses, and therefore the rule models intended for
+//! guidance must be built with.
 
 use gstm_core::{Participant, TxEvent};
-use std::collections::HashMap;
 
 use crate::tts::Tts;
-
-/// How aborts are grouped with commits when forming TTS tuples.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Grouping {
-    /// Group each abort with the next commit in the log (online-computable).
-    #[default]
-    Arrival,
-    /// Group each abort with its attributed culprit commit when known.
-    Culprit,
-}
 
 /// Parses an event log into the sequence of thread transactional states.
 ///
 /// `Begin` and `Held` events are ignored; the state sequence has exactly one
-/// entry per `Commit` event, in commit order.
-pub fn parse_states(events: &[TxEvent], grouping: Grouping) -> Vec<Tts> {
-    match grouping {
-        Grouping::Arrival => parse_arrival(events),
-        Grouping::Culprit => parse_culprit(events),
-    }
-}
-
-fn parse_arrival(events: &[TxEvent]) -> Vec<Tts> {
+/// entry per `Commit` event, in commit order, and each abort belongs to the
+/// next commit after it.
+pub fn parse_states(events: &[TxEvent]) -> Vec<Tts> {
     let mut out = Vec::new();
     let mut pending: Vec<Participant> = Vec::new();
     for ev in events {
@@ -56,44 +33,6 @@ fn parse_arrival(events: &[TxEvent]) -> Vec<Tts> {
         }
     }
     out
-}
-
-fn parse_culprit(events: &[TxEvent]) -> Vec<Tts> {
-    // First pass: commit sequence numbers in order, and their committers.
-    let commits: Vec<(u64, Participant)> = events
-        .iter()
-        .filter_map(|e| match e {
-            TxEvent::Commit { who, seq, .. } => Some((seq.raw(), *who)),
-            _ => None,
-        })
-        .collect();
-    let index_of_seq: HashMap<u64, usize> =
-        commits.iter().enumerate().map(|(i, (s, _))| (*s, i)).collect();
-
-    let mut aborted: Vec<Vec<Participant>> = vec![Vec::new(); commits.len()];
-    let mut commits_seen = 0usize;
-    for ev in events {
-        match ev {
-            TxEvent::Commit { .. } => commits_seen += 1,
-            TxEvent::Abort { who, abort, .. } => {
-                // Attributed aborts join their culprit's tuple; otherwise
-                // fall back to the next commit in arrival order.
-                let slot = abort
-                    .culprit
-                    .and_then(|(_, seq)| index_of_seq.get(&seq.raw()).copied())
-                    .unwrap_or_else(|| commits_seen.min(commits.len().saturating_sub(1)));
-                if let Some(v) = aborted.get_mut(slot) {
-                    v.push(*who);
-                }
-            }
-            _ => {}
-        }
-    }
-    commits
-        .into_iter()
-        .zip(aborted)
-        .map(|((_, committer), aborts)| Tts::new(aborts, committer))
-        .collect()
 }
 
 #[cfg(test)]
@@ -116,29 +55,22 @@ mod tests {
         }
     }
 
-    fn abort(t: u16, x: u16, culprit: Option<(u16, u16, u64)>) -> TxEvent {
-        let mut a = Abort::new(AbortReason::ReadVersion { var: VarId::from_raw(1) });
-        if let Some((ct, cx, seq)) = culprit {
-            a = Abort::caused_by(
-                AbortReason::ReadVersion { var: VarId::from_raw(1) },
-                p(ct, cx),
-                CommitSeq::new(seq),
-            );
-        }
-        TxEvent::Abort { who: p(t, x), attempt: 0, abort: a, at: 0 }
+    fn abort(t: u16, x: u16) -> TxEvent {
+        let abort = Abort::new(AbortReason::ReadVersion { var: VarId::from_raw(1) });
+        TxEvent::Abort { who: p(t, x), attempt: 0, abort, at: 0 }
     }
 
     #[test]
     fn arrival_groups_with_next_commit() {
         let evs = vec![
-            abort(6, 0, None),
+            abort(6, 0),
             commit(7, 1, 1),
             commit(0, 1, 2),
-            abort(2, 0, None),
-            abort(3, 0, None),
+            abort(2, 0),
+            abort(3, 0),
             commit(4, 0, 3),
         ];
-        let states = parse_states(&evs, Grouping::Arrival);
+        let states = parse_states(&evs);
         assert_eq!(states.len(), 3);
         assert_eq!(states[0], Tts::new(vec![p(6, 0)], p(7, 1)));
         assert_eq!(states[1], Tts::solo(p(0, 1)));
@@ -146,36 +78,16 @@ mod tests {
     }
 
     #[test]
-    fn culprit_attaches_late_aborts_to_their_commit() {
-        // Abort of (6,a) arrives *after* commit #2 but was caused by #1.
-        let evs =
-            vec![commit(7, 1, 1), commit(0, 1, 2), abort(6, 0, Some((7, 1, 1))), commit(4, 0, 3)];
-        let states = parse_states(&evs, Grouping::Culprit);
-        assert_eq!(states[0], Tts::new(vec![p(6, 0)], p(7, 1)));
-        assert_eq!(states[1], Tts::solo(p(0, 1)));
-        assert_eq!(states[2], Tts::solo(p(4, 0)));
-    }
-
-    #[test]
-    fn culprit_falls_back_to_arrival_when_unattributed() {
-        let evs = vec![commit(7, 1, 1), abort(6, 0, None), commit(0, 1, 2)];
-        let states = parse_states(&evs, Grouping::Culprit);
-        // Unattributed abort arrived after 1 commit → joins tuple index 1.
-        assert_eq!(states[1], Tts::new(vec![p(6, 0)], p(0, 1)));
-    }
-
-    #[test]
     fn trailing_aborts_without_commit_are_dropped() {
-        let evs = vec![commit(7, 1, 1), abort(6, 0, None)];
-        let states = parse_states(&evs, Grouping::Arrival);
+        let evs = vec![commit(7, 1, 1), abort(6, 0)];
+        let states = parse_states(&evs);
         assert_eq!(states.len(), 1);
         assert_eq!(states[0], Tts::solo(p(7, 1)));
     }
 
     #[test]
     fn empty_log_gives_empty_sequence() {
-        assert!(parse_states(&[], Grouping::Arrival).is_empty());
-        assert!(parse_states(&[], Grouping::Culprit).is_empty());
+        assert!(parse_states(&[]).is_empty());
     }
 
     #[test]
@@ -185,7 +97,7 @@ mod tests {
             TxEvent::Held { who: p(0, 0), polls: 3, at: 0 },
             commit(0, 0, 1),
         ];
-        let states = parse_states(&evs, Grouping::Arrival);
+        let states = parse_states(&evs);
         assert_eq!(states, vec![Tts::solo(p(0, 0))]);
     }
 }

@@ -419,6 +419,7 @@ pub fn recover_store(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
 
     #[test]
     fn request_codec_round_trips_every_kind() {
@@ -645,15 +646,18 @@ mod tests {
     struct ParkingDevice {
         inner: MemDevice,
         armed: AtomicBool,
-        entered: gstm_core::sync::Sender<()>,
-        release: gstm_core::sync::Receiver<()>,
+        entered: mpsc::Sender<()>,
+        /// One receiver for both devices of a test; only the armed one
+        /// ever takes the lock.
+        release: Arc<Mutex<mpsc::Receiver<()>>>,
     }
 
     impl ParkingDevice {
         fn park_if_armed(&self) {
             if self.armed.swap(false, Ordering::SeqCst) {
                 self.entered.send(()).unwrap();
-                self.release.recv_timeout(2 * LONG).expect("the test releases the parked call");
+                let release = self.release.lock();
+                release.recv_timeout(2 * LONG).expect("the test releases the parked call");
             }
         }
     }
@@ -688,21 +692,22 @@ mod tests {
         // the batch of 4 and parks in `log.append`; or it crosses the
         // interval of 4 and parks in `snap.reset`.
         for (park_log, snapshot_every) in [(true, 1000), (false, 4)] {
-            let (entered_tx, entered) = gstm_core::sync::channel();
-            let (release_tx, release) = gstm_core::sync::channel();
+            let (entered_tx, entered) = mpsc::channel();
+            let (release_tx, release) = mpsc::channel();
+            let release = Arc::new(Mutex::new(release));
             let device = |armed| {
                 Arc::new(ParkingDevice {
                     inner: MemDevice::new(),
                     armed: AtomicBool::new(armed),
                     entered: entered_tx.clone(),
-                    release: release.clone(),
+                    release: Arc::clone(&release),
                 })
             };
             let (log, snap) = (device(park_log), device(!park_log));
             let cfg = WalConfig::new().with_batch_records(4).with_snapshot_every(snapshot_every);
             let wal = Wal::new(cfg, Arc::clone(&log) as _, Arc::clone(&snap) as _);
             let backend = DurableBackend::new(ShardedStore::new(2, 4, 8), wal);
-            let (done_tx, done) = gstm_core::sync::channel();
+            let (done_tx, done) = mpsc::channel();
             let second_finished = std::thread::scope(|scope| {
                 scope.spawn(|| (1..=4).for_each(|seq| backend.on_commit(seq, &request(seq))));
                 entered.recv_timeout(LONG).expect("the 4th commit reaches the device");

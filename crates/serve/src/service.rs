@@ -299,7 +299,9 @@ impl ServeSpec {
         key
     }
 
-    pub(crate) fn traffic(&self) -> TrafficSpec {
+    /// The traffic half of the spec: what `generate_schedule` needs to
+    /// produce each thread's request schedule.
+    pub fn traffic(&self) -> TrafficSpec {
         TrafficSpec {
             keys: self.keys,
             zipf_theta: self.zipf_theta,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use gstm_core::ThreadId;
 
-use crate::gate::{Msg, Shared};
+use crate::machine::Shared;
 
 /// A barrier usable from gated worker closures on either machine.
 pub trait WaitBarrier: Send + Sync {
@@ -18,9 +18,9 @@ pub trait WaitBarrier: Send + Sync {
     fn wait(&self, thread: ThreadId);
 }
 
-/// Barrier on the simulated machine: arrival parks the worker in the
-/// scheduler; release aligns all members' virtual clocks to the slowest
-/// member, exactly like a real barrier aligns wall-clock time.
+/// Barrier on the simulated machine: arrival parks the worker; release
+/// aligns all members' virtual clocks to the slowest member, exactly like a
+/// real barrier aligns wall-clock time.
 #[derive(Debug)]
 pub struct SimBarrier {
     id: u32,
@@ -42,10 +42,7 @@ impl SimBarrier {
 
 impl WaitBarrier for SimBarrier {
     fn wait(&self, thread: ThreadId) {
-        self.shared.rendezvous(
-            Msg::Barrier { thread: thread.index(), id: self.id, parties: self.parties },
-            thread.index(),
-        );
+        self.shared.barrier(thread.index(), self.id, self.parties);
     }
 }
 

@@ -1,70 +1,22 @@
 //! The simulated machine's [`Gate`] implementation.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
-use gstm_core::sync::{Receiver, RecvTimeoutError, Sender};
 use gstm_core::{Gate, ThreadId, Ticks};
+
+use crate::machine::Shared;
 
 /// Virtual clocks are kept in *centiticks* so that sub-tick jitter exists
 /// even for unit-cost operations.
 pub(crate) const CENTI: u64 = 100;
 
-/// Messages workers send to the scheduler.
-#[derive(Debug)]
-pub(crate) enum Msg {
-    /// Worker wants to take a step of the given cost.
-    Pass { thread: usize, cost: Ticks },
-    /// Worker wants to take `count` consecutive steps of the given cost as
-    /// one machine-boundary crossing. The scheduler makes the same
-    /// per-sub-step decisions (same RNG draws, clock/active/now updates and
-    /// grant counts) it would for `count` individual [`Msg::Pass`]es, but
-    /// wakes the worker only after the last one.
-    PassBatch { thread: usize, cost: Ticks, count: u64 },
-    /// Worker entered a barrier.
-    Barrier { thread: usize, id: u32, parties: usize },
-    /// Worker finished.
-    Done { thread: usize },
-}
-
-/// State shared between the scheduler and the workers' gate.
-#[derive(Debug)]
-pub(crate) struct Shared {
-    pub(crate) req_tx: Sender<Msg>,
-    pub(crate) grants: Vec<Receiver<()>>,
-    /// Per-thread virtual clocks, in centiticks.
-    pub(crate) clocks: Vec<AtomicU64>,
-    /// Per-thread *active* time: charged costs only, excluding barrier-wait
-    /// alignment, in centiticks.
-    pub(crate) active: Vec<AtomicU64>,
-    /// Global virtual time (monotone max of granted clocks), centiticks.
-    pub(crate) now: AtomicU64,
-    /// Set when the scheduler aborts (deadlock/starvation): parked workers
-    /// must wake up and unwind instead of blocking forever.
-    pub(crate) poisoned: AtomicBool,
-}
-
-impl Shared {
-    pub(crate) fn rendezvous(&self, msg: Msg, thread: usize) {
-        self.req_tx.send(msg).expect("scheduler gone");
-        loop {
-            if self.poisoned.load(Ordering::SeqCst) {
-                panic!("sim scheduler aborted; unwinding worker {thread}");
-            }
-            match self.grants[thread].recv_timeout(Duration::from_millis(25)) {
-                Ok(()) => return,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => panic!("scheduler gone"),
-            }
-        }
-    }
-}
-
 /// Deterministic gate handed to the STM engine and to workloads.
 ///
 /// Every [`Gate::pass`] is a scheduling point: the calling worker blocks
-/// until the discrete-event scheduler decides it is this thread's turn.
+/// until the machine decides it is this thread's turn — a decision the
+/// last worker to arrive makes itself, so a worker that is still the
+/// minimum-clock thread returns without any hand-off.
 /// Obtain one from [`crate::SimMachine::gate`].
 #[derive(Debug, Clone)]
 pub struct SimGate {
@@ -73,16 +25,16 @@ pub struct SimGate {
 
 impl Gate for SimGate {
     fn pass(&self, thread: ThreadId, cost: Ticks) {
-        self.shared.rendezvous(Msg::Pass { thread: thread.index(), cost }, thread.index());
+        self.shared.pass(thread.index(), cost, 1);
     }
 
+    /// `count` consecutive steps as one crossing: the machine makes the same
+    /// per-sub-step decisions (same RNG draws, clock/active/now updates and
+    /// grant counts) it would for `count` individual passes, but the worker
+    /// wakes only after the last one.
     fn pass_batch(&self, thread: ThreadId, cost: Ticks, count: u64) {
-        match count {
-            0 => {}
-            1 => self.pass(thread, cost),
-            _ => self
-                .shared
-                .rendezvous(Msg::PassBatch { thread: thread.index(), cost, count }, thread.index()),
+        if count > 0 {
+            self.shared.pass(thread.index(), cost, count);
         }
     }
 

@@ -6,13 +6,15 @@
 //! closures (each on its own OS thread) but serializes every observable step
 //! through [`SimGate`], an implementation of [`gstm_core::Gate`].
 //!
-//! Each `pass(thread, cost)` blocks the worker until the scheduler grants
-//! the step; the scheduler always grants the runnable worker with the
-//! smallest *virtual clock*, advancing it by the step's cost plus a seeded
-//! random jitter (the stand-in for the paper's "architectural artifacts like
-//! cache-misses ... non-deterministic memory access latency"). Two runs with
-//! the same seed produce byte-identical event sequences; different seeds are
-//! the reproduction's equivalent of the paper's repeated timing runs.
+//! Each `pass(thread, cost)` blocks the worker until the step is granted.
+//! The grant always goes to the runnable worker with the smallest *virtual
+//! clock*, advancing it by the step's cost plus a seeded random jitter (the
+//! stand-in for the paper's "architectural artifacts like cache-misses ...
+//! non-deterministic memory access latency"). There is no scheduler thread:
+//! the last worker to park makes that decision itself, under the machine's
+//! one lock. Two runs with the same seed produce byte-identical event
+//! sequences; different seeds are the reproduction's equivalent of the
+//! paper's repeated timing runs.
 //!
 //! Because exactly one worker executes between grants, all shared-memory
 //! interleaving is serialized in grant order — the engine's atomics stay

@@ -1,17 +1,25 @@
 //! The discrete-event scheduler.
+//!
+//! There is no scheduler thread. Scheduling decisions are only ever needed
+//! when **no** worker is on-CPU, and the worker whose arrival makes that so
+//! is awake, holds the one lock and has the whole state in front of it — so
+//! it makes the pick itself ([`Sched::decide`]) and wakes the chosen worker,
+//! or simply returns when it chose itself. The caller of
+//! [`SimMachine::run`] is the watchdog and nothing else.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use gstm_core::rng::SmallRng;
-use gstm_core::sync::{channel, Mutex, Receiver, Sender};
+use gstm_core::sync::Mutex;
+use gstm_core::Ticks;
 use gstm_telemetry::MetricsRegistry;
 
 use crate::barrier::SimBarrier;
-use crate::gate::{Msg, Shared, SimGate, CENTI};
+use crate::gate::{SimGate, CENTI};
 
 /// Configuration of a simulated machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,11 +73,262 @@ pub struct RunReport {
 enum St {
     Running,
     /// Parked at the gate: `(cost, steps_left)`. A plain pass is a batch of
-    /// one; a [`Msg::PassBatch`] parks with its full count and is re-queued
-    /// here (without waking) until the last sub-step is granted.
-    Waiting(u64, u64),
-    InBarrier(u32),
+    /// one; a `pass_batch` parks with its full count and is re-queued here
+    /// (without waking) until the last sub-step is granted.
+    Waiting(Ticks, u64),
+    InBarrier,
     Finished,
+}
+
+/// How long the watchdog sleeps between looks at the grant counter. A run
+/// that is neither finished nor aborted and granted nothing for one whole
+/// period has a worker blocked outside the gate.
+#[cfg(not(test))]
+const WATCHDOG_PERIOD: Duration = Duration::from_secs(60);
+#[cfg(test)]
+const WATCHDOG_PERIOD: Duration = Duration::from_millis(250);
+
+const STARVED: &str = "sim scheduler starved: a worker blocked outside the gate";
+const DEADLOCK: &str = "sim deadlock: no runnable workers \
+                        (all remaining workers parked in barriers that cannot fill)";
+
+/// Payload a parked worker unwinds with when the run is aborted. Raised with
+/// `resume_unwind`, so it is neither printed nor reported as that worker's
+/// panic.
+struct Aborted;
+
+/// Everything a scheduling decision reads or writes, under one lock.
+#[derive(Debug)]
+struct Sched {
+    rng: SmallRng,
+    /// One entry per worker of the run (empty until `run` starts).
+    status: Vec<St>,
+    /// Workers on-CPU. Decisions are made exactly when this reaches zero.
+    running: usize,
+    finished: usize,
+    /// Barrier id → (parties, parked members).
+    barriers: HashMap<u32, (usize, Vec<usize>)>,
+    /// Scheduling decisions (steps granted).
+    grants: u64,
+    barrier_releases: u64,
+    /// Why the run was aborted; once set, every parked worker unwinds.
+    abort: Option<&'static str>,
+}
+
+/// State shared by the workers' gate, the barriers and the watchdog.
+#[derive(Debug)]
+pub(crate) struct Shared {
+    config: SimConfig,
+    sched: Mutex<Sched>,
+    /// `wake[i]` is where worker `i` sleeps while parked, so a pick wakes
+    /// exactly the picked worker.
+    wake: Vec<Condvar>,
+    /// Where the watchdog sleeps; notified when the last worker finishes or
+    /// the run aborts.
+    done: Condvar,
+    /// Per-thread virtual clocks, in centiticks.
+    pub(crate) clocks: Vec<AtomicU64>,
+    /// Per-thread *active* time: charged costs only, excluding barrier-wait
+    /// alignment, in centiticks.
+    active: Vec<AtomicU64>,
+    /// Global virtual time (monotone max of granted clocks), centiticks.
+    pub(crate) now: AtomicU64,
+}
+
+impl Shared {
+    /// Worker `thread` asks for `count` consecutive steps of `cost` ticks
+    /// and sleeps until the last of them is granted.
+    pub(crate) fn pass(&self, thread: usize, cost: Ticks, count: u64) {
+        self.park(self.sched.lock(), thread, St::Waiting(cost, count));
+    }
+
+    /// Worker `thread` enters barrier `id` and sleeps until it has filled
+    /// and the worker is granted its next (zero-cost) step.
+    pub(crate) fn barrier(&self, thread: usize, id: u32, parties: usize) {
+        let mut s = self.sched.lock();
+        s.barriers.entry(id).or_insert((parties, Vec::new())).1.push(thread);
+        self.park(s, thread, St::InBarrier);
+    }
+
+    /// Takes `thread` off-CPU for the given reason; if that leaves no worker
+    /// on-CPU this thread makes the scheduling decision. Returns once
+    /// `thread` is the granted worker; unwinds if the run was aborted.
+    fn park<'a>(&'a self, mut s: MutexGuard<'a, Sched>, thread: usize, why: St) {
+        if s.abort.is_none() {
+            if let Some(pick) = self.leave_cpu(&mut s, thread, why).filter(|&p| p != thread) {
+                // Wake the pick with the lock released: a woken thread that
+                // preempts its waker (one CPU) would otherwise run straight
+                // into the held lock and bounce back — two more switches.
+                drop(s);
+                self.wake[pick].notify_one();
+                s = self.sched.lock();
+            }
+        }
+        loop {
+            if s.abort.is_some() {
+                drop(s);
+                std::panic::resume_unwind(Box::new(Aborted));
+            }
+            if s.status[thread] == St::Running {
+                return;
+            }
+            s = self.wake[thread].wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Worker `thread` is done (returned or panicked). Never sleeps.
+    fn finish(&self, thread: usize) {
+        let mut s = self.sched.lock();
+        if s.abort.is_some() {
+            return;
+        }
+        s.finished += 1;
+        let pick = self.leave_cpu(&mut s, thread, St::Finished);
+        drop(s);
+        if let Some(pick) = pick {
+            self.wake[pick].notify_one();
+        }
+    }
+
+    /// Records why `thread` stopped running and, if it was the last worker
+    /// on-CPU, decides who runs next. Returns the worker to wake, if any.
+    fn leave_cpu(&self, s: &mut Sched, thread: usize, why: St) -> Option<usize> {
+        s.status[thread] = why;
+        s.running -= 1;
+        if s.running > 0 {
+            return None;
+        }
+        let pick = s.decide(self);
+        if pick.is_none() {
+            // Finished or deadlocked: either way the watchdog takes over.
+            if s.abort.is_some() {
+                self.wake_all(s);
+            }
+            self.done.notify_one();
+        }
+        pick
+    }
+
+    /// Wakes every parked worker (after setting `abort`, so they unwind).
+    fn wake_all(&self, s: &Sched) {
+        for cv in &self.wake[..s.status.len()] {
+            cv.notify_one();
+        }
+    }
+
+    /// The caller of `run` waits here until every worker has finished or
+    /// the run was aborted, and aborts it itself when a whole period passes
+    /// without a grant. Returns the grant and barrier-release counts and
+    /// the abort reason.
+    fn watch(&self) -> (u64, u64, Option<&'static str>) {
+        let mut s = self.sched.lock();
+        let mut seen = None;
+        while s.finished < s.status.len() && s.abort.is_none() {
+            let (guard, wait) =
+                self.done.wait_timeout(s, WATCHDOG_PERIOD).unwrap_or_else(PoisonError::into_inner);
+            s = guard;
+            if wait.timed_out() && s.finished < s.status.len() && s.abort.is_none() {
+                if seen == Some(s.grants) {
+                    s.abort = Some(STARVED);
+                    self.wake_all(&s);
+                }
+                seen = Some(s.grants);
+            }
+        }
+        (s.grants, s.barrier_releases, s.abort)
+    }
+}
+
+impl Sched {
+    /// The scheduling decision, taken with no worker on-CPU: release the
+    /// barriers that filled, then grant steps to the minimum-clock waiting
+    /// worker until one of them has to be woken. Returns that worker, or
+    /// `None` when all workers have finished or none can run (`abort` set).
+    fn decide(&mut self, shared: &Shared) -> Option<usize> {
+        let n = self.status.len();
+        loop {
+            // Release any barrier that filled: align clocks to the slowest
+            // member (that is what a barrier does to time) and make all
+            // members runnable.
+            let full: Vec<u32> = self
+                .barriers
+                .iter()
+                .filter(|(_, (parties, waiters))| waiters.len() >= *parties)
+                .map(|(&id, _)| id)
+                .collect();
+            for id in full {
+                self.barrier_releases += 1;
+                let (_, waiters) = self.barriers.remove(&id).expect("barrier disappeared");
+                let max_clock = waiters
+                    .iter()
+                    .map(|&w| shared.clocks[w].load(Ordering::SeqCst))
+                    .max()
+                    .unwrap_or(0);
+                for w in waiters {
+                    shared.clocks[w].store(max_clock, Ordering::SeqCst);
+                    self.status[w] = St::Waiting(0, 1);
+                }
+            }
+
+            if self.finished == n {
+                return None;
+            }
+
+            // Pick the waiting worker with the smallest clock (seeded
+            // tie-break), charge its cost + jitter, and grant the step.
+            let min_clock = self
+                .status
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| matches!(s, St::Waiting(..)))
+                .map(|(i, _)| shared.clocks[i].load(Ordering::SeqCst))
+                .min();
+            let Some(min_clock) = min_clock else {
+                self.abort = Some(DEADLOCK);
+                return None;
+            };
+            let candidates: Vec<usize> = self
+                .status
+                .iter()
+                .enumerate()
+                .filter(|(i, s)| {
+                    matches!(s, St::Waiting(..))
+                        && shared.clocks[*i].load(Ordering::SeqCst) == min_clock
+                })
+                .map(|(i, _)| i)
+                .collect();
+            let pick = candidates[self.rng.gen_range(0..candidates.len())];
+            let St::Waiting(cost, left) = self.status[pick] else { unreachable!() };
+
+            let active = n - self.finished;
+            let scale = active.div_ceil(shared.config.cores) as u64;
+            let base = cost * CENTI;
+            let jitter = if shared.config.jitter_pct > 0 && base > 0 {
+                self.rng.gen_range(0..=base * shared.config.jitter_pct as u64 / 100)
+            } else {
+                0
+            };
+            let advance = (base + jitter) * scale;
+            let new_clock = min_clock + advance;
+            shared.clocks[pick].store(new_clock, Ordering::SeqCst);
+            shared.active[pick].fetch_add(advance, Ordering::SeqCst);
+            shared.now.fetch_max(new_clock, Ordering::SeqCst);
+
+            self.grants += 1;
+            if left > 1 {
+                // Remaining sub-steps of a batched crossing: the worker is
+                // still parked, so re-queue it exactly as if it had
+                // immediately requested the next pass — the loop goes back
+                // through the same barrier checks, min-clock pick and RNG
+                // draws a chain of individual passes would see.
+                self.status[pick] = St::Waiting(cost, left - 1);
+            } else {
+                self.status[pick] = St::Running;
+                self.running = 1;
+                return Some(pick);
+            }
+        }
+    }
 }
 
 /// A deterministic simulated multicore machine.
@@ -79,10 +338,7 @@ enum St {
 /// A machine instance runs **once**; build a fresh one per seed.
 #[derive(Debug)]
 pub struct SimMachine {
-    config: SimConfig,
     shared: Arc<Shared>,
-    req_rx: Receiver<Msg>,
-    grant_txs: Vec<Sender<()>>,
     next_barrier: AtomicU32,
     used: AtomicBool,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -94,30 +350,26 @@ const MAX_WORKERS: usize = 512;
 impl SimMachine {
     /// Creates a machine.
     pub fn new(config: SimConfig) -> Self {
-        let (req_tx, req_rx) = channel();
-        let mut grants = Vec::with_capacity(MAX_WORKERS);
-        let mut grant_txs = Vec::with_capacity(MAX_WORKERS);
-        for _ in 0..MAX_WORKERS {
-            // At most one grant is ever outstanding per worker (the worker
-            // parks right after requesting), so unbounded is equivalent to
-            // the old bounded(1) channel here.
-            let (tx, rx) = channel();
-            grants.push(rx);
-            grant_txs.push(tx);
-        }
         let shared = Arc::new(Shared {
-            req_tx,
-            grants,
+            config,
+            sched: Mutex::new(Sched {
+                rng: SmallRng::seed_from_u64(config.seed),
+                status: Vec::new(),
+                running: 0,
+                finished: 0,
+                barriers: HashMap::new(),
+                grants: 0,
+                barrier_releases: 0,
+                abort: None,
+            }),
+            wake: (0..MAX_WORKERS).map(|_| Condvar::new()).collect(),
+            done: Condvar::new(),
             clocks: (0..MAX_WORKERS).map(|_| AtomicU64::new(0)).collect(),
             active: (0..MAX_WORKERS).map(|_| AtomicU64::new(0)).collect(),
             now: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
         });
         SimMachine {
-            config,
             shared,
-            req_rx,
-            grant_txs,
             next_barrier: AtomicU32::new(0),
             used: AtomicBool::new(false),
             metrics: None,
@@ -125,7 +377,7 @@ impl SimMachine {
     }
 
     /// Attaches a telemetry registry: after [`SimMachine::run`] completes,
-    /// the scheduler publishes its virtual-time gauges (makespan, global
+    /// the machine publishes its virtual-time gauges (makespan, global
     /// clock, grant and barrier-release counts, per-thread active ticks)
     /// into it.
     #[must_use]
@@ -136,7 +388,7 @@ impl SimMachine {
 
     /// This machine's configuration.
     pub fn config(&self) -> SimConfig {
-        self.config
+        self.shared.config
     }
 
     /// The gate to install into the STM (and to use for `work` charging).
@@ -161,7 +413,9 @@ impl SimMachine {
     ///
     /// Panics if called twice, if a worker panics (the payload message is
     /// propagated), if workers deadlock (all parked in barriers that cannot
-    /// fill), or if the scheduler starves for 60 s of wall time.
+    /// fill), or if no step is granted for 60 s of wall time (a worker
+    /// blocked outside the gate). Parked workers are unwound first in every
+    /// case; a worker blocked outside the gate is waited for.
     pub fn run(&self, workers: Vec<Box<dyn FnOnce() + Send + '_>>) -> RunReport {
         assert!(
             !self.used.swap(true, Ordering::SeqCst),
@@ -169,38 +423,49 @@ impl SimMachine {
         );
         let n = workers.len();
         assert!(n > 0 && n <= MAX_WORKERS, "worker count must be in 1..={MAX_WORKERS}");
+        {
+            let mut s = self.shared.sched.lock();
+            s.status = vec![St::Running; n];
+            s.running = n;
+        }
 
         let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
+        let (grants, barrier_releases, abort) = std::thread::scope(|scope| {
             for (i, f) in workers.into_iter().enumerate() {
-                let shared = Arc::clone(&self.shared);
+                let shared = &*self.shared;
                 let panics = &panics;
                 scope.spawn(move || {
-                    // First rendezvous: the scheduler controls even the
-                    // workers' start order.
-                    shared.rendezvous(Msg::Pass { thread: i, cost: 0 }, i);
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(f));
+                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        // First rendezvous: the machine controls even the
+                        // workers' start order.
+                        shared.pass(i, 0, 1);
+                        f()
+                    }));
                     if let Err(payload) = result {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "worker panicked".into());
-                        panics.lock().push((i, msg));
+                        if !payload.is::<Aborted>() {
+                            let msg = payload
+                                .downcast_ref::<&str>()
+                                .map(|s| s.to_string())
+                                .or_else(|| payload.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "worker panicked".into());
+                            panics.lock().push((i, msg));
+                        }
                     }
-                    // Done must always be sent or the scheduler hangs.
-                    let _ = shared.req_tx.send(Msg::Done { thread: i });
+                    // Always: the others may be waiting for this worker to
+                    // leave the CPU.
+                    shared.finish(i);
                 });
             }
-            let sched = self.schedule(n);
-            if let Some(reg) = &self.metrics {
-                reg.set_gauge("gstm_sim_sched_grants_total", sched.grants);
-                reg.set_gauge("gstm_sim_barrier_releases_total", sched.barrier_releases);
-            }
+            self.shared.watch()
         });
+        // A worker's own panic is the cause; a deadlock among the workers
+        // it left behind is only the consequence.
         let panics = panics.into_inner();
         if let Some((i, msg)) = panics.into_iter().next() {
             panic!("sim worker {i} panicked: {msg}");
+        }
+        if let Some(msg) = abort {
+            panic!("{msg}");
         }
         let thread_ticks: Vec<u64> =
             (0..n).map(|i| self.shared.clocks[i].load(Ordering::SeqCst) / CENTI).collect();
@@ -208,6 +473,8 @@ impl SimMachine {
             (0..n).map(|i| self.shared.active[i].load(Ordering::SeqCst) / CENTI).collect();
         let makespan = thread_ticks.iter().copied().max().unwrap_or(0);
         if let Some(reg) = &self.metrics {
+            reg.set_gauge("gstm_sim_sched_grants_total", grants);
+            reg.set_gauge("gstm_sim_barrier_releases_total", barrier_releases);
             reg.set_gauge("gstm_sim_makespan_ticks", makespan);
             reg.set_gauge("gstm_sim_now_ticks", self.shared.now.load(Ordering::SeqCst) / CENTI);
             for (i, &t) in active_ticks.iter().enumerate() {
@@ -216,147 +483,6 @@ impl SimMachine {
         }
         RunReport { thread_ticks, active_ticks, makespan }
     }
-
-    /// Aborts the run: poisons the shared state so parked workers unwind
-    /// (instead of blocking `thread::scope` forever), then panics.
-    fn die(&self, msg: &str) -> ! {
-        self.shared.poisoned.store(true, std::sync::atomic::Ordering::SeqCst);
-        panic!("{msg}");
-    }
-
-    /// The scheduler proper: runs on the caller thread until all `n`
-    /// workers are finished.
-    fn schedule(&self, n: usize) -> SchedStats {
-        let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        let mut status = vec![St::Running; n];
-        let mut running = n;
-        let mut finished = 0usize;
-        let mut barriers: HashMap<u32, (usize, Vec<usize>)> = HashMap::new();
-        let mut stats = SchedStats::default();
-
-        while finished < n {
-            // Drain messages until no worker is on-CPU.
-            while running > 0 {
-                let msg = match self.req_rx.recv_timeout(Duration::from_secs(60)) {
-                    Ok(msg) => msg,
-                    Err(_) => self.die("sim scheduler starved: a worker blocked outside the gate"),
-                };
-                match msg {
-                    Msg::Pass { thread, cost } => {
-                        status[thread] = St::Waiting(cost, 1);
-                        running -= 1;
-                    }
-                    Msg::PassBatch { thread, cost, count } => {
-                        debug_assert!(count >= 2, "gate handles count 0/1 without a message");
-                        status[thread] = St::Waiting(cost, count.max(1));
-                        running -= 1;
-                    }
-                    Msg::Barrier { thread, id, parties } => {
-                        status[thread] = St::InBarrier(id);
-                        let entry = barriers.entry(id).or_insert((parties, Vec::new()));
-                        entry.0 = parties;
-                        entry.1.push(thread);
-                        running -= 1;
-                    }
-                    Msg::Done { thread } => {
-                        status[thread] = St::Finished;
-                        running -= 1;
-                        finished += 1;
-                    }
-                }
-            }
-
-            // Release any barrier that filled: align clocks to the slowest
-            // member (that is what a barrier does to time) and make all
-            // members runnable.
-            let full: Vec<u32> = barriers
-                .iter()
-                .filter(|(_, (parties, waiters))| waiters.len() >= *parties)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in full {
-                stats.barrier_releases += 1;
-                let (_, waiters) = barriers.remove(&id).expect("barrier disappeared");
-                let max_clock = waiters
-                    .iter()
-                    .map(|&w| self.shared.clocks[w].load(Ordering::SeqCst))
-                    .max()
-                    .unwrap_or(0);
-                for w in waiters {
-                    self.shared.clocks[w].store(max_clock, Ordering::SeqCst);
-                    status[w] = St::Waiting(0, 1);
-                }
-            }
-
-            if finished == n {
-                break;
-            }
-
-            // Pick the waiting worker with the smallest clock (seeded
-            // tie-break), charge its cost + jitter, and grant the step.
-            let min_clock = status
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| matches!(s, St::Waiting(..)))
-                .map(|(i, _)| self.shared.clocks[i].load(Ordering::SeqCst))
-                .min();
-            let Some(min_clock) = min_clock else {
-                self.die(
-                    "sim deadlock: no runnable workers \
-                     (all remaining workers parked in barriers that cannot fill)",
-                );
-            };
-            let candidates: Vec<usize> = status
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| {
-                    matches!(s, St::Waiting(..))
-                        && self.shared.clocks[*i].load(Ordering::SeqCst) == min_clock
-                })
-                .map(|(i, _)| i)
-                .collect();
-            let pick = candidates[rng.gen_range(0..candidates.len())];
-            let St::Waiting(cost, left) = status[pick] else { unreachable!() };
-
-            let active = n - finished;
-            let scale = active.div_ceil(self.config.cores) as u64;
-            let base = cost * CENTI;
-            let jitter = if self.config.jitter_pct > 0 && base > 0 {
-                rng.gen_range(0..=base * self.config.jitter_pct as u64 / 100)
-            } else {
-                0
-            };
-            let advance = (base + jitter) * scale;
-            let new_clock = min_clock + advance;
-            self.shared.clocks[pick].store(new_clock, Ordering::SeqCst);
-            self.shared.active[pick].fetch_add(advance, Ordering::SeqCst);
-            self.shared.now.fetch_max(new_clock, Ordering::SeqCst);
-
-            stats.grants += 1;
-            if left > 1 {
-                // Remaining sub-steps of a batched crossing: the worker is
-                // still parked, so re-queue it exactly as if it had
-                // immediately requested the next pass — the scheduler loops
-                // back through the same barrier checks, min-clock pick and
-                // RNG draws a chain of individual passes would see.
-                status[pick] = St::Waiting(cost, left - 1);
-            } else {
-                status[pick] = St::Running;
-                running = 1;
-                self.grant_txs[pick].send(()).expect("worker vanished");
-            }
-        }
-        stats
-    }
-}
-
-/// Scheduler-side counters published as telemetry gauges.
-#[derive(Clone, Copy, Debug, Default)]
-struct SchedStats {
-    /// Scheduling decisions (steps granted).
-    grants: u64,
-    /// Barriers released.
-    barrier_releases: u64,
 }
 
 #[cfg(test)]
@@ -458,6 +584,53 @@ mod tests {
     fn worker_panic_propagates() {
         let m = SimMachine::new(SimConfig::new(1, 1));
         m.run(vec![boxed(|| panic!("boom"))]);
+    }
+
+    #[test]
+    fn worker_blocked_outside_the_gate_is_starvation_and_parked_workers_unwind() {
+        // Worker 0 blocks outside the gate until both other workers have
+        // dropped their locals, which they only do by unwinding out of the
+        // gate they are parked in.
+        struct TellOnDrop(std::sync::mpsc::Sender<usize>, usize);
+        impl Drop for TellOnDrop {
+            fn drop(&mut self) {
+                let _ = self.0.send(self.1);
+            }
+        }
+        let m = SimMachine::new(SimConfig::new(3, 1));
+        let gate = m.gate();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let unwound = Mutex::new(Vec::new());
+        let mut workers = vec![boxed({
+            let gate = Arc::clone(&gate);
+            let unwound = &unwound;
+            move || {
+                gate.pass(ThreadId::new(0), 1);
+                for _ in 0..2 {
+                    let who = rx.recv_timeout(Duration::from_secs(20));
+                    unwound.lock().push(who.expect("a parked worker did not unwind"));
+                }
+                gate.pass(ThreadId::new(0), 1);
+                unreachable!("an aborted run grants nothing");
+            }
+        })];
+        for i in 1..3usize {
+            let gate = Arc::clone(&gate);
+            let tell = TellOnDrop(tx.clone(), i);
+            workers.push(boxed(move || {
+                let _tell = tell;
+                loop {
+                    gate.pass(ThreadId::new(i as u16), 1);
+                }
+            }));
+        }
+        drop(tx);
+        let died = std::panic::catch_unwind(AssertUnwindSafe(|| m.run(workers)))
+            .expect_err("a starved run must panic, not return a report");
+        assert_eq!(died.downcast_ref::<String>().map(String::as_str), Some(STARVED));
+        let mut unwound = unwound.into_inner();
+        unwound.sort_unstable();
+        assert_eq!(unwound, vec![1, 2]);
     }
 
     #[test]

@@ -27,6 +27,31 @@ fn underfilled_barrier_is_detected() {
 }
 
 #[test]
+#[should_panic(expected = "sim worker 0 panicked: boom")]
+fn worker_panic_with_others_parked_in_a_barrier_is_reported_as_that_panic() {
+    // The barrier can no longer fill once worker 0 is gone; the run must
+    // end with the cause (the panic), not the consequence (the deadlock),
+    // and must not hang on the two parked workers.
+    let m = SimMachine::new(SimConfig::new(3, 1));
+    let barrier = m.barrier(3);
+    let barrier = &barrier;
+    let gate = m.gate();
+    let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..3usize)
+        .map(|i| {
+            let gate = Arc::clone(&gate);
+            Box::new(move || {
+                gate.pass(ThreadId::new(i as u16), 1 + i as u64);
+                if i == 0 {
+                    panic!("boom");
+                }
+                barrier.wait(ThreadId::new(i as u16));
+            }) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    m.run(workers);
+}
+
+#[test]
 fn worker_finishing_without_any_pass_is_fine() {
     let m = SimMachine::new(SimConfig::new(2, 1));
     let gate = m.gate();

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use gstm_guide::{run_workload, PolicyChoice, RunOptions};
-use gstm_model::{parse_states, Grouping, GuidedModel, TsaBuilder};
+use gstm_model::{parse_states, GuidedModel, TsaBuilder};
 use gstm_synquake::{stat, Quest, SynQuake};
 
 #[test]
@@ -14,7 +14,7 @@ fn model_trained_on_training_quests_guides_test_quests() {
         let w = SynQuake { players: 80, frames: 5, quest };
         for seed in 1..=3 {
             let out = run_workload(&w, &RunOptions::new(threads, seed).capturing());
-            builder.add_run(&parse_states(&out.events.expect("captured"), Grouping::Arrival));
+            builder.add_run(&parse_states(&out.events.expect("captured")));
         }
     }
     let model = Arc::new(GuidedModel::compile(builder.build(), 4.0));

@@ -26,7 +26,7 @@ fn main() {
         println!("  {e}");
     }
 
-    let states = parse_states(&events, Grouping::Arrival);
+    let states = parse_states(&events);
     println!("\n== thread transactional states (first ten of {}) ==", states.len());
     for s in states.iter().take(10) {
         println!("  {s}");

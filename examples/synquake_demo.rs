@@ -25,7 +25,7 @@ fn main() {
         let workload = SynQuake { players, frames: train_frames, quest };
         for &seed in &train_seeds {
             let out = run_workload(&workload, &RunOptions::new(threads, seed).capturing());
-            builder.add_run(&parse_states(&out.events.expect("captured"), Grouping::Arrival));
+            builder.add_run(&parse_states(&out.events.expect("captured")));
         }
     }
     let tsa = builder.build();

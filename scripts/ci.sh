@@ -97,6 +97,7 @@ echo "==> serve-adaptive smoke: online loop must be deterministic and cache-stab
 adapt_dir="target/gstm-ci-adaptive-smoke"
 rm -rf "$adapt_dir"
 mkdir -p "$adapt_dir"
+cp results/serve_adaptive.txt "$adapt_dir/committed.txt"
 ./target/release/experiments serve-adaptive --tiny --jobs 2 \
     --cache-dir "$adapt_dir/cache" \
     >"$adapt_dir/cold.out" 2>"$adapt_dir/cold.err"
@@ -107,6 +108,8 @@ cp results/serve_adaptive.txt "$adapt_dir/cold.txt"
 cp results/serve_adaptive.txt "$adapt_dir/warm.txt"
 diff -u "$adapt_dir/cold.txt" "$adapt_dir/warm.txt" \
     || { echo "serve-adaptive smoke: warm rerun table diverged"; exit 1; }
+diff -u "$adapt_dir/committed.txt" results/serve_adaptive.txt \
+    || { echo "serve-adaptive smoke: results/serve_adaptive.txt drifted from the committed table"; exit 1; }
 grep -qE "runs [1-9][0-9]* hit / 0 miss" "$adapt_dir/warm.err" \
     || { echo "serve-adaptive smoke: warm run missed the run cache"; exit 1; }
 grep -q "gate negative control" "$adapt_dir/cold.txt" \
@@ -117,7 +120,9 @@ echo "==> durable native smoke: 4 threads x 20k ledger requests on the file WAL,
 cargo test -q --release --offline --test real_gate durable_native_smoke \
     || { echo "durable smoke: the native durable run failed or left WAL files behind"; exit 1; }
 
-echo "==> release-profile checks (the profile the benchmark builds): per-thread slots a line apart, per-request allocation budget"
+echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, per-thread slots a line apart, per-request allocation budget"
+cargo test -q --release --offline -p gstm-sim \
+    || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
 cargo test -q --release --offline -p gstm-core --lib layout_ \
     || { echo "layout: two threads' slots share a cache line"; exit 1; }
 cargo test -q --release --offline --test alloc_budget \

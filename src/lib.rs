@@ -54,9 +54,7 @@ pub mod prelude {
         run_workload, train, CmChoice, PolicyChoice, RunOptions, RunOutcome, TrainedModel,
         WorkerEnv, Workload, WorkloadRun, DEFAULT_K,
     };
-    pub use gstm_model::{
-        analyze, parse_states, Grouping, GuidedModel, StateId, Tsa, TsaBuilder, Tts,
-    };
+    pub use gstm_model::{analyze, parse_states, GuidedModel, StateId, Tsa, TsaBuilder, Tts};
     pub use gstm_serve::{Arrival, ServeSpec, ServeWorkload};
     pub use gstm_sim::{SimConfig, SimMachine};
     pub use gstm_stamp::{benchmark, InputSize};

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use gstm::guide::{run_workload, train, PolicyChoice, RunOptions, RunOutcome};
-use gstm::model::{parse_states, Grouping};
+use gstm::model::parse_states;
 use gstm::stamp::{benchmark, InputSize};
 use gstm::synquake::{Quest, SynQuake};
 
@@ -37,7 +37,7 @@ fn fnv1a(text: &str) -> u64 {
 fn digest_outcome(label: &str, out: &RunOutcome) -> String {
     let mut text = format!("== {label} ==\n");
     let events = out.events.as_ref().expect("capture_events was set");
-    for (i, tts) in parse_states(events, Grouping::Arrival).iter().enumerate() {
+    for (i, tts) in parse_states(events).iter().enumerate() {
         text.push_str(&format!("tseq[{i}] {tts}\n"));
     }
     text.push_str(&format!(
