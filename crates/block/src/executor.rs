@@ -37,6 +37,12 @@
 //! produces. Lane count and interleaving change how many re-executions
 //! that takes, never the outcome. A lane with nothing to claim parks until
 //! a resume, the block's end, or a panicking body (which halts the block).
+//!
+//! A block may be a **stream** ([`BlockHooks`]): the lane that claims a
+//! transaction first waits until it is admitted, and the lane that moves
+//! the cursor past a transaction hands it over there and then — so the head
+//! of a block is executed, settled and delivered while its tail has not
+//! arrived yet.
 
 use std::hash::Hash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -90,6 +96,25 @@ impl<K: Hash + Ord + Clone, V: Clone> TxnCtx<'_, K, V> {
         self.reader
     }
 }
+
+/// The lane loop's two call-outs, which make a block a **stream**: its
+/// transactions become runnable one by one and are handed over one by one
+/// as the prefix settles. `()` is the closed block: neither does anything.
+pub trait BlockHooks<K, V, O>: Send + Sync {
+    /// May `txn` run yet? Polled, yielding in between, by the lane that
+    /// claimed it, before the body runs (not before a re-execution) and
+    /// until the block halts. Must stay true once true.
+    fn admit(&self, _txn: usize) -> bool {
+        true
+    }
+
+    /// `txn` settled with this write set and output. Called once per index,
+    /// in block order, never concurrently, by whichever lane is advancing
+    /// the validation cursor.
+    fn settle(&self, _txn: usize, _writes: &[(K, V)], _output: &O) {}
+}
+
+impl<K, V, O> BlockHooks<K, V, O> for () {}
 
 /// The settled result of one block execution.
 #[derive(Clone, Debug)]
@@ -235,10 +260,11 @@ struct BlockCore<K, V, O> {
     /// contended, the mutex is just the safe way to hand the data over.
     records: Vec<Mutex<TxnRecord<K, V, O>>>,
     stats: Mutex<BlockStats>,
+    hooks: Box<dyn BlockHooks<K, V, O>>,
 }
 
 impl<K: Hash + Ord + Clone, V: Clone, O> BlockCore<K, V, O> {
-    fn new(cfg: &BlockConfig, txns: usize) -> Self {
+    fn new(cfg: &BlockConfig, txns: usize, hooks: Box<dyn BlockHooks<K, V, O>>) -> Self {
         let record = || TxnRecord { reads: Vec::new(), writes: Vec::new(), output: None };
         BlockCore {
             map: MvMap::new(cfg.parts),
@@ -248,13 +274,14 @@ impl<K: Hash + Ord + Clone, V: Clone, O> BlockCore<K, V, O> {
             },
             records: (0..txns).map(|_| Mutex::new(record())).collect(),
             stats: Mutex::default(),
+            hooks,
         }
     }
 
     /// One lane's share of the block: returns once the block has settled
     /// or halted, whichever lane did the work — or, given `alone_until`,
-    /// once that instant has passed. A panicking body halts every lane.
-    fn work(&self, base: &Base<K, V>, run: &Body<K, V, O>, alone_until: Option<Instant>) {
+    /// once that instant has passed. A panic (body or hook) halts every lane.
+    fn work(&self, base: &Base<K, V>, run: &Body<K, V, O>, mut alone_until: Option<Instant>) {
         let mut stats = BlockStats::default();
         let lane = catch_unwind(AssertUnwindSafe(|| loop {
             self.validate_ready(&mut stats, base, run);
@@ -264,10 +291,19 @@ impl<K: Hash + Ord + Clone, V: Clone, O> BlockCore<K, V, O> {
             {
                 break;
             }
-            match self.sched.claim() {
-                Some((txn, incarnation)) => self.execute(txn, incarnation, &mut stats, base, run),
-                None => self.sched.park(),
+            let Some((txn, incarnation)) = self.sched.claim() else {
+                self.sched.park();
+                continue;
+            };
+            while !self.hooks.admit(txn) {
+                if self.sched.halted.load(SeqCst) {
+                    return;
+                }
+                // Waiting is not work: this lane has caught up with the arrivals.
+                alone_until = alone_until.map(|_| Instant::now() + ALONE);
+                std::thread::yield_now();
             }
+            self.execute(txn, incarnation, &mut stats, base, run);
         }));
         self.stats.lock().expect("stats poisoned").merge(&stats);
         if let Err(payload) = lane {
@@ -325,6 +361,9 @@ impl<K: Hash + Ord + Clone, V: Clone, O> BlockCore<K, V, O> {
                 stats.validations += 1;
                 let record = self.records[txn].lock().expect("record poisoned");
                 if record.reads.iter().all(|(k, seen)| self.map.still_valid(k, txn, *seen)) {
+                    let output =
+                        record.output.as_ref().expect("executed transaction has an output");
+                    self.hooks.settle(txn, &record.writes, output);
                     drop(record);
                     sched.validation_idx.store(txn + 1, SeqCst);
                     continue;
@@ -348,6 +387,31 @@ impl<K: Hash + Ord + Clone, V: Clone, O> BlockCore<K, V, O> {
         }
     }
 
+    /// Runs the block on the calling thread plus `lanes − 1` scoped helpers.
+    fn run_scoped(
+        self,
+        lanes: usize,
+        base: &Base<K, V>,
+        run: &Body<K, V, O>,
+    ) -> BlockOutcome<K, V, O>
+    where
+        K: Send + Sync,
+        V: Send + Sync,
+        O: Send,
+    {
+        let work = || self.work(base, run, None);
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..lanes).map(|_| scope.spawn(work)).collect();
+            work();
+            for helper in helpers {
+                if let Err(payload) = helper.join() {
+                    resume_unwind(payload);
+                }
+            }
+        });
+        self.collect()
+    }
+
     /// Tears the settled core down into the block's outcome.
     fn collect(self) -> BlockOutcome<K, V, O> {
         debug_assert!(self.sched.status.iter().all(|s| s.load(SeqCst) & 3 == EXECUTED));
@@ -363,11 +427,12 @@ impl<K: Hash + Ord + Clone, V: Clone, O> BlockCore<K, V, O> {
     }
 }
 
-/// How long the caller works on a pooled block before asking the pool in.
-/// On a short block a second lane only bounces the scheduler's and the
-/// map's cache lines between cores: 64 ledger transfers take 25–30 µs alone,
-/// 36 µs with a helper woken at the start, 60–96 µs with two lanes throughout.
-const ALONE: Duration = Duration::from_micros(50);
+/// How long the caller works on a pooled block — time spent waiting for
+/// an arrival ([`BlockHooks::admit`]) starts the count afresh — before it
+/// asks the pool in. On a short block a second lane only bounces the
+/// scheduler's and the map's cache lines between cores; 64 ledger transfers
+/// execute and commit in ≈ 67 µs on one lane (DESIGN.md §6h has the numbers).
+const ALONE: Duration = Duration::from_micros(150);
 
 /// Executes a block of `txns` transactions over `threads` lanes: the
 /// calling thread plus `threads − 1` scoped helpers.
@@ -398,18 +463,7 @@ where
 {
     assert!(txns <= cfg.block_size, "{txns} transactions exceed block_size {}", cfg.block_size);
     assert!(threads > 0, "need at least one block worker");
-    let core: BlockCore<K, V, O> = BlockCore::new(cfg, txns);
-    let work = || core.work(&base, &run, None);
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads.min(txns)).map(|_| scope.spawn(work)).collect();
-        work();
-        for helper in helpers {
-            if let Err(payload) = helper.join() {
-                resume_unwind(payload);
-            }
-        }
-    });
-    core.collect()
+    BlockCore::new(cfg, txns, Box::new(())).run_scoped(threads.min(txns), &base, &run)
 }
 
 /// Executes a block on a persistent [`BlockPool`] — same semantics and
@@ -443,8 +497,33 @@ where
         + Sync
         + 'static,
 {
+    stream_block_on(pool, cfg, txns, base, run, ())
+}
+
+/// [`execute_block_on`] as a stream: transaction `i` runs once `hooks`
+/// admit it and is handed to [`BlockHooks::settle`] as soon as the prefix
+/// up to it has settled, while the tail still waits or runs. Same outcome;
+/// a panicking hook halts the block like a panicking body.
+pub fn stream_block_on<K, V, O, B, F>(
+    pool: &BlockPool,
+    cfg: &BlockConfig,
+    txns: usize,
+    base: B,
+    run: F,
+    hooks: impl BlockHooks<K, V, O> + 'static,
+) -> BlockOutcome<K, V, O>
+where
+    K: Hash + Eq + Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    O: Send + 'static,
+    B: Fn(&K) -> Option<V> + Send + Sync + 'static,
+    F: Fn(usize, &mut TxnCtx<'_, K, V>) -> Result<(Vec<(K, V)>, O), Blocked>
+        + Send
+        + Sync
+        + 'static,
+{
     assert!(txns <= cfg.block_size, "{txns} transactions exceed block_size {}", cfg.block_size);
-    let core: Arc<BlockCore<K, V, O>> = Arc::new(BlockCore::new(cfg, txns));
+    let core: Arc<BlockCore<K, V, O>> = Arc::new(BlockCore::new(cfg, txns, Box::new(hooks)));
     core.work(&base, &run, Some(Instant::now() + ALONE));
     if !core.sched.settled() {
         let lane = Arc::clone(&core);
@@ -564,7 +643,7 @@ mod tests {
     /// The sequential fold the executor must reproduce byte for byte.
     fn sequential_mixed(programs: &[Program]) -> BlockOutcome<u64, i64, i64> {
         let mut state: BTreeMap<u64, i64> = BTreeMap::new();
-        let mut want = BlockCore::new(&cfg(), 0).collect();
+        let mut want = BlockCore::new(&cfg(), 0, Box::new(())).collect();
         for program in programs {
             let read = |k: u64| Ok::<_, ()>(state.get(&k).copied().or_else(|| mixed_base(&k)));
             let (writes, output) = mixed_body(program, read).expect("infallible read");
@@ -944,6 +1023,239 @@ mod tests {
                 (outputs, finals),
                 sequential_counters(48, 3),
                 "pool unusable after a panic"
+            );
+        }
+    }
+
+    /// Checks the [`BlockHooks::settle`] contract as the calls come in.
+    #[derive(Default)]
+    struct SettleLog {
+        inside: AtomicBool,
+        seen: Mutex<Vec<(usize, MixedResult)>>,
+    }
+
+    impl BlockHooks<u64, i64, i64> for Arc<SettleLog> {
+        fn settle(&self, txn: usize, writes: &[(u64, i64)], output: &i64) {
+            assert!(!self.inside.swap(true, SeqCst), "two lanes inside settle at once");
+            std::thread::yield_now();
+            self.seen.lock().unwrap().push((txn, (writes.to_vec(), *output)));
+            self.inside.store(false, SeqCst);
+        }
+    }
+
+    /// Exactly once per index, ascending, never concurrently, and with the
+    /// final incarnation's write set and output — an aborted incarnation's
+    /// differ from the sequential result on this workload, so equality with
+    /// the outcome rules those out.
+    #[test]
+    fn settle_fires_once_per_index_in_order_with_the_final_incarnation() {
+        for lanes in [1, 2, 4, 8] {
+            let pool = BlockPool::new(lanes);
+            for seed in 0..60u64 {
+                let programs = mixed_programs(seed, 40);
+                for pooled in [false, true] {
+                    let log = Arc::new(SettleLog::default());
+                    let block = Arc::clone(&programs);
+                    let body = move |i: usize, ctx: &mut TxnCtx<'_, u64, i64>| {
+                        contended_mixed_body(&block[i], i, ctx)
+                    };
+                    let out = if pooled {
+                        stream_block_on(&pool, &cfg(), 40, mixed_base, body, Arc::clone(&log))
+                    } else {
+                        let core = BlockCore::new(&cfg(), 40, Box::new(Arc::clone(&log)));
+                        core.run_scoped(lanes, &mixed_base, &body)
+                    };
+                    let context = format!("seed {seed}, {lanes} lanes, pooled {pooled}");
+                    assert_matches_sequential(&out, &programs, &context);
+                    let seen = std::mem::take(&mut *log.seen.lock().unwrap());
+                    let want: Vec<_> =
+                        (0..40).map(|i| (i, (out.txn_writes[i].clone(), out.outputs[i]))).collect();
+                    assert_eq!(seen, want, "{context}");
+                }
+            }
+        }
+    }
+
+    /// Hooks of a block whose transaction `i + 1` "arrives" only after
+    /// transaction `i` has been handed over: a block that ran nothing, or
+    /// settled nothing, before all of it was admitted would never finish.
+    #[derive(Default)]
+    struct OneAtATime {
+        settled: AtomicUsize,
+    }
+
+    impl BlockHooks<u64, i64, i64> for Arc<OneAtATime> {
+        fn admit(&self, txn: usize) -> bool {
+            self.settled.load(SeqCst) >= txn
+        }
+
+        fn settle(&self, txn: usize, _: &[(u64, i64)], _: &i64) {
+            assert_eq!(self.settled.swap(txn + 1, SeqCst), txn, "settled out of order");
+        }
+    }
+
+    #[test]
+    fn a_transaction_settles_while_the_tail_has_not_been_admitted() {
+        for lanes in [1, 2, 4] {
+            let (scoped, pooled) = within_timeout(move || {
+                let body = |i: usize, ctx: &mut TxnCtx<'_, u64, i64>| {
+                    let v = ctx.read(&(i as u64 % 2))?.unwrap_or(0);
+                    Ok((vec![(i as u64 % 2, v + i as i64 + 1)], v))
+                };
+                let base = |_: &u64| Some(0i64);
+                let hooks = Box::new(Arc::new(OneAtATime::default()));
+                let scoped = BlockCore::new(&cfg(), 48, hooks).run_scoped(lanes, &base, &body);
+                let hooks = Arc::new(OneAtATime::default());
+                let pooled = stream_block_on(&BlockPool::new(lanes), &cfg(), 48, base, body, hooks);
+                (scoped, pooled)
+            });
+            for out in [scoped, pooled] {
+                assert_eq!((out.outputs, out.final_writes), sequential_counters(48, 2));
+            }
+        }
+    }
+
+    /// Transaction `i` arrives `i` × 200 µs into the block and runs in far
+    /// less: the block lasts many times [`ALONE`], all of it waiting. Notes
+    /// which threads came asking.
+    struct SlowArrivals {
+        start: Instant,
+        lanes: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl BlockHooks<u64, i64, i64> for Arc<SlowArrivals> {
+        fn admit(&self, txn: usize) -> bool {
+            let (mut lanes, me) = (self.lanes.lock().unwrap(), std::thread::current().id());
+            if !lanes.contains(&me) {
+                lanes.push(me);
+            }
+            self.start.elapsed() >= Duration::from_micros(200) * txn as u32
+        }
+    }
+
+    /// Waiting for arrivals is not work: the caller keeps up alone, so the
+    /// pool is never asked in — a helper woken with 4 ms of the block to go
+    /// would claim the next transaction and be seen waiting for it. (A host
+    /// stall *inside* a body is work as far as the executor can tell, hence
+    /// the three attempts; wall time in the block, which is what the budget
+    /// used to count, is 30 × [`ALONE`] on every one.)
+    #[test]
+    fn a_block_that_arrives_slower_than_it_executes_runs_on_the_caller_alone() {
+        let pool = BlockPool::new(2);
+        let alone = (0..3).any(|_| {
+            let arrivals =
+                Arc::new(SlowArrivals { start: Instant::now(), lanes: Mutex::default() });
+            let out = stream_block_on(
+                &pool,
+                &cfg(),
+                24,
+                |_: &u64| Some(0i64),
+                |i, ctx| {
+                    let v = ctx.read(&0)?.unwrap();
+                    Ok((vec![(0u64, v + i as i64 + 1)], v))
+                },
+                Arc::clone(&arrivals),
+            );
+            assert_eq!((out.outputs, out.final_writes), sequential_counters(24, 1));
+            let lanes = arrivals.lanes.lock().unwrap();
+            *lanes == [std::thread::current().id()]
+        });
+        assert!(alone, "admission waits were counted as work: the pool was asked in every time");
+    }
+
+    /// What goes wrong in [`Stuck`] blocks.
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        Body,
+        Settle,
+    }
+
+    /// Transactions 0 and 1 have arrived, the rest never will. Transaction
+    /// 1 blows up — in its body or in its settlement — once another lane is
+    /// parked waiting for transaction 2's arrival.
+    struct Stuck {
+        fault: Fault,
+        parked: AtomicBool,
+    }
+
+    impl Stuck {
+        fn blow_up_once_a_lane_is_parked(&self, what: &'static str) {
+            while !self.parked.load(SeqCst) {
+                std::thread::yield_now();
+            }
+            std::panic::panic_any(what);
+        }
+    }
+
+    impl BlockHooks<u64, i64, i64> for Arc<Stuck> {
+        fn admit(&self, txn: usize) -> bool {
+            self.parked.fetch_or(txn >= 2, SeqCst);
+            txn < 2
+        }
+
+        fn settle(&self, txn: usize, _: &[(u64, i64)], _: &i64) {
+            if txn == 1 && matches!(self.fault, Fault::Settle) {
+                self.blow_up_once_a_lane_is_parked("settle blew up");
+            }
+        }
+    }
+
+    /// ROADMAP 5c/5d: a lane parked in `admit` for an arrival that is far
+    /// off (here: never) leaves when the block halts, so the panic reaches
+    /// the submitter at once, and the pool serves the next block.
+    #[test]
+    fn a_lane_waiting_for_an_arrival_leaves_when_the_block_halts() {
+        for (lanes, fault) in
+            [(2, Fault::Body), (4, Fault::Body), (2, Fault::Settle), (4, Fault::Settle)]
+        {
+            let pool = Arc::new(BlockPool::new(lanes));
+            for pooled in [false, true] {
+                let block_pool = Arc::clone(&pool);
+                let payload = within_timeout(move || {
+                    let hooks = Arc::new(Stuck { fault, parked: AtomicBool::new(false) });
+                    let stuck = Arc::clone(&hooks);
+                    let body = move |i: usize, ctx: &mut TxnCtx<'_, u64, i64>| {
+                        match (i, fault) {
+                            // Long enough for the pooled caller to ask the helpers in.
+                            (0, _) => outlast_alone_budget(),
+                            (1, Fault::Body) => stuck.blow_up_once_a_lane_is_parked("body blew up"),
+                            _ => {}
+                        }
+                        let v = ctx.read(&0)?.unwrap();
+                        Ok((vec![(0u64, v + 1)], v))
+                    };
+                    let base = |_: &u64| Some(0i64);
+                    catch_unwind(AssertUnwindSafe(|| {
+                        if pooled {
+                            stream_block_on(&block_pool, &cfg(), 8, base, body, hooks)
+                        } else {
+                            BlockCore::new(&cfg(), 8, Box::new(hooks))
+                                .run_scoped(lanes, &base, &body)
+                        }
+                    }))
+                    .map(|_| ())
+                    .expect_err("the panic must reach the caller")
+                });
+                let want =
+                    if matches!(fault, Fault::Body) { "body blew up" } else { "settle blew up" };
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&want), "{lanes} lanes, {fault:?}");
+            }
+            let out = within_timeout(move || {
+                execute_block_on(
+                    &pool,
+                    &cfg(),
+                    48,
+                    |_: &u64| Some(0i64),
+                    |i, ctx| {
+                        let v = ctx.read(&(i as u64 % 3))?.unwrap_or(0);
+                        Ok((vec![(i as u64 % 3, v + i as i64 + 1)], v))
+                    },
+                )
+            });
+            assert_eq!(
+                (out.outputs, out.final_writes),
+                sequential_counters(48, 3),
+                "pool unusable"
             );
         }
     }

@@ -26,11 +26,14 @@
 //! * The calling thread is always the first lane. [`execute_block`] adds
 //!   scoped helpers; [`execute_block_on`] asks a persistent [`BlockPool`]
 //!   for help once a block has run long enough for a second lane to pay.
+//! * [`stream_block_on`] runs a block whose transactions arrive over time
+//!   ([`BlockHooks::admit`]) and hands each one over as soon as the prefix
+//!   up to it has settled ([`BlockHooks::settle`]), in block order.
 //!
 //! The executor knows nothing about TL2, lock tables or WALs: `gstm-serve`
-//! layers `ServeMode::Block` on top, committing each block's results
-//! through the real engine in block order, one commit sequence number per
-//! transaction, so the WAL stays gap-free.
+//! layers `ServeMode::Block` on top, committing each transaction through
+//! the real engine from its `settle` hook — in block order, one commit
+//! sequence number per transaction, so the WAL stays gap-free.
 
 #![warn(missing_docs)]
 
@@ -38,7 +41,9 @@ pub mod executor;
 pub mod mvmap;
 pub mod pool;
 
-pub use executor::{execute_block, execute_block_on, BlockOutcome, Blocked, TxnCtx};
+pub use executor::{
+    execute_block, execute_block_on, stream_block_on, BlockHooks, BlockOutcome, Blocked, TxnCtx,
+};
 pub use pool::BlockPool;
 
 /// Knobs of one block execution, validated loudly at construction.

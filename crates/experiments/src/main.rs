@@ -104,10 +104,11 @@ fn write_result(out_dir: &std::path::Path, id: &str, body: &str) {
 }
 
 /// `block-smoke`: execute one ordered block workload at each requested
-/// worker-thread count and compare every run's output digests against the
-/// sequential same-order reference. Exits 0 with per-thread digests on
-/// success; exits 1 naming the first divergence otherwise. This is the CI
-/// gate for the executor's schedule-invariance guarantee.
+/// worker-thread count — on the bare executor and on the native serve lane
+/// — and compare every run's output digests against the sequential
+/// same-order reference. Exits 0 with per-thread digests on success; exits
+/// 1 naming the first divergence otherwise. This is the CI gate for the
+/// executor's schedule-invariance guarantee.
 fn run_block_smoke(args: &[String]) -> ! {
     let requests: usize = flag_number(args, "--requests").unwrap_or(200);
     let seed: u64 = flag_number(args, "--seed").unwrap_or(11);
@@ -142,7 +143,22 @@ fn run_block_smoke(args: &[String]) -> ! {
         })
         .collect();
     let report = gstm_check::check_block_equivalence(&reference, &parallel);
-    if report.ok() && !report.is_vacuous() {
+    // The native lane — arrivals on the wall clock, every transaction
+    // committed through the engine by whichever lane holds the cursor.
+    // `run_native` merges one stream per thread, so each thread count has
+    // its own order and its own reference.
+    let native_ok = threads.iter().all(|&t| {
+        let native = gstm_serve::run_native(&spec, t, seed, 1, 0);
+        let record = native.block.expect("a block-mode run reports its record").record;
+        let ok = record == gstm_serve::run_block_reference(&spec, t, seed);
+        println!(
+            "block-smoke: native threads={t} digest {:016x} {}",
+            record.final_digest,
+            if ok { "= reference" } else { "DIVERGED from its reference" }
+        );
+        ok
+    });
+    if report.ok() && !report.is_vacuous() && native_ok {
         println!("block-smoke: PASS ({})", report.summary());
         std::process::exit(0);
     }

@@ -3,14 +3,15 @@
 //!
 //! The per-thread open-loop schedules are merged into one **global
 //! arrival order** (a pure function of `(spec, streams, seed)`), chopped
-//! into blocks, and each block runs through the `gstm-block` executor:
-//! speculative parallel execution whose outcome is byte-identical to
-//! sequential execution of the block order at any worker-thread count.
-//! The commit phase then walks the settled block in order, publishing
-//! each transaction's final write set through one engine transaction —
-//! one commit sequence number per transaction, read-only requests
-//! included, so a durable backend's WAL stays exactly as gap-free as
-//! under the interleaved loop.
+//! into blocks of `block_size`, and each block runs through the `gstm-block`
+//! executor as a stream: a transaction executes — speculatively, in
+//! parallel, with an outcome byte-identical to sequential execution of the
+//! block order at any worker-thread count — once its request is due, and
+//! commits once the prefix of its block has settled: the lane that settles
+//! it publishes its final write set through one engine transaction. One
+//! commit sequence number per transaction, in block order, read-only
+//! requests included, so a durable backend's WAL stays exactly as gap-free
+//! as under the interleaved loop.
 //!
 //! Every lane here runs the store's one interpreter
 //! ([`crate::store::interpret`]) over a different substrate:
@@ -27,10 +28,10 @@
 //! The state between blocks (the speculative base) is a [`Materializer`]
 //! too, so the reference and the parallel lanes digest the same type.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use gstm_block::{execute_block, execute_block_on, BlockConfig, BlockPool, BlockStats};
+use gstm_block::{execute_block, stream_block_on, BlockConfig, BlockHooks, BlockPool, BlockStats};
 use gstm_check::BlockRecord;
 use gstm_core::cm::Aggressive;
 use gstm_core::{AdmitAll, RealGate, SiteStatsSink, Stm, ThreadId, TxnKind};
@@ -194,16 +195,77 @@ pub fn execute_block_order(
     (BlockRecord { outputs, final_digest: state.digest() }, stats)
 }
 
+/// What every block of a native run shares with the lanes that execute
+/// it. `seen` is the clock reading of the latest commit: under backlog it
+/// already says the next request is due, without another reading.
+struct Run {
+    stm: Stm,
+    backend: Arc<dyn StoreBackend>,
+    clock: WallClock,
+    seen: AtomicU64,
+    log: ThreadLog,
+    order: Vec<ScheduledRequest>,
+    spec: ServeSpec,
+}
+
+/// The one engine thread id every commit of a run uses. The commits come
+/// from whichever lane holds the executor's validation cursor, so the id
+/// is handed from lane to lane; that is sound because the `validating`
+/// flag (SeqCst) orders the calls and everything the engine, gate, sink
+/// and log keep per thread id is an atomic or behind a lock.
+fn t0() -> ThreadId {
+    ThreadId::new(0)
+}
+
+/// One block of a [`Run`]: the requests from `order[start]` on.
+struct Streamed {
+    run: Arc<Run>,
+    start: usize,
+}
+
+impl BlockHooks<u64, Entry, Response> for Streamed {
+    /// Transaction `i` may run once request `i` is due.
+    fn admit(&self, i: usize) -> bool {
+        let Run { clock, seen, order, .. } = &*self.run;
+        let at = order[self.start + i].at;
+        at <= seen.load(Ordering::Relaxed) || at <= clock.now(t0())
+    }
+
+    /// Commits transaction `i` through the engine and replies.
+    fn settle(&self, i: usize, writes: &[(u64, Entry)], _: &Response) {
+        let Run { stm, backend, clock, seen, log, order, spec } = &*self.run;
+        let sr = &order[self.start + i];
+        // Empty write sets (read-only requests) ride the engine's read-only
+        // commit fast path — which still claims a commit sequence number,
+        // keeping the WAL prefix dense.
+        stm.run(t0(), sr.req.site(), |tx| {
+            tx.work(spec.work);
+            backend.store().apply_writes(tx, writes)
+        });
+        backend.on_commit(stm.last_commit_seq(t0()), &sr.req);
+        let now = clock.now(t0());
+        seen.store(now, Ordering::Relaxed);
+        let sojourn = now.saturating_sub(sr.at);
+        log.sojourn.record(sojourn);
+        log.done.fetch_add(1, Ordering::Relaxed);
+        if sr.req.txn_kind() == TxnKind::ReadOnly {
+            log.sojourn_ro.record(sojourn);
+            log.done_ro.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// The native block-mode run behind [`crate::run_native`]: merged global
-/// order, open-loop block boundaries (a block executes once its last
-/// request has arrived), speculative parallel execution, then in-order
-/// serial commit through the engine — one commit sequence number per
-/// transaction, so a durable backend logs exactly what the interleaved
-/// loop would, in block order.
+/// order in fixed chunks of `block_size`, each chunk a **stream** — a
+/// transaction executes (speculatively, in parallel) once its request is
+/// due and commits through the engine once the block's prefix up to it has
+/// settled, in block order: one commit sequence number per transaction, so
+/// a durable backend logs exactly what the interleaved loop would. Nothing
+/// waits for a block to fill; the boundary only says which requests share
+/// one multi-version map.
 ///
-/// Backpressure shedding does not apply: the block boundary *is* the
-/// batching policy, and every admitted request gets its guaranteed slot
-/// in the serial order (`shed` is always 0).
+/// Backpressure shedding does not apply: every request has its guaranteed
+/// slot in the serial order (`shed` is always 0).
 ///
 /// # Panics
 ///
@@ -229,57 +291,43 @@ pub(crate) fn run_native_block(
         Arc::new(AdmitAll),
         Arc::new(Aggressive),
     );
-    let clock = WallClock::new(nanos_per_tick);
-    let store = backend.store();
-    let t0 = ThreadId::new(0);
+    let run = Arc::new(Run {
+        stm,
+        backend,
+        clock: WallClock::new(nanos_per_tick),
+        seen: AtomicU64::new(0),
+        log: ThreadLog::default(),
+        order,
+        spec: spec.clone(),
+    });
     // The shadow is the speculative base state: block N+1 reads block N's
     // settled writes from here while the engine holds the same values
     // transactionally. The two are compared at the end. It lives behind a
     // lock because the pool's workers (which outlive any one block) read
-    // it while executing; the commit loop holds the only write access and
-    // only touches it between blocks.
+    // it while executing; this loop holds the only write access and only
+    // touches it between blocks.
     let shadow = Arc::new(RwLock::new(Materializer::initial(spec.keys)));
     // One persistent worker pool for the whole run: spawning threads per
     // block would cost more than executing a small block does.
     let pool = BlockPool::new(threads);
-    let log = ThreadLog::default();
-    let mut outputs = Vec::with_capacity(order.len());
+    let mut outputs = Vec::with_capacity(run.order.len());
     let mut stats = BlockStats::default();
     let mut blocks = 0u64;
-    // Shared once with every block's body; a block is a range of it.
-    let order = Arc::new(order);
-    for start in (0..order.len()).step_by(block_size) {
-        let chunk = &order[start..order.len().min(start + block_size)];
-        clock.wait_until(t0, chunk.last().expect("chunks are non-empty").at);
-        let keys = spec.keys;
+    for start in (0..run.order.len()).step_by(block_size) {
         let block_shadow = Arc::clone(&shadow);
-        let block_order = Arc::clone(&order);
-        let outcome = execute_block_on(
+        let body = Arc::clone(&run);
+        let outcome = stream_block_on(
             &pool,
             &cfg,
-            chunk.len(),
+            block_size.min(run.order.len() - start),
             move |k: &u64| block_shadow.read().expect("shadow poisoned").get(*k),
-            move |i, ctx| apply_with(&block_order[start + i].req, keys, &mut |k| ctx.read(&k)),
+            move |i, ctx| {
+                apply_with(&body.order[start + i].req, body.spec.keys, &mut |k| ctx.read(&k))
+            },
+            Streamed { run: Arc::clone(&run), start },
         );
         blocks += 1;
         stats.merge(&outcome.stats);
-        for (sr, writes) in chunk.iter().zip(&outcome.txn_writes) {
-            // Empty write sets (read-only requests) ride the engine's
-            // read-only commit fast path — which still claims a commit
-            // sequence number, keeping the WAL prefix dense.
-            stm.run(t0, sr.req.site(), |tx| {
-                tx.work(spec.work);
-                store.apply_writes(tx, writes)
-            });
-            backend.on_commit(stm.last_commit_seq(t0), &sr.req);
-            let sojourn = clock.now(t0).saturating_sub(sr.at);
-            log.sojourn.record(sojourn);
-            log.done.fetch_add(1, Ordering::Relaxed);
-            if sr.req.txn_kind() == TxnKind::ReadOnly {
-                log.sojourn_ro.record(sojourn);
-                log.done_ro.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         // The block's net effect in one go: nothing reads the shadow
         // between blocks, so per-transaction order does not matter here.
         outputs.extend(outcome.outputs.iter().map(response_digest));
@@ -288,6 +336,8 @@ pub(crate) fn run_native_block(
             settled.set(k, e);
         }
     }
+    let Run { stm, backend, clock, log, .. } = &*run;
+    let store = backend.store();
     backend.flush();
     let final_digest = shadow.read().expect("shadow poisoned").digest();
     if let Err(v) =
@@ -306,7 +356,7 @@ pub(crate) fn run_native_block(
         shed: 0,
         sojourn: log.sojourn.snapshot(),
         sojourn_ro: log.sojourn_ro.snapshot(),
-        elapsed_ticks: clock.now(t0),
+        elapsed_ticks: clock.now(t0()),
         mvcc: stm.mvcc_stats(),
         sites: sink.snapshot(),
         block: Some(BlockModeReport {
@@ -388,31 +438,88 @@ mod tests {
     #[test]
     fn native_block_run_matches_the_sequential_reference() {
         let spec = block_spec(50, 16);
-        let report = run_native(&spec, 2, 9, 50, 64);
-        assert_eq!(report.done, 2 * 50);
-        assert_eq!(report.shed, 0, "block mode never sheds");
-        assert!(report.done_ro > 0, "the ledger mix has balance checks");
-        let block = report.block.expect("block-mode report carries the record");
-        assert!(block.blocks >= (2 * 50 / 16) as u64);
-        assert_eq!(block.stats.executions, 2 * 50 + block.stats.re_executions);
-        let reference = run_block_reference(&spec, 2, 9);
-        let oracle = check_block_equivalence(&reference, &[(2, block.record)]);
-        assert!(oracle.ok(), "native run diverged from reference: {}", oracle.summary());
+        for threads in [1, 2, 4] {
+            let report = run_native(&spec, threads, 9, 50, 64);
+            assert_eq!(report.done, threads as u64 * 50);
+            assert_eq!(report.shed, 0, "block mode never sheds");
+            assert!(report.done_ro > 0, "the ledger mix has balance checks");
+            let block = report.block.expect("block-mode report carries the record");
+            assert_eq!(block.blocks, (threads as u64 * 50).div_ceil(16), "fixed chunks");
+            assert_eq!(block.stats.executions, threads as u64 * 50 + block.stats.re_executions);
+            let reference = run_block_reference(&spec, threads, 9);
+            assert_eq!(block.record, reference, "native run diverged at {threads} threads");
+        }
     }
 
+    /// The property the stream buys: a request is served when it arrives,
+    /// not when the 64th request of its block has. Two streams at one
+    /// request per 200 µs each fill a block in 6.4 ms; waiting for that
+    /// put the median sojourn at half of it.
+    #[test]
+    fn a_request_does_not_wait_for_its_block_to_fill() {
+        let spec = ServeSpec::ledger(160)
+            .with_arrival(Arrival::Poisson { mean_gap: 200.0 })
+            .with_block_mode(64);
+        let report = run_native(&spec, 2, 9, 1_000, 0);
+        assert_eq!(report.done, 2 * 160);
+        let formation_ticks = 64.0 * 200.0 / 2.0;
+        let p50 = report.sojourn.p(0.5);
+        assert!(
+            p50 < formation_ticks / 4.0,
+            "median sojourn {p50} µs against {formation_ticks} µs to fill a block"
+        );
+        let block = report.block.expect("block-mode report carries the record");
+        assert_eq!(block.blocks, 5);
+        assert_eq!(block.record, run_block_reference(&spec, 2, 9));
+    }
+
+    /// A durable backend that also notes which OS threads committed.
+    struct LaneProbe {
+        inner: DurableBackend,
+        committers: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    impl StoreBackend for LaneProbe {
+        fn store(&self) -> &ShardedStore {
+            self.inner.store()
+        }
+        fn label(&self) -> &'static str {
+            self.inner.label()
+        }
+        fn on_commit(&self, seq: u64, req: &Request) {
+            self.committers.lock().unwrap().insert(std::thread::current().id());
+            self.inner.on_commit(seq, req);
+        }
+        fn flush(&self) {
+            self.inner.flush();
+        }
+    }
+
+    /// One engine thread id, handed from lane to lane under the executor's
+    /// validation flag: blocks long enough (and all due at once) that the
+    /// helper is asked in, so both lanes commit — and the log still reads
+    /// as one serial committer's.
     #[test]
     fn durable_block_run_keeps_the_wal_prefix_dense() {
-        let spec = block_spec(40, 8);
-        let (backend, _log_dev, _snap_dev) = DurableBackend::in_memory(
+        let spec = block_spec(2048, 256);
+        let (inner, _log_dev, _snap_dev) = DurableBackend::in_memory(
             ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys),
             WalConfig::new(),
         );
-        let backend = Arc::new(backend);
-        let report =
-            run_native_block(&spec, 8, 2, 5, 1, 64, Arc::clone(&backend) as Arc<dyn StoreBackend>);
-        assert_eq!(report.done, 2 * 40);
-        let ledger = backend.ledger();
-        assert_eq!(ledger.len(), 2 * 40, "every commit (read-only included) was logged");
+        let backend = Arc::new(LaneProbe { inner, committers: Default::default() });
+        let report = run_native_block(
+            &spec,
+            256,
+            2,
+            5,
+            1,
+            64,
+            Arc::clone(&backend) as Arc<dyn StoreBackend>,
+        );
+        assert_eq!(report.done, 2 * 2048);
+        assert_eq!(backend.committers.lock().unwrap().len(), 2, "both lanes held the cursor");
+        let ledger = backend.inner.ledger();
+        assert_eq!(ledger.len(), 2 * 2048, "every commit (read-only included) was logged");
         for (i, (seq, _)) in ledger.iter().enumerate() {
             assert_eq!(*seq, i as u64 + 1, "commit sequence numbers are dense from 1");
         }

@@ -120,15 +120,17 @@ echo "==> durable native smoke: 4 threads x 20k ledger requests on the file WAL,
 cargo test -q --release --offline --test real_gate durable_native_smoke \
     || { echo "durable smoke: the native durable run failed or left WAL files behind"; exit 1; }
 
-echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, per-thread slots a line apart, per-request allocation budget"
+echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, per-thread slots a line apart, per-request allocation budget, no block-formation wait"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
 cargo test -q --release --offline -p gstm-core --lib layout_ \
     || { echo "layout: two threads' slots share a cache line"; exit 1; }
 cargo test -q --release --offline --test alloc_budget \
     || { echo "alloc budget: a served request allocates more than its budget"; exit 1; }
+cargo test -q --release --offline -p gstm-serve --lib a_request_does_not_wait_for_its_block_to_fill \
+    || { echo "block latency: a request waited for its block to fill"; exit 1; }
 
-echo "==> block determinism smoke: same block order must hash identically at 1/2/4/8 threads"
+echo "==> block determinism smoke: same block order must hash identically at 1/2/4/8 threads, bare executor and native lane"
 ./target/release/experiments block-smoke --threads 1,2,4,8 --requests 200 --seed 11 \
     || { echo "block smoke: parallel block output diverged from the sequential reference"; exit 1; }
 
