@@ -21,18 +21,20 @@
 //! read-only seqs would truncate the recoverable prefix at the first read.
 //! Their replay is a no-op; the cost is one 25-byte record.
 //!
-//! The durable backend also folds logged requests into a contiguous
-//! [`Materializer`] and periodically installs its state as a WAL snapshot
-//! (then the log truncates), bounding recovery work by the snapshot
-//! interval.
+//! A durable commit touches only its own thread's memory: its WAL staging
+//! slot and its shard of the ground-truth ledger. Periodically one committer
+//! replays the ledger's new contiguous prefix into a [`Materializer`] and
+//! installs it as a WAL snapshot (then the log truncates): recovery work is
+//! bounded by the snapshot interval.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gstm_core::sync::Mutex;
-use gstm_core::TxnKind;
+use gstm_core::{CachePadded, TxnKind};
 use gstm_wal::{fnv1a64, recover, LogDevice, MemDevice, Recovered, Wal, WalConfig, WalError};
 
 use crate::store::{interpret, Entry, EntryAccess, Request, ShardedStore, INITIAL_BALANCE};
@@ -249,31 +251,52 @@ impl EntryAccess for Materializer {
 
 // --- the durable backend ----------------------------------------------------
 
+/// The snapshot installer's state: only the holder of `installing` locks it.
 struct DurableInner {
-    /// Out-of-order commit buffer: records whose predecessors have not all
-    /// arrived yet (workers race to log, the WAL sorts it out at recovery,
-    /// the materializer needs contiguity *now*).
-    pending: BTreeMap<u64, Request>,
+    /// Ledger entries pulled and not replayed: a predecessor has not arrived
+    /// (the WAL sorts that out at recovery, a snapshot is contiguous *now*).
+    pending: Vec<(u64, Request)>,
+    /// How many entries of each ledger shard were pulled.
+    pulled: [usize; SHARDS],
     /// Highest seq folded into `materialized` (contiguous from 1).
     applied_seq: u64,
-    /// Serial replay of commits `1..=applied_seq`.
+    /// Serial replay of `1..=applied_seq`, as [`recover_store`] would do it.
     materialized: Materializer,
-    /// Ground-truth commit ledger `(seq, request)` for the recovery
-    /// oracle: what a crash-free serial history would have been.
-    ledger: Vec<(u64, Request)>,
+}
+
+/// `(seq, request)` in the order one thread committed them.
+type LedgerShard = Vec<(u64, Request)>;
+
+/// Ledger shards per backend; like the WAL's staging slots, leased per
+/// instance in first-commit order, and committers beyond this fold.
+const SHARDS: usize = 64;
+
+/// Names [`DurableBackend`] instances for [`LEASE`].
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// `(backend id, ledger shard)` of this thread's latest lease.
+    static LEASE: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
 }
 
 /// The WAL-backed backend: command-logs every commit, snapshots
 /// periodically, and keeps an in-memory ground-truth ledger so experiments
 /// can compare a recovered store against the ideal serial history.
-/// No lock a committer needs is held across device I/O (DESIGN.md §6f).
+/// A commit takes no lock another committer takes (DESIGN.md §6f).
 pub struct DurableBackend {
     store: ShardedStore,
     wal: Wal,
+    id: u64,
+    /// Ground-truth commit ledger `(seq, request)` for the recovery
+    /// oracle: what a crash-free serial history would have been.
+    ledger: Vec<CachePadded<Mutex<LedgerShard>>>,
+    leased: AtomicUsize,
     inner: Mutex<DurableInner>,
-    /// Held from the state copy to the end of its install: snapshots reach
+    /// Held from the ledger pull to the end of the install: snapshots reach
     /// the WAL one at a time, in `applied_seq` order. The `Acquire` swap
     /// that takes it pairs with the `Release` store that gives it back.
+    /// Born held, given back once commit 1 is in the ledger: nobody
+    /// installs a snapshot of nothing.
     installing: AtomicBool,
 }
 
@@ -295,13 +318,16 @@ impl DurableBackend {
         DurableBackend {
             store,
             wal,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            ledger: (0..SHARDS).map(|_| CachePadded::default()).collect(),
+            leased: AtomicUsize::new(0),
             inner: Mutex::new(DurableInner {
-                pending: BTreeMap::new(),
+                pending: Vec::new(),
+                pulled: [0; SHARDS],
                 applied_seq: 0,
                 materialized: Materializer::initial(keys),
-                ledger: Vec::new(),
             }),
-            installing: AtomicBool::new(false),
+            installing: AtomicBool::new(true),
         }
     }
 
@@ -325,10 +351,37 @@ impl DurableBackend {
 
     /// The ground-truth ledger, sorted by commit sequence number.
     pub fn ledger(&self) -> Vec<(u64, Request)> {
-        let inner = self.inner.lock();
-        let mut l = inner.ledger.clone();
+        let mut l: Vec<_> = self.ledger.iter().flat_map(|shard| shard.lock().clone()).collect();
         l.sort_by_key(|&(seq, _)| seq);
         l
+    }
+
+    /// The calling thread's ledger shard, leased on its first commit here.
+    fn my_shard(&self) -> &Mutex<LedgerShard> {
+        let (id, mut at) = LEASE.get();
+        if id != self.id {
+            at = self.leased.fetch_add(1, Ordering::Relaxed) % SHARDS;
+            LEASE.set((self.id, at));
+        }
+        &self.ledger[at]
+    }
+
+    /// Pulls the ledger's new entries and replays the contiguous prefix.
+    fn replay_new(&self, inner: &mut DurableInner) {
+        let leased = self.leased.load(Ordering::Relaxed);
+        for (shard, pulled) in self.ledger.iter().zip(&mut inner.pulled).take(leased) {
+            let shard = shard.lock();
+            inner.pending.extend_from_slice(&shard[*pulled..]);
+            *pulled = shard.len();
+        }
+        // Stable: it merges the shards' runs, each already in seq order.
+        inner.pending.sort_by_key(|&(seq, _)| seq);
+        let next = inner.applied_seq + 1;
+        let ready = inner.pending.iter().zip(next..).take_while(|&(e, n)| e.0 == n).count();
+        for (seq, req) in inner.pending.drain(..ready) {
+            inner.materialized.apply(&req);
+            inner.applied_seq = seq;
+        }
     }
 }
 
@@ -343,25 +396,19 @@ impl StoreBackend for DurableBackend {
 
     fn on_commit(&self, seq: u64, req: &Request) {
         debug_assert!(seq > 0, "commit sequence numbers start at 1");
-        let advised = self.wal.append(seq, &encode_request(req));
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        inner.ledger.push((seq, *req));
-        if seq == inner.applied_seq + 1 {
-            inner.materialized.apply(req);
-            inner.applied_seq = seq;
-            while let Some(req) = inner.pending.remove(&(inner.applied_seq + 1)) {
-                inner.materialized.apply(&req);
-                inner.applied_seq += 1;
-            }
-        } else {
-            inner.pending.insert(seq, *req);
+        // Ledger first: it always covers the log, and a stall between the
+        // two steps cannot leave this commit acting on stale advice.
+        self.my_shard().lock().push((seq, *req));
+        if seq == 1 {
+            self.installing.store(false, Ordering::Release);
         }
-        if advised && inner.applied_seq > 0 && !self.installing.swap(true, Ordering::Acquire) {
-            let upto = inner.applied_seq;
-            let entries = inner.materialized.entries();
-            drop(guard);
-            self.wal.install_snapshot(upto, &encode_state(&entries));
+        let advised = self.wal.append(seq, &encode_request(req));
+        if advised && !self.installing.swap(true, Ordering::Acquire) {
+            let mut inner = self.inner.lock();
+            self.replay_new(&mut inner);
+            let state = encode_state(&inner.materialized.entries());
+            self.wal.install_snapshot(inner.applied_seq, &state);
+            drop(inner);
             self.installing.store(false, Ordering::Release);
         }
     }
@@ -726,6 +773,122 @@ mod tests {
             );
             assert_recovers_all(&backend, &*log, &*snap, 7);
         }
+    }
+
+    /// A committer parked inside its own batch's device write holds the
+    /// device lock and nothing else: two more committers each stage a
+    /// batch less one record meanwhile — together more than one batch,
+    /// which through a shared assembly buffer would have sent one of them
+    /// to the device lock.
+    #[test]
+    fn a_committer_blocked_in_its_device_write_does_not_delay_another() {
+        const BATCH: u64 = 8;
+        let (entered_tx, entered) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel();
+        let log = Arc::new(ParkingDevice {
+            inner: MemDevice::new(),
+            armed: AtomicBool::new(true),
+            entered: entered_tx,
+            release: Arc::new(Mutex::new(release)),
+        });
+        let snap = Arc::new(MemDevice::new());
+        let cfg = WalConfig::new().with_batch_records(BATCH as usize).with_snapshot_every(1000);
+        let wal = Wal::new(cfg, Arc::clone(&log) as _, Arc::clone(&snap) as _);
+        let backend = DurableBackend::new(ShardedStore::new(2, 4, 8), wal);
+        let (done_tx, done) = mpsc::channel();
+        let others_finished = std::thread::scope(|scope| {
+            scope.spawn(|| (1..=BATCH).for_each(|seq| backend.on_commit(seq, &request(seq))));
+            entered.recv_timeout(LONG).expect("the first committer's batch reaches the device");
+            for first in [BATCH + 1, 2 * BATCH] {
+                let (backend, done_tx) = (&backend, done_tx.clone());
+                scope.spawn(move || {
+                    (first..first + BATCH - 1)
+                        .for_each(|seq| backend.on_commit(seq, &request(seq)));
+                    done_tx.send(()).unwrap();
+                });
+            }
+            let finished = done.recv_timeout(LONG).and_then(|()| done.recv_timeout(LONG));
+            release_tx.send(()).unwrap();
+            finished
+        });
+        assert!(others_finished.is_ok(), "a committer waited for another's parked device write");
+        assert_recovers_all(&backend, &*log, &*snap, 3 * BATCH - 2);
+    }
+
+    /// What a crash leaves off the device is bounded per committer: the
+    /// batch each thread has under assembly (or swapped out and unwritten)
+    /// and, when snapshots run, the one batch the installer's drain holds.
+    /// Whatever the cut, the recovered state is the ledger's serial replay
+    /// to the recovered watermark.
+    #[test]
+    fn a_crash_loses_at_most_one_batch_per_committer() {
+        const THREADS: usize = 4;
+        const BATCH: usize = 3;
+        for seed in 0..50u64 {
+            let (log, snap) = (Arc::new(MemDevice::new()), Arc::new(MemDevice::new()));
+            let kill = Arc::new(gstm_core::KillSwitch::new());
+            // Odd seeds never snapshot, so nothing drains another's slot.
+            let snapshot_every = if seed % 2 == 1 { u64::MAX } else { 7 };
+            let cfg =
+                WalConfig::new().with_batch_records(BATCH).with_snapshot_every(snapshot_every);
+            let wal = Wal::new(cfg, Arc::clone(&log) as _, Arc::clone(&snap) as _)
+                .with_kill(Arc::clone(&kill));
+            let backend = DurableBackend::new(ShardedStore::new(2, 4, 8), wal);
+            let kill_at = 20 + seed.wrapping_mul(0x9E37_79B9) % 300;
+            let next = AtomicU64::new(0);
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        start.wait();
+                        while !backend.wal().is_dead() {
+                            let seq = next.fetch_add(1, Ordering::Relaxed) + 1;
+                            if seq == kill_at {
+                                kill.request(gstm_core::KillPoint::MidBatch);
+                            }
+                            backend.on_commit(seq, &request(seq));
+                        }
+                    });
+                }
+            });
+            let rec = recover_store(2, 4, 8, &log.contents(), &snap.contents()).unwrap();
+            let on_device: std::collections::BTreeSet<u64> =
+                gstm_wal::decode_log(&log.contents()).unwrap().frames.iter().map(|f| f.0).collect();
+            let ledger = backend.ledger();
+            assert!(ledger.iter().map(|&(seq, _)| seq).eq(1..=ledger.len() as u64), "dense ledger");
+            let lost = ledger
+                .iter()
+                .filter(|(seq, _)| *seq > rec.info.base_seq && !on_device.contains(seq))
+                .count();
+            let drained = if snapshot_every == u64::MAX { 0 } else { BATCH - 1 };
+            assert!(
+                (1..=THREADS * BATCH + drained).contains(&lost),
+                "seed {seed}: {lost} records off the device"
+            );
+            let mut serial = Materializer::initial(8);
+            for (_, req) in ledger.iter().take_while(|(seq, _)| *seq <= rec.recovered_seq) {
+                serial.apply(req);
+            }
+            assert_eq!(store_digest(&rec.store), serial.digest(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn layout_two_committers_ledger_shards_are_a_line_apart() {
+        let backend = DurableBackend::in_memory(ShardedStore::new(2, 4, 8), WalConfig::new()).0;
+        let shard_after_commit = |seq| {
+            std::thread::scope(|scope| {
+                let committer = scope.spawn(|| {
+                    backend.on_commit(seq, &request(seq));
+                    backend.my_shard() as *const Mutex<_> as usize
+                });
+                committer.join().expect("the committer commits")
+            })
+        };
+        let (a, b) = (shard_after_commit(1), shard_after_commit(2));
+        assert!(a.abs_diff(b) >= 64, "two committers' ledger shards share a cache line");
+        assert_eq!((a % 64, b % 64), (0, 0));
+        assert_eq!(backend.ledger().len(), 2);
     }
 
     /// A snapshot device that notices two resets in flight at once, or a

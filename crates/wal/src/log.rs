@@ -5,25 +5,26 @@
 //!
 //! [`Wal::append`] is called *after* a transaction committed (the caller
 //! tags the record with the engine's global commit sequence number), so
-//! logging is entirely off the lock-hold path. The record is encoded
-//! straight into the batch under assembly: one short critical section on
-//! the *assembly* lock, no allocation, no I/O. The appender that brings the
-//! batch to [`WalConfig::batch_records`] (or an explicit [`Wal::flush`])
-//! swaps the buffer out and writes it to the log device in one call — group
-//! commit — under the separate *device* lock, while the others fill the
-//! next batch. Nothing holds both locks at once, so batches may reach the
-//! device in either order; [`recover`] sorts the frames and cuts at the
-//! first gap. A crash loses the batch under assembly plus the batches
-//! swapped out and not yet written (at most one per appending thread),
-//! never a committed-and-flushed record.
+//! logging is entirely off the lock-hold path. Each committing OS thread
+//! leases a *staging slot* on its first append and encodes the record
+//! straight into that slot's batch: one short critical section on a lock
+//! and a cache line no other committer touches, no allocation, no I/O. The
+//! appender that brings its batch to [`WalConfig::batch_records`] swaps the
+//! buffer out and writes it to the log device in one call — group commit —
+//! under the shared *device* lock, where the shared accounting moves too:
+//! once per batch. Nothing holds a slot and the device lock at once, so
+//! batches reach the device in any order; [`recover`] sorts the frames and
+//! cuts at the first gap. A crash loses one batch per committing thread at
+//! most (under assembly, or swapped out and unwritten) and the one a drain
+//! holds in flight, never a committed-and-flushed record.
 //!
 //! ## Snapshot / truncate
 //!
 //! [`Wal::install_snapshot`] persists an opaque state blob covering
 //! commits `1..=upto_seq`, then rewrites the log device keeping only the
 //! flushed frames beyond `upto_seq`. Recovery work is therefore bounded by
-//! the snapshot interval (O(delta), not O(history)). It runs under the
-//! device lock only: appends continue beside it.
+//! the snapshot interval (O(delta), not O(history)). It drains every slot,
+//! then runs under the device lock only: appends continue beside it.
 //!
 //! ## Crash model
 //!
@@ -35,11 +36,12 @@
 //! crash would leave are what [`recover`] later reads. Kill points are
 //! observed, and device calls made, under the device lock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gstm_core::sync::Mutex;
-use gstm_core::{KillPoint, KillSwitch};
+use gstm_core::{CachePadded, KillPoint, KillSwitch};
 
 use crate::device::LogDevice;
 use crate::frame::{decode_log, decode_snapshot, encode_frame, encode_snapshot, WalError};
@@ -137,23 +139,34 @@ impl Frames {
     }
 }
 
-/// The appenders' side: held for one frame encode, never across I/O.
+/// One committing thread's side: held by it for one frame encode and by a
+/// drain for one swap, never across I/O.
 #[derive(Default)]
-struct Assembly {
+struct Slot {
     /// The group-commit batch under assembly.
     batch: Frames,
     /// The last written batch's cleared buffer: swapping allocates nothing.
     spare: Frames,
-    /// Records accepted and not yet truncated away (here, in flight or in
-    /// the log): what the snapshot advice counts.
-    unsnapshotted: u64,
     appended: u64,
 }
 
-impl Assembly {
+impl Slot {
     fn swap_out(&mut self) -> Frames {
         std::mem::replace(&mut self.batch, std::mem::take(&mut self.spare))
     }
+}
+
+/// Staging slots per [`Wal`]. Committers beyond this fold onto shared
+/// slots, which stays correct (a slot is a mutex) and merely shares again.
+const SLOTS: usize = 64;
+
+/// Names [`Wal`] instances for [`LEASE`]. Slot numbers are per instance:
+/// the device bytes must not depend on what else the process ran.
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// `(Wal id, slot)` of this thread's latest lease.
+    static LEASE: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
 }
 
 /// The device side: held across the devices' I/O by the one thread that
@@ -173,10 +186,14 @@ pub struct Wal {
     log: Arc<dyn LogDevice>,
     snap: Arc<dyn LogDevice>,
     kill: Option<Arc<KillSwitch>>,
-    asm: Mutex<Assembly>,
+    id: u64,
+    /// Leased to committing threads in first-append order.
+    slots: Vec<CachePadded<Mutex<Slot>>>,
+    leased: AtomicUsize,
     dev: Mutex<DeviceSide>,
-    /// A tally nothing is ordered against (the other five counters sit
-    /// under the lock whose holder moves them): `Relaxed`.
+    /// `dev`'s `in_log` length, moved under `dev`, for the advice to read
+    /// without it. Like `lost_dead`, ordered against nothing: `Relaxed`.
+    in_log: AtomicU64,
     lost_dead: AtomicU64,
 }
 
@@ -198,8 +215,11 @@ impl Wal {
             log,
             snap,
             kill: None,
-            asm: Mutex::default(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            slots: (0..SLOTS).map(|_| CachePadded::default()).collect(),
+            leased: AtomicUsize::new(0),
             dev: Mutex::default(),
+            in_log: AtomicU64::new(0),
             lost_dead: AtomicU64::new(0),
         }
     }
@@ -220,53 +240,66 @@ impl Wal {
         self.kill.as_ref().is_some_and(|k| k.observe(point))
     }
 
-    /// Counter snapshot (one cut per lock, not across the two).
+    /// The calling thread's slot, leased on its first append to this log.
+    fn my_slot(&self) -> usize {
+        let (id, mut at) = LEASE.get();
+        if id != self.id {
+            at = self.leased.fetch_add(1, Ordering::Relaxed) % SLOTS;
+            LEASE.set((self.id, at));
+        }
+        at
+    }
+
+    /// Counter snapshot (one cut per lock, not across them).
     pub fn stats(&self) -> WalStats {
-        let appended = self.asm.lock().appended;
+        let appended = self.slots.iter().map(|slot| slot.lock().appended).sum();
         let lost_dead = self.lost_dead.load(Ordering::Relaxed);
         WalStats { appended, lost_dead, ..self.dev.lock().stats }
     }
 
     /// Buffers one committed record. `seq` is the engine's global commit
     /// sequence number; replay applies records in `seq` order. The append
-    /// that fills the batch writes it to the device (one group commit).
+    /// that fills its thread's batch writes it out (one group commit).
     ///
-    /// Returns the snapshot advice: [`WalConfig::snapshot_every`] records
-    /// accumulated since the last truncation, so the caller should build a
+    /// Returns the snapshot advice: the log plus this thread's batch hold
+    /// [`WalConfig::snapshot_every`] records, so the caller should build a
     /// snapshot and [install](Wal::install_snapshot) it.
     pub fn append(&self, seq: u64, payload: &[u8]) -> bool {
         if self.is_dead() {
             self.lost_dead.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let (full, advised) = {
-            let mut asm = self.asm.lock();
-            asm.batch.push(seq, payload);
-            asm.appended += 1;
-            asm.unsnapshotted += 1;
-            let full = (asm.batch.index.len() >= self.cfg.batch_records).then(|| asm.swap_out());
-            (full, asm.unsnapshotted >= self.cfg.snapshot_every)
-        };
-        if let Some(batch) = full {
-            self.write_batch(batch);
+        let at = self.my_slot();
+        let mut slot = self.slots[at].lock();
+        slot.batch.push(seq, payload);
+        slot.appended += 1;
+        let mut staged = slot.batch.index.len();
+        if staged >= self.cfg.batch_records {
+            let batch = slot.swap_out();
+            drop(slot);
+            self.write_batch(at, batch);
+            staged = 0;
         }
-        advised
+        self.in_log.load(Ordering::Relaxed) + staged as u64 >= self.cfg.snapshot_every
     }
 
-    /// Flushes the batch under assembly to the device (one group commit).
+    /// Flushes every slot's batch under assembly (one group commit each).
     pub fn flush(&self) {
-        let batch = {
-            let mut asm = self.asm.lock();
-            if asm.batch.index.is_empty() || self.is_dead() {
-                return;
-            }
-            asm.swap_out()
-        };
-        self.write_batch(batch);
+        // A slot leased after this load is its owner's to flush.
+        for at in 0..self.leased.load(Ordering::Relaxed).min(SLOTS) {
+            let batch = {
+                let mut slot = self.slots[at].lock();
+                if slot.batch.index.is_empty() || self.is_dead() {
+                    continue;
+                }
+                slot.swap_out()
+            };
+            self.write_batch(at, batch);
+        }
     }
 
-    /// Writes a swapped-out batch to the log device and recycles its buffer.
-    fn write_batch(&self, mut batch: Frames) {
+    /// Writes slot `at`'s swapped-out batch to the device, recycles its buffer.
+    fn write_batch(&self, at: usize, mut batch: Frames) {
         {
             let mut dev = self.dev.lock();
             let records = batch.index.len() as u64;
@@ -285,11 +318,12 @@ impl Wal {
                 dev.stats.flushes += 1;
                 dev.stats.flushed_records += records;
                 dev.in_log.extend(&batch);
+                self.in_log.fetch_add(records, Ordering::Relaxed);
             }
         }
         batch.bytes.clear();
         batch.index.clear();
-        self.asm.lock().spare = batch;
+        self.slots[at].lock().spare = batch;
     }
 
     /// Installs a snapshot covering commits `1..=upto_seq` and truncates
@@ -303,24 +337,21 @@ impl Wal {
         // snapshot is in place.
         self.flush();
         let envelope = encode_snapshot(upto_seq, state);
-        let dropped = {
-            let mut dev = self.dev.lock();
-            if self.is_dead() || self.observe(KillPoint::MidSnapshot) {
-                // Crashed before the atomic install: old snapshot + full
-                // log survive untouched.
-                return false;
-            }
-            self.snap.reset(&envelope);
-            let dropped = dev.in_log.drop_through(upto_seq) as u64;
-            self.log.reset(&dev.in_log.bytes);
-            dev.stats.snapshots += 1;
-            dev.stats.truncated_records += dropped;
-            // The crash lands after a fully consistent snapshot+truncate;
-            // the disk merely stops accepting new writes.
-            self.observe(KillPoint::PostTruncate);
-            dropped
-        };
-        self.asm.lock().unsnapshotted -= dropped;
+        let mut dev = self.dev.lock();
+        if self.is_dead() || self.observe(KillPoint::MidSnapshot) {
+            // Crashed before the atomic install: old snapshot + full
+            // log survive untouched.
+            return false;
+        }
+        self.snap.reset(&envelope);
+        let dropped = dev.in_log.drop_through(upto_seq) as u64;
+        self.log.reset(&dev.in_log.bytes);
+        self.in_log.fetch_sub(dropped, Ordering::Relaxed);
+        dev.stats.snapshots += 1;
+        dev.stats.truncated_records += dropped;
+        // The crash lands after a fully consistent snapshot+truncate;
+        // the disk merely stops accepting new writes.
+        self.observe(KillPoint::PostTruncate);
         true
     }
 
@@ -624,6 +655,65 @@ mod tests {
         (0x7735_bca0_9447_da5e, 0xd46a_a045_a0e3_c715),
         (0x32d9_d256_f539_e6d4, 0x78a0_8e16_4cbf_02cc),
     ];
+
+    /// Appends one record from a fresh OS thread and says which slot that
+    /// thread leased.
+    fn append_from_new_thread(w: &Wal, seq: u64) -> usize {
+        std::thread::scope(|scope| {
+            let committer = scope.spawn(|| {
+                w.append(seq, b"x");
+                w.my_slot()
+            });
+            committer.join().expect("the committer appends")
+        })
+    }
+
+    #[test]
+    fn layout_two_committers_stage_a_line_apart() {
+        let w = wal(4, 1000);
+        let (a, b) = (append_from_new_thread(&w, 1), append_from_new_thread(&w, 2));
+        assert_ne!(a, b, "each committing thread leases a slot of its own");
+        let at = |slot: usize| &*w.slots[slot].lock() as *const Slot as usize;
+        assert!(at(a).abs_diff(at(b)) >= 64, "slots {a} and {b} share a cache line");
+        assert_eq!(at(a) % 64, at(b) % 64, "padding is per slot, not per array");
+    }
+
+    /// Slot numbers come from the instance: however many threads the
+    /// process ran before, a log's first committers get slots 0, 1, … and
+    /// a flush drains them in that order.
+    #[test]
+    fn slots_are_leased_per_log_in_first_append_order() {
+        let busy = wal(4, 1000);
+        for seq in 1..=(SLOTS as u64 + 5) {
+            append_from_new_thread(&busy, seq);
+        }
+        let w = wal(4, 1000);
+        assert_eq!((append_from_new_thread(&w, 2), append_from_new_thread(&w, 1)), (0, 1));
+        assert_eq!(w.my_slot(), 2, "the third thread to ask, whatever `busy` handed out");
+        w.flush();
+        let order: Vec<u64> = w.dev.lock().in_log.index.iter().map(|&(seq, _)| seq).collect();
+        assert_eq!(order, vec![2, 1]);
+        // More committers than slots fold onto shared slots and lose nothing.
+        busy.flush();
+        let (log, snap) = busy.disk_image();
+        assert_eq!(recover(&log, &snap).unwrap().recovered_seq(), SLOTS as u64 + 5);
+        assert_eq!(busy.stats().appended, SLOTS as u64 + 5);
+    }
+
+    /// The advice counts the log plus the caller's own batch: another
+    /// thread's staged records join at that thread's batch boundary.
+    #[test]
+    fn advice_counts_the_log_and_the_callers_batch() {
+        let w = wal(4, 6);
+        assert!(!w.append(1, b"x") && !w.append(2, b"x"));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                (3..=6u64).for_each(|seq| assert!(!w.append(seq, b"x"), "seq {seq}"));
+                assert!(!w.append(8, b"x"), "4 in the log + 1 here; the other 2 are not seen");
+            });
+        });
+        assert!(w.append(7, b"x"), "4 in the log + 3 staged by this thread");
+    }
 
     #[test]
     fn append_advises_a_snapshot_by_volume() {

@@ -119,11 +119,15 @@ rm -rf "$adapt_dir"
 echo "==> durable native smoke: 4 threads x 20k ledger requests on the file WAL, optimized; nothing left in the temp directory"
 cargo test -q --release --offline --test real_gate durable_native_smoke \
     || { echo "durable smoke: the native durable run failed or left WAL files behind"; exit 1; }
+cargo test -q --release --offline -p gstm-serve --lib -- \
+    a_crash_loses_at_most_one_batch_per_committer \
+    a_committer_blocked_in_its_device_write_does_not_delay_another \
+    || { echo "durable commit path: a crash lost more than its bound, or a committer waited for another's device write"; exit 1; }
 
 echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, per-thread slots a line apart, per-request allocation budget, no block-formation wait"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
-cargo test -q --release --offline -p gstm-core --lib layout_ \
+cargo test -q --release --offline -p gstm-core -p gstm-wal -p gstm-serve --lib layout_ \
     || { echo "layout: two threads' slots share a cache line"; exit 1; }
 cargo test -q --release --offline --test alloc_budget \
     || { echo "alloc budget: a served request allocates more than its budget"; exit 1; }

@@ -5,7 +5,8 @@
 //! `serve_schedule` on an ephemeral store. Once the thread's transaction
 //! buffers and the sink's per-site rows exist, a read costs no allocation
 //! at all, and an update costs two per written key: the new bucket and the
-//! `Arc` the redo log holds it in.
+//! `Arc` the redo log holds it in. The durable backend's commit hook adds
+//! none of its own between group commits.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,9 +15,10 @@ use std::sync::Arc;
 use gstm::core::cm::Aggressive;
 use gstm::core::{AdmitAll, RealGate, SiteStatsSink, Stm, StmConfig, ThreadId};
 use gstm::serve::{
-    serve_schedule, EphemeralBackend, Request, ScheduledRequest, ServeSpec, ShardedStore,
-    ThreadLog, WallClock,
+    serve_schedule, DurableBackend, EphemeralBackend, Request, ScheduledRequest, ServeSpec,
+    ShardedStore, StoreBackend, ThreadLog, WallClock,
 };
+use gstm::wal::WalConfig;
 
 thread_local! {
     /// Allocations made by this thread (reallocations included).
@@ -106,4 +108,32 @@ fn put_allocates_the_new_bucket_and_its_arc() {
 fn transfer_allocates_two_buckets_and_their_arcs() {
     let per_request = allocations_per_request(|from, to| Request::transfer(from, to, 1));
     assert!(per_request <= 4.0, "{per_request} allocations per Transfer");
+}
+
+/// A durable `on_commit` stages its record in the thread's WAL slot and
+/// pushes it on the thread's ledger shard, in buffers that already exist.
+/// It allocates only when it writes a group-commit batch (every
+/// `batch_records`-th commit: the device grows, and every
+/// `snapshot_every`-th builds a snapshot) or when the ledger shard doubles.
+#[test]
+fn durable_commit_allocates_only_at_group_commits_and_ledger_growth() {
+    let cfg = WalConfig::new();
+    let backend = DurableBackend::in_memory(ShardedStore::new(2, 4, 64), cfg).0;
+    let commit = |seq: u64| {
+        let before = ALLOCATIONS.with(Cell::get);
+        backend.on_commit(seq, &Request::transfer(seq % 64, (seq + 1) % 64, 1));
+        ALLOCATIONS.with(Cell::get) - before
+    };
+    // Warm-up: two snapshot intervals, so both of the slot's buffers, the
+    // installer's scratch and the device mirrors have their capacity.
+    let warm = 2 * cfg.snapshot_every;
+    (1..=warm).map(commit).for_each(drop);
+    let between_batches: Vec<u64> = (warm + 1..=4 * warm)
+        .map(|seq| (seq, commit(seq)))
+        .filter(|&(seq, allocations)| seq % cfg.batch_records as u64 != 0 && allocations > 0)
+        .map(|(_, allocations)| allocations)
+        .collect();
+    // Entries 513..=2048 cross two doublings of the ledger shard (513, 1025).
+    assert!(between_batches.len() <= 2, "commits that allocated: {between_batches:?}");
+    assert!(between_batches.iter().all(|&n| n == 1), "more than a ledger reallocation");
 }

@@ -16,10 +16,15 @@
 
 use std::sync::Arc;
 
-use gstm::guide::{run_workload, train, PolicyChoice, RunOptions, RunOutcome};
+use gstm::core::sync::Mutex;
+use gstm::guide::{
+    run_workload, train, PolicyChoice, RunOptions, RunOutcome, Workload, WorkloadRun,
+};
 use gstm::model::parse_states;
+use gstm::serve::{spine_config, DurableBackend, ServeRun, ServeSpec, ShardedStore};
 use gstm::stamp::{benchmark, InputSize};
 use gstm::synquake::{Quest, SynQuake};
+use gstm::wal::{LogDevice, MemDevice, Wal, WalConfig};
 
 /// FNV-1a 64-bit over the rendered run record (stable, dependency-free).
 fn fnv1a(text: &str) -> u64 {
@@ -104,4 +109,60 @@ fn golden_digests_are_stable() {
              the engine's schedule, Tseq or telemetry changed"
         );
     }
+}
+
+/// The durable serve workload, keeping hold of the devices its last run
+/// wrote to.
+struct DurableServe {
+    spec: ServeSpec,
+    devices: Mutex<Option<(Arc<MemDevice>, Arc<MemDevice>)>>,
+}
+
+impl Workload for DurableServe {
+    fn name(&self) -> &'static str {
+        "serve"
+    }
+
+    fn instantiate(&self, threads: usize, seed: u64) -> Box<dyn WorkloadRun> {
+        let spec = &self.spec;
+        let store = ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys);
+        // Small batches and intervals: many partial batches are drained in
+        // slot order, by installs and by the workers' final flushes.
+        let cfg = WalConfig::new().with_batch_records(4).with_snapshot_every(24);
+        let (backend, log, snap) = DurableBackend::in_memory(store, cfg);
+        *self.devices.lock() = Some((log, snap));
+        Box::new(ServeRun::with_backend(spec.clone(), Arc::new(backend), threads, seed))
+    }
+
+    fn stm_config(&self, threads: usize) -> gstm::core::StmConfig {
+        spine_config(&self.spec, threads)
+    }
+}
+
+/// A simulated durable run's device bytes are a function of (seed,
+/// workload), not of what the process did before: the WAL's staging slots
+/// are numbered per `Wal` in first-append order. Process-wide numbering
+/// would hand the second run's workers slots 63 and 0 — two leases by the
+/// first run, 125 by the threads below — and every drain would write their
+/// batches the other way round.
+#[test]
+fn durable_device_bytes_do_not_depend_on_process_history() {
+    let workload = DurableServe { spec: ServeSpec::hot(120), devices: Mutex::new(None) };
+    let device_bytes = || {
+        run_workload(&workload, &RunOptions::new(2, 7));
+        let (log, snap) = workload.devices.lock().take().expect("the run instantiated");
+        (log.contents(), snap.contents())
+    };
+    let first = device_bytes();
+    let unrelated =
+        Wal::new(WalConfig::new(), Arc::new(MemDevice::new()), Arc::new(MemDevice::new()));
+    for seq in 1..=125u64 {
+        std::thread::scope(|scope| {
+            scope.spawn(|| unrelated.append(seq, b"elsewhere"));
+        });
+    }
+    assert_eq!(unrelated.stats().appended, 125);
+    let second = device_bytes();
+    assert!(first.0.len() > 100 && first.1.len() > 100, "the run logged and snapshotted");
+    assert_eq!(first, second);
 }
