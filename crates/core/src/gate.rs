@@ -132,13 +132,28 @@ pub struct RealGate {
     slots: Vec<CachePadded<GateSlot>>,
 }
 
-/// What a [`RealGate`] tracks per thread.
+/// What a [`RealGate`] tracks per thread. Each word has one writer — the
+/// thread the slot belongs to — so a pass is a plain load and store, not a
+/// locked read-modify-write; they are atomics only so that any thread may
+/// read them. Thread ids that fold onto one slot
+/// ([`MAX_TRACKED_THREADS`]) share its ticks, and passing from two of them at
+/// once may lose some: the totals are an approximation there, as
+/// [`Gate::thread_time`] says.
 #[derive(Debug, Default)]
 struct GateSlot {
     /// Ticks charged so far.
     charged: AtomicU64,
     /// Passes so far (the yield cadence; counted only when yielding).
     passes: AtomicU64,
+}
+
+/// `word += by`, for a word only the calling thread writes. Returns the
+/// value before, like `fetch_add`.
+#[inline]
+fn bump(word: &AtomicU64, by: u64) -> u64 {
+    let before = word.load(Ordering::Relaxed);
+    word.store(before.wrapping_add(by), Ordering::Relaxed);
+    before
 }
 
 /// Maximum thread count a [`RealGate`] tracks per-thread state for.
@@ -168,9 +183,9 @@ impl Default for RealGate {
 impl Gate for RealGate {
     fn pass(&self, thread: ThreadId, cost: Ticks) {
         let slot = self.slot(thread);
-        slot.charged.fetch_add(cost, Ordering::Relaxed);
+        bump(&slot.charged, cost);
         if self.yield_every > 0 {
-            let n = slot.passes.fetch_add(1, Ordering::Relaxed);
+            let n = bump(&slot.passes, 1);
             if n.is_multiple_of(self.yield_every as u64) {
                 std::thread::yield_now();
             }
@@ -184,7 +199,7 @@ impl Gate for RealGate {
                 self.pass(thread, cost);
             }
         } else {
-            self.slot(thread).charged.fetch_add(cost * count, Ordering::Relaxed);
+            bump(&self.slot(thread).charged, cost * count);
         }
     }
 
@@ -236,6 +251,36 @@ mod tests {
         let (a, b) = (g.slot(ThreadId::new(0)), g.slot(ThreadId::new(1)));
         assert!(crate::pad::bytes_apart(&a.charged, &b.charged) >= 64);
         assert!(crate::pad::bytes_apart(&a.passes, &b.passes) >= 64);
+    }
+
+    /// A slot has one writer, so plain load-and-store loses no tick however
+    /// the four threads interleave — on either path through `pass`, and
+    /// through `pass_batch`.
+    #[test]
+    fn four_threads_passing_on_their_own_slots_lose_no_tick() {
+        const PASSES: u64 = 100_000;
+        for yield_every in [0, 1_000] {
+            let g = RealGate::new(yield_every);
+            std::thread::scope(|scope| {
+                for i in 0..4u16 {
+                    let g = &g;
+                    scope.spawn(move || {
+                        let t = ThreadId::new(i);
+                        for _ in 0..PASSES {
+                            g.pass(t, u64::from(i) + 1);
+                        }
+                        g.pass_batch(t, 3, 5);
+                    });
+                }
+            });
+            for i in 0..4u16 {
+                let slot = g.slot(ThreadId::new(i));
+                let want = PASSES * (u64::from(i) + 1) + 15;
+                assert_eq!(g.thread_time(ThreadId::new(i)), want, "yield_every {yield_every}");
+                let counted = if yield_every > 0 { PASSES + 5 } else { 0 };
+                assert_eq!(slot.passes.load(Ordering::Relaxed), counted);
+            }
+        }
     }
 
     #[test]

@@ -128,9 +128,10 @@ pub struct Stm {
     /// serialization order. Padded: a thread stores its slot on every
     /// commit, and unpadded the slots of eight threads share one line.
     last_seq: Vec<CachePadded<AtomicU64>>,
-    /// Per-thread doom words. Padded for the same reason: the owner stores
-    /// its slot at every begin and loads it on every read and write, so a
-    /// neighbour on the same line would make each of those a coherence miss.
+    /// Per-thread doom words. Padded for the same reason: the owner loads
+    /// its slot at every begin, read and write (and stores it only to
+    /// consume a doom), so a neighbour on the same line would make each of
+    /// those loads a coherence miss.
     doomed: Arc<Vec<CachePadded<AtomicU64>>>,
     /// Whether the sink / the contention manager read the gate timestamps
     /// they are handed (asked once, at construction). When neither does,
@@ -240,7 +241,7 @@ impl Stm {
     ///
     /// Panics if `thread` is out of range.
     pub fn last_commit_seq(&self, thread: ThreadId) -> u64 {
-        self.last_seq[thread.index()].load(Ordering::SeqCst)
+        self.last_seq[thread.index()].load(Ordering::Acquire)
     }
 
     /// A clonable handle for dooming transactions from outside the engine —
@@ -403,7 +404,16 @@ impl Stm {
                 self.sink.record(&TxEvent::Held { who, polls, at: self.event_time() });
             }
 
-            self.doomed[thread.index()].store(0, Ordering::SeqCst);
+            // A doom left over from the last attempt dies here. Cleared only
+            // when set: the slot is the owner's to write except for a doom,
+            // and one that lands after this load aborts the new attempt — a
+            // spurious abort, which the protocol allows — where an
+            // unconditional store would have been a locked instruction on
+            // every begin.
+            let doom = &self.doomed[thread.index()];
+            if doom.load(Ordering::SeqCst) != 0 {
+                doom.store(0, Ordering::SeqCst);
+            }
             self.cm.on_begin(thread, if self.cm_reads_time { self.gate.now() } else { 0 });
             self.gate.pass(thread, costs.begin);
             // Snapshot mode: a read-only transaction registers with the
@@ -443,7 +453,9 @@ impl Stm {
             match outcome {
                 Ok((result, info)) => {
                     self.cm.on_commit(thread);
-                    self.last_seq[thread.index()].store(info.seq.raw(), Ordering::SeqCst);
+                    // `Release`, paired with the `Acquire` load in
+                    // `last_commit_seq`: whoever reads this seq sees the commit.
+                    self.last_seq[thread.index()].store(info.seq.raw(), Ordering::Release);
                     self.sink.record(&TxEvent::Commit {
                         who,
                         seq: info.seq,
@@ -1133,7 +1145,11 @@ impl<'stm> Txn<'stm> {
     /// watermark computed for the whole batch, and charges the extra
     /// per-entry `version_publish` cost. `None` — every legacy commit —
     /// adds zero gate crossings, keeping the determinism goldens intact.
-    fn write_back(&self, publish: Option<u64>) {
+    ///
+    /// The plain path moves each value out of the redo log into its cell:
+    /// nothing reads the log after this step, and a clone here would be
+    /// one reference count up now and one down at `reset`.
+    fn write_back(&mut self, publish: Option<u64>) {
         let stm = self.stm;
         stm.gate.pass_batch(
             self.who.thread,
@@ -1169,8 +1185,8 @@ impl<'stm> Txn<'stm> {
             }
             return;
         }
-        for w in &self.scratch.writes {
-            w.cell.store(Arc::clone(&w.value));
+        for w in self.scratch.writes.drain(..) {
+            w.cell.store(w.value);
         }
     }
 
@@ -1735,6 +1751,31 @@ mod tests {
         // Out-of-range threads are ignored; the doom slot was consumed.
         h.doom(t(5));
         assert_eq!(stm.run(t(0), x(0), |tx| tx.read(&v)), 0);
+    }
+
+    /// Begin clears the doom word only when it is set: a doom from before
+    /// the attempt began dies there, one stored during the body aborts
+    /// exactly that attempt, and the retry starts clean.
+    #[test]
+    fn a_stale_doom_is_cleared_at_begin_and_a_fresh_one_aborts_its_attempt() {
+        let stm = Stm::new(StmConfig::new(2));
+        let h = stm.doom_handle();
+        let v = TVar::new(7u32);
+        h.doom(t(0));
+        assert_eq!(stm.try_run_once(t(0), x(0), |tx| tx.read(&v)).ok(), Some(7), "stale doom");
+        assert_eq!(stm.doomed[0].load(Ordering::SeqCst), 0, "begin consumed it");
+        let mut attempts = 0;
+        let got = stm.run(t(0), x(0), |tx| {
+            attempts += 1;
+            if tx.attempt() == 0 {
+                h.doom(tx.thread());
+            }
+            tx.read(&v)
+        });
+        assert_eq!((got, attempts), (7, 2), "doomed once, then committed");
+        // Thread 1's word was never touched by any of it.
+        assert_eq!(stm.doomed[1].load(Ordering::SeqCst), 0);
+        assert_eq!(stm.try_run_once(t(1), x(0), |tx| tx.read(&v)).ok(), Some(7));
     }
 
     fn snapshot_stm(threads: usize) -> Stm {

@@ -166,12 +166,19 @@ impl VarCell {
     /// Installs `value` as the current data snapshot. Transactional
     /// write-back only: in snapshot mode the caller has already pushed the
     /// version into the ring, so the ring is left untouched here.
+    ///
+    /// The replaced snapshot is dropped after the lock is released: when
+    /// this was its last reference the drop frees the old payload (a whole
+    /// bucket `Vec`, for a map), and every reader of the cell takes this lock.
     #[inline]
     pub(crate) fn store(&self, value: ErasedValue) {
-        let mut data = self.data.lock();
-        #[cfg(feature = "check")]
-        self.stamp.store(0, Ordering::Relaxed);
-        *data = value;
+        let replaced = {
+            let mut data = self.data.lock();
+            #[cfg(feature = "check")]
+            self.stamp.store(0, Ordering::Relaxed);
+            std::mem::replace(&mut *data, value)
+        };
+        drop(replaced);
     }
 
     /// Non-transactional overwrite (setup/recovery, no transactions in

@@ -211,8 +211,10 @@ struct Run {
 /// The one engine thread id every commit of a run uses. The commits come
 /// from whichever lane holds the executor's validation cursor, so the id
 /// is handed from lane to lane; that is sound because the `validating`
-/// flag (SeqCst) orders the calls and everything the engine, gate, sink
-/// and log keep per thread id is an atomic or behind a lock.
+/// flag (SeqCst) orders the calls — one lane's commit happens before the
+/// next lane's, so the words the engine and the gate keep per thread id
+/// still have one writer at a time — and the rest of what is kept per id
+/// is an atomic or behind a lock.
 fn t0() -> ThreadId {
     ThreadId::new(0)
 }
@@ -224,11 +226,13 @@ struct Streamed {
 }
 
 impl BlockHooks<u64, Entry, Response> for Streamed {
-    /// Transaction `i` may run once request `i` is due.
+    /// Transaction `i` may run once request `i` is due. A request about to
+    /// be due is waited for here: the lane has already claimed it, and
+    /// answering `false` would cost it a yield the arrival falls into.
     fn admit(&self, i: usize) -> bool {
         let Run { clock, seen, order, .. } = &*self.run;
         let at = order[self.start + i].at;
-        at <= seen.load(Ordering::Relaxed) || at <= clock.now(t0())
+        at <= seen.load(Ordering::Relaxed) || clock.wait_if_near(t0(), at)
     }
 
     /// Commits transaction `i` through the engine and replies.
@@ -471,6 +475,68 @@ mod tests {
         let block = report.block.expect("block-mode report carries the record");
         assert_eq!(block.blocks, 5);
         assert_eq!(block.record, run_block_reference(&spec, 2, 9));
+    }
+
+    /// Hooks that hand everything on to a [`Streamed`] and blow up on an
+    /// admission granted before its request was due.
+    struct DueProbe {
+        inner: Streamed,
+        admitted: Arc<AtomicU64>,
+    }
+
+    impl BlockHooks<u64, Entry, Response> for DueProbe {
+        fn admit(&self, i: usize) -> bool {
+            let admitted = self.inner.admit(i);
+            if admitted {
+                let Run { clock, order, .. } = &*self.inner.run;
+                let (now, at) = (clock.now(t0()), order[self.inner.start + i].at);
+                assert!(now >= at, "request {i}, due at tick {at}, was admitted at tick {now}");
+                self.admitted.fetch_add(1, Ordering::Relaxed);
+            }
+            admitted
+        }
+
+        fn settle(&self, i: usize, writes: &[(u64, Entry)], output: &Response) {
+            self.inner.settle(i, writes, output);
+        }
+    }
+
+    /// Waiting in `admit` for a request that is nearly due must not turn
+    /// into admitting it early: 200 requests ≈ 10 µs apart, so the lane
+    /// meets arrivals that are far off, inside the spin window and overdue.
+    #[test]
+    fn a_request_is_never_admitted_before_it_is_due() {
+        let spec = block_spec(100, 256);
+        let run = Arc::new(Run {
+            stm: Stm::new_on(spine_config(&spec, 2), Arc::new(RealGate::new(0))),
+            backend: Arc::new(crate::backend::EphemeralBackend::new(ShardedStore::new(
+                spec.shards,
+                spec.buckets_per_shard,
+                spec.keys,
+            ))),
+            clock: WallClock::new(1_000),
+            seen: AtomicU64::new(0),
+            log: ThreadLog::default(),
+            order: merge_block_order(&spec, 2, 9),
+            spec: spec.clone(),
+        });
+        let admitted = Arc::new(AtomicU64::new(0));
+        let (base, body) = (Materializer::initial(spec.keys), Arc::clone(&run));
+        let outcome = stream_block_on(
+            &BlockPool::new(2),
+            &BlockConfig::new(256, block_parts(&spec)).expect("valid config"),
+            200,
+            move |k: &u64| base.get(*k),
+            move |i, ctx| apply_with(&body.order[i].req, body.spec.keys, &mut |k| ctx.read(&k)),
+            DueProbe {
+                inner: Streamed { run: Arc::clone(&run), start: 0 },
+                admitted: admitted.clone(),
+            },
+        );
+        assert_eq!(admitted.load(Ordering::Relaxed), 200, "each request admitted exactly once");
+        assert_eq!(run.log.done.load(Ordering::Relaxed), 200);
+        let outputs: Vec<u64> = outcome.outputs.iter().map(response_digest).collect();
+        assert_eq!(outputs, run_block_reference(&spec, 2, 9).outputs);
     }
 
     /// A durable backend that also notes which OS threads committed.

@@ -137,6 +137,20 @@ impl Request {
         Request::GetMany { start, stride, count }
     }
 
+    /// One request of every kind, in site order: for code that asks
+    /// something of each kind (which sites are read-only) instead of
+    /// keeping a list of its own that a new kind would be missing from.
+    pub(crate) fn one_of_each_kind() -> [Request; 6] {
+        [
+            Request::get(0),
+            Request::put(0, 0),
+            Request::cas(0, 0, 0),
+            Request::transfer(0, 1, 1),
+            Request::scan(0, 1),
+            Request::get_many(0, 1, 1),
+        ]
+    }
+
     /// The static transaction site of this request kind (the paper's
     /// `TM_BEGIN(ID)` argument; the model's per-site states key off it).
     pub fn site(&self) -> TxId {

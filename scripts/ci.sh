@@ -124,7 +124,7 @@ cargo test -q --release --offline -p gstm-serve --lib -- \
     a_committer_blocked_in_its_device_write_does_not_delay_another \
     || { echo "durable commit path: a crash lost more than its bound, or a committer waited for another's device write"; exit 1; }
 
-echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, per-thread slots a line apart, per-request allocation budget, no block-formation wait"
+echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, per-thread slots a line apart, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
 cargo test -q --release --offline -p gstm-core -p gstm-wal -p gstm-serve --lib layout_ \
@@ -133,10 +133,22 @@ cargo test -q --release --offline --test alloc_budget \
     || { echo "alloc budget: a served request allocates more than its budget"; exit 1; }
 cargo test -q --release --offline -p gstm-serve --lib a_request_does_not_wait_for_its_block_to_fill \
     || { echo "block latency: a request waited for its block to fill"; exit 1; }
+cargo test -q --release --offline -p gstm-core --lib four_threads_passing_on_their_own_slots_lose_no_tick \
+    || { echo "gate: a plain load-and-store pass lost a tick on a slot with one writer"; exit 1; }
+cargo test -q --release --offline -p gstm-serve --lib -- \
+    wait_until_never_returns_early_and_returns_at_once_for_the_past \
+    remaining_time_saturates_for_ticks_beyond_the_nanosecond_range \
+    a_request_is_never_admitted_before_it_is_due \
+    || { echo "native wait: returned before the tick was due, overflowed, or admitted a request early"; exit 1; }
 
 echo "==> block determinism smoke: same block order must hash identically at 1/2/4/8 threads, bare executor and native lane"
 ./target/release/experiments block-smoke --threads 1,2,4,8 --requests 200 --seed 11 \
     || { echo "block smoke: parallel block output diverged from the sequential reference"; exit 1; }
+
+echo "==> scripts/paired.sh: parses, and its embedded program starts"
+bash -n scripts/paired.sh
+scripts/paired.sh --help >/dev/null \
+    || { echo "paired.sh: --help failed"; exit 1; }
 
 echo "==> benchmark package: its own tests (traced mirror of the block loop) + every workload's output checks"
 (cd benchmark && cargo test --offline -q)
