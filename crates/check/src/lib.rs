@@ -1,8 +1,7 @@
 //! # gstm-check — offline opacity/serializability oracle
 //!
-//! Consumes a recorded [`TxEvent`] history (produced by gstm-core built
-//! with the `check` feature and `StmConfig::check_events` enabled) and
-//! verifies, per run:
+//! Consumes a recorded [`TxEvent`] history (produced by gstm-core with
+//! `StmConfig::check_events` enabled) and verifies, per run:
 //!
 //! 1. **Serializable commit order.** Committed writer transactions admit a
 //!    serial order consistent with the global version clock: every writer's
@@ -279,9 +278,8 @@ impl OracleReport {
     }
 
     /// True when the history contained nothing to check — a clean verdict
-    /// over a vacuous history proves nothing (e.g. the engine was built
-    /// without the `check` feature or `check_events` was left off), so
-    /// harnesses must treat `ok() && is_vacuous()` as a failure.
+    /// over a vacuous history proves nothing (e.g. `check_events` was left
+    /// off), so harnesses must treat `ok() && is_vacuous()` as a failure.
     pub fn is_vacuous(&self) -> bool {
         self.reads == 0 && self.write_backs == 0 && self.snapshot_reads == 0
     }

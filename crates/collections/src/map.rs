@@ -57,7 +57,11 @@ where
         self.buckets.len()
     }
 
-    fn bucket_index(&self, key: &K) -> usize {
+    /// The bucket `key` lives in: its hash modulo [`THashMap::bucket_count`].
+    /// A caller that looks the same keys up again and again can keep this
+    /// and address the bucket through [`THashMap::get_in`] /
+    /// [`THashMap::insert_in`] without hashing.
+    pub fn bucket_index(&self, key: &K) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         (h.finish() as usize) % self.buckets.len()
@@ -73,7 +77,29 @@ where
     ///
     /// Propagates STM conflicts.
     pub fn insert(&self, tx: &mut Txn<'_>, key: K, value: V) -> Result<Option<V>, Abort> {
-        let var = self.bucket_of(&key);
+        self.insert_in(tx, self.bucket_index(&key), key, value)
+    }
+
+    /// [`THashMap::insert`] into a bucket the caller already knows:
+    /// `bucket` must be [`THashMap::bucket_index`] of `key`, or the key
+    /// lands where no lookup will find it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates STM conflicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` is not below [`THashMap::bucket_count`].
+    pub fn insert_in(
+        &self,
+        tx: &mut Txn<'_>,
+        bucket: usize,
+        key: K,
+        value: V,
+    ) -> Result<Option<V>, Abort> {
+        debug_assert_eq!(bucket, self.bucket_index(&key), "key addressed through a foreign bucket");
+        let var = &self.buckets[bucket];
         let mut entries = copy_with_room(&tx.read_arc(var)?);
         let old = put(&mut entries, key, value);
         tx.write(var, entries)?;
@@ -89,7 +115,23 @@ where
     ///
     /// Propagates STM conflicts.
     pub fn get(&self, tx: &mut Txn<'_>, key: &K) -> Result<Option<V>, Abort> {
-        let entries = tx.read_arc(self.bucket_of(key))?;
+        self.get_in(tx, self.bucket_index(key), key)
+    }
+
+    /// [`THashMap::get`] from a bucket the caller already knows: `bucket`
+    /// must be [`THashMap::bucket_index`] of `key`, or a present key reads
+    /// as absent.
+    ///
+    /// # Errors
+    ///
+    /// Propagates STM conflicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` is not below [`THashMap::bucket_count`].
+    pub fn get_in(&self, tx: &mut Txn<'_>, bucket: usize, key: &K) -> Result<Option<V>, Abort> {
+        debug_assert_eq!(bucket, self.bucket_index(key), "key addressed through a foreign bucket");
+        let entries = tx.read_arc(&self.buckets[bucket])?;
         Ok(entries.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()))
     }
 
@@ -162,11 +204,17 @@ where
     /// Non-transactional bulk insert for pre-run population (setup only,
     /// like [`THashMap::insert_unlogged`], and with the same outcome as
     /// calling it once per entry in order) that rebuilds and stores every
-    /// touched bucket once instead of once per entry.
-    pub fn extend_unlogged(&self, entries: impl IntoIterator<Item = (K, V)>) {
+    /// touched bucket once instead of once per entry. Each entry comes with
+    /// its bucket ([`THashMap::bucket_index`] of its key), so a caller that
+    /// keeps the indices hashes every key once, not once here and once there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a bucket is not below [`THashMap::bucket_count`].
+    pub fn extend_unlogged_in(&self, entries: impl IntoIterator<Item = (usize, K, V)>) {
         let mut staged: Vec<Option<Vec<(K, V)>>> = self.buckets.iter().map(|_| None).collect();
-        for (key, value) in entries {
-            let b = self.bucket_index(&key);
+        for (b, key, value) in entries {
+            debug_assert_eq!(b, self.bucket_index(&key), "key addressed through a foreign bucket");
             let bucket =
                 staged[b].get_or_insert_with(|| (*self.buckets[b].load_unlogged()).clone());
             put(bucket, key, value);
@@ -336,7 +384,7 @@ mod tests {
             map.insert_unlogged(3, 1000);
             map.insert_unlogged(99, 1001);
         }
-        bulk.extend_unlogged(entries.iter().copied());
+        bulk.extend_unlogged_in(entries.iter().map(|&(k, v)| (bulk.bucket_index(&k), k, v)));
         for &(k, v) in &entries {
             single.insert_unlogged(k, v);
         }

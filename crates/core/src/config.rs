@@ -117,11 +117,8 @@ pub struct StmConfig {
     /// Emit the oracle's `*Check` event variants (`ReadCheck`,
     /// `WriteBackCheck`, `CommitCheck`, `UnlockCheck`).
     ///
-    /// Only effective when gstm-core is compiled with the `check` feature;
-    /// without it this flag is ignored and no check events are ever
-    /// produced. Check events are recorded straight to the sink and never
-    /// pass the gate, so enabling them does not perturb virtual-time
-    /// schedules.
+    /// Check events are recorded straight to the sink and never pass the
+    /// gate, so enabling them does not perturb virtual-time schedules.
     pub check_events: bool,
     /// Read-path strategy for [`TxnKind::ReadOnly`] transactions (default
     /// [`ReadMode::Latest`], the legacy behavior the determinism goldens
@@ -230,8 +227,7 @@ impl StmConfigBuilder {
         self
     }
 
-    /// Enables emission of the oracle's `*Check` events (requires the
-    /// `check` feature to have any effect).
+    /// Enables emission of the oracle's `*Check` events.
     pub fn check_events(mut self, on: bool) -> Self {
         self.cfg.check_events = on;
         self

@@ -67,10 +67,9 @@ pub enum TxEvent {
     },
     /// Oracle instrumentation: a transactional read observed a value.
     ///
-    /// Emitted only when the `check` feature is compiled in **and**
-    /// [`crate::StmConfig::check_events`] is set; never emitted for
-    /// read-own-writes (those observe the transaction's private redo log,
-    /// not shared state).
+    /// Emitted only when [`crate::StmConfig::check_events`] is set; never
+    /// emitted for read-own-writes (those observe the transaction's private
+    /// redo log, not shared state).
     ReadCheck {
         /// Who read.
         who: Participant,

@@ -69,11 +69,12 @@ pub struct SiteStatsSink {
 /// [`crate::RealGate`]: two threads folded onto one gate slot would read
 /// each other's charged ticks, so that cap has to exceed any thread count
 /// in use, whereas two threads folded onto one shard still tally correctly
-/// (the key is the participant) and merely share a lock again. A sink is
-/// built, merged and dropped once per run, and a run can be a millisecond
-/// (the benchmark's slices): 256 shards instead of 64 read more `setup_s`
-/// per `serve_hot` slice in five of six alternating runs (median ≈ 9 µs,
-/// 1 %), for threads no host this has run on has.
+/// (the key is the participant) and merely share a lock again, so a shard
+/// per thread id is not needed — only more shards than threads that record
+/// at once, and 64 is more than any host this has run on has. Building,
+/// merging and dropping 256 padded shards instead measured ≈ 9 µs per sink,
+/// which a caller that attaches a fresh sink to every millisecond-long run
+/// (the benchmark's traced replay, once per slice) pays each time.
 const SHARDS: usize = 64;
 
 impl Default for SiteStatsSink {

@@ -138,11 +138,10 @@ pub struct Stm {
     /// the clock is not sampled.
     sink_reads_time: bool,
     cm_reads_time: bool,
-    /// Test-only fault hook (`check` builds): when set, commit performs its
-    /// write-back *before* acquiring the write-set locks — a deliberate
+    /// Test-only fault hook: when set, commit performs its write-back
+    /// *before* acquiring the write-set locks — a deliberate
     /// lock-discipline violation the opacity oracle must catch. Never set
     /// it outside negative tests.
-    #[cfg(feature = "check")]
     broken_early_write_back: std::sync::atomic::AtomicBool,
 }
 
@@ -198,7 +197,6 @@ impl Stm {
                 .then(|| SnapshotRegistry::new(config.max_threads as u32)),
             last_seq: padded_slots(config.max_threads),
             doomed: Arc::new(padded_slots(config.max_threads)),
-            #[cfg(feature = "check")]
             broken_early_write_back: std::sync::atomic::AtomicBool::new(false),
             config,
         }
@@ -265,7 +263,6 @@ impl Stm {
     /// write its redo log back *before* taking the write-set locks,
     /// violating lock discipline and opacity. Exists solely so negative
     /// tests can prove the oracle catches a broken engine.
-    #[cfg(feature = "check")]
     pub fn set_broken_early_write_back(&self, on: bool) {
         self.broken_early_write_back.store(on, Ordering::SeqCst);
     }
@@ -769,7 +766,6 @@ impl<'stm> Txn<'stm> {
                 reg.note_read(wv != 0);
             }
             self.snapshot_reads = self.snapshot_reads.saturating_add(1);
-            #[cfg(feature = "check")]
             if stm.config.check_events {
                 stm.sink.record(&TxEvent::SnapshotReadCheck {
                     who: self.who,
@@ -810,9 +806,6 @@ impl<'stm> Txn<'stm> {
         if pre_version > self.rv {
             return Err(self.abort_at(AbortReason::ReadVersion { var: var.id() }, stripe));
         }
-        #[cfg(not(feature = "check"))]
-        let value = var.cell().load();
-        #[cfg(feature = "check")]
         let (value, stamp) = if stm.config.check_events {
             var.cell().load_stamped()
         } else {
@@ -834,7 +827,6 @@ impl<'stm> Txn<'stm> {
         // The sandwich succeeded: record what this read observed for the
         // oracle. Reads served from the redo log (read-own-writes, above)
         // are deliberately not recorded — they never touch shared state.
-        #[cfg(feature = "check")]
         if stm.config.check_events {
             stm.sink.record(&TxEvent::ReadCheck {
                 who: self.who,
@@ -978,17 +970,12 @@ impl<'stm> Txn<'stm> {
         // before a single write-set lock is taken, so the oracle's
         // lock-discipline (unheld write-back) and dirty-read checks have a
         // real engine bug to catch.
-        #[cfg(feature = "check")]
-        let wrote_early = if stm.broken_early_write_back.load(Ordering::SeqCst) {
+        let wrote_early = stm.broken_early_write_back.load(Ordering::SeqCst);
+        if wrote_early {
             // The fault path never publishes versions (`None`): it models a
             // broken legacy write-back, not a broken ring.
             self.write_back(None);
-            true
-        } else {
-            false
-        };
-        #[cfg(not(feature = "check"))]
-        let wrote_early = false;
+        }
 
         // 1. Lock the write set (stripes deduped, sorted for determinism;
         //    encounter-time locks are already held). The stripe list and
@@ -1169,7 +1156,6 @@ impl<'stm> Txn<'stm> {
                 reg.note_publication(out.evicted as u64, out.len as u64, out.over_capacity);
             }
         }
-        #[cfg(feature = "check")]
         if stm.config.check_events {
             for w in &self.scratch.writes {
                 let held = stm.locks.load(w.stripe).owner == Some(self.who.thread);
@@ -1207,9 +1193,7 @@ impl<'stm> Txn<'stm> {
         self.record_unlock(stripe, ok, true);
     }
 
-    #[cfg_attr(not(feature = "check"), allow(unused_variables))]
     fn record_unlock(&self, stripe: StripeIndex, owner_ok: bool, publish: bool) {
-        #[cfg(feature = "check")]
         if self.stm.config.check_events {
             self.stm.sink.record(&TxEvent::UnlockCheck {
                 who: self.who,
@@ -1221,9 +1205,7 @@ impl<'stm> Txn<'stm> {
         }
     }
 
-    #[cfg_attr(not(feature = "check"), allow(unused_variables))]
     fn record_commit_check(&self, seq: CommitSeq, wv: u64, writes: u32) {
-        #[cfg(feature = "check")]
         if self.stm.config.check_events {
             self.stm.sink.record(&TxEvent::CommitCheck {
                 who: self.who,
@@ -1976,7 +1958,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "check")]
     fn check_stm(check_events: bool) -> (Stm, Arc<crate::events::MemorySink>) {
         let sink = Arc::new(crate::events::MemorySink::new());
         let stm = Stm::with_parts(
@@ -1989,7 +1970,6 @@ mod tests {
         (stm, sink)
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn check_events_capture_the_full_commit_shape() {
         let (stm, sink) = check_stm(true);
@@ -2025,7 +2005,6 @@ mod tests {
         assert_eq!((reads, wbs, commits, unlocks), (1, 1, 1, 1));
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn check_events_stay_silent_unless_enabled() {
         let (stm, sink) = check_stm(false);
@@ -2045,7 +2024,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "check")]
     #[test]
     fn broken_early_write_back_reports_unheld_write_backs() {
         let (stm, sink) = check_stm(true);

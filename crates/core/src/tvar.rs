@@ -14,11 +14,10 @@ pub(crate) type ErasedValue = Arc<dyn Any + Send + Sync>;
 
 static NEXT_VAR_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Process-global counter handing out write stamps for the `check` feature.
+/// Process-global counter handing out write stamps for the opacity oracle.
 /// Stamp 0 is reserved for initial/unlogged values, so the counter starts
 /// at 1. Stamps only need to be unique, not dense or ordered, so a plain
 /// relaxed fetch-add suffices.
-#[cfg(feature = "check")]
 static NEXT_WRITE_STAMP: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
@@ -138,7 +137,6 @@ pub(crate) struct VarCell {
     /// values. The oracle uses stamps to identify *which* committed write a
     /// read observed without comparing erased payloads. Read and written
     /// only under the `data` mutex so (value, stamp) pairs are consistent.
-    #[cfg(feature = "check")]
     stamp: AtomicU64,
 }
 
@@ -148,7 +146,6 @@ impl VarCell {
             id,
             history: Mutex::new(vec![(0, Arc::clone(&value))]),
             data: Mutex::new(value),
-            #[cfg(feature = "check")]
             stamp: AtomicU64::new(0),
         }
     }
@@ -174,7 +171,6 @@ impl VarCell {
     pub(crate) fn store(&self, value: ErasedValue) {
         let replaced = {
             let mut data = self.data.lock();
-            #[cfg(feature = "check")]
             self.stamp.store(0, Ordering::Relaxed);
             std::mem::replace(&mut *data, value)
         };
@@ -188,7 +184,6 @@ impl VarCell {
     /// not the construction-time initial.
     pub(crate) fn store_unlogged(&self, value: ErasedValue) {
         let mut data = self.data.lock();
-        #[cfg(feature = "check")]
         self.stamp.store(0, Ordering::Relaxed);
         let mut h = self.history.lock();
         h.clear();
@@ -197,7 +192,6 @@ impl VarCell {
     }
 
     /// Loads the current (value, write stamp) pair consistently.
-    #[cfg(feature = "check")]
     #[inline]
     pub(crate) fn load_stamped(&self) -> (ErasedValue, u64) {
         let data = self.data.lock();
@@ -205,8 +199,7 @@ impl VarCell {
     }
 
     /// Installs `value` with a fresh globally unique write stamp; returns
-    /// the stamp. Used by transactional write-back under `check`.
-    #[cfg(feature = "check")]
+    /// the stamp. Used by transactional write-back under `check_events`.
     #[inline]
     pub(crate) fn store_stamped(&self, value: ErasedValue) -> u64 {
         let mut data = self.data.lock();

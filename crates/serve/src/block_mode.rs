@@ -33,8 +33,7 @@ use std::sync::{Arc, RwLock};
 
 use gstm_block::{execute_block, stream_block_on, BlockConfig, BlockHooks, BlockPool, BlockStats};
 use gstm_check::BlockRecord;
-use gstm_core::cm::Aggressive;
-use gstm_core::{AdmitAll, RealGate, SiteStatsSink, Stm, ThreadId, TxnKind};
+use gstm_core::{RealGate, Stm, ThreadId};
 use gstm_wal::fnv1a64;
 
 use crate::backend::{store_digest, Materializer, StoreBackend};
@@ -242,20 +241,16 @@ impl BlockHooks<u64, Entry, Response> for Streamed {
         // Empty write sets (read-only requests) ride the engine's read-only
         // commit fast path — which still claims a commit sequence number,
         // keeping the WAL prefix dense.
+        let mut aborts = 0;
         stm.run(t0(), sr.req.site(), |tx| {
+            aborts = tx.attempt();
             tx.work(spec.work);
             backend.store().apply_writes(tx, writes)
         });
         backend.on_commit(stm.last_commit_seq(t0()), &sr.req);
         let now = clock.now(t0());
         seen.store(now, Ordering::Relaxed);
-        let sojourn = now.saturating_sub(sr.at);
-        log.sojourn.record(sojourn);
-        log.done.fetch_add(1, Ordering::Relaxed);
-        if sr.req.txn_kind() == TxnKind::ReadOnly {
-            log.sojourn_ro.record(sojourn);
-            log.done_ro.fetch_add(1, Ordering::Relaxed);
-        }
+        log.served(&sr.req, now.saturating_sub(sr.at), aborts);
     }
 }
 
@@ -287,16 +282,8 @@ pub(crate) fn run_native_block(
     let cfg = BlockConfig::new(block_size, block_parts(spec))
         .unwrap_or_else(|e| panic!("invalid block config: {e}"));
     let order = merge_block_order(spec, threads, seed);
-    let sink = Arc::new(SiteStatsSink::new());
-    let stm = Stm::with_parts(
-        spine_config(spec, threads),
-        Arc::new(RealGate::new(yield_every)),
-        Arc::clone(&sink) as Arc<dyn gstm_core::EventSink>,
-        Arc::new(AdmitAll),
-        Arc::new(Aggressive),
-    );
     let run = Arc::new(Run {
-        stm,
+        stm: Stm::new_on(spine_config(spec, threads), Arc::new(RealGate::new(yield_every))),
         backend,
         clock: WallClock::new(nanos_per_tick),
         seen: AtomicU64::new(0),
@@ -362,7 +349,7 @@ pub(crate) fn run_native_block(
         sojourn_ro: log.sojourn_ro.snapshot(),
         elapsed_ticks: clock.now(t0()),
         mvcc: stm.mvcc_stats(),
-        sites: sink.snapshot(),
+        sites: log.site_rows(t0()).collect(),
         block: Some(BlockModeReport {
             record: BlockRecord { outputs, final_digest },
             stats,
@@ -537,6 +524,54 @@ mod tests {
         assert_eq!(run.log.done.load(Ordering::Relaxed), 200);
         let outputs: Vec<u64> = outcome.outputs.iter().map(response_digest).collect();
         assert_eq!(outputs, run_block_reference(&spec, 2, 9).outputs);
+    }
+
+    /// Block mode's per-site table comes from the run's one log; a
+    /// `SiteStatsSink` listening to the same engine tallies the same rows:
+    /// one commit per request at its kind's site, all under the one engine
+    /// thread id the lanes hand round.
+    #[test]
+    fn sites_from_the_log_are_the_rows_a_sink_on_the_same_engine_tallies() {
+        use gstm_core::{cm::Aggressive, AdmitAll, SiteStatsSink};
+        let spec = block_spec(100, 256);
+        let sink = Arc::new(SiteStatsSink::new());
+        let run = Arc::new(Run {
+            stm: Stm::with_parts(
+                spine_config(&spec, 2),
+                Arc::new(RealGate::new(0)),
+                Arc::clone(&sink) as Arc<dyn gstm_core::EventSink>,
+                Arc::new(AdmitAll),
+                Arc::new(Aggressive),
+            ),
+            backend: Arc::new(crate::backend::EphemeralBackend::new(ShardedStore::new(
+                spec.shards,
+                spec.buckets_per_shard,
+                spec.keys,
+            ))),
+            clock: WallClock::new(1),
+            seen: AtomicU64::new(0),
+            log: ThreadLog::default(),
+            order: merge_block_order(&spec, 2, 9),
+            spec: spec.clone(),
+        });
+        let (base, body) = (Materializer::initial(spec.keys), Arc::clone(&run));
+        stream_block_on(
+            &BlockPool::new(2),
+            &BlockConfig::new(256, block_parts(&spec)).expect("valid config"),
+            200,
+            move |k: &u64| base.get(*k),
+            move |i, ctx| apply_with(&body.order[i].req, body.spec.keys, &mut |k| ctx.read(&k)),
+            Streamed { run: Arc::clone(&run), start: 0 },
+        );
+        let sites: std::collections::BTreeMap<_, _> = run.log.site_rows(t0()).collect();
+        assert_eq!(sites, sink.snapshot());
+        for kind in Request::one_of_each_kind() {
+            let served = run.order.iter().filter(|sr| sr.req.site() == kind.site()).count();
+            let who = gstm_core::Participant::new(t0(), kind.site());
+            let commits = sites.get(&who).map_or(0, |s| s.commits);
+            assert_eq!(commits, served as u64, "{}", kind.kind());
+        }
+        assert_eq!(sites.values().map(|s| s.commits).sum::<u64>(), 200);
     }
 
     /// A durable backend that also notes which OS threads committed.

@@ -137,10 +137,14 @@ impl Request {
         Request::GetMany { start, stride, count }
     }
 
+    /// How many request kinds — and so transaction sites `0..KINDS` — there
+    /// are.
+    pub(crate) const KINDS: usize = 6;
+
     /// One request of every kind, in site order: for code that asks
     /// something of each kind (which sites are read-only) instead of
     /// keeping a list of its own that a new kind would be missing from.
-    pub(crate) fn one_of_each_kind() -> [Request; 6] {
+    pub(crate) fn one_of_each_kind() -> [Request; Request::KINDS] {
         [
             Request::get(0),
             Request::put(0, 0),
@@ -352,6 +356,11 @@ fn advance(key: u64, step: u64, keys: u64) -> u64 {
 #[derive(Clone)]
 pub struct ShardedStore {
     shards: Vec<THashMap<u64, Entry>>,
+    /// `(shard, bucket)` of every key in `0..keys`, filled when the store is
+    /// built: a request finds its bucket with one indexed load instead of
+    /// hashing the key and dividing twice. The shape is fixed for the
+    /// store's lifetime, so the table never goes stale.
+    table: Vec<(u32, u32)>,
     keys: u64,
 }
 
@@ -369,13 +378,16 @@ impl ShardedStore {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if `shards` or
+    /// `buckets_per_shard` exceeds `u32::MAX`.
     pub fn new(shards: usize, buckets_per_shard: usize, keys: u64) -> Self {
         Self::populated(shards, buckets_per_shard, keys, (0..keys).map(|key| (key, Entry::fresh())))
     }
 
     /// A store of the given shape holding `entries`, inserted in order —
-    /// each bucket built and stored once, not once per key.
+    /// each bucket built and stored once, not once per key, and each key of
+    /// the keyspace hashed once: the pass that fills the table is the one
+    /// that tells population where every entry goes.
     fn populated(
         shards: usize,
         buckets_per_shard: usize,
@@ -383,19 +395,28 @@ impl ShardedStore {
         entries: impl Iterator<Item = (u64, Entry)>,
     ) -> Self {
         assert!(shards > 0 && keys > 0, "store needs at least one shard and one key");
-        let mut per_shard = vec![Vec::new(); shards];
-        for (key, entry) in entries {
-            per_shard[(key % shards as u64) as usize].push((key, entry));
-        }
-        let shards = per_shard
-            .into_iter()
-            .map(|entries| {
-                let shard = THashMap::new(buckets_per_shard);
-                shard.extend_unlogged(entries);
-                shard
+        assert!(
+            u32::try_from(shards).is_ok() && u32::try_from(buckets_per_shard).is_ok(),
+            "store shape exceeds the bucket table's 32-bit indices"
+        );
+        let maps: Vec<THashMap<u64, Entry>> =
+            (0..shards).map(|_| THashMap::new(buckets_per_shard)).collect();
+        let table = (0..keys)
+            .map(|key| {
+                let (shard, bucket) = address(&maps, key);
+                (shard as u32, bucket as u32)
             })
             .collect();
-        ShardedStore { shards, keys }
+        let store = ShardedStore { shards: maps, table, keys };
+        let mut per_shard = vec![Vec::new(); shards];
+        for (key, entry) in entries {
+            let (shard, bucket) = store.locate(key);
+            per_shard[shard].push((bucket, key, entry));
+        }
+        for (map, entries) in store.shards.iter().zip(per_shard) {
+            map.extend_unlogged_in(entries);
+        }
+        store
     }
 
     /// Number of shards.
@@ -408,8 +429,16 @@ impl ShardedStore {
         self.keys
     }
 
-    fn shard_of(&self, key: u64) -> &THashMap<u64, Entry> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
+    /// Shard and bucket (as indices) of `key`: from the table for a key of
+    /// the keyspace, by the rule the table was filled with for any other. A
+    /// key past the keyspace holds nothing, but reading it still reads its
+    /// bucket, exactly as it did when every access hashed.
+    #[inline]
+    fn locate(&self, key: u64) -> (usize, usize) {
+        match usize::try_from(key).ok().and_then(|k| self.table.get(k)) {
+            Some(&(shard, bucket)) => (shard as usize, bucket as usize),
+            None => address(&self.shards, key),
+        }
     }
 
     /// Executes one request inside the caller's transaction: [`interpret`]
@@ -444,7 +473,7 @@ impl ShardedStore {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics as [`ShardedStore::new`] does.
     pub fn from_entries(
         shards: usize,
         buckets_per_shard: usize,
@@ -474,6 +503,13 @@ impl ShardedStore {
     }
 }
 
+/// Where `key` lives among `shards`, as `(shard, bucket)` indices: shards
+/// round-robin, the bucket by the shard's own hashing.
+fn address(shards: &[THashMap<u64, Entry>], key: u64) -> (usize, usize) {
+    let shard = (key % shards.len() as u64) as usize;
+    (shard, shards[shard].bucket_index(&key))
+}
+
 /// The transactional substrate: entries live in the store's `THashMap`s
 /// and every access is an STM read or write of the caller's transaction.
 struct TxnAccess<'a, 'tx> {
@@ -486,12 +522,14 @@ impl EntryAccess for TxnAccess<'_, '_> {
 
     #[inline]
     fn read(&mut self, key: u64) -> Result<Option<Entry>, Abort> {
-        self.store.shard_of(key).get(self.tx, &key)
+        let (shard, bucket) = self.store.locate(key);
+        self.store.shards[shard].get_in(self.tx, bucket, &key)
     }
 
     #[inline]
     fn write(&mut self, key: u64, entry: Entry) -> Result<(), Abort> {
-        self.store.shard_of(key).insert(self.tx, key, entry).map(|_| ())
+        let (shard, bucket) = self.store.locate(key);
+        self.store.shards[shard].insert_in(self.tx, bucket, key, entry).map(|_| ())
     }
 }
 
@@ -537,6 +575,34 @@ mod tests {
             (0..60u64).map(|i| (i * 37 % 100, Entry { balance: i as i64, blob: i * 3 })).collect();
         let store = ShardedStore::from_entries(3, 4, 100, &recovered);
         assert_eq!(layout(&store), per_key(&recovered));
+    }
+
+    /// The table is a cache of the addressing rule, not a second rule: for
+    /// every key of the three preset shapes it names the shard and bucket
+    /// that `key % shards` and [`THashMap::bucket_index`] name, and past the
+    /// keyspace — where there is no table entry — the fallback names them
+    /// too, so a request for a key nobody stored still reads that key's
+    /// bucket.
+    #[test]
+    fn the_bucket_table_names_the_bucket_hashing_names_for_every_key() {
+        use crate::service::ServeSpec;
+        for spec in [ServeSpec::hot(0), ServeSpec::wide(0), ServeSpec::ledger(0)] {
+            let store = ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys);
+            assert_eq!(store.table.len() as u64, spec.keys, "one entry per key of the keyspace");
+            for key in (0..spec.keys).chain([spec.keys, spec.keys + 1, u64::MAX]) {
+                let shard = (key % spec.shards as u64) as usize;
+                let hashed = (shard, store.shards[shard].bucket_index(&key));
+                assert_eq!(store.locate(key), hashed, "key {key} of {store:?}");
+            }
+            let found = with_tx(|tx| store.apply(tx, &Request::get(spec.keys - 1)));
+            assert_eq!(found, Response::Value(Some(Entry::fresh())));
+            for missing in [spec.keys, spec.keys + 1, u64::MAX] {
+                let resp = with_tx(|tx| store.apply(tx, &Request::put(missing, 1)));
+                assert_eq!(resp, Response::Ok, "a put past the keyspace is a no-op");
+                let resp = with_tx(|tx| store.apply(tx, &Request::get(missing)));
+                assert_eq!(resp, Response::Value(None));
+            }
+        }
     }
 
     #[test]

@@ -103,8 +103,9 @@ fn literal_cases_hold_on_every_substrate() {
     }
 }
 
-/// A request drawn to hit the edges: keys past the keyspace, self-transfers,
-/// amounts at both `i64` limits, starts and strides at the `u64` limit.
+/// A request drawn to hit the edges: keys past the keyspace (by a little and
+/// by a lot), self-transfers, amounts at both `i64` limits, starts and
+/// strides at the `u64` limit.
 fn random_request(rng: &mut SmallRng) -> Request {
     fn pick<T: Copy>(rng: &mut SmallRng, edges: &[T], common: T) -> T {
         if rng.gen_bool(0.15) {
@@ -113,8 +114,16 @@ fn random_request(rng: &mut SmallRng) -> Request {
             common
         }
     }
-    // A few keys past the end, so some reads miss.
-    let key = |rng: &mut SmallRng| rng.gen_range(0..KEYS + 3);
+    // A few keys past the end, so some reads miss; and now and then one far
+    // outside the keyspace, where the store has no table entry to go by and
+    // must still find the bucket the key would live in.
+    let key = |rng: &mut SmallRng| {
+        if rng.gen_bool(0.05) {
+            [u64::MAX, u64::MAX - 1, 1 << 32, KEYS + 1_000][rng.gen_range(0..4usize)]
+        } else {
+            rng.gen_range(0..KEYS + 3)
+        }
+    };
     let word = |rng: &mut SmallRng| {
         let common = rng.gen_range(0..40u64);
         pick(rng, &[u64::MAX, u64::MAX - 3, 1 << 63, 0], common)

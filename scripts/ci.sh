@@ -124,7 +124,7 @@ cargo test -q --release --offline -p gstm-serve --lib -- \
     a_committer_blocked_in_its_device_write_does_not_delay_another \
     || { echo "durable commit path: a crash lost more than its bound, or a committer waited for another's device write"; exit 1; }
 
-echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, per-thread slots a line apart, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract"
+echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, per-thread slots a line apart, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, log tallies = sink tallies"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
 cargo test -q --release --offline -p gstm-core -p gstm-wal -p gstm-serve --lib layout_ \
@@ -140,6 +140,12 @@ cargo test -q --release --offline -p gstm-serve --lib -- \
     remaining_time_saturates_for_ticks_beyond_the_nanosecond_range \
     a_request_is_never_admitted_before_it_is_due \
     || { echo "native wait: returned before the tick was due, overflowed, or admitted a request early"; exit 1; }
+cargo test -q --release --offline -p gstm-serve --lib -- \
+    the_bucket_table_names_the_bucket_hashing_names_for_every_key \
+    sites_from_the_log \
+    || { echo "request path: the bucket table disagrees with hashing, or the thread logs' per-site tallies with a sink's"; exit 1; }
+cargo test -q --release --offline -p gstm-serve --test interpreter \
+    || { echo "request path: the store substrate answers differently from the plain map or the block lane"; exit 1; }
 
 echo "==> block determinism smoke: same block order must hash identically at 1/2/4/8 threads, bare executor and native lane"
 ./target/release/experiments block-smoke --threads 1,2,4,8 --requests 200 --seed 11 \

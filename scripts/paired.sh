@@ -2,7 +2,8 @@
 # Paired benchmark runs of a parent commit against the working tree: the
 # protocol of /opt/skills/guides/choosing-metrics §8 (alternate which side
 # runs first, report medians and quartiles, count pairs won, compare the gap
-# between the medians with the parent's own spread).
+# between the medians with the parent's own spread; warn when either side's
+# own p50_us runs spread too widely to be one population).
 #
 #   scripts/paired.sh <parent-ref> [--workload W] [--pairs N] [--seconds S] [--seed K] [--scratch DIR]
 #
@@ -46,6 +47,9 @@ with open(os.path.join(repo, "BENCHMARK.json")) as f:
 seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
 better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
 end_to_end = [m["name"] for m in declared["end_to_end"]]
+# A side's own p50_us quartile range, as a share of its median, above which
+# the report warns that the side's runs do not look like one population.
+SPREAD_WARNING = 0.15
 
 
 def git(*cmd):
@@ -148,6 +152,18 @@ for workload in runs["parent"][0]:
               f"{won:>3}/{won + lost:<3}  {apart}{direction}")
     print(f"  ({identical} metrics read the same in every run of both sides; "
           f"'won' counts pairs the change read better, ties left out)")
+    # The placement canary: the same binary's p50_us reads ~30 % lower in a
+    # run whose serve threads happen to share a core for a quarter of its
+    # slices (EXPERIMENTS.md, measurement notes), so a side whose own runs
+    # spread this wide is two populations and its median describes neither.
+    for side in ("parent", "change"):
+        values = [r[workload]["p50_us"] for r in runs[side] if "p50_us" in r[workload]]
+        if values:
+            q1, median, q3 = quartiles(values)
+            if q3 - q1 > SPREAD_WARNING * abs(median):
+                print(f"  warning: {side}'s own p50_us runs spread [{q1:.6g}, {q3:.6g}] around "
+                      f"{median:.6g}: a quartile range over {SPREAD_WARNING:.0%} of the median "
+                      f"(bimodal thread placement?) - judge this workload pair by pair")
 with open(os.path.join(scratch, "runs.json"), "w") as f:
     json.dump({"parent": sha, "seed": args.seed, "seconds": seconds, "runs": runs}, f)
 print(f"\nevery run's metrics: {os.path.join(scratch, 'runs.json')}")

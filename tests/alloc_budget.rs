@@ -1,19 +1,19 @@
 //! Heap allocations per served request, counted on the serving thread.
 //!
-//! The engine the native service builds (`RealGate`, `SiteStatsSink`,
-//! `Aggressive`) replays a schedule of one request kind through
-//! `serve_schedule` on an ephemeral store. Once the thread's transaction
-//! buffers and the sink's per-site rows exist, a read costs no allocation
-//! at all, and an update costs two per written key: the new bucket and the
-//! `Arc` the redo log holds it in. The durable backend's commit hook adds
-//! none of its own between group commits.
+//! The engine the native service builds (`Stm::new_on` a `RealGate`: no
+//! event sink, every transaction admitted, `Aggressive`) replays a schedule
+//! of one request kind through `serve_schedule` on an ephemeral store. Once
+//! the thread's transaction buffers exist, a read costs no allocation at
+//! all — the per-site tallies live in the `ThreadLog`'s fixed array — and an
+//! update costs two per written key: the new bucket and the `Arc` the redo
+//! log holds it in. The durable backend's commit hook adds none of its own
+//! between group commits.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use gstm::core::cm::Aggressive;
-use gstm::core::{AdmitAll, RealGate, SiteStatsSink, Stm, StmConfig, ThreadId};
+use gstm::core::{RealGate, Stm, StmConfig, ThreadId};
 use gstm::serve::{
     serve_schedule, DurableBackend, EphemeralBackend, Request, ScheduledRequest, ServeSpec,
     ShardedStore, StoreBackend, ThreadLog, WallClock,
@@ -63,13 +63,7 @@ fn allocations_per_request(request: impl Fn(u64, u64) -> Request) -> f64 {
     let spec = ServeSpec::wide(REQUESTS as usize);
     let backend =
         EphemeralBackend::new(ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys));
-    let stm = Stm::with_parts(
-        StmConfig::new(1),
-        Arc::new(RealGate::new(0)),
-        Arc::new(SiteStatsSink::new()),
-        Arc::new(AdmitAll),
-        Arc::new(Aggressive),
-    );
+    let stm = Stm::new_on(StmConfig::new(1), Arc::new(RealGate::new(0)));
     // Everything is due at once and nothing is shed.
     let schedule: Vec<ScheduledRequest> = (0..REQUESTS)
         .map(|i| i * 37 % spec.keys)
