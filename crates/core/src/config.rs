@@ -1,7 +1,5 @@
 //! STM configuration: detection/resolution modes and tuning knobs.
 
-use crate::gate::CostModel;
-
 /// When conflicts are detected (§II of the paper).
 ///
 /// TL2 is lazy ([`Detection::CommitTime`]): writes are buffered and locks
@@ -29,9 +27,13 @@ pub enum Resolution {
     /// (LibTM "abort-readers", used for SynQuake in the paper).
     AbortReaders,
     /// Committer waits for registered readers to drain, aborting itself
-    /// after a bounded wait (LibTM "wait-for-readers").
+    /// after [`READER_WAIT_LIMIT`] polls (LibTM "wait-for-readers").
     WaitForReaders,
 }
+
+/// [`Resolution::WaitForReaders`] patience: a committer that still finds a
+/// registered reader on a held stripe after this many polls aborts itself.
+pub const READER_WAIT_LIMIT: u32 = 32;
 
 impl Resolution {
     /// Whether this resolution requires visible-reader registries.
@@ -106,14 +108,6 @@ pub struct StmConfig {
     pub detection: Detection,
     /// Conflict resolution against readers.
     pub resolution: Resolution,
-    /// Tick costs charged through the gate.
-    pub costs: CostModel,
-    /// `WaitForReaders` patience (polls) before self-aborting.
-    ///
-    /// `0` means a committer that finds any registered reader on a held
-    /// stripe aborts immediately without charging a single poll; `n > 0`
-    /// means up to `n` polls are charged before giving up.
-    pub reader_wait_limit: u32,
     /// Emit the oracle's `*Check` event variants (`ReadCheck`,
     /// `WriteBackCheck`, `CommitCheck`, `UnlockCheck`).
     ///
@@ -138,8 +132,6 @@ impl StmConfig {
             max_threads,
             detection: Detection::default(),
             resolution: Resolution::default(),
-            costs: CostModel::default(),
-            reader_wait_limit: 32,
             check_events: false,
             read_mode: ReadMode::default(),
         }
@@ -190,11 +182,7 @@ impl StmConfig {
 ///
 /// ```
 /// use gstm_core::{ReadMode, StmConfig};
-/// let cfg = StmConfig::builder(8)
-///     .reader_wait_limit(8)
-///     .read_mode(ReadMode::Snapshot)
-///     .build();
-/// assert_eq!(cfg.reader_wait_limit, 8);
+/// let cfg = StmConfig::builder(8).read_mode(ReadMode::Snapshot).build();
 /// assert_eq!(cfg.read_mode, ReadMode::Snapshot);
 /// ```
 #[derive(Clone, Copy, Debug)]
@@ -212,18 +200,6 @@ impl StmConfigBuilder {
     /// Sets the resolution mode.
     pub fn resolution(mut self, r: Resolution) -> Self {
         self.cfg.resolution = r;
-        self
-    }
-
-    /// Sets the tick cost model.
-    pub fn costs(mut self, c: CostModel) -> Self {
-        self.cfg.costs = c;
-        self
-    }
-
-    /// Sets the `WaitForReaders` patience (polls before self-aborting).
-    pub fn reader_wait_limit(mut self, polls: u32) -> Self {
-        self.cfg.reader_wait_limit = polls;
         self
     }
 
@@ -270,19 +246,14 @@ mod tests {
 
     #[test]
     fn builder_sets_every_knob() {
-        let costs = CostModel { begin: 9, ..CostModel::default() };
         let c = StmConfig::builder(4)
             .detection(Detection::EncounterTime)
             .resolution(Resolution::WaitForReaders)
-            .costs(costs)
-            .reader_wait_limit(7)
             .check_events(true)
             .read_mode(ReadMode::Snapshot)
             .build();
         assert_eq!(c.detection, Detection::EncounterTime);
         assert_eq!(c.resolution, Resolution::WaitForReaders);
-        assert_eq!(c.costs, costs);
-        assert_eq!(c.reader_wait_limit, 7);
         assert!(c.check_events);
         assert_eq!(c.read_mode, ReadMode::Snapshot);
     }

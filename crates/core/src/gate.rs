@@ -21,18 +21,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::ids::ThreadId;
-use crate::pad::CachePadded;
+use crate::pad::PerThread;
 
 /// Abstract cost unit charged through a [`Gate`].
 pub type Ticks = u64;
 
-/// Cost model for STM-internal steps, in [`Ticks`].
+/// Cost model for STM-internal steps, in [`Ticks`]; the engine charges
+/// [`COSTS`].
 ///
 /// Costs only matter in simulation (they advance virtual thread clocks and
 /// therefore determine overlap, conflicts and measured execution time); the
-/// [`RealGate`] ignores them. Defaults are loosely calibrated to TL2's
-/// relative overheads: reads/writes are cheap, per-entry commit work and the
-/// abort penalty (log unwinding) dominate.
+/// [`RealGate`] only adds them up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// Starting a transaction (reading the global version clock).
@@ -57,20 +56,20 @@ pub struct CostModel {
     pub version_publish: Ticks,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            begin: 2,
-            read: 1,
-            write: 1,
-            commit_entry: 3,
-            validate_entry: 1,
-            abort: 10,
-            poll: 1,
-            version_publish: 1,
-        }
-    }
-}
+/// What every engine step costs. Loosely calibrated to TL2's relative
+/// overheads: reads/writes are cheap, per-entry commit work and the abort
+/// penalty (log unwinding) dominate. Every virtual-time result in the
+/// repository was measured at these values.
+pub const COSTS: CostModel = CostModel {
+    begin: 2,
+    read: 1,
+    write: 1,
+    commit_entry: 3,
+    validate_entry: 1,
+    abort: 10,
+    poll: 1,
+    version_publish: 1,
+};
 
 /// The machine boundary crossed by every transactional step.
 ///
@@ -129,7 +128,7 @@ pub struct RealGate {
     yield_every: u32,
     /// One line per thread: every pass adds to its thread's slot, so slots
     /// sharing a line would bounce it between cores on every step.
-    slots: Vec<CachePadded<GateSlot>>,
+    slots: PerThread<GateSlot>,
 }
 
 /// What a [`RealGate`] tracks per thread. Each word has one writer — the
@@ -165,10 +164,12 @@ impl RealGate {
         RealGate {
             epoch: Instant::now(),
             yield_every,
-            slots: (0..MAX_TRACKED_THREADS).map(|_| CachePadded::default()).collect(),
+            slots: PerThread::new(MAX_TRACKED_THREADS, GateSlot::default),
         }
     }
 
+    /// `thread`'s slot. The fold is a mask: the slot count is a constant
+    /// power of two.
     fn slot(&self, thread: ThreadId) -> &GateSlot {
         &self.slots[thread.index() % MAX_TRACKED_THREADS]
     }
@@ -322,7 +323,7 @@ mod tests {
 
     #[test]
     fn default_cost_model_is_nonzero() {
-        let c = CostModel::default();
+        let c = COSTS;
         assert!(c.begin > 0 && c.read > 0 && c.write > 0);
         assert!(c.abort > c.read, "aborts should dominate single reads");
     }

@@ -61,14 +61,16 @@ pub mod sync;
 pub mod tvar;
 
 pub use clock::VersionClock;
-pub use config::{Detection, ReadMode, Resolution, StmConfig, StmConfigBuilder, TxnKind};
+pub use config::{
+    Detection, ReadMode, Resolution, StmConfig, StmConfigBuilder, TxnKind, READER_WAIT_LIMIT,
+};
 pub use error::{Abort, AbortReason, StmError};
 pub use events::{CountingSink, EventSink, MemorySink, MulticastSink, NullSink, TxEvent};
-pub use gate::{CostModel, Gate, NullGate, RealGate, Ticks};
+pub use gate::{CostModel, Gate, NullGate, RealGate, Ticks, COSTS};
 pub use ids::{CommitSeq, Participant, ThreadId, TxId, VarId};
 pub use kill::{KillPoint, KillSwitch};
 pub use mvcc::MvccStats;
-pub use pad::CachePadded;
+pub use pad::{CachePadded, PerThread};
 pub use policy::{AdmissionPolicy, AdmitAll};
 pub use site_stats::{SiteStats, SiteStatsSink};
 pub use stm::{retry, CommitInfo, DoomHandle, Stm, Txn};

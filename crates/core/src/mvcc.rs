@@ -40,7 +40,7 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::clock::VersionClock;
 use crate::ids::ThreadId;
-use crate::pad::CachePadded;
+use crate::pad::{CachePadded, PerThread};
 
 /// Slot sentinel: no active snapshot reader / no in-flight commit.
 const INACTIVE: u64 = u64::MAX;
@@ -89,9 +89,9 @@ pub(crate) const VERSION_RING_CAPACITY: u32 = 8;
 #[derive(Debug)]
 pub(crate) struct SnapshotRegistry {
     /// Per-thread active snapshot timestamp (or sentinel).
-    readers: Vec<CachePadded<AtomicU64>>,
+    readers: PerThread<AtomicU64>,
     /// Per-thread in-flight commit lower bound (or sentinel).
-    commit_lb: Vec<CachePadded<AtomicU64>>,
+    commit_lb: PerThread<AtomicU64>,
     snapshot_txns: CachePadded<AtomicU64>,
     snapshot_reads: CachePadded<AtomicU64>,
     fallback_initial: CachePadded<AtomicU64>,
@@ -103,11 +103,11 @@ pub(crate) struct SnapshotRegistry {
 }
 
 impl SnapshotRegistry {
-    pub(crate) fn new(max_threads: u32) -> Self {
-        let slot = || CachePadded::new(AtomicU64::new(INACTIVE));
+    pub(crate) fn new(max_threads: usize) -> Self {
+        let slot = || AtomicU64::new(INACTIVE);
         SnapshotRegistry {
-            readers: (0..max_threads).map(|_| slot()).collect(),
-            commit_lb: (0..max_threads).map(|_| slot()).collect(),
+            readers: PerThread::new(max_threads, slot),
+            commit_lb: PerThread::new(max_threads, slot),
             snapshot_txns: CachePadded::new(AtomicU64::new(0)),
             snapshot_reads: CachePadded::new(AtomicU64::new(0)),
             fallback_initial: CachePadded::new(AtomicU64::new(0)),
@@ -119,16 +119,6 @@ impl SnapshotRegistry {
         }
     }
 
-    #[inline]
-    fn reader_slot(&self, thread: ThreadId) -> &AtomicU64 {
-        &self.readers[thread.index() % self.readers.len()]
-    }
-
-    #[inline]
-    fn commit_slot(&self, thread: ThreadId) -> &AtomicU64 {
-        &self.commit_lb[thread.index() % self.commit_lb.len()]
-    }
-
     /// Begins a snapshot transaction on `thread`; returns its timestamp.
     ///
     /// Parks `PENDING` first so a concurrent GC that misses the park has
@@ -136,7 +126,7 @@ impl SnapshotRegistry {
     /// (the fences order park → sample against the GC's sample → scan),
     /// keeping `ts >= watermark` for every reader the GC did not see.
     pub(crate) fn begin(&self, thread: ThreadId, clock: &VersionClock) -> u64 {
-        let slot = self.reader_slot(thread);
+        let slot = &self.readers[thread];
         slot.store(PENDING, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         let sample = clock.sample();
@@ -145,7 +135,7 @@ impl SnapshotRegistry {
         // PENDING here parked *after* our fence-pair, so its clock sample
         // (and a fortiori its wv) is >= our sample and cannot constrain us.
         let mut ts = sample;
-        for slot in &self.commit_lb {
+        for slot in self.commit_lb.iter() {
             let lb = slot.load(Ordering::SeqCst);
             if lb != INACTIVE && lb != PENDING {
                 ts = ts.min(lb);
@@ -158,7 +148,7 @@ impl SnapshotRegistry {
 
     /// Ends `thread`'s snapshot transaction, unpinning its timestamp.
     pub(crate) fn end(&self, thread: ThreadId) {
-        self.reader_slot(thread).store(INACTIVE, Ordering::SeqCst);
+        self.readers[thread].store(INACTIVE, Ordering::SeqCst);
     }
 
     /// [`Self::begin`] wrapped in an RAII guard: the registration is
@@ -180,7 +170,7 @@ impl SnapshotRegistry {
     /// satisfies `lb < wv`, so any reader clamped to `lb` cannot need the
     /// commit's not-yet-written versions.
     pub(crate) fn publish_commit_lb(&self, thread: ThreadId, clock: &VersionClock) {
-        let slot = self.commit_slot(thread);
+        let slot = &self.commit_lb[thread];
         slot.store(PENDING, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         let lb = clock.sample();
@@ -191,7 +181,7 @@ impl SnapshotRegistry {
     /// Clears `thread`'s commit lower bound — call once the commit's
     /// versions are published (or the commit aborted post-tick).
     pub(crate) fn clear_commit_lb(&self, thread: ThreadId) {
-        self.commit_slot(thread).store(INACTIVE, Ordering::SeqCst);
+        self.commit_lb[thread].store(INACTIVE, Ordering::SeqCst);
     }
 
     /// [`Self::publish_commit_lb`] wrapped in an RAII guard: the bound is

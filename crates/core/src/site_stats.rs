@@ -9,7 +9,6 @@ use crate::sync::Mutex;
 
 use crate::events::{EventSink, TxEvent};
 use crate::ids::Participant;
-use crate::pad::CachePadded;
 
 /// Aggregate for one `(thread, site)` pair.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,7 +34,8 @@ impl SiteStats {
     }
 }
 
-/// An [`EventSink`] aggregating per-participant statistics.
+/// An [`EventSink`] aggregating per-participant statistics under one lock:
+/// a tool for reports and tests, not for the native request path.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -54,33 +54,9 @@ impl SiteStats {
 /// let table = sink.snapshot();
 /// assert_eq!(table.len(), 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SiteStatsSink {
-    /// A thread's events land in shard `thread % SHARDS`, each shard on a
-    /// line of its own: recording threads share neither a lock nor a cache
-    /// line (below [`SHARDS`] threads), and a participant's tally lives in
-    /// exactly one shard.
-    shards: Vec<CachePadded<Mutex<BTreeMap<Participant, SiteStats>>>>,
-}
-
-/// Shard count of a [`SiteStatsSink`].
-///
-/// Deliberately smaller than the 256 per-thread slots of a
-/// [`crate::RealGate`]: two threads folded onto one gate slot would read
-/// each other's charged ticks, so that cap has to exceed any thread count
-/// in use, whereas two threads folded onto one shard still tally correctly
-/// (the key is the participant) and merely share a lock again, so a shard
-/// per thread id is not needed — only more shards than threads that record
-/// at once, and 64 is more than any host this has run on has. Building,
-/// merging and dropping 256 padded shards instead measured ≈ 9 µs per sink,
-/// which a caller that attaches a fresh sink to every millisecond-long run
-/// (the benchmark's traced replay, once per slice) pays each time.
-const SHARDS: usize = 64;
-
-impl Default for SiteStatsSink {
-    fn default() -> Self {
-        SiteStatsSink { shards: (0..SHARDS).map(|_| CachePadded::default()).collect() }
-    }
+    table: Mutex<BTreeMap<Participant, SiteStats>>,
 }
 
 impl SiteStatsSink {
@@ -91,15 +67,11 @@ impl SiteStatsSink {
 
     /// Snapshot of the per-participant table, sorted by participant.
     pub fn snapshot(&self) -> BTreeMap<Participant, SiteStats> {
-        let mut merged = BTreeMap::new();
-        for shard in &self.shards {
-            merged.extend(shard.lock().iter().map(|(p, s)| (*p, *s)));
-        }
-        merged
+        self.table.lock().clone()
     }
 
     fn tally(&self, who: Participant, update: impl FnOnce(&mut SiteStats)) {
-        update(self.shards[who.thread.index() % SHARDS].lock().entry(who).or_default());
+        update(self.table.lock().entry(who).or_default());
     }
 
     /// Renders a compact text report, worst abort-ratio first.
@@ -195,19 +167,11 @@ mod tests {
     }
 
     #[test]
-    fn layout_threads_record_into_separate_lines() {
-        let s = SiteStatsSink::new();
-        for pair in s.shards.windows(2) {
-            assert!(crate::pad::bytes_apart(&*pair[0], &*pair[1]) >= 64);
-        }
-    }
-
-    #[test]
     fn concurrent_recording_snapshots_to_the_serial_tally() {
         const THREADS: u16 = 4;
         const ROUNDS: u32 = 500;
         // Every thread tallies two sites of its own and, each round, one of
-        // three participants whose thread id maps to its neighbour's shard.
+        // three participants on other thread ids.
         let events = |t: u16| {
             (0..ROUNDS).flat_map(move |i| {
                 [
@@ -220,7 +184,7 @@ mod tests {
                     },
                     commit(t, (i % 2) as u16, i % 7),
                     TxEvent::Held {
-                        who: p((t + 1) % THREADS + SHARDS as u16 * (1 + i as u16 % 3), 9),
+                        who: p([64, 128, 192][i as usize % 3] + (t + 1) % THREADS, 9),
                         polls: 1,
                         at: 0,
                     },

@@ -13,15 +13,15 @@ use std::sync::Arc;
 
 use crate::clock::VersionClock;
 use crate::cm::{Aggressive, ContentionManager};
-use crate::config::{Detection, ReadMode, Resolution, StmConfig, TxnKind};
+use crate::config::{Detection, ReadMode, Resolution, StmConfig, TxnKind, READER_WAIT_LIMIT};
 use crate::error::{Abort, AbortReason, StmError};
 use crate::events::{EventSink, NullSink, TxEvent};
 use crate::fxmap::FxMap;
-use crate::gate::{Gate, NullGate, Ticks};
+use crate::gate::{Gate, NullGate, Ticks, COSTS};
 use crate::ids::{CommitSeq, Participant, ThreadId, TxId, VarId};
 use crate::lock_table::{LockTable, StripeIndex};
 use crate::mvcc::{MvccStats, SnapshotRegistry, VERSION_RING_CAPACITY};
-use crate::pad::CachePadded;
+use crate::pad::{CachePadded, PerThread};
 use crate::policy::{AdmissionPolicy, AdmitAll};
 use crate::readset::{ReadSet, StripeFilter};
 use crate::tvar::{downcast, ErasedValue, TVar, VarCell};
@@ -43,15 +43,10 @@ const CHAOS_DOOM: u64 = DOOM_FLAG | (0xFFFF << 8) | 0xFF;
 /// aborts at seeded random points without reaching into engine internals.
 #[derive(Clone, Debug)]
 pub struct DoomHandle {
-    slots: Arc<Vec<CachePadded<AtomicU64>>>,
+    slots: Arc<PerThread<AtomicU64>>,
 }
 
 impl DoomHandle {
-    /// Number of doom slots (= `max_threads` of the owning [`Stm`]).
-    pub fn threads(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Dooms `thread`'s in-flight attempt: its next transactional operation
     /// aborts with [`AbortReason::DoomedByCommitter`] naming the synthetic
     /// chaos participant (see `CHAOS_DOOM`'s doc). Out-of-range threads
@@ -79,11 +74,6 @@ pub struct CommitInfo {
 
 /// Lock-table size of every [`Stm`]: `1 << 14` stripes.
 const LOG2_STRIPES: u32 = 14;
-
-/// One zeroed word per thread, each on a cache line of its own.
-fn padded_slots(threads: usize) -> Vec<CachePadded<AtomicU64>> {
-    (0..threads).map(|_| CachePadded::default()).collect()
-}
 
 /// A software transactional memory instance.
 ///
@@ -127,12 +117,12 @@ pub struct Stm {
     /// durability layer uses to tag its log records with the global
     /// serialization order. Padded: a thread stores its slot on every
     /// commit, and unpadded the slots of eight threads share one line.
-    last_seq: Vec<CachePadded<AtomicU64>>,
+    last_seq: PerThread<AtomicU64>,
     /// Per-thread doom words. Padded for the same reason: the owner loads
     /// its slot at every begin, read and write (and stores it only to
     /// consume a doom), so a neighbour on the same line would make each of
     /// those loads a coherence miss.
-    doomed: Arc<Vec<CachePadded<AtomicU64>>>,
+    doomed: Arc<PerThread<AtomicU64>>,
     /// Whether the sink / the contention manager read the gate timestamps
     /// they are handed (asked once, at construction). When neither does,
     /// the clock is not sampled.
@@ -194,9 +184,9 @@ impl Stm {
             cm,
             commit_seq: CachePadded::new(AtomicU64::new(0)),
             mvcc: (config.read_mode == ReadMode::Snapshot)
-                .then(|| SnapshotRegistry::new(config.max_threads as u32)),
-            last_seq: padded_slots(config.max_threads),
-            doomed: Arc::new(padded_slots(config.max_threads)),
+                .then(|| SnapshotRegistry::new(config.max_threads)),
+            last_seq: PerThread::new(config.max_threads, AtomicU64::default),
+            doomed: Arc::new(PerThread::new(config.max_threads, AtomicU64::default)),
             broken_early_write_back: std::sync::atomic::AtomicBool::new(false),
             config,
         }
@@ -239,7 +229,7 @@ impl Stm {
     ///
     /// Panics if `thread` is out of range.
     pub fn last_commit_seq(&self, thread: ThreadId) -> u64 {
-        self.last_seq[thread.index()].load(Ordering::Acquire)
+        self.last_seq[thread].load(Ordering::Acquire)
     }
 
     /// A clonable handle for dooming transactions from outside the engine —
@@ -383,7 +373,6 @@ impl Stm {
             self.config.max_threads
         );
         let who = Participant::new(thread, tx);
-        let costs = self.config.costs;
         let mut attempt: u32 = 0;
         let mut last_abort: Option<Abort> = None;
         // The thread's own buffers, on loan until this invocation returns or
@@ -394,7 +383,7 @@ impl Stm {
         while attempt < max_attempts {
             // Admission: guided execution's hold loop lives in the policy.
             let polls = self.policy.admit(who, &mut || {
-                self.gate.pass(thread, costs.poll);
+                self.gate.pass(thread, COSTS.poll);
                 std::thread::yield_now();
             });
             if polls > 0 {
@@ -407,12 +396,12 @@ impl Stm {
             // spurious abort, which the protocol allows — where an
             // unconditional store would have been a locked instruction on
             // every begin.
-            let doom = &self.doomed[thread.index()];
+            let doom = &self.doomed[thread];
             if doom.load(Ordering::SeqCst) != 0 {
                 doom.store(0, Ordering::SeqCst);
             }
             self.cm.on_begin(thread, if self.cm_reads_time { self.gate.now() } else { 0 });
-            self.gate.pass(thread, costs.begin);
+            self.gate.pass(thread, COSTS.begin);
             // Snapshot mode: a read-only transaction registers with the
             // reader registry and takes its clamped timestamp as rv, so
             // the GC watermark can never outrun it. The guard unregisters
@@ -452,7 +441,7 @@ impl Stm {
                     self.cm.on_commit(thread);
                     // `Release`, paired with the `Acquire` load in
                     // `last_commit_seq`: whoever reads this seq sees the commit.
-                    self.last_seq[thread.index()].store(info.seq.raw(), Ordering::Release);
+                    self.last_seq[thread].store(info.seq.raw(), Ordering::Release);
                     self.sink.record(&TxEvent::Commit {
                         who,
                         seq: info.seq,
@@ -471,7 +460,7 @@ impl Stm {
                         at: self.event_time(),
                     });
                     let backoff = self.cm.on_abort(thread, &abort, attempt);
-                    self.gate.pass(thread, costs.abort + backoff);
+                    self.gate.pass(thread, COSTS.abort + backoff);
                     if backoff > 0 {
                         std::thread::yield_now();
                     }
@@ -503,7 +492,7 @@ impl Stm {
             | ((seq.raw() & 0xFFFF_FFFF) << 24)
             | ((by.thread.raw() as u64) << 8)
             | (by.tx.raw() as u64 & 0xFF);
-        self.doomed[victim.index()].store(enc, Ordering::SeqCst);
+        self.doomed[victim].store(enc, Ordering::SeqCst);
     }
 
     #[inline]
@@ -512,7 +501,7 @@ impl Stm {
         // runs on every transactional operation. Only consume the flag
         // with the (expensive) swap once it is actually set; the slot has
         // a single consumer, so the re-check after the swap cannot race.
-        let slot = &self.doomed[thread.index()];
+        let slot = &self.doomed[thread];
         if slot.load(Ordering::SeqCst) & DOOM_FLAG == 0 {
             return Ok(());
         }
@@ -693,31 +682,14 @@ impl<'stm> Txn<'stm> {
         self.who.thread
     }
 
-    /// The static transaction-site id.
-    pub fn tx_id(&self) -> TxId {
-        self.who.tx
-    }
-
     /// Zero-based attempt number (= aborts suffered so far this invocation).
     pub fn attempt(&self) -> u32 {
         self.attempt
     }
 
-    /// The read-version (`rv`) snapshot this attempt runs against.
-    pub fn read_version(&self) -> u64 {
-        self.rv
-    }
-
     /// This attempt's declared intent.
     pub fn kind(&self) -> TxnKind {
         self.kind
-    }
-
-    /// The MVCC snapshot timestamp, if this is a snapshot-mode read-only
-    /// transaction (`None` on [`ReadMode::Latest`] engines and for update
-    /// transactions).
-    pub fn snapshot_ts(&self) -> Option<u64> {
-        self.snapshot
     }
 
     /// Charges `ticks` of application compute to the machine model.
@@ -757,7 +729,7 @@ impl<'stm> Txn<'stm> {
         // current data here would race a commit with wv > ts into the
         // snapshot.
         if let Some(ts) = self.snapshot {
-            stm.gate.pass(self.who.thread, stm.config.costs.read);
+            stm.gate.pass(self.who.thread, COSTS.read);
             let (wv, value) = var
                 .cell()
                 .read_at(ts)
@@ -777,7 +749,7 @@ impl<'stm> Txn<'stm> {
             }
             return Ok(downcast(value));
         }
-        stm.gate.pass(self.who.thread, stm.config.costs.read);
+        stm.gate.pass(self.who.thread, COSTS.read);
         stm.cm.on_access(self.who.thread);
         stm.check_doomed(self.who.thread)?;
 
@@ -858,7 +830,7 @@ impl<'stm> Txn<'stm> {
             "Txn::write inside a read-only transaction (declared via run_read_only)"
         );
         let stm = self.stm;
-        stm.gate.pass(self.who.thread, stm.config.costs.write);
+        stm.gate.pass(self.who.thread, COSTS.write);
         stm.cm.on_access(self.who.thread);
         stm.check_doomed(self.who.thread)?;
 
@@ -937,7 +909,6 @@ impl<'stm> Txn<'stm> {
     /// every other thread until `unlock_publish`.
     fn commit(mut self) -> Result<CommitInfo, Abort> {
         let stm = self.stm;
-        let costs = stm.config.costs;
         let thread = self.who.thread;
         let n_reads = self.scratch.reads.len() as u32 + self.snapshot_reads;
         let n_writes = self.scratch.writes.len() as u32;
@@ -993,7 +964,7 @@ impl<'stm> Txn<'stm> {
             if !eager_is_empty && self.holds_eager_lock(s) {
                 continue;
             }
-            stm.gate.pass(thread, costs.commit_entry);
+            stm.gate.pass(thread, COSTS.commit_entry);
             match stm.locks.try_lock(s, thread) {
                 Ok(old) => self.scratch.acquired.push((s, old)),
                 Err(_) => {
@@ -1041,7 +1012,7 @@ impl<'stm> Txn<'stm> {
             scratch.validate_stripes.sort_unstable();
             for i in 0..self.scratch.validate_stripes.len() {
                 let s = StripeIndex(self.scratch.validate_stripes[i]);
-                stm.gate.pass(thread, costs.validate_entry);
+                stm.gate.pass(thread, COSTS.validate_entry);
                 // Raw fast path: an unlocked word only needs the version
                 // compare; decode the owner only when the stripe is locked.
                 let raw = stm.locks.load_raw(s);
@@ -1076,27 +1047,17 @@ impl<'stm> Txn<'stm> {
                 }
             }
             Resolution::WaitForReaders => {
-                let mut polls = 0u32;
-                loop {
-                    let busy = self
-                        .scratch
-                        .held
-                        .iter()
-                        .any(|&(s, _)| !stm.locks.readers_excluding(s, thread).is_empty());
-                    if !busy {
-                        break;
+                let held = &self.scratch.held;
+                let left = wait_for_readers(&*stm.gate, thread, READER_WAIT_LIMIT, || {
+                    held.iter().any(|&(s, _)| !stm.locks.readers_excluding(s, thread).is_empty())
+                });
+                if !left {
+                    for &(h, old) in &self.scratch.held {
+                        self.unlock_restore(h, old);
                     }
-                    if polls >= stm.config.reader_wait_limit {
-                        for &(h, old) in &self.scratch.held {
-                            self.unlock_restore(h, old);
-                        }
-                        drop(lb_guard);
-                        self.release();
-                        return Err(Abort::new(AbortReason::ReaderWaitTimeout));
-                    }
-                    polls += 1;
-                    stm.gate.pass(thread, costs.poll);
-                    std::thread::yield_now();
+                    drop(lb_guard);
+                    self.release();
+                    return Err(Abort::new(AbortReason::ReaderWaitTimeout));
                 }
             }
         }
@@ -1138,15 +1099,11 @@ impl<'stm> Txn<'stm> {
     /// one reference count up now and one down at `reset`.
     fn write_back(&mut self, publish: Option<u64>) {
         let stm = self.stm;
-        stm.gate.pass_batch(
-            self.who.thread,
-            stm.config.costs.commit_entry,
-            self.scratch.writes.len() as u64,
-        );
+        stm.gate.pass_batch(self.who.thread, COSTS.commit_entry, self.scratch.writes.len() as u64);
         if let (Some(wv), Some(reg)) = (publish, stm.mvcc.as_ref()) {
             stm.gate.pass_batch(
                 self.who.thread,
-                stm.config.costs.version_publish,
+                COSTS.version_publish,
                 self.scratch.writes.len() as u64,
             );
             let watermark = reg.watermark(&stm.clock);
@@ -1235,6 +1192,20 @@ impl<'stm> Txn<'stm> {
             self.stm.locks.unregister_reader(s, thread);
         }
     }
+}
+
+/// The wait of [`Resolution::WaitForReaders`]: true once `busy` reports the
+/// readers gone, false if they are still there after `limit` polls, each
+/// charging `t` one `COSTS.poll`.
+fn wait_for_readers(gate: &dyn Gate, t: ThreadId, limit: u32, busy: impl Fn() -> bool) -> bool {
+    for _ in 0..limit {
+        if !busy() {
+            return true;
+        }
+        gate.pass(t, COSTS.poll);
+        std::thread::yield_now();
+    }
+    !busy()
 }
 
 /// Convenience: an [`Abort`] signalling a user-requested retry, for use as
@@ -1468,10 +1439,10 @@ mod tests {
     fn layout_per_thread_words_sit_on_their_own_lines() {
         use crate::pad::bytes_apart;
         let stm = Stm::new(StmConfig::new(2));
-        assert!(bytes_apart(&*stm.doomed[0], &*stm.doomed[1]) >= 64);
-        assert!(bytes_apart(&*stm.last_seq[0], &*stm.last_seq[1]) >= 64);
+        assert!(bytes_apart(&stm.doomed[0], &stm.doomed[1]) >= 64);
+        assert!(bytes_apart(&stm.last_seq[0], &stm.last_seq[1]) >= 64);
         let h = stm.doom_handle();
-        assert_eq!(bytes_apart(&*h.slots[0], &*stm.doomed[0]), 0, "the handle shares the slots");
+        assert_eq!(bytes_apart(&h.slots[0], &stm.doomed[0]), 0, "the handle shares the slots");
     }
 
     /// Counts `now` calls and reports a recognisable time.
@@ -1625,62 +1596,25 @@ mod tests {
         assert!(parked_scratch_is_empty());
     }
 
-    /// Distinctive tick cost assigned to `CostModel::poll` so a counting
-    /// gate can isolate WaitForReaders polls from every other crossing.
-    const POLL_COST: Ticks = 997;
-
-    /// Counts gate passes charged at exactly [`POLL_COST`].
-    #[derive(Debug, Default)]
-    struct PollCountingGate {
-        polls: AtomicU64,
-    }
-
-    impl Gate for PollCountingGate {
-        fn pass(&self, _thread: ThreadId, cost: Ticks) {
-            if cost == POLL_COST {
-                self.polls.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
-        fn now(&self) -> u64 {
-            0
-        }
-
-        fn thread_time(&self, _thread: ThreadId) -> u64 {
-            0
-        }
-    }
-
-    fn wait_limit_stm(limit: u32) -> (Stm, Arc<PollCountingGate>) {
-        let gate = Arc::new(PollCountingGate::default());
-        let costs = crate::gate::CostModel { poll: POLL_COST, ..crate::gate::CostModel::default() };
-        let cfg = StmConfig::builder(2)
-            .resolution(Resolution::WaitForReaders)
-            .reader_wait_limit(limit)
-            .costs(costs)
-            .build();
+    /// Thread 0 reads `a` and never leaves while thread 1 commits a write
+    /// to it: the committer charges [`READER_WAIT_LIMIT`] polls, then
+    /// aborts. A poll costs what a read costs, so the polls are counted as
+    /// the committer's charged ticks less the rest of its attempt.
+    #[test]
+    fn a_reader_that_never_leaves_costs_the_committer_exactly_the_wait_limit() {
+        let gate = Arc::new(crate::gate::RealGate::new(0));
         let stm = Stm::with_parts(
-            cfg,
+            StmConfig::builder(2).resolution(Resolution::WaitForReaders).build(),
             gate.clone(),
             Arc::new(NullSink),
             Arc::new(AdmitAll),
             Arc::new(Aggressive),
         );
-        (stm, gate)
-    }
-
-    /// Runs the boundary scenario: thread 0 holds a visible-reader
-    /// registration on `a` while thread 1 tries to commit a write to it.
-    /// Returns the poll count charged to the timed-out committer.
-    fn polls_until_reader_wait_timeout(limit: u32) -> u64 {
-        let (stm, gate) = wait_limit_stm(limit);
         let a = TVar::new(0i64);
         let r = stm.try_run_once(t(0), x(0), |tx| {
             let _ = tx.read(&a)?; // registers thread 0 as a visible reader
-            let inner = stm.try_run_once(t(1), x(1), |tx2| {
-                let v = tx2.read(&a)?;
-                tx2.write(&a, v + 1)
-            });
+            let before = gate.thread_time(t(1));
+            let inner = stm.try_run_once(t(1), x(1), |tx2| tx2.write(&a, 1));
             assert!(
                 matches!(
                     inner,
@@ -1688,34 +1622,52 @@ mod tests {
                 ),
                 "committer must time out on the parked reader: {inner:?}"
             );
+            let rest = COSTS.begin + COSTS.write + COSTS.commit_entry + COSTS.abort;
+            let polls = (gate.thread_time(t(1)) - before - rest) / COSTS.poll;
+            assert_eq!(polls, u64::from(READER_WAIT_LIMIT));
             Ok(())
         });
         assert!(r.is_ok());
         assert_eq!(*a.load_unlogged(), 0, "timed-out committer must not publish");
         // Once the reader drains, the same write commits without waiting.
-        stm.run(t(1), x(1), |tx2| {
-            let v = tx2.read(&a)?;
-            tx2.write(&a, v + 1)
-        });
+        stm.run(t(1), x(1), |tx2| tx2.write(&a, 1));
         assert_eq!(*a.load_unlogged(), 1);
-        gate.polls.load(Ordering::SeqCst)
+    }
+
+    /// The polls `wait_for_readers` charges before it gives up on readers
+    /// that never leave, at a limit of `limit`.
+    fn polls_until_reader_wait_timeout(limit: u32) -> u64 {
+        let gate = crate::gate::RealGate::new(0);
+        assert!(!wait_for_readers(&gate, t(0), limit, || true), "the readers never leave");
+        gate.thread_time(t(0)) / COSTS.poll
     }
 
     #[test]
     fn reader_wait_limit_zero_aborts_without_a_single_poll() {
         assert_eq!(polls_until_reader_wait_timeout(0), 0);
+        let gate = crate::gate::RealGate::new(0);
+        assert!(wait_for_readers(&gate, t(0), 0, || false), "no readers, no wait");
+        assert_eq!(gate.thread_time(t(0)), 0);
     }
 
     #[test]
     fn reader_wait_limit_one_charges_exactly_one_poll() {
         assert_eq!(polls_until_reader_wait_timeout(1), 1);
+        // Readers that leave after the one poll let the committer through.
+        let gate = crate::gate::RealGate::new(0);
+        let looks = std::cell::Cell::new(0);
+        let busy = || {
+            looks.set(looks.get() + 1);
+            looks.get() == 1
+        };
+        assert!(wait_for_readers(&gate, t(0), 1, busy));
+        assert_eq!(gate.thread_time(t(0)), COSTS.poll);
     }
 
     #[test]
     fn doom_handle_forces_abort_with_synthetic_culprit() {
         let stm = Stm::new(StmConfig::new(1));
         let h = stm.doom_handle();
-        assert_eq!(h.threads(), 1);
         let v = TVar::new(0u32);
         let r = stm.try_run_once(t(0), x(0), |tx| {
             h.doom(tx.thread());

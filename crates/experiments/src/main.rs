@@ -46,7 +46,7 @@
 //! `--metrics PATH` attaches telemetry to every measured run and writes the
 //! merged snapshot (including the pipeline's cache gauges) as
 //! Prometheus-style text to PATH plus a compact machine dump to
-//! PATH.machine (parse with `gstm_stats::telemetry_dump`).
+//! PATH.machine (parse with `gstm_telemetry::Snapshot::from_machine`).
 //!
 //! Output is printed and archived under `results/`.
 

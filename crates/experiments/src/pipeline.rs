@@ -123,11 +123,6 @@ impl StudyPlan {
         &self.stamp
     }
 
-    /// The planned serve cells, in insertion order.
-    pub fn serve_cells(&self) -> &[(&'static str, &'static str, usize)] {
-        &self.serve
-    }
-
     /// The planned SynQuake thread counts, in insertion order.
     pub fn quake_threads(&self) -> &[usize] {
         &self.quake

@@ -212,12 +212,6 @@ impl RunOptions {
         self
     }
 
-    /// Replaces the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Enables full event capture.
     pub fn capturing(mut self) -> Self {
         self.capture_events = true;

@@ -65,6 +65,6 @@ pub use baselines::{BoundedAbortsPolicy, DeterministicPolicy};
 pub use harness::{
     run_workload, CmChoice, PolicyChoice, RunOptions, RunOutcome, WorkerEnv, Workload, WorkloadRun,
 };
-pub use online::{with_retrainer, OnlineRetrainer, RetrainSpec, RetrainStats};
+pub use online::{OnlineRetrainer, RetrainSpec, RetrainStats};
 pub use policy::{GuidedPolicy, HoldStats, DEFAULT_K};
 pub use train::{train, TrainedModel};

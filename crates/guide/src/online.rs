@@ -1,8 +1,9 @@
 //! The online retrain loop: ingestion → merge → §IV gate → hot-swap.
 //!
-//! [`OnlineRetrainer`] closes the adaptive loop that [`AdaptivePolicy`]
-//! opens. The policy's window claim (the `compare_exchange` barrier — one
-//! winner per window however many threads race `admit`) fires
+//! [`OnlineRetrainer`] closes the adaptive loop that
+//! [`AdaptivePolicy`](crate::adaptive::AdaptivePolicy) opens. The
+//! policy's window claim (the `compare_exchange` barrier — one winner per
+//! window however many threads race `admit`) fires
 //! [`WindowObserver::on_window`] exactly once per window; the retrainer
 //! then drains the [`WindowIngest`] sink, merges the fresh runs into the
 //! serving automaton with decay ([`merge_decayed`]), and re-runs the
@@ -27,7 +28,7 @@ use gstm_model::{
     DEFAULT_TFACTOR,
 };
 
-use crate::adaptive::{AdaptivePolicy, WindowObserver};
+use crate::adaptive::WindowObserver;
 
 /// Knobs of the incremental trainer and its §IV acceptance gate.
 #[derive(Clone, Copy, Debug)]
@@ -189,12 +190,6 @@ impl WindowObserver for OnlineRetrainer {
     fn on_window(&self, _transitions: u64, _unknown_pct: u64) {
         self.try_retrain();
     }
-}
-
-/// Convenience: wires a retrainer into an adaptive policy as its window
-/// observer (the window claim becomes the retrain cadence).
-pub fn with_retrainer(policy: AdaptivePolicy, retrainer: Arc<OnlineRetrainer>) -> AdaptivePolicy {
-    policy.with_observer(retrainer)
 }
 
 #[cfg(test)]

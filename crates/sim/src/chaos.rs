@@ -76,21 +76,9 @@ impl ChaosConfig {
         self
     }
 
-    /// Sets the maximum injected stall, in ticks.
-    pub fn with_max_delay(mut self, ticks: Ticks) -> Self {
-        self.max_delay = ticks.max(1);
-        self
-    }
-
     /// Sets the forced-abort rate (‰).
     pub fn with_doom_permille(mut self, pm: u32) -> Self {
         self.doom_permille = pm;
-        self
-    }
-
-    /// Sets the delayed-commit rate (‰).
-    pub fn with_commit_delay_permille(mut self, pm: u32) -> Self {
-        self.commit_delay_permille = pm;
         self
     }
 

@@ -18,9 +18,7 @@
 mod describe;
 mod table;
 mod tail;
-mod telemetry_dump;
 
 pub use describe::{mean, sample_stddev, sample_variance, Summary, Welford};
 pub use table::TextTable;
 pub use tail::{percent_change, percent_reduction, slowdown, tail_metric};
-pub use telemetry_dump::TelemetryDump;

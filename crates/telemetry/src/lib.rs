@@ -13,7 +13,7 @@
 //! 3. **Snapshot export** ([`Snapshot`]): deltas via [`Snapshot::diff`], a
 //!    stable Prometheus-style text exposition (`name{thread="3"} value`
 //!    lines, byte-identical across identical runs), and a compact
-//!    machine-readable dump consumed by `gstm-stats`.
+//!    machine-readable dump that [`Snapshot::from_machine`] reads back.
 //!
 //! The bridge into the engine is [`TelemetrySink`], an
 //! [`gstm_core::EventSink`] that composes with the existing capture sinks
@@ -44,11 +44,12 @@ pub mod recorder;
 pub mod registry;
 pub mod sink;
 pub mod snapshot;
+mod telemetry_dump;
 
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use json::JsonValue;
 pub use pipeline::PipelineGauges;
 pub use recorder::{AnomalyConfig, AnomalyDump, FlightRecorder};
 pub use registry::{reason_index, MetricsRegistry, ThreadMetrics, ABORT_REASONS};
-pub use sink::{SnapshotAccumulator, TelemetrySink};
-pub use snapshot::{Snapshot, MACHINE_FORMAT_VERSION};
+pub use sink::TelemetrySink;
+pub use snapshot::Snapshot;

@@ -109,11 +109,6 @@ impl MetricsRegistry {
         self.gauges.lock().insert(name.to_string(), value);
     }
 
-    /// Adds to a named gauge, creating it at zero. Cold path only.
-    pub fn add_gauge(&self, name: &str, delta: u64) {
-        *self.gauges.lock().entry(name.to_string()).or_insert(0) += delta;
-    }
-
     /// Reads a gauge back (mainly for tests).
     pub fn gauge(&self, name: &str) -> Option<u64> {
         self.gauges.lock().get(name).copied()
@@ -183,7 +178,7 @@ mod tests {
     fn gauges_round_trip() {
         let reg = MetricsRegistry::new(1);
         reg.set_gauge("gstm_sim_ticks", 42);
-        reg.add_gauge("gstm_sim_ticks", 8);
+        reg.set_gauge("gstm_sim_ticks", 50);
         assert_eq!(reg.gauge("gstm_sim_ticks"), Some(50));
         assert_eq!(reg.snapshot().gauge_value("gstm_sim_ticks"), Some(50));
     }

@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use gstm_core::events::{EventSink, TxEvent};
-use gstm_core::sync::Mutex;
 
 use crate::recorder::{AnomalyConfig, AnomalyDump, FlightRecorder};
 use crate::registry::{reason_index, MetricsRegistry};
@@ -19,7 +18,7 @@ use crate::snapshot::Snapshot;
 #[derive(Debug)]
 pub struct TelemetrySink {
     registry: Arc<MetricsRegistry>,
-    recorder: Option<FlightRecorder>,
+    recorder: FlightRecorder,
 }
 
 impl TelemetrySink {
@@ -28,15 +27,8 @@ impl TelemetrySink {
     pub fn new(max_threads: usize) -> Self {
         TelemetrySink {
             registry: Arc::new(MetricsRegistry::new(max_threads)),
-            recorder: Some(FlightRecorder::new(max_threads, 256, AnomalyConfig::default())),
+            recorder: FlightRecorder::new(max_threads, 256, AnomalyConfig::default()),
         }
-    }
-
-    /// Creates a sink around an existing registry (lets callers pre-wire
-    /// gauges or share the registry with the scheduler), with an optional
-    /// recorder.
-    pub fn with_registry(registry: Arc<MetricsRegistry>, recorder: Option<FlightRecorder>) -> Self {
-        TelemetrySink { registry, recorder }
     }
 
     /// The underlying registry (for gauge writers and snapshotting).
@@ -44,9 +36,9 @@ impl TelemetrySink {
         &self.registry
     }
 
-    /// The flight recorder, when enabled.
-    pub fn recorder(&self) -> Option<&FlightRecorder> {
-        self.recorder.as_ref()
+    /// The flight recorder.
+    pub fn recorder(&self) -> &FlightRecorder {
+        &self.recorder
     }
 
     /// Merged snapshot of the registry.
@@ -54,9 +46,9 @@ impl TelemetrySink {
         self.registry.snapshot()
     }
 
-    /// Drains anomaly dumps captured so far (empty when no recorder).
+    /// Drains anomaly dumps captured so far.
     pub fn take_anomalies(&self) -> Vec<AnomalyDump> {
-        self.recorder.as_ref().map(|r| r.take_anomalies()).unwrap_or_default()
+        self.recorder.take_anomalies()
     }
 }
 
@@ -87,34 +79,7 @@ impl EventSink for TelemetrySink {
                 _ => {}
             }
         }
-        if let Some(rec) = &self.recorder {
-            rec.record(event);
-        }
-    }
-}
-
-/// A shared handle for collecting one final snapshot from code that only
-/// has `Arc<TelemetrySink>` clones (e.g. the experiments harness merging
-/// snapshots across repeated runs).
-#[derive(Debug, Default)]
-pub struct SnapshotAccumulator {
-    merged: Mutex<Snapshot>,
-}
-
-impl SnapshotAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one run's snapshot.
-    pub fn add(&self, snap: &Snapshot) {
-        self.merged.lock().merge(snap);
-    }
-
-    /// The merged snapshot so far.
-    pub fn merged(&self) -> Snapshot {
-        self.merged.lock().clone()
+        self.recorder.record(event);
     }
 }
 
@@ -164,15 +129,5 @@ mod tests {
         let sink = TelemetrySink::new(1);
         sink.record(&TxEvent::Begin { who: who(9), attempt: 0, at: 0 });
         assert_eq!(sink.snapshot().total("gstm_tx_begins_total"), 0);
-    }
-
-    #[test]
-    fn accumulator_merges_runs() {
-        let acc = SnapshotAccumulator::new();
-        let sink = TelemetrySink::new(1);
-        sink.record(&TxEvent::Begin { who: who(0), attempt: 0, at: 0 });
-        acc.add(&sink.snapshot());
-        acc.add(&sink.snapshot());
-        assert_eq!(acc.merged().counter("gstm_tx_begins_total", 0), 2);
     }
 }

@@ -1,4 +1,4 @@
-//! Plain-data snapshots and their export formats.
+//! Plain-data snapshots and their text exposition.
 //!
 //! A [`Snapshot`] is an immutable merge of every shard's counters at one
 //! point in time, keyed by fully-rendered series names such as
@@ -10,18 +10,15 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::histogram::{bucket_upper_bound, HistogramSnapshot, BUCKETS};
-
-/// Version tag of the machine-readable dump format.
-pub const MACHINE_FORMAT_VERSION: u32 = 1;
+use crate::histogram::{bucket_upper_bound, HistogramSnapshot};
 
 /// A merged, plain-data view of the registry at one instant.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Counter and gauge series, keyed by rendered series name.
-    counters: BTreeMap<String, u64>,
+    pub(crate) counters: BTreeMap<String, u64>,
     /// Histogram series, keyed by rendered series name.
-    histograms: BTreeMap<String, HistogramSnapshot>,
+    pub(crate) histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 fn thread_key(name: &str, thread: usize) -> String {
@@ -140,112 +137,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Compact machine-readable dump (line-oriented, versioned), the input
-    /// format of `gstm-stats`' telemetry parser and of [`Snapshot::from_machine`].
-    pub fn to_machine(&self) -> String {
-        let mut out = format!("gstm-telemetry {MACHINE_FORMAT_VERSION}\n");
-        for (k, v) in &self.counters {
-            let _ = writeln!(out, "c {k} {v}");
-        }
-        for (k, h) in &self.histograms {
-            let _ = write!(out, "h {k} {}", h.sum);
-            for (i, &c) in h.buckets.iter().enumerate() {
-                if c > 0 {
-                    let _ = write!(out, " {i}:{c}");
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// JSON view of the snapshot, built on the in-tree [`crate::json`]
-    /// writer (the same one the `benchmark/` package writes its results with).
-    ///
-    /// Counters become an object of `series name -> value`; histograms an
-    /// object of `series name -> {"sum": .., "buckets": {"i": count, ..}}`.
-    /// `BTreeMap` iteration keeps the field order — and therefore the
-    /// rendered bytes — identical across identical runs.
-    pub fn to_json(&self) -> crate::json::JsonValue {
-        use crate::json::JsonValue as J;
-        let counters = self.counters.iter().map(|(k, v)| (k.clone(), J::Num(*v as f64))).collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let buckets = h
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, &c)| (i.to_string(), J::Num(c as f64)))
-                    .collect();
-                let fields = vec![
-                    ("sum".to_string(), J::Num(h.sum as f64)),
-                    ("buckets".to_string(), J::Obj(buckets)),
-                ];
-                (k.clone(), J::Obj(fields))
-            })
-            .collect();
-        J::Obj(vec![
-            ("schema".to_string(), J::Str("gstm-telemetry".to_string())),
-            ("version".to_string(), J::Num(f64::from(MACHINE_FORMAT_VERSION))),
-            ("counters".to_string(), J::Obj(counters)),
-            ("histograms".to_string(), J::Obj(histograms)),
-        ])
-    }
-
-    /// Parses a dump produced by [`Snapshot::to_machine`].
-    pub fn from_machine(text: &str) -> Result<Snapshot, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty dump")?;
-        let version = header
-            .strip_prefix("gstm-telemetry ")
-            .and_then(|v| v.parse::<u32>().ok())
-            .ok_or_else(|| format!("bad header: {header}"))?;
-        if version != MACHINE_FORMAT_VERSION {
-            return Err(format!("unsupported dump version {version}"));
-        }
-        let mut snap = Snapshot::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split(' ');
-            let tag = parts.next().unwrap_or("");
-            let key = parts.next().ok_or_else(|| format!("truncated line: {line}"))?;
-            match tag {
-                "c" => {
-                    let v = parts
-                        .next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| format!("bad counter line: {line}"))?;
-                    snap.counters.insert(key.to_string(), v);
-                }
-                "h" => {
-                    let sum = parts
-                        .next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| format!("bad histogram line: {line}"))?;
-                    let mut h = HistogramSnapshot::empty();
-                    h.sum = sum;
-                    for pair in parts {
-                        let (i, c) =
-                            pair.split_once(':').ok_or_else(|| format!("bad bucket {pair}"))?;
-                        let i: usize = i.parse().map_err(|_| format!("bad bucket index {pair}"))?;
-                        if i >= BUCKETS {
-                            return Err(format!("bucket index out of range: {pair}"));
-                        }
-                        h.buckets[i] = c.parse().map_err(|_| format!("bad bucket count {pair}"))?;
-                    }
-                    snap.histograms.insert(key.to_string(), h);
-                }
-                other => return Err(format!("unknown record tag {other:?}")),
-            }
-        }
-        Ok(snap)
-    }
 }
 
 /// Splits `name{labels}` into `(name, labels)`; labels empty when absent.
@@ -259,6 +150,7 @@ fn split_series(key: &str) -> (&str, &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::BUCKETS;
 
     fn sample() -> Snapshot {
         let mut s = Snapshot::new();
@@ -295,10 +187,19 @@ mod tests {
 
     #[test]
     fn from_machine_rejects_garbage() {
-        assert!(Snapshot::from_machine("").is_err());
-        assert!(Snapshot::from_machine("gstm-telemetry 99\n").is_err());
-        assert!(Snapshot::from_machine("gstm-telemetry 1\nx y z\n").is_err());
-        assert!(Snapshot::from_machine("gstm-telemetry 1\nc k notanumber\n").is_err());
+        for garbage in [
+            "",
+            "not-a-dump\n",
+            "gstm-telemetry 99\n",
+            "gstm-telemetry 1\nx y z\n",
+            "gstm-telemetry 1\nz k 1\n",
+            "gstm-telemetry 1\nc k notanumber\n",
+            "gstm-telemetry 1\nh k notanum\n",
+            "gstm-telemetry 1\nh k 3 0:x\n",
+            &format!("gstm-telemetry 1\nh k 3 {BUCKETS}:1\n"),
+        ] {
+            assert!(Snapshot::from_machine(garbage).is_err(), "accepted {garbage:?}");
+        }
     }
 
     #[test]
@@ -310,23 +211,6 @@ mod tests {
         assert_eq!(d.counter("gstm_tx_commits_total", 0), 15);
         assert_eq!(d.counter("gstm_tx_commits_total", 1), 0);
         assert_eq!(later.total("gstm_tx_commits_total"), 32);
-    }
-
-    #[test]
-    fn json_export_is_deterministic_and_parseable() {
-        let s = sample();
-        let rendered = s.to_json().render_pretty(2);
-        assert_eq!(rendered, sample().to_json().render_pretty(2));
-        let v = crate::json::JsonValue::parse(&rendered).unwrap();
-        assert_eq!(v.get("schema").and_then(|x| x.as_str()), Some("gstm-telemetry"));
-        let counters = v.get("counters").unwrap();
-        assert_eq!(
-            counters.get("gstm_tx_commits_total{thread=\"0\"}").and_then(|x| x.as_f64()),
-            Some(10.0)
-        );
-        let h = v.get("histograms").unwrap().get("gstm_tx_retries{thread=\"0\"}").unwrap();
-        assert_eq!(h.get("sum").and_then(|x| x.as_f64()), Some(10.0));
-        assert_eq!(h.get("buckets").unwrap().get("1").and_then(|x| x.as_f64()), Some(4.0));
     }
 
     #[test]

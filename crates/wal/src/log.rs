@@ -36,12 +36,11 @@
 //! crash would leave are what [`recover`] later reads. Kill points are
 //! observed, and device calls made, under the device lock.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gstm_core::sync::Mutex;
-use gstm_core::{CachePadded, KillPoint, KillSwitch};
+use gstm_core::{KillPoint, KillSwitch, PerThread};
 
 use crate::device::LogDevice;
 use crate::frame::{decode_log, decode_snapshot, encode_frame, encode_snapshot, WalError};
@@ -160,15 +159,6 @@ impl Slot {
 /// slots, which stays correct (a slot is a mutex) and merely shares again.
 const SLOTS: usize = 64;
 
-/// Names [`Wal`] instances for [`LEASE`]. Slot numbers are per instance:
-/// the device bytes must not depend on what else the process ran.
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// `(Wal id, slot)` of this thread's latest lease.
-    static LEASE: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
-}
-
 /// The device side: held across the devices' I/O by the one thread that
 /// writes a batch or installs a snapshot.
 #[derive(Default)]
@@ -186,10 +176,8 @@ pub struct Wal {
     log: Arc<dyn LogDevice>,
     snap: Arc<dyn LogDevice>,
     kill: Option<Arc<KillSwitch>>,
-    id: u64,
     /// Leased to committing threads in first-append order.
-    slots: Vec<CachePadded<Mutex<Slot>>>,
-    leased: AtomicUsize,
+    slots: PerThread<Mutex<Slot>>,
     dev: Mutex<DeviceSide>,
     /// `dev`'s `in_log` length, moved under `dev`, for the advice to read
     /// without it. Like `lost_dead`, ordered against nothing: `Relaxed`.
@@ -215,9 +203,7 @@ impl Wal {
             log,
             snap,
             kill: None,
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            slots: (0..SLOTS).map(|_| CachePadded::default()).collect(),
-            leased: AtomicUsize::new(0),
+            slots: PerThread::new(SLOTS, Mutex::default),
             dev: Mutex::default(),
             in_log: AtomicU64::new(0),
             lost_dead: AtomicU64::new(0),
@@ -240,16 +226,6 @@ impl Wal {
         self.kill.as_ref().is_some_and(|k| k.observe(point))
     }
 
-    /// The calling thread's slot, leased on its first append to this log.
-    fn my_slot(&self) -> usize {
-        let (id, mut at) = LEASE.get();
-        if id != self.id {
-            at = self.leased.fetch_add(1, Ordering::Relaxed) % SLOTS;
-            LEASE.set((self.id, at));
-        }
-        at
-    }
-
     /// Counter snapshot (one cut per lock, not across them).
     pub fn stats(&self) -> WalStats {
         let appended = self.slots.iter().map(|slot| slot.lock().appended).sum();
@@ -269,15 +245,15 @@ impl Wal {
             self.lost_dead.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let at = self.my_slot();
-        let mut slot = self.slots[at].lock();
+        let mine = self.slots.mine();
+        let mut slot = mine.lock();
         slot.batch.push(seq, payload);
         slot.appended += 1;
         let mut staged = slot.batch.index.len();
         if staged >= self.cfg.batch_records {
             let batch = slot.swap_out();
             drop(slot);
-            self.write_batch(at, batch);
+            self.write_batch(mine, batch);
             staged = 0;
         }
         self.in_log.load(Ordering::Relaxed) + staged as u64 >= self.cfg.snapshot_every
@@ -285,21 +261,21 @@ impl Wal {
 
     /// Flushes every slot's batch under assembly (one group commit each).
     pub fn flush(&self) {
-        // A slot leased after this load is its owner's to flush.
-        for at in 0..self.leased.load(Ordering::Relaxed).min(SLOTS) {
+        // A slot leased after this point is its owner's to flush.
+        for owner in self.slots.leased() {
             let batch = {
-                let mut slot = self.slots[at].lock();
+                let mut slot = owner.lock();
                 if slot.batch.index.is_empty() || self.is_dead() {
                     continue;
                 }
                 slot.swap_out()
             };
-            self.write_batch(at, batch);
+            self.write_batch(owner, batch);
         }
     }
 
-    /// Writes slot `at`'s swapped-out batch to the device, recycles its buffer.
-    fn write_batch(&self, at: usize, mut batch: Frames) {
+    /// Writes `owner`'s swapped-out batch to the device, recycles its buffer.
+    fn write_batch(&self, owner: &Mutex<Slot>, mut batch: Frames) {
         {
             let mut dev = self.dev.lock();
             let records = batch.index.len() as u64;
@@ -323,7 +299,7 @@ impl Wal {
         }
         batch.bytes.clear();
         batch.index.clear();
-        self.slots[at].lock().spare = batch;
+        owner.lock().spare = batch;
     }
 
     /// Installs a snapshot covering commits `1..=upto_seq` and truncates
@@ -662,10 +638,23 @@ mod tests {
         std::thread::scope(|scope| {
             let committer = scope.spawn(|| {
                 w.append(seq, b"x");
-                w.my_slot()
+                my_slot(w)
             });
             committer.join().expect("the committer appends")
         })
+    }
+
+    /// Which of `w`'s slots the calling thread stages in.
+    fn my_slot(w: &Wal) -> usize {
+        let mine = w.slots.mine();
+        (0..SLOTS).position(|at| std::ptr::eq(&w.slots[at], mine)).expect("one of the slots")
+    }
+
+    #[test]
+    fn one_thread_stages_in_slot_0_of_each_log() {
+        let (a, b) = (wal(4, 1000), wal(4, 1000));
+        assert!(!a.append(1, b"x") && !b.append(1, b"x"));
+        assert_eq!((my_slot(&a), my_slot(&b)), (0, 0));
     }
 
     #[test]
@@ -689,7 +678,7 @@ mod tests {
         }
         let w = wal(4, 1000);
         assert_eq!((append_from_new_thread(&w, 2), append_from_new_thread(&w, 1)), (0, 1));
-        assert_eq!(w.my_slot(), 2, "the third thread to ask, whatever `busy` handed out");
+        assert_eq!(my_slot(&w), 2, "the third thread to ask, whatever `busy` handed out");
         w.flush();
         let order: Vec<u64> = w.dev.lock().in_log.index.iter().map(|&(seq, _)| seq).collect();
         assert_eq!(order, vec![2, 1]);

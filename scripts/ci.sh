@@ -124,11 +124,17 @@ cargo test -q --release --offline -p gstm-serve --lib -- \
     a_committer_blocked_in_its_device_write_does_not_delay_another \
     || { echo "durable commit path: a crash lost more than its bound, or a committer waited for another's device write"; exit 1; }
 
-echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, per-thread slots a line apart, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, log tallies = sink tallies"
+echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards), durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, log tallies = sink tallies"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
 cargo test -q --release --offline -p gstm-core -p gstm-wal -p gstm-serve --lib layout_ \
-    || { echo "layout: two threads' slots share a cache line"; exit 1; }
+    || { echo "layout: two threads' PerThread slots share a cache line"; exit 1; }
+for run in $(seq 100); do
+    cargo test -q --release --offline -p gstm-serve --lib -- --exact \
+        backend::tests::concurrent_commits_recover_gap_free \
+        backend::tests::concurrent_snapshot_advice_installs_one_at_a_time_in_order >/dev/null \
+        || { echo "durable concurrency: run $run of 100 lost a commit or overlapped two installs"; exit 1; }
+done
 cargo test -q --release --offline --test alloc_budget \
     || { echo "alloc budget: a served request allocates more than its budget"; exit 1; }
 cargo test -q --release --offline -p gstm-serve --lib a_request_does_not_wait_for_its_block_to_fill \
