@@ -119,37 +119,6 @@ impl fmt::Display for Abort {
 
 impl Error for Abort {}
 
-/// Errors surfaced to callers of the non-retrying entry points.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StmError {
-    /// A single attempt aborted (only from [`crate::Stm::try_run_once`]).
-    Aborted(Abort),
-    /// The configured attempt budget was exhausted.
-    RetryBudgetExhausted {
-        /// Number of attempts made before giving up.
-        attempts: u32,
-    },
-}
-
-impl fmt::Display for StmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StmError::Aborted(a) => write!(f, "transaction aborted: {a}"),
-            StmError::RetryBudgetExhausted { attempts } => {
-                write!(f, "transaction gave up after {attempts} attempts")
-            }
-        }
-    }
-}
-
-impl Error for StmError {}
-
-impl From<Abort> for StmError {
-    fn from(a: Abort) -> Self {
-        StmError::Aborted(a)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,12 +144,5 @@ mod tests {
             AbortReason::WriteLockBusy { var: VarId::from_raw(0) }.label(),
             "write-lock-busy"
         );
-    }
-
-    #[test]
-    fn stm_error_from_abort() {
-        let e: StmError = Abort::new(AbortReason::UserRetry).into();
-        assert!(matches!(e, StmError::Aborted(_)));
-        assert!(e.to_string().contains("user retry"));
     }
 }

@@ -64,7 +64,7 @@ pub use clock::VersionClock;
 pub use config::{
     Detection, ReadMode, Resolution, StmConfig, StmConfigBuilder, TxnKind, READER_WAIT_LIMIT,
 };
-pub use error::{Abort, AbortReason, StmError};
+pub use error::{Abort, AbortReason};
 pub use events::{CountingSink, EventSink, MemorySink, MulticastSink, NullSink, TxEvent};
 pub use gate::{CostModel, Gate, NullGate, RealGate, Ticks, COSTS};
 pub use ids::{CommitSeq, Participant, ThreadId, TxId, VarId};

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use crate::clock::VersionClock;
 use crate::cm::{Aggressive, ContentionManager};
 use crate::config::{Detection, ReadMode, Resolution, StmConfig, TxnKind, READER_WAIT_LIMIT};
-use crate::error::{Abort, AbortReason, StmError};
+use crate::error::{Abort, AbortReason};
 use crate::events::{EventSink, NullSink, TxEvent};
 use crate::fxmap::FxMap;
 use crate::gate::{Gate, NullGate, Ticks, COSTS};
@@ -273,10 +273,8 @@ impl Stm {
         tx: TxId,
         mut body: impl FnMut(&mut Txn<'_>) -> Result<R, Abort>,
     ) -> R {
-        match self.run_attempts(thread, tx, &mut body, u32::MAX, TxnKind::Update) {
-            Ok(r) => r,
-            Err(_) => unreachable!("unbounded retry cannot exhaust its budget"),
-        }
+        self.run_attempts(thread, tx, &mut body, u32::MAX, TxnKind::Update)
+            .unwrap_or_else(|_| unreachable!("unbounded retry cannot exhaust its budget"))
     }
 
     /// Runs `body` as a **read-only** transaction, retrying until it
@@ -306,59 +304,26 @@ impl Stm {
         tx: TxId,
         mut body: impl FnMut(&mut Txn<'_>) -> Result<R, Abort>,
     ) -> R {
-        match self.run_attempts(thread, tx, &mut body, u32::MAX, TxnKind::ReadOnly) {
-            Ok(r) => r,
-            Err(_) => unreachable!("unbounded retry cannot exhaust its budget"),
-        }
-    }
-
-    /// Bounded-retry variant of [`Stm::run_read_only`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the attempt budget is exhausted before a commit
-    /// (only possible under [`ReadMode::Latest`], where read-only
-    /// transactions still validate).
-    pub fn try_run_read_only<R>(
-        &self,
-        thread: ThreadId,
-        tx: TxId,
-        mut body: impl FnMut(&mut Txn<'_>) -> Result<R, Abort>,
-        max_attempts: u32,
-    ) -> Result<R, StmError> {
-        self.run_attempts(thread, tx, &mut body, max_attempts, TxnKind::ReadOnly)
-    }
-
-    /// Runs `body`, giving up with [`StmError::RetryBudgetExhausted`] after
-    /// `max_attempts` aborted attempts.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the attempt budget is exhausted before a commit.
-    pub fn try_run<R>(
-        &self,
-        thread: ThreadId,
-        tx: TxId,
-        mut body: impl FnMut(&mut Txn<'_>) -> Result<R, Abort>,
-        max_attempts: u32,
-    ) -> Result<R, StmError> {
-        self.run_attempts(thread, tx, &mut body, max_attempts, TxnKind::Update)
+        self.run_attempts(thread, tx, &mut body, u32::MAX, TxnKind::ReadOnly)
+            .unwrap_or_else(|_| unreachable!("unbounded retry cannot exhaust its budget"))
     }
 
     /// Runs a single attempt without retrying.
     ///
     /// # Errors
     ///
-    /// Returns [`StmError::Aborted`] if the attempt conflicts.
+    /// Returns the attempt's [`Abort`] if it conflicts.
     pub fn try_run_once<R>(
         &self,
         thread: ThreadId,
         tx: TxId,
         mut body: impl FnMut(&mut Txn<'_>) -> Result<R, Abort>,
-    ) -> Result<R, StmError> {
+    ) -> Result<R, Abort> {
         self.run_attempts(thread, tx, &mut body, 1, TxnKind::Update)
     }
 
+    /// Runs up to `max_attempts` attempts (1, or `u32::MAX` for "until it
+    /// commits") and returns the last attempt's [`Abort`] if none commits.
     fn run_attempts<R>(
         &self,
         thread: ThreadId,
@@ -366,7 +331,7 @@ impl Stm {
         body: &mut dyn FnMut(&mut Txn<'_>) -> Result<R, Abort>,
         max_attempts: u32,
         kind: TxnKind,
-    ) -> Result<R, StmError> {
+    ) -> Result<R, Abort> {
         assert!(
             thread.index() < self.config.max_threads,
             "thread {thread} out of range (max_threads = {})",
@@ -374,13 +339,12 @@ impl Stm {
         );
         let who = Participant::new(thread, tx);
         let mut attempt: u32 = 0;
-        let mut last_abort: Option<Abort> = None;
         // The thread's own buffers, on loan until this invocation returns or
         // unwinds: neither a retry nor the thread's next transaction
         // allocates for its read/write/lock sets.
         let mut lease = ScratchLease::take();
         let scratch = lease.scratch();
-        while attempt < max_attempts {
+        loop {
             // Admission: guided execution's hold loop lives in the policy.
             let polls = self.policy.admit(who, &mut || {
                 self.gate.pass(thread, COSTS.poll);
@@ -464,14 +428,12 @@ impl Stm {
                     if backoff > 0 {
                         std::thread::yield_now();
                     }
-                    last_abort = Some(abort);
                     attempt += 1;
+                    if attempt == max_attempts {
+                        return Err(abort);
+                    }
                 }
             }
-        }
-        match (max_attempts, last_abort) {
-            (1, Some(a)) => Err(StmError::Aborted(a)),
-            _ => Err(StmError::RetryBudgetExhausted { attempts: max_attempts }),
         }
     }
 
@@ -1313,10 +1275,7 @@ mod tests {
             // b's stripe version now exceeds our rv: the read must abort.
             tx.read(&b)
         });
-        assert!(matches!(
-            r,
-            Err(StmError::Aborted(Abort { reason: AbortReason::ReadVersion { .. }, .. }))
-        ));
+        assert!(matches!(r, Err(Abort { reason: AbortReason::ReadVersion { .. }, .. })));
     }
 
     #[test]
@@ -1329,7 +1288,7 @@ mod tests {
             tx.write(&a, 1)
         });
         match r {
-            Err(StmError::Aborted(abort)) => {
+            Err(abort) => {
                 let (p, _) = abort.culprit.expect("culprit attributed");
                 assert_eq!(p.thread, t(1));
                 assert_eq!(p.tx, x(5));
@@ -1346,11 +1305,18 @@ mod tests {
         assert_eq!(*v.load_unlogged(), 6);
     }
 
+    /// A user `retry()` aborts the single attempt of `try_run_once`: its
+    /// budget is one attempt, and the abort comes back as the error.
     #[test]
     fn user_retry_respects_budget() {
         let stm = Stm::new(StmConfig::new(1));
-        let r: Result<(), _> = stm.try_run(t(0), x(0), |_tx| Err(retry()), 3);
-        assert!(matches!(r, Err(StmError::RetryBudgetExhausted { attempts: 3 })));
+        let mut attempts = 0;
+        let r: Result<(), _> = stm.try_run_once(t(0), x(0), |_tx| {
+            attempts += 1;
+            Err(retry())
+        });
+        assert!(matches!(r, Err(Abort { reason: AbortReason::UserRetry, .. })), "{r:?}");
+        assert_eq!(attempts, 1, "no second attempt");
     }
 
     #[test]
@@ -1363,10 +1329,7 @@ mod tests {
             // Thread 1 attempts an eager write to the same stripe: busy.
             let inner = stm.try_run_once(t(1), x(1), |tx2| tx2.write(&a, 2));
             assert!(
-                matches!(
-                    inner,
-                    Err(StmError::Aborted(Abort { reason: AbortReason::WriteLockBusy { .. }, .. }))
-                ),
+                matches!(inner, Err(Abort { reason: AbortReason::WriteLockBusy { .. }, .. })),
                 "{inner:?}"
             );
             Ok(())
@@ -1616,10 +1579,7 @@ mod tests {
             let before = gate.thread_time(t(1));
             let inner = stm.try_run_once(t(1), x(1), |tx2| tx2.write(&a, 1));
             assert!(
-                matches!(
-                    inner,
-                    Err(StmError::Aborted(Abort { reason: AbortReason::ReaderWaitTimeout, .. }))
-                ),
+                matches!(inner, Err(Abort { reason: AbortReason::ReaderWaitTimeout, .. })),
                 "committer must time out on the parked reader: {inner:?}"
             );
             let rest = COSTS.begin + COSTS.write + COSTS.commit_entry + COSTS.abort;
@@ -1674,7 +1634,7 @@ mod tests {
             tx.read(&v)
         });
         match r {
-            Err(StmError::Aborted(a)) => {
+            Err(a) => {
                 assert!(matches!(a.reason, AbortReason::DoomedByCommitter { .. }), "{a:?}");
                 let (p, _) = a.culprit.expect("synthetic culprit attributed");
                 assert_eq!(p.thread.raw(), 0xFFFF, "chaos sentinel thread");
@@ -1850,20 +1810,20 @@ mod tests {
         let v = TVar::new(7i64);
         assert_eq!(stm.run_read_only(t(0), x(0), |tx| tx.read(&v)), 7);
         assert_eq!(stm.mvcc_stats(), MvccStats::default());
-        // And it can still abort on interference, like any legacy txn.
+        // And it can still abort on interference, like any legacy txn: the
+        // first attempt's stale read of `b` aborts, the retry commits.
         let a = TVar::new(0i64);
         let b = TVar::new(0i64);
-        let r = stm.try_run_read_only(
-            t(0),
-            x(0),
-            |tx| {
-                let _ = tx.read(&a)?;
+        let mut attempts = Vec::new();
+        let got = stm.run_read_only(t(0), x(0), |tx| {
+            attempts.push(tx.attempt());
+            let _ = tx.read(&a)?;
+            if tx.attempt() == 0 {
                 stm.run(t(1), x(1), |tx2| tx2.write(&b, 5));
-                tx.read(&b)
-            },
-            1,
-        );
-        assert!(r.is_err(), "latest-mode read-only still validates: {r:?}");
+            }
+            tx.read(&b)
+        });
+        assert_eq!((got, attempts), (5, vec![0, 1]), "latest-mode read-only still validates");
     }
 
     #[test]

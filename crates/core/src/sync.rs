@@ -9,7 +9,7 @@
 //! so it works with `std::sync::Condvar`.
 
 use std::fmt;
-use std::sync::{MutexGuard, PoisonError};
+use std::sync::{MutexGuard, PoisonError, TryLockError};
 
 /// A mutex that hands out its guard directly, recovering from poison.
 #[derive(Default)]
@@ -28,6 +28,16 @@ impl<T> Mutex<T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Acquires the lock if it is free, recovering from poison like
+    /// [`Mutex::lock`]; `None` if another thread holds it.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.inner.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
         self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
@@ -41,9 +51,9 @@ impl<T> Mutex<T> {
 
 impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.inner.try_lock() {
-            Ok(guard) => f.debug_struct("Mutex").field("data", &*guard).finish(),
-            Err(_) => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
+        match self.try_lock() {
+            Some(guard) => f.debug_struct("Mutex").field("data", &*guard).finish(),
+            None => f.debug_struct("Mutex").field("data", &"<locked>").finish(),
         }
     }
 }
@@ -71,5 +81,15 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 7, "poisoned lock must still hand out the data");
+        assert_eq!(m.try_lock().as_deref(), Some(&7), "try_lock recovers from poison too");
+    }
+
+    #[test]
+    fn try_lock_declines_a_held_lock() {
+        let m = Mutex::new(1u32);
+        let held = m.lock();
+        assert!(m.try_lock().is_none(), "the lock is held");
+        drop(held);
+        assert_eq!(m.try_lock().as_deref(), Some(&1));
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use gstm_core::cm::Aggressive;
 use gstm_core::{
     AbortReason, AdmitAll, CountingSink, MemorySink, MulticastSink, NullGate, Resolution, Stm,
-    StmConfig, StmError, TVar, ThreadId, TxEvent, TxId,
+    StmConfig, TVar, ThreadId, TxEvent, TxId,
 };
 
 fn abort_readers_stm(sink: Arc<MemorySink>) -> Stm {
@@ -97,7 +97,7 @@ fn wait_for_readers_times_out_rather_than_deadlocks() {
         let _ = tx.read(&shared)?;
         let inner = stm.try_run_once(ThreadId::new(1), TxId::new(1), |tx2| tx2.write(&shared, 9));
         match inner {
-            Err(StmError::Aborted(a)) => {
+            Err(a) => {
                 assert_eq!(a.reason, AbortReason::ReaderWaitTimeout, "{a:?}");
             }
             other => panic!("expected reader-wait timeout, got {other:?}"),

@@ -23,7 +23,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analyzer;
-pub mod dot;
 pub mod online;
 pub mod serialize;
 mod tracker;

@@ -80,12 +80,6 @@ impl ModelHandle {
     }
 }
 
-/// Default tuples per ingested run (one run ≈ one adaptive window).
-pub const DEFAULT_RUN_LEN: usize = 64;
-
-/// Default bound on buffered ready runs awaiting a retrain.
-pub const DEFAULT_MAX_READY: usize = 64;
-
 /// Taps the live event stream and accumulates per-window transition runs.
 ///
 /// Uses the same arrival-order grouping as [`crate::StateTracker`] and the

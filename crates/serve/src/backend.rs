@@ -29,7 +29,6 @@
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use gstm_core::sync::Mutex;
@@ -250,7 +249,8 @@ impl EntryAccess for Materializer {
 
 // --- the durable backend ----------------------------------------------------
 
-/// The snapshot installer's state: only the holder of `installing` locks it.
+/// The snapshot installer's state. Whoever holds its lock installs, so
+/// snapshots reach the WAL one at a time, in `applied_seq` order.
 struct DurableInner {
     /// Ledger entries pulled and not replayed: a predecessor has not arrived
     /// (the WAL sorts that out at recovery, a snapshot is contiguous *now*).
@@ -281,12 +281,6 @@ pub struct DurableBackend {
     /// oracle: what a crash-free serial history would have been.
     ledger: PerThread<Mutex<LedgerShard>>,
     inner: Mutex<DurableInner>,
-    /// Held from the ledger pull to the end of the install: snapshots reach
-    /// the WAL one at a time, in `applied_seq` order. The `Acquire` swap
-    /// that takes it pairs with the `Release` store that gives it back.
-    /// Born held, given back once commit 1 is in the ledger: nobody
-    /// installs a snapshot of nothing.
-    installing: AtomicBool,
 }
 
 impl std::fmt::Debug for DurableBackend {
@@ -314,7 +308,6 @@ impl DurableBackend {
                 applied_seq: 0,
                 materialized: Materializer::initial(keys),
             }),
-            installing: AtomicBool::new(true),
         }
     }
 
@@ -375,17 +368,16 @@ impl StoreBackend for DurableBackend {
         // Ledger first: it always covers the log, and a stall between the
         // two steps cannot leave this commit acting on stale advice.
         self.ledger.mine().lock().push((seq, *req));
-        if seq == 1 {
-            self.installing.store(false, Ordering::Release);
+        if !self.wal.append(seq, &encode_request(req)) {
+            return;
         }
-        let advised = self.wal.append(seq, &encode_request(req));
-        if advised && !self.installing.swap(true, Ordering::Acquire) {
-            let mut inner = self.inner.lock();
-            self.replay_new(&mut inner);
+        // An advised committer that finds an install under way moves on.
+        let Some(mut inner) = self.inner.try_lock() else { return };
+        self.replay_new(&mut inner);
+        // Until commit 1 is in the ledger there is nothing to snapshot.
+        if inner.applied_seq > 0 {
             let state = encode_state(&inner.materialized.entries());
             self.wal.install_snapshot(inner.applied_seq, &state);
-            drop(inner);
-            self.installing.store(false, Ordering::Release);
         }
     }
 
@@ -441,7 +433,7 @@ pub fn recover_store(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::mpsc;
 
     #[test]
@@ -924,6 +916,24 @@ mod tests {
         let installed = backend.wal().stats().snapshots;
         assert!((1..=4000).contains(&installed), "{installed} installs");
         assert_recovers_all(&backend, &*log, &*snap, 4000);
+    }
+
+    /// An advised commit made before commit 1 is in the ledger installs
+    /// nothing: there is no snapshot of nothing. The next advised commit,
+    /// with commit 1 in, installs what is contiguous from 1.
+    #[test]
+    fn an_advised_commit_before_seq_1_installs_nothing() {
+        let store = ShardedStore::new(2, 4, 8);
+        let (backend, log, snap) =
+            DurableBackend::in_memory(store, WalConfig::new().with_snapshot_every(1));
+        backend.on_commit(2, &request(2));
+        assert_eq!(backend.wal().stats().snapshots, 0, "seq 2 alone: nothing to install");
+        assert_eq!(backend.inner.lock().applied_seq, 0);
+        assert!(snap.contents().is_empty());
+        backend.on_commit(1, &request(1));
+        assert_eq!(backend.wal().stats().snapshots, 1);
+        assert_eq!(backend.inner.lock().applied_seq, 2, "1 and 2 are contiguous");
+        assert_recovers_all(&backend, &*log, &*snap, 2);
     }
 
     /// Committers beyond the shard count fold onto leased shards; the

@@ -117,19 +117,21 @@ pub fn response_digest(resp: &Response) -> u64 {
 }
 
 /// Merges `streams` per-thread schedules into the global block order:
-/// sorted by `(arrival tick, stream, position)`. A pure function of
+/// by `(arrival tick, stream, position)`. A pure function of
 /// `(spec, streams, seed)` — the fixed serial order every execution of
-/// this traffic must reproduce.
+/// this traffic must reproduce. Each schedule is sorted by arrival, so the
+/// next request is the lowest head (`min_by_key` keeps the lowest stream's).
 pub fn merge_block_order(spec: &ServeSpec, streams: usize, seed: u64) -> Vec<ScheduledRequest> {
     let traffic = spec.traffic();
-    let mut tagged: Vec<(u64, usize, usize, Request)> = Vec::new();
-    for t in 0..streams {
-        for (i, sr) in generate_schedule(&traffic, seed, t).into_iter().enumerate() {
-            tagged.push((sr.at, t, i, sr.req));
-        }
+    let mut heads: Vec<_> =
+        (0..streams).map(|t| generate_schedule(&traffic, seed, t).into_iter().peekable()).collect();
+    let mut order = Vec::with_capacity(heads.iter().map(ExactSizeIterator::len).sum());
+    while let Some((_, head)) =
+        heads.iter_mut().filter_map(|h| Some((h.peek()?.at, h))).min_by_key(|&(at, _)| at)
+    {
+        order.extend(head.next());
     }
-    tagged.sort_by_key(|&(at, t, i, _)| (at, t, i));
-    tagged.into_iter().map(|(at, _, _, req)| ScheduledRequest { at, req }).collect()
+    order
 }
 
 /// The multi-version map stripe count a spec implies: one stripe per
@@ -401,6 +403,63 @@ mod tests {
         assert_eq!(a.len(), 3 * 60, "every stream's request is in the order");
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at), "global order is by arrival");
         assert_ne!(a, merge_block_order(&spec, 3, 8), "seed changes the order");
+    }
+
+    /// The merge gives exactly the order of sorting the union of the
+    /// per-stream schedules by `(arrival tick, stream, position)`.
+    #[test]
+    fn merged_order_is_the_sort_of_the_tagged_union() {
+        use crate::traffic::Drift;
+        // A mean gap under one tick makes arrival ties common.
+        let drifting = Drift { theta_end: 0.2, phases: 4, hotspot_step: 16 };
+        let arrivals = [
+            (Arrival::Poisson { mean_gap: 3.0 }, None),
+            (Arrival::Bursty { mean_gap: 3.0, burst: 8 }, None),
+            (Arrival::Poisson { mean_gap: 0.4 }, Some(drifting)),
+        ];
+        for base in [ServeSpec::hot(40), ServeSpec::wide(40), ServeSpec::ledger(40)] {
+            for streams in [1, 2, 3, 8] {
+                for (arrival, drift) in arrivals {
+                    for seed in 0..20 {
+                        let mut spec = base.clone().with_arrival(arrival);
+                        if let Some(drift) = drift {
+                            spec = spec.with_drift(drift);
+                        }
+                        let mut tagged: Vec<(u64, usize, usize, Request)> = (0..streams)
+                            .flat_map(|t| {
+                                generate_schedule(&spec.traffic(), seed, t)
+                                    .into_iter()
+                                    .enumerate()
+                                    .map(move |(i, sr)| (sr.at, t, i, sr.req))
+                            })
+                            .collect();
+                        tagged.sort_by_key(|&(at, t, i, _)| (at, t, i));
+                        let sorted: Vec<ScheduledRequest> = tagged
+                            .into_iter()
+                            .map(|(at, _, _, req)| ScheduledRequest { at, req })
+                            .collect();
+                        assert_eq!(
+                            merge_block_order(&spec, streams, seed),
+                            sorted,
+                            "{} x{streams} {arrival:?} seed {seed}",
+                            spec.cache_key()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The block order and what the reference computes over it, pinned:
+    /// `experiments block-smoke` compares two lanes that share one order,
+    /// so a changed order would pass it.
+    #[test]
+    fn block_reference_at_seed_11_is_pinned() {
+        let record = run_block_reference(&ServeSpec::ledger(200).with_block_mode(32), 2, 11);
+        let bytes: Vec<u8> = record.outputs.iter().flat_map(|d| d.to_le_bytes()).collect();
+        assert_eq!(record.outputs.len(), 400);
+        assert_eq!(record.final_digest, 0x081e_6a01_cb7b_a14b);
+        assert_eq!(fnv1a64(&bytes), 0x759a_af2c_6583_2d9f);
     }
 
     /// The tentpole oracle: parallel block output is byte-identical to

@@ -70,18 +70,6 @@ impl ChaosConfig {
         }
     }
 
-    /// Sets the ordinary-crossing delay rate (‰).
-    pub fn with_delay_permille(mut self, pm: u32) -> Self {
-        self.delay_permille = pm;
-        self
-    }
-
-    /// Sets the forced-abort rate (‰).
-    pub fn with_doom_permille(mut self, pm: u32) -> Self {
-        self.doom_permille = pm;
-        self
-    }
-
     /// Enables kill-and-recover injection: crossings request a crash at
     /// `point` with chance `pm` (‰).
     pub fn with_kill(mut self, point: KillPoint, pm: u32) -> Self {
@@ -272,7 +260,7 @@ mod tests {
 
     #[test]
     fn unarmed_gate_skips_dooms_and_out_of_range_threads_pass_through() {
-        let cfg = ChaosConfig::new(3).with_doom_permille(1000);
+        let cfg = ChaosConfig { doom_permille: 1000, ..ChaosConfig::new(3) };
         let gate = ChaosGate::new(cfg, Arc::new(NullGate), 1);
         gate.pass(t(0), 1);
         assert_eq!(gate.stats().dooms, 0, "no handle, no dooms");
@@ -282,9 +270,7 @@ mod tests {
 
     #[test]
     fn armed_kill_requests_exactly_one_crash() {
-        let cfg = ChaosConfig::new(11)
-            .with_delay_permille(0)
-            .with_doom_permille(0)
+        let cfg = ChaosConfig { delay_permille: 0, doom_permille: 0, ..ChaosConfig::new(11) }
             .with_kill(KillPoint::MidBatch, 1000);
         let gate = ChaosGate::new(cfg, Arc::new(NullGate), 2);
         gate.pass(t(0), 1);
@@ -303,7 +289,7 @@ mod tests {
     fn armed_gate_delivers_dooms() {
         use gstm_core::{Stm, StmConfig};
         let stm = Stm::new(StmConfig::new(1));
-        let cfg = ChaosConfig::new(3).with_doom_permille(1000).with_delay_permille(0);
+        let cfg = ChaosConfig { doom_permille: 1000, delay_permille: 0, ..ChaosConfig::new(3) };
         let gate = ChaosGate::new(cfg, Arc::new(NullGate), 1);
         gate.arm(stm.doom_handle());
         gate.arm(stm.doom_handle()); // second arm is a no-op

@@ -81,9 +81,11 @@ impl LogDevice for MemDevice {
 /// flush the new file first — and only then unlinks the previous one. A
 /// crash leaves the old contents, the new, or both files whole, never a
 /// mix; a device opened on `path` later reads the highest generation
-/// present. Names build on the full file name, so `wal.log` and `wal.snap`
-/// in one directory share none. The handle that wrote a generation stays
-/// open for the appends that follow.
+/// present, and its first `append` or `reset` removes what such a crash
+/// leaves beside it: older generations and `<path>.tmp.*` files. Reads
+/// delete nothing. Names build on the full file name, so `wal.log` and
+/// `wal.snap` in one directory share none. The handle that wrote a
+/// generation stays open for the appends that follow.
 ///
 /// Write-side failures are loud: `append` and `reset` panic with the path
 /// and the `io::Error`, because a dropped write is an acknowledged commit
@@ -103,6 +105,8 @@ struct FileState {
     generation: Option<u64>,
     /// Write handle on that generation's file, positioned at its end.
     file: Option<File>,
+    /// Whether a write has removed the leftovers of a crash yet.
+    swept: bool,
 }
 
 impl FileDevice {
@@ -137,30 +141,54 @@ impl FileDevice {
         }
     }
 
+    /// The `<suffix>` of every `<file name>.<suffix>` in the directory.
+    fn suffixes(&self) -> Vec<String> {
+        let name = self.path.file_name().and_then(|n| n.to_str());
+        let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::read_dir(dir.unwrap_or(std::path::Path::new(".")))
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|entry| {
+                let entry = entry.file_name();
+                Some(entry.to_str()?.strip_prefix(name?)?.strip_prefix('.')?.to_owned())
+            })
+            .collect()
+    }
+
     /// The generation holding the contents and its file. Found on first
     /// use: the highest `<file name>.<n>` in the directory, else 0.
     fn current(&self, state: &mut FileState) -> (u64, PathBuf) {
         let generation = *state.generation.get_or_insert_with(|| {
-            let name = self.path.file_name().and_then(|n| n.to_str());
-            let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
-            std::fs::read_dir(dir.unwrap_or(std::path::Path::new(".")))
-                .into_iter()
-                .flatten()
-                .flatten()
-                .filter_map(|entry| {
-                    let entry = entry.file_name();
-                    entry.to_str()?.strip_prefix(name?)?.strip_prefix('.')?.parse::<u64>().ok()
-                })
-                .max()
-                .unwrap_or(0)
+            self.suffixes().iter().filter_map(|s| s.parse::<u64>().ok()).max().unwrap_or(0)
         });
         (generation, self.generation_path(generation))
+    }
+
+    /// On the first write, removes what a crash left beside the current
+    /// generation: older generations (a crash between rename and unlink)
+    /// and temp files (a crash before the rename).
+    fn sweep(&self, state: &mut FileState) {
+        if std::mem::replace(&mut state.swept, true) {
+            return;
+        }
+        let (_, current) = self.current(state);
+        let leftovers = self
+            .suffixes()
+            .into_iter()
+            .filter(|s| s.parse::<u64>().is_ok() || s.starts_with("tmp."));
+        for path in leftovers.map(|s| self.sibling(s)).chain([self.path.clone()]) {
+            if path != current {
+                let _ = std::fs::remove_file(path);
+            }
+        }
     }
 }
 
 impl LogDevice for FileDevice {
     fn append(&self, bytes: &[u8]) {
         let mut state = self.state.lock();
+        self.sweep(&mut state);
         let (_, path) = self.current(&mut state);
         let written = match &mut state.file {
             Some(file) => file.write_all(bytes),
@@ -179,6 +207,7 @@ impl LogDevice for FileDevice {
 
     fn reset(&self, bytes: &[u8]) {
         let mut state = self.state.lock();
+        self.sweep(&mut state);
         let (old, old_path) = self.current(&mut state);
         let tmp = self.sibling(format_args!("tmp.{}", std::process::id()));
         let written = File::create(&tmp).and_then(|mut f| {
@@ -190,7 +219,7 @@ impl LogDevice for FileDevice {
             let _ = std::fs::remove_file(&tmp);
             panic!("WAL reset of {} failed: {e}", self.path.display())
         });
-        *state = FileState { generation: Some(old + 1), file: Some(file) };
+        *state = FileState { generation: Some(old + 1), file: Some(file), swept: true };
         let _ = std::fs::remove_file(old_path);
     }
 
@@ -266,14 +295,34 @@ mod tests {
         assert_eq!(d.contents(), b"two+");
 
         // What a crash between the rename and the unlink leaves: both
-        // generations whole. The newest one is the contents.
+        // generations whole. The newest one is the contents, and the first
+        // write removes the other.
         std::fs::write(dir.join("wal.log.1"), b"stale").unwrap();
         let reopened = FileDevice::new(dir.join("wal.log"));
         assert_eq!(reopened.contents(), b"two+");
         reopened.append(b"+");
         reopened.reset(b"three");
         assert_eq!(reopened.contents(), b"three");
-        assert_eq!(file_names(&dir), ["wal.log.1", "wal.log.3"]);
+        assert_eq!(file_names(&dir), ["wal.log.3"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Both kinds of crash leftover — a stale generation and a temp file —
+    /// stay while the device only reads and go at its first append.
+    #[test]
+    fn the_first_write_removes_what_a_crash_left() {
+        let dir = scratch_dir("sweep");
+        std::fs::write(dir.join("wal.log"), b"A").unwrap();
+        std::fs::write(dir.join("wal.log.2"), b"B").unwrap();
+        std::fs::write(dir.join("wal.log.tmp.999999"), b"torn").unwrap();
+        std::fs::write(dir.join("wal.snap.1"), b"other device").unwrap();
+        let all = ["wal.log", "wal.log.2", "wal.log.tmp.999999", "wal.snap.1"];
+        let d = FileDevice::new(dir.join("wal.log"));
+        assert_eq!((d.contents(), d.len()), (b"B".to_vec(), 1));
+        assert_eq!(file_names(&dir), all, "reads delete nothing");
+        d.append(b"+");
+        assert_eq!(file_names(&dir), ["wal.log.2", "wal.snap.1"]);
+        assert_eq!(std::fs::read(dir.join("wal.log.2")).unwrap(), b"B+");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,6 +20,10 @@ cargo test -q --offline
 echo "==> docs: no broken intra-doc links (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "==> docs: every path README/DESIGN/EXPERIMENTS quote exists, and a renamed one is caught"
+scripts/doccheck --self-test \
+    || { echo "doccheck: a doc names a path that does not exist, or the self-test missed a rename"; exit 1; }
+
 echo "==> pipeline smoke: warm rerun must hit the cache and match byte-for-byte"
 smoke_dir="target/gstm-ci-pipeline-smoke"
 rm -rf "$smoke_dir"

@@ -31,8 +31,7 @@ pub use gstm_telemetry as telemetry;
 pub use gstm_wal as wal;
 
 pub use gstm_core::{
-    Abort, AbortReason, MvccStats, ReadMode, Stm, StmConfig, StmError, TVar, ThreadId, TxId, Txn,
-    TxnKind,
+    Abort, AbortReason, MvccStats, ReadMode, Stm, StmConfig, TVar, ThreadId, TxId, Txn, TxnKind,
 };
 
 /// One-line import for the common workflow: build a workload, train a
@@ -47,8 +46,8 @@ pub use gstm_core::{
 /// ```
 pub mod prelude {
     pub use gstm_core::{
-        retry, Abort, AbortReason, MvccStats, ReadMode, Stm, StmConfig, StmError, TVar, ThreadId,
-        TxId, Txn, TxnKind, VarIdDomain,
+        retry, Abort, AbortReason, MvccStats, ReadMode, Stm, StmConfig, TVar, ThreadId, TxId, Txn,
+        TxnKind, VarIdDomain,
     };
     pub use gstm_guide::{
         run_workload, train, CmChoice, PolicyChoice, RunOptions, RunOutcome, TrainedModel,
