@@ -357,6 +357,7 @@ pub(crate) fn run_native_block(
             stats,
             blocks,
         }),
+        placement: None,
     }
 }
 

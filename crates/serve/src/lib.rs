@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+mod affinity;
 pub mod backend;
 pub mod block_mode;
 pub mod service;
@@ -56,8 +57,8 @@ pub use block_mode::{
     run_block_reference, BlockModeReport,
 };
 pub use service::{
-    run_native, run_simulated, serve_schedule, spine_config, GateClock, NativeReport, ServeClock,
-    ServeMode, ServeRun, ServeSpec, ServeWorkload, SpineMode, ThreadLog, WallClock,
+    run_native, run_simulated, serve_schedule, spine_config, GateClock, NativeReport, Placement,
+    ServeClock, ServeMode, ServeRun, ServeSpec, ServeWorkload, SpineMode, ThreadLog, WallClock,
 };
 pub use store::{
     interpret, Entry, EntryAccess, Request, Response, ShardedStore, INITIAL_BALANCE, MAX_SCAN_LEN,

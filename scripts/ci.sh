@@ -11,6 +11,17 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> unsafe: none in crates/ or src/ outside tests but the affinity shim"
+unsafe_lines=$(grep -rnw --include='*.rs' unsafe crates src \
+    | grep -v '^crates/serve/src/affinity\.rs:' \
+    | grep -v '^crates/[^/]*/tests/' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$unsafe_lines" ]; then
+    echo "$unsafe_lines"
+    echo "unsafe: only crates/serve/src/affinity.rs may use it"
+    exit 1
+fi
+
 echo "==> tier-1: release build"
 cargo build --release --offline
 
@@ -20,9 +31,9 @@ cargo test -q --offline
 echo "==> docs: no broken intra-doc links (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> docs: every path README/DESIGN/EXPERIMENTS quote exists, and a renamed one is caught"
+echo "==> docs: every path and experiments command README/DESIGN/EXPERIMENTS quote exists, and a renamed one is caught"
 scripts/doccheck --self-test \
-    || { echo "doccheck: a doc names a path that does not exist, or the self-test missed a rename"; exit 1; }
+    || { echo "doccheck: a doc names a path or command that does not exist, or the self-test missed a rename"; exit 1; }
 
 echo "==> pipeline smoke: warm rerun must hit the cache and match byte-for-byte"
 smoke_dir="target/gstm-ci-pipeline-smoke"
@@ -128,7 +139,7 @@ cargo test -q --release --offline -p gstm-serve --lib -- \
     a_committer_blocked_in_its_device_write_does_not_delay_another \
     || { echo "durable commit path: a crash lost more than its bound, or a committer waited for another's device write"; exit 1; }
 
-echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards), durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, log tallies = sink tallies"
+echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards), durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, log tallies = sink tallies, serve-thread placement"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
 cargo test -q --release --offline -p gstm-core -p gstm-wal -p gstm-serve --lib layout_ \
@@ -156,6 +167,8 @@ cargo test -q --release --offline -p gstm-serve --lib -- \
     || { echo "request path: the bucket table disagrees with hashing, or the thread logs' per-site tallies with a sink's"; exit 1; }
 cargo test -q --release --offline -p gstm-serve --test interpreter \
     || { echo "request path: the store substrate answers differently from the plain map or the block lane"; exit 1; }
+cargo test -q --release --offline -p gstm-serve --lib -- affinity:: placement_ \
+    || { echo "placement: a pin went elsewhere, a light run spread, an overloaded one stayed, or the caller's CPUs changed"; exit 1; }
 
 echo "==> block determinism smoke: same block order must hash identically at 1/2/4/8 threads, bare executor and native lane"
 ./target/release/experiments block-smoke --threads 1,2,4,8 --requests 200 --seed 11 \

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of a parent commit against the working tree: the
 # protocol of /opt/skills/guides/choosing-metrics §8 (alternate which side
-# runs first, report medians and quartiles, count pairs won, compare the gap
+# runs first, report medians and quartiles of every metric and of the
+# fixed-rate p99 detail (`fixed.p99_us`), count pairs won, compare the gap
 # between the medians with the parent's own spread; warn when either side's
 # own p50_us runs spread too widely to be one population).
 #
@@ -104,6 +105,13 @@ def run(side):
     ok = out.returncode == 0 and all(r["correct"] and r["failed"] == 0 for r in results)
     found = {name: {k: v["value"] for k, v in r["metrics"].items()}
              for name, r in zip(names, results)}
+    # The fixed-rate p99 is a detail field, printed under its workload's
+    # header: the median over the phase's slices.
+    for line in lines:
+        if line.startswith("== ") and line.endswith(" =="):
+            workload = line[3:-3]
+        elif line.startswith("  fixed: "):
+            found[workload]["fixed.p99_us"] = json.loads(line[len("  fixed: "):])["p99_us"]["median"]
     return found, ok
 
 
@@ -152,10 +160,11 @@ for workload in runs["parent"][0]:
               f"{won:>3}/{won + lost:<3}  {apart}{direction}")
     print(f"  ({identical} metrics read the same in every run of both sides; "
           f"'won' counts pairs the change read better, ties left out)")
-    # The placement canary: the same binary's p50_us reads ~30 % lower in a
-    # run whose serve threads happen to share a core for a quarter of its
-    # slices (EXPERIMENTS.md, measurement notes), so a side whose own runs
-    # spread this wide is two populations and its median describes neither.
+    # The placement canary: a binary whose serve threads the scheduler places
+    # reads p50_us ~30 % lower in a run where they happen to share a core for
+    # a quarter of its slices (EXPERIMENTS.md, "Thread placement"), so a side
+    # whose own runs spread this wide is two populations and its median
+    # describes neither.
     for side in ("parent", "change"):
         values = [r[workload]["p50_us"] for r in runs[side] if "p50_us" in r[workload]]
         if values:
