@@ -7,189 +7,210 @@
 
 use std::sync::Arc;
 
-use gstm_guide::{CmChoice, PolicyChoice, RunOptions, DEFAULT_K};
+use gstm_guide::{
+    CmChoice, PolicyChoice, RunOptions, RunOutcome, TrainedModel, Workload, DEFAULT_K,
+};
 use gstm_stamp::benchmark;
 use gstm_stats::{mean, percent_reduction, slowdown, TextTable};
 
 use crate::metrics::{mean_makespan, mean_nondeterminism, per_thread_improvement};
 use crate::pipeline::{guided_tag, Pipeline, TAG_DEFAULT};
 
+/// What every ablation shares: one benchmark at the first configured thread
+/// count on the test input, a baseline run set every variant is compared
+/// against, and the table the sweep fills.
+struct Ablation<'p, 'a> {
+    pipe: &'p Pipeline<'a>,
+    name: &'static str,
+    threads: usize,
+    workload: Box<dyn Workload>,
+    wkey: String,
+    baseline: Vec<RunOutcome>,
+    table: TextTable,
+}
+
+impl<'p, 'a> Ablation<'p, 'a> {
+    /// An ablation whose baseline is default STM with `base` applied to
+    /// its options.
+    fn new(
+        pipe: &'p Pipeline<'a>,
+        name: &'static str,
+        columns: &[&str],
+        base: impl Fn(RunOptions) -> RunOptions + Sync,
+    ) -> Self {
+        let cfg = pipe.cfg();
+        let mut ablation = Ablation {
+            pipe,
+            name,
+            threads: cfg.threads_list[0],
+            workload: benchmark(name, cfg.test_size).expect("known benchmark"),
+            wkey: format!("stamp:{name}:{}", cfg.test_size),
+            baseline: Vec::new(),
+            table: TextTable::new(columns.iter().map(|c| c.to_string()).collect()),
+        };
+        ablation.baseline = ablation.runs(TAG_DEFAULT, base);
+        ablation
+    }
+
+    /// One variant over every test seed; `tag` must name what `opts`
+    /// changes beyond the run key's own fields.
+    fn runs(&self, tag: &str, opts: impl Fn(RunOptions) -> RunOptions + Sync) -> Vec<RunOutcome> {
+        let threads = self.threads;
+        self.pipe.measured_runs(&self.wkey, self.workload.as_ref(), tag, |s| {
+            opts(RunOptions::new(threads, s))
+        })
+    }
+
+    /// Guided runs at hold bound `k` under a model compiled at `tfactor`.
+    fn guided(
+        &self,
+        trained: &TrainedModel,
+        k: u32,
+        tfactor: f64,
+        opts: impl Fn(RunOptions) -> RunOptions + Sync,
+    ) -> Vec<RunOutcome> {
+        self.runs(&guided_tag(trained, k, tfactor), |o| {
+            opts(o.with_policy(PolicyChoice::Guided { model: Arc::clone(&trained.model), k }))
+        })
+    }
+
+    /// The model trained at the configured sweep settings.
+    fn trained(&self) -> TrainedModel {
+        self.pipe.trained_stamp(self.name, self.threads)
+    }
+
+    fn progress(&self, what: &str) {
+        self.pipe.progress().report(&format!("{}: {what}", self.name));
+    }
+
+    /// Mean per-thread variance improvement of `runs` over the baseline.
+    fn improvement(&self, runs: &[RunOutcome]) -> String {
+        format!("{:+.1}%", mean(&per_thread_improvement(&self.baseline, runs)))
+    }
+
+    /// Slowdown of `runs` against the baseline.
+    fn slowdown(&self, runs: &[RunOutcome]) -> String {
+        format!("{:.2}x", slowdown(mean_makespan(&self.baseline), mean_makespan(runs)))
+    }
+
+    /// The row "variance improvement, nondeterminism reduction, slowdown"
+    /// of `runs` against the baseline.
+    fn compare(&mut self, label: String, runs: &[RunOutcome]) {
+        let nd = percent_reduction(mean_nondeterminism(&self.baseline), mean_nondeterminism(runs));
+        let row = vec![label, self.improvement(runs), format!("{nd:+.1}%"), self.slowdown(runs)];
+        self.table.row(row);
+    }
+
+    fn render(&self, what: &str) -> String {
+        format!(
+            "== Ablation: {what} on {}, {} threads ==\n{}",
+            self.name,
+            self.threads,
+            self.table.render()
+        )
+    }
+}
+
+/// The columns of a table of [`Ablation::compare`] rows.
+fn compared(label: &str) -> [&str; 4] {
+    [label, "mean variance improvement", "nondeterminism reduction", "slowdown (x)"]
+}
+
 /// Tfactor sweep (§VI: "experimenting with Tfactor values of between 1 to
 /// 10, we found that ... 4 strikes a balance"): variance reduction vs
 /// slowdown at each setting.
 pub fn ablate_tfactor(pipe: &Pipeline<'_>, name: &'static str) -> String {
-    let cfg = pipe.cfg();
-    let threads = cfg.threads_list[0];
-    let workload = benchmark(name, cfg.test_size).expect("known benchmark");
-    let wkey = format!("stamp:{name}:{}", cfg.test_size);
-    let default_runs =
-        pipe.measured_runs(&wkey, workload.as_ref(), TAG_DEFAULT, |s| RunOptions::new(threads, s));
-    let mut t = TextTable::new(vec![
-        "Tfactor".into(),
-        "mean variance improvement".into(),
-        "nondeterminism reduction".into(),
-        "slowdown (x)".into(),
-    ]);
+    let mut ab = Ablation::new(pipe, name, &compared("Tfactor"), |o| o);
     for tfactor in [1.0, 2.0, 4.0, 6.0, 8.0, 10.0] {
-        pipe.progress().report(&format!("ablate-tfactor: {name} Tfactor={tfactor}"));
-        let mut sweep_cfg = cfg.clone();
+        ab.progress(&format!("Tfactor={tfactor}"));
+        let mut sweep_cfg = pipe.cfg().clone();
         sweep_cfg.tfactor = tfactor;
-        let trained = pipe.trained_stamp_with(&sweep_cfg, name, threads);
+        let trained = pipe.trained_stamp_with(&sweep_cfg, name, ab.threads);
         // The TSA is tfactor-independent (profiling is unguided), so the
         // sweep value must enter the tag explicitly or runs would collide.
-        let tag = guided_tag(&trained, DEFAULT_K, tfactor);
-        let guided_runs = pipe.measured_runs(&wkey, workload.as_ref(), &tag, |s| {
-            RunOptions::new(threads, s)
-                .with_policy(PolicyChoice::guided(Arc::clone(&trained.model)))
-        });
-        let imp = mean(&per_thread_improvement(&default_runs, &guided_runs));
-        let nd = percent_reduction(
-            mean_nondeterminism(&default_runs),
-            mean_nondeterminism(&guided_runs),
-        );
-        let s = slowdown(mean_makespan(&default_runs), mean_makespan(&guided_runs));
-        t.row(vec![
-            format!("{tfactor:.0}"),
-            format!("{imp:+.1}%"),
-            format!("{nd:+.1}%"),
-            format!("{s:.2}x"),
-        ]);
+        let runs = ab.guided(&trained, DEFAULT_K, tfactor, |o| o);
+        ab.compare(format!("{tfactor:.0}"), &runs);
     }
-    format!("== Ablation: Tfactor sweep on {name}, {threads} threads ==\n{}", t.render())
+    ab.render("Tfactor sweep")
 }
 
 /// Hold-bound `k` sweep: guidance strength vs progress cost.
 pub fn ablate_k(pipe: &Pipeline<'_>, name: &'static str) -> String {
-    let cfg = pipe.cfg();
-    let threads = cfg.threads_list[0];
-    let workload = benchmark(name, cfg.test_size).expect("known benchmark");
-    let wkey = format!("stamp:{name}:{}", cfg.test_size);
-    let trained = pipe.trained_stamp(name, threads);
-    let default_runs =
-        pipe.measured_runs(&wkey, workload.as_ref(), TAG_DEFAULT, |s| RunOptions::new(threads, s));
-    let mut t = TextTable::new(vec![
-        "k".into(),
-        "mean variance improvement".into(),
-        "holds bailed out".into(),
-        "slowdown (x)".into(),
-    ]);
+    let columns = ["k", "mean variance improvement", "holds bailed out", "slowdown (x)"];
+    let mut ab = Ablation::new(pipe, name, &columns, |o| o);
+    let trained = ab.trained();
     for k in [4u32, 16, 64, 256] {
-        pipe.progress().report(&format!("ablate-k: {name} k={k}"));
-        let tag = guided_tag(&trained, k, cfg.tfactor);
-        let guided_runs = pipe.measured_runs(&wkey, workload.as_ref(), &tag, |s| {
-            RunOptions::new(threads, s)
-                .with_policy(PolicyChoice::Guided { model: Arc::clone(&trained.model), k })
-        });
-        let imp = mean(&per_thread_improvement(&default_runs, &guided_runs));
-        let bails: u64 =
-            guided_runs.iter().filter_map(|r| r.hold_stats).map(|h| h.bailed_out).sum();
-        let s = slowdown(mean_makespan(&default_runs), mean_makespan(&guided_runs));
-        t.row(vec![k.to_string(), format!("{imp:+.1}%"), bails.to_string(), format!("{s:.2}x")]);
+        ab.progress(&format!("k={k}"));
+        let runs = ab.guided(&trained, k, pipe.cfg().tfactor, |o| o);
+        let bails: u64 = runs.iter().filter_map(|r| r.hold_stats).map(|h| h.bailed_out).sum();
+        let row = vec![k.to_string(), ab.improvement(&runs), bails.to_string(), ab.slowdown(&runs)];
+        ab.table.row(row);
     }
-    format!("== Ablation: hold bound k sweep on {name}, {threads} threads ==\n{}", t.render())
+    ab.render("hold bound k sweep")
 }
 
 /// Contention managers vs guided execution (§IX's claim: CMs raise
 /// throughput but not repeatability).
 pub fn ablate_cm(pipe: &Pipeline<'_>, name: &'static str) -> String {
-    let cfg = pipe.cfg();
-    let threads = cfg.threads_list[0];
-    let workload = benchmark(name, cfg.test_size).expect("known benchmark");
-    let wkey = format!("stamp:{name}:{}", cfg.test_size);
-    let baseline =
-        pipe.measured_runs(&wkey, workload.as_ref(), TAG_DEFAULT, |s| RunOptions::new(threads, s));
-    let mut t = TextTable::new(vec![
-        "Policy".into(),
-        "mean variance improvement".into(),
-        "nondeterminism reduction".into(),
-        "slowdown (x)".into(),
-    ]);
-    let mut push = |label: String, runs: &Vec<gstm_guide::RunOutcome>| {
-        let imp = mean(&per_thread_improvement(&baseline, runs));
-        let nd = percent_reduction(mean_nondeterminism(&baseline), mean_nondeterminism(runs));
-        let s = slowdown(mean_makespan(&baseline), mean_makespan(runs));
-        t.row(vec![label, format!("{imp:+.1}%"), format!("{nd:+.1}%"), format!("{s:.2}x")]);
-    };
+    let mut ab = Ablation::new(pipe, name, &compared("Policy"), |o| o);
     for cm in [CmChoice::Polite, CmChoice::Karma, CmChoice::Greedy] {
-        pipe.progress().report(&format!("ablate-cm: {name} {cm:?}"));
+        ab.progress(&format!("{cm:?}"));
         // The CM is part of the run key (RunOptions::cm), so TAG_DEFAULT
         // still addresses each variant distinctly.
-        let runs = pipe.measured_runs(&wkey, workload.as_ref(), TAG_DEFAULT, |s| {
-            let mut opts = RunOptions::new(threads, s);
-            opts.cm = cm;
-            opts
+        let runs = ab.runs(TAG_DEFAULT, |mut o| {
+            o.cm = cm;
+            o
         });
-        push(format!("{cm:?}"), &runs);
+        ab.compare(format!("{cm:?}"), &runs);
     }
-    pipe.progress().report(&format!("ablate-cm: {name} guided"));
-    let trained = pipe.trained_stamp(name, threads);
-    let tag = guided_tag(&trained, DEFAULT_K, cfg.tfactor);
-    let guided = pipe.measured_runs(&wkey, workload.as_ref(), &tag, |s| {
-        RunOptions::new(threads, s).with_policy(PolicyChoice::guided(Arc::clone(&trained.model)))
-    });
-    push("Guided".into(), &guided);
-    format!(
-        "== Ablation: contention managers vs guidance on {name}, {threads} threads ==\n{}",
-        t.render()
-    )
+    ab.progress("guided");
+    let runs = ab.guided(&ab.trained(), DEFAULT_K, pipe.cfg().tfactor, |o| o);
+    ab.compare("Guided".into(), &runs);
+    ab.render("contention managers vs guidance")
 }
 
 /// Detection-mode ablation (§II: "demonstration of guided execution on
 /// eager detection mechanism is easily implied by the testimony on lazy
 /// conflict detection"): run default and guided under both commit-time and
-/// encounter-time locking and compare abort profiles and variance.
+/// encounter-time locking and compare abort profiles and variance against
+/// lazy (commit-time) default STM.
 pub fn ablate_detection(pipe: &Pipeline<'_>, name: &'static str) -> String {
     use gstm_core::Detection;
-    let cfg = pipe.cfg();
-    let threads = cfg.threads_list[0];
-    let workload = benchmark(name, cfg.test_size).expect("known benchmark");
-    let wkey = format!("stamp:{name}:{}", cfg.test_size);
-    let trained = pipe.trained_stamp(name, threads);
-    let guided = guided_tag(&trained, DEFAULT_K, cfg.tfactor);
-    let mut t = TextTable::new(vec![
-        "Detection".into(),
-        "policy".into(),
-        "abort ratio".into(),
-        "mean variance improvement".into(),
-        "slowdown vs lazy default (x)".into(),
-    ]);
-    let run_set = |detection: Detection, policy: PolicyChoice, tag: &str| {
-        pipe.measured_runs(&wkey, workload.as_ref(), tag, |s| {
-            let mut opts = RunOptions::new(threads, s).with_policy(policy.clone());
-            opts.detection = Some(detection);
-            opts
-        })
+    let detect = |detection: Detection| {
+        move |mut o: RunOptions| {
+            o.detection = Some(detection);
+            o
+        }
     };
-    pipe.progress().report(&format!("ablate-detection: {name} lazy default"));
-    let lazy_default = run_set(Detection::CommitTime, PolicyChoice::Default, TAG_DEFAULT);
-    let base_time = mean_makespan(&lazy_default);
+    let columns = [
+        "Detection",
+        "policy",
+        "abort ratio",
+        "mean variance improvement",
+        "slowdown vs lazy default (x)",
+    ];
+    let mut ab = Ablation::new(pipe, name, &columns, detect(Detection::CommitTime));
+    let trained = ab.trained();
     for detection in [Detection::CommitTime, Detection::EncounterTime] {
-        for is_guided in [false, true] {
-            let label = if is_guided { "guided" } else { "default" };
-            pipe.progress().report(&format!("ablate-detection: {name} {detection:?} {label}"));
-            let runs = if matches!(detection, Detection::CommitTime) && !is_guided {
-                lazy_default.clone()
-            } else if is_guided {
-                run_set(detection, PolicyChoice::guided(Arc::clone(&trained.model)), &guided)
-            } else {
-                run_set(detection, PolicyChoice::Default, TAG_DEFAULT)
+        for label in ["default", "guided"] {
+            ab.progress(&format!("{detection:?} {label}"));
+            let runs = match (detection, label) {
+                (Detection::CommitTime, "default") => ab.baseline.clone(),
+                (_, "default") => ab.runs(TAG_DEFAULT, detect(detection)),
+                _ => ab.guided(&trained, DEFAULT_K, pipe.cfg().tfactor, detect(detection)),
             };
             let ar = crate::metrics::mean_abort_ratio(&runs);
-            let imp = mean(&per_thread_improvement(&lazy_default, &runs));
-            let s = slowdown(base_time, mean_makespan(&runs));
-            t.row(vec![
+            let row = vec![
                 format!("{detection:?}"),
                 label.into(),
                 format!("{ar:.3}"),
-                format!("{imp:+.1}%"),
-                format!("{s:.2}x"),
-            ]);
+                ab.improvement(&runs),
+                ab.slowdown(&runs),
+            ];
+            ab.table.row(row);
         }
     }
-    format!(
-        "== Ablation: detection mode x guidance on {name}, {threads} threads ==\n{}",
-        t.render()
-    )
+    ab.render("detection mode x guidance")
 }
 
 /// Policy spectrum: default vs the paper's dismissed local prioritization
@@ -197,46 +218,23 @@ pub fn ablate_detection(pipe: &Pipeline<'_>, name: &'static str) -> String {
 /// non-determinism and throughput cost of each point on the
 /// speculation/repeatability spectrum.
 pub fn ablate_policy(pipe: &Pipeline<'_>, name: &'static str) -> String {
-    let cfg = pipe.cfg();
-    let threads = cfg.threads_list[0];
-    let workload = benchmark(name, cfg.test_size).expect("known benchmark");
-    let wkey = format!("stamp:{name}:{}", cfg.test_size);
-    let baseline =
-        pipe.measured_runs(&wkey, workload.as_ref(), TAG_DEFAULT, |s| RunOptions::new(threads, s));
-    let mut t = TextTable::new(vec![
-        "Policy".into(),
-        "mean variance improvement".into(),
-        "nondeterminism reduction".into(),
-        "slowdown (x)".into(),
-    ]);
-    let mut measure = |label: &str, policy: PolicyChoice, tag: &str| {
-        pipe.progress().report(&format!("ablate-policy: {name} {label}"));
-        let runs = pipe.measured_runs(&wkey, workload.as_ref(), tag, |s| {
-            RunOptions::new(threads, s).with_policy(policy.clone())
-        });
-        let imp = mean(&per_thread_improvement(&baseline, &runs));
-        let nd = percent_reduction(mean_nondeterminism(&baseline), mean_nondeterminism(&runs));
-        let s = slowdown(mean_makespan(&baseline), mean_makespan(&runs));
-        t.row(vec![
-            label.to_string(),
-            format!("{imp:+.1}%"),
-            format!("{nd:+.1}%"),
-            format!("{s:.2}x"),
-        ]);
-    };
-    measure(
-        "bounded-aborts(3)",
-        PolicyChoice::BoundedAborts { limit: 3 },
-        "policy=bounded-aborts;limit=3",
-    );
-    measure("deterministic", PolicyChoice::Deterministic, "policy=deterministic");
-    let trained = pipe.trained_stamp(name, threads);
-    let tag = guided_tag(&trained, DEFAULT_K, cfg.tfactor);
-    measure("guided", PolicyChoice::guided(Arc::clone(&trained.model)), &tag);
-    format!(
-        "== Ablation: admission-policy spectrum on {name}, {threads} threads ==\n{}",
-        t.render()
-    )
+    let mut ab = Ablation::new(pipe, name, &compared("Policy"), |o| o);
+    for (label, policy, tag) in [
+        (
+            "bounded-aborts(3)",
+            PolicyChoice::BoundedAborts { limit: 3 },
+            "policy=bounded-aborts;limit=3",
+        ),
+        ("deterministic", PolicyChoice::Deterministic, "policy=deterministic"),
+    ] {
+        ab.progress(label);
+        let runs = ab.runs(tag, |o| o.with_policy(policy.clone()));
+        ab.compare(label.into(), &runs);
+    }
+    ab.progress("guided");
+    let runs = ab.guided(&ab.trained(), DEFAULT_K, pipe.cfg().tfactor, |o| o);
+    ab.compare("guided".into(), &runs);
+    ab.render("admission-policy spectrum")
 }
 
 /// Training-size ablation (the paper's "medium sized training set is not
@@ -244,37 +242,24 @@ pub fn ablate_policy(pipe: &Pipeline<'_>, name: &'static str) -> String {
 /// with the training input.
 pub fn ablate_train(pipe: &Pipeline<'_>, name: &'static str) -> String {
     use gstm_stamp::InputSize;
-    let cfg = pipe.cfg();
-    let threads = cfg.threads_list[0];
-    let workload = benchmark(name, cfg.test_size).expect("known benchmark");
-    let wkey = format!("stamp:{name}:{}", cfg.test_size);
-    let mut t = TextTable::new(vec![
-        "Training size".into(),
-        "model states".into(),
-        "unknown-state rate".into(),
-        "mean variance improvement".into(),
-    ]);
-    let default_runs =
-        pipe.measured_runs(&wkey, workload.as_ref(), TAG_DEFAULT, |s| RunOptions::new(threads, s));
+    let columns =
+        ["Training size", "model states", "unknown-state rate", "mean variance improvement"];
+    let mut ab = Ablation::new(pipe, name, &columns, |o| o);
     for size in [InputSize::Small, InputSize::Medium] {
-        pipe.progress().report(&format!("ablate-train: {name} trained on {size}"));
-        let mut sweep = cfg.clone();
+        ab.progress(&format!("trained on {size}"));
+        let mut sweep = pipe.cfg().clone();
         sweep.train_size = size;
-        let trained = pipe.trained_stamp_with(&sweep, name, threads);
-        let tag = guided_tag(&trained, DEFAULT_K, cfg.tfactor);
-        let guided_runs = pipe.measured_runs(&wkey, workload.as_ref(), &tag, |s| {
-            RunOptions::new(threads, s)
-                .with_policy(PolicyChoice::guided(Arc::clone(&trained.model)))
-        });
-        let unknown: f64 = guided_runs.iter().map(|r| r.unknown_hits as f64).sum::<f64>()
-            / guided_runs.iter().map(|r| r.total_commits() as f64).sum::<f64>().max(1.0);
-        let imp = mean(&per_thread_improvement(&default_runs, &guided_runs));
-        t.row(vec![
+        let trained = pipe.trained_stamp_with(&sweep, name, ab.threads);
+        let runs = ab.guided(&trained, DEFAULT_K, pipe.cfg().tfactor, |o| o);
+        let unknown: f64 = runs.iter().map(|r| r.unknown_hits as f64).sum::<f64>()
+            / runs.iter().map(|r| r.total_commits() as f64).sum::<f64>().max(1.0);
+        let row = vec![
             size.to_string(),
             trained.tsa.state_count().to_string(),
             format!("{:.1}%", unknown * 100.0),
-            format!("{imp:+.1}%"),
-        ]);
+            ab.improvement(&runs),
+        ];
+        ab.table.row(row);
     }
-    format!("== Ablation: training-input size on {name}, {threads} threads ==\n{}", t.render())
+    ab.render("training-input size")
 }

@@ -30,9 +30,8 @@ use gstm_model::{analyze_with, TsaBuilder, Tts};
 use gstm_serve::{Drift, ServeSpec, ServeWorkload};
 use gstm_stats::{percent_change, TextTable};
 
-use crate::metrics::mean_stat;
 use crate::pipeline::{guided_tag, Pipeline, TAG_DEFAULT};
-use crate::servecmd::{shed_pct, stat_cov_pct, throughput};
+use crate::servecmd::{latency_row, stat_cov_pct, throughput, LATENCY_COLUMNS};
 
 /// The Zipf exponent the run *starts* at (and the static model trains
 /// on): mild skew, little contention, few abort-carrying states for a
@@ -125,9 +124,9 @@ fn uniform_candidate() -> gstm_model::Tsa {
 }
 
 /// Runs the adaptive study and renders its report. The second element is
-/// the merged run telemetry of every arm (the adaptive loop gauges ride
-/// in it), for the CLI's `--metrics` snapshot.
-pub fn serve_adaptive_report(pipe: &Pipeline<'_>) -> (String, Option<gstm_telemetry::Snapshot>) {
+/// every arm's runs (the adaptive loop gauges ride in their telemetry), for
+/// the CLI's `--metrics` snapshot.
+pub fn serve_adaptive_report(pipe: &Pipeline<'_>) -> (String, Vec<RunOutcome>) {
     let cfg = pipe.cfg();
     let threads = cfg.threads_list[0];
     let spec = adaptive_spec(cfg);
@@ -184,24 +183,14 @@ pub fn serve_adaptive_report(pipe: &Pipeline<'_>) -> (String, Option<gstm_teleme
         trained.tsa.state_count(),
     );
     let mut t = TextTable::new(
-        ["policy", "p50", "p95", "p99", "p99 CoV%", "thru/ktick", "shed%"]
-            .map(String::from)
-            .to_vec(),
+        std::iter::once("policy").chain(LATENCY_COLUMNS).map(String::from).collect(),
     );
     for (policy, runs) in [
         ("default", &default_runs),
         ("guided-static", &static_runs),
         ("guided-adaptive", &adaptive_runs),
     ] {
-        t.row(vec![
-            policy.into(),
-            format!("{:.0}", mean_stat(runs, "sojourn_p50")),
-            format!("{:.0}", mean_stat(runs, "sojourn_p95")),
-            format!("{:.0}", mean_stat(runs, "sojourn_p99")),
-            format!("{:.1}", stat_cov_pct(runs, "sojourn_p99")),
-            format!("{:.2}", throughput(runs)),
-            format!("{:.1}", shed_pct(runs)),
-        ]);
+        t.row(std::iter::once(policy.to_string()).chain(latency_row(runs)).collect());
     }
     t.render_to(&mut out).expect("writing to a String cannot fail");
 
@@ -236,10 +225,7 @@ pub fn serve_adaptive_report(pipe: &Pipeline<'_>) -> (String, Option<gstm_teleme
         "the gate must reject a near-uniform candidate, got: {verdict}"
     );
     out.push_str(&format!("gate negative control: near-uniform candidate -> {verdict}\n"));
-    let telemetry = crate::study::merge_run_telemetry(
-        default_runs.iter().chain(static_runs.iter()).chain(adaptive_runs.iter()),
-    );
-    (out, telemetry)
+    (out, [default_runs, static_runs, adaptive_runs].concat())
 }
 
 #[cfg(test)]

@@ -14,15 +14,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gstm_check::check_history;
-use gstm_core::cm::{Aggressive, ContentionManager, Greedy, Karma, Polite};
 use gstm_core::rng::SmallRng;
 use gstm_core::{
     AdmitAll, Detection, MemorySink, Resolution, Stm, StmConfig, TVar, ThreadId, TxId, VarIdDomain,
 };
+use gstm_guide::CmChoice;
 use gstm_sim::{ChaosConfig, ChaosGate, SimConfig, SimMachine};
 
 use crate::pipeline::Pipeline;
-use crate::progress::Progress;
 
 /// Knobs of one chaos-matrix invocation.
 #[derive(Clone, Copy, Debug)]
@@ -57,7 +56,7 @@ impl CheckOptions {
 struct CellSpec {
     detection: Detection,
     resolution: Resolution,
-    cm: &'static str,
+    cm: CmChoice,
 }
 
 impl CellSpec {
@@ -71,28 +70,39 @@ impl CellSpec {
             Resolution::AbortReaders => "abort-readers",
             Resolution::WaitForReaders => "wait-for-readers",
         };
-        format!("{d}/{r}/{}", self.cm)
-    }
-
-    fn build_cm(&self, threads: usize) -> Arc<dyn ContentionManager> {
-        match self.cm {
-            "polite" => Arc::new(Polite::default()),
-            "karma" => Arc::new(Karma::new(threads, 8)),
-            "greedy" => Arc::new(Greedy::new(threads, 8)),
-            _ => Arc::new(Aggressive),
-        }
+        format!("{d}/{r}/{}", cm_label(self.cm))
     }
 }
 
+/// The contention-manager axis of the check and recover matrices: two
+/// managers for the CI smoke, all four otherwise.
+pub(crate) fn cm_axis(tiny: bool) -> &'static [CmChoice] {
+    use CmChoice::{Aggressive, Greedy, Karma, Polite};
+    if tiny {
+        &[Aggressive, Karma]
+    } else {
+        &[Aggressive, Polite, Karma, Greedy]
+    }
+}
+
+/// A contention manager as a matrix label spells it: lowercase.
+pub(crate) fn cm_label(cm: CmChoice) -> String {
+    format!("{cm:?}").to_lowercase()
+}
+
+/// The chaos seed of the cell labelled `label` under `seed`, so every cell
+/// perturbs differently under one base seed.
+pub(crate) fn cell_seed(seed: u64, label: &str) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(label.bytes().map(u64::from).sum::<u64>())
+}
+
 fn matrix(tiny: bool) -> Vec<CellSpec> {
-    let cms: &[&'static str] =
-        if tiny { &["aggressive", "karma"] } else { &["aggressive", "polite", "karma", "greedy"] };
     let mut cells = Vec::new();
     for detection in [Detection::CommitTime, Detection::EncounterTime] {
         for resolution in
             [Resolution::SelfAbort, Resolution::AbortReaders, Resolution::WaitForReaders]
         {
-            for &cm in cms {
+            for &cm in cm_axis(tiny) {
                 cells.push(CellSpec { detection, resolution, cm });
             }
         }
@@ -120,10 +130,7 @@ fn run_cell(spec: CellSpec, opts: &CheckOptions) -> CellOutcome {
     drop(guard);
     let total: i64 = 100 * opts.accounts as i64;
 
-    let cell_seed = opts
-        .seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(spec.label().bytes().map(u64::from).sum::<u64>());
+    let cell_seed = cell_seed(opts.seed, &spec.label());
     let machine = SimMachine::new(SimConfig::new(threads, opts.seed));
     let chaos = Arc::new(ChaosGate::new(ChaosConfig::new(cell_seed), machine.gate(), threads));
     let sink = Arc::new(MemorySink::new());
@@ -137,7 +144,7 @@ fn run_cell(spec: CellSpec, opts: &CheckOptions) -> CellOutcome {
         chaos.clone() as Arc<dyn gstm_core::Gate>,
         sink.clone(),
         Arc::new(AdmitAll),
-        spec.build_cm(threads),
+        spec.cm.build(threads),
     ));
     chaos.arm(stm.doom_handle());
 
@@ -228,13 +235,9 @@ fn run_cell(spec: CellSpec, opts: &CheckOptions) -> CellOutcome {
 
 /// Runs the whole matrix, fanning cells out over the pipeline's worker
 /// pool. Returns the rendered report and whether every cell passed.
-pub fn run_matrix(
-    opts: &CheckOptions,
-    pipe: &Pipeline<'_>,
-    progress: &dyn Progress,
-) -> (String, bool) {
+pub fn run_matrix(opts: &CheckOptions, pipe: &Pipeline<'_>) -> (String, bool) {
     let cells = matrix(opts.tiny);
-    progress.report(&format!(
+    pipe.progress().report(&format!(
         "chaos matrix: {} cells, {} threads x {} ops, seed {}",
         cells.len(),
         opts.threads,

@@ -16,6 +16,8 @@
 //!                               serve_adaptive.txt)
 //!   all        (everything above)
 //!   cell --bench NAME          (one STAMP cell; deterministic summary — CI smoke)
+//!   sites --bench NAME         (per-site commit/abort statistics of one STAMP
+//!                               benchmark from captured runs)
 //!   ablate-tfactor | ablate-k | ablate-cm | ablate-train | ablate-policy | ablate-detection
 //!   train-model --bench NAME   (profile + build + save results/NAME-<threads>t.gtsa)
 //!   inspect-model FILE         (analyzer report + hottest states of a saved model)
@@ -50,13 +52,18 @@
 //!
 //! Output is printed and archived under `results/`.
 
-use gstm_experiments::ablation;
+use std::path::Path;
+use std::sync::atomic::Ordering;
+
 use gstm_experiments::cache::DiskCache;
+use gstm_experiments::checkcmd::CheckOptions;
 use gstm_experiments::config::ExpConfig;
-use gstm_experiments::pipeline::{Pipeline, StudyPlan};
+use gstm_experiments::pipeline::{Pipeline, StudyPlan, StudyResult};
 use gstm_experiments::progress::{Progress, StderrProgress};
-use gstm_experiments::report;
-use gstm_experiments::study::StampCell;
+use gstm_experiments::recovercmd::RecoverOptions;
+use gstm_experiments::study::{merge_run_telemetry, Cell};
+use gstm_experiments::{ablation, report};
+use gstm_guide::RunOutcome;
 use gstm_synquake::Quest;
 
 fn usage() -> ! {
@@ -92,12 +99,13 @@ fn flag_number<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     })
 }
 
-/// Archives one result body as `<out_dir>/<id>.txt`. `scripts/ci.sh` diffs
-/// these files against the committed tables, so a failed write exits 1
-/// instead of letting the stale committed copy pass.
-fn write_result(out_dir: &std::path::Path, id: &str, body: &str) {
-    let path = out_dir.join(format!("{id}.txt"));
-    if let Err(e) = std::fs::create_dir_all(out_dir).and_then(|()| std::fs::write(&path, body)) {
+/// Writes one result file (a `<out_dir>/<id>.txt` body or a saved model),
+/// creating its directory. `scripts/ci.sh` diffs result files against the
+/// committed tables, so a failed write exits 1 instead of letting the stale
+/// committed copy pass.
+fn write_file(path: &Path, bytes: &[u8]) {
+    let dir = path.parent().unwrap_or(Path::new(""));
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, bytes)) {
         eprintln!("cannot write {}: {e}", path.display());
         std::process::exit(1);
     }
@@ -169,85 +177,15 @@ fn run_block_smoke(args: &[String]) -> ! {
     std::process::exit(1);
 }
 
-/// `check`: the fault-injected chaos matrix judged by the opacity oracle.
-/// Prints the per-cell report, archives it to `results/check.txt`, and
-/// exits nonzero if any cell saw a violation (or the history was vacuous).
-fn run_check(args: &[String]) -> ! {
-    let seed: u64 = flag_number(args, "--seed").unwrap_or(7);
-    let mut opts = if args.iter().any(|a| a == "--tiny") {
-        gstm_experiments::checkcmd::CheckOptions::tiny(seed)
-    } else {
-        gstm_experiments::checkcmd::CheckOptions::new(seed)
-    };
-    if let Some(t) = flag_number::<usize>(args, "--threads") {
-        opts.threads = t.max(2);
-    }
-    if let Some(o) = flag_number(args, "--ops") {
-        opts.ops_per_thread = o;
-    }
-    // The matrix needs only the pipeline's worker pool; the tiny study
-    // config supplies the pool defaults (jobs, results dir).
-    let mut cfg = ExpConfig::tiny();
-    if let Some(jobs) = flag_number::<usize>(args, "--jobs") {
-        cfg.jobs = jobs.max(1);
-    }
-    let progress = StderrProgress::new();
-    let pipe = Pipeline::new(&cfg, &progress).with_jobs(cfg.jobs);
-    let (body, ok) = gstm_experiments::checkcmd::run_matrix(&opts, &pipe, &progress);
-    write_result(&cfg.out_dir, "check", &body);
-    println!("{body}");
-    std::process::exit(i32::from(!ok));
-}
-
-/// `recover`: the kill-and-recover matrix over WAL crash points, storage
-/// backends and contention managers. Prints the per-cell report, archives
-/// it to `results/recover.txt`, and exits nonzero if any cell's recovered
-/// store diverged from the serial history (or injection was vacuous).
-fn run_recover(args: &[String]) -> ! {
-    let seed: u64 = flag_number(args, "--seed").unwrap_or(7);
-    let mut opts = if args.iter().any(|a| a == "--tiny") {
-        gstm_experiments::recovercmd::RecoverOptions::tiny(seed)
-    } else {
-        gstm_experiments::recovercmd::RecoverOptions::new(seed)
-    };
-    if let Some(t) = flag_number::<usize>(args, "--threads") {
-        opts.threads = t.max(2);
-    }
-    if let Some(r) = flag_number::<usize>(args, "--requests") {
-        opts.requests_per_thread = r.max(1);
-    }
-    // The matrix uses the pipeline's worker pool and its text cache; the
-    // tiny study config supplies the pool defaults (jobs, results dir).
-    let mut cfg = ExpConfig::tiny();
-    if let Some(jobs) = flag_number::<usize>(args, "--jobs") {
-        cfg.jobs = jobs.max(1);
-    }
-    if args.iter().any(|a| a == "--no-cache") {
-        cfg.cache_dir = None;
-    } else if let Some(dir) = flag_value(args, "--cache-dir") {
-        cfg.cache_dir = Some(std::path::PathBuf::from(dir));
-    }
-    let progress = StderrProgress::new();
-    let mut pipe = Pipeline::new(&cfg, &progress).with_jobs(cfg.jobs);
-    if let Some(dir) = &cfg.cache_dir {
-        pipe = pipe.with_cache(DiskCache::new(dir.clone()));
-    }
-    let (body, ok) = gstm_experiments::recovercmd::run_matrix(&opts, &pipe, &progress);
-    write_result(&cfg.out_dir, "recover", &body);
-    progress.report(&pipe.gauges().summary());
-    println!("{body}");
-    std::process::exit(i32::from(!ok));
-}
-
 /// Deterministic per-seed summary of one STAMP cell — the `cell` command's
 /// output, diffed byte-for-byte by the CI pipeline smoke (jobs/cache
 /// invariance).
-fn render_cell(cfg: &ExpConfig, cell: &StampCell) -> String {
+fn render_cell(cfg: &ExpConfig, cell: &Cell<&str>) -> String {
     use gstm_experiments::metrics::per_thread_improvement;
     use gstm_stats::mean;
     let mut body = format!(
         "== Cell: {} @ {} threads ({} seeds) ==\n",
-        cell.name,
+        cell.workload,
         cell.threads,
         cfg.test_seeds.len()
     );
@@ -276,13 +214,6 @@ fn main() {
         usage();
     }
     let command = args[0].as_str();
-    // These paths never touch the study machinery.
-    match command {
-        "block-smoke" => run_block_smoke(&args[1..]),
-        "check" => run_check(&args[1..]),
-        "recover" => run_recover(&args[1..]),
-        _ => {}
-    }
     let fast = args.iter().any(|a| a == "--fast");
     let tiny = args.iter().any(|a| a == "--tiny");
     let no_cache = args.iter().any(|a| a == "--no-cache");
@@ -366,17 +297,20 @@ fn main() {
     let threads_a = cfg.threads_list[0];
     let threads_b = *cfg.threads_list.last().expect("nonempty threads list");
     // serve-adaptive drives the pipeline directly rather than through the
-    // study plan; its merged run telemetry is captured here for --metrics.
-    let mut adaptive_snap: Option<gstm_telemetry::Snapshot> = None;
+    // study plan; its runs are kept here for --metrics.
+    let mut adaptive_runs: Vec<RunOutcome> = Vec::new();
+    // check and recover exit 1 after reporting a violation.
+    let mut passed = true;
 
     let out_dir = cfg.out_dir.clone();
     let mut emit = |id: &str, body: String| {
         // Flush incrementally so long sweeps leave results behind even if
         // interrupted.
-        write_result(&out_dir, id, &body);
+        write_file(&out_dir.join(format!("{id}.txt")), body.as_bytes());
         outputs.push((id.to_string(), body));
     };
     match command {
+        "block-smoke" => run_block_smoke(&args[1..]),
         "table2" => emit("table2", report::table2(&cfg)),
         "table1" => emit("table1", report::table1(&cfg, stamp.unwrap())),
         "table3" => emit("table3", report::table3(&cfg, stamp.unwrap())),
@@ -401,9 +335,39 @@ fn main() {
         ),
         "serve" => emit("serve", gstm_experiments::servecmd::render_serve(&cfg, serve.unwrap())),
         "serve-adaptive" => {
-            let (body, snap) = gstm_experiments::adaptcmd::serve_adaptive_report(&pipe);
-            adaptive_snap = snap;
+            let (body, runs) = gstm_experiments::adaptcmd::serve_adaptive_report(&pipe);
+            adaptive_runs = runs;
             emit("serve_adaptive", body);
+        }
+        "check" => {
+            // The fault-injected chaos matrix judged by the opacity oracle.
+            let seed = flag_number(&args, "--seed").unwrap_or(7);
+            let mut opts = if tiny { CheckOptions::tiny(seed) } else { CheckOptions::new(seed) };
+            if let Some(t) = flag_number::<usize>(&args, "--threads") {
+                opts.threads = t.max(2);
+            }
+            if let Some(o) = flag_number(&args, "--ops") {
+                opts.ops_per_thread = o;
+            }
+            let (body, ok) = gstm_experiments::checkcmd::run_matrix(&opts, &pipe);
+            passed = ok;
+            emit("check", body);
+        }
+        "recover" => {
+            // The kill-and-recover matrix over WAL crash points, storage
+            // backends and contention managers.
+            let seed = flag_number(&args, "--seed").unwrap_or(7);
+            let mut opts =
+                if tiny { RecoverOptions::tiny(seed) } else { RecoverOptions::new(seed) };
+            if let Some(t) = flag_number::<usize>(&args, "--threads") {
+                opts.threads = t.max(2);
+            }
+            if let Some(r) = flag_number::<usize>(&args, "--requests") {
+                opts.requests_per_thread = r.max(1);
+            }
+            let (body, ok) = gstm_experiments::recovercmd::run_matrix(&opts, &pipe);
+            passed = ok;
+            emit("recover", body);
         }
         "cell" => {
             let study = stamp.expect("cell was planned");
@@ -448,9 +412,9 @@ fn main() {
             let threads = cfg.threads_list[0];
             progress.report(&format!("training {bench_name} at {threads} threads"));
             let trained = pipe.trained_stamp(bench_name, threads);
-            std::fs::create_dir_all(&cfg.out_dir).expect("create results dir");
             let path = cfg.out_dir.join(format!("{bench_name}-{threads}t.gtsa"));
-            gstm_model::serialize::save(&trained.tsa, &path).expect("save model");
+            let bytes = gstm_model::serialize::to_bytes(&trained.tsa);
+            write_file(&path, &bytes);
             emit(
                 "train-model",
                 format!(
@@ -458,7 +422,7 @@ fn main() {
                     path.display(),
                     trained.tsa.state_count(),
                     trained.tsa.edge_count(),
-                    std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0),
+                    bytes.len(),
                     trained.analysis,
                 ),
             );
@@ -489,8 +453,10 @@ fn main() {
         }
         "inspect-model" => {
             let path = args.get(1).unwrap_or_else(|| usage());
-            let tsa =
-                gstm_model::serialize::load(std::path::Path::new(path)).expect("load model file");
+            let tsa = gstm_model::serialize::load(Path::new(path)).unwrap_or_else(|e| {
+                eprintln!("cannot read model {path}: {e}");
+                std::process::exit(1);
+            });
             let analysis = gstm_model::analyze(&tsa, cfg.tfactor);
             let mut body = format!("{}\nanalysis: {analysis}\nhottest states:\n", path);
             let mut by_heat: Vec<_> = tsa
@@ -508,21 +474,10 @@ fn main() {
     }
 
     if let Some(path) = &metrics_path {
-        use gstm_experiments::study::{merge_run_telemetry, quake_runs, serve_runs, stamp_runs};
         use gstm_telemetry::Snapshot;
-        let stamp_snap = stamp.and_then(|s| merge_run_telemetry(stamp_runs(s)));
-        let quake_snap = quake.and_then(|q| merge_run_telemetry(quake_runs(q)));
-        let serve_snap = serve.and_then(|s| merge_run_telemetry(serve_runs(s)));
-        let mut merged: Option<Snapshot> = None;
-        for snap in
-            [stamp_snap, quake_snap, serve_snap, adaptive_snap.clone()].into_iter().flatten()
-        {
-            match &mut merged {
-                Some(m) => m.merge(&snap),
-                None => merged = Some(snap),
-            }
-        }
-        if result.is_some() || adaptive_snap.is_some() {
+        let runs = result.iter().flat_map(StudyResult::runs).chain(&adaptive_runs);
+        let mut merged = merge_run_telemetry(runs);
+        if result.is_some() || !adaptive_runs.is_empty() {
             // The pipeline's cache gauges ride along with the run telemetry.
             merged.get_or_insert_with(Snapshot::new).merge(&pipe.gauges().snapshot());
         }
@@ -553,10 +508,12 @@ fn main() {
     for (_, body) in &outputs {
         println!("{body}");
     }
-    // serve-adaptive drives the pipeline directly rather than through the
-    // study plan, so its cache traffic must be reported too.
-    if result.is_some() || command == "serve-adaptive" {
-        progress.report(&pipe.gauges().summary());
+    let g = pipe.gauges();
+    if [&g.model_hits, &g.model_misses, &g.run_hits, &g.run_misses]
+        .iter()
+        .any(|c| c.load(Ordering::Relaxed) > 0)
+    {
+        progress.report(&g.summary());
     }
     eprintln!(
         "[{:7.1}s] wrote {} result file(s) to {}",
@@ -564,4 +521,7 @@ fn main() {
         outputs.len(),
         cfg.out_dir.display()
     );
+    if !passed {
+        std::process::exit(1);
+    }
 }

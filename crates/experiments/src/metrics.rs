@@ -69,13 +69,15 @@ pub fn mean_abort_ratio(runs: &[RunOutcome]) -> f64 {
     mean(&runs.iter().map(RunOutcome::abort_ratio).collect::<Vec<_>>())
 }
 
-/// Mean of a named workload stat across runs (0 when absent).
+/// A named workload stat of one run, if the run reported it.
+pub(crate) fn stat(run: &RunOutcome, key: &str) -> Option<f64> {
+    run.workload_stats.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+}
+
+/// Mean of a named workload stat across the runs that reported it (0 when
+/// none did).
 pub fn mean_stat(runs: &[RunOutcome], key: &str) -> f64 {
-    let xs: Vec<f64> = runs
-        .iter()
-        .filter_map(|r| r.workload_stats.iter().find(|(k, _)| k == key).map(|(_, v)| *v))
-        .collect();
-    mean(&xs)
+    mean(&runs.iter().filter_map(|r| stat(r, key)).collect::<Vec<_>>())
 }
 
 /// Renders a sparse abort histogram as the artifact does:

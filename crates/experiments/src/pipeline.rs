@@ -2,9 +2,10 @@
 //! cache, and a bounded worker pool.
 //!
 //! A [`StudyPlan`] *declares* what to measure — (benchmark, threads) cells
-//! for STAMP and thread counts for SynQuake — and [`Pipeline::resolve`]
-//! produces the same [`StampStudy`]/[`QuakeStudy`] values the old ad-hoc
-//! runners built, with three properties they lacked:
+//! for STAMP, thread counts for SynQuake and (shape, arrival, threads)
+//! cells for serve — and [`Pipeline::resolve`] measures every cell the same
+//! way (one model, a default and a guided arm over the test seeds) into a
+//! [`StudyResult`], with three properties ad-hoc runners lack:
 //!
 //! 1. **Sharing** — trained models are memoized in-process and persisted in
 //!    the content-addressed [`DiskCache`], so `table1`, `table3`, `fig4`
@@ -28,6 +29,7 @@ use std::time::Instant;
 use gstm_guide::{PolicyChoice, RunOptions, RunOutcome, TrainedModel, Workload, DEFAULT_K};
 use gstm_model::serialize::tsa_digest;
 use gstm_model::{analyze, GuidedModel};
+use gstm_serve::ServeWorkload;
 use gstm_stamp::benchmark;
 use gstm_synquake::{Quest, SynQuake};
 use gstm_telemetry::PipelineGauges;
@@ -37,8 +39,7 @@ use crate::config::ExpConfig;
 use crate::progress::Progress;
 use crate::servecmd::{serve_spec, SERVE_ARRIVALS, SERVE_SHAPES};
 use crate::study::{
-    train_quake, train_serve, train_stamp, QuakeCell, QuakeStudy, ServeCell, ServeStudy, StampCell,
-    StampStudy,
+    train_quake, train_serve, train_stamp, Cell, QuakeStudy, ServeStudy, StampStudy,
 };
 
 /// A declarative description of which study cells to measure.
@@ -134,8 +135,8 @@ impl StudyPlan {
     }
 }
 
-/// What [`Pipeline::resolve`] produces: both study halves, either possibly
-/// empty depending on the plan.
+/// What [`Pipeline::resolve`] produces: all three studies, any of them
+/// possibly empty depending on the plan.
 #[derive(Debug, Default)]
 pub struct StudyResult {
     /// The STAMP half (empty if the plan declared no stamp cells).
@@ -144,6 +145,13 @@ pub struct StudyResult {
     pub quake: QuakeStudy,
     /// The serve (tail-latency) study (empty if no serve cells).
     pub serve: ServeStudy,
+}
+
+impl StudyResult {
+    /// Every measured run of the three studies.
+    pub fn runs(&self) -> impl Iterator<Item = &RunOutcome> {
+        self.stamp.runs().chain(self.quake.runs()).chain(self.serve.runs())
+    }
 }
 
 /// Canonical policy tag of an unguided (default-STM) run.
@@ -283,6 +291,7 @@ impl<'a> Pipeline<'a> {
             }
         }
         PipelineGauges::add(&self.gauges.model_misses, 1);
+        self.progress.report(&format!("{what}: training"));
         let t0 = Instant::now();
         let trained = train();
         PipelineGauges::add(&self.gauges.train_wall_ms, t0.elapsed().as_millis() as u64);
@@ -425,90 +434,27 @@ impl<'a> Pipeline<'a> {
         })
     }
 
-    /// Resolves one STAMP cell: shared training pass, then default and
-    /// guided runs over every test seed.
-    pub fn stamp_cell(&self, name: &'static str, threads: usize) -> StampCell {
-        let cfg = self.cfg;
-        let t0 = Instant::now();
-        self.progress.report(&format!(
-            "{name}/{threads}t: training on {} ({} seeds)",
-            cfg.train_size,
-            cfg.train_seeds.len()
-        ));
-        let trained = self.trained_stamp(name, threads);
-        let workload =
-            benchmark(name, cfg.test_size).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-        let wkey = format!("stamp:{name}:{}", cfg.test_size);
-        let measured = |opts: RunOptions| if cfg.telemetry { opts.with_telemetry() } else { opts };
-        self.progress.report(&format!("{name}/{threads}t: default runs on {}", cfg.test_size));
-        let default_runs = self.measured_runs(&wkey, workload.as_ref(), TAG_DEFAULT, |s| {
-            measured(RunOptions::new(threads, s))
-        });
-        self.progress.report(&format!("{name}/{threads}t: guided runs on {}", cfg.test_size));
-        let tag = guided_tag(&trained, DEFAULT_K, cfg.tfactor);
-        let guided_runs = self.measured_runs(&wkey, workload.as_ref(), &tag, |s| {
-            measured(
-                RunOptions::new(threads, s)
-                    .with_policy(PolicyChoice::guided(Arc::clone(&trained.model))),
-            )
-        });
-        PipelineGauges::add(&self.gauges.cells, 1);
-        PipelineGauges::add(&self.gauges.cell_wall_ms, t0.elapsed().as_millis() as u64);
-        StampCell { name, threads, trained, default_runs, guided_runs }
-    }
-
-    /// Resolves one SynQuake cell (one test quest at one thread count).
-    pub fn quake_cell(&self, quest: Quest, threads: usize) -> QuakeCell {
-        let cfg = self.cfg;
-        let t0 = Instant::now();
-        let model = self.trained_quake(threads);
-        let workload =
-            SynQuake { players: cfg.synquake_players, frames: cfg.synquake_frames.1, quest };
-        let wkey = format!(
-            "synquake:{quest}:players={};frames={}",
-            cfg.synquake_players, cfg.synquake_frames.1
-        );
-        self.progress.report(&format!("synquake/{threads}t: measuring {quest}"));
-        let measured = |opts: RunOptions| if cfg.telemetry { opts.with_telemetry() } else { opts };
-        let default_runs = self.measured_runs(&wkey, &workload, TAG_DEFAULT, |s| {
-            measured(RunOptions::new(threads, s))
-        });
-        let tag = guided_tag(&model, DEFAULT_K, cfg.tfactor);
-        let guided_runs = self.measured_runs(&wkey, &workload, &tag, |s| {
-            measured(
-                RunOptions::new(threads, s)
-                    .with_policy(PolicyChoice::guided(Arc::clone(&model.model))),
-            )
-        });
-        PipelineGauges::add(&self.gauges.cells, 1);
-        PipelineGauges::add(&self.gauges.cell_wall_ms, t0.elapsed().as_millis() as u64);
-        QuakeCell { quest, threads, default_runs, guided_runs }
-    }
-
-    /// Resolves one serve cell: shared training pass, then default and
-    /// guided runs over every test seed.
-    pub fn serve_cell(
+    /// Measures one cell: resolves its model through `train`, then runs the
+    /// default and the guided arm over every test seed.
+    fn measure<W>(
         &self,
-        shape: &'static str,
-        arrival: &'static str,
+        workload: W,
         threads: usize,
-    ) -> ServeCell {
+        what: &str,
+        wkey: &str,
+        load: &dyn Workload,
+        train: impl FnOnce() -> TrainedModel,
+    ) -> Cell<W> {
         let cfg = self.cfg;
         let t0 = Instant::now();
-        let what = format!("serve:{shape}/{arrival}/{threads}t");
-        let spec = serve_spec(cfg, shape, arrival);
-        self.progress.report(&format!("{what}: training ({} seeds)", cfg.train_seeds.len()));
-        let trained = self.trained_serve(&what, &spec, threads);
-        let workload = gstm_serve::ServeWorkload::new(spec.clone());
-        let wkey = format!("serve:{shape}:{arrival}:{}", spec.cache_key());
+        let trained = train();
         let measured = |opts: RunOptions| if cfg.telemetry { opts.with_telemetry() } else { opts };
         self.progress.report(&format!("{what}: default runs"));
-        let default_runs = self.measured_runs(&wkey, &workload, TAG_DEFAULT, |s| {
-            measured(RunOptions::new(threads, s))
-        });
+        let default_runs =
+            self.measured_runs(wkey, load, TAG_DEFAULT, |s| measured(RunOptions::new(threads, s)));
         self.progress.report(&format!("{what}: guided runs"));
         let tag = guided_tag(&trained, DEFAULT_K, cfg.tfactor);
-        let guided_runs = self.measured_runs(&wkey, &workload, &tag, |s| {
+        let guided_runs = self.measured_runs(wkey, load, &tag, |s| {
             measured(
                 RunOptions::new(threads, s)
                     .with_policy(PolicyChoice::guided(Arc::clone(&trained.model))),
@@ -516,46 +462,69 @@ impl<'a> Pipeline<'a> {
         });
         PipelineGauges::add(&self.gauges.cells, 1);
         PipelineGauges::add(&self.gauges.cell_wall_ms, t0.elapsed().as_millis() as u64);
-        ServeCell { shape, arrival, threads, spec, default_runs, guided_runs }
+        Cell { workload, threads, trained, default_runs, guided_runs }
     }
 
     /// Resolves a whole plan. Independent cells fan out over the pool; the
-    /// result is assembled by key/index so it is identical whatever the
-    /// pool width or cache state.
+    /// result is assembled by index so it is identical whatever the pool
+    /// width or cache state.
     pub fn resolve(&self, plan: &StudyPlan) -> StudyResult {
-        let stamp_cells = self.run_indexed(plan.stamp.len(), |i| {
-            let (name, threads) = plan.stamp[i];
-            self.stamp_cell(name, threads)
-        });
-        let mut stamp = StampStudy::default();
-        for cell in stamp_cells {
-            stamp.cells.insert((cell.name.to_string(), cell.threads), cell);
-        }
+        let cfg = self.cfg;
+        let stamp = StampStudy {
+            cells: self.run_indexed(plan.stamp.len(), |i| {
+                let (name, threads) = plan.stamp[i];
+                let load = benchmark(name, cfg.test_size)
+                    .unwrap_or_else(|| panic!("unknown benchmark {name}"));
+                let wkey = format!("stamp:{name}:{}", cfg.test_size);
+                self.measure(
+                    name,
+                    threads,
+                    &format!("{name}/{threads}t"),
+                    &wkey,
+                    load.as_ref(),
+                    || self.trained_stamp(name, threads),
+                )
+            }),
+        };
 
         // Train each SynQuake thread count up front (sequentially, so two
         // cells never race to train the same model), then fan the measured
         // cells out.
-        let mut quake = QuakeStudy::default();
         for &threads in &plan.quake {
-            self.progress.report(&format!(
-                "synquake/{threads}t: training on {} + {} ({} seeds each)",
-                Quest::training()[0],
-                Quest::training()[1],
-                self.cfg.train_seeds.len()
-            ));
-            quake.trained.insert(threads, self.trained_quake(threads));
+            self.trained_quake(threads);
         }
         let pairs: Vec<(Quest, usize)> = plan
             .quake
             .iter()
             .flat_map(|&t| Quest::testing().into_iter().map(move |q| (q, t)))
             .collect();
-        quake.cells = self.run_indexed(pairs.len(), |i| self.quake_cell(pairs[i].0, pairs[i].1));
+        let (players, frames) = (cfg.synquake_players, cfg.synquake_frames.1);
+        let quake = QuakeStudy {
+            cells: self.run_indexed(pairs.len(), |i| {
+                let (quest, threads) = pairs[i];
+                let wkey = format!("synquake:{quest}:players={players};frames={frames}");
+                let load = SynQuake { players, frames, quest };
+                self.measure(
+                    quest,
+                    threads,
+                    &format!("synquake/{threads}t {quest}"),
+                    &wkey,
+                    &load,
+                    || self.trained_quake(threads),
+                )
+            }),
+        };
 
         let serve = ServeStudy {
             cells: self.run_indexed(plan.serve.len(), |i| {
                 let (shape, arrival, threads) = plan.serve[i];
-                self.serve_cell(shape, arrival, threads)
+                let what = format!("serve:{shape}/{arrival}/{threads}t");
+                let spec = serve_spec(cfg, shape, arrival);
+                let wkey = format!("serve:{shape}:{arrival}:{}", spec.cache_key());
+                let load = ServeWorkload::new(spec.clone());
+                self.measure((shape, arrival), threads, &what, &wkey, &load, || {
+                    self.trained_serve(&what, &spec, threads)
+                })
             }),
         };
         StudyResult { stamp, quake, serve }

@@ -28,24 +28,22 @@
 //! pipeline's content-addressed text cache, so warm reruns are
 //! byte-identical and count as run-cache hits.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use gstm_check::check_recovery;
-use gstm_core::cm::{Aggressive, ContentionManager, Greedy, Karma, Polite};
 use gstm_core::{
     AdmitAll, Gate, KillPoint, KillSwitch, MemorySink, Stm, StmConfig, ThreadId, VarIdDomain,
 };
+use gstm_guide::{CmChoice, WorkerEnv, WorkloadRun};
 use gstm_serve::{
-    generate_schedule, recover_store, serve_schedule, store_digest, Arrival, BackendKind,
-    DurableBackend, EphemeralBackend, GateClock, Materializer, Request, ServeSpec, ShardedStore,
-    StoreBackend, ThreadLog,
+    recover_store, store_digest, Arrival, BackendKind, DurableBackend, EphemeralBackend,
+    Materializer, Request, ServeRun, ServeSpec, ShardedStore, StoreBackend,
 };
-use gstm_sim::{ChaosConfig, ChaosGate, SimConfig, SimMachine};
+use gstm_sim::{ChaosConfig, ChaosGate, SimConfig, SimMachine, WaitBarrier};
 use gstm_wal::{LogDevice, MemDevice, Wal, WalConfig, WalError};
 
+use crate::checkcmd::{cell_seed, cm_axis, cm_label};
 use crate::pipeline::Pipeline;
-use crate::progress::Progress;
 
 /// Group-commit batch size used by every durable cell — small enough that
 /// a mid-batch tear is reachable within a tiny run.
@@ -106,28 +104,17 @@ struct CellSpec {
     /// Structural crash point, or `None` for a crash-free control run.
     point: Option<KillPoint>,
     backend: BackendKind,
-    cm: &'static str,
+    cm: CmChoice,
 }
 
 impl CellSpec {
     fn label(&self) -> String {
         let p = self.point.map_or("none", |point| point.label());
-        format!("{p}/{}/{}", self.backend.label(), self.cm)
-    }
-
-    fn build_cm(&self, threads: usize) -> Arc<dyn ContentionManager> {
-        match self.cm {
-            "polite" => Arc::new(Polite::default()),
-            "karma" => Arc::new(Karma::new(threads, 8)),
-            "greedy" => Arc::new(Greedy::new(threads, 8)),
-            _ => Arc::new(Aggressive),
-        }
+        format!("{p}/{}/{}", self.backend.label(), cm_label(self.cm))
     }
 }
 
 fn matrix(tiny: bool) -> Vec<CellSpec> {
-    let cms: &[&'static str] =
-        if tiny { &["aggressive", "karma"] } else { &["aggressive", "polite", "karma", "greedy"] };
     let points = [
         None,
         Some(KillPoint::MidBatch),
@@ -137,7 +124,7 @@ fn matrix(tiny: bool) -> Vec<CellSpec> {
     let mut cells = Vec::new();
     for point in points {
         for backend in [BackendKind::Durable, BackendKind::Ephemeral] {
-            for &cm in cms {
+            for &cm in cm_axis(tiny) {
                 cells.push(CellSpec { point, backend, cm });
             }
         }
@@ -188,11 +175,8 @@ fn run_seed(cell: CellSpec, opts: &RecoverOptions, run_seed: u64) -> String {
 
     // The chaos stream derives from the run seed and the cell's label, so
     // every cell perturbs (and crashes) differently under one base seed.
-    let cell_seed = run_seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(cell.label().bytes().map(u64::from).sum::<u64>());
     let machine = SimMachine::new(SimConfig::new(threads, run_seed));
-    let mut chaos_cfg = ChaosConfig::new(cell_seed);
+    let mut chaos_cfg = ChaosConfig::new(cell_seed(run_seed, &cell.label()));
     if let Some(point) = cell.point {
         chaos_cfg = chaos_cfg.with_kill(point, KILL_PERMILLE);
     }
@@ -203,42 +187,25 @@ fn run_seed(cell: CellSpec, opts: &RecoverOptions, run_seed: u64) -> String {
         Arc::clone(&chaos) as Arc<dyn Gate>,
         Arc::clone(&sink) as Arc<dyn gstm_core::EventSink>,
         Arc::new(AdmitAll),
-        cell.build_cm(threads),
+        cell.cm.build(threads),
     ));
     chaos.arm(stm.doom_handle());
     chaos.arm_kill(Arc::clone(&kill));
 
-    let traffic = spec.traffic();
-    let schedules: Vec<_> =
-        (0..threads).map(|t| generate_schedule(&traffic, run_seed, t)).collect();
-    let logs: Vec<ThreadLog> = (0..threads).map(|_| ThreadLog::default()).collect();
-    let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
+    let run = ServeRun::with_backend(spec.clone(), Arc::clone(&backend), threads, run_seed);
+    let barrier: Arc<dyn WaitBarrier> = Arc::new(machine.barrier(threads));
+    let workers: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
         .map(|t| {
             let stm = Arc::clone(&stm);
-            let backend = Arc::clone(&backend);
-            let schedule = &schedules[t];
-            let log = &logs[t];
-            let spec = &spec;
-            Box::new(move || {
-                let clock = GateClock::new(Arc::clone(stm.gate()));
-                serve_schedule(
-                    &stm,
-                    ThreadId::new(t as u16),
-                    backend.as_ref(),
-                    schedule,
-                    &clock,
-                    spec,
-                    log,
-                );
-            }) as Box<dyn FnOnce() + Send + '_>
+            let barrier = Arc::clone(&barrier);
+            run.worker(WorkerEnv { stm, thread: ThreadId::new(t as u16), threads, barrier })
         })
         .collect();
     machine.run(workers);
 
     let events = sink.take();
     let stats = chaos.stats();
-    let done: u64 = logs.iter().map(|l| l.done.load(Ordering::Relaxed)).sum();
-    let shed: u64 = logs.iter().map(|l| l.shed.load(Ordering::Relaxed)).sum();
+    let (done, shed) = run.totals();
 
     let mut problems: Vec<String> = Vec::new();
     if done == 0 {
@@ -406,13 +373,9 @@ fn corrupt_tail_is_rejected() -> bool {
 /// pipeline's worker pool (and through its text cache). Returns the
 /// rendered report and whether every cell — plus the corrupt-tail negative
 /// row and the matrix-level loss guard — passed.
-pub fn run_matrix(
-    opts: &RecoverOptions,
-    pipe: &Pipeline<'_>,
-    progress: &dyn Progress,
-) -> (String, bool) {
+pub fn run_matrix(opts: &RecoverOptions, pipe: &Pipeline<'_>) -> (String, bool) {
     let cells = matrix(opts.tiny);
-    progress.report(&format!(
+    pipe.progress().report(&format!(
         "recovery matrix: {} cells x {} seeds, {} threads x {} requests, seed {}",
         cells.len(),
         opts.seeds_per_cell,

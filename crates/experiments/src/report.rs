@@ -8,7 +8,7 @@ use crate::metrics::{
     avg_tail_improvement, mean_abort_ratio, mean_makespan, mean_nondeterminism, mean_stat,
     merged_histogram, per_thread_improvement, render_histogram,
 };
-use crate::study::{QuakeStudy, StampStudy};
+use crate::study::{Cell, QuakeStudy, StampStudy};
 
 fn header(id: &str, caption: &str) -> String {
     format!("== {id}: {caption} ==\n")
@@ -22,28 +22,55 @@ fn table_report(id: &str, caption: &str, t: &TextTable) -> String {
     out
 }
 
-/// Table I — model analyzer guidance metric (%), lower is better.
-pub fn table1(cfg: &ExpConfig, study: &StampStudy) -> String {
+/// A table with one row per label in `rows` and one column per configured
+/// thread count; each entry is `entry(label, threads)`, or `-` where that
+/// is `None`.
+fn by_threads(
+    cfg: &ExpConfig,
+    id: &str,
+    caption: &str,
+    rows: &[&'static str],
+    entry: impl Fn(&'static str, usize) -> Option<String>,
+) -> String {
     let mut t = TextTable::new(
         std::iter::once("Application".to_string())
             .chain(cfg.threads_list.iter().map(|n| format!("{n} threads")))
             .collect(),
     );
-    for name in gstm_stamp::BENCHMARK_NAMES {
-        let mut row = vec![name.to_string()];
-        for &threads in &cfg.threads_list {
-            match study.cell(name, threads) {
-                Some(cell) => {
-                    let a = &cell.trained.analysis;
-                    let fit = if a.verdict.is_fit() { "" } else { " (unfit)" };
-                    row.push(format!("{:.0}{fit}", a.guidance_metric));
-                }
-                None => row.push("-".into()),
-            }
-        }
+    for &label in rows {
+        let mut row = vec![label.to_string()];
+        row.extend(
+            cfg.threads_list
+                .iter()
+                .map(|&threads| entry(label, threads).unwrap_or_else(|| "-".into())),
+        );
         t.row(row);
     }
-    table_report("Table I", "model analyzer guidance metric % (lower is better)", &t)
+    table_report(id, caption, &t)
+}
+
+/// [`by_threads`] with one row per STAMP benchmark, each entry rendered
+/// from that benchmark's cell.
+fn per_benchmark(
+    cfg: &ExpConfig,
+    study: &StampStudy,
+    id: &str,
+    caption: &str,
+    entry: impl Fn(&Cell<&'static str>) -> String,
+) -> String {
+    by_threads(cfg, id, caption, &gstm_stamp::BENCHMARK_NAMES, |name, threads| {
+        study.cell(name, threads).map(&entry)
+    })
+}
+
+/// Table I — model analyzer guidance metric (%), lower is better.
+pub fn table1(cfg: &ExpConfig, study: &StampStudy) -> String {
+    let caption = "model analyzer guidance metric % (lower is better)";
+    per_benchmark(cfg, study, "Table I", caption, |cell| {
+        let a = &cell.trained.analysis;
+        let fit = if a.verdict.is_fit() { "" } else { " (unfit)" };
+        format!("{:.0}{fit}", a.guidance_metric)
+    })
 }
 
 /// Table II — configuration of the (simulated) machines.
@@ -68,48 +95,17 @@ pub fn table2(cfg: &ExpConfig) -> String {
 
 /// Table III — number of states in each model.
 pub fn table3(cfg: &ExpConfig, study: &StampStudy) -> String {
-    let mut t = TextTable::new(
-        std::iter::once("Application".to_string())
-            .chain(cfg.threads_list.iter().map(|n| format!("{n} threads")))
-            .collect(),
-    );
-    for name in gstm_stamp::BENCHMARK_NAMES {
-        let mut row = vec![name.to_string()];
-        for &threads in &cfg.threads_list {
-            row.push(
-                study
-                    .cell(name, threads)
-                    .map(|c| c.trained.tsa.state_count().to_string())
-                    .unwrap_or_else(|| "-".into()),
-            );
-        }
-        t.row(row);
-    }
-    table_report("Table III", "number of states in the model", &t)
+    per_benchmark(cfg, study, "Table III", "number of states in the model", |c| {
+        c.trained.tsa.state_count().to_string()
+    })
 }
 
 /// Table IV — average % improvement in the abort tail-distribution metric.
 pub fn table4(cfg: &ExpConfig, study: &StampStudy) -> String {
-    let mut t = TextTable::new(
-        std::iter::once("Application".to_string())
-            .chain(cfg.threads_list.iter().map(|n| format!("{n} threads")))
-            .collect(),
-    );
-    for name in gstm_stamp::BENCHMARK_NAMES {
-        let mut row = vec![name.to_string()];
-        for &threads in &cfg.threads_list {
-            row.push(
-                study
-                    .cell(name, threads)
-                    .map(|c| {
-                        format!("{:.0}%", avg_tail_improvement(&c.default_runs, &c.guided_runs))
-                    })
-                    .unwrap_or_else(|| "-".into()),
-            );
-        }
-        t.row(row);
-    }
-    table_report("Table IV", "average % improvement in the abort tail distribution", &t)
+    let caption = "average % improvement in the abort tail distribution";
+    per_benchmark(cfg, study, "Table IV", caption, |c| {
+        format!("{:.0}%", avg_tail_improvement(&c.default_runs, &c.guided_runs))
+    })
 }
 
 /// Figure 3 — an excerpt of the kmeans TSA: the hottest state and its
@@ -211,75 +207,30 @@ pub fn fig8(cfg: &ExpConfig, study: &StampStudy) -> String {
 
 /// Figure 9 — % reduction in non-determinism (|S|), guided vs default.
 pub fn fig9(cfg: &ExpConfig, study: &StampStudy) -> String {
-    let mut t = TextTable::new(
-        std::iter::once("Application".to_string())
-            .chain(cfg.threads_list.iter().map(|n| format!("{n} threads")))
-            .collect(),
-    );
-    for name in gstm_stamp::BENCHMARK_NAMES {
-        let mut row = vec![name.to_string()];
-        for &threads in &cfg.threads_list {
-            row.push(
-                study
-                    .cell(name, threads)
-                    .map(|c| {
-                        let d = mean_nondeterminism(&c.default_runs);
-                        let g = mean_nondeterminism(&c.guided_runs);
-                        format!("{:+.0}% ({d:.0}->{g:.0})", percent_reduction(d, g))
-                    })
-                    .unwrap_or_else(|| "-".into()),
-            );
-        }
-        t.row(row);
-    }
-    table_report("Figure 9", "% reduction in non-determinism |S| (guided vs default)", &t)
+    let caption = "% reduction in non-determinism |S| (guided vs default)";
+    per_benchmark(cfg, study, "Figure 9", caption, |c| {
+        let d = mean_nondeterminism(&c.default_runs);
+        let g = mean_nondeterminism(&c.guided_runs);
+        format!("{:+.0}% ({d:.0}->{g:.0})", percent_reduction(d, g))
+    })
 }
 
 /// Figure 10 — slowdown (×) of guided vs default execution.
 pub fn fig10(cfg: &ExpConfig, study: &StampStudy) -> String {
-    let mut t = TextTable::new(
-        std::iter::once("Application".to_string())
-            .chain(cfg.threads_list.iter().map(|n| format!("{n} threads")))
-            .collect(),
-    );
-    for name in gstm_stamp::BENCHMARK_NAMES {
-        let mut row = vec![name.to_string()];
-        for &threads in &cfg.threads_list {
-            row.push(
-                study
-                    .cell(name, threads)
-                    .map(|c| {
-                        let s =
-                            slowdown(mean_makespan(&c.default_runs), mean_makespan(&c.guided_runs));
-                        format!("{s:.2}x")
-                    })
-                    .unwrap_or_else(|| "-".into()),
-            );
-        }
-        t.row(row);
-    }
-    table_report("Figure 10", "slowdown (x) of guided vs default execution", &t)
+    let caption = "slowdown (x) of guided vs default execution";
+    per_benchmark(cfg, study, "Figure 10", caption, |c| {
+        let s = slowdown(mean_makespan(&c.default_runs), mean_makespan(&c.guided_runs));
+        format!("{s:.2}x")
+    })
 }
 
 /// Table V — SynQuake guidance metric.
 pub fn table5(cfg: &ExpConfig, study: &QuakeStudy) -> String {
-    let mut t = TextTable::new(
-        std::iter::once("Application".to_string())
-            .chain(cfg.threads_list.iter().map(|n| format!("{n} threads")))
-            .collect(),
-    );
-    let mut row = vec!["SynQuake".to_string()];
-    for &threads in &cfg.threads_list {
-        row.push(
-            study
-                .trained
-                .get(&threads)
-                .map(|m| format!("{:.0}", m.analysis.guidance_metric))
-                .unwrap_or_else(|| "-".into()),
-        );
-    }
-    t.row(row);
-    table_report("Table V", "SynQuake guidance metric % (lower is better)", &t)
+    let caption = "SynQuake guidance metric % (lower is better)";
+    by_threads(cfg, "Table V", caption, &["SynQuake"], |_, threads| {
+        let cell = study.cells.iter().find(|c| c.threads == threads)?;
+        Some(format!("{:.0}", cell.trained.analysis.guidance_metric))
+    })
 }
 
 /// Figures 11 (4quadrants) and 12 (4center_spread6) — frame-rate variance
@@ -297,10 +248,7 @@ pub fn fig_quake(
         "slowdown (x)".into(),
     ]);
     for &threads in &cfg.threads_list {
-        let Some(cell) = study.cells.iter().find(|c| c.quest == quest && c.threads == threads)
-        else {
-            continue;
-        };
+        let Some(cell) = study.cell(quest, threads) else { continue };
         let var_d = mean_stat(&cell.default_runs, "frame_stddev");
         let var_g = mean_stat(&cell.guided_runs, "frame_stddev");
         let ar_d = mean_abort_ratio(&cell.default_runs);

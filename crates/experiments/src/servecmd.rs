@@ -9,12 +9,13 @@
 //! it makes the *tail* predictable across runs, not just the mean, and the
 //! comparison line prices that in throughput.
 
+use gstm_guide::RunOutcome;
 use gstm_serve::{Arrival, ServeSpec};
 use gstm_stats::{mean, percent_change, sample_stddev, TextTable};
 
 use crate::config::ExpConfig;
-use crate::metrics::mean_stat;
-use crate::study::ServeStudy;
+use crate::metrics::{mean_stat, stat};
+use crate::study::{Cell, ServeStudy};
 
 /// The store shapes the study sweeps.
 pub const SERVE_SHAPES: [&str; 2] = ["hot", "wide"];
@@ -43,13 +44,8 @@ pub fn serve_spec(cfg: &ExpConfig, shape: &str, arrival: &str) -> ServeSpec {
 }
 
 /// Cross-seed coefficient of variation of one workload stat, in percent.
-pub(crate) fn stat_cov_pct(runs: &[gstm_guide::RunOutcome], key: &str) -> f64 {
-    let xs: Vec<f64> = runs
-        .iter()
-        .map(|r| {
-            r.workload_stats.iter().find(|(k, _)| k == key).map(|(_, v)| *v).unwrap_or_default()
-        })
-        .collect();
+pub(crate) fn stat_cov_pct(runs: &[RunOutcome], key: &str) -> f64 {
+    let xs: Vec<f64> = runs.iter().map(|r| stat(r, key).unwrap_or_default()).collect();
     let m = mean(&xs);
     if m == 0.0 {
         0.0
@@ -59,16 +55,11 @@ pub(crate) fn stat_cov_pct(runs: &[gstm_guide::RunOutcome], key: &str) -> f64 {
 }
 
 /// Mean served throughput in requests per kilotick of makespan.
-pub(crate) fn throughput(runs: &[gstm_guide::RunOutcome]) -> f64 {
+pub(crate) fn throughput(runs: &[RunOutcome]) -> f64 {
     let per_run: Vec<f64> = runs
         .iter()
         .map(|r| {
-            let done = r
-                .workload_stats
-                .iter()
-                .find(|(k, _)| k == "req_done")
-                .map(|(_, v)| *v)
-                .unwrap_or_default();
+            let done = stat(r, "req_done").unwrap_or_default();
             if r.makespan == 0 {
                 0.0
             } else {
@@ -80,7 +71,7 @@ pub(crate) fn throughput(runs: &[gstm_guide::RunOutcome]) -> f64 {
 }
 
 /// Mean shed percentage of offered load.
-pub(crate) fn shed_pct(runs: &[gstm_guide::RunOutcome]) -> f64 {
+fn shed_pct(runs: &[RunOutcome]) -> f64 {
     let done = mean_stat(runs, "req_done");
     let shed = mean_stat(runs, "req_shed");
     if done + shed == 0.0 {
@@ -88,6 +79,22 @@ pub(crate) fn shed_pct(runs: &[gstm_guide::RunOutcome]) -> f64 {
     } else {
         100.0 * shed / (done + shed)
     }
+}
+
+/// The latency columns of a serve table.
+pub(crate) const LATENCY_COLUMNS: [&str; 6] =
+    ["p50", "p95", "p99", "p99 CoV%", "thru/ktick", "shed%"];
+
+/// One run set's entries under [`LATENCY_COLUMNS`].
+pub(crate) fn latency_row(runs: &[RunOutcome]) -> [String; 6] {
+    [
+        format!("{:.0}", mean_stat(runs, "sojourn_p50")),
+        format!("{:.0}", mean_stat(runs, "sojourn_p95")),
+        format!("{:.0}", mean_stat(runs, "sojourn_p99")),
+        format!("{:.1}", stat_cov_pct(runs, "sojourn_p99")),
+        format!("{:.2}", throughput(runs)),
+        format!("{:.1}", shed_pct(runs)),
+    ]
 }
 
 /// Renders the serve study: the per-cell latency table plus one
@@ -98,29 +105,21 @@ pub fn render_serve(cfg: &ExpConfig, study: &ServeStudy) -> String {
         cfg.test_seeds.len()
     );
     let mut t = TextTable::new(
-        ["cell", "policy", "p50", "p95", "p99", "p99 CoV%", "thru/ktick", "shed%"]
-            .map(String::from)
-            .to_vec(),
+        ["cell", "policy"].into_iter().chain(LATENCY_COLUMNS).map(String::from).collect(),
     );
+    let label = |cell: &Cell<(&str, &str)>| {
+        let (shape, arrival) = cell.workload;
+        format!("{shape}/{arrival}/{}t", cell.threads)
+    };
     for cell in &study.cells {
-        let label = format!("{}/{}/{}t", cell.shape, cell.arrival, cell.threads);
         for (policy, runs) in [("default", &cell.default_runs), ("guided", &cell.guided_runs)] {
-            t.row(vec![
-                label.clone(),
-                policy.into(),
-                format!("{:.0}", mean_stat(runs, "sojourn_p50")),
-                format!("{:.0}", mean_stat(runs, "sojourn_p95")),
-                format!("{:.0}", mean_stat(runs, "sojourn_p99")),
-                format!("{:.1}", stat_cov_pct(runs, "sojourn_p99")),
-                format!("{:.2}", throughput(runs)),
-                format!("{:.1}", shed_pct(runs)),
-            ]);
+            t.row([label(cell), policy.into()].into_iter().chain(latency_row(runs)).collect());
         }
     }
     t.render_to(&mut out).expect("writing to a String cannot fail");
     out.push('\n');
     for cell in &study.cells {
-        let label = format!("{}/{}/{}t", cell.shape, cell.arrival, cell.threads);
+        let label = label(cell);
         let cov_d = stat_cov_pct(&cell.default_runs, "sojourn_p99");
         let cov_g = stat_cov_pct(&cell.guided_runs, "sojourn_p99");
         let p99_delta = percent_change(

@@ -1,13 +1,11 @@
 //! Study data types and training primitives.
 //!
-//! The cell/study structs every table and figure renders from live here,
-//! together with the two training passes (STAMP and SynQuake). *Running*
+//! The cell/study types every table and figure renders from live here,
+//! together with the training passes (STAMP, SynQuake and serve). *Running*
 //! studies is the pipeline's job: build a [`crate::pipeline::StudyPlan`]
 //! and resolve it with [`crate::pipeline::Pipeline::resolve`], which shares
 //! training passes, caches outcomes and fans independent cells out across
 //! worker threads.
-
-use std::collections::BTreeMap;
 
 use gstm_guide::{run_workload, train, RunOptions, RunOutcome, TrainedModel};
 use gstm_serve::{ServeSpec, ServeWorkload};
@@ -17,35 +15,60 @@ use gstm_telemetry::Snapshot;
 
 use crate::config::ExpConfig;
 
-/// Everything measured for one (benchmark, thread-count) pair.
+/// Everything measured for one (workload, thread-count) pair: the model
+/// the guided arm ran, and default-STM and guided-STM runs, one per test
+/// seed. `W` names the workload: a STAMP benchmark, a SynQuake test quest,
+/// or a serve (shape, arrival) pair.
 #[derive(Debug)]
-pub struct StampCell {
-    /// Benchmark name.
-    pub name: &'static str,
+pub struct Cell<W> {
+    /// The workload the cell measured.
+    pub workload: W,
     /// Worker/core count.
     pub threads: usize,
-    /// Model trained on the medium input.
+    /// The model the guided runs were guided by.
     pub trained: TrainedModel,
-    /// Default-STM test runs (one per seed).
+    /// Default-STM runs (one per test seed).
     pub default_runs: Vec<RunOutcome>,
-    /// Guided-STM test runs (one per seed).
+    /// Guided-STM runs (one per test seed).
     pub guided_runs: Vec<RunOutcome>,
 }
 
-/// The STAMP half of the evaluation: one [`StampCell`] per
-/// (benchmark, thread-count).
-#[derive(Debug, Default)]
-pub struct StampStudy {
-    /// Cells keyed by `(name, threads)`.
-    pub cells: BTreeMap<(String, usize), StampCell>,
+/// The cells of one study, in the order [`Study::runs`] visits them.
+#[derive(Debug)]
+pub struct Study<W> {
+    /// The measured cells.
+    pub cells: Vec<Cell<W>>,
 }
 
-impl StampStudy {
-    /// The cell for a benchmark at a thread count.
-    pub fn cell(&self, name: &str, threads: usize) -> Option<&StampCell> {
-        self.cells.get(&(name.to_string(), threads))
+impl<W> Default for Study<W> {
+    fn default() -> Self {
+        Study { cells: Vec::new() }
     }
 }
+
+impl<W: PartialEq> Study<W> {
+    /// The cell for a workload at a thread count.
+    pub fn cell(&self, workload: W, threads: usize) -> Option<&Cell<W>> {
+        self.cells.iter().find(|c| c.workload == workload && c.threads == threads)
+    }
+}
+
+impl<W> Study<W> {
+    /// Every measured run: cell order, then default runs before guided
+    /// runs, then seed order.
+    pub fn runs(&self) -> impl Iterator<Item = &RunOutcome> {
+        self.cells.iter().flat_map(|c| c.default_runs.iter().chain(&c.guided_runs))
+    }
+}
+
+/// The STAMP half of the evaluation, one cell per (benchmark, threads).
+pub type StampStudy = Study<&'static str>;
+
+/// The SynQuake half of the evaluation, one cell per (test quest, threads).
+pub type QuakeStudy = Study<Quest>;
+
+/// The serve (tail-latency) study, one cell per (shape, arrival, threads).
+pub type ServeStudy = Study<(&'static str, &'static str)>;
 
 /// Trains the model for one benchmark/thread-count (profiling runs on the
 /// training input size).
@@ -56,9 +79,8 @@ pub fn train_stamp(cfg: &ExpConfig, name: &'static str, threads: usize) -> Train
     train(workload.as_ref(), &base, &cfg.train_seeds, cfg.tfactor)
 }
 
-/// Merges per-run telemetry snapshots (deterministic order: map order, then
-/// default runs before guided runs, then seed order). `None` when no run
-/// carried telemetry.
+/// Merges per-run telemetry snapshots. `None` when no run carried
+/// telemetry.
 pub fn merge_run_telemetry<'a>(runs: impl IntoIterator<Item = &'a RunOutcome>) -> Option<Snapshot> {
     let mut merged: Option<Snapshot> = None;
     for run in runs {
@@ -67,16 +89,6 @@ pub fn merge_run_telemetry<'a>(runs: impl IntoIterator<Item = &'a RunOutcome>) -
         }
     }
     merged
-}
-
-/// All measured runs of a STAMP study, in deterministic order.
-pub fn stamp_runs(study: &StampStudy) -> impl Iterator<Item = &RunOutcome> {
-    study.cells.values().flat_map(|c| c.default_runs.iter().chain(c.guided_runs.iter()))
-}
-
-/// All measured runs of a SynQuake study, in deterministic order.
-pub fn quake_runs(study: &QuakeStudy) -> impl Iterator<Item = &RunOutcome> {
-    study.cells.iter().flat_map(|c| c.default_runs.iter().chain(c.guided_runs.iter()))
 }
 
 /// Builds a small synthetic trained model for tests of the report layer
@@ -103,58 +115,6 @@ pub fn synthetic_trained(threads: usize) -> TrainedModel {
     let analysis = analyze(&tsa, 4.0);
     let model = std::sync::Arc::new(GuidedModel::compile(tsa.clone(), 4.0));
     TrainedModel { tsa, analysis, model }
-}
-
-/// One SynQuake test quest's measurements at one thread count.
-#[derive(Debug)]
-pub struct QuakeCell {
-    /// The quest under test.
-    pub quest: Quest,
-    /// Worker/core count.
-    pub threads: usize,
-    /// Default-STM runs.
-    pub default_runs: Vec<RunOutcome>,
-    /// Guided-STM runs.
-    pub guided_runs: Vec<RunOutcome>,
-}
-
-/// The SynQuake half of the evaluation.
-#[derive(Debug, Default)]
-pub struct QuakeStudy {
-    /// Model per thread count (trained on the two training quests).
-    pub trained: BTreeMap<usize, TrainedModel>,
-    /// Measured cells keyed by `(quest, threads)`.
-    pub cells: Vec<QuakeCell>,
-}
-
-/// One serve configuration's measurements at one thread count.
-#[derive(Debug)]
-pub struct ServeCell {
-    /// Store-shape tag (`hot`/`wide`).
-    pub shape: &'static str,
-    /// Arrival-process tag (`poisson`/`bursty`).
-    pub arrival: &'static str,
-    /// Worker/core count.
-    pub threads: usize,
-    /// The full spec the cell ran.
-    pub spec: ServeSpec,
-    /// Default-admission runs (one per test seed).
-    pub default_runs: Vec<RunOutcome>,
-    /// Guided-admission runs (one per test seed).
-    pub guided_runs: Vec<RunOutcome>,
-}
-
-/// The serve (tail-latency) study: one [`ServeCell`] per
-/// (shape, arrival, threads).
-#[derive(Debug, Default)]
-pub struct ServeStudy {
-    /// Cells in plan order.
-    pub cells: Vec<ServeCell>,
-}
-
-/// All measured runs of a serve study, in deterministic order.
-pub fn serve_runs(study: &ServeStudy) -> impl Iterator<Item = &RunOutcome> {
-    study.cells.iter().flat_map(|c| c.default_runs.iter().chain(c.guided_runs.iter()))
 }
 
 /// Trains the serve model for one spec/thread-count (profiling runs of the

@@ -69,12 +69,37 @@ fn an_unwritable_result_file_fails_the_command() {
         (&["table2", "--tiny", "--no-cache"][..], "table2.txt"),
         (&["check", "--tiny", "--threads", "2", "--ops", "1"], "check.txt"),
         (&["recover", "--tiny", "--requests", "1", "--no-cache"], "recover.txt"),
+        (&["train-model", "--tiny", "--no-cache"], "kmeans-2t.gtsa"),
     ] {
         let out = experiments(&dir, args);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
         let path = std::path::Path::new("results").join(file);
-        assert!(err.contains(&format!("cannot write {}", path.display())), "{args:?}: {err}");
+        assert!(err.contains(&format!("cannot write {}: ", path.display())), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+/// A model file `inspect-model` cannot read, missing or corrupt, exits 1
+/// naming the path instead of panicking.
+#[test]
+fn an_unreadable_model_file_fails_inspect_model() {
+    let dir = scratch("models");
+    let missing = dir.join("missing.gtsa");
+    // One header byte flipped: the magic no longer reads `GTSA`.
+    let corrupt = dir.join("corrupt.gtsa");
+    let trained = gstm_experiments::study::synthetic_trained(2);
+    let mut bytes = gstm_model::serialize::to_bytes(&trained.tsa);
+    bytes[0] ^= 0x01;
+    std::fs::write(&corrupt, bytes).unwrap();
+    for model in [&missing, &corrupt] {
+        let model = model.to_str().expect("utf-8 scratch path");
+        let out = experiments(&dir, &["inspect-model", model]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{model}: {err}");
+        assert!(err.contains(&format!("cannot read model {model}: ")), "{model}: {err}");
+        assert!(!err.contains("panicked"), "{model}: {err}");
+        assert!(out.stdout.is_empty(), "{model}");
     }
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

@@ -61,3 +61,61 @@ fn warm_cache_reproduces_cold_output_without_training() {
 
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// The sorted file names under `<root>/<dir>`.
+fn cache_files(root: &std::path::Path, dir: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(root.join(dir))
+        .expect("cache subdirectory")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Every cache file is named by the digest of its key string, so these
+/// names pin the model and run key formats of all three study kinds: a
+/// changed key silently turns every warm cache cold.
+#[test]
+fn cache_keys_are_pinned() {
+    let cfg = ExpConfig::tiny();
+    let mut plan = StudyPlan::new();
+    plan.stamp_cell("kmeans", 2).quake(2).serve_cell("hot", "poisson", 2);
+    let root = std::env::temp_dir().join(format!("gstm-pipeline-keys-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    Pipeline::new(&cfg, &NoProgress).with_cache(DiskCache::new(root.clone())).resolve(&plan);
+    let models = cache_files(&root, "models");
+    let runs = cache_files(&root, "runs");
+    let _ = std::fs::remove_dir_all(&root);
+    // kmeans, synquake and serve:hot:poisson models, all at 2 threads.
+    assert_eq!(
+        models,
+        [
+            "054d64bea75375430ec9577b3345ec40.gtsa",
+            "5a748c5e01c5bbec84325b9e84c83e27.gtsa",
+            "e905f3c837fc10e9ffe243bbe756d4d4.gtsa",
+        ]
+    );
+    // Two seeds x default and guided: 4 kmeans, 8 synquake (two test
+    // quests), 4 serve runs.
+    assert_eq!(
+        runs,
+        [
+            "10e18ed61fb474985c53da9db9602d07.json",
+            "11cf0d4f7417e738596500f844dd07df.json",
+            "2ac798ab5e776140e9e63290fc0d51b3.json",
+            "3e2e364b197b8cc830f3db65d4e59484.json",
+            "40c3a14578aaf2cbeeb939979ace8679.json",
+            "6c6806bcaa752cf309ce0d91b3180d6b.json",
+            "734845abebf8b2e3266d03c27360879f.json",
+            "99713714fba8f416d2cb86b4b28e5861.json",
+            "adadc73baabf1e3624f270234f153032.json",
+            "b2daed3867d541591bea7cf035e8625a.json",
+            "da0366be57656535acfd8245ddec4936.json",
+            "e0d5f81bd530b0a0c3cdc2f3f6a1d2f2.json",
+            "e918d65311882a40137d1a429540b2be.json",
+            "f0aa8aae035b55b5e0ddd269d0bcb7ca.json",
+            "fc4c60f2ed2c8609b642414f27b2ba47.json",
+            "fcc2c756cf9e6c4b5a2f12093f47925c.json",
+        ]
+    );
+}

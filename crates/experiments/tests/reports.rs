@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use gstm_experiments::config::ExpConfig;
 use gstm_experiments::report;
-use gstm_experiments::study::{synthetic_trained, QuakeCell, QuakeStudy, StampCell, StampStudy};
+use gstm_experiments::study::{synthetic_trained, Cell, QuakeStudy, StampStudy};
 use gstm_guide::RunOutcome;
 
 fn outcome(ticks: &[u64], nd: usize) -> RunOutcome {
@@ -39,8 +39,8 @@ fn mini_stamp(cfg: &ExpConfig) -> StampStudy {
     let mut study = StampStudy::default();
     for name in gstm_stamp::BENCHMARK_NAMES {
         for &threads in &cfg.threads_list {
-            let cell = StampCell {
-                name,
+            study.cells.push(Cell {
+                workload: name,
                 threads,
                 trained: synthetic_trained(threads),
                 default_runs: vec![
@@ -48,8 +48,7 @@ fn mini_stamp(cfg: &ExpConfig) -> StampStudy {
                     outcome(&vec![140; threads], 11),
                 ],
                 guided_runs: vec![outcome(&vec![110; threads], 7), outcome(&vec![120; threads], 8)],
-            };
-            study.cells.insert((name.to_string(), threads), cell);
+            });
         }
     }
     study
@@ -85,12 +84,12 @@ fn stamp_reports_render() {
 fn quake_reports_render() {
     let cfg = mini_cfg();
     let study = QuakeStudy {
-        trained: [(2usize, synthetic_trained(2))].into_iter().collect(),
         cells: gstm_synquake::Quest::testing()
             .into_iter()
-            .map(|quest| QuakeCell {
-                quest,
+            .map(|quest| Cell {
+                workload: quest,
                 threads: 2,
+                trained: synthetic_trained(2),
                 default_runs: vec![outcome(&[100, 100], 5)],
                 guided_runs: vec![outcome(&[105, 104], 4)],
             })

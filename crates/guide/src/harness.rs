@@ -94,7 +94,8 @@ pub enum CmChoice {
 }
 
 impl CmChoice {
-    fn build(self, threads: usize) -> Arc<dyn ContentionManager> {
+    /// The contention manager this choice names, sized for `threads`.
+    pub fn build(self, threads: usize) -> Arc<dyn ContentionManager> {
         match self {
             CmChoice::Aggressive => Arc::new(Aggressive),
             CmChoice::Polite => Arc::new(Polite::default()),

@@ -31,28 +31,31 @@ cargo test -q --offline
 echo "==> docs: no broken intra-doc links (deny rustdoc warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> docs: every path and experiments command README/DESIGN/EXPERIMENTS quote exists, and a renamed one is caught"
+echo "==> docs: every path, experiments command and experiments flag README/DESIGN/EXPERIMENTS quote exists, and a renamed one is caught"
 scripts/doccheck --self-test \
-    || { echo "doccheck: a doc names a path or command that does not exist, or the self-test missed a rename"; exit 1; }
+    || { echo "doccheck: a doc names a path, command or flag that does not exist, or the self-test missed a rename"; exit 1; }
 
-echo "==> pipeline smoke: warm rerun must hit the cache and match byte-for-byte"
-smoke_dir="target/gstm-ci-pipeline-smoke"
+echo "==> pipeline smoke: a warm rerun of every study and ablation must hit the cache and match byte-for-byte"
+smoke_dir="$PWD/target/gstm-ci-pipeline-smoke"
+experiments="$PWD/target/release/experiments"
 rm -rf "$smoke_dir"
 mkdir -p "$smoke_dir"
-./target/release/experiments cell --bench kmeans --tiny --jobs 2 \
-    --cache-dir "$smoke_dir/cache" \
-    >"$smoke_dir/cold.out" 2>"$smoke_dir/cold.err"
-./target/release/experiments cell --bench kmeans --tiny --jobs 2 \
-    --cache-dir "$smoke_dir/cache" \
-    >"$smoke_dir/warm.out" 2>"$smoke_dir/warm.err"
-diff -u "$smoke_dir/cold.out" "$smoke_dir/warm.out" \
-    || { echo "pipeline smoke: warm rerun output diverged"; exit 1; }
-grep -q "models 0 hit" "$smoke_dir/cold.err" \
-    || { echo "pipeline smoke: cold run unexpectedly hit the model cache"; exit 1; }
-grep -qE "models [1-9][0-9]* hit / 0 miss" "$smoke_dir/warm.err" \
-    || { echo "pipeline smoke: warm run missed the model cache"; exit 1; }
-grep -qE "runs [1-9][0-9]* hit / 0 miss" "$smoke_dir/warm.err" \
-    || { echo "pipeline smoke: warm run missed the run cache"; exit 1; }
+# Run inside the smoke directory: `all` writes results/*.txt there instead
+# of over the committed tables.
+for cmd in all ablate-tfactor ablate-k ablate-cm ablate-train ablate-policy ablate-detection; do
+    for pass in cold warm; do
+        (cd "$smoke_dir" && "$experiments" "$cmd" --tiny --jobs 2 --cache-dir cache \
+            >"$cmd.$pass.out" 2>"$cmd.$pass.err")
+    done
+    diff -u "$smoke_dir/$cmd.cold.out" "$smoke_dir/$cmd.warm.out" \
+        || { echo "pipeline smoke: warm rerun of $cmd diverged"; exit 1; }
+    grep -qE "models [1-9][0-9]* hit / 0 miss" "$smoke_dir/$cmd.warm.err" \
+        || { echo "pipeline smoke: warm $cmd missed the model cache"; exit 1; }
+    grep -qE "runs [1-9][0-9]* hit / 0 miss" "$smoke_dir/$cmd.warm.err" \
+        || { echo "pipeline smoke: warm $cmd missed the run cache"; exit 1; }
+done
+grep -q "runs 0 hit" "$smoke_dir/all.cold.err" \
+    || { echo "pipeline smoke: cold run unexpectedly hit the run cache"; exit 1; }
 rm -rf "$smoke_dir"
 
 echo "==> serve smoke: tail-latency study must be deterministic per seed"
