@@ -7,15 +7,11 @@
 //! execution subscribes online via the same trait.
 
 use crate::sync::Mutex;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::Abort;
-#[cfg(test)]
-use crate::ids::TxId;
-use crate::ids::{CommitSeq, Participant, ThreadId, VarId};
+use crate::ids::{CommitSeq, Participant, VarId};
 
 /// One entry of the transaction sequence.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -283,98 +279,6 @@ impl EventSink for MemorySink {
     }
 }
 
-/// Per-thread commit/abort counters plus the **abort-count histogram** that
-/// the paper's tail-distribution figures (Figs. 5, 7, 8) are drawn from:
-/// for every committed invocation, how many aborts it suffered first.
-#[derive(Debug)]
-pub struct CountingSink {
-    commits: Vec<AtomicU64>,
-    aborts: Vec<AtomicU64>,
-    holds: Vec<AtomicU64>,
-    hold_polls: Vec<AtomicU64>,
-    histograms: Vec<Mutex<BTreeMap<u32, u64>>>,
-}
-
-impl CountingSink {
-    /// Creates counters for `max_threads` threads.
-    pub fn new(max_threads: usize) -> Self {
-        CountingSink {
-            commits: (0..max_threads).map(|_| AtomicU64::new(0)).collect(),
-            aborts: (0..max_threads).map(|_| AtomicU64::new(0)).collect(),
-            holds: (0..max_threads).map(|_| AtomicU64::new(0)).collect(),
-            hold_polls: (0..max_threads).map(|_| AtomicU64::new(0)).collect(),
-            histograms: (0..max_threads).map(|_| Mutex::new(BTreeMap::new())).collect(),
-        }
-    }
-
-    /// Commits executed by `thread`.
-    pub fn commits(&self, thread: ThreadId) -> u64 {
-        self.commits[thread.index()].load(Ordering::Relaxed)
-    }
-
-    /// Aborts suffered by `thread`.
-    pub fn aborts(&self, thread: ThreadId) -> u64 {
-        self.aborts[thread.index()].load(Ordering::Relaxed)
-    }
-
-    /// Invocations of `thread` that were held by the admission policy.
-    pub fn holds(&self, thread: ThreadId) -> u64 {
-        self.holds[thread.index()].load(Ordering::Relaxed)
-    }
-
-    /// Total hold polls charged to `thread`.
-    pub fn hold_polls(&self, thread: ThreadId) -> u64 {
-        self.hold_polls[thread.index()].load(Ordering::Relaxed)
-    }
-
-    /// The abort-count histogram of `thread`: `aborts-before-commit → freq`.
-    pub fn abort_histogram(&self, thread: ThreadId) -> BTreeMap<u32, u64> {
-        self.histograms[thread.index()].lock().clone()
-    }
-
-    /// Abort ratio across all threads: `aborts / (aborts + commits)`.
-    pub fn abort_ratio(&self) -> f64 {
-        let a: u64 = self.aborts.iter().map(|x| x.load(Ordering::Relaxed)).sum();
-        let c: u64 = self.commits.iter().map(|x| x.load(Ordering::Relaxed)).sum();
-        if a + c == 0 {
-            0.0
-        } else {
-            a as f64 / (a + c) as f64
-        }
-    }
-}
-
-impl EventSink for CountingSink {
-    fn record(&self, event: &TxEvent) {
-        match event {
-            TxEvent::Begin { .. } => {}
-            TxEvent::Abort { who, .. } => {
-                if let Some(c) = self.aborts.get(who.thread.index()) {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            TxEvent::Commit { who, aborts, .. } => {
-                if let Some(c) = self.commits.get(who.thread.index()) {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some(h) = self.histograms.get(who.thread.index()) {
-                    *h.lock().entry(*aborts).or_insert(0) += 1;
-                }
-            }
-            TxEvent::Held { who, polls, .. } => {
-                if let Some(c) = self.holds.get(who.thread.index()) {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some(c) = self.hold_polls.get(who.thread.index()) {
-                    c.fetch_add(*polls as u64, Ordering::Relaxed);
-                }
-            }
-            // Oracle instrumentation events carry no per-thread tallies.
-            _ => {}
-        }
-    }
-}
-
 /// Fans one event stream out to several sinks, in order.
 #[derive(Default)]
 pub struct MulticastSink {
@@ -415,7 +319,7 @@ impl EventSink for MulticastSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::AbortReason;
+    use crate::ids::{ThreadId, TxId};
 
     fn who(t: u16, x: u16) -> Participant {
         Participant::new(ThreadId::new(t), TxId::new(x))
@@ -444,50 +348,15 @@ mod tests {
     }
 
     #[test]
-    fn counting_sink_histogram() {
-        let s = CountingSink::new(2);
-        s.record(&commit(0, 1, 0));
-        s.record(&commit(0, 2, 0));
-        s.record(&commit(0, 3, 2));
-        let h = s.abort_histogram(ThreadId::new(0));
-        assert_eq!(h.get(&0), Some(&2));
-        assert_eq!(h.get(&2), Some(&1));
-        assert_eq!(s.commits(ThreadId::new(0)), 3);
-        assert_eq!(s.commits(ThreadId::new(1)), 0);
-    }
-
-    #[test]
-    fn counting_sink_abort_ratio() {
-        let s = CountingSink::new(1);
-        s.record(&TxEvent::Abort {
-            who: who(0, 0),
-            attempt: 0,
-            abort: Abort::new(AbortReason::UserRetry),
-            at: 0,
-        });
-        s.record(&commit(0, 1, 1));
-        assert!((s.abort_ratio() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn multicast_fans_out() {
         let a = Arc::new(MemorySink::new());
-        let b = Arc::new(CountingSink::new(1));
+        let b = Arc::new(MemorySink::new());
         let m = MulticastSink::new()
             .with(a.clone() as Arc<dyn EventSink>)
             .with(b.clone() as Arc<dyn EventSink>);
         m.record(&commit(0, 1, 0));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.commits(ThreadId::new(0)), 1);
-    }
-
-    #[test]
-    fn held_events_counted() {
-        let s = CountingSink::new(1);
-        s.record(&TxEvent::Held { who: who(0, 0), polls: 7, at: 0 });
-        s.record(&TxEvent::Held { who: who(0, 0), polls: 3, at: 0 });
-        assert_eq!(s.holds(ThreadId::new(0)), 2);
-        assert_eq!(s.hold_polls(ThreadId::new(0)), 10);
+        assert_eq!(a.take(), [commit(0, 1, 0)]);
+        assert_eq!(b.take(), [commit(0, 1, 0)]);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use config::{
     Detection, ReadMode, Resolution, StmConfig, StmConfigBuilder, TxnKind, READER_WAIT_LIMIT,
 };
 pub use error::{Abort, AbortReason};
-pub use events::{CountingSink, EventSink, MemorySink, MulticastSink, NullSink, TxEvent};
+pub use events::{EventSink, MemorySink, MulticastSink, NullSink, TxEvent};
 pub use gate::{CostModel, Gate, NullGate, RealGate, Ticks, COSTS};
 pub use ids::{CommitSeq, Participant, ThreadId, TxId, VarId};
 pub use kill::{KillPoint, KillSwitch};

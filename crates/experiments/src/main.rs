@@ -99,10 +99,10 @@ fn flag_number<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     })
 }
 
-/// Writes one result file (a `<out_dir>/<id>.txt` body or a saved model),
-/// creating its directory. `scripts/ci.sh` diffs result files against the
-/// committed tables, so a failed write exits 1 instead of letting the stale
-/// committed copy pass.
+/// Writes one result file (a `<out_dir>/<id>.txt` body, a saved model or a
+/// `--metrics` dump), creating its directory. `scripts/ci.sh` diffs result
+/// files against the committed tables, so a failed write exits 1 instead of
+/// letting the stale committed copy pass.
 fn write_file(path: &Path, bytes: &[u8]) {
     let dir = path.parent().unwrap_or(Path::new(""));
     if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, bytes)) {
@@ -487,12 +487,8 @@ fn main() {
                     Some(e) => format!("{}.machine", e.to_string_lossy()),
                     None => "machine".to_string(),
                 });
-                let written = std::fs::write(path, snap.to_text())
-                    .and_then(|()| std::fs::write(&machine, snap.to_machine()));
-                if let Err(e) = written {
-                    eprintln!("--metrics: cannot write {}: {e}", path.display());
-                    std::process::exit(2);
-                }
+                write_file(path, snap.to_text().as_bytes());
+                write_file(&machine, snap.to_machine().as_bytes());
                 eprintln!(
                     "wrote telemetry snapshot to {} and {}",
                     path.display(),

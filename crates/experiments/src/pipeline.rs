@@ -375,7 +375,7 @@ impl<'a> Pipeline<'a> {
              resolution={:?};telemetry={};{policy_tag}",
             opts.threads,
             opts.seed,
-            opts.jitter_pct,
+            gstm_sim::SimConfig::new(opts.threads, opts.seed).jitter_pct,
             opts.cm,
             opts.detection,
             opts.resolution,

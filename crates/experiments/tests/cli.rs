@@ -80,6 +80,21 @@ fn an_unwritable_result_file_fails_the_command() {
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
+/// A `--metrics` dump that cannot be written fails like a result file:
+/// exit 1 naming the path, not the usage error's exit 2.
+#[test]
+fn an_unwritable_metrics_file_fails_the_command() {
+    let dir = scratch("metrics");
+    std::fs::write(dir.join("blocked"), "not a directory").unwrap();
+    let args = ["cell", "--bench", "kmeans", "--tiny", "--no-cache", "--metrics", "blocked/m.txt"];
+    let out = experiments(&dir, &args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    let path = std::path::Path::new("blocked").join("m.txt");
+    assert!(err.contains(&format!("cannot write {}: ", path.display())), "{err}");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
 /// A model file `inspect-model` cannot read, missing or corrupt, exits 1
 /// naming the path instead of panicking.
 #[test]

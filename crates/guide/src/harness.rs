@@ -2,16 +2,17 @@
 //! chosen policy, collecting every metric the paper reports.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gstm_core::cm::{Aggressive, ContentionManager, Greedy, Karma, Polite};
 use gstm_core::{
-    AdmissionPolicy, AdmitAll, CountingSink, Detection, EventSink, MemorySink, MulticastSink,
-    Resolution, Stm, StmConfig, ThreadId, TxEvent,
+    AdmissionPolicy, AdmitAll, Detection, EventSink, MemorySink, MulticastSink, Resolution, Stm,
+    StmConfig, ThreadId, TxEvent,
 };
 use gstm_model::{GuidedModel, ModelHandle, StateTracker, WindowIngest};
 use gstm_sim::{SimConfig, SimMachine, WaitBarrier};
-use gstm_telemetry::{Snapshot, TelemetrySink};
+use gstm_telemetry::{MetricsRegistry, Snapshot, ThreadMetrics};
 
 use crate::adaptive::AdaptivePolicy;
 use crate::baselines::{BoundedAbortsPolicy, DeterministicPolicy};
@@ -174,8 +175,6 @@ pub struct RunOptions {
     pub threads: usize,
     /// Machine seed — the identity of the run.
     pub seed: u64,
-    /// Machine jitter percentage.
-    pub jitter_pct: u32,
     /// Admission policy.
     pub policy: PolicyChoice,
     /// Contention manager.
@@ -186,7 +185,7 @@ pub struct RunOptions {
     pub detection: Option<Detection>,
     /// Override resolution mode (defaults to the workload's config).
     pub resolution: Option<Resolution>,
-    /// Attach a [`TelemetrySink`] and return its merged [`Snapshot`] in
+    /// Return the run's merged [`Snapshot`], with its gauges, in
     /// [`RunOutcome::telemetry`].
     pub telemetry: bool,
 }
@@ -197,7 +196,6 @@ impl RunOptions {
         RunOptions {
             threads,
             seed,
-            jitter_pct: 25,
             policy: PolicyChoice::Default,
             cm: CmChoice::Aggressive,
             capture_events: false,
@@ -296,14 +294,11 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
     // (workload, threads, seed): independent of process history and of
     // other runs executing concurrently on the pipeline's worker pool.
     let var_domain = gstm_core::VarIdDomain::new();
-    let mut machine =
-        SimMachine::new(SimConfig::new(threads, opts.seed).with_jitter(opts.jitter_pct));
-    let telemetry = opts.telemetry.then(|| Arc::new(TelemetrySink::new(threads)));
-    if let Some(t) = &telemetry {
-        machine = machine.with_metrics(Arc::clone(t.registry()));
-    }
+    // The run's one tally of its event stream; the machine adds its gauges.
+    let registry = Arc::new(MetricsRegistry::new(threads));
+    let machine =
+        SimMachine::new(SimConfig::new(threads, opts.seed)).with_metrics(Arc::clone(&registry));
 
-    let counting = Arc::new(CountingSink::new(threads));
     let memory = opts.capture_events.then(MemorySink::new).map(Arc::new);
     let mut guided_policy: Option<Arc<GuidedPolicy>> = None;
     let mut adaptive_policy: Option<Arc<AdaptivePolicy>> = None;
@@ -350,16 +345,13 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
         }
     };
     let mut sink = MulticastSink::new()
-        .with(Arc::clone(&counting) as Arc<dyn EventSink>)
+        .with(Arc::clone(&registry) as Arc<dyn EventSink>)
         .with(Arc::clone(&tracker) as Arc<dyn EventSink>);
     if let Some(ps) = policy_sink {
         sink = sink.with(ps);
     }
     if let Some(mem) = &memory {
         sink = sink.with(Arc::clone(mem) as Arc<dyn EventSink>);
-    }
-    if let Some(t) = &telemetry {
-        sink = sink.with(Arc::clone(t) as Arc<dyn EventSink>);
     }
 
     let mut config = workload.stm_config(threads);
@@ -408,40 +400,42 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
         panic!("workload '{}' failed verification: {msg}", workload.name());
     }
 
-    let ids = |i: usize| ThreadId::new(i as u16);
     let hold_stats = guided_policy.as_ref().map(|p| p.hold_stats());
-    let snapshot = telemetry.map(|t| {
-        let reg = t.registry();
-        reg.set_gauge("gstm_model_nondeterminism_states", tracker.nondeterminism() as u64);
-        reg.set_gauge("gstm_model_unknown_state_hits_total", tracker.unknown_state_hits());
-        reg.set_gauge("gstm_model_transitions_total", tracker.transition_count());
+    let snapshot = opts.telemetry.then(|| {
+        registry.set_gauge("gstm_model_nondeterminism_states", tracker.nondeterminism() as u64);
+        registry.set_gauge("gstm_model_unknown_state_hits_total", tracker.unknown_state_hits());
+        registry.set_gauge("gstm_model_transitions_total", tracker.transition_count());
         if let Some(hs) = &hold_stats {
-            reg.set_gauge("gstm_guide_holds_immediate_total", hs.immediate);
-            reg.set_gauge("gstm_guide_holds_admitted_later_total", hs.admitted_later);
-            reg.set_gauge("gstm_guide_holds_bailed_out_total", hs.bailed_out);
+            registry.set_gauge("gstm_guide_holds_immediate_total", hs.immediate);
+            registry.set_gauge("gstm_guide_holds_admitted_later_total", hs.admitted_later);
+            registry.set_gauge("gstm_guide_holds_bailed_out_total", hs.bailed_out);
         }
         if let Some(ap) = &adaptive_policy {
-            reg.set_gauge("gstm_guide_stand_downs_total", ap.stand_downs());
-            reg.set_gauge("gstm_guide_active", u64::from(ap.is_active()));
+            registry.set_gauge("gstm_guide_stand_downs_total", ap.stand_downs());
+            registry.set_gauge("gstm_guide_active", u64::from(ap.is_active()));
         }
         if let Some(rt) = &retrainer {
             let rs = rt.stats();
-            reg.set_gauge("gstm_guide_retrain_attempts_total", rs.attempts);
-            reg.set_gauge("gstm_guide_model_installs_total", rs.installs);
-            reg.set_gauge("gstm_guide_model_rejects_total", rs.rejects);
-            reg.set_gauge("gstm_guide_model_epoch", tracker.model_epoch());
-            reg.set_gauge("gstm_guide_ingest_dropped_total", rt.ingest().dropped());
+            registry.set_gauge("gstm_guide_retrain_attempts_total", rs.attempts);
+            registry.set_gauge("gstm_guide_model_installs_total", rs.installs);
+            registry.set_gauge("gstm_guide_model_rejects_total", rs.rejects);
+            registry.set_gauge("gstm_guide_model_epoch", tracker.model_epoch());
+            registry.set_gauge("gstm_guide_ingest_dropped_total", rt.ingest().dropped());
         }
-        t.snapshot()
+        registry.snapshot()
     });
+    let shards = registry.shards();
+    let tally = |count: fn(&ThreadMetrics) -> &AtomicU64| {
+        shards.iter().map(|m| count(m).load(Ordering::Relaxed)).collect()
+    };
     RunOutcome {
         thread_ticks: report.active_ticks,
         thread_wall_ticks: report.thread_ticks,
         makespan: report.makespan,
-        commits: (0..threads).map(|i| counting.commits(ids(i))).collect(),
-        aborts: (0..threads).map(|i| counting.aborts(ids(i))).collect(),
-        holds: (0..threads).map(|i| counting.holds(ids(i))).collect(),
-        abort_histograms: (0..threads).map(|i| counting.abort_histogram(ids(i))).collect(),
+        commits: tally(|m| &m.commits),
+        aborts: tally(|m| &m.aborts),
+        holds: tally(|m| &m.holds),
+        abort_histograms: shards.iter().map(|m| m.retries.lock().clone()).collect(),
         nondeterminism: tracker.nondeterminism(),
         unknown_hits: tracker.unknown_state_hits(),
         events: memory.map(|m| m.take()),
@@ -536,7 +530,11 @@ mod tests {
             snap.gauge_value("gstm_model_nondeterminism_states"),
             Some(out.nondeterminism as u64)
         );
-        assert!(snap.histogram("gstm_tx_retries", 0).is_some());
+        // The snapshot's retry series and the outcome's exact tail are one tally.
+        let tail = &out.abort_histograms[0];
+        let retries = snap.histogram("gstm_tx_retries", 0).expect("thread 0 committed");
+        assert_eq!(retries.count(), tail.values().sum::<u64>());
+        assert_eq!(retries.sum, tail.iter().map(|(&k, &c)| u64::from(k) * c).sum::<u64>());
     }
 
     #[test]

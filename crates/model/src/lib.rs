@@ -17,7 +17,7 @@
 //!    stream to expose the current state; `gstm-guide` turns the two into
 //!    an admission policy.
 //!
-//! Models persist via [`serialize`] in text or compact binary form.
+//! Models persist via [`serialize`] in one compact binary form (GTSA).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

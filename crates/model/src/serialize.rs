@@ -1,11 +1,10 @@
-//! Model persistence: a human-readable text form and a compact binary form.
+//! Model persistence: the compact binary form (GTSA).
 //!
 //! The paper's workflow is offline: profile → build model → store → load
-//! into the guided run (`state_data` files in the artifact). We provide
-//! both a diff-friendly text format and the compact little-endian binary
-//! the runtime loads. No external serialization crates are used.
+//! into the guided run (`state_data` files in the artifact). The model
+//! cache, `train-model` and `inspect-model` all use the one little-endian
+//! binary format below. No external serialization crates are used.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
 use gstm_core::{Participant, ThreadId, TxId};
@@ -45,106 +44,6 @@ fn pack(p: Participant) -> u32 {
 
 fn unpack(v: u32) -> Participant {
     Participant::new(ThreadId::new((v >> 16) as u16), TxId::new((v & 0xFFFF) as u16))
-}
-
-/// Renders a TSA as text: one `s` line per state (id order) and one `e`
-/// line per edge, deterministic output.
-///
-/// ```text
-/// GSTM-TSA v1
-/// states 2 edges 1
-/// s 0 65536        # committer packed, then aborted participants
-/// s 1 131072 65536
-/// e 0 1 7
-/// ```
-pub fn to_text(tsa: &Tsa) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "GSTM-TSA v1");
-    let _ = writeln!(out, "states {} edges {}", tsa.state_count(), tsa.edge_count());
-    for (_, tts) in tsa.space().iter() {
-        let _ = write!(out, "s {}", pack(tts.committer()));
-        for &a in tts.aborted() {
-            let _ = write!(out, " {}", pack(a));
-        }
-        out.push('\n');
-    }
-    let mut edges: Vec<(u32, u32, u64)> = Vec::new();
-    for (id, _) in tsa.space().iter() {
-        for &(to, count) in tsa.out_edges(id) {
-            edges.push((id.0, to.0, count));
-        }
-    }
-    edges.sort_unstable();
-    for (from, to, count) in edges {
-        let _ = writeln!(out, "e {from} {to} {count}");
-    }
-    out
-}
-
-/// Parses the text form back into a TSA.
-///
-/// # Errors
-///
-/// Returns [`DecodeError::Malformed`] on any structural problem.
-pub fn from_text(text: &str) -> Result<Tsa, DecodeError> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| malformed("empty input"))?;
-    if header.trim() != "GSTM-TSA v1" {
-        return Err(malformed(&format!("bad header {header:?}")));
-    }
-    let counts = lines.next().ok_or_else(|| malformed("missing counts line"))?;
-    let mut it = counts.split_whitespace();
-    let (n_states, n_edges) = match (it.next(), it.next(), it.next(), it.next()) {
-        (Some("states"), Some(s), Some("edges"), Some(e)) => (
-            s.parse::<usize>().map_err(|e| malformed(&e.to_string()))?,
-            e.parse::<usize>().map_err(|e| malformed(&e.to_string()))?,
-        ),
-        _ => return Err(malformed("bad counts line")),
-    };
-
-    let mut states: Vec<Tts> = Vec::with_capacity(n_states);
-    let mut edges: Vec<(u32, u32, u64)> = Vec::with_capacity(n_edges);
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("s") => {
-                let vals: Result<Vec<u32>, _> = parts.map(str::parse).collect();
-                let vals = vals.map_err(|e| malformed(&e.to_string()))?;
-                let (&committer, aborted) =
-                    vals.split_first().ok_or_else(|| malformed("state without committer"))?;
-                states.push(Tts::new(
-                    aborted.iter().map(|&v| unpack(v)).collect(),
-                    unpack(committer),
-                ));
-            }
-            Some("e") => {
-                let vals: Vec<&str> = parts.collect();
-                if vals.len() != 3 {
-                    return Err(malformed("edge needs from/to/count"));
-                }
-                edges.push((
-                    vals[0]
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| malformed(&e.to_string()))?,
-                    vals[1]
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| malformed(&e.to_string()))?,
-                    vals[2]
-                        .parse()
-                        .map_err(|e: std::num::ParseIntError| malformed(&e.to_string()))?,
-                ));
-            }
-            other => return Err(malformed(&format!("unknown record {other:?}"))),
-        }
-    }
-    if states.len() != n_states || edges.len() != n_edges {
-        return Err(malformed("count mismatch"));
-    }
-    rebuild(states, edges)
 }
 
 /// Encodes a TSA into the compact binary form (magic `GTSA`, version 1,
@@ -350,14 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip() {
-        let tsa = sample_tsa();
-        let text = to_text(&tsa);
-        let back = from_text(&text).unwrap();
-        assert_same(&tsa, &back);
-    }
-
-    #[test]
     fn binary_round_trip() {
         let tsa = sample_tsa();
         let back = from_bytes(&to_bytes(&tsa)).unwrap();
@@ -379,7 +270,10 @@ mod tests {
     #[test]
     fn binary_is_compact() {
         let tsa = sample_tsa();
-        assert!(to_bytes(&tsa).len() < to_text(&tsa).len() * 2);
+        // A 16-byte header, 8 bytes plus 4 per abortee for each state and
+        // 16 per edge: no padding, no per-record framing.
+        let states: usize = tsa.space().iter().map(|(_, t)| 8 + 4 * t.aborted().len()).sum();
+        assert_eq!(to_bytes(&tsa).len(), 16 + states + 16 * tsa.edge_count());
     }
 
     #[test]
@@ -417,18 +311,6 @@ mod tests {
         let mut bytes = to_bytes(&sample_tsa());
         bytes.push(0);
         assert!(from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn rejects_bad_text_header() {
-        assert!(from_text("WRONG v9\n").is_err());
-        assert!(from_text("").is_err());
-    }
-
-    #[test]
-    fn rejects_dangling_edge() {
-        let text = "GSTM-TSA v1\nstates 1 edges 1\ns 0\ne 0 5 1\n";
-        assert!(from_text(text).is_err());
     }
 
     /// A minimal hand-built frame: header + explicit state/edge records.

@@ -5,9 +5,7 @@
 use std::sync::Arc;
 
 use gstm_core::cm::Aggressive;
-use gstm_core::{
-    AdmitAll, CountingSink, MemorySink, MulticastSink, Stm, StmConfig, TVar, ThreadId, TxId,
-};
+use gstm_core::{AdmitAll, MemorySink, Stm, StmConfig, TVar, ThreadId, TxEvent, TxId};
 use gstm_sim::{SimConfig, SimMachine};
 
 fn contended_run(
@@ -23,13 +21,11 @@ fn contended_run(
         v.store_unlogged(0);
     }
     let machine = SimMachine::new(SimConfig::new(threads, seed));
-    let counting = Arc::new(CountingSink::new(threads));
     let memory = Arc::new(MemorySink::new());
-    let sink = Arc::new(MulticastSink::new().with(counting.clone() as _).with(memory.clone() as _));
     let stm = Arc::new(Stm::with_parts(
         StmConfig::new(threads),
         machine.gate(),
-        sink,
+        memory.clone(),
         Arc::new(AdmitAll),
         Arc::new(Aggressive),
     ));
@@ -53,8 +49,9 @@ fn contended_run(
         })
         .collect();
     let report = machine.run(workers);
-    let aborts: u64 = (0..threads).map(|i| counting.aborts(ThreadId::new(i as u16))).sum();
-    let log: Vec<String> = memory.take().iter().map(|e| e.to_string()).collect();
+    let events = memory.take();
+    let aborts = events.iter().filter(|e| matches!(e, TxEvent::Abort { .. })).count() as u64;
+    let log: Vec<String> = events.iter().map(|e| e.to_string()).collect();
     (report.thread_ticks, aborts, log)
 }
 

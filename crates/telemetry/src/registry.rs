@@ -1,10 +1,12 @@
-//! Sharded per-thread metric registries.
+//! Sharded per-thread metric registries: the one tally of a run's event
+//! stream.
 //!
 //! Each thread owns a [`ThreadMetrics`] shard: plain `AtomicU64` counters
-//! and [`LogHistogram`]s written with `Relaxed` operations, never locks.
-//! Contention between writers is impossible by construction (one shard per
-//! thread); cross-thread merging happens only in [`MetricsRegistry::snapshot`],
-//! which is off the transactional fast path.
+//! and [`LogHistogram`]s written with `Relaxed` operations, plus the exact
+//! aborts-before-commit map behind one mutex that only its own thread
+//! takes. Contention between writers is impossible by construction (one
+//! shard per thread); cross-thread merging happens only in
+//! [`MetricsRegistry::snapshot`], which is off the transactional fast path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,7 +14,7 @@ use gstm_core::error::AbortReason;
 use gstm_core::sync::Mutex;
 use std::collections::BTreeMap;
 
-use crate::histogram::LogHistogram;
+use crate::histogram::{bucket_of, HistogramSnapshot, LogHistogram};
 use crate::snapshot::Snapshot;
 
 /// Stable order of abort-reason labels, matching [`AbortReason::label`].
@@ -39,8 +41,8 @@ pub fn reason_index(reason: &AbortReason) -> usize {
     }
 }
 
-/// One thread's metric shard. All writes are `Relaxed`: the counters are
-/// monotone event tallies whose cross-thread ordering is irrelevant; the
+/// One thread's metric shard. All counter writes are `Relaxed`: the counters
+/// are monotone event tallies whose cross-thread ordering is irrelevant; the
 /// snapshot merge tolerates (and the sim's rendezvous points in practice
 /// eliminate) momentary skew between related counters.
 #[derive(Debug, Default)]
@@ -61,16 +63,11 @@ pub struct ThreadMetrics {
     pub reads: LogHistogram,
     /// Write-set size at commit.
     pub writes: LogHistogram,
-    /// Aborts suffered before each commit (the paper's tail-figure input).
-    pub retries: LogHistogram,
+    /// Exact `aborts-before-commit → commits` map: the tail that the paper's
+    /// Figs. 5, 7 and 8 are drawn from. One lock per commit.
+    pub retries: Mutex<BTreeMap<u32, u64>>,
     /// Polls per hold episode.
     pub polls: LogHistogram,
-}
-
-impl ThreadMetrics {
-    fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// The registry: a fixed array of shards plus a small gauge table for
@@ -88,20 +85,15 @@ impl MetricsRegistry {
     /// Creates shards for `max_threads` threads.
     pub fn new(max_threads: usize) -> Self {
         MetricsRegistry {
-            shards: (0..max_threads).map(|_| ThreadMetrics::new()).collect(),
+            shards: (0..max_threads).map(|_| ThreadMetrics::default()).collect(),
             gauges: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Number of thread shards.
-    pub fn threads(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard for `thread`, if in range. Hot-path accessor: no locking.
+    /// The shards, indexed by thread. Hot-path accessor: no locking.
     #[inline]
-    pub fn thread(&self, thread: usize) -> Option<&ThreadMetrics> {
-        self.shards.get(thread)
+    pub fn shards(&self) -> &[ThreadMetrics] {
+        &self.shards
     }
 
     /// Sets (or overwrites) a named gauge. Cold path only.
@@ -132,7 +124,7 @@ impl MetricsRegistry {
             }
             snap.set_histogram("gstm_tx_read_set", t, shard.reads.snapshot());
             snap.set_histogram("gstm_tx_write_set", t, shard.writes.snapshot());
-            snap.set_histogram("gstm_tx_retries", t, shard.retries.snapshot());
+            snap.set_histogram("gstm_tx_retries", t, log2_series(&shard.retries.lock()));
             snap.set_histogram("gstm_tx_hold_poll_len", t, shard.polls.snapshot());
         }
         for (name, value) in self.gauges.lock().iter() {
@@ -140,6 +132,17 @@ impl MetricsRegistry {
         }
         snap
     }
+}
+
+/// Renders an exact `value → count` map as the log2 series a
+/// [`LogHistogram`] fed the same values would hold.
+fn log2_series(counts: &BTreeMap<u32, u64>) -> HistogramSnapshot {
+    let mut h = HistogramSnapshot::empty();
+    for (&value, &count) in counts {
+        h.buckets[bucket_of(u64::from(value))] += count;
+        h.sum += u64::from(value) * count;
+    }
+    h
 }
 
 #[cfg(test)]
@@ -166,12 +169,23 @@ mod tests {
     #[test]
     fn shards_are_independent() {
         let reg = MetricsRegistry::new(2);
-        reg.thread(0).unwrap().commits.fetch_add(3, Ordering::Relaxed);
-        reg.thread(1).unwrap().commits.fetch_add(1, Ordering::Relaxed);
-        assert!(reg.thread(2).is_none());
+        reg.shards()[0].commits.fetch_add(3, Ordering::Relaxed);
+        reg.shards()[1].commits.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(reg.shards().len(), 2);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("gstm_tx_commits_total", 0), 3);
         assert_eq!(snap.counter("gstm_tx_commits_total", 1), 1);
+    }
+
+    #[test]
+    fn retries_render_as_the_log2_series_of_their_values() {
+        let reg = MetricsRegistry::new(1);
+        let fed = LogHistogram::new();
+        for value in [0u32, 0, 1, 2, 3, 3, 7, 8, 100, 4096, u32::MAX] {
+            *reg.shards()[0].retries.lock().entry(value).or_insert(0) += 1;
+            fed.record(u64::from(value));
+        }
+        assert_eq!(reg.snapshot().histogram("gstm_tx_retries", 0), Some(&fed.snapshot()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! machinery, [`guide`] for guided execution, [`sim`] for the deterministic
 //! virtual-core machine, [`stamp`] and [`synquake`] for the workloads,
 //! [`stats`] for the metrics, [`telemetry`] for the sharded metric
-//! registries, flight recorder, and snapshot export, [`check`] for the
+//! registry (every run's one tally) and snapshot export, [`check`] for the
 //! offline opacity/serializability oracle, [`block`] for the ordered
 //! Block-STM-style batch executor, [`serve`] for the sharded
 //! transactional store service with open-loop traffic, and [`wal`] for the

@@ -1,7 +1,7 @@
-//! Cross-crate telemetry integration: the sink observes exactly what the
-//! engine does, snapshots are consistent with the harness's own counters
-//! and with the captured transaction sequence, and identical-seed runs
-//! export byte-identical snapshots.
+//! Cross-crate telemetry integration: the registry observes exactly what
+//! the engine does, snapshots are consistent with the run outcome and with
+//! the captured transaction sequence, asking for the snapshot changes
+//! nothing else, and identical-seed runs export byte-identical snapshots.
 
 use std::sync::Arc;
 
@@ -159,4 +159,15 @@ fn machine_dump_round_trips_through_from_machine() {
 
     let parsed = Snapshot::from_machine(&snap.to_machine()).expect("well-formed dump");
     assert_eq!(parsed, snap);
+}
+
+#[test]
+fn telemetry_changes_nothing_but_the_snapshot() {
+    let w = Contended { per_thread: 20, rare_per_thread: 4 };
+    let opts = guided_opts(3, 9);
+    let plain = run_workload(&w, &RunOptions { telemetry: false, ..opts.clone() });
+    let mut measured = run_workload(&w, &opts);
+    assert!(plain.telemetry.is_none());
+    assert!(measured.telemetry.take().is_some());
+    assert_eq!(format!("{plain:?}"), format!("{measured:?}"));
 }
