@@ -24,9 +24,12 @@
 
 use std::sync::Arc;
 
-use gstm_guide::{PolicyChoice, RetrainSpec, RunOptions, RunOutcome, DEFAULT_K};
+use gstm_guide::{
+    PolicyChoice, RunOptions, RunOutcome, ADAPTIVE_MAX_UNKNOWN_PCT, ADAPTIVE_WINDOW, DEFAULT_K,
+};
+use gstm_model::analyzer::{DEFAULT_METRIC_CUTOFF, DEFAULT_MIN_STATES};
 use gstm_model::serialize::tsa_digest;
-use gstm_model::{analyze_with, TsaBuilder, Tts};
+use gstm_model::{analyze, TsaBuilder, Tts};
 use gstm_serve::{Drift, ServeSpec, ServeWorkload};
 use gstm_stats::{percent_change, TextTable};
 
@@ -44,33 +47,6 @@ const STUDY_THETA_START: f64 = 0.4;
 /// saw during training arrives mid-run, which is exactly the staleness
 /// the online loop exists to repair.
 const STUDY_DRIFT: Drift = Drift { theta_end: 0.99, phases: 4, hotspot_step: 8 };
-
-/// Window length (in commit tuples) of the adaptive loop's re-evaluation
-/// and retrain cadence.
-const STUDY_WINDOW: u64 = 128;
-
-/// Stand-down threshold: guidance pauses above this unknown-tuple share.
-const STUDY_MAX_UNKNOWN_PCT: u32 = 60;
-
-/// The retrain knobs the study runs with.
-///
-/// Decay is pinned to 100 — pure accumulation, provably equivalent to
-/// training on the concatenated runs — because the serve automata are
-/// count-sparse: most edges are observed once, so any decay below 100
-/// floors the base's counts to zero in a single step and the §IV gate
-/// (correctly) refuses the resulting near-uniform candidates.
-///
-/// The metric ratchet is on: windowed samples concentrate their counts on
-/// exactly the contention states that decide admissions, so candidates
-/// that pass the absolute cutoff can still churn the load-bearing states
-/// seed-dependently — which shows up directly as cross-seed tail
-/// variance, the quantity this study prices. With the ratchet, a
-/// candidate ships only when fresh data leaves the §IV metric no worse
-/// than the serving model's, and the gate's live rejects (plus the
-/// negative-control row) keep its willingness to refuse visible.
-fn study_retrain() -> RetrainSpec {
-    RetrainSpec { decay_pct: 100, require_no_regression: true, ..RetrainSpec::default() }
-}
 
 /// The drifting spec the three arms serve, scaled by the config's
 /// `serve_requests`: starts mild ([`STUDY_THETA_START`]) and sharpens
@@ -90,13 +66,14 @@ fn training_spec(cfg: &crate::config::ExpConfig) -> ServeSpec {
 }
 
 /// Policy tag of a guided-adaptive run: embeds the starting model's digest
-/// and every adaptive knob, so a changed loop configuration can never
-/// satisfy a stale cached outcome.
-fn adaptive_tag(digest: &str, k: u32, tfactor: f64, spec: &RetrainSpec) -> String {
+/// and every constant of the online loop, so a changed loop can never
+/// satisfy a stale cached outcome. `decay=100;…;ratchet=true` name the
+/// undecayed merge and the no-regression rule, as the tag always has.
+fn adaptive_tag(digest: &str, tfactor: f64) -> String {
     format!(
-        "policy=guided-adaptive;k={k};tfactor={tfactor};window={STUDY_WINDOW};\
-         maxunk={STUDY_MAX_UNKNOWN_PCT};decay={};cutoff={};minstates={};ratchet={};model={digest}",
-        spec.decay_pct, spec.metric_cutoff, spec.min_states, spec.require_no_regression
+        "policy=guided-adaptive;k={DEFAULT_K};tfactor={tfactor};window={ADAPTIVE_WINDOW};\
+         maxunk={ADAPTIVE_MAX_UNKNOWN_PCT};decay=100;cutoff={DEFAULT_METRIC_CUTOFF};\
+         minstates={DEFAULT_MIN_STATES};ratchet=true;model={digest}"
     )
 }
 
@@ -138,7 +115,6 @@ pub fn serve_adaptive_report(pipe: &Pipeline<'_>) -> (String, Vec<RunOutcome>) {
     ));
     let trained = pipe.trained_serve("serve-adaptive/static-train", &stationary, threads);
     let digest = tsa_digest(&trained.tsa);
-    let retrain = study_retrain();
 
     let workload = ServeWorkload::new(spec.clone());
     let wkey = format!("serve-adaptive:{}", spec.cache_key());
@@ -158,15 +134,12 @@ pub fn serve_adaptive_report(pipe: &Pipeline<'_>) -> (String, Vec<RunOutcome>) {
         )
     });
     pipe.progress().report("serve-adaptive: guided-adaptive runs");
-    let adapt_tag = adaptive_tag(&digest, DEFAULT_K, cfg.tfactor, &retrain);
+    let adapt_tag = adaptive_tag(&digest, cfg.tfactor);
     let adaptive_runs = pipe.measured_runs(&wkey, &workload, &adapt_tag, |s| {
-        measured(RunOptions::new(threads, s).with_policy(PolicyChoice::AdaptiveOnline {
-            model: Arc::clone(&trained.model),
-            k: DEFAULT_K,
-            max_unknown_pct: STUDY_MAX_UNKNOWN_PCT,
-            window: STUDY_WINDOW,
-            retrain,
-        }))
+        measured(
+            RunOptions::new(threads, s)
+                .with_policy(PolicyChoice::AdaptiveOnline { model: Arc::clone(&trained.model) }),
+        )
     });
 
     let mut out = format!(
@@ -218,8 +191,7 @@ pub fn serve_adaptive_report(pipe: &Pipeline<'_>) -> (String, Vec<RunOutcome>) {
     // Negative gate row: the §IV analyzer must refuse a model whose
     // transitions carry no bias — shipping it would trade holds for
     // nothing. This is the same call `OnlineRetrainer::try_retrain` makes.
-    let verdict =
-        analyze_with(&uniform_candidate(), cfg.tfactor, retrain.metric_cutoff, retrain.min_states);
+    let verdict = analyze(&uniform_candidate(), cfg.tfactor);
     assert!(
         !verdict.verdict.is_fit(),
         "the gate must reject a near-uniform candidate, got: {verdict}"
@@ -243,15 +215,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_tag_tracks_every_knob() {
-        let spec = RetrainSpec::default();
-        let a = adaptive_tag("abc", 16, 4.0, &spec);
-        assert_ne!(a, adaptive_tag("def", 16, 4.0, &spec), "model digest is load-bearing");
-        assert_ne!(a, adaptive_tag("abc", 8, 4.0, &spec));
-        let loose = RetrainSpec { decay_pct: 90, ..spec };
-        assert_ne!(a, adaptive_tag("abc", 16, 4.0, &loose));
-        let ratcheted = RetrainSpec { require_no_regression: true, ..spec };
-        assert_ne!(a, adaptive_tag("abc", 16, 4.0, &ratcheted));
+    fn adaptive_tag_is_pinned() {
+        assert_eq!(
+            adaptive_tag("abc", 4.0),
+            "policy=guided-adaptive;k=16;tfactor=4;window=128;maxunk=60;decay=100;cutoff=50;\
+             minstates=16;ratchet=true;model=abc",
+            "a changed tag orphans every cached guided-adaptive run"
+        );
     }
 
     #[test]
@@ -261,18 +231,12 @@ mod tests {
         let cfg = ExpConfig::tiny();
         let spec = adaptive_spec(&cfg);
         let workload = ServeWorkload::new(spec);
-        // A tiny but fit starting model; what matters is that the whole
-        // loop (ingest, retrain, gate, hot-swap) replays identically.
+        // A small starting model; what matters is that the whole loop
+        // (ingest, retrain, gate) replays identically.
         let model = Arc::new(GuidedModel::compile(uniform_candidate(), cfg.tfactor));
         let run = || {
             let opts = gstm_guide::RunOptions::new(2, 7)
-                .with_policy(PolicyChoice::AdaptiveOnline {
-                    model: Arc::clone(&model),
-                    k: DEFAULT_K,
-                    max_unknown_pct: STUDY_MAX_UNKNOWN_PCT,
-                    window: 64,
-                    retrain: RetrainSpec::default(),
-                })
+                .with_policy(PolicyChoice::AdaptiveOnline { model: Arc::clone(&model) })
                 .with_telemetry();
             run_workload(&workload, &opts)
         };
@@ -284,15 +248,19 @@ mod tests {
         let gauge = |o: &RunOutcome, n: &str| {
             o.telemetry.as_ref().and_then(|s| s.gauge_value(n)).unwrap_or_default()
         };
-        for g in ["gstm_guide_retrain_attempts_total", "gstm_guide_model_installs_total"] {
+        assert!(gauge(&a, "gstm_guide_retrain_attempts_total") > 0, "the loop must retrain");
+        for g in [
+            "gstm_guide_retrain_attempts_total",
+            "gstm_guide_model_installs_total",
+            "gstm_guide_model_rejects_total",
+        ] {
             assert_eq!(gauge(&a, g), gauge(&b, g), "{g} must replay identically");
         }
     }
 
     #[test]
     fn gate_negative_control_is_rejected() {
-        let spec = RetrainSpec::default();
-        let verdict = analyze_with(&uniform_candidate(), 4.0, spec.metric_cutoff, spec.min_states);
+        let verdict = analyze(&uniform_candidate(), 4.0);
         assert!(!verdict.verdict.is_fit(), "uniform candidate must be unfit: {verdict}");
     }
 }

@@ -122,11 +122,12 @@ fn run_block_smoke(args: &[String]) -> ! {
     let seed: u64 = flag_number(args, "--seed").unwrap_or(11);
     let threads: Vec<usize> = flag_value(args, "--threads").map_or(vec![1, 2, 4, 8], |s| {
         s.split(',')
-            .map(|part| {
-                part.trim().parse().unwrap_or_else(|_| {
+            .map(|part| match part.trim().parse() {
+                Ok(n) if n > 0 => n,
+                _ => {
                     eprintln!("block-smoke: bad thread count {part:?} in {s:?}");
                     std::process::exit(2);
-                })
+                }
             })
             .collect()
     });

@@ -41,6 +41,15 @@ fn a_flag_without_its_value_is_rejected_by_every_command() {
     let out = experiments(&dir, &["block-smoke", "--seed", "-3"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--seed requires a non-negative"));
+    // A zero worker count used to panic in the executor (exit 101) after
+    // the reference line was printed.
+    for threads in ["0", "2,0"] {
+        let out = experiments(&dir, &["block-smoke", "--threads", threads]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--threads {threads}: {err}");
+        assert!(err.contains("block-smoke: bad thread count \"0\""), "--threads {threads}: {err}");
+        assert!(out.stdout.is_empty(), "--threads {threads} must not run anything");
+    }
     assert!(!dir.join("results").exists(), "a rejected command line leaves nothing behind");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

@@ -16,6 +16,14 @@ use gstm_core::{AdmissionPolicy, Participant};
 
 use crate::policy::GuidedPolicy;
 
+/// Window length, in commit tuples, of the online loop's re-evaluation and
+/// retrain cadence ([`PolicyChoice::AdaptiveOnline`](crate::PolicyChoice)).
+pub const ADAPTIVE_WINDOW: u64 = 128;
+
+/// The online loop's stand-down threshold: guidance pauses while more than
+/// this percentage of a window's tuples miss the model.
+pub const ADAPTIVE_MAX_UNKNOWN_PCT: u32 = 60;
+
 /// Callback fired once per closed evaluation window, by the single thread
 /// that claimed it (see [`AdaptivePolicy::with_observer`]). The online
 /// retrain loop hangs off this hook: the window barrier is where a fresh
@@ -80,11 +88,6 @@ impl AdaptivePolicy {
     pub fn with_observer(mut self, observer: Arc<dyn WindowObserver>) -> Self {
         self.observer = Some(observer);
         self
-    }
-
-    /// The wrapped guided policy.
-    pub fn inner(&self) -> &Arc<GuidedPolicy> {
-        &self.inner
     }
 
     /// Whether guidance is currently engaged.

@@ -14,9 +14,9 @@ use gstm_model::{GuidedModel, ModelHandle, StateTracker, WindowIngest};
 use gstm_sim::{SimConfig, SimMachine, WaitBarrier};
 use gstm_telemetry::{MetricsRegistry, Snapshot, ThreadMetrics};
 
-use crate::adaptive::AdaptivePolicy;
+use crate::adaptive::{AdaptivePolicy, ADAPTIVE_MAX_UNKNOWN_PCT, ADAPTIVE_WINDOW};
 use crate::baselines::{BoundedAbortsPolicy, DeterministicPolicy};
-use crate::online::{OnlineRetrainer, RetrainSpec};
+use crate::online::OnlineRetrainer;
 use crate::policy::{GuidedPolicy, HoldStats, DEFAULT_K};
 
 /// Everything a worker closure needs.
@@ -120,19 +120,13 @@ pub enum PolicyChoice {
         k: u32,
     },
     /// Adaptive guidance with the online retrain loop engaged: the model
-    /// serves through a hot-swap handle, ingested windows merge into it on
-    /// the window-claim cadence, and the §IV gate decides what ships.
+    /// serves through a hot-swap handle at [`DEFAULT_K`], ingested windows
+    /// of [`ADAPTIVE_WINDOW`] tuples merge into it on the window-claim
+    /// cadence, the §IV gate decides what ships, and guidance stands down
+    /// above [`ADAPTIVE_MAX_UNKNOWN_PCT`] unknown tuples.
     AdaptiveOnline {
         /// Initially served compiled model.
         model: Arc<GuidedModel>,
-        /// Hold-retry bound `k`.
-        k: u32,
-        /// Stand guidance down above this unknown-tuple percentage.
-        max_unknown_pct: u32,
-        /// Re-evaluate (and possibly retrain) every this many tuples.
-        window: u64,
-        /// Incremental-trainer and §IV-gate knobs.
-        retrain: RetrainSpec,
     },
     /// §I's dismissed local approach: priority after `limit` aborts.
     BoundedAborts {
@@ -148,11 +142,7 @@ impl std::fmt::Debug for PolicyChoice {
         match self {
             PolicyChoice::Default => write!(f, "Default"),
             PolicyChoice::Guided { k, .. } => write!(f, "Guided {{ k: {k} }}"),
-            PolicyChoice::AdaptiveOnline { k, max_unknown_pct, window, retrain, .. } => write!(
-                f,
-                "AdaptiveOnline {{ k: {k}, max_unknown_pct: {max_unknown_pct}, \
-                 window: {window}, retrain: {retrain:?} }}"
-            ),
+            PolicyChoice::AdaptiveOnline { .. } => write!(f, "AdaptiveOnline"),
             PolicyChoice::BoundedAborts { limit } => {
                 write!(f, "BoundedAborts {{ limit: {limit} }}")
             }
@@ -312,24 +302,21 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
             guided_policy = Some(Arc::clone(&policy));
             (tracker, policy)
         }
-        PolicyChoice::AdaptiveOnline { model, k, max_unknown_pct, window, retrain } => {
+        PolicyChoice::AdaptiveOnline { model } => {
             let handle = Arc::new(ModelHandle::new(Arc::clone(model)));
             let tracker = Arc::new(StateTracker::with_handle(Arc::clone(&handle)));
-            let inner = Arc::new(GuidedPolicy::new(Arc::clone(&tracker), *k));
+            let inner = Arc::new(GuidedPolicy::new(Arc::clone(&tracker), DEFAULT_K));
             guided_policy = Some(Arc::clone(&inner));
             // One ingested run per adaptive window, bounded so a stalled
             // claim never grows the buffer without limit.
-            let ingest = Arc::new(WindowIngest::new(*window as usize, 64));
+            let ingest = Arc::new(WindowIngest::new(ADAPTIVE_WINDOW as usize, 64));
             policy_sink = Some(Arc::clone(&ingest) as Arc<dyn EventSink>);
-            let rt = Arc::new(OnlineRetrainer::new(
-                Arc::clone(&ingest),
-                handle,
-                model.tsa().clone(),
-                *retrain,
-            ));
+            let rt = Arc::new(OnlineRetrainer::new(ingest, handle));
             retrainer = Some(Arc::clone(&rt));
-            let policy =
-                Arc::new(AdaptivePolicy::new(inner, *max_unknown_pct, *window).with_observer(rt));
+            let policy = Arc::new(
+                AdaptivePolicy::new(inner, ADAPTIVE_MAX_UNKNOWN_PCT, ADAPTIVE_WINDOW)
+                    .with_observer(rt),
+            );
             adaptive_policy = Some(Arc::clone(&policy));
             (tracker, policy)
         }

@@ -6,12 +6,27 @@
 //! window however many threads race `admit`) fires
 //! [`WindowObserver::on_window`] exactly once per window; the retrainer
 //! then drains the [`WindowIngest`] sink, merges the fresh runs into the
-//! serving automaton with decay ([`merge_decayed`]), and re-runs the
-//! paper's §IV analyzer on the candidate. Only a **fit** candidate is
-//! compiled and installed through the [`ModelHandle`]; an unfit one is
-//! discarded wholesale — the serving model keeps running, and if drift has
-//! really invalidated it the unknown-rate monitor stands guidance down,
-//! which is the safe floor.
+//! serving automaton's counts ([`merge`]), and judges the candidate. It
+//! ships — compiled at the serving model's `Tfactor` and installed through
+//! the [`ModelHandle`] — only if both rules hold:
+//!
+//! * **§IV fit**: [`analyze`] rules it fit against the paper's fixed
+//!   thresholds.
+//! * **No regression**: its guidance metric is no worse than the serving
+//!   model's. Windowed samples concentrate their counts on exactly the
+//!   contention states that decide admissions, so candidates that pass the
+//!   absolute cutoff can still churn the load-bearing states
+//!   seed-dependently — which shows up directly as cross-seed tail
+//!   variance. The model moves only when fresh data sharpens its bias.
+//!
+//! A refused candidate is discarded wholesale: the serving model keeps
+//! running, and if drift has really invalidated it the unknown-rate monitor
+//! stands guidance down, which is the safe floor.
+//!
+//! The merge never decays the serving counts. Serve automata are
+//! count-sparse — most edges are observed once — so any decay floors the
+//! base's counts to zero in a single step and the §IV gate (correctly)
+//! refuses every resulting near-uniform candidate.
 //!
 //! Determinism: everything here is a pure function of the ingested event
 //! stream and the claim order, both of which the simulator's Gate replays
@@ -22,50 +37,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gstm_core::sync::Mutex;
-use gstm_model::analyzer::{DEFAULT_METRIC_CUTOFF, DEFAULT_MIN_STATES};
-use gstm_model::{
-    analyze_with, merge_decayed, GuidedModel, ModelHandle, Tsa, WindowIngest, DEFAULT_MIN_SUPPORT,
-    DEFAULT_TFACTOR,
-};
+use gstm_model::{analyze, merge, GuidedModel, ModelHandle, Tsa, WindowIngest};
 
 use crate::adaptive::WindowObserver;
-
-/// Knobs of the incremental trainer and its §IV acceptance gate.
-#[derive(Clone, Copy, Debug)]
-pub struct RetrainSpec {
-    /// Percentage of each serving-edge count carried into a candidate
-    /// (100 = pure accumulation, lower forgets faster).
-    pub decay_pct: u32,
-    /// `Tfactor` candidates are analyzed and compiled with.
-    pub tfactor: f64,
-    /// State-support cutoff for compiling an accepted candidate.
-    pub min_support: u64,
-    /// §IV guidance-metric cutoff: a candidate above it never ships.
-    pub metric_cutoff: f64,
-    /// §IV minimum state count for a candidate to ship.
-    pub min_states: usize,
-    /// Metric ratchet: when set, a candidate must also be **no worse**
-    /// than the serving model on the §IV guidance metric. Windowed
-    /// samples are small and concentrate their counts on exactly the
-    /// contention states that decide admissions, so an absolute cutoff
-    /// alone still lets noisy candidates churn the load-bearing states;
-    /// the ratchet only lets the model move when fresh data genuinely
-    /// sharpens its bias.
-    pub require_no_regression: bool,
-}
-
-impl Default for RetrainSpec {
-    fn default() -> Self {
-        RetrainSpec {
-            decay_pct: 50,
-            tfactor: DEFAULT_TFACTOR,
-            min_support: DEFAULT_MIN_SUPPORT,
-            metric_cutoff: DEFAULT_METRIC_CUTOFF,
-            min_states: DEFAULT_MIN_STATES,
-            require_no_regression: false,
-        }
-    }
-}
 
 /// Counters describing what the retrain loop did (exported as telemetry
 /// gauges by the harness).
@@ -80,13 +54,16 @@ pub struct RetrainStats {
 }
 
 /// Merges freshly ingested windows into the serving TSA and hot-swaps the
-/// compiled result when — and only when — the §IV gate rules it fit.
+/// compiled result when — and only when — it is fit and no worse than the
+/// serving model.
 pub struct OnlineRetrainer {
     ingest: Arc<WindowIngest>,
     handle: Arc<ModelHandle>,
-    spec: RetrainSpec,
+    /// The `Tfactor` of the model the handle served at construction;
+    /// candidates are analyzed and compiled with it.
+    tfactor: f64,
     /// The automaton the served model was compiled from (plus its §IV
-    /// guidance metric, the ratchet's baseline); candidates merge into
+    /// guidance metric, the no-regression baseline); candidates merge into
     /// this, and it only advances on an accepted install.
     serving: Mutex<Serving>,
     attempts: AtomicU64,
@@ -102,29 +79,26 @@ struct Serving {
 impl std::fmt::Debug for OnlineRetrainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OnlineRetrainer")
-            .field("spec", &self.spec)
+            .field("tfactor", &self.tfactor)
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
 
 impl OnlineRetrainer {
-    /// A retrainer that drains `ingest`, merges into `base` (the automaton
-    /// behind the model currently served by `handle`), and installs
-    /// accepted candidates through `handle`.
-    pub fn new(
-        ingest: Arc<WindowIngest>,
-        handle: Arc<ModelHandle>,
-        base: Tsa,
-        spec: RetrainSpec,
-    ) -> Self {
-        let metric =
-            analyze_with(&base, spec.tfactor, spec.metric_cutoff, spec.min_states).guidance_metric;
+    /// A retrainer that drains `ingest`, merges into the automaton behind
+    /// the model `handle` currently serves, and installs accepted
+    /// candidates through `handle`.
+    pub fn new(ingest: Arc<WindowIngest>, handle: Arc<ModelHandle>) -> Self {
+        let model = handle.load();
+        let tfactor = model.tfactor();
+        let tsa = model.tsa().clone();
+        let metric = analyze(&tsa, tfactor).guidance_metric;
         OnlineRetrainer {
             ingest,
             handle,
-            spec,
-            serving: Mutex::new(Serving { tsa: base, metric }),
+            tfactor,
+            serving: Mutex::new(Serving { tsa, metric }),
             attempts: AtomicU64::new(0),
             installs: AtomicU64::new(0),
             rejects: AtomicU64::new(0),
@@ -157,28 +131,17 @@ impl OnlineRetrainer {
         // guarantees one caller per window, so this never contends in
         // practice.
         let mut serving = self.serving.lock();
-        let candidate = merge_decayed(&serving.tsa, self.spec.decay_pct, &runs);
+        let candidate = merge(&serving.tsa, &runs);
         self.attempts.fetch_add(1, Ordering::Relaxed);
-        let analysis = analyze_with(
-            &candidate,
-            self.spec.tfactor,
-            self.spec.metric_cutoff,
-            self.spec.min_states,
-        );
-        let regressed =
-            self.spec.require_no_regression && analysis.guidance_metric > serving.metric;
-        if !analysis.verdict.is_fit() || regressed {
+        let analysis = analyze(&candidate, self.tfactor);
+        if !analysis.verdict.is_fit() || analysis.guidance_metric > serving.metric {
             // The candidate never ships. The serving model stays; if it is
             // genuinely stale the unknown-rate monitor stands guidance
             // down — the safe floor the race-fixed window claim hardens.
             self.rejects.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let model = Arc::new(GuidedModel::compile_with(
-            candidate.clone(),
-            self.spec.tfactor,
-            self.spec.min_support,
-        ));
+        let model = Arc::new(GuidedModel::compile(candidate.clone(), self.tfactor));
         self.handle.install(model);
         *serving = Serving { tsa: candidate, metric: analysis.guidance_metric };
         self.installs.fetch_add(1, Ordering::Relaxed);
@@ -253,33 +216,16 @@ mod tests {
         Tts::solo(p(t, 0))
     }
 
-    fn setup(
-        base: Tsa,
-        spec: RetrainSpec,
-    ) -> (Arc<WindowIngest>, Arc<ModelHandle>, OnlineRetrainer) {
-        let model = Arc::new(GuidedModel::compile(base.clone(), spec.tfactor));
-        let handle = Arc::new(ModelHandle::new(model));
+    fn setup(base: Tsa, tfactor: f64) -> (Arc<WindowIngest>, Arc<ModelHandle>, OnlineRetrainer) {
+        let handle = Arc::new(ModelHandle::new(Arc::new(GuidedModel::compile(base, tfactor))));
         let ingest = Arc::new(WindowIngest::new(4, 8));
-        let r = OnlineRetrainer::new(Arc::clone(&ingest), Arc::clone(&handle), base, spec);
+        let r = OnlineRetrainer::new(Arc::clone(&ingest), Arc::clone(&handle));
         (ingest, handle, r)
     }
 
-    #[test]
-    fn no_windows_means_no_attempt() {
-        let (_ingest, handle, r) = setup(fit_base(), RetrainSpec::default());
-        assert!(!r.try_retrain());
-        assert_eq!(r.stats(), RetrainStats::default());
-        assert_eq!(handle.epoch(), 0);
-    }
-
-    #[test]
-    fn fit_candidate_installs_and_advances_the_serving_tsa() {
-        // Full-weight merge: at 50% decay the base's count-1 detour edges
-        // floor to zero and the candidate is (correctly) ruled unfit.
-        let spec = RetrainSpec { decay_pct: 100, ..RetrainSpec::default() };
-        let (ingest, handle, r) = setup(fit_base(), spec);
-        // Ingest traffic that keeps the model's abort-carrying bias: two
-        // windows of mixed commits with aborts.
+    /// Two windows of mixed commits with aborts: traffic that keeps the
+    /// fit base's abort-carrying bias.
+    fn ingest_biased(ingest: &WindowIngest) {
         let mut seq = 0;
         for _ in 0..2 {
             for t in 0..4u16 {
@@ -288,6 +234,20 @@ mod tests {
                 ingest.record(&commit_event(t, 0, seq));
             }
         }
+    }
+
+    #[test]
+    fn no_windows_means_no_attempt() {
+        let (_ingest, handle, r) = setup(fit_base(), 4.0);
+        assert!(!r.try_retrain());
+        assert_eq!(r.stats(), RetrainStats::default());
+        assert_eq!(handle.epoch(), 0);
+    }
+
+    #[test]
+    fn fit_candidate_installs_and_advances_the_serving_tsa() {
+        let (ingest, handle, r) = setup(fit_base(), 4.0);
+        ingest_biased(&ingest);
         assert!(r.try_retrain(), "fit candidate must install");
         assert_eq!(handle.epoch(), 1);
         let s = r.stats();
@@ -298,12 +258,20 @@ mod tests {
     }
 
     #[test]
+    fn candidates_compile_at_the_serving_models_tfactor() {
+        let (ingest, handle, r) = setup(fit_base(), 2.0);
+        ingest_biased(&ingest);
+        assert!(r.try_retrain(), "fit candidate must install");
+        assert_eq!(handle.load().tfactor(), 2.0);
+    }
+
+    #[test]
     fn gate_rejects_a_biased_candidate_and_keeps_the_serving_model() {
         // A deliberately tiny base: any merge of it stays under
-        // `min_states`, so the §IV gate must refuse to ship it.
+        // `DEFAULT_MIN_STATES`, so the §IV gate must refuse to ship it.
         let mut b = TsaBuilder::new();
         b.add_run(&[solo(0), solo(1), solo(0)]);
-        let (ingest, handle, r) = setup(b.build(), RetrainSpec::default());
+        let (ingest, handle, r) = setup(b.build(), 4.0);
         for seq in 1..=8 {
             ingest.record(&commit_event((seq % 2) as u16, 0, seq));
         }
@@ -317,8 +285,8 @@ mod tests {
     fn ratchet_rejects_a_fit_but_regressing_candidate() {
         // A flat fan out of one state: every destination equally likely.
         // The merged candidate stays under the absolute cutoff (fit) but
-        // its §IV metric is worse than the serving model's, so the
-        // ratchet must refuse it where the plain gate would ship it.
+        // its §IV metric is worse than the serving model's, so it must not
+        // ship.
         let ingest_fan = |ingest: &WindowIngest| {
             let mut seq = 0;
             for i in 1..=8u16 {
@@ -328,16 +296,14 @@ mod tests {
                 ingest.record(&commit_event(i, 0, seq));
             }
         };
-        let plain = RetrainSpec { decay_pct: 100, ..RetrainSpec::default() };
-        let (ingest, handle, r) = setup(fit_base(), plain);
-        ingest_fan(&ingest);
-        assert!(r.try_retrain(), "without the ratchet the flattened candidate ships");
-        assert_eq!(handle.epoch(), 1);
+        let fan = WindowIngest::new(4, 8);
+        ingest_fan(&fan);
+        let candidate = analyze(&merge(&fit_base(), &fan.drain()), 4.0);
+        assert!(candidate.verdict.is_fit(), "the fan alone passes the cutoff: {candidate}");
 
-        let ratchet = RetrainSpec { require_no_regression: true, ..plain };
-        let (ingest, handle, r) = setup(fit_base(), ratchet);
+        let (ingest, handle, r) = setup(fit_base(), 4.0);
         ingest_fan(&ingest);
-        assert!(!r.try_retrain(), "the ratchet must refuse a regressing candidate");
+        assert!(!r.try_retrain(), "a regressing candidate must not install");
         assert_eq!(handle.epoch(), 0, "serving model untouched");
         let s = r.stats();
         assert_eq!((s.attempts, s.installs, s.rejects), (1, 0, 1));
@@ -348,7 +314,7 @@ mod tests {
         let digest = |r: &OnlineRetrainer| gstm_model::serialize::tsa_digest(&r.serving.lock().tsa);
         let mut digests = Vec::new();
         for _ in 0..2 {
-            let (ingest, _handle, r) = setup(fit_base(), RetrainSpec::default());
+            let (ingest, _handle, r) = setup(fit_base(), 4.0);
             let mut seq = 0;
             for _ in 0..3 {
                 for t in 0..4u16 {

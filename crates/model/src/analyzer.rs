@@ -69,12 +69,8 @@ impl std::fmt::Display for ModelAnalysis {
     }
 }
 
-/// Analyzes a TSA with default thresholds.
-pub fn analyze(tsa: &Tsa, tfactor: f64) -> ModelAnalysis {
-    analyze_with(tsa, tfactor, DEFAULT_METRIC_CUTOFF, DEFAULT_MIN_STATES)
-}
-
-/// Analyzes a TSA with explicit cutoffs.
+/// Analyzes a TSA against the §IV thresholds: [`DEFAULT_METRIC_CUTOFF`],
+/// [`DEFAULT_MIN_STATES`] and [`DEFAULT_MIN_ABORT_SHARE`].
 ///
 /// The guidance metric is the ratio of guided-reachable transition states to
 /// all reachable transition states. Each state's contribution is weighted by
@@ -83,12 +79,7 @@ pub fn analyze(tsa: &Tsa, tfactor: f64) -> ModelAnalysis {
 /// once-visited states (whose single observed successor makes |D| = |S|)
 /// swamp the hot, strongly biased states. The lower the metric, the more
 /// bias exists for guided execution to exploit.
-pub fn analyze_with(
-    tsa: &Tsa,
-    tfactor: f64,
-    metric_cutoff: f64,
-    min_states: usize,
-) -> ModelAnalysis {
+pub fn analyze(tsa: &Tsa, tfactor: f64) -> ModelAnalysis {
     let mut total = 0usize;
     let mut guided = 0usize;
     let mut w_total = 0.0f64;
@@ -112,10 +103,10 @@ pub fn analyze_with(
     }
     let metric = if w_total == 0.0 { 100.0 } else { 100.0 * w_guided / w_total };
     let abort_share = if visits_all == 0.0 { 0.0 } else { visits_aborting / visits_all };
-    let verdict = if tsa.state_count() < min_states {
+    let verdict = if tsa.state_count() < DEFAULT_MIN_STATES {
         Verdict::Unfit {
             reason: format!(
-                "too few states ({} < {min_states}): no bias to exploit",
+                "too few states ({} < {DEFAULT_MIN_STATES}): no bias to exploit",
                 tsa.state_count()
             ),
         }
@@ -127,10 +118,10 @@ pub fn analyze_with(
                 abort_share * 100.0
             ),
         }
-    } else if metric > metric_cutoff {
+    } else if metric > DEFAULT_METRIC_CUTOFF {
         Verdict::Unfit {
             reason: format!(
-                "guidance metric {metric:.0}% > {metric_cutoff:.0}%: \
+                "guidance metric {metric:.0}% > {DEFAULT_METRIC_CUTOFF:.0}%: \
                  transitions are near-uniform"
             ),
         }
@@ -196,14 +187,16 @@ mod tests {
         run
     }
 
-    /// A model whose transitions are uniform: unfit (the ssca2 case).
-    /// Every state gets four equal-frequency successors via independent
-    /// two-state runs (separate runs never bridge).
+    /// A model whose transitions are uniform: unfit on its metric alone.
+    /// Every state carries an abortee and gets four equal-frequency
+    /// successors via independent two-state runs (separate runs never
+    /// bridge).
     fn uniform_model(states: usize, repeats: usize) -> crate::tsa::Tsa {
+        let state = |i: usize| with_abort(i as u16, ((i + 1) % states) as u16);
         let mut b = TsaBuilder::new();
         for i in 0..states {
             for step in 1..=4 {
-                let pair = [solo(i as u16), solo(((i + step) % states) as u16)];
+                let pair = [state(i), state((i + step) % states)];
                 for _ in 0..repeats {
                     b.add_run(&pair);
                 }
@@ -247,10 +240,13 @@ mod tests {
 
     #[test]
     fn uniform_model_is_unfit() {
-        let tsa = uniform_model(8, 10);
-        let a = analyze_with(&tsa, 4.0, 50.0, 4);
-        assert!(!a.verdict.is_fit(), "{a}");
+        // Enough states that the verdict rests on the metric, not the count.
+        let a = analyze(&uniform_model(20, 10), 4.0);
         assert!(a.guidance_metric > 50.0, "{a}");
+        match a.verdict {
+            Verdict::Unfit { reason } => assert!(reason.contains("guidance metric"), "{reason}"),
+            Verdict::Fit => panic!("uniform model must be unfit"),
+        }
     }
 
     #[test]

@@ -30,8 +30,8 @@ mod tsa;
 mod tseq;
 mod tts;
 
-pub use analyzer::{analyze, analyze_with, ModelAnalysis, Verdict};
-pub use online::{merge_decayed, ModelHandle, WindowIngest};
+pub use analyzer::{analyze, ModelAnalysis, Verdict};
+pub use online::{merge, ModelHandle, WindowIngest};
 pub use tracker::StateTracker;
 pub use tsa::{GuidedModel, Tsa, TsaBuilder, DEFAULT_MIN_SUPPORT, DEFAULT_TFACTOR};
 pub use tseq::parse_states;

@@ -13,10 +13,9 @@
 //! * [`WindowIngest`] — an [`EventSink`] that taps the live event stream
 //!   and groups closed tuples into fixed-length runs, ready for
 //!   incremental training.
-//! * [`merge_decayed`] — the count-weighted merge: decay the serving
-//!   automaton's edge counts, then fold in the freshly observed runs.
-//!   With `decay_pct = 100` the merge is exactly equivalent to training on
-//!   the concatenated run sets (property-tested below).
+//! * [`merge`] — the count-weighted merge: fold the freshly observed runs
+//!   into the serving automaton's edge counts, exactly equivalent to
+//!   training on the concatenated run sets (property-tested below).
 //!
 //! The retrain **cadence** lives in `gstm-guide` (`OnlineRetrainer`): it is
 //! driven by the adaptive policy's window claim, so under the simulator's
@@ -135,11 +134,6 @@ impl WindowIngest {
     pub fn ingested(&self) -> u64 {
         self.ingested.load(Ordering::Relaxed)
     }
-
-    /// The configured tuples-per-run.
-    pub fn run_len(&self) -> usize {
-        self.run_len
-    }
 }
 
 impl EventSink for WindowIngest {
@@ -170,31 +164,21 @@ impl EventSink for WindowIngest {
     }
 }
 
-/// Count-weighted merge with decay: rebuilds the serving automaton with
-/// every edge count scaled to `count * decay_pct / 100` (integer floor —
-/// deterministic), then folds in the fresh `runs` at full weight.
+/// Count-weighted merge: rebuilds the serving automaton with its edge
+/// counts, then folds in the fresh `runs` — semantically identical to
+/// training one automaton on the union of the original and new runs.
 ///
-/// All of `base`'s states survive the merge even when decay floors their
-/// edges to zero, so a hot-swapped model never *forgets* a state it could
-/// still be asked to resolve. With `decay_pct = 100` the result is
-/// semantically identical to training one automaton on the union of the
-/// original and new runs.
-///
-/// # Panics
-///
-/// Panics if `decay_pct` exceeds 100.
-pub fn merge_decayed(base: &Tsa, decay_pct: u32, runs: &[Vec<Tts>]) -> Tsa {
-    assert!(decay_pct <= 100, "a percentage");
+/// Base states are interned first, in id order, so fresh runs extend the
+/// state space instead of scrambling it, and every state the serving model
+/// could still be asked to resolve survives the merge.
+pub fn merge(base: &Tsa, runs: &[Vec<Tts>]) -> Tsa {
     let mut b = TsaBuilder::new();
-    // Intern base states in id order first: fresh runs then extend the
-    // space instead of scrambling it.
     for (_, tts) in base.space().iter() {
         b.add_transition(tts, tts, 0);
     }
     for (id, from) in base.space().iter() {
         for &(to, count) in base.out_edges(id) {
-            let decayed = (u128::from(count) * u128::from(decay_pct) / 100) as u64;
-            b.add_transition(from, base.space().state(to), decayed);
+            b.add_transition(from, base.space().state(to), count);
         }
     }
     for run in runs {
@@ -311,8 +295,8 @@ mod tests {
 
     #[test]
     fn merge_at_full_weight_equals_training_on_concatenated_runs() {
-        // Property: merge(train(runs_a), 100, runs_b) ≡ train(runs_a ∪
-        // runs_b), for several deterministic run shapes.
+        // Property: merge(train(runs_a), runs_b) ≡ train(runs_a ∪ runs_b),
+        // for several deterministic run shapes.
         type Runs = Vec<Vec<Tts>>;
         let shapes: Vec<(Runs, Runs)> = vec![
             (
@@ -334,33 +318,12 @@ mod tests {
             for r in &runs_a {
                 base.add_run(r);
             }
-            let merged = merge_decayed(&base.build(), 100, &runs_b);
+            let merged = merge(&base.build(), &runs_b);
             let mut all = TsaBuilder::new();
             for r in runs_a.iter().chain(runs_b.iter()) {
                 all.add_run(r);
             }
             assert_same(&merged, &all.build());
         }
-    }
-
-    #[test]
-    fn merge_decay_floors_counts_but_keeps_states() {
-        let mut b = TsaBuilder::new();
-        b.add_run(&[solo(0), solo(1), solo(0), solo(1), solo(0)]);
-        b.add_run(&[solo(2), solo(3)]); // a rare edge: count 1
-        let base = b.build();
-        let merged = merge_decayed(&base, 50, &[]);
-        assert_eq!(merged.state_count(), base.state_count(), "decay never forgets states");
-        let s0 = merged.lookup(&solo(0)).unwrap();
-        let s1 = merged.lookup(&solo(1)).unwrap();
-        assert_eq!(merged.out_edges(s0), &[(s1, 1)], "2×50% → 1");
-        let s2 = merged.lookup(&solo(2)).unwrap();
-        assert!(merged.out_edges(s2).is_empty(), "1×50% floors to 0");
-    }
-
-    #[test]
-    #[should_panic(expected = "percentage")]
-    fn merge_rejects_decay_above_100() {
-        let _ = merge_decayed(&TsaBuilder::new().build(), 101, &[]);
     }
 }

@@ -78,21 +78,6 @@ impl StateTracker {
         self.model.as_ref().map(|h| h.load())
     }
 
-    /// The hot-swap handle, if this tracker has a model.
-    pub fn handle(&self) -> Option<&Arc<ModelHandle>> {
-        self.model.as_ref()
-    }
-
-    /// Installs a replacement model through the handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tracker was built without a model — there is no
-    /// serving seam to swap.
-    pub fn install_model(&self, model: Arc<GuidedModel>) {
-        self.model.as_ref().expect("install_model requires a tracker with a model").install(model);
-    }
-
     /// The model epoch (number of installs; 0 for a model-less tracker).
     pub fn model_epoch(&self) -> u64 {
         self.model.as_ref().map(|h| h.epoch()).unwrap_or(0)
@@ -263,8 +248,8 @@ mod tests {
     fn install_invalidates_stale_state_ids() {
         let mut b = TsaBuilder::new();
         b.add_run(&[Tts::solo(p(0, 0)), Tts::solo(p(1, 0))]);
-        let old = Arc::new(GuidedModel::compile(b.build(), 4.0));
-        let t = StateTracker::with_model(Arc::clone(&old));
+        let handle = Arc::new(ModelHandle::new(Arc::new(GuidedModel::compile(b.build(), 4.0))));
+        let t = StateTracker::with_handle(Arc::clone(&handle));
         t.record(&commit(0, 0, 1));
         assert!(t.current_state().is_some());
 
@@ -273,7 +258,7 @@ mod tests {
         let mut b2 = TsaBuilder::new();
         b2.add_run(&[Tts::solo(p(1, 0)), Tts::solo(p(0, 0))]);
         let new = Arc::new(GuidedModel::compile(b2.build(), 4.0));
-        t.install_model(Arc::clone(&new));
+        handle.install(Arc::clone(&new));
         assert_eq!(t.model_epoch(), 1);
         assert_eq!(t.current_state(), None, "pre-swap id must read as unknown");
 
@@ -288,20 +273,13 @@ mod tests {
         let mut b = TsaBuilder::new();
         b.add_run(&[Tts::solo(p(0, 0)), Tts::solo(p(1, 0))]);
         let model = Arc::new(GuidedModel::compile(b.build(), 4.0));
-        let handle = Arc::new(crate::online::ModelHandle::new(model));
+        let handle = Arc::new(ModelHandle::new(model));
         let t = StateTracker::with_handle(Arc::clone(&handle));
         assert!(t.model().is_some());
         let empty = Arc::new(GuidedModel::compile(TsaBuilder::new().build(), 4.0));
         handle.install(empty);
         assert_eq!(t.model_epoch(), 1, "external installs are visible");
         assert_eq!(t.model().unwrap().tsa().state_count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a tracker with a model")]
-    fn install_on_modelless_tracker_panics() {
-        let t = StateTracker::new();
-        t.install_model(Arc::new(GuidedModel::compile(TsaBuilder::new().build(), 4.0)));
     }
 
     #[test]

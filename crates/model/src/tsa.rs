@@ -158,8 +158,8 @@ impl TsaBuilder {
 /// (binary-searched), so an admission check is one hash lookup plus one
 /// binary search.
 ///
-/// States observed fewer than `min_support` times during training are
-/// **pruned**: their transition statistics are noise, and restricting
+/// States observed fewer than [`DEFAULT_MIN_SUPPORT`] times during training
+/// are **pruned**: their transition statistics are noise, and restricting
 /// admission on noise serializes the whole system (we measured intruder
 /// slowing down 2.2× before pruning). A pruned state admits everyone.
 #[derive(Clone, Debug)]
@@ -169,11 +169,10 @@ pub struct GuidedModel {
     /// Low-support states are absent (pruned → admit all).
     allowed: HashMap<u32, Vec<u32>>,
     tfactor: f64,
-    min_support: u64,
 }
 
-/// Default minimum outbound observations for a state to constrain
-/// admission (see [`GuidedModel::compile_with`]).
+/// Minimum outbound observations for a state to constrain admission
+/// (see [`GuidedModel::compile`]).
 pub const DEFAULT_MIN_SUPPORT: u64 = 8;
 
 fn pack(p: Participant) -> u32 {
@@ -181,20 +180,15 @@ fn pack(p: Participant) -> u32 {
 }
 
 impl GuidedModel {
-    /// Compiles a TSA into its runtime form with the given `Tfactor` and
-    /// the default state-support cutoff.
+    /// Compiles a TSA into its runtime form with the given `Tfactor`:
+    /// states with fewer than [`DEFAULT_MIN_SUPPORT`] total outbound
+    /// observations are cut from the runtime model (§VI) and admit every
+    /// participant.
     pub fn compile(tsa: Tsa, tfactor: f64) -> Self {
-        Self::compile_with(tsa, tfactor, DEFAULT_MIN_SUPPORT)
-    }
-
-    /// Compiles with an explicit `min_support`: states with fewer total
-    /// outbound observations are cut from the runtime model (§VI) and
-    /// admit every participant.
-    pub fn compile_with(tsa: Tsa, tfactor: f64, min_support: u64) -> Self {
         let mut allowed: HashMap<u32, Vec<u32>> = HashMap::new();
         for (id, _) in tsa.space.iter() {
             let total: u64 = tsa.out_edges(id).iter().map(|(_, c)| c).sum();
-            if total < min_support {
+            if total < DEFAULT_MIN_SUPPORT {
                 continue;
             }
             let mut set: Vec<u32> = tsa
@@ -206,12 +200,7 @@ impl GuidedModel {
             set.dedup();
             allowed.insert(id.0, set);
         }
-        GuidedModel { tsa, allowed, tfactor, min_support }
-    }
-
-    /// The state-support cutoff this model was compiled with.
-    pub fn min_support(&self) -> u64 {
-        self.min_support
+        GuidedModel { tsa, allowed, tfactor }
     }
 
     /// The underlying automaton.
@@ -393,8 +382,9 @@ mod tests {
     #[test]
     fn model_size_is_reported() {
         let mut b = TsaBuilder::new();
-        b.add_run(&[solo(0), solo(1), solo(0)]);
-        let model = GuidedModel::compile_with(b.build(), 4.0, 1);
+        // s0 → s1 observed DEFAULT_MIN_SUPPORT times: s0 is not pruned.
+        b.add_transition(&solo(0), &solo(1), DEFAULT_MIN_SUPPORT);
+        let model = GuidedModel::compile(b.build(), 4.0);
         assert!(model.approx_bytes() > 0);
         assert!((model.tfactor() - 4.0).abs() < f64::EPSILON);
     }

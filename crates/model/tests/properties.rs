@@ -6,7 +6,7 @@ use std::collections::HashSet;
 
 use gstm_core::rng::SmallRng;
 use gstm_core::{Participant, ThreadId, TxId};
-use gstm_model::{serialize, GuidedModel, StateSpace, Tsa, TsaBuilder, Tts};
+use gstm_model::{serialize, GuidedModel, StateSpace, Tsa, TsaBuilder, Tts, DEFAULT_MIN_SUPPORT};
 
 const CASES: u64 = 64;
 
@@ -24,10 +24,17 @@ fn tts(rng: &mut SmallRng) -> Tts {
 
 /// An automaton built from 1–4 runs of 1–19 random states each.
 fn tsa(rng: &mut SmallRng) -> Tsa {
+    observed_tsa(rng, 1)
+}
+
+/// Like [`tsa`], with every run observed `times` times.
+fn observed_tsa(rng: &mut SmallRng, times: usize) -> Tsa {
     let mut b = TsaBuilder::new();
     for _ in 0..rng.gen_range(1..5) {
         let run: Vec<Tts> = (0..rng.gen_range(1..20)).map(|_| tts(rng)).collect();
-        b.add_run(&run);
+        for _ in 0..times {
+            b.add_run(&run);
+        }
     }
     b.build()
 }
@@ -103,19 +110,23 @@ fn destinations_are_monotone_in_tfactor() {
 }
 
 /// The compiled model admits exactly the participants of high-support
-/// states' destination tuples.
+/// states' destination tuples; a low-support state admits everyone. Half
+/// the cases observe every run `DEFAULT_MIN_SUPPORT` times, so their
+/// states are supported and the destination sets decide.
 #[test]
 fn guided_model_admission_is_consistent() {
     for seed in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let tsa = tsa(&mut rng);
+        let times = if seed % 2 == 0 { DEFAULT_MIN_SUPPORT as usize } else { 1 };
+        let tsa = observed_tsa(&mut rng, times);
         let p = participant(&mut rng);
-        let model = GuidedModel::compile_with(tsa.clone(), 4.0, 1);
+        let model = GuidedModel::compile(tsa.clone(), 4.0);
         for (id, _) in tsa.space().iter() {
             let expected =
                 tsa.destinations(id, 4.0).iter().any(|d| tsa.space().state(*d).contains(p));
-            let no_out = tsa.out_edges(id).is_empty();
-            assert_eq!(model.admits(id, p), expected || no_out, "seed {seed}: {p} at {id:?}");
+            let support: u64 = tsa.out_edges(id).iter().map(|(_, c)| c).sum();
+            let pruned = support < DEFAULT_MIN_SUPPORT;
+            assert_eq!(model.admits(id, p), expected || pruned, "seed {seed}: {p} at {id:?}");
         }
     }
 }
