@@ -201,28 +201,26 @@ where
         old
     }
 
-    /// Non-transactional bulk insert for pre-run population (setup only,
-    /// like [`THashMap::insert_unlogged`], and with the same outcome as
-    /// calling it once per entry in order) that rebuilds and stores every
-    /// touched bucket once instead of once per entry. Each entry comes with
-    /// its bucket ([`THashMap::bucket_index`] of its key), so a caller that
-    /// keeps the indices hashes every key once, not once here and once there.
+    /// Non-transactional population (setup only, like
+    /// [`THashMap::insert_unlogged`]): bucket `i` becomes `buckets[i]`,
+    /// entries in the order given, and each bucket is stored once. The
+    /// caller has already sorted the entries into buckets, so nothing is
+    /// hashed here: every entry must sit in its key's bucket
+    /// ([`THashMap::bucket_index`]) and every key appear once, or lookups
+    /// miss it. Debug builds check both.
     ///
     /// # Panics
     ///
-    /// Panics if a bucket is not below [`THashMap::bucket_count`].
-    pub fn extend_unlogged_in(&self, entries: impl IntoIterator<Item = (usize, K, V)>) {
-        let mut staged: Vec<Option<Vec<(K, V)>>> = self.buckets.iter().map(|_| None).collect();
-        for (b, key, value) in entries {
-            debug_assert_eq!(b, self.bucket_index(&key), "key addressed through a foreign bucket");
-            let bucket =
-                staged[b].get_or_insert_with(|| (*self.buckets[b].load_unlogged()).clone());
-            put(bucket, key, value);
-        }
-        for (var, bucket) in self.buckets.iter().zip(staged) {
-            if let Some(bucket) = bucket {
-                var.store_unlogged(bucket);
-            }
+    /// Panics unless `buckets` holds one list per bucket.
+    pub fn fill_unlogged(&self, buckets: Vec<Vec<(K, V)>>) {
+        assert_eq!(buckets.len(), self.buckets.len(), "one entry list per bucket");
+        for (i, (var, bucket)) in self.buckets.iter().zip(buckets).enumerate() {
+            debug_assert!(
+                bucket.iter().enumerate().all(|(j, (key, _))| self.bucket_index(key) == i
+                    && bucket[..j].iter().all(|(k, _)| k != key)),
+                "an entry outside its key's bucket, or a key given twice"
+            );
+            var.store_unlogged(bucket);
         }
     }
 
@@ -375,24 +373,27 @@ mod tests {
     }
 
     #[test]
-    fn extend_unlogged_matches_one_insert_per_entry() {
-        // Repeated keys, and buckets that already hold entries.
-        let entries: Vec<(u32, u32)> = (0..64).map(|i| (i * 7 % 40, i)).collect();
+    fn fill_unlogged_matches_one_insert_per_entry() {
+        let entries: Vec<(u32, u32)> = (0..40).map(|i| (i * 7 % 40, i)).collect();
         let (bulk, single): (THashMap<u32, u32>, THashMap<u32, u32>) =
             (THashMap::new(4), THashMap::new(4));
-        for map in [&bulk, &single] {
-            map.insert_unlogged(3, 1000);
-            map.insert_unlogged(99, 1001);
-        }
-        bulk.extend_unlogged_in(entries.iter().map(|&(k, v)| (bulk.bucket_index(&k), k, v)));
+        let mut buckets = vec![Vec::new(); 4];
         for &(k, v) in &entries {
+            buckets[bulk.bucket_index(&k)].push((k, v));
             single.insert_unlogged(k, v);
         }
+        bulk.fill_unlogged(buckets);
         // Bucket by bucket, in bucket order: entry order is part of the
         // store digests built from this.
         assert_eq!(bulk.snapshot_unlogged(), single.snapshot_unlogged());
-        assert_eq!(bulk.len_unlogged(), 41);
-        assert_eq!(with_tx(|tx| bulk.get(tx, &3)), Some(29), "the last write to a key wins");
+        assert_eq!(bulk.len_unlogged(), 40);
+        assert_eq!(with_tx(|tx| bulk.get(tx, &7)), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "one entry list per bucket")]
+    fn fill_unlogged_needs_one_list_per_bucket() {
+        THashMap::<u32, u32>::new(2).fill_unlogged(vec![Vec::new(); 3]);
     }
 
     /// A value that counts how often it is cloned.

@@ -106,21 +106,25 @@ impl SmallRng {
     }
 
     /// Uniform `u64` below `bound` via Lemire's widening-multiply method
-    /// with rejection (unbiased).
+    /// with rejection (unbiased; *Fast Random Integer Generation in an
+    /// Interval*, ACM TOMACS 2019).
+    ///
+    /// A draw is rejected when the low word of the product falls below
+    /// `2^64 mod bound`, which is itself below `bound`: a low word at or
+    /// above `bound` is accepted without computing the threshold, so most
+    /// draws never divide. The accept/reject decisions, and so the values
+    /// and the number of draws, are those of computing the threshold first.
     fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
-        // Reject the low fringe so every residue class is equally likely.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let r = self.next_u64();
-            let (hi, lo) = {
-                let wide = (r as u128) * (bound as u128);
-                ((wide >> 64) as u64, wide as u64)
-            };
-            if lo >= threshold {
-                return hi;
+        let mut wide = u128::from(self.next_u64()) * u128::from(bound);
+        if (wide as u64) < bound {
+            // Reject the low fringe so every residue class is equally likely.
+            let threshold = bound.wrapping_neg() % bound;
+            while (wide as u64) < threshold {
+                wide = u128::from(self.next_u64()) * u128::from(bound);
             }
         }
+        (wide >> 64) as u64
     }
 }
 
@@ -149,9 +153,16 @@ impl FromRng for bool {
 
 impl FromRng for f64 {
     fn from_rng(rng: &mut SmallRng) -> Self {
-        // 53 explicit mantissa bits → uniform in [0, 1).
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit(rng.next_u64() >> 11)
     }
+}
+
+/// 53 random bits as a uniform `f64` in `[0, 1)`: exact (every 53-bit
+/// integer is an `f64`, and the scale is a power of two), so it never
+/// decreases as the bits grow.
+#[inline]
+fn unit(bits: u64) -> f64 {
+    bits as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 impl FromRng for f32 {
@@ -250,10 +261,18 @@ impl Exp {
 /// proportional to `(k + 1)^−θ`. `θ = 0` is uniform; `θ ≈ 1` is the classic
 /// web-object popularity curve (a few very hot keys, a long cold tail).
 ///
-/// Sampling inverts the cumulative weight table with a binary search
-/// (`O(log n)` per draw after an `O(n)` setup), which is exact — no
-/// rejection loop, so the number of RNG draws per sample is always one,
-/// keeping seeded streams easy to reason about.
+/// Sampling inverts the cumulative weight table exactly: a draw takes the
+/// 53 bits `r` that [`SmallRng::gen`] turns into an `f64`, forms the same
+/// point `u = r · 2⁻⁵³ · total`, and returns the first rank whose
+/// cumulative weight exceeds `u`. The top bits of `r` pick one of at least
+/// `2n` equal buckets (at most 2¹⁶), and a table built with the
+/// distribution holds, per bucket, the rank its smallest `r` draws. `u`
+/// never decreases as `r` grows, so every `r` of a bucket draws a rank
+/// between its bucket's entry and the next bucket's, and the draw searches
+/// only those: below the cap, a rank or two on average. That is `O(1)` per
+/// draw on average after an `O(n)` setup, and there is no rejection loop,
+/// so the number of RNG draws per sample is always one, keeping seeded
+/// streams easy to reason about.
 ///
 /// ```
 /// use gstm_core::rng::{SmallRng, Zipf};
@@ -265,16 +284,28 @@ impl Exp {
 pub struct Zipf {
     /// Cumulative (unnormalized) weights; `cdf[k]` = Σ_{i≤k} (i+1)^−θ.
     cdf: Vec<f64>,
+    /// `cdf[n − 1]`.
+    total: f64,
+    /// `lo[j]`: the rank drawn by the smallest `r` of bucket `j`
+    /// (`r >> shift == j`); the last entry is `n − 1`.
+    lo: Vec<u32>,
+    /// `53 − log2(bucket count)`.
+    shift: u32,
 }
+
+/// Bucket count cap of [`Zipf`]'s inversion table (as a power of two).
+const ZIPF_MAX_BUCKET_BITS: u32 = 16;
 
 impl Zipf {
     /// A Zipf distribution over `0..n` with skew `θ`.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is 0 or `θ` is negative or non-finite.
+    /// Panics if `n` is 0 or exceeds `u32::MAX`, or if `θ` is negative or
+    /// non-finite.
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "Zipf needs a non-empty rank space");
+        assert!(u32::try_from(n).is_ok(), "Zipf rank space exceeds u32::MAX");
         assert!(theta.is_finite() && theta >= 0.0, "theta must be finite and non-negative");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
@@ -282,7 +313,22 @@ impl Zipf {
             acc += ((k + 1) as f64).powf(-theta);
             cdf.push(acc);
         }
-        Zipf { cdf }
+        let total = acc;
+        let bits = (2 * n).next_power_of_two().trailing_zeros().min(ZIPF_MAX_BUCKET_BITS);
+        let shift = 53 - bits;
+        // One sweep over buckets and ranks together: bucket j's smallest
+        // point is that of r = j << shift, and the rank only moves forward.
+        let mut k = 0;
+        let lo = (0..=1u64 << bits)
+            .map(|j| {
+                let u = unit(j << shift) * total;
+                while k < n && cdf[k] <= u {
+                    k += 1;
+                }
+                k.min(n - 1) as u32
+            })
+            .collect();
+        Zipf { cdf, total, lo, shift }
     }
 
     /// Number of ranks.
@@ -291,11 +337,15 @@ impl Zipf {
     }
 
     /// Draws one rank in `0..n`.
+    #[inline]
     pub fn sample(&self, rng: &mut SmallRng) -> usize {
-        let total = *self.cdf.last().expect("nonempty cdf");
-        let u: f64 = rng.gen::<f64>() * total;
-        // First rank whose cumulative weight exceeds u.
-        self.cdf.partition_point(|&c| c <= u).min(self.cdf.len() - 1)
+        let r = rng.next_u64() >> 11;
+        let u = unit(r) * self.total;
+        let j = (r >> self.shift) as usize;
+        // The first rank whose cumulative weight exceeds u lies in
+        // lo[j]..=lo[j + 1] (clamped to the last rank, as lo is).
+        let (first, last) = (self.lo[j] as usize, self.lo[j + 1] as usize);
+        first + self.cdf[first..last].partition_point(|&c| c <= u)
     }
 }
 
@@ -439,6 +489,75 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn exp_rejects_nan_mean() {
+        let _ = Exp::new(f64::NAN);
+    }
+
+    /// Draws per shape of the exactness properties: 10⁶ under the optimized
+    /// profile (CI runs these there), a tenth of that in debug builds.
+    const EXACT_DRAWS: usize = if cfg!(debug_assertions) { 100_000 } else { 1_000_000 };
+
+    /// The bucketed inversion draws what searching the whole cumulative
+    /// table for `gen::<f64>() * total` draws, from the same single RNG
+    /// draw, for every shape: tiny, power-of-two and odd rank spaces,
+    /// uniform to steep skews, and one past the bucket cap.
+    #[test]
+    fn zipf_sample_is_the_partition_point_inversion() {
+        let capped = (1 << ZIPF_MAX_BUCKET_BITS) + 3_000;
+        let shapes = [1, 2, 3, 32, 256, 4096, 5000, capped]
+            .into_iter()
+            .flat_map(|n| [0.0, 0.6, 0.99, 2.0].map(|theta| (n, theta)));
+        for (n, theta) in shapes {
+            let zipf = Zipf::new(n, theta);
+            let buckets = zipf.lo.len() - 1;
+            assert_eq!(buckets < 2 * n, n == capped, "n {n}: {buckets} buckets");
+            let cdf: Vec<f64> = (0..n)
+                .scan(0.0f64, |acc, k| {
+                    *acc += ((k + 1) as f64).powf(-theta);
+                    Some(*acc)
+                })
+                .collect();
+            let total = cdf[n - 1];
+            let (mut fast, mut reference) =
+                (SmallRng::seed_from_u64(n as u64), SmallRng::seed_from_u64(n as u64));
+            for draw in 0..EXACT_DRAWS {
+                let u = reference.gen::<f64>() * total;
+                let want = cdf.partition_point(|&c| c <= u).min(n - 1);
+                assert_eq!(zipf.sample(&mut fast), want, "n {n} theta {theta} draw {draw}");
+            }
+            assert_eq!(fast.s, reference.s, "n {n} theta {theta}: one RNG draw per sample");
+        }
+    }
+
+    /// The early accept changes no bounded draw: values, and the RNG state
+    /// after them, equal those of computing the rejection threshold first.
+    #[test]
+    fn below_matches_the_threshold_loop() {
+        let threshold_loop = |rng: &mut SmallRng, bound: u64| {
+            let threshold = bound.wrapping_neg() % bound;
+            loop {
+                let wide = u128::from(rng.next_u64()) * u128::from(bound);
+                if wide as u64 >= threshold {
+                    return (wide >> 64) as u64;
+                }
+            }
+        };
+        for bound in [1, 2, 3, 100, 1 << 32, (1 << 63) + 1, u64::MAX] {
+            let (mut fast, mut reference) =
+                (SmallRng::seed_from_u64(bound), SmallRng::seed_from_u64(bound));
+            for draw in 0..EXACT_DRAWS {
+                assert_eq!(
+                    fast.below(bound),
+                    threshold_loop(&mut reference, bound),
+                    "bound {bound} draw {draw}"
+                );
+            }
+            assert_eq!(fast.s, reference.s, "bound {bound}: the same number of draws");
+        }
+    }
+
+    #[test]
     fn zipf_theta_zero_is_uniform() {
         let mut rng = SmallRng::seed_from_u64(22);
         let zipf = Zipf::new(8, 0.0);
@@ -486,6 +605,24 @@ mod tests {
     #[should_panic(expected = "non-empty rank space")]
     fn zipf_rejects_empty() {
         let _ = Zipf::new(0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf rank space exceeds u32::MAX")]
+    fn zipf_rejects_a_rank_space_past_u32() {
+        let _ = Zipf::new(u32::MAX as usize + 1, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta must be finite and non-negative")]
+    fn zipf_rejects_negative_theta() {
+        let _ = Zipf::new(5, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "theta must be finite and non-negative")]
+    fn zipf_rejects_infinite_theta() {
+        let _ = Zipf::new(5, f64::INFINITY);
     }
 
     #[test]

@@ -63,4 +63,6 @@ pub use service::{
 pub use store::{
     interpret, Entry, EntryAccess, Request, Response, ShardedStore, INITIAL_BALANCE, MAX_SCAN_LEN,
 };
-pub use traffic::{generate_schedule, Arrival, Drift, Mix, ScheduledRequest, TrafficSpec};
+pub use traffic::{
+    generate_schedule, generate_schedules, Arrival, Drift, Mix, ScheduledRequest, TrafficSpec,
+};

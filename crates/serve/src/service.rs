@@ -44,7 +44,7 @@ use gstm_telemetry::histogram::{HistogramSnapshot, LogHistogram};
 use crate::affinity;
 use crate::backend::{BackendKind, DurableBackend, EphemeralBackend, StoreBackend};
 use crate::store::{Request, ShardedStore};
-use crate::traffic::{generate_schedule, Arrival, Drift, Mix, ScheduledRequest, TrafficSpec};
+use crate::traffic::{generate_schedules, Arrival, Drift, Mix, ScheduledRequest, TrafficSpec};
 use gstm_wal::{FileDevice, LogDevice, Wal, WalConfig};
 
 /// Upper bound on a single idle wait charged through the gate. Waiting in
@@ -639,8 +639,9 @@ impl ServeRun {
         let traffic = spec.traffic();
         ServeRun {
             backend,
-            schedules: (0..threads)
-                .map(|t| Arc::new(generate_schedule(&traffic, seed, t)))
+            schedules: generate_schedules(&traffic, seed, 0..threads)
+                .into_iter()
+                .map(Arc::new)
                 .collect(),
             logs: (0..threads).map(|_| Arc::new(ThreadLog::default())).collect(),
             spec,
@@ -1199,7 +1200,7 @@ mod tests {
         let mut spec = tiny_spec();
         spec.requests_per_thread = 400;
         spec.arrival = Arrival::Bursty { mean_gap: 3.0, burst: 8 };
-        let schedule = generate_schedule(&spec.traffic(), 11, 0);
+        let schedule = crate::traffic::generate_schedule(&spec.traffic(), 11, 0);
         let last = schedule.last().expect("nonempty").at;
         let mut agreed_to_shed = 0;
         for depth in [0, 1, 4, 64, 399, 400, usize::MAX] {

@@ -384,10 +384,10 @@ impl ShardedStore {
         Self::populated(shards, buckets_per_shard, keys, (0..keys).map(|key| (key, Entry::fresh())))
     }
 
-    /// A store of the given shape holding `entries`, inserted in order —
-    /// each bucket built and stored once, not once per key, and each key of
-    /// the keyspace hashed once: the pass that fills the table is the one
-    /// that tells population where every entry goes.
+    /// A store of the given shape holding `entries`, whose keys are
+    /// distinct. Each key of the keyspace is hashed once, to fill the
+    /// table; every bucket is sized from the table, filled in entry order
+    /// and stored once.
     fn populated(
         shards: usize,
         buckets_per_shard: usize,
@@ -401,20 +401,27 @@ impl ShardedStore {
         );
         let maps: Vec<THashMap<u64, Entry>> =
             (0..shards).map(|_| THashMap::new(buckets_per_shard)).collect();
-        let table = (0..keys)
+        let table: Vec<(u32, u32)> = (0..keys)
             .map(|key| {
                 let (shard, bucket) = address(&maps, key);
                 (shard as u32, bucket as u32)
             })
             .collect();
+        // Bucket `bucket` of shard `shard` is list `shard * buckets_per_shard + bucket`.
+        let mut sizes = vec![0; shards * buckets_per_shard];
+        for &(shard, bucket) in &table {
+            sizes[shard as usize * buckets_per_shard + bucket as usize] += 1;
+        }
+        let mut buckets: Vec<Vec<(u64, Entry)>> =
+            sizes.into_iter().map(Vec::with_capacity).collect();
         let store = ShardedStore { shards: maps, table, keys };
-        let mut per_shard = vec![Vec::new(); shards];
         for (key, entry) in entries {
             let (shard, bucket) = store.locate(key);
-            per_shard[shard].push((bucket, key, entry));
+            buckets[shard * buckets_per_shard + bucket].push((key, entry));
         }
-        for (map, entries) in store.shards.iter().zip(per_shard) {
-            map.extend_unlogged_in(entries);
+        let mut buckets = buckets.into_iter();
+        for map in &store.shards {
+            map.fill_unlogged(buckets.by_ref().take(buckets_per_shard).collect());
         }
         store
     }
@@ -468,8 +475,9 @@ impl ShardedStore {
     }
 
     /// Rebuilds a store of the given shape directly from recovered
-    /// entries, skipping the usual fresh population — the recovery path's
-    /// constructor. Non-transactional; call before any worker starts.
+    /// entries (a snapshot's: distinct keys, in any order), skipping the
+    /// usual fresh population — the recovery path's constructor.
+    /// Non-transactional; call before any worker starts.
     ///
     /// # Panics
     ///

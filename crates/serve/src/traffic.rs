@@ -15,6 +15,8 @@
 //! schedule against the clock; determinism of the *schedule* is what lets
 //! `default` vs `guided` admission see byte-identical offered load.
 
+use std::ops::Range;
+
 use gstm_core::rng::{Exp, SmallRng, SplitMix64, Zipf};
 
 use crate::store::Request;
@@ -168,77 +170,128 @@ pub struct TrafficSpec {
     pub drift: Option<Drift>,
 }
 
-/// Generates one thread's schedule: a sorted, seeded, pure function of
-/// `(spec, seed, thread)`.
+/// Generates the schedules of `threads`, in order: each a sorted, seeded,
+/// pure function of `(spec, seed, thread)`. The samplers are built once
+/// and shared by every thread's draw.
 ///
 /// # Panics
 ///
-/// Panics if the mix has zero total weight.
+/// Panics if the mix has zero total weight, a burst has fewer than two
+/// requests, or a drift fewer than two phases.
+pub fn generate_schedules(
+    spec: &TrafficSpec,
+    seed: u64,
+    threads: Range<usize>,
+) -> Vec<Vec<ScheduledRequest>> {
+    let samplers = Samplers::new(spec);
+    threads.map(|thread| samplers.draw(seed, thread)).collect()
+}
+
+/// One thread's schedule: [`generate_schedules`] of that thread alone.
+///
+/// # Panics
+///
+/// Panics as [`generate_schedules`] does.
 pub fn generate_schedule(spec: &TrafficSpec, seed: u64, thread: usize) -> Vec<ScheduledRequest> {
-    assert!(spec.mix.total() > 0, "request mix needs at least one nonzero weight");
-    // Decorrelate the per-thread streams: hash (seed, thread) through
-    // SplitMix64 so thread 0 of seed 1 shares nothing with thread 1.
-    let mut mixer = SplitMix64::new(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut rng = SmallRng::seed_from_u64(mixer.next_u64());
+    generate_schedules(spec, seed, thread..thread + 1).pop().expect("one thread, one schedule")
+}
 
-    let zipf = Zipf::new(spec.keys as usize, spec.zipf_theta);
-    // Drift pre-builds one sampler per phase; the stationary path keeps
-    // using `zipf` directly so its draw stream is untouched.
-    let phase_samplers: Vec<Zipf> = match spec.drift {
-        Some(d) => {
-            assert!(d.phases >= 2, "drift needs at least two phases");
-            (0..d.phases)
-                .map(|p| {
-                    let frac = f64::from(p) / f64::from(d.phases - 1);
-                    let theta = spec.zipf_theta + (d.theta_end - spec.zipf_theta) * frac;
-                    Zipf::new(spec.keys as usize, theta)
-                })
-                .collect()
-        }
-        None => Vec::new(),
-    };
-    let (gap_in, gap_between, burst) = match spec.arrival {
-        Arrival::Poisson { mean_gap } => (Exp::new(mean_gap), None, 1u32),
-        Arrival::Bursty { mean_gap, burst } => {
-            assert!(burst >= 2, "a burst needs at least two requests");
-            let within = mean_gap / BURST_COMPRESSION;
-            // burst requests take 1 big gap + (burst-1) small gaps; solve the
-            // big gap's mean so the average over the burst is mean_gap.
-            let between = burst as f64 * mean_gap - (burst as f64 - 1.0) * within;
-            (Exp::new(within), Some(Exp::new(between)), burst)
-        }
-    };
+/// What every thread's draw of one spec shares.
+struct Samplers<'a> {
+    spec: &'a TrafficSpec,
+    /// Key sampler and hotspot rotation of each drift phase; one phase,
+    /// unrotated, without drift (the draws of an identity drift).
+    phases: Vec<(Zipf, u64)>,
+    /// In-burst gap.
+    within: Exp,
+    /// Gap before each burst's first request.
+    between: Exp,
+    /// Requests per burst. Poisson arrivals are bursts of one whose gap is
+    /// the mean gap, so every gap is drawn from `between`.
+    burst: u32,
+}
 
-    let mut schedule = Vec::with_capacity(spec.requests_per_thread);
-    let mut clock = 0.0f64;
-    for i in 0..spec.requests_per_thread {
-        let gap = match &gap_between {
-            Some(between) if (i as u32).is_multiple_of(burst) => between.sample(&mut rng),
-            _ => gap_in.sample(&mut rng),
-        };
-        clock += gap;
-        let (sampler, rotate) = match spec.drift {
-            Some(d) => {
-                let phase =
-                    (i * d.phases as usize / spec.requests_per_thread).min(d.phases as usize - 1);
-                let rot = (phase as u64).wrapping_mul(d.hotspot_step) % spec.keys;
-                (&phase_samplers[phase], rot)
+impl<'a> Samplers<'a> {
+    fn new(spec: &'a TrafficSpec) -> Self {
+        assert!(spec.mix.total() > 0, "request mix needs at least one nonzero weight");
+        let (within, between, burst) = match spec.arrival {
+            Arrival::Poisson { mean_gap } => (Exp::new(mean_gap), Exp::new(mean_gap), 1),
+            Arrival::Bursty { mean_gap, burst } => {
+                assert!(burst >= 2, "a burst needs at least two requests");
+                let within = mean_gap / BURST_COMPRESSION;
+                // burst requests take 1 big gap + (burst-1) small gaps; solve the
+                // big gap's mean so the average over the burst is mean_gap.
+                let between = f64::from(burst) * mean_gap - (f64::from(burst) - 1.0) * within;
+                (Exp::new(within), Exp::new(between), burst)
             }
-            None => (&zipf, 0),
         };
-        schedule.push(ScheduledRequest {
-            at: clock as u64,
-            req: draw_request(spec, sampler, rotate, &mut rng),
-        });
+        let keys = spec.keys as usize;
+        let phases = match spec.drift {
+            Some(d) => {
+                assert!(d.phases >= 2, "drift needs at least two phases");
+                (0..d.phases)
+                    .map(|p| {
+                        let frac = f64::from(p) / f64::from(d.phases - 1);
+                        let theta = spec.zipf_theta + (d.theta_end - spec.zipf_theta) * frac;
+                        let rotate = u64::from(p).wrapping_mul(d.hotspot_step) % spec.keys;
+                        (Zipf::new(keys, theta), rotate)
+                    })
+                    .collect()
+            }
+            None => vec![(Zipf::new(keys, spec.zipf_theta), 0)],
+        };
+        Samplers { spec, phases, within, between, burst }
     }
-    schedule
+
+    /// One thread's schedule.
+    fn draw(&self, seed: u64, thread: usize) -> Vec<ScheduledRequest> {
+        // Decorrelate the per-thread streams: hash (seed, thread) through
+        // SplitMix64 so thread 0 of seed 1 shares nothing with thread 1.
+        let mut mixer = SplitMix64::new(seed ^ (thread as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut rng = SmallRng::seed_from_u64(mixer.next_u64());
+        let n = self.spec.requests_per_thread;
+        let mut schedule = Vec::with_capacity(n);
+        let mut clock = 0.0f64;
+        // Requests left in the current burst.
+        let mut left = 0;
+        for (p, (zipf, rotate)) in self.phases.iter().enumerate() {
+            // Request i belongs to phase ⌊i · phases / n⌋, so phase p ends
+            // where the next starts, at ⌈(p + 1) · n / phases⌉.
+            let end = ((p + 1) * n).div_ceil(self.phases.len());
+            for _ in schedule.len()..end {
+                let gap = if left == 0 {
+                    left = self.burst;
+                    &self.between
+                } else {
+                    &self.within
+                };
+                left -= 1;
+                clock += gap.sample(&mut rng);
+                schedule.push(ScheduledRequest {
+                    at: clock as u64,
+                    req: draw_request(self.spec, zipf, *rotate, &mut rng),
+                });
+            }
+        }
+        schedule
+    }
 }
 
 /// Draws one request. `rotate` shifts every sampled key rank by a fixed
 /// offset (mod the keyspace) — the drift hotspot migration; the stationary
 /// path passes 0, which is the identity on in-range ranks.
 fn draw_request(spec: &TrafficSpec, zipf: &Zipf, rotate: u64, rng: &mut SmallRng) -> Request {
-    let key = (zipf.sample(rng) as u64 + rotate) % spec.keys;
+    // A rank and a rotation are both below the keyspace size, so their sum
+    // wraps with one subtraction.
+    let rotated = |rank: usize| {
+        let key = rank as u64 + rotate;
+        if key >= spec.keys {
+            key - spec.keys
+        } else {
+            key
+        }
+    };
+    let key = rotated(zipf.sample(rng));
     let mut pick = rng.gen_range(0..spec.mix.total());
     for (kind, &w) in spec.mix.0.iter().enumerate() {
         if pick < w {
@@ -252,7 +305,7 @@ fn draw_request(spec: &TrafficSpec, zipf: &Zipf, rotate: u64, rng: &mut SmallRng
                     Request::cas(key, 0, rng.gen_range(1..1u64 << 16))
                 }
                 3 => {
-                    let mut to = (zipf.sample(rng) as u64 + rotate) % spec.keys;
+                    let mut to = rotated(zipf.sample(rng));
                     if to == key {
                         to = (to + 1) % spec.keys;
                     }
@@ -535,6 +588,29 @@ mod tests {
         assert!(early > 0.15, "early skew too weak: top share {early}");
         assert!(late < 0.06, "late phase should be near-uniform: top share {late}");
         assert!(early > 3.0 * late, "skew must decay across phases ({early} vs {late})");
+    }
+
+    #[test]
+    #[should_panic(expected = "request mix needs at least one nonzero weight")]
+    fn a_zero_weight_mix_panics() {
+        let s = TrafficSpec { mix: Mix([0; 6]), ..spec(Arrival::Poisson { mean_gap: 10.0 }) };
+        generate_schedule(&s, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a burst needs at least two requests")]
+    fn a_one_request_burst_panics() {
+        generate_schedule(&spec(Arrival::Bursty { mean_gap: 10.0, burst: 1 }), 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "drift needs at least two phases")]
+    fn a_one_phase_drift_panics() {
+        let s = TrafficSpec {
+            drift: Some(Drift { theta_end: 0.2, phases: 1, hotspot_step: 16 }),
+            ..spec(Arrival::Poisson { mean_gap: 10.0 })
+        };
+        generate_schedule(&s, 1, 0);
     }
 
     #[test]

@@ -58,6 +58,18 @@ grep -q "runs 0 hit" "$smoke_dir/all.cold.err" \
     || { echo "pipeline smoke: cold run unexpectedly hit the run cache"; exit 1; }
 rm -rf "$smoke_dir"
 
+echo "==> fast pipeline: the stdout of all --fast --no-cache is results/all_fast.txt byte for byte"
+fast_dir="$PWD/target/gstm-ci-all-fast"
+rm -rf "$fast_dir"
+mkdir -p "$fast_dir"
+# Inside its own directory, like the smoke above: the tables `all` writes
+# land there, not over the committed ones.
+(cd "$fast_dir" && "$experiments" all --fast --no-cache --jobs 2 >stdout.txt 2>stderr.txt) \
+    || { echo "fast pipeline: all --fast failed (see $fast_dir/stderr.txt)"; exit 1; }
+diff -u results/all_fast.txt "$fast_dir/stdout.txt" \
+    || { echo "fast pipeline: a paper table moved; regenerate results/all_fast.txt and say why"; exit 1; }
+rm -rf "$fast_dir"
+
 echo "==> serve smoke: tail-latency study must be deterministic per seed"
 serve_dir="target/gstm-ci-serve-smoke"
 rm -rf "$serve_dir"
@@ -142,7 +154,7 @@ cargo test -q --release --offline -p gstm-serve --lib -- \
     a_committer_blocked_in_its_device_write_does_not_delay_another \
     || { echo "durable commit path: a crash lost more than its bound, or a committer waited for another's device write"; exit 1; }
 
-echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards), durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, log tallies = sink tallies, serve-thread placement"
+echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards), durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, log tallies = sink tallies, serve-thread placement, exact Zipf and bounded draws"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
 cargo test -q --release --offline -p gstm-core -p gstm-wal -p gstm-serve --lib layout_ \
@@ -172,6 +184,10 @@ cargo test -q --release --offline -p gstm-serve --test interpreter \
     || { echo "request path: the store substrate answers differently from the plain map or the block lane"; exit 1; }
 cargo test -q --release --offline -p gstm-serve --lib -- affinity:: placement_ \
     || { echo "placement: a pin went elsewhere, a light run spread, an overloaded one stayed, or the caller's CPUs changed"; exit 1; }
+cargo test -q --release --offline -p gstm-core --lib -- \
+    zipf_sample_is_the_partition_point_inversion \
+    below_matches_the_threshold_loop \
+    || { echo "rng: a bucketed Zipf draw or an early-accepted bounded draw differs from the plain search or the threshold loop"; exit 1; }
 
 echo "==> block determinism smoke: same block order must hash identically at 1/2/4/8 threads, bare executor and native lane"
 ./target/release/experiments block-smoke --threads 1,2,4,8 --requests 200 --seed 11 \

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of a parent commit against the working tree: the
 # protocol of /opt/skills/guides/choosing-metrics §8 (alternate which side
-# runs first, report medians and quartiles of every metric and of the
-# fixed-rate p99 detail (`fixed.p99_us`), count pairs won, compare the gap
+# runs first, report medians and quartiles of every metric and of two
+# details, the fixed-rate p99 (`fixed.p99_us`) and the saturating phase's
+# set-up (`sat.setup_s`), count pairs won, compare the gap
 # between the medians with the parent's own spread; warn when either side's
 # own p50_us runs spread too widely to be one population).
 #
@@ -105,13 +106,16 @@ def run(side):
     ok = out.returncode == 0 and all(r["correct"] and r["failed"] == 0 for r in results)
     found = {name: {k: v["value"] for k, v in r["metrics"].items()}
              for name, r in zip(names, results)}
-    # The fixed-rate p99 is a detail field, printed under its workload's
-    # header: the median over the phase's slices.
+    # The fixed-rate p99 and the saturating phase's set-up are detail
+    # fields, printed under their workload's header: medians over the
+    # phase's slices.
     for line in lines:
         if line.startswith("== ") and line.endswith(" =="):
             workload = line[3:-3]
         elif line.startswith("  fixed: "):
             found[workload]["fixed.p99_us"] = json.loads(line[len("  fixed: "):])["p99_us"]["median"]
+        elif line.startswith("  sat: "):
+            found[workload]["sat.setup_s"] = json.loads(line[len("  sat: "):])["setup_s"]["median"]
     return found, ok
 
 
