@@ -10,7 +10,6 @@
 //! * [`THashMap`] / [`TSet`] — bucketized hash map/set (bucket-granular
 //!   conflicts);
 //! * [`TQueue`] — two-stack FIFO;
-//! * [`TCounter`] — shared counter;
 //! * [`TWorklist`] — sharded work-stealing list for refinement-style loops.
 
 #![warn(missing_docs)]
@@ -22,4 +21,4 @@ mod queue;
 
 pub use array::TArray;
 pub use map::{THashMap, TSet};
-pub use queue::{TCounter, TQueue, TWorklist};
+pub use queue::{TQueue, TWorklist};

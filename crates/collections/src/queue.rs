@@ -77,50 +77,6 @@ impl<T: Clone + Send + Sync + 'static> Default for TQueue<T> {
     }
 }
 
-/// A transactional counter.
-#[derive(Clone, Debug)]
-pub struct TCounter {
-    var: TVar<i64>,
-}
-
-impl TCounter {
-    /// Creates a counter starting at `initial`.
-    pub fn new(initial: i64) -> Self {
-        TCounter { var: TVar::new(initial) }
-    }
-
-    /// Transactionally adds `delta`, returning the new value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates STM conflicts.
-    pub fn add(&self, tx: &mut Txn<'_>, delta: i64) -> Result<i64, Abort> {
-        let v = tx.read(&self.var)? + delta;
-        tx.write(&self.var, v)?;
-        Ok(v)
-    }
-
-    /// Transactionally reads the value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates STM conflicts.
-    pub fn get(&self, tx: &mut Txn<'_>) -> Result<i64, Abort> {
-        tx.read(&self.var)
-    }
-
-    /// Non-transactional read (teardown only).
-    pub fn get_unlogged(&self) -> i64 {
-        *self.var.load_unlogged()
-    }
-}
-
-impl Default for TCounter {
-    fn default() -> Self {
-        TCounter::new(0)
-    }
-}
-
 /// A sharded transactional worklist with stealing: each shard is an
 /// independent stack; threads push/pop their own shard and steal from
 /// others when empty. Labyrinth and yada drive their refinement loops off
@@ -148,6 +104,10 @@ impl<T: Clone + Send + Sync + 'static> TWorklist<T> {
     }
 
     /// Creates a worklist and distributes `items` round-robin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
     pub fn seeded(shards: usize, items: Vec<T>) -> Self {
         assert!(shards > 0, "a worklist needs at least one shard");
         let mut lists: Vec<Vec<T>> = (0..shards).map(|_| Vec::new()).collect();
@@ -236,14 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_adds() {
-        let c = TCounter::new(5);
-        let v = with_tx(|tx| c.add(tx, -2));
-        assert_eq!(v, 3);
-        assert_eq!(c.get_unlogged(), 3);
-    }
-
-    #[test]
     fn worklist_prefers_own_shard_then_steals() {
         let wl = TWorklist::seeded(2, vec![1, 2, 3, 4]); // shard0: [1,3], shard1: [2,4]
         let got = with_tx(|tx| {
@@ -266,5 +218,11 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let _: TWorklist<u8> = TWorklist::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn zero_shards_rejected_when_seeded() {
+        let _ = TWorklist::seeded(0, vec![1u8, 2]);
     }
 }

@@ -3,8 +3,8 @@
 
 use std::sync::Arc;
 
-use gstm_collections::{TCounter, THashMap, TQueue, TSet, TWorklist};
-use gstm_core::{Stm, StmConfig, ThreadId, TxId};
+use gstm_collections::{THashMap, TQueue, TSet, TWorklist};
+use gstm_core::{Stm, StmConfig, TVar, ThreadId, TxId};
 use gstm_sim::{SimConfig, SimMachine};
 
 fn with_machine(
@@ -85,16 +85,16 @@ fn set_dedups_racing_inserts() {
 
 #[test]
 fn counter_sums_under_contention() {
-    let c = TCounter::new(0);
+    let c = TVar::new(0i64);
     with_machine(6, 1, |stm, i| {
         let c = c.clone();
         Box::new(move || {
             for _ in 0..30 {
-                stm.run(ThreadId::new(i as u16), TxId::new(0), |tx| c.add(tx, 2).map(|_| ()));
+                stm.run(ThreadId::new(i as u16), TxId::new(0), |tx| tx.modify(&c, |v| v + 2));
             }
         })
     });
-    assert_eq!(c.get_unlogged(), 6 * 30 * 2);
+    assert_eq!(*c.load_unlogged(), 6 * 30 * 2);
 }
 
 #[test]

@@ -21,11 +21,10 @@
 //!   never false-share;
 //! * the visible-reader registries are **lazily allocated** per stripe —
 //!   a table serving `AbortReaders`/`WaitForReaders` traffic only pays for
-//!   the registries of stripes that actually see visible readers
-//!   ([`LockTable::reader_registry_footprint`] reports the saving).
+//!   the registries of stripes that actually see visible readers.
 
 use crate::sync::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::ids::{CommitSeq, Participant, ThreadId, TxId, VarId};
@@ -93,33 +92,6 @@ struct Stripe {
     stamp: AtomicU64,
 }
 
-/// Lazily-populated visible-reader registries.
-///
-/// One `OnceLock<Box<…>>` slot per stripe (16 bytes) instead of an eager
-/// `Mutex<Vec<…>>` (40 bytes, plus its eventual heap): a registry is only
-/// boxed the first time a reader actually registers on that stripe, which
-/// for Zipf-skewed workloads is a small fraction of the table.
-#[derive(Debug)]
-struct ReaderTable {
-    slots: Vec<OnceLock<Box<ReaderRegistry>>>,
-    allocated: AtomicUsize,
-}
-
-/// Memory-footprint report for the visible-reader registries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RegistryFootprint {
-    /// Stripes in the table.
-    pub stripes: usize,
-    /// Registries actually allocated (stripes that saw ≥ 1 registration).
-    pub allocated: usize,
-    /// Bytes the lazy scheme holds now: one slot per stripe plus the
-    /// allocated registries (heap `Vec` storage excluded in both schemes).
-    pub lazy_bytes: usize,
-    /// Bytes the old eager scheme would hold: one inline registry per
-    /// stripe, allocated up front.
-    pub eager_bytes: usize,
-}
-
 /// Index of a stripe within the table.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct StripeIndex(pub u32);
@@ -128,8 +100,13 @@ pub struct StripeIndex(pub u32);
 #[derive(Debug)]
 pub struct LockTable {
     stripes: Vec<CachePadded<Stripe>>,
-    /// Visible-reader registries; entries are `(thread raw id, nesting count)`.
-    readers: Option<ReaderTable>,
+    /// Visible-reader registries; entries are `(thread raw id, nesting
+    /// count)`. One `OnceLock<Box<…>>` slot per stripe (16 bytes) instead of
+    /// an eager `Mutex<Vec<…>>` (40 bytes, plus its eventual heap): a
+    /// registry is only boxed the first time a reader registers on that
+    /// stripe, which for Zipf-skewed workloads is a small fraction of the
+    /// table.
+    readers: Option<Vec<OnceLock<Box<ReaderRegistry>>>>,
     /// Stripe mask (`(1 << log2_stripes) - 1`).
     mask: u64,
     /// Unlock attempts rejected because the caller did not own the stripe.
@@ -151,10 +128,7 @@ impl LockTable {
         let n = 1usize << log2_stripes;
         LockTable {
             stripes: (0..n).map(|_| CachePadded::new(Stripe::default())).collect(),
-            readers: visible_readers.then(|| ReaderTable {
-                slots: (0..n).map(|_| OnceLock::new()).collect(),
-                allocated: AtomicUsize::new(0),
-            }),
+            readers: visible_readers.then(|| (0..n).map(|_| OnceLock::new()).collect()),
             mask: (n - 1) as u64,
             violations: AtomicU64::new(0),
         }
@@ -328,11 +302,8 @@ impl LockTable {
     /// bump a per-thread count. Allocates the stripe's registry on first
     /// use.
     pub fn register_reader(&self, s: StripeIndex, thread: ThreadId) {
-        if let Some(rt) = &self.readers {
-            let reg = rt.slots[s.0 as usize].get_or_init(|| {
-                rt.allocated.fetch_add(1, Ordering::Relaxed);
-                Box::new(Mutex::new(Vec::new()))
-            });
+        if let Some(slots) = &self.readers {
+            let reg = slots[s.0 as usize].get_or_init(|| Box::new(Mutex::new(Vec::new())));
             let mut list = reg.lock();
             if let Some(entry) = list.iter_mut().find(|(t, _)| *t == thread.raw()) {
                 entry.1 += 1;
@@ -344,9 +315,9 @@ impl LockTable {
 
     /// Removes one registration of `thread` from the stripe.
     pub fn unregister_reader(&self, s: StripeIndex, thread: ThreadId) {
-        if let Some(rt) = &self.readers {
+        if let Some(slots) = &self.readers {
             // A stripe nobody ever registered on has no registry to clean.
-            let Some(reg) = rt.slots[s.0 as usize].get() else { return };
+            let Some(reg) = slots[s.0 as usize].get() else { return };
             let mut list = reg.lock();
             if let Some(pos) = list.iter().position(|(t, _)| *t == thread.raw()) {
                 list[pos].1 -= 1;
@@ -361,7 +332,7 @@ impl LockTable {
     /// disabled.
     pub fn readers_excluding(&self, s: StripeIndex, me: ThreadId) -> Vec<ThreadId> {
         match &self.readers {
-            Some(rt) => match rt.slots[s.0 as usize].get() {
+            Some(slots) => match slots[s.0 as usize].get() {
                 Some(reg) => reg
                     .lock()
                     .iter()
@@ -377,27 +348,6 @@ impl LockTable {
     /// Whether reader registries are enabled.
     pub fn tracks_readers(&self) -> bool {
         self.readers.is_some()
-    }
-
-    /// Current reader-registry memory footprint, with the eager scheme's
-    /// cost for comparison. All-zero when registries are disabled (neither
-    /// scheme allocates anything then).
-    pub fn reader_registry_footprint(&self) -> RegistryFootprint {
-        use std::mem::size_of;
-        match &self.readers {
-            Some(rt) => {
-                let stripes = rt.slots.len();
-                let allocated = rt.allocated.load(Ordering::Relaxed);
-                RegistryFootprint {
-                    stripes,
-                    allocated,
-                    lazy_bytes: stripes * size_of::<OnceLock<Box<ReaderRegistry>>>()
-                        + allocated * size_of::<ReaderRegistry>(),
-                    eager_bytes: stripes * size_of::<ReaderRegistry>(),
-                }
-            }
-            None => RegistryFootprint::default(),
-        }
     }
 }
 
@@ -568,30 +518,24 @@ mod tests {
         assert!(!lt.tracks_readers());
         lt.register_reader(StripeIndex(0), ThreadId::new(1));
         assert!(lt.readers_excluding(StripeIndex(0), ThreadId::new(9)).is_empty());
-        assert_eq!(lt.reader_registry_footprint(), RegistryFootprint::default());
     }
 
     #[test]
     fn reader_registries_allocate_lazily() {
         let lt = LockTable::new(8, true);
-        assert_eq!(lt.reader_registry_footprint().allocated, 0, "nothing allocated up front");
+        let allocated = |lt: &LockTable| {
+            lt.readers.as_ref().unwrap().iter().filter(|s| s.get().is_some()).count()
+        };
+        assert_eq!(allocated(&lt), 0, "nothing allocated up front");
         // Probing an untouched stripe must not allocate its registry.
         assert!(lt.readers_excluding(StripeIndex(5), ThreadId::new(0)).is_empty());
         lt.unregister_reader(StripeIndex(5), ThreadId::new(0));
-        assert_eq!(lt.reader_registry_footprint().allocated, 0);
+        assert_eq!(allocated(&lt), 0);
 
         lt.register_reader(StripeIndex(5), ThreadId::new(0));
         lt.register_reader(StripeIndex(5), ThreadId::new(1));
         lt.register_reader(StripeIndex(9), ThreadId::new(0));
-        let fp = lt.reader_registry_footprint();
-        assert_eq!(fp.allocated, 2, "one registry per touched stripe");
-        assert_eq!(fp.stripes, 256);
-        assert!(
-            fp.lazy_bytes < fp.eager_bytes,
-            "lazy ({}) must undercut eager ({}) at this fill rate",
-            fp.lazy_bytes,
-            fp.eager_bytes
-        );
+        assert_eq!(allocated(&lt), 2, "one registry per touched stripe");
     }
 
     #[test]

@@ -99,6 +99,17 @@ fn flag_number<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     })
 }
 
+/// `--threads` of `check` and `recover`: every worker is a 16-bit
+/// `ThreadId`, so a count past `u16::MAX` exits 2 before any run.
+fn flag_thread_count(args: &[String]) -> Option<usize> {
+    flag_number::<usize>(args, "--threads").inspect(|&t| {
+        if t > usize::from(u16::MAX) {
+            eprintln!("--threads must be in 0..=65535, got {t}");
+            std::process::exit(2);
+        }
+    })
+}
+
 /// Writes one result file (a `<out_dir>/<id>.txt` body, a saved model or a
 /// `--metrics` dump), creating its directory. `scripts/ci.sh` diffs result
 /// files against the committed tables, so a failed write exits 1 instead of
@@ -119,6 +130,10 @@ fn write_file(path: &Path, bytes: &[u8]) {
 /// executor's schedule-invariance guarantee.
 fn run_block_smoke(args: &[String]) -> ! {
     let requests: usize = flag_number(args, "--requests").unwrap_or(200);
+    if requests == 0 {
+        eprintln!("block-smoke: --requests must be at least 1, got 0");
+        std::process::exit(2);
+    }
     let seed: u64 = flag_number(args, "--seed").unwrap_or(11);
     let threads: Vec<usize> = flag_value(args, "--threads").map_or(vec![1, 2, 4, 8], |s| {
         s.split(',')
@@ -344,7 +359,7 @@ fn main() {
             // The fault-injected chaos matrix judged by the opacity oracle.
             let seed = flag_number(&args, "--seed").unwrap_or(7);
             let mut opts = if tiny { CheckOptions::tiny(seed) } else { CheckOptions::new(seed) };
-            if let Some(t) = flag_number::<usize>(&args, "--threads") {
+            if let Some(t) = flag_thread_count(&args) {
                 opts.threads = t.max(2);
             }
             if let Some(o) = flag_number(&args, "--ops") {
@@ -360,7 +375,7 @@ fn main() {
             let seed = flag_number(&args, "--seed").unwrap_or(7);
             let mut opts =
                 if tiny { RecoverOptions::tiny(seed) } else { RecoverOptions::new(seed) };
-            if let Some(t) = flag_number::<usize>(&args, "--threads") {
+            if let Some(t) = flag_thread_count(&args) {
                 opts.threads = t.max(2);
             }
             if let Some(r) = flag_number::<usize>(&args, "--requests") {

@@ -446,7 +446,6 @@ impl<'a> Pipeline<'a> {
         train: impl FnOnce() -> TrainedModel,
     ) -> Cell<W> {
         let cfg = self.cfg;
-        let t0 = Instant::now();
         let trained = train();
         let measured = |opts: RunOptions| if cfg.telemetry { opts.with_telemetry() } else { opts };
         self.progress.report(&format!("{what}: default runs"));
@@ -461,7 +460,6 @@ impl<'a> Pipeline<'a> {
             )
         });
         PipelineGauges::add(&self.gauges.cells, 1);
-        PipelineGauges::add(&self.gauges.cell_wall_ms, t0.elapsed().as_millis() as u64);
         Cell { workload, threads, trained, default_runs, guided_runs }
     }
 

@@ -55,6 +55,33 @@ fn a_flag_without_its_value_is_rejected_by_every_command() {
 }
 
 #[test]
+fn an_out_of_range_count_is_rejected_before_any_run() {
+    let dir = scratch("ranges");
+    // A thread count past u16::MAX used to panic in `StmConfig::new`
+    // (exit 101); `block-smoke --requests 0` ran every lane and then failed
+    // its own comparison (exit 1).
+    for (args, message) in [
+        (
+            &["check", "--tiny", "--threads", "70000", "--ops", "1"][..],
+            "--threads must be in 0..=65535, got 70000",
+        ),
+        (
+            &["recover", "--tiny", "--threads", "70000", "--requests", "1", "--no-cache"],
+            "--threads must be in 0..=65535, got 70000",
+        ),
+        (&["block-smoke", "--requests", "0"], "block-smoke: --requests must be at least 1, got 0"),
+    ] {
+        let out = experiments(&dir, args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+    }
+    assert!(!dir.join("results").exists(), "a rejected command line leaves nothing behind");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
 fn the_deleted_bench_commands_are_unknown() {
     let dir = scratch("unknown");
     for suffix in ["", "-pipeline", "-wal", "-mvcc", "-adaptive", "-block", "-check"] {

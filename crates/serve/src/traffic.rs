@@ -48,14 +48,6 @@ pub enum Arrival {
 }
 
 impl Arrival {
-    /// Short tag used in cache keys and result tables.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Arrival::Poisson { .. } => "poisson",
-            Arrival::Bursty { .. } => "bursty",
-        }
-    }
-
     /// Long-run mean inter-arrival gap in ticks.
     pub fn mean_gap(&self) -> f64 {
         match *self {

@@ -41,6 +41,10 @@ pub struct SimConfig {
 impl SimConfig {
     /// A machine with `cores` cores, the given seed, and the default 25%
     /// jitter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is zero.
     pub fn new(cores: usize, seed: u64) -> Self {
         assert!(cores > 0, "a machine needs at least one core");
         SimConfig { cores, seed, jitter_pct: 25 }
@@ -631,6 +635,12 @@ mod tests {
         let mut unwound = unwound.into_inner();
         unwound.sort_unstable();
         assert_eq!(unwound, vec![1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a machine needs at least one core")]
+    fn zero_core_machine_rejected() {
+        let _ = SimConfig::new(0, 1);
     }
 
     #[test]

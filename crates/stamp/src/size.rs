@@ -29,11 +29,6 @@ impl InputSize {
             InputSize::Large => large,
         }
     }
-
-    /// All presets, smallest first.
-    pub fn all() -> [InputSize; 3] {
-        [InputSize::Small, InputSize::Medium, InputSize::Large]
-    }
 }
 
 impl fmt::Display for InputSize {
@@ -44,19 +39,6 @@ impl fmt::Display for InputSize {
             InputSize::Large => "large",
         };
         f.write_str(s)
-    }
-}
-
-impl std::str::FromStr for InputSize {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "small" => Ok(InputSize::Small),
-            "medium" => Ok(InputSize::Medium),
-            "large" => Ok(InputSize::Large),
-            other => Err(format!("unknown input size {other:?} (small|medium|large)")),
-        }
     }
 }
 
@@ -71,11 +53,11 @@ mod tests {
         assert_eq!(InputSize::Large.pick(1, 2, 3), 3);
     }
 
+    /// Every STAMP run's cache key embeds these labels.
     #[test]
-    fn parse_round_trip() {
-        for s in InputSize::all() {
-            assert_eq!(s.to_string().parse::<InputSize>().unwrap(), s);
-        }
-        assert!("huge".parse::<InputSize>().is_err());
+    fn labels_are_pinned() {
+        assert_eq!(InputSize::Small.to_string(), "small");
+        assert_eq!(InputSize::Medium.to_string(), "medium");
+        assert_eq!(InputSize::Large.to_string(), "large");
     }
 }

@@ -19,6 +19,6 @@ mod describe;
 mod table;
 mod tail;
 
-pub use describe::{mean, sample_stddev, sample_variance, Summary, Welford};
+pub use describe::{mean, sample_stddev, sample_variance};
 pub use table::TextTable;
 pub use tail::{percent_change, percent_reduction, slowdown, tail_metric};

@@ -196,14 +196,6 @@ impl HistogramSnapshot {
         }
         self.sum += other.sum;
     }
-
-    /// `self - earlier`, element-wise saturating (delta between snapshots).
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
-            sum: self.sum.saturating_sub(earlier.sum),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -336,7 +328,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_diff_are_inverse() {
+    #[should_panic(expected = "quantile must be in [0, 1]")]
+    fn quantile_bound_rejects_bad_q() {
+        let _ = HistogramSnapshot::empty().quantile_bound(1.5);
+    }
+
+    #[test]
+    fn merge_adds_counts_sums_and_buckets() {
         let a = LogHistogram::new();
         let b = LogHistogram::new();
         a.record(3);
@@ -345,7 +343,8 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.count(), 3);
-        let delta = merged.diff(&a.snapshot());
-        assert_eq!(delta, b.snapshot());
+        assert_eq!(merged.sum, 106);
+        assert_eq!(merged.buckets[bucket_of(3)], 2);
+        assert_eq!(merged.buckets[bucket_of(100)], 1);
     }
 }

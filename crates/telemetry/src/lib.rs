@@ -8,8 +8,8 @@
 //!    [`LogHistogram`]s and the exact aborts-before-commit map, written from
 //!    the hot path by that thread alone. Merging happens only at snapshot
 //!    time.
-//! 2. **Snapshot export** ([`Snapshot`]): deltas via [`Snapshot::diff`], a
-//!    stable Prometheus-style text exposition (`name{thread="3"} value`
+//! 2. **Snapshot export** ([`Snapshot`]): merging via [`Snapshot::merge`],
+//!    a stable Prometheus-style text exposition (`name{thread="3"} value`
 //!    lines, byte-identical across identical runs), and a compact
 //!    machine-readable dump that [`Snapshot::from_machine`] reads back.
 //!

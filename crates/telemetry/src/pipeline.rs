@@ -41,8 +41,6 @@ pub struct PipelineGauges {
     pub run_misses: AtomicU64,
     /// Study cells resolved.
     pub cells: AtomicU64,
-    /// Total wall-clock milliseconds across resolved cells.
-    pub cell_wall_ms: AtomicU64,
     /// Wall-clock milliseconds spent in training passes.
     pub train_wall_ms: AtomicU64,
 }
@@ -63,8 +61,8 @@ impl PipelineGauges {
     ///
     /// Only the counters appear here — they are deterministic for a given
     /// cache state, preserving the "snapshots are byte-identical" guarantee.
-    /// The wall-clock fields (`cell_wall_ms`, `train_wall_ms`) are genuinely
-    /// nondeterministic and stay out of every exported snapshot.
+    /// The wall-clock field (`train_wall_ms`) is genuinely nondeterministic
+    /// and stays out of every exported snapshot.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         snap.set_gauge(GAUGE_MODEL_HITS, self.model_hits.load(Ordering::Relaxed));
@@ -111,7 +109,6 @@ mod tests {
         // Wall-clock values vary run to run; exporting them would break the
         // byte-identical snapshot guarantee (README "Telemetry").
         let g = PipelineGauges::new();
-        g.cell_wall_ms.store(1234, Ordering::Relaxed);
         g.train_wall_ms.store(567, Ordering::Relaxed);
         let text = g.snapshot().to_text();
         assert!(!text.contains("wall_ms"), "wall-clock leaked into the snapshot: {text}");

@@ -76,27 +76,6 @@ impl Snapshot {
         self.histograms.get(&thread_key(name, thread))
     }
 
-    /// `self - earlier`, series-wise saturating. Series absent from
-    /// `earlier` pass through unchanged.
-    pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| {
-                (k.clone(), v.saturating_sub(earlier.counters.get(k).copied().unwrap_or(0)))
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| match earlier.histograms.get(k) {
-                Some(e) => (k.clone(), h.diff(e)),
-                None => (k.clone(), h.clone()),
-            })
-            .collect();
-        Snapshot { counters, histograms }
-    }
-
     /// Accumulates `other` into `self` (for aggregating repeated runs).
     pub fn merge(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
@@ -203,14 +182,10 @@ mod tests {
     }
 
     #[test]
-    fn diff_and_total() {
-        let earlier = sample();
-        let mut later = sample();
-        later.set_counter("gstm_tx_commits_total", 0, 25);
-        let d = later.diff(&earlier);
-        assert_eq!(d.counter("gstm_tx_commits_total", 0), 15);
-        assert_eq!(d.counter("gstm_tx_commits_total", 1), 0);
-        assert_eq!(later.total("gstm_tx_commits_total"), 32);
+    fn total_sums_every_thread() {
+        let mut s = sample();
+        s.set_counter("gstm_tx_commits_total", 0, 25);
+        assert_eq!(s.total("gstm_tx_commits_total"), 32);
     }
 
     #[test]
