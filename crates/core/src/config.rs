@@ -125,16 +125,20 @@ impl StmConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `max_threads` is 0 or exceeds `u16::MAX`.
+    /// Panics with the [`StmConfig::validate`] message if `max_threads` is
+    /// 0 or exceeds `u16::MAX`.
     pub fn new(max_threads: usize) -> Self {
-        assert!(max_threads > 0 && max_threads <= u16::MAX as usize);
-        StmConfig {
+        let cfg = StmConfig {
             max_threads,
             detection: Detection::default(),
             resolution: Resolution::default(),
             check_events: false,
             read_mode: ReadMode::default(),
+        };
+        if let Err(msg) = cfg.validate() {
+            panic!("{msg}");
         }
+        cfg
     }
 
     /// Starts a fluent [`StmConfigBuilder`] with defaults for `max_threads`
@@ -152,9 +156,9 @@ impl StmConfig {
     /// enforce, returning one loud message instead of letting an
     /// out-of-range value panic deep inside the engine.
     ///
-    /// [`StmConfigBuilder::build`] runs this automatically; call it
-    /// directly when a config is assembled field-by-field (struct literal,
-    /// deserialization) rather than through the builder.
+    /// [`StmConfig::new`], and so the builder, runs this automatically;
+    /// call it directly when a config is assembled field-by-field (struct
+    /// literal, deserialization) rather than through either.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_threads == 0 || self.max_threads > u16::MAX as usize {
             return Err(format!(
@@ -215,16 +219,9 @@ impl StmConfigBuilder {
         self
     }
 
-    /// Finalizes the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`StmConfig::validate`] message if `max_threads` is
-    /// out of range.
+    /// Finalizes the configuration. The thread count was checked when
+    /// [`StmConfig::builder`] started it, and no setter changes it.
     pub fn build(self) -> StmConfig {
-        if let Err(msg) = self.cfg.validate() {
-            panic!("invalid StmConfig: {msg}");
-        }
         self.cfg
     }
 }
@@ -290,8 +287,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "max_threads must be in 1..=65535, got 0")]
     fn zero_threads_rejected() {
         let _ = StmConfig::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_threads must be in 1..=65535, got 65536")]
+    fn too_many_threads_rejected() {
+        let _ = StmConfig::new(65536);
     }
 }

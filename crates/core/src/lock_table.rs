@@ -539,9 +539,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "log2_stripes must be in 1..=24")]
     fn zero_stripes_rejected() {
         let _ = LockTable::new(0, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "log2_stripes must be in 1..=24")]
+    fn too_many_stripes_rejected() {
+        let _ = LockTable::new(25, false);
     }
 
     #[test]

@@ -146,22 +146,12 @@ impl SnapshotRegistry {
         ts
     }
 
-    /// Ends `thread`'s snapshot transaction, unpinning its timestamp.
+    /// Ends `thread`'s snapshot transaction, unpinning its timestamp. The
+    /// engine calls it from the attempt's drop, so a panicking body (e.g.
+    /// the documented write-in-read-only panic) cannot pin the GC
+    /// watermark forever.
     pub(crate) fn end(&self, thread: ThreadId) {
         self.readers[thread].store(INACTIVE, Ordering::SeqCst);
-    }
-
-    /// [`Self::begin`] wrapped in an RAII guard: the registration is
-    /// released on drop, **including unwind** — a panic in the transaction
-    /// body (e.g. the documented `Txn::write`-in-read-only panic) must not
-    /// pin the GC watermark at this reader's timestamp forever.
-    pub(crate) fn begin_guarded<'a>(
-        &'a self,
-        thread: ThreadId,
-        clock: &VersionClock,
-    ) -> ReaderGuard<'a> {
-        let ts = self.begin(thread, clock);
-        ReaderGuard { reg: self, thread, ts }
     }
 
     /// Publishes `thread`'s commit lower bound: parks `PENDING`, samples
@@ -178,23 +168,12 @@ impl SnapshotRegistry {
         fence(Ordering::SeqCst);
     }
 
-    /// Clears `thread`'s commit lower bound — call once the commit's
-    /// versions are published (or the commit aborted post-tick).
+    /// Clears `thread`'s commit lower bound — once the commit's versions
+    /// are published, or the commit aborted or unwound after publishing
+    /// the bound (the attempt's drop does it on every exit), so a stale
+    /// bound cannot clamp every later snapshot reader to an old timestamp.
     pub(crate) fn clear_commit_lb(&self, thread: ThreadId) {
         self.commit_lb[thread].store(INACTIVE, Ordering::SeqCst);
-    }
-
-    /// [`Self::publish_commit_lb`] wrapped in an RAII guard: the bound is
-    /// cleared on drop, **including unwind** — a panic between publication
-    /// and version-ring write-back must not leave a stale bound clamping
-    /// every future snapshot reader to an old timestamp.
-    pub(crate) fn publish_commit_lb_guarded<'a>(
-        &'a self,
-        thread: ThreadId,
-        clock: &VersionClock,
-    ) -> CommitLbGuard<'a> {
-        self.publish_commit_lb(thread, clock);
-        CommitLbGuard { reg: self, thread }
     }
 
     /// Computes the GC watermark: a version bound `W` such that every
@@ -253,42 +232,6 @@ impl SnapshotRegistry {
             gc_lag_events: self.gc_lag_events.load(Ordering::Relaxed),
             ring_len_max: self.ring_len_max.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Active snapshot-reader registration; unregisters on drop (unwind-safe).
-/// Obtained from [`SnapshotRegistry::begin_guarded`].
-#[derive(Debug)]
-pub(crate) struct ReaderGuard<'a> {
-    reg: &'a SnapshotRegistry,
-    thread: ThreadId,
-    ts: u64,
-}
-
-impl ReaderGuard<'_> {
-    /// The registered snapshot timestamp.
-    pub(crate) fn ts(&self) -> u64 {
-        self.ts
-    }
-}
-
-impl Drop for ReaderGuard<'_> {
-    fn drop(&mut self) {
-        self.reg.end(self.thread);
-    }
-}
-
-/// In-flight commit lower bound; cleared on drop (unwind-safe). Obtained
-/// from [`SnapshotRegistry::publish_commit_lb_guarded`].
-#[derive(Debug)]
-pub(crate) struct CommitLbGuard<'a> {
-    reg: &'a SnapshotRegistry,
-    thread: ThreadId,
-}
-
-impl Drop for CommitLbGuard<'_> {
-    fn drop(&mut self) {
-        self.reg.clear_commit_lb(self.thread);
     }
 }
 
@@ -371,26 +314,6 @@ mod tests {
         assert_eq!(s.versions_evicted, 2);
         assert_eq!(s.gc_lag_events, 1);
         assert_eq!(s.ring_len_max, 5);
-    }
-
-    #[test]
-    fn guards_release_their_slots_on_unwind() {
-        let reg = SnapshotRegistry::new(4);
-        let clock = clock_at(6);
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _reader = reg.begin_guarded(ThreadId::new(0), &clock);
-            let _lb = reg.publish_commit_lb_guarded(ThreadId::new(1), &clock);
-            clock.tick();
-            assert_eq!(reg.watermark(&clock), 6, "live guards pin the watermark");
-            panic!("transaction body blew up");
-        }));
-        assert!(panicked.is_err());
-        // Neither the reader timestamp nor the commit bound survives the
-        // unwind: the watermark tracks the clock again and a fresh reader
-        // is unclamped.
-        assert_eq!(reg.watermark(&clock), 7);
-        assert_eq!(reg.begin(ThreadId::new(2), &clock), 7);
-        reg.end(ThreadId::new(2));
     }
 
     #[test]

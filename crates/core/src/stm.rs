@@ -368,38 +368,35 @@ impl Stm {
             self.gate.pass(thread, COSTS.begin);
             // Snapshot mode: a read-only transaction registers with the
             // reader registry and takes its clamped timestamp as rv, so
-            // the GC watermark can never outrun it. The guard unregisters
-            // on drop — unwind included, so a panicking body (e.g. the
-            // documented write-in-read-only panic) cannot pin the
-            // watermark forever. Everything else runs the legacy TL2
-            // begin (one clock sample).
-            let reader_guard = match (kind, self.mvcc.as_ref()) {
-                (TxnKind::ReadOnly, Some(reg)) => Some(reg.begin_guarded(thread, &self.clock)),
+            // the GC watermark can never outrun it; the `Txn` built right
+            // after ends the registration when it drops. Everything else
+            // runs the legacy TL2 begin (one clock sample).
+            scratch.reset();
+            let snapshot = match (kind, self.mvcc.as_ref()) {
+                (TxnKind::ReadOnly, Some(reg)) => Some(reg.begin(thread, &self.clock)),
                 _ => None,
             };
-            let snapshot = reader_guard.as_ref().map(|g| g.ts());
-            let rv = snapshot.unwrap_or_else(|| self.clock.sample());
-            self.sink.record(&TxEvent::Begin { who, attempt, at: self.event_time() });
-
-            scratch.reset();
             let mut txn = Txn {
                 stm: self,
                 who,
-                rv,
+                rv: snapshot.unwrap_or_else(|| self.clock.sample()),
                 attempt,
                 kind,
                 snapshot,
                 snapshot_reads: 0,
+                commit_lb: false,
                 scratch: &mut *scratch,
             };
+            self.sink.record(&TxEvent::Begin { who, attempt, at: self.event_time() });
             let outcome = match body(&mut txn) {
                 Ok(result) => txn.commit().map(|info| (result, info)),
                 Err(abort) => {
-                    txn.rollback();
+                    // Release here, before the abort event and the abort
+                    // penalty's gate crossing.
+                    drop(txn);
                     Err(abort)
                 }
             };
-            drop(reader_guard);
             match outcome {
                 Ok((result, info)) => {
                     self.cm.on_commit(thread);
@@ -502,10 +499,12 @@ struct WriteEntry {
 ///
 /// * `writes` and `write_index` agree: `write_index[var] = i` iff
 ///   `writes[i]` is that var's redo-log slot;
-/// * `commit_stripes`/`validate_stripes`/`acquired`/`held` are commit-local
-///   scratch — dead outside [`Txn::commit`], rebuilt from scratch inside;
-/// * `eager_filter` over-approximates the stripes in `eager_locks`
-///   (filter hit → exact scan, filter miss → definitely not held).
+/// * `commit_stripes`/`validate_stripes` are commit-local scratch — dead
+///   outside [`Txn::commit`], rebuilt from scratch inside;
+/// * `held` lists the encounter-time locks first, in the order they were
+///   taken, then the commit-time ones; `eager_filter` over-approximates
+///   the encounter-time stripes (filter hit → exact scan, filter miss →
+///   definitely not held).
 #[derive(Default)]
 struct TxnScratch {
     /// Distinct stripes read (insertion-ordered; sorted copies are taken
@@ -515,9 +514,9 @@ struct TxnScratch {
     writes: Vec<WriteEntry>,
     /// var raw id → index into `writes` (read-own-writes lookup).
     write_index: FxMap,
-    /// Encounter-time locks held: (stripe, pre-lock version).
-    eager_locks: Vec<(StripeIndex, u64)>,
-    /// Membership filter over `eager_locks` stripes.
+    /// Stripe locks held: (stripe, pre-lock version).
+    held: Vec<(StripeIndex, u64)>,
+    /// Membership filter over the encounter-time stripes in `held`.
     eager_filter: StripeFilter,
     /// Stripes where we registered as a visible reader.
     registered: Vec<StripeIndex>,
@@ -525,10 +524,6 @@ struct TxnScratch {
     commit_stripes: Vec<StripeIndex>,
     /// Commit scratch: read-set stripes sorted for validation.
     validate_stripes: Vec<u32>,
-    /// Commit scratch: locks taken at commit time (stripe, pre-version).
-    acquired: Vec<(StripeIndex, u64)>,
-    /// Commit scratch: all locks held (eager + acquired).
-    held: Vec<(StripeIndex, u64)>,
 }
 
 impl TxnScratch {
@@ -537,13 +532,11 @@ impl TxnScratch {
         self.reads.clear();
         self.writes.clear();
         self.write_index.clear();
-        self.eager_locks.clear();
+        self.held.clear();
         self.eager_filter.clear();
         self.registered.clear();
         self.commit_stripes.clear();
         self.validate_stripes.clear();
-        self.acquired.clear();
-        self.held.clear();
     }
 
     /// The largest allocation among the read set, the redo log and its
@@ -621,6 +614,9 @@ pub struct Txn<'stm> {
     snapshot: Option<u64>,
     /// Reads served by the snapshot path (which bypasses the read set).
     snapshot_reads: u32,
+    /// Whether commit published this thread's commit lower bound (snapshot
+    /// mode); drop clears it.
+    commit_lb: bool,
     /// Read/write/lock sets, leased by the invocation and reused across
     /// attempts.
     scratch: &'stm mut TxnScratch,
@@ -806,7 +802,7 @@ impl<'stm> Txn<'stm> {
                             self.abort_at(AbortReason::ReadVersion { var: var.id() }, stripe)
                         );
                     }
-                    self.scratch.eager_locks.push((stripe, old_version));
+                    self.scratch.held.push((stripe, old_version));
                     self.scratch.eager_filter.insert(stripe.0);
                 }
                 Err(_) => {
@@ -835,9 +831,9 @@ impl<'stm> Txn<'stm> {
     /// back to the exact (short) scan.
     #[inline]
     fn holds_eager_lock(&self, stripe: StripeIndex) -> bool {
-        !self.scratch.eager_locks.is_empty()
+        !self.scratch.held.is_empty()
             && self.scratch.eager_filter.may_contain(stripe.0)
-            && self.scratch.eager_locks.iter().any(|(s, _)| *s == stripe)
+            && self.scratch.held.iter().any(|(s, _)| *s == stripe)
     }
 
     /// Reads, transforms and writes back in one step.
@@ -869,6 +865,9 @@ impl<'stm> Txn<'stm> {
     /// is the only Gate crossing that may be batched, because it runs
     /// entirely under the write-set locks and is therefore invisible to
     /// every other thread until `unlock_publish`.
+    ///
+    /// Every exit, abort or success, just returns: dropping `self`
+    /// releases what the attempt still holds.
     fn commit(mut self) -> Result<CommitInfo, Abort> {
         let stm = self.stm;
         let thread = self.who.thread;
@@ -877,10 +876,7 @@ impl<'stm> Txn<'stm> {
 
         // A committer may have doomed us while we were between operations;
         // honor it before publishing anything (AbortReaders resolution).
-        if let Err(abort) = stm.check_doomed(thread) {
-            self.rollback();
-            return Err(abort);
-        }
+        stm.check_doomed(thread)?;
 
         // Read-only fast path: every read was validated inline against rv,
         // so a read-only transaction is already serializable. TL2 commits it
@@ -893,7 +889,6 @@ impl<'stm> Txn<'stm> {
                     reg.note_spared_validations(self.snapshot_reads as u64);
                 }
             }
-            self.release();
             let seq = CommitSeq::new(stm.commit_seq.fetch_add(1, Ordering::SeqCst) + 1);
             self.record_commit_check(seq, self.rv, 0);
             return Ok(CommitInfo { seq, wv: self.rv, reads: n_reads, writes: 0 });
@@ -911,43 +906,33 @@ impl<'stm> Txn<'stm> {
         }
 
         // 1. Lock the write set (stripes deduped, sorted for determinism;
-        //    encounter-time locks are already held). The stripe list and
-        //    the acquired/held buffers are invocation scratch — sort +
-        //    dedup happens once here, and retries reuse the allocations.
+        //    encounter-time locks are already held). The stripe list is
+        //    invocation scratch — sort + dedup happens once here, and
+        //    retries reuse the allocation. Each lock joins `held` as it is
+        //    taken.
         self.scratch.commit_stripes.clear();
         let scratch = &mut *self.scratch;
         scratch.commit_stripes.extend(scratch.writes.iter().map(|w| w.stripe));
         scratch.commit_stripes.sort_unstable();
         scratch.commit_stripes.dedup();
-        self.scratch.acquired.clear();
-        let eager_is_empty = self.scratch.eager_locks.is_empty();
+        let any_eager = !self.scratch.held.is_empty();
         for i in 0..self.scratch.commit_stripes.len() {
             let s = self.scratch.commit_stripes[i];
-            if !eager_is_empty && self.holds_eager_lock(s) {
+            if any_eager && self.holds_eager_lock(s) {
                 continue;
             }
             stm.gate.pass(thread, COSTS.commit_entry);
             match stm.locks.try_lock(s, thread) {
-                Ok(old) => self.scratch.acquired.push((s, old)),
+                Ok(old) => self.scratch.held.push((s, old)),
                 Err(_) => {
-                    for &(a, old) in &self.scratch.acquired {
-                        self.unlock_restore(a, old);
-                    }
                     let var =
                         self.scratch.writes.iter().find(|w| w.stripe == s).map(|w| w.cell.id());
                     let reason =
                         AbortReason::WriteLockBusy { var: var.unwrap_or(VarId::from_raw(0)) };
-                    let abort = self.abort_at(reason, s);
-                    self.release();
-                    return Err(abort);
+                    return Err(self.abort_at(reason, s));
                 }
             }
         }
-        let scratch = &mut *self.scratch;
-        scratch.held.clear();
-        scratch.held.append(&mut scratch.eager_locks);
-        scratch.held.extend_from_slice(&scratch.acquired);
-        scratch.eager_filter.clear();
 
         // 2. Obtain the write version.
         //
@@ -955,11 +940,10 @@ impl<'stm> Txn<'stm> {
         //    so a reader beginning between the tick and our version-ring
         //    publication clamps its timestamp below our wv instead of
         //    expecting versions we have not written yet (mvcc.rs docs).
-        //    The guard clears the bound on every post-tick exit below —
-        //    validate failure, reader-wait timeout, success — and on
-        //    unwind, so a panicking commit cannot clamp future readers.
-        let lb_guard =
-            stm.mvcc.as_ref().map(|reg| reg.publish_commit_lb_guarded(thread, &stm.clock));
+        if let Some(reg) = stm.mvcc.as_ref() {
+            self.commit_lb = true;
+            reg.publish_commit_lb(thread, &stm.clock);
+        }
         let wv = stm.clock.tick();
 
         // 3. Validate the read set (skippable when nobody committed since
@@ -985,14 +969,9 @@ impl<'stm> Txn<'stm> {
                     w.owner != Some(thread) || w.version > self.rv
                 };
                 if bad {
-                    let abort =
-                        self.abort_at(AbortReason::ValidateFailed { var: VarId::from_raw(0) }, s);
-                    for &(h, old) in &self.scratch.held {
-                        self.unlock_restore(h, old);
-                    }
-                    drop(lb_guard);
-                    self.release();
-                    return Err(abort);
+                    return Err(
+                        self.abort_at(AbortReason::ValidateFailed { var: VarId::from_raw(0) }, s)
+                    );
                 }
             }
         }
@@ -1014,11 +993,6 @@ impl<'stm> Txn<'stm> {
                     held.iter().any(|&(s, _)| !stm.locks.readers_excluding(s, thread).is_empty())
                 });
                 if !left {
-                    for &(h, old) in &self.scratch.held {
-                        self.unlock_restore(h, old);
-                    }
-                    drop(lb_guard);
-                    self.release();
                     return Err(Abort::new(AbortReason::ReaderWaitTimeout));
                 }
             }
@@ -1032,13 +1006,14 @@ impl<'stm> Txn<'stm> {
         }
 
         // 6. Release, publishing wv and stamping ourselves as last writer.
+        //    Emptying `held` leaves drop nothing to restore; it still clears
+        //    the commit bound (the versions are in the rings by now) and the
+        //    reader registrations.
         for &(s, _) in &self.scratch.held {
             stm.locks.stamp(s, self.who, seq);
             self.unlock_publish(s, wv);
         }
-        // The versions are in the rings: readers no longer need the bound.
-        drop(lb_guard);
-        self.release();
+        self.scratch.held.clear();
         self.record_commit_check(seq, wv, n_writes);
         Ok(CommitInfo { seq, wv, reads: n_reads, writes: n_writes })
     }
@@ -1095,9 +1070,10 @@ impl<'stm> Txn<'stm> {
         }
     }
 
-    /// Releases `stripe` restoring `old` (abort/unwind paths), recording
-    /// the unlock for the oracle. The engine only ever releases stripes it
-    /// owns, so the lock table's refusal path must be unreachable from here.
+    /// Releases `stripe` restoring `old` (drop, and `write`'s give-back of
+    /// a lock it cannot use), recording the unlock for the oracle. The
+    /// engine only ever releases stripes it owns, so the lock table's
+    /// refusal path must be unreachable from here.
     fn unlock_restore(&self, stripe: StripeIndex, old: u64) {
         let ok = self.stm.locks.unlock_restore(stripe, self.who.thread, old);
         debug_assert!(ok, "engine released a stripe it did not own");
@@ -1136,22 +1112,36 @@ impl<'stm> Txn<'stm> {
             });
         }
     }
+}
 
-    /// Abort path: release encounter-time locks and reader registrations.
-    fn rollback(mut self) {
-        for i in 0..self.scratch.eager_locks.len() {
-            let (s, old) = self.scratch.eager_locks[i];
+/// The one place an attempt gives back what it holds, on every exit —
+/// commit, abort, or a panic unwinding out of the body or out of commit:
+/// stripe locks still in `held` go back to their pre-lock versions,
+/// visible-reader registrations and the snapshot-reader slot are ended,
+/// and a published commit lower bound is cleared. A committed attempt has
+/// emptied `held` after publishing, so only the registrations are left.
+///
+/// Restoring a stripe is right only while nothing has been written back to
+/// it, so nothing may unwind once write-back stores: its gate charges come
+/// before the first store, and an event sink that panics inside the
+/// check-events store loop is out of scope.
+impl Drop for Txn<'_> {
+    fn drop(&mut self) {
+        let stm = self.stm;
+        let thread = self.who.thread;
+        for &(s, old) in &self.scratch.held {
             self.unlock_restore(s, old);
         }
-        self.scratch.eager_locks.clear();
-        self.scratch.eager_filter.clear();
-        self.release();
-    }
-
-    fn release(&mut self) {
-        let thread = self.who.thread;
         for s in self.scratch.registered.drain(..) {
-            self.stm.locks.unregister_reader(s, thread);
+            stm.locks.unregister_reader(s, thread);
+        }
+        if let Some(reg) = stm.mvcc.as_ref() {
+            if self.snapshot.is_some() {
+                reg.end(thread);
+            }
+            if self.commit_lb {
+                reg.clear_commit_lb(thread);
+            }
         }
     }
 }

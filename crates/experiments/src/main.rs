@@ -99,12 +99,13 @@ fn flag_number<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     })
 }
 
-/// `--threads` of `check` and `recover`: every worker is a 16-bit
-/// `ThreadId`, so a count past `u16::MAX` exits 2 before any run.
+/// `--threads` of `check` and `recover`: both matrices need two workers to
+/// conflict, and every worker is a 16-bit `ThreadId`, so a count outside
+/// `2..=65535` exits 2 before any run.
 fn flag_thread_count(args: &[String]) -> Option<usize> {
     flag_number::<usize>(args, "--threads").inspect(|&t| {
-        if t > usize::from(u16::MAX) {
-            eprintln!("--threads must be in 0..=65535, got {t}");
+        if !(2..=usize::from(u16::MAX)).contains(&t) {
+            eprintln!("--threads must be in 2..=65535, got {t}");
             std::process::exit(2);
         }
     })
@@ -360,7 +361,7 @@ fn main() {
             let seed = flag_number(&args, "--seed").unwrap_or(7);
             let mut opts = if tiny { CheckOptions::tiny(seed) } else { CheckOptions::new(seed) };
             if let Some(t) = flag_thread_count(&args) {
-                opts.threads = t.max(2);
+                opts.threads = t;
             }
             if let Some(o) = flag_number(&args, "--ops") {
                 opts.ops_per_thread = o;
@@ -376,10 +377,14 @@ fn main() {
             let mut opts =
                 if tiny { RecoverOptions::tiny(seed) } else { RecoverOptions::new(seed) };
             if let Some(t) = flag_thread_count(&args) {
-                opts.threads = t.max(2);
+                opts.threads = t;
             }
             if let Some(r) = flag_number::<usize>(&args, "--requests") {
-                opts.requests_per_thread = r.max(1);
+                if r == 0 {
+                    eprintln!("recover: --requests must be at least 1, got 0");
+                    std::process::exit(2);
+                }
+                opts.requests_per_thread = r;
             }
             let (body, ok) = gstm_experiments::recovercmd::run_matrix(&opts, &pipe);
             passed = ok;

@@ -59,15 +59,32 @@ fn an_out_of_range_count_is_rejected_before_any_run() {
     let dir = scratch("ranges");
     // A thread count past u16::MAX used to panic in `StmConfig::new`
     // (exit 101); `block-smoke --requests 0` ran every lane and then failed
-    // its own comparison (exit 1).
+    // its own comparison (exit 1); `check`/`recover` ran 2 threads for
+    // `--threads 0|1` and `recover` 1 request for `--requests 0`, exit 0.
     for (args, message) in [
         (
             &["check", "--tiny", "--threads", "70000", "--ops", "1"][..],
-            "--threads must be in 0..=65535, got 70000",
+            "--threads must be in 2..=65535, got 70000",
         ),
         (
             &["recover", "--tiny", "--threads", "70000", "--requests", "1", "--no-cache"],
-            "--threads must be in 0..=65535, got 70000",
+            "--threads must be in 2..=65535, got 70000",
+        ),
+        (
+            &["check", "--tiny", "--threads", "1", "--ops", "1"],
+            "--threads must be in 2..=65535, got 1",
+        ),
+        (
+            &["check", "--tiny", "--threads", "0", "--ops", "1"],
+            "--threads must be in 2..=65535, got 0",
+        ),
+        (
+            &["recover", "--tiny", "--threads", "1", "--requests", "1", "--no-cache"],
+            "--threads must be in 2..=65535, got 1",
+        ),
+        (
+            &["recover", "--tiny", "--requests", "0", "--no-cache"],
+            "recover: --requests must be at least 1, got 0",
         ),
         (&["block-smoke", "--requests", "0"], "block-smoke: --requests must be at least 1, got 0"),
     ] {

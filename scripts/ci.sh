@@ -5,6 +5,37 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# `release_tests <cargo args> -- [--exact] <filter>...` runs
+# `cargo test -q --release --offline <cargo args> -- [--exact] <filter>...`
+# and fails if any filter selects no test, naming it, or if fewer tests
+# pass than there are filters. Cargo passes a filter that matches nothing
+# with "0 passed", so without this a renamed test would drop out of the
+# gate in silence. A filter matches a listed test name by substring, or
+# whole with --exact, as cargo's own filter does.
+release_tests() {
+    local args=() exact=() match=(-qF) filters names out passed status=0
+    while [ "$1" != "--" ]; do args+=("$1"); shift; done
+    shift
+    if [ "${1:-}" = "--exact" ]; then exact=(--exact); match=(-qxF); shift; fi
+    filters=("$@")
+    names=$(cargo test -q --release --offline "${args[@]}" -- --list | sed -n 's/: test$//p') \
+        || { echo "cannot list the tests of cargo test ${args[*]}" >&2; return 1; }
+    for f in "${filters[@]}"; do
+        grep "${match[@]}" -- "$f" <<<"$names" \
+            || { echo "empty test filter: '$f' matches no test of cargo test ${args[*]}" >&2; return 1; }
+    done
+    out=$(cargo test -q --release --offline "${args[@]}" -- "${exact[@]}" "${filters[@]}" 2>&1) \
+        || status=$?
+    echo "$out"
+    [ "$status" -eq 0 ] || return "$status"
+    passed=$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' <<<"$out" \
+        | awk '{ n += $1 } END { print n + 0 }')
+    if [ "$passed" -lt ${#filters[@]} ]; then
+        echo "empty test filter: ${#filters[@]} filters passed $passed tests of cargo test ${args[*]}" >&2
+        return 1
+    fi
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -147,9 +178,9 @@ grep -q "gate negative control" "$adapt_dir/cold.txt" \
 rm -rf "$adapt_dir"
 
 echo "==> durable native smoke: 4 threads x 20k ledger requests on the file WAL, optimized; nothing left in the temp directory"
-cargo test -q --release --offline --test real_gate durable_native_smoke \
+release_tests --test real_gate -- durable_native_smoke \
     || { echo "durable smoke: the native durable run failed or left WAL files behind"; exit 1; }
-cargo test -q --release --offline -p gstm-serve --lib -- \
+release_tests -p gstm-serve --lib -- \
     a_crash_loses_at_most_one_batch_per_committer \
     a_committer_blocked_in_its_device_write_does_not_delay_another \
     || { echo "durable commit path: a crash lost more than its bound, or a committer waited for another's device write"; exit 1; }
@@ -157,34 +188,34 @@ cargo test -q --release --offline -p gstm-serve --lib -- \
 echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards), durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, log tallies = sink tallies, serve-thread placement, exact Zipf and bounded draws"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
-cargo test -q --release --offline -p gstm-core -p gstm-wal -p gstm-serve --lib layout_ \
+release_tests -p gstm-core -p gstm-wal -p gstm-serve --lib -- layout_ \
     || { echo "layout: two threads' PerThread slots share a cache line"; exit 1; }
 for run in $(seq 100); do
-    cargo test -q --release --offline -p gstm-serve --lib -- --exact \
+    release_tests -p gstm-serve --lib -- --exact \
         backend::tests::concurrent_commits_recover_gap_free \
         backend::tests::concurrent_snapshot_advice_installs_one_at_a_time_in_order >/dev/null \
         || { echo "durable concurrency: run $run of 100 lost a commit or overlapped two installs"; exit 1; }
 done
 cargo test -q --release --offline --test alloc_budget \
     || { echo "alloc budget: a served request allocates more than its budget"; exit 1; }
-cargo test -q --release --offline -p gstm-serve --lib a_request_does_not_wait_for_its_block_to_fill \
+release_tests -p gstm-serve --lib -- a_request_does_not_wait_for_its_block_to_fill \
     || { echo "block latency: a request waited for its block to fill"; exit 1; }
-cargo test -q --release --offline -p gstm-core --lib four_threads_passing_on_their_own_slots_lose_no_tick \
+release_tests -p gstm-core --lib -- four_threads_passing_on_their_own_slots_lose_no_tick \
     || { echo "gate: a plain load-and-store pass lost a tick on a slot with one writer"; exit 1; }
-cargo test -q --release --offline -p gstm-serve --lib -- \
+release_tests -p gstm-serve --lib -- \
     wait_until_never_returns_early_and_returns_at_once_for_the_past \
     remaining_time_saturates_for_ticks_beyond_the_nanosecond_range \
     a_request_is_never_admitted_before_it_is_due \
     || { echo "native wait: returned before the tick was due, overflowed, or admitted a request early"; exit 1; }
-cargo test -q --release --offline -p gstm-serve --lib -- \
+release_tests -p gstm-serve --lib -- \
     the_bucket_table_names_the_bucket_hashing_names_for_every_key \
     sites_from_the_log \
     || { echo "request path: the bucket table disagrees with hashing, or the thread logs' per-site tallies with a sink's"; exit 1; }
 cargo test -q --release --offline -p gstm-serve --test interpreter \
     || { echo "request path: the store substrate answers differently from the plain map or the block lane"; exit 1; }
-cargo test -q --release --offline -p gstm-serve --lib -- affinity:: placement_ \
+release_tests -p gstm-serve --lib -- affinity:: placement_ \
     || { echo "placement: a pin went elsewhere, a light run spread, an overloaded one stayed, or the caller's CPUs changed"; exit 1; }
-cargo test -q --release --offline -p gstm-core --lib -- \
+release_tests -p gstm-core --lib -- \
     zipf_sample_is_the_partition_point_inversion \
     below_matches_the_threshold_loop \
     || { echo "rng: a bucketed Zipf draw or an early-accepted bounded draw differs from the plain search or the threshold loop"; exit 1; }
