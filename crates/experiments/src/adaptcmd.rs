@@ -190,7 +190,7 @@ pub fn serve_adaptive_report(pipe: &Pipeline<'_>) -> (String, Vec<RunOutcome>) {
 
     // Negative gate row: the §IV analyzer must refuse a model whose
     // transitions carry no bias — shipping it would trade holds for
-    // nothing. This is the same call `OnlineRetrainer::try_retrain` makes.
+    // nothing. This is the same call `AdaptivePolicy`'s retrain step makes.
     let verdict = analyze(&uniform_candidate(), cfg.tfactor);
     assert!(
         !verdict.verdict.is_fit(),

@@ -24,7 +24,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use gstm_guide::{PolicyChoice, RunOptions, RunOutcome, TrainedModel, Workload, DEFAULT_K};
 use gstm_model::serialize::tsa_digest;
@@ -292,9 +291,7 @@ impl<'a> Pipeline<'a> {
         }
         PipelineGauges::add(&self.gauges.model_misses, 1);
         self.progress.report(&format!("{what}: training"));
-        let t0 = Instant::now();
         let trained = train();
-        PipelineGauges::add(&self.gauges.train_wall_ms, t0.elapsed().as_millis() as u64);
         if let Some(cache) = &self.cache {
             cache.store_model(key, &trained.tsa);
         }

@@ -10,13 +10,12 @@ use gstm_core::{
     AdmissionPolicy, AdmitAll, Detection, EventSink, MemorySink, MulticastSink, Resolution, Stm,
     StmConfig, ThreadId, TxEvent,
 };
-use gstm_model::{GuidedModel, ModelHandle, StateTracker, WindowIngest};
+use gstm_model::{GuidedModel, StateTracker};
 use gstm_sim::{SimConfig, SimMachine, WaitBarrier};
 use gstm_telemetry::{MetricsRegistry, Snapshot, ThreadMetrics};
 
-use crate::adaptive::{AdaptivePolicy, ADAPTIVE_MAX_UNKNOWN_PCT, ADAPTIVE_WINDOW};
+use crate::adaptive::AdaptivePolicy;
 use crate::baselines::{BoundedAbortsPolicy, DeterministicPolicy};
-use crate::online::OnlineRetrainer;
 use crate::policy::{GuidedPolicy, HoldStats, DEFAULT_K};
 
 /// Everything a worker closure needs.
@@ -119,11 +118,13 @@ pub enum PolicyChoice {
         /// Hold-retry bound `k`.
         k: u32,
     },
-    /// Adaptive guidance with the online retrain loop engaged: the model
-    /// serves through a hot-swap handle at [`DEFAULT_K`], ingested windows
-    /// of [`ADAPTIVE_WINDOW`] tuples merge into it on the window-claim
-    /// cadence, the §IV gate decides what ships, and guidance stands down
-    /// above [`ADAPTIVE_MAX_UNKNOWN_PCT`] unknown tuples.
+    /// Adaptive guidance with the online retrain loop engaged
+    /// ([`AdaptivePolicy`]): the model serves through a hot-swap handle at
+    /// [`DEFAULT_K`], windows of [`ADAPTIVE_WINDOW`](crate::ADAPTIVE_WINDOW)
+    /// tuples merge into it on the window-claim cadence, the §IV gate
+    /// decides what ships, and guidance stands down above
+    /// [`ADAPTIVE_MAX_UNKNOWN_PCT`](crate::ADAPTIVE_MAX_UNKNOWN_PCT) unknown
+    /// tuples.
     AdaptiveOnline {
         /// Initially served compiled model.
         model: Arc<GuidedModel>,
@@ -292,7 +293,6 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
     let memory = opts.capture_events.then(MemorySink::new).map(Arc::new);
     let mut guided_policy: Option<Arc<GuidedPolicy>> = None;
     let mut adaptive_policy: Option<Arc<AdaptivePolicy>> = None;
-    let mut retrainer: Option<Arc<OnlineRetrainer>> = None;
     let mut policy_sink: Option<Arc<dyn EventSink>> = None;
     let (tracker, policy): (Arc<StateTracker>, Arc<dyn AdmissionPolicy>) = match &opts.policy {
         PolicyChoice::Default => (Arc::new(StateTracker::new()), Arc::new(AdmitAll)),
@@ -303,22 +303,10 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
             (tracker, policy)
         }
         PolicyChoice::AdaptiveOnline { model } => {
-            let handle = Arc::new(ModelHandle::new(Arc::clone(model)));
-            let tracker = Arc::new(StateTracker::with_handle(Arc::clone(&handle)));
-            let inner = Arc::new(GuidedPolicy::new(Arc::clone(&tracker), DEFAULT_K));
-            guided_policy = Some(Arc::clone(&inner));
-            // One ingested run per adaptive window, bounded so a stalled
-            // claim never grows the buffer without limit.
-            let ingest = Arc::new(WindowIngest::new(ADAPTIVE_WINDOW as usize, 64));
-            policy_sink = Some(Arc::clone(&ingest) as Arc<dyn EventSink>);
-            let rt = Arc::new(OnlineRetrainer::new(ingest, handle));
-            retrainer = Some(Arc::clone(&rt));
-            let policy = Arc::new(
-                AdaptivePolicy::new(inner, ADAPTIVE_MAX_UNKNOWN_PCT, ADAPTIVE_WINDOW)
-                    .with_observer(rt),
-            );
+            let policy = Arc::new(AdaptivePolicy::new(Arc::clone(model)));
+            guided_policy = Some(Arc::clone(policy.guided()));
             adaptive_policy = Some(Arc::clone(&policy));
-            (tracker, policy)
+            (Arc::clone(policy.guided().tracker()), policy)
         }
         PolicyChoice::BoundedAborts { limit } => {
             let policy = Arc::new(BoundedAbortsPolicy::new(threads, *limit, 256));
@@ -331,9 +319,13 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
             (Arc::new(StateTracker::new()), policy)
         }
     };
-    let mut sink = MulticastSink::new()
-        .with(Arc::clone(&registry) as Arc<dyn EventSink>)
-        .with(Arc::clone(&tracker) as Arc<dyn EventSink>);
+    // The adaptive policy feeds its own tracker: it is the loop's one sink.
+    let tracker_sink: Arc<dyn EventSink> = match &adaptive_policy {
+        Some(ap) => Arc::clone(ap) as Arc<dyn EventSink>,
+        None => Arc::clone(&tracker) as Arc<dyn EventSink>,
+    };
+    let mut sink =
+        MulticastSink::new().with(Arc::clone(&registry) as Arc<dyn EventSink>).with(tracker_sink);
     if let Some(ps) = policy_sink {
         sink = sink.with(ps);
     }
@@ -398,16 +390,7 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
             registry.set_gauge("gstm_guide_holds_bailed_out_total", hs.bailed_out);
         }
         if let Some(ap) = &adaptive_policy {
-            registry.set_gauge("gstm_guide_stand_downs_total", ap.stand_downs());
-            registry.set_gauge("gstm_guide_active", u64::from(ap.is_active()));
-        }
-        if let Some(rt) = &retrainer {
-            let rs = rt.stats();
-            registry.set_gauge("gstm_guide_retrain_attempts_total", rs.attempts);
-            registry.set_gauge("gstm_guide_model_installs_total", rs.installs);
-            registry.set_gauge("gstm_guide_model_rejects_total", rs.rejects);
-            registry.set_gauge("gstm_guide_model_epoch", tracker.model_epoch());
-            registry.set_gauge("gstm_guide_ingest_dropped_total", rt.ingest().dropped());
+            ap.set_gauges(&registry);
         }
         registry.snapshot()
     });

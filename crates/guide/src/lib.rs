@@ -60,11 +60,10 @@ mod online;
 mod policy;
 mod train;
 
-pub use adaptive::{AdaptivePolicy, WindowObserver, ADAPTIVE_MAX_UNKNOWN_PCT, ADAPTIVE_WINDOW};
+pub use adaptive::{AdaptivePolicy, ADAPTIVE_MAX_UNKNOWN_PCT, ADAPTIVE_WINDOW};
 pub use baselines::{BoundedAbortsPolicy, DeterministicPolicy};
 pub use harness::{
     run_workload, CmChoice, PolicyChoice, RunOptions, RunOutcome, WorkerEnv, Workload, WorkloadRun,
 };
-pub use online::{OnlineRetrainer, RetrainStats};
 pub use policy::{GuidedPolicy, HoldStats, DEFAULT_K};
 pub use train::{train, TrainedModel};

@@ -81,11 +81,6 @@ impl GuidedPolicy {
         }
     }
 
-    /// The hold-retry bound.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
     /// The tracker this policy consults.
     pub fn tracker(&self) -> &Arc<StateTracker> {
         &self.tracker
@@ -224,6 +219,5 @@ mod tests {
     fn name_is_guided() {
         let (_t, pol) = policy(1);
         assert_eq!(AdmissionPolicy::name(&pol), "guided");
-        assert_eq!(pol.k(), 1);
     }
 }

@@ -31,7 +31,7 @@ mod tseq;
 mod tts;
 
 pub use analyzer::{analyze, ModelAnalysis, Verdict};
-pub use online::{merge, ModelHandle, WindowIngest};
+pub use online::{merge, ModelHandle};
 pub use tracker::StateTracker;
 pub use tsa::{GuidedModel, Tsa, TsaBuilder, DEFAULT_MIN_SUPPORT, DEFAULT_TFACTOR};
 pub use tseq::parse_states;

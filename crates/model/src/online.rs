@@ -1,32 +1,29 @@
-//! Online model maintenance: the ingestion and hot-swap halves of the
-//! adaptive guidance loop.
+//! Online model maintenance: the hot-swap and merge halves of the adaptive
+//! guidance loop.
 //!
 //! The offline workflow (profile → build → analyze → compile) freezes the
 //! model before the measured run starts. Under drifting traffic the frozen
-//! automaton goes stale; this module provides the three pieces that let a
+//! automaton goes stale; this module provides the two pieces that let a
 //! serving system refresh it without stopping:
 //!
 //! * [`ModelHandle`] — an epoch-stamped swap cell. Policies read the model
 //!   through the handle; [`ModelHandle::install`] publishes a replacement
 //!   and bumps the epoch, which atomically invalidates every state id
 //!   resolved against the old model (see [`crate::StateTracker`]).
-//! * [`WindowIngest`] — an [`EventSink`] that taps the live event stream
-//!   and groups closed tuples into fixed-length runs, ready for
-//!   incremental training.
-//! * [`merge`] — the count-weighted merge: fold the freshly observed runs
-//!   into the serving automaton's edge counts, exactly equivalent to
-//!   training on the concatenated run sets (property-tested below).
+//! * [`merge`] — the count-weighted merge: fold freshly observed runs of
+//!   the tuples [`crate::StateTracker::close`] hands back into the serving
+//!   automaton's edge counts, exactly equivalent to training on the
+//!   concatenated run sets (property-tested below).
 //!
-//! The retrain **cadence** lives in `gstm-guide` (`OnlineRetrainer`): it is
-//! driven by the adaptive policy's window claim, so under the simulator's
-//! deterministic schedule the whole loop replays bit-identically.
+//! The windows and the retrain cadence live in `gstm-guide`
+//! (`AdaptivePolicy`): they are driven by the adaptive policy's window
+//! claim, so under the simulator's deterministic schedule the whole loop
+//! replays bit-identically.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gstm_core::sync::Mutex;
-use gstm_core::{EventSink, Participant, TxEvent};
 
 use crate::tsa::{GuidedModel, Tsa, TsaBuilder};
 use crate::tts::Tts;
@@ -79,91 +76,6 @@ impl ModelHandle {
     }
 }
 
-/// Taps the live event stream and accumulates per-window transition runs.
-///
-/// Uses the same arrival-order grouping as [`crate::StateTracker`] and the
-/// offline parser: aborts pend until the next commit closes the tuple.
-/// Every `run_len` closed tuples become one independent run in the ready
-/// queue (runs never bridge, matching [`TsaBuilder::add_run`] semantics —
-/// the one edge lost at each window boundary is noise at any useful
-/// `run_len`). The queue is bounded: if the trainer falls behind, the
-/// oldest run is dropped and counted, never blocking the hot path.
-#[derive(Debug)]
-pub struct WindowIngest {
-    run_len: usize,
-    max_ready: usize,
-    pending: Mutex<Vec<Participant>>,
-    open: Mutex<Vec<Tts>>,
-    ready: Mutex<VecDeque<Vec<Tts>>>,
-    dropped: AtomicU64,
-    ingested: AtomicU64,
-}
-
-impl WindowIngest {
-    /// An ingester closing a run every `run_len` tuples, buffering at most
-    /// `max_ready` runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run_len` or `max_ready` is zero.
-    pub fn new(run_len: usize, max_ready: usize) -> Self {
-        assert!(run_len > 0, "run_len must be positive");
-        assert!(max_ready > 0, "max_ready must be positive");
-        WindowIngest {
-            run_len,
-            max_ready,
-            pending: Mutex::new(Vec::new()),
-            open: Mutex::new(Vec::with_capacity(run_len)),
-            ready: Mutex::new(VecDeque::new()),
-            dropped: AtomicU64::new(0),
-            ingested: AtomicU64::new(0),
-        }
-    }
-
-    /// Takes every completed run accumulated so far (oldest first).
-    pub fn drain(&self) -> Vec<Vec<Tts>> {
-        self.ready.lock().drain(..).collect()
-    }
-
-    /// Completed runs dropped because the ready queue was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Total tuples ingested (closed, whatever their run's fate).
-    pub fn ingested(&self) -> u64 {
-        self.ingested.load(Ordering::Relaxed)
-    }
-}
-
-impl EventSink for WindowIngest {
-    fn record(&self, event: &TxEvent) {
-        match event {
-            TxEvent::Abort { who, .. } => {
-                self.pending.lock().push(*who);
-            }
-            TxEvent::Commit { who, .. } => {
-                let aborted = std::mem::take(&mut *self.pending.lock());
-                let tts = Tts::new(aborted, *who);
-                self.ingested.fetch_add(1, Ordering::Relaxed);
-                let mut open = self.open.lock();
-                open.push(tts);
-                if open.len() >= self.run_len {
-                    let run = std::mem::replace(&mut *open, Vec::with_capacity(self.run_len));
-                    drop(open);
-                    let mut ready = self.ready.lock();
-                    if ready.len() >= self.max_ready {
-                        ready.pop_front();
-                        self.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    ready.push_back(run);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 /// Count-weighted merge: rebuilds the serving automaton with its edge
 /// counts, then folds in the fresh `runs` — semantically identical to
 /// training one automaton on the union of the original and new runs.
@@ -191,7 +103,7 @@ pub fn merge(base: &Tsa, runs: &[Vec<Tts>]) -> Tsa {
 mod tests {
     use super::*;
     use crate::tsa::TsaBuilder;
-    use gstm_core::{CommitSeq, ThreadId, TxId};
+    use gstm_core::{Participant, ThreadId, TxId};
 
     fn p(t: u16, x: u16) -> Participant {
         Participant::new(ThreadId::new(t), TxId::new(x))
@@ -199,17 +111,6 @@ mod tests {
 
     fn solo(t: u16) -> Tts {
         Tts::solo(p(t, 0))
-    }
-
-    fn commit_event(t: u16, x: u16, seq: u64) -> TxEvent {
-        TxEvent::Commit {
-            who: p(t, x),
-            seq: CommitSeq::new(seq),
-            aborts: 0,
-            reads: 0,
-            writes: 0,
-            at: 0,
-        }
     }
 
     /// Semantic equality: same states, same per-state edge multisets —
@@ -247,50 +148,6 @@ mod tests {
         let (m, e) = h.load_with_epoch();
         assert_eq!(e, 1);
         assert_eq!(m.tsa().state_count(), 2);
-    }
-
-    #[test]
-    fn ingest_closes_runs_at_run_len() {
-        let w = WindowIngest::new(3, 8);
-        for seq in 1..=7 {
-            w.record(&commit_event((seq % 2) as u16, 0, seq));
-        }
-        let runs = w.drain();
-        assert_eq!(runs.len(), 2, "7 tuples at run_len 3 → 2 closed runs");
-        assert!(runs.iter().all(|r| r.len() == 3));
-        assert_eq!(w.ingested(), 7);
-        assert!(w.drain().is_empty(), "drain consumes");
-    }
-
-    #[test]
-    fn ingest_groups_aborts_like_the_tracker() {
-        let w = WindowIngest::new(1, 8);
-        w.record(&TxEvent::Abort {
-            who: p(5, 1),
-            attempt: 0,
-            abort: gstm_core::Abort::new(gstm_core::AbortReason::ReadVersion {
-                var: gstm_core::VarId::from_raw(1),
-            }),
-            at: 0,
-        });
-        w.record(&commit_event(7, 0, 1));
-        let runs = w.drain();
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0][0], Tts::new(vec![p(5, 1)], p(7, 0)));
-    }
-
-    #[test]
-    fn ingest_bounds_the_ready_queue() {
-        let w = WindowIngest::new(1, 2);
-        for seq in 1..=5 {
-            w.record(&commit_event(seq as u16, 0, seq));
-        }
-        assert_eq!(w.dropped(), 3, "oldest runs dropped beyond the bound");
-        let runs = w.drain();
-        assert_eq!(runs.len(), 2);
-        // The *newest* runs survive.
-        assert_eq!(runs[0][0], solo(4));
-        assert_eq!(runs[1][0], solo(5));
     }
 
     #[test]

@@ -117,23 +117,15 @@ impl StateTracker {
         self.unknown_hits.load(Ordering::SeqCst)
     }
 
-    /// Snapshot of the observed state space (for offline inspection).
-    pub fn observed_space(&self) -> StateSpace {
-        self.observed.lock().clone()
-    }
-}
-
-impl Default for StateTracker {
-    fn default() -> Self {
-        StateTracker::new()
-    }
-}
-
-impl EventSink for StateTracker {
-    fn record(&self, event: &TxEvent) {
+    /// Folds one event into the current state and hands back the tuple a
+    /// commit closes (`None` for any other event). This is the one online
+    /// grouping of aborts into tuples; the offline reference is
+    /// [`crate::parse_states`].
+    pub fn close(&self, event: &TxEvent) -> Option<Tts> {
         match event {
             TxEvent::Abort { who, .. } => {
                 self.pending.lock().push(*who);
+                None
             }
             TxEvent::Commit { who, .. } => {
                 let aborted = std::mem::take(&mut *self.pending.lock());
@@ -159,11 +151,24 @@ impl EventSink for StateTracker {
                     None => pack_current(0, UNKNOWN),
                 };
                 self.current.store(next, Ordering::SeqCst);
+                Some(tts)
             }
             // Begin/Held and the oracle's instrumentation events carry no
             // TSA transition.
-            _ => {}
+            _ => None,
         }
+    }
+}
+
+impl Default for StateTracker {
+    fn default() -> Self {
+        StateTracker::new()
+    }
+}
+
+impl EventSink for StateTracker {
+    fn record(&self, event: &TxEvent) {
+        self.close(event);
     }
 }
 
@@ -229,18 +234,50 @@ mod tests {
         assert_eq!(t.unknown_state_hits(), 1);
     }
 
+    /// An engine-generated contended log: four simulated threads bump
+    /// three shared counters, so commits arrive interleaved with aborts.
+    fn contended_log() -> Vec<TxEvent> {
+        use gstm_core::{cm::Aggressive, AdmitAll, MemorySink, Stm, StmConfig, TVar};
+        use gstm_sim::{SimConfig, SimMachine};
+        let machine = SimMachine::new(SimConfig::new(4, 5));
+        let sink = Arc::new(MemorySink::new());
+        let stm = Arc::new(Stm::with_parts(
+            StmConfig::new(4),
+            machine.gate(),
+            Arc::clone(&sink) as Arc<dyn EventSink>,
+            Arc::new(AdmitAll),
+            Arc::new(Aggressive),
+        ));
+        let hot: Vec<TVar<i64>> = (0..3).map(|_| TVar::new(0)).collect();
+        let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4u16)
+            .map(|t| {
+                let (stm, hot) = (Arc::clone(&stm), hot.clone());
+                Box::new(move || {
+                    for k in 0..30usize {
+                        let v = &hot[k % hot.len()];
+                        stm.run(ThreadId::new(t), TxId::new((k % 2) as u16), |tx| {
+                            let x = tx.read(v)?;
+                            tx.work(12);
+                            tx.write(v, x + 1)
+                        });
+                    }
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        machine.run(workers);
+        sink.take()
+    }
+
     #[test]
     fn arrival_grouping_matches_offline_parser() {
-        let evs = vec![abort(6, 0), commit(7, 1, 1), commit(0, 1, 2)];
-        let offline = crate::tseq::parse_states(&evs);
+        let events = contended_log();
         let tracker = StateTracker::new();
-        for e in &evs {
-            tracker.record(e);
-        }
-        let space = tracker.observed_space();
-        assert_eq!(space.len(), offline.len());
-        for s in &offline {
-            assert!(space.lookup(s).is_some(), "offline state {s} must be observed online");
+        let online: Vec<Tts> = events.iter().filter_map(|e| tracker.close(e)).collect();
+        let offline = crate::tseq::parse_states(&events);
+        assert!(online.iter().any(|s| !s.aborted().is_empty()), "the log must carry aborts");
+        assert_eq!(online.len(), offline.len());
+        for (i, (on, off)) in online.iter().zip(&offline).enumerate() {
+            assert_eq!(on, off, "tuple {i}: the tracker closed {on}, the parser built {off}");
         }
     }
 

@@ -228,12 +228,6 @@ impl GuidedModel {
     pub fn lookup(&self, tts: &Tts) -> Option<StateId> {
         self.tsa.lookup(tts)
     }
-
-    /// Approximate in-memory size of the compiled structure, in bytes
-    /// (the paper reports ~118 KB at 8 threads, ~1.3 MB at 16).
-    pub fn approx_bytes(&self) -> usize {
-        self.allowed.values().map(|v| 4 * v.len() + 16).sum::<usize>()
-    }
 }
 
 #[cfg(test)]
@@ -385,7 +379,6 @@ mod tests {
         // s0 → s1 observed DEFAULT_MIN_SUPPORT times: s0 is not pruned.
         b.add_transition(&solo(0), &solo(1), DEFAULT_MIN_SUPPORT);
         let model = GuidedModel::compile(b.build(), 4.0);
-        assert!(model.approx_bytes() > 0);
         assert!((model.tfactor() - 4.0).abs() < f64::EPSILON);
     }
 }

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use gstm_core::cm::Aggressive;
-use gstm_core::{AdmitAll, EventSink, MemorySink, Stm, StmConfig, TVar, ThreadId, TxEvent, TxId};
-use gstm_model::{analyze, parse_states, StateTracker, TsaBuilder};
+use gstm_core::{AdmitAll, MemorySink, Stm, StmConfig, TVar, ThreadId, TxEvent, TxId};
+use gstm_model::{analyze, parse_states, StateTracker, TsaBuilder, Tts};
 use gstm_sim::{SimConfig, SimMachine};
 
 /// Runs a contended workload and returns its event log.
@@ -53,10 +53,13 @@ fn one_state_per_commit() {
 fn online_tracker_matches_offline_arrival_states() {
     let events = contended_events(7, 4);
     let tracker = StateTracker::new();
-    for e in &events {
-        tracker.record(e);
-    }
+    let online: Vec<Tts> = events.iter().filter_map(|e| tracker.close(e)).collect();
     let offline = parse_states(&events);
+    assert!(offline.iter().any(|s| !s.aborted().is_empty()), "contended run must have abortees");
+    assert_eq!(online.len(), offline.len());
+    for (i, (on, off)) in online.iter().zip(&offline).enumerate() {
+        assert_eq!(on, off, "tuple {i}: the tracker closed {on}, the parser built {off}");
+    }
     let distinct: std::collections::HashSet<_> = offline.iter().collect();
     assert_eq!(tracker.nondeterminism(), distinct.len());
     assert_eq!(tracker.transition_count() as usize, offline.len());

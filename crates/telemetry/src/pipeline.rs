@@ -1,10 +1,10 @@
-//! Pipeline gauges: cache effectiveness and wall-clock accounting for the
-//! experiment pipeline.
+//! Pipeline gauges: cache effectiveness of the experiment pipeline.
 //!
 //! The experiment pipeline (`gstm-experiments`) resolves study cells through
 //! a content-addressed cache of trained models and run outcomes. These gauges
-//! make that behaviour observable: a warm rerun must show `model_misses == 0`
-//! and `train_wall_ms == 0`, and CI greps for exactly that. The struct is a
+//! make that behaviour observable: a warm rerun must show no model or run
+//! miss, and CI greps [`PipelineGauges::summary`] for
+//! `models N hit / 0 miss` and `runs N hit / 0 miss`. The struct is a
 //! plain bundle of `AtomicU64`s so the pipeline's worker threads can bump it
 //! without locks; [`PipelineGauges::snapshot`] folds it into the same
 //! [`Snapshot`] machinery every other metric uses.
@@ -41,8 +41,6 @@ pub struct PipelineGauges {
     pub run_misses: AtomicU64,
     /// Study cells resolved.
     pub cells: AtomicU64,
-    /// Wall-clock milliseconds spent in training passes.
-    pub train_wall_ms: AtomicU64,
 }
 
 impl PipelineGauges {
@@ -59,10 +57,8 @@ impl PipelineGauges {
     /// Folds the current values into a [`Snapshot`] as gauges, so they merge
     /// and render through the standard exposition formats.
     ///
-    /// Only the counters appear here — they are deterministic for a given
-    /// cache state, preserving the "snapshots are byte-identical" guarantee.
-    /// The wall-clock field (`train_wall_ms`) is genuinely nondeterministic
-    /// and stays out of every exported snapshot.
+    /// The counters are deterministic for a given cache state, preserving
+    /// the "snapshots are byte-identical" guarantee.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         snap.set_gauge(GAUGE_MODEL_HITS, self.model_hits.load(Ordering::Relaxed));
@@ -102,16 +98,6 @@ mod tests {
         assert_eq!(snap.gauge_value(GAUGE_MODEL_MISSES), Some(0));
         assert_eq!(snap.gauge_value(GAUGE_RUN_MISSES), Some(7));
         assert_eq!(snap.gauge_value(GAUGE_CELLS), Some(12));
-    }
-
-    #[test]
-    fn snapshot_excludes_wall_clock_fields() {
-        // Wall-clock values vary run to run; exporting them would break the
-        // byte-identical snapshot guarantee (README "Telemetry").
-        let g = PipelineGauges::new();
-        g.train_wall_ms.store(567, Ordering::Relaxed);
-        let text = g.snapshot().to_text();
-        assert!(!text.contains("wall_ms"), "wall-clock leaked into the snapshot: {text}");
     }
 
     #[test]

@@ -185,7 +185,7 @@ release_tests -p gstm-serve --lib -- \
     a_committer_blocked_in_its_device_write_does_not_delay_another \
     || { echo "durable commit path: a crash lost more than its bound, or a committer waited for another's device write"; exit 1; }
 
-echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards), durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, log tallies = sink tallies, serve-thread placement, exact Zipf and bounded draws"
+echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards), durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, log tallies = sink tallies, serve-thread placement, exact Zipf and bounded draws, the adaptive loop's window claims"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
 release_tests -p gstm-core -p gstm-wal -p gstm-serve --lib -- layout_ \
@@ -219,6 +219,10 @@ release_tests -p gstm-core --lib -- \
     zipf_sample_is_the_partition_point_inversion \
     below_matches_the_threshold_loop \
     || { echo "rng: a bucketed Zipf draw or an early-accepted bounded draw differs from the plain search or the threshold loop"; exit 1; }
+release_tests -p gstm-guide --lib -- \
+    concurrent_reevaluate_claims_each_window_once \
+    concurrent_loop_lands_each_tuple_in_one_window_and_retrains_once_per_claim \
+    || { echo "adaptive loop: a window was claimed twice, a tuple landed in no window or in two, or a claim retrained more than once"; exit 1; }
 
 echo "==> block determinism smoke: same block order must hash identically at 1/2/4/8 threads, bare executor and native lane"
 ./target/release/experiments block-smoke --threads 1,2,4,8 --requests 200 --seed 11 \
