@@ -102,8 +102,9 @@ impl<K: Hash + Ord + Clone, V: Clone> TxnCtx<'_, K, V> {
 /// as the prefix settles. `()` is the closed block: neither does anything.
 pub trait BlockHooks<K, V, O>: Send + Sync {
     /// May `txn` run yet? Polled, yielding in between, by the lane that
-    /// claimed it, before the body runs (not before a re-execution) and
-    /// until the block halts. Must stay true once true.
+    /// first claimed it, before the body first runs (not before a
+    /// re-execution, nor when it resumes from a stall) and until the block
+    /// halts. Must stay true once true.
     fn admit(&self, _txn: usize) -> bool {
         true
     }
@@ -142,6 +143,10 @@ const BLOCKED: u32 = 3;
 #[derive(Default)]
 struct Scheduler {
     status: Vec<AtomicU32>,
+    /// Set on a transaction's first claim, the one that polls
+    /// [`BlockHooks::admit`]: a stalled transaction is claimed again when
+    /// it resumes, and had been admitted before it ran.
+    claimed_before: Vec<AtomicBool>,
     execution_idx: AtomicUsize,
     validation_idx: AtomicUsize,
     /// Held by the one lane advancing the validation cursor.
@@ -270,6 +275,7 @@ impl<K: Hash + Ord + Clone, V: Clone, O> BlockCore<K, V, O> {
             map: MvMap::new(cfg.parts),
             sched: Scheduler {
                 status: (0..txns).map(|_| AtomicU32::new(READY)).collect(),
+                claimed_before: (0..txns).map(|_| AtomicBool::new(false)).collect(),
                 ..Scheduler::default()
             },
             records: (0..txns).map(|_| Mutex::new(record())).collect(),
@@ -295,13 +301,15 @@ impl<K: Hash + Ord + Clone, V: Clone, O> BlockCore<K, V, O> {
                 self.sched.park();
                 continue;
             };
-            while !self.hooks.admit(txn) {
-                if self.sched.halted.load(SeqCst) {
-                    return;
+            if !self.sched.claimed_before[txn].swap(true, SeqCst) {
+                while !self.hooks.admit(txn) {
+                    if self.sched.halted.load(SeqCst) {
+                        return;
+                    }
+                    // Waiting is not work: this lane has caught up with the arrivals.
+                    alone_until = alone_until.map(|_| Instant::now() + ALONE);
+                    std::thread::yield_now();
                 }
-                // Waiting is not work: this lane has caught up with the arrivals.
-                alone_until = alone_until.map(|_| Instant::now() + ALONE);
-                std::thread::yield_now();
             }
             self.execute(txn, incarnation, &mut stats, base, run);
         }));
@@ -1113,6 +1121,76 @@ mod tests {
                 assert_eq!((out.outputs, out.final_writes), sequential_counters(48, 2));
             }
         }
+    }
+
+    /// Counts the `true` answers `admit` gives each of three transactions,
+    /// and holds transaction 2 back until `open`.
+    #[derive(Default)]
+    struct CountAdmissions {
+        open: AtomicBool,
+        admitted: [AtomicUsize; 3],
+    }
+
+    impl BlockHooks<u64, i64, i64> for Arc<CountAdmissions> {
+        fn admit(&self, txn: usize) -> bool {
+            let due = txn < 2 || self.open.load(SeqCst);
+            if due {
+                self.admitted[txn].fetch_add(1, SeqCst);
+            }
+            due
+        }
+    }
+
+    /// A transaction resumed from a stall was admitted when it first ran,
+    /// and is not admitted again. The bodies force the stall with
+    /// hand-offs, not timing: 1 reads key 0 and only then lets 0 write it,
+    /// so 1 fails validation; its re-execution opens the door to 2 and
+    /// waits until 2, reading 1's write of key 1 while it is an estimate,
+    /// is suspended; 1 then publishes, which resumes 2.
+    #[test]
+    fn a_transaction_resumed_from_a_stall_is_not_admitted_again() {
+        let admitted = within_timeout(|| {
+            let hooks = Arc::new(CountAdmissions::default());
+            let core = BlockCore::new(&cfg(), 3, Box::new(Arc::clone(&hooks)));
+            let (read_key_0, may_write_key_0) = std::sync::mpsc::channel();
+            let may_write_key_0 = Mutex::new(may_write_key_0);
+            let runs: [AtomicUsize; 3] = Default::default();
+            let base = |_: &u64| Some(0i64);
+            let body = |i: usize, ctx: &mut TxnCtx<'_, u64, i64>| {
+                let run = runs[i].fetch_add(1, SeqCst);
+                match i {
+                    0 => {
+                        if run == 0 {
+                            may_write_key_0.lock().unwrap().recv().unwrap();
+                        }
+                        Ok((vec![(0, 1)], 0))
+                    }
+                    1 => {
+                        if run > 0 {
+                            hooks.open.store(true, SeqCst);
+                            while core.sched.status[2].load(SeqCst) & 3 != BLOCKED {
+                                std::thread::yield_now();
+                            }
+                        }
+                        let v = ctx.read(&0)?.unwrap();
+                        if run == 0 {
+                            read_key_0.send(()).unwrap();
+                        }
+                        Ok((vec![(1, v + 10)], v))
+                    }
+                    _ => Ok((Vec::new(), ctx.read(&1)?.unwrap())),
+                }
+            };
+            std::thread::scope(|scope| {
+                scope.spawn(|| core.work(&base, &body, None));
+                core.work(&base, &body, None);
+            });
+            let out = core.collect();
+            assert_eq!(out.outputs, [0, 1, 11], "the block settled as it runs sequentially");
+            assert_eq!(runs[2].load(SeqCst), 2, "transaction 2 was suspended and resumed");
+            hooks.admitted.each_ref().map(|n| n.load(SeqCst))
+        });
+        assert_eq!(admitted, [1, 1, 1], "admissions per transaction");
     }
 
     /// Transaction `i` arrives `i` × 200 µs into the block and runs in far

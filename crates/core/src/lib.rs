@@ -50,7 +50,7 @@ pub mod gate;
 pub mod ids;
 pub mod kill;
 pub mod lock_table;
-pub mod mvcc;
+mod mvcc;
 pub mod pad;
 pub mod policy;
 pub mod readset;
@@ -69,7 +69,6 @@ pub use events::{EventSink, MemorySink, MulticastSink, NullSink, TxEvent};
 pub use gate::{CostModel, Gate, NullGate, RealGate, Ticks, COSTS};
 pub use ids::{CommitSeq, Participant, ThreadId, TxId, VarId};
 pub use kill::{KillPoint, KillSwitch};
-pub use mvcc::MvccStats;
 pub use pad::{CachePadded, PerThread};
 pub use policy::{AdmissionPolicy, AdmitAll};
 pub use site_stats::{SiteStats, SiteStatsSink};

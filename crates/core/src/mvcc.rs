@@ -40,7 +40,7 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::clock::VersionClock;
 use crate::ids::ThreadId;
-use crate::pad::{CachePadded, PerThread};
+use crate::pad::PerThread;
 
 /// Slot sentinel: no active snapshot reader / no in-flight commit.
 const INACTIVE: u64 = u64::MAX;
@@ -48,41 +48,7 @@ const INACTIVE: u64 = u64::MAX;
 /// sample; scanners must assume the worst (see module docs).
 const PENDING: u64 = u64::MAX - 1;
 
-/// Counters for the snapshot read path, all maintained relaxed (they are
-/// observability, not synchronization). Snapshot via [`crate::Stm::mvcc_stats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MvccStats {
-    /// Snapshot-mode read-only transactions begun.
-    pub snapshot_txns: u64,
-    /// Reads served from a committed ring version (`wv >= 1`).
-    pub snapshot_reads: u64,
-    /// Reads that resolved the seeded initial version (`wv == 0`: the cell
-    /// had not been transactionally written as of the snapshot).
-    pub fallback_initial: u64,
-    /// Read-set validations the snapshot path made unnecessary (one per
-    /// read a legacy read-only commit would have re-validated).
-    pub spared_validations: u64,
-    /// Versions published into rings by snapshot-mode commits.
-    pub versions_published: u64,
-    /// Versions reclaimed by the watermark GC.
-    pub versions_evicted: u64,
-    /// Publications that left a ring above its soft capacity because a
-    /// lagging reader pinned old versions (zero-abort preserved; the ring
-    /// grows instead).
-    pub gc_lag_events: u64,
-    /// Largest ring length observed at any publication.
-    pub ring_len_max: u64,
-}
-
-/// Soft capacity of each cell's version ring.
-///
-/// The watermark GC never evicts a version a registered snapshot reader
-/// could still need, so a ring may temporarily exceed this bound while
-/// readers lag — each such publication is counted as a `gc_lag` event in
-/// [`MvccStats`] rather than breaking the zero-abort guarantee.
-pub(crate) const VERSION_RING_CAPACITY: u32 = 8;
-
-/// Reader/committer registries + counters backing snapshot mode.
+/// Reader/committer registries backing snapshot mode.
 ///
 /// Allocated once per [`crate::Stm`] when `read_mode == Snapshot`; engines
 /// in legacy mode carry `None` and skip every crossing below.
@@ -92,14 +58,6 @@ pub(crate) struct SnapshotRegistry {
     readers: PerThread<AtomicU64>,
     /// Per-thread in-flight commit lower bound (or sentinel).
     commit_lb: PerThread<AtomicU64>,
-    snapshot_txns: CachePadded<AtomicU64>,
-    snapshot_reads: CachePadded<AtomicU64>,
-    fallback_initial: CachePadded<AtomicU64>,
-    spared_validations: CachePadded<AtomicU64>,
-    versions_published: CachePadded<AtomicU64>,
-    versions_evicted: CachePadded<AtomicU64>,
-    gc_lag_events: CachePadded<AtomicU64>,
-    ring_len_max: CachePadded<AtomicU64>,
 }
 
 impl SnapshotRegistry {
@@ -108,14 +66,6 @@ impl SnapshotRegistry {
         SnapshotRegistry {
             readers: PerThread::new(max_threads, slot),
             commit_lb: PerThread::new(max_threads, slot),
-            snapshot_txns: CachePadded::new(AtomicU64::new(0)),
-            snapshot_reads: CachePadded::new(AtomicU64::new(0)),
-            fallback_initial: CachePadded::new(AtomicU64::new(0)),
-            spared_validations: CachePadded::new(AtomicU64::new(0)),
-            versions_published: CachePadded::new(AtomicU64::new(0)),
-            versions_evicted: CachePadded::new(AtomicU64::new(0)),
-            gc_lag_events: CachePadded::new(AtomicU64::new(0)),
-            ring_len_max: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -142,7 +92,6 @@ impl SnapshotRegistry {
             }
         }
         slot.store(ts, Ordering::SeqCst);
-        self.snapshot_txns.fetch_add(1, Ordering::Relaxed);
         ts
     }
 
@@ -197,42 +146,6 @@ impl SnapshotRegistry {
         }
         w
     }
-
-    pub(crate) fn note_read(&self, from_ring: bool) {
-        if from_ring {
-            self.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.fallback_initial.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn note_spared_validations(&self, n: u64) {
-        self.spared_validations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_publication(&self, evicted: u64, ring_len: u64, over_capacity: bool) {
-        self.versions_published.fetch_add(1, Ordering::Relaxed);
-        if evicted > 0 {
-            self.versions_evicted.fetch_add(evicted, Ordering::Relaxed);
-        }
-        if over_capacity {
-            self.gc_lag_events.fetch_add(1, Ordering::Relaxed);
-        }
-        self.ring_len_max.fetch_max(ring_len, Ordering::Relaxed);
-    }
-
-    pub(crate) fn stats(&self) -> MvccStats {
-        MvccStats {
-            snapshot_txns: self.snapshot_txns.load(Ordering::Relaxed),
-            snapshot_reads: self.snapshot_reads.load(Ordering::Relaxed),
-            fallback_initial: self.fallback_initial.load(Ordering::Relaxed),
-            spared_validations: self.spared_validations.load(Ordering::Relaxed),
-            versions_published: self.versions_published.load(Ordering::Relaxed),
-            versions_evicted: self.versions_evicted.load(Ordering::Relaxed),
-            gc_lag_events: self.gc_lag_events.load(Ordering::Relaxed),
-            ring_len_max: self.ring_len_max.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -253,7 +166,6 @@ mod tests {
         let clock = clock_at(7);
         let ts = reg.begin(ThreadId::new(0), &clock);
         assert_eq!(ts, 7);
-        assert_eq!(reg.stats().snapshot_txns, 1);
         reg.end(ThreadId::new(0));
     }
 
@@ -295,25 +207,6 @@ mod tests {
         reg.commit_lb[1].store(INACTIVE, Ordering::SeqCst);
         reg.clear_commit_lb(ThreadId::new(2));
         assert_eq!(reg.watermark(&clock), 5);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let reg = SnapshotRegistry::new(2);
-        reg.note_read(true);
-        reg.note_read(true);
-        reg.note_read(false);
-        reg.note_spared_validations(3);
-        reg.note_publication(0, 1, false);
-        reg.note_publication(2, 5, true);
-        let s = reg.stats();
-        assert_eq!(s.snapshot_reads, 2);
-        assert_eq!(s.fallback_initial, 1);
-        assert_eq!(s.spared_validations, 3);
-        assert_eq!(s.versions_published, 2);
-        assert_eq!(s.versions_evicted, 2);
-        assert_eq!(s.gc_lag_events, 1);
-        assert_eq!(s.ring_len_max, 5);
     }
 
     #[test]

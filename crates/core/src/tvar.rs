@@ -94,19 +94,6 @@ fn next_var_id() -> VarId {
     VarId::from_raw(raw.unwrap_or_else(|| NEXT_VAR_ID.fetch_add(1, Ordering::Relaxed)))
 }
 
-/// Outcome of one [`VarCell::push_version`] publication, reported back to
-/// the engine's MVCC stat counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct PushOutcome {
-    /// Versions the watermark GC evicted during this publication.
-    pub evicted: u32,
-    /// Ring length after publication and GC.
-    pub len: u32,
-    /// Whether the ring exceeds its soft capacity (watermark lag: a
-    /// registered reader still needs the older versions).
-    pub over_capacity: bool,
-}
-
 /// Type-erased storage cell shared by all clones of a [`TVar`].
 ///
 /// The cell holds the current value as an `Arc` snapshot behind a very short
@@ -114,7 +101,7 @@ pub(crate) struct PushOutcome {
 /// version afterwards, so a racing commit can never produce a torn value —
 /// at worst a consistent-but-stale snapshot that TL2 validation then rejects.
 ///
-/// Under `ReadMode::Snapshot` the cell additionally keeps a bounded
+/// Under `ReadMode::Snapshot` the cell additionally keeps a
 /// **version ring**: the trailing `(wv, value)` history of committed writes,
 /// ordered by write version, GC'd against the engine's min-active-reader
 /// watermark (DESIGN.md §3.1d). Snapshot readers consult only the ring,
@@ -216,19 +203,12 @@ impl VarCell {
     /// version `v` may be dropped only if a *newer retained* version `v'`
     /// has `wv' <= watermark` — then every reader (all of whom hold
     /// `ts >= watermark`, guaranteed by the registry protocol) resolves to
-    /// `v'` or newer, never to `v`. `capacity` is a **soft** bound: when a
-    /// lagging reader pins more than `capacity` versions the ring grows
-    /// past it and the caller counts a gc-lag event instead of evicting.
+    /// `v'` or newer, never to `v`. There is no length bound: a lagging
+    /// reader pins the versions it may need and the ring grows instead.
     ///
     /// Called only by committers holding this cell's stripe lock, so the
     /// ring mutex is uncontended on the write side.
-    pub(crate) fn push_version(
-        &self,
-        wv: u64,
-        value: ErasedValue,
-        watermark: u64,
-        capacity: u32,
-    ) -> PushOutcome {
+    pub(crate) fn push_version(&self, wv: u64, value: ErasedValue, watermark: u64) {
         let mut h = self.history.lock();
         debug_assert!(
             h.last().is_none_or(|&(last, _)| last < wv),
@@ -236,12 +216,7 @@ impl VarCell {
         );
         h.push((wv, value));
         let keep_from = h.partition_point(|&(w, _)| w <= watermark).saturating_sub(1);
-        let evicted = keep_from as u32;
-        if keep_from > 0 {
-            h.drain(..keep_from);
-        }
-        let len = h.len() as u32;
-        PushOutcome { evicted, len, over_capacity: len > capacity }
+        h.drain(..keep_from);
     }
 
     /// Snapshot read: the newest committed version with `wv <= ts`.
@@ -449,11 +424,15 @@ mod tests {
         cell.read_at(ts).map(|(wv, v)| (wv, *downcast::<i64>(v)))
     }
 
+    fn ring_len(cell: &VarCell) -> usize {
+        cell.history.lock().len()
+    }
+
     #[test]
     fn ring_read_at_picks_newest_at_or_below_ts() {
         let cell = VarCell::new(VarId::from_raw(1), val(0));
         for wv in [2u64, 5, 9] {
-            cell.push_version(wv, val(wv as i64 * 10), 0, 8);
+            cell.push_version(wv, val(wv as i64 * 10), 0);
         }
         assert_eq!(read_i64(&cell, 1), Some((0, 0)), "nothing committed at ts=1: seeded initial");
         assert_eq!(read_i64(&cell, 2), Some((2, 20)));
@@ -465,12 +444,13 @@ mod tests {
     #[test]
     fn ring_gc_keeps_newest_version_at_or_below_watermark() {
         let cell = VarCell::new(VarId::from_raw(1), val(0));
-        cell.push_version(2, val(20), 0, 8);
-        cell.push_version(5, val(50), 0, 8);
+        cell.push_version(2, val(20), 0);
+        cell.push_version(5, val(50), 0);
         // Watermark 6: version 5 covers every reader with ts >= 6, so the
         // seed and version 2 are evictable; 5 itself must survive.
-        let out = cell.push_version(9, val(90), 6, 8);
-        assert_eq!(out, PushOutcome { evicted: 2, len: 2, over_capacity: false });
+        cell.push_version(9, val(90), 6);
+        assert_eq!(ring_len(&cell), 2);
+        assert_eq!(read_i64(&cell, 4), None, "version 2 evicted");
         assert_eq!(read_i64(&cell, 6), Some((5, 50)), "watermark-pinned version retained");
         assert_eq!(read_i64(&cell, 9), Some((9, 90)));
     }
@@ -478,15 +458,12 @@ mod tests {
     #[test]
     fn ring_gc_with_lagging_watermark_evicts_nothing() {
         let cell = VarCell::new(VarId::from_raw(1), val(0));
-        let cap = 2u32;
-        let mut out = PushOutcome::default();
         for wv in 1..=5u64 {
-            out = cell.push_version(wv, val(wv as i64), 0, cap);
+            cell.push_version(wv, val(wv as i64), 0);
         }
         // Watermark 0 (a reader from before any commit is still active):
-        // every version — the seed included — is pinned, the soft capacity
-        // is exceeded.
-        assert_eq!(out, PushOutcome { evicted: 0, len: 6, over_capacity: true });
+        // every version — the seed included — is pinned.
+        assert_eq!(ring_len(&cell), 6);
         assert_eq!(read_i64(&cell, 0), Some((0, 0)), "pinned seed still served");
         for wv in 1..=5u64 {
             assert_eq!(read_i64(&cell, wv), Some((wv, wv as i64)), "lagging reader still served");
@@ -500,14 +477,13 @@ mod tests {
             // Watermark trails by one commit: the previous version (the
             // seed, for wv=1) stays pinned — a reader at ts == watermark
             // needs it — so the steady state is exactly two entries.
-            let out = cell.push_version(wv, val(wv as i64), wv.saturating_sub(1), 4);
-            assert_eq!(out.len, 2, "wv={wv}");
-            assert!(!out.over_capacity);
+            cell.push_version(wv, val(wv as i64), wv.saturating_sub(1));
+            assert_eq!(ring_len(&cell), 2, "wv={wv}");
         }
         // Watermark caught up to the newest commit: history collapses to
         // the single newest version — the legacy latest-value shape.
-        let out = cell.push_version(11, val(11), 11, 4);
-        assert_eq!(out.len, 1);
+        cell.push_version(11, val(11), 11);
+        assert_eq!(ring_len(&cell), 1);
         assert_eq!(read_i64(&cell, 11), Some((11, 11)));
         assert_eq!(read_i64(&cell, 10), None, "older versions GC'd once unreachable");
     }
@@ -520,12 +496,12 @@ mod tests {
     #[test]
     fn lagging_reader_behind_the_watermark_is_refused_not_lied_to() {
         let cell = VarCell::new(VarId::from_raw(1), val(0));
-        cell.push_version(3, val(30), 0, 8);
-        cell.push_version(7, val(70), 0, 8);
+        cell.push_version(3, val(30), 0);
+        cell.push_version(7, val(70), 0);
         // Watermark jumps to 9: versions 0 and 3 are evictable (7 covers
         // every legitimate reader), and the ring now starts at wv=7.
-        let out = cell.push_version(12, val(120), 9, 8);
-        assert_eq!(out.evicted, 2);
+        cell.push_version(12, val(120), 9);
+        assert_eq!(ring_len(&cell), 2);
         // At/above the watermark: the pinned version answers.
         assert_eq!(read_i64(&cell, 9), Some((7, 70)));
         assert_eq!(read_i64(&cell, 11), Some((7, 70)));
@@ -545,16 +521,15 @@ mod tests {
     #[test]
     fn ring_gc_eviction_counts_account_for_all_versions() {
         let cell = VarCell::new(VarId::from_raw(1), val(0));
-        let mut entered = 1u32; // the seed
-        let mut evicted = 0u32;
-        let mut last = PushOutcome::default();
+        let mut evicted = Vec::new();
         for (wv, watermark) in [(2u64, 0u64), (4, 0), (6, 3), (8, 6), (10, 10)] {
-            last = cell.push_version(wv, val(wv as i64), watermark, 8);
-            entered += 1;
-            evicted += last.evicted;
+            let before = ring_len(&cell);
+            cell.push_version(wv, val(wv as i64), watermark);
+            evicted.push(before + 1 - ring_len(&cell));
         }
-        assert_eq!(entered - evicted, last.len, "no version lost or double-counted");
-        assert_eq!(last.len, 1, "watermark caught up: only the newest survives");
+        // The seed and five pushes entered and five were evicted: one is left.
+        assert_eq!(evicted, [0, 0, 1, 2, 2]);
+        assert_eq!(ring_len(&cell), 1, "watermark caught up: only the newest survives");
         assert_eq!(read_i64(&cell, 10), Some((10, 10)));
     }
 
@@ -571,7 +546,7 @@ mod tests {
     #[test]
     fn store_unlogged_reseeds_the_ring() {
         let cell = VarCell::new(VarId::from_raw(1), val(1));
-        cell.push_version(3, val(30), 0, 8);
+        cell.push_version(3, val(30), 0);
         // Setup-time overwrite: history restarts at the new value, so a
         // snapshot reader cannot resolve pre-setup versions.
         cell.store_unlogged(val(50));

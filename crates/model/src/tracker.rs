@@ -130,7 +130,7 @@ impl StateTracker {
             TxEvent::Commit { who, .. } => {
                 let aborted = std::mem::take(&mut *self.pending.lock());
                 let tts = Tts::new(aborted, *who);
-                self.observed.lock().intern(tts.clone());
+                self.observed.lock().intern(&tts);
                 self.transitions.fetch_add(1, Ordering::SeqCst);
                 // Resolve against a consistent (model, epoch) pair: the id
                 // is stamped with the epoch of the model that produced it,

@@ -104,7 +104,7 @@ impl TsaBuilder {
     /// transition edges. Runs are independent: no edge is created between
     /// the last state of one run and the first of the next.
     pub fn add_run(&mut self, states: &[Tts]) -> &mut Self {
-        let ids: Vec<StateId> = states.iter().map(|s| self.space.intern(s.clone())).collect();
+        let ids: Vec<StateId> = states.iter().map(|s| self.space.intern(s)).collect();
         for w in ids.windows(2) {
             *self.counts.entry((w[0].0, w[1].0)).or_insert(0) += 1;
         }
@@ -121,8 +121,8 @@ impl TsaBuilder {
     /// and the incremental window merge ([`crate::online`]): restoring an
     /// edge of frequency `f` costs O(1), not O(f).
     pub fn add_transition(&mut self, from: &Tts, to: &Tts, count: u64) -> &mut Self {
-        let f = self.space.intern(from.clone());
-        let t = self.space.intern(to.clone());
+        let f = self.space.intern(from);
+        let t = self.space.intern(to);
         if count > 0 {
             let slot = self.counts.entry((f.0, t.0)).or_insert(0);
             *slot = slot.saturating_add(count);

@@ -111,14 +111,15 @@ impl StateSpace {
         Self::default()
     }
 
-    /// Interns a state, returning its id (existing or fresh).
-    pub fn intern(&mut self, tts: Tts) -> StateId {
-        if let Some(&id) = self.by_state.get(&tts) {
+    /// Interns a state, returning its id (existing or fresh). The state is
+    /// cloned only when it is new.
+    pub fn intern(&mut self, tts: &Tts) -> StateId {
+        if let Some(&id) = self.by_state.get(tts) {
             return id;
         }
         let id = StateId(self.states.len() as u32);
         self.states.push(tts.clone());
-        self.by_state.insert(tts, id);
+        self.by_state.insert(tts.clone(), id);
         id
     }
 
@@ -200,9 +201,9 @@ mod tests {
     #[test]
     fn interning_is_idempotent() {
         let mut sp = StateSpace::new();
-        let id1 = sp.intern(Tts::solo(p(0, 0)));
-        let id2 = sp.intern(Tts::solo(p(0, 0)));
-        let id3 = sp.intern(Tts::solo(p(1, 0)));
+        let id1 = sp.intern(&Tts::solo(p(0, 0)));
+        let id2 = sp.intern(&Tts::solo(p(0, 0)));
+        let id3 = sp.intern(&Tts::solo(p(1, 0)));
         assert_eq!(id1, id2);
         assert_ne!(id1, id3);
         assert_eq!(sp.len(), 2);
@@ -214,8 +215,8 @@ mod tests {
     #[test]
     fn iter_visits_in_id_order() {
         let mut sp = StateSpace::new();
-        sp.intern(Tts::solo(p(0, 0)));
-        sp.intern(Tts::solo(p(1, 0)));
+        sp.intern(&Tts::solo(p(0, 0)));
+        sp.intern(&Tts::solo(p(1, 0)));
         let ids: Vec<u32> = sp.iter().map(|(id, _)| id.0).collect();
         assert_eq!(ids, vec![0, 1]);
     }

@@ -63,7 +63,7 @@ fn interning_is_bijective() {
         let mut rng = SmallRng::seed_from_u64(seed);
         let states: Vec<Tts> = (0..rng.gen_range(1..40)).map(|_| tts(&mut rng)).collect();
         let mut space = StateSpace::new();
-        let ids: Vec<_> = states.iter().map(|s| space.intern(s.clone())).collect();
+        let ids: Vec<_> = states.iter().map(|s| space.intern(s)).collect();
         for (s, id) in states.iter().zip(&ids) {
             assert_eq!(space.lookup(s), Some(*id), "seed {seed}");
             assert_eq!(space.state(*id), s, "seed {seed}");

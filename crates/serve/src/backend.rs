@@ -29,6 +29,7 @@
 
 use std::collections::BTreeMap;
 use std::convert::Infallible;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use gstm_core::sync::Mutex;
@@ -113,7 +114,6 @@ pub fn encode_request(req: &Request) -> [u8; REQUEST_PAYLOAD_LEN] {
         Request::Cas { key, expect, update } => (2, key, expect, update),
         Request::Transfer { from, to, amount } => (3, from, to, amount as u64),
         Request::Scan { start, len } => (4, start, len, 0),
-        Request::GetMany { start, stride, count } => (5, start, stride, count),
     };
     let mut out = [0u8; REQUEST_PAYLOAD_LEN];
     out[0] = kind;
@@ -124,7 +124,8 @@ pub fn encode_request(req: &Request) -> [u8; REQUEST_PAYLOAD_LEN] {
 }
 
 /// Decodes a WAL payload back into a request. `None` means the payload is
-/// not a valid request record.
+/// not a valid request record: among others, kind 5, which a retired
+/// multi-key read once used.
 pub fn decode_request(payload: &[u8]) -> Option<Request> {
     if payload.len() != REQUEST_PAYLOAD_LEN {
         return None;
@@ -138,7 +139,6 @@ pub fn decode_request(payload: &[u8]) -> Option<Request> {
         2 => Request::Cas { key: a, expect: b, update: c },
         3 => Request::Transfer { from: a, to: b, amount: c as i64 },
         4 => Request::Scan { start: a, len: b },
-        5 => Request::GetMany { start: a, stride: b, count: c },
         _ => return None,
     })
 }
@@ -281,6 +281,13 @@ pub struct DurableBackend {
     /// oracle: what a crash-free serial history would have been.
     ledger: PerThread<Mutex<LedgerShard>>,
     inner: Mutex<DurableInner>,
+    /// Set by an advised committer that found the installer's lock taken.
+    /// The holder may have pulled the ledger before that commit landed and
+    /// so install nothing for it (nothing at all, if it was commit 1); if
+    /// no commit follows, nobody else is advised. The next installer clears
+    /// it before it pulls, and [`StoreBackend::flush`] installs for a flag
+    /// still set if the flushed log still calls for a snapshot.
+    advice_pending: AtomicBool,
 }
 
 impl std::fmt::Debug for DurableBackend {
@@ -308,6 +315,7 @@ impl DurableBackend {
                 applied_seq: 0,
                 materialized: Materializer::initial(keys),
             }),
+            advice_pending: AtomicBool::new(false),
         }
     }
 
@@ -334,6 +342,20 @@ impl DurableBackend {
         let mut l: Vec<_> = self.ledger.iter().flat_map(|shard| shard.lock().clone()).collect();
         l.sort_by_key(|&(seq, _)| seq);
         l
+    }
+
+    /// Takes up any pending advice, then snapshots what is contiguous from
+    /// commit 1. The flag is cleared before the pull: a committer whose
+    /// flag this clears pushed its ledger entry before setting it, so the
+    /// pull sees that entry.
+    fn install(&self, inner: &mut DurableInner) {
+        self.advice_pending.store(false, Ordering::SeqCst);
+        self.replay_new(inner);
+        // Until commit 1 is in the ledger there is nothing to snapshot.
+        if inner.applied_seq > 0 {
+            let state = encode_state(&inner.materialized.entries());
+            self.wal.install_snapshot(inner.applied_seq, &state);
+        }
     }
 
     /// Pulls the ledger's new entries and replays the contiguous prefix.
@@ -371,18 +393,21 @@ impl StoreBackend for DurableBackend {
         if !self.wal.append(seq, &encode_request(req)) {
             return;
         }
-        // An advised committer that finds an install under way moves on.
-        let Some(mut inner) = self.inner.try_lock() else { return };
-        self.replay_new(&mut inner);
-        // Until commit 1 is in the ledger there is nothing to snapshot.
-        if inner.applied_seq > 0 {
-            let state = encode_state(&inner.materialized.entries());
-            self.wal.install_snapshot(inner.applied_seq, &state);
+        // An advised committer that finds an install under way moves on,
+        // and leaves its advice for the next installer.
+        match self.inner.try_lock() {
+            Some(mut inner) => self.install(&mut inner),
+            None => self.advice_pending.store(true, Ordering::SeqCst),
         }
     }
 
     fn flush(&self) {
         self.wal.flush();
+        // Only while the log still calls for it: the flag can outlive an
+        // install that did cover its commit.
+        if self.advice_pending.load(Ordering::SeqCst) && self.wal.advises(0) {
+            self.install(&mut self.inner.lock());
+        }
     }
 }
 
@@ -444,7 +469,6 @@ mod tests {
             Request::Cas { key: 5, expect: 1, update: 2 },
             Request::Transfer { from: 1, to: 2, amount: -40 },
             Request::Scan { start: 9, len: 4 },
-            Request::GetMany { start: 2, stride: 3, count: 5 },
         ];
         for req in reqs {
             assert_eq!(decode_request(&encode_request(&req)), Some(req));
@@ -453,6 +477,22 @@ mod tests {
         let mut bad = encode_request(&Request::Get { key: 0 });
         bad[0] = 200;
         assert_eq!(decode_request(&bad), None);
+    }
+
+    /// A log written before the multi-key read was retired can hold a frame
+    /// of its kind, 5: recovery refuses it by name instead of replaying
+    /// something else in its place.
+    #[test]
+    fn recovery_rejects_a_frame_of_the_retired_kind_5() {
+        let (log, snap) = (Arc::new(MemDevice::new()), Arc::new(MemDevice::new()));
+        let wal = Wal::new(WalConfig::new(), Arc::clone(&log) as _, Arc::clone(&snap) as _);
+        let mut retired = encode_request(&Request::Scan { start: 2, len: 3 });
+        retired[0] = 5;
+        wal.append(1, &encode_request(&Request::Get { key: 1 }));
+        wal.append(2, &retired);
+        wal.flush();
+        let err = recover_store(2, 4, 8, &log.contents(), &snap.contents()).unwrap_err();
+        assert_eq!(err, WalError::BadPayload { seq: 2 });
     }
 
     #[test]
@@ -934,6 +974,28 @@ mod tests {
         assert_eq!(backend.wal().stats().snapshots, 1);
         assert_eq!(backend.inner.lock().applied_seq, 2, "1 and 2 are contiguous");
         assert_recovers_all(&backend, &*log, &*snap, 2);
+    }
+
+    /// An advised commit that finds the installer's lock taken leaves its
+    /// advice behind. The holder here is the test, which pulls nothing, as
+    /// a holder that pulled before commit 1 landed would install nothing;
+    /// no commit follows, so the flush installs.
+    #[test]
+    fn advice_a_busy_installer_missed_is_installed_at_flush() {
+        let store = ShardedStore::new(2, 4, 8);
+        let (backend, log, snap) =
+            DurableBackend::in_memory(store, WalConfig::new().with_snapshot_every(1));
+        let held = backend.inner.lock();
+        std::thread::scope(|scope| {
+            scope.spawn(|| backend.on_commit(1, &request(1)));
+        });
+        drop(held);
+        assert_eq!(backend.wal().stats().snapshots, 0, "the advised commit found the lock taken");
+        backend.flush();
+        assert_eq!(backend.wal().stats().snapshots, 1, "the flush took up the advice");
+        assert_recovers_all(&backend, &*log, &*snap, 1);
+        backend.flush();
+        assert_eq!(backend.wal().stats().snapshots, 1, "and took it up once");
     }
 
     /// Committers beyond the shard count fold onto leased shards; the

@@ -100,7 +100,6 @@ fn encode_response(resp: &Response) -> [u8; 18] {
         Response::Swapped(s) => (2, s as u8, 0, 0),
         Response::Transferred(t) => (3, t as u8, 0, 0),
         Response::ScanSum { count, sum } => (4, 0, count, sum as u64),
-        Response::Many { found, sum } => (5, 0, u64::from(found), sum as u64),
     };
     let mut out = [0u8; 18];
     out[0] = kind;
@@ -245,16 +244,14 @@ impl BlockHooks<u64, Entry, Response> for Streamed {
         // Empty write sets (read-only requests) ride the engine's read-only
         // commit fast path — which still claims a commit sequence number,
         // keeping the WAL prefix dense.
-        let mut aborts = 0;
         stm.run(t0(), sr.req.site(), |tx| {
-            aborts = tx.attempt();
             tx.work(spec.work);
             backend.store().apply_writes(tx, writes)
         });
         backend.on_commit(stm.last_commit_seq(t0()), &sr.req);
         let now = clock.now(t0());
         seen.store(now, Ordering::Relaxed);
-        log.served(&sr.req, now.saturating_sub(sr.at), aborts);
+        log.served(&sr.req, now.saturating_sub(sr.at));
     }
 }
 
@@ -331,7 +328,7 @@ pub(crate) fn run_native_block(
             settled.set(k, e);
         }
     }
-    let Run { stm, backend, clock, log, .. } = &*run;
+    let Run { backend, clock, log, .. } = &*run;
     let store = backend.store();
     backend.flush();
     let final_digest = shadow.read().expect("shadow poisoned").digest();
@@ -350,10 +347,7 @@ pub(crate) fn run_native_block(
         done_ro: log.done_ro.load(Ordering::Relaxed),
         shed: 0,
         sojourn: log.sojourn.snapshot(),
-        sojourn_ro: log.sojourn_ro.snapshot(),
         elapsed_ticks: clock.now(t0()),
-        mvcc: stm.mvcc_stats(),
-        sites: log.site_rows(t0()).collect(),
         block: Some(BlockModeReport {
             record: BlockRecord { outputs, final_digest },
             stats,
@@ -369,7 +363,7 @@ mod tests {
     use crate::backend::DurableBackend;
     use crate::service::run_native;
     use crate::store::ShardedStore;
-    use crate::traffic::{generate_schedule, Arrival, Mix};
+    use crate::traffic::{generate_schedule, Arrival};
     use gstm_check::check_block_equivalence;
     use gstm_wal::WalConfig;
 
@@ -390,7 +384,6 @@ mod tests {
             Response::Transferred(false),
             Response::Transferred(true),
             Response::ScanSum { count: 0, sum: 0 },
-            Response::Many { found: 0, sum: 0 },
         ];
         let mut digests: Vec<u64> = responses.iter().map(response_digest).collect();
         digests.sort_unstable();
@@ -629,54 +622,6 @@ mod tests {
         assert_eq!(outputs, run_block_reference(&spec, 2, 9).outputs);
     }
 
-    /// Block mode's per-site table comes from the run's one log; a
-    /// `SiteStatsSink` listening to the same engine tallies the same rows:
-    /// one commit per request at its kind's site, all under the one engine
-    /// thread id the lanes hand round.
-    #[test]
-    fn sites_from_the_log_are_the_rows_a_sink_on_the_same_engine_tallies() {
-        use gstm_core::{cm::Aggressive, AdmitAll, SiteStatsSink};
-        let spec = block_spec(100, 256);
-        let sink = Arc::new(SiteStatsSink::new());
-        let run = Arc::new(Run {
-            stm: Stm::with_parts(
-                spine_config(&spec, 2),
-                Arc::new(RealGate::new(0)),
-                Arc::clone(&sink) as Arc<dyn gstm_core::EventSink>,
-                Arc::new(AdmitAll),
-                Arc::new(Aggressive),
-            ),
-            backend: Arc::new(crate::backend::EphemeralBackend::new(ShardedStore::new(
-                spec.shards,
-                spec.buckets_per_shard,
-                spec.keys,
-            ))),
-            clock: WallClock::new(1),
-            seen: AtomicU64::new(0),
-            log: ThreadLog::default(),
-            order: merge_block_order(&spec, 2, 9),
-            spec: spec.clone(),
-        });
-        let (base, body) = (Materializer::initial(spec.keys), Arc::clone(&run));
-        stream_block_on(
-            &BlockPool::new(2),
-            &BlockConfig::new(256, block_parts(&spec)).expect("valid config"),
-            200,
-            move |k: &u64| base.get(*k),
-            move |i, ctx| apply_with(&body.order[i].req, body.spec.keys, &mut |k| ctx.read(&k)),
-            Streamed { run: Arc::clone(&run), start: 0 },
-        );
-        let sites: std::collections::BTreeMap<_, _> = run.log.site_rows(t0()).collect();
-        assert_eq!(sites, sink.snapshot());
-        for kind in Request::one_of_each_kind() {
-            let served = run.order.iter().filter(|sr| sr.req.site() == kind.site()).count();
-            let who = gstm_core::Participant::new(t0(), kind.site());
-            let commits = sites.get(&who).map_or(0, |s| s.commits);
-            assert_eq!(commits, served as u64, "{}", kind.kind());
-        }
-        assert_eq!(sites.values().map(|s| s.commits).sum::<u64>(), 200);
-    }
-
     /// A durable backend that also notes which OS threads committed.
     struct LaneProbe {
         inner: DurableBackend,
@@ -741,7 +686,6 @@ mod tests {
         // A wide read-mostly shape: block execution should see almost no
         // conflicts — waves stay near one per block.
         let mut spec = ServeSpec::wide(40)
-            .with_mix(Mix::mvcc_read())
             .with_arrival(Arrival::Poisson { mean_gap: 20.0 })
             .with_block_mode(32);
         spec.keys = 512;

@@ -28,16 +28,12 @@
 //! SimGate run is deterministic per seed), and [`WallClock`] maps real
 //! nanoseconds to ticks for native `RealGate` runs.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use gstm_core::{
-    Gate, MvccStats, Participant, ReadMode, RealGate, SiteStats, Stm, StmConfig, ThreadId, TxId,
-    TxnKind,
-};
+use gstm_core::{Gate, RealGate, Stm, StmConfig, ThreadId, TxnKind};
 use gstm_guide::{RunOptions, RunOutcome, WorkerEnv, Workload, WorkloadRun};
 use gstm_telemetry::histogram::{HistogramSnapshot, LogHistogram};
 
@@ -125,11 +121,6 @@ pub struct ServeSpec {
     /// Always [`SpineMode::Global`]; kept only because the frozen
     /// `benchmark/` package reads it.
     pub spine: SpineMode,
-    /// Read path for read-only requests: `Latest` is the legacy validated
-    /// path (the default — cached results and goldens unchanged);
-    /// `Snapshot` serves `Get`/`Scan`/`GetMany` from the MVCC version
-    /// rings with zero validation and zero aborts (DESIGN.md §3.1d).
-    pub read_mode: ReadMode,
     /// Optional non-stationary traffic (time-varying Zipf exponent plus
     /// hotspot migration, DESIGN.md §6g). `None` — the default every
     /// pre-drift spec used — leaves schedules byte-identical.
@@ -157,7 +148,6 @@ impl ServeSpec {
             mix: Mix::transfer_heavy(),
             backend: BackendKind::Ephemeral,
             spine: SpineMode::Global,
-            read_mode: ReadMode::Latest,
             drift: None,
             mode: ServeMode::Interleaved,
         }
@@ -180,7 +170,6 @@ impl ServeSpec {
             mix: Mix::read_mostly(),
             backend: BackendKind::Ephemeral,
             spine: SpineMode::Global,
-            read_mode: ReadMode::Latest,
             drift: None,
             mode: ServeMode::Interleaved,
         }
@@ -207,7 +196,6 @@ impl ServeSpec {
             mix: Mix::ledger(),
             backend: BackendKind::Ephemeral,
             spine: SpineMode::Global,
-            read_mode: ReadMode::Latest,
             drift: None,
             mode: ServeMode::Interleaved,
         }
@@ -222,18 +210,6 @@ impl ServeSpec {
     /// Replaces the storage backend.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Replaces the read path for read-only requests.
-    pub fn with_read_mode(mut self, read_mode: ReadMode) -> Self {
-        self.read_mode = read_mode;
-        self
-    }
-
-    /// Replaces the request-kind mix.
-    pub fn with_mix(mut self, mix: Mix) -> Self {
-        self.mix = mix;
         self
     }
 
@@ -258,14 +234,6 @@ impl ServeSpec {
             Arrival::Poisson { mean_gap } => format!("poisson(g={mean_gap})"),
             Arrival::Bursty { mean_gap, burst } => format!("bursty(g={mean_gap},b={burst})"),
         };
-        // Trailing zero weights are dropped before rendering: presets that
-        // predate `GetMany` carry a sixth weight of 0 (a pure placeholder
-        // that draws nothing), and their keys must stay byte-identical to
-        // the five-element strings the pipeline cache already holds.
-        let mut mix: &[u32] = &self.mix.0;
-        while let [rest @ .., 0] = mix {
-            mix = rest;
-        }
         let mut key = format!(
             "sh={};bk={};keys={};th={};arr={};rq={};qd={};wk={};sc={};mix={:?};be={}",
             self.shards,
@@ -277,16 +245,11 @@ impl ServeSpec {
             self.max_queue_depth,
             self.work,
             self.scan_len,
-            mix,
+            self.mix.0,
             self.backend.label(),
         );
-        // Appended (rather than inlined) and only when non-default, so the
-        // key of every spec that predates the read-mode knob is
-        // byte-identical to what the pipeline cache already holds.
-        if self.read_mode != ReadMode::Latest {
-            key.push_str(";rm=snapshot");
-        }
-        // And for drift: stationary specs keep their pre-drift keys.
+        // Appended (rather than inlined) and only when set, so stationary
+        // specs keep their pre-drift keys.
         if let Some(d) = self.drift {
             key.push_str(&format!(
                 ";drift=(te={},ph={},hs={})",
@@ -442,17 +405,13 @@ impl ServeClock for WallClock {
     }
 }
 
-/// Per-thread request accounting: the sojourn histogram, completion and shed
-/// counters, and per-site commit / abort tallies. Lock-free so `stats()` can
-/// read while (in principle) workers still hold clones.
+/// Per-thread request accounting: the sojourn histogram and the completion
+/// and shed counters. Lock-free so `stats()` can read while (in principle)
+/// workers still hold clones.
 #[derive(Debug, Default)]
 pub struct ThreadLog {
     /// Sojourn-latency histogram (ticks), all served requests.
     pub sojourn: LogHistogram,
-    /// Sojourn-latency histogram (ticks) for read-only requests alone
-    /// (`Get`/`Scan`/`GetMany`), so the MVCC study can report the read
-    /// path's tail separately from the update path's.
-    pub sojourn_ro: LogHistogram,
     /// Requests served to completion.
     pub done: AtomicU64,
     /// Read-only requests served to completion.
@@ -462,60 +421,16 @@ pub struct ThreadLog {
     /// Served requests that were already due when [`serve_schedule`]
     /// reached them. Only that thread writes it.
     pub(crate) late: AtomicU64,
-    /// What each request kind's transaction site cost, indexed by
-    /// [`Request::site`]. Taken here, after the request's reply is stamped,
-    /// and not by an event sink inside `Stm::run`, where the tally would be
-    /// part of every sojourn it helps to explain.
-    sites: [SiteTally; Request::KINDS],
-}
-
-/// One site's tallies on one thread: the fields of a [`SiteStats`] that a
-/// run admitting every transaction can move.
-#[derive(Debug, Default)]
-struct SiteTally {
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    worst_retry: AtomicU32,
 }
 
 impl ThreadLog {
-    /// Accounts for one served request: its sojourn, and at its site one
-    /// commit that took `aborts` aborted attempts to reach.
-    pub(crate) fn served(&self, req: &Request, sojourn: u64, aborts: u32) {
+    /// Accounts for one served request and its sojourn.
+    pub(crate) fn served(&self, req: &Request, sojourn: u64) {
         self.sojourn.record(sojourn);
         self.done.fetch_add(1, Ordering::Relaxed);
         if req.txn_kind() == TxnKind::ReadOnly {
-            self.sojourn_ro.record(sojourn);
             self.done_ro.fetch_add(1, Ordering::Relaxed);
         }
-        let site = &self.sites[req.site().index()];
-        site.commits.fetch_add(1, Ordering::Relaxed);
-        if aborts > 0 {
-            site.aborts.fetch_add(u64::from(aborts), Ordering::Relaxed);
-            site.worst_retry.fetch_max(aborts, Ordering::Relaxed);
-        }
-    }
-
-    /// The tallies as `thread`'s rows of a per-participant table — the rows
-    /// a [`gstm_core::SiteStatsSink`] on the same engine would hold: one per
-    /// site that served a request, `holds` zero (nothing is held under
-    /// `AdmitAll`).
-    pub(crate) fn site_rows(
-        &self,
-        thread: ThreadId,
-    ) -> impl Iterator<Item = (Participant, SiteStats)> + '_ {
-        self.sites.iter().enumerate().filter_map(move |(site, tally)| {
-            let commits = tally.commits.load(Ordering::Relaxed);
-            (commits > 0).then(|| {
-                let stats = SiteStats {
-                    commits,
-                    aborts: tally.aborts.load(Ordering::Relaxed),
-                    holds: 0,
-                    worst_retry: tally.worst_retry.load(Ordering::Relaxed),
-                };
-                (Participant::new(thread, TxId::new(site as u16)), stats)
-            })
-        })
     }
 }
 
@@ -562,33 +477,24 @@ pub fn serve_schedule(
             continue;
         }
         let req = sr.req;
-        // Zero-based number of the attempt that commits = aborts before it.
-        let mut aborts = 0;
+        let body = |tx: &mut gstm_core::Txn<'_>| {
+            tx.work(work);
+            store.apply(tx, &req)
+        };
+        // Read-only intent is declared up front: the validated read path
+        // with the write capability removed (same gate crossings, same
+        // outcome as an update transaction that writes nothing).
         if req.txn_kind() == TxnKind::ReadOnly {
-            // Read-only intent is declared up front: under `ReadMode::Latest`
-            // this is the legacy validated read path with the write
-            // capability removed (same gate crossings, same outcome — the
-            // Latest goldens hold); under `ReadMode::Snapshot` the engine
-            // serves the request from the version rings at a frozen
-            // timestamp, with zero validation and zero aborts.
-            stm.run_read_only(thread, req.site(), |tx| {
-                aborts = tx.attempt();
-                tx.work(work);
-                store.apply(tx, &req)
-            });
+            stm.run_read_only(thread, req.site(), body);
         } else {
-            stm.run(thread, req.site(), |tx| {
-                aborts = tx.attempt();
-                tx.work(work);
-                store.apply(tx, &req)
-            });
+            stm.run(thread, req.site(), body);
         }
-        // Snapshot read-only transactions still claim a commit sequence
-        // number, so durable backends log them too — skipping them would
-        // leave gaps that truncate the recoverable prefix.
+        // Read-only transactions claim a commit sequence number too, so
+        // durable backends log them — skipping them would leave gaps that
+        // truncate the recoverable prefix.
         backend.on_commit(stm.last_commit_seq(thread), &req);
         let sojourn = clock.now(thread).saturating_sub(sr.at);
-        log.served(&req, sojourn, aborts);
+        log.served(&req, sojourn);
         if late {
             // A plain load and store, not a locked add: this thread is the
             // word's only writer. Released after `done`'s bump for readers
@@ -662,15 +568,6 @@ impl ServeRun {
         merged
     }
 
-    /// Merged read-only sojourn histogram across threads.
-    pub fn sojourn_ro_snapshot(&self) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::empty();
-        for log in &self.logs {
-            merged.merge(&log.sojourn_ro.snapshot());
-        }
-        merged
-    }
-
     /// Total requests served / shed across threads.
     pub fn totals(&self) -> (u64, u64) {
         let done = self.logs.iter().map(|l| l.done.load(Ordering::Relaxed)).sum();
@@ -681,16 +578,6 @@ impl ServeRun {
     /// Total read-only requests served across threads.
     pub fn total_read_only(&self) -> u64 {
         self.logs.iter().map(|l| l.done_ro.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Per-site commit / abort tallies of every thread, keyed by
-    /// participant.
-    fn sites(&self) -> BTreeMap<Participant, SiteStats> {
-        self.logs
-            .iter()
-            .enumerate()
-            .flat_map(|(t, log)| log.site_rows(ThreadId::new(t as u16)))
-            .collect()
     }
 
     fn check_conservation(&self) -> Result<(), String> {
@@ -726,10 +613,7 @@ impl WorkloadRun for ServeRun {
 
     fn stats(&self) -> Vec<(String, f64)> {
         let s = self.sojourn_snapshot();
-        let ro = self.sojourn_ro_snapshot();
         let (done, shed) = self.totals();
-        // Kind-split keys are appended after the legacy block so renderers
-        // and tests that address stats by name see an unchanged prefix.
         vec![
             ("req_done".into(), done as f64),
             ("req_shed".into(), shed as f64),
@@ -738,10 +622,6 @@ impl WorkloadRun for ServeRun {
             ("sojourn_p95".into(), s.p(0.95)),
             ("sojourn_p99".into(), s.p(0.99)),
             ("req_done_ro".into(), self.total_read_only() as f64),
-            ("sojourn_ro_mean".into(), ro.mean()),
-            ("sojourn_ro_p50".into(), ro.p(0.50)),
-            ("sojourn_ro_p95".into(), ro.p(0.95)),
-            ("sojourn_ro_p99".into(), ro.p(0.99)),
         ]
     }
 }
@@ -775,12 +655,10 @@ impl Workload for ServeWorkload {
     }
 }
 
-/// The engine configuration a spec implies (today: its read mode). The
-/// name is kept only because the frozen `benchmark/` package calls it.
-pub fn spine_config(spec: &ServeSpec, threads: usize) -> StmConfig {
-    let mut cfg = StmConfig::new(threads);
-    cfg.read_mode = spec.read_mode;
-    cfg
+/// The engine configuration a spec implies: the default one. Kept only
+/// because the frozen `benchmark/` package calls it.
+pub fn spine_config(_spec: &ServeSpec, threads: usize) -> StmConfig {
+    StmConfig::new(threads)
 }
 
 /// Convenience: one simulated serve run under `opts`, via the guide
@@ -801,17 +679,8 @@ pub struct NativeReport {
     pub shed: u64,
     /// Merged sojourn histogram (ticks of `nanos_per_tick` each).
     pub sojourn: HistogramSnapshot,
-    /// Merged sojourn histogram for read-only requests alone.
-    pub sojourn_ro: HistogramSnapshot,
     /// Wall time of the whole run, in clock ticks.
     pub elapsed_ticks: u64,
-    /// The engine's multi-version read-path counters (all zero under
-    /// [`ReadMode::Latest`]).
-    pub mvcc: MvccStats,
-    /// Per-site commit/abort tallies, keyed by participant. The read-only
-    /// sites' abort counts are what proves the snapshot path's zero-abort
-    /// claim.
-    pub sites: BTreeMap<Participant, SiteStats>,
     /// Block-mode extras: the run's output/state digests (for the
     /// schedule-invariance oracle) and the executor's counters. `None`
     /// under [`ServeMode::Interleaved`].
@@ -974,19 +843,6 @@ impl Home {
     }
 }
 
-impl NativeReport {
-    /// Total aborts across the sites of the request kinds that declare
-    /// [`TxnKind::ReadOnly`] (`Get`, `Scan`, `GetMany`). Zero under
-    /// `ReadMode::Snapshot` by construction; nonzero under contention on the
-    /// validated path.
-    pub fn read_only_aborts(&self) -> u64 {
-        let kinds = Request::one_of_each_kind();
-        let read_only =
-            |site| kinds.iter().any(|r| r.site() == site && r.txn_kind() == TxnKind::ReadOnly);
-        self.sites.iter().filter(|(who, _)| read_only(who.tx)).map(|(_, s)| s.aborts).sum()
-    }
-}
-
 /// A durable native run's WAL files: a directory unique per call, removed
 /// on drop.
 struct WalDir {
@@ -1106,10 +962,7 @@ pub fn run_native(
         done_ro: run.total_read_only(),
         shed,
         sojourn: run.sojourn_snapshot(),
-        sojourn_ro: run.sojourn_ro_snapshot(),
         elapsed_ticks: clock.now(ThreadId::new(0)),
-        mvcc: stm.mvcc_stats(),
-        sites: run.sites(),
         block: None,
         placement,
     }
@@ -1230,21 +1083,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn default_spec_cache_key_is_unchanged_by_mix_widening_and_read_mode() {
-        // Pre-GetMany cached artifacts stay addressable: the sixth (zero)
-        // mix weight is trimmed out of the rendered key, and only a
-        // non-default read mode extends it.
-        let key = ServeSpec::hot(100).cache_key();
-        assert!(key.contains("mix=[20, 10, 10, 55, 5];"), "unexpected key: {key}");
-        assert!(!key.contains("rm="), "default key must be unchanged: {key}");
-        let snap = ServeSpec::hot(100).with_read_mode(ReadMode::Snapshot).cache_key();
-        assert!(snap.ends_with(";rm=snapshot"), "unexpected key: {snap}");
-        assert_ne!(key, snap);
-        let mvcc = ServeSpec::wide(100).with_mix(Mix::mvcc_read()).cache_key();
-        assert!(mvcc.contains("mix=[50, 10, 5, 5, 15, 15];"), "unexpected key: {mvcc}");
-    }
-
     /// The run cache is content-addressed by these strings: the three
     /// presets' keys must stay byte-equal to what cached artifacts hold.
     #[test]
@@ -1269,8 +1107,7 @@ mod tests {
     #[test]
     fn default_spec_cache_key_has_no_drift_suffix() {
         // Stationary cached artifacts stay addressable: only a drifting
-        // spec extends the key, with the same append-only discipline as
-        // the read-mode knob.
+        // spec extends the key.
         let key = ServeSpec::hot(100).cache_key();
         assert!(!key.contains("drift"), "default key must be unchanged: {key}");
         let drifting = ServeSpec::hot(100)
@@ -1305,41 +1142,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mode_serves_conserves_and_is_deterministic() {
-        let spec = tiny_spec().with_read_mode(ReadMode::Snapshot);
-        let a = run_simulated(&spec, &RunOptions::new(3, 5));
-        let stats: std::collections::HashMap<_, _> = a.workload_stats.iter().cloned().collect();
-        assert_eq!(stats["req_done"] + stats["req_shed"], 3.0 * 120.0);
-        assert!(stats["req_done_ro"] > 0.0, "hot mix still has gets and scans");
-        assert!(stats["sojourn_ro_p99"] <= stats["sojourn_p99"] * 10.0, "ro tail is sane");
-        let b = run_simulated(&spec, &RunOptions::new(3, 5));
-        assert_eq!(a.workload_stats, b.workload_stats);
-        assert_eq!(a.makespan, b.makespan);
-    }
-
-    #[test]
-    fn native_snapshot_run_has_zero_read_only_aborts() {
-        let mut spec =
-            ServeSpec::hot(150).with_read_mode(ReadMode::Snapshot).with_mix(Mix::mvcc_read());
-        spec.arrival = Arrival::Poisson { mean_gap: 60.0 };
-        let report = run_native(&spec, 3, 11, 50, 64);
-        assert!(report.done_ro > 0);
-        assert_eq!(report.read_only_aborts(), 0, "snapshot reads never abort");
-        assert_eq!(report.mvcc.snapshot_txns, report.done_ro);
-        assert!(report.mvcc.snapshot_reads >= report.mvcc.snapshot_txns);
-        assert_eq!(report.sojourn_ro.count(), report.done_ro);
-        // Latest mode on the same spec keeps the MVCC machinery dormant.
-        let latest = run_native(&spec.clone().with_read_mode(ReadMode::Latest), 3, 11, 50, 64);
-        assert_eq!(latest.mvcc, MvccStats::default());
-        assert!(latest.done_ro > 0);
-    }
-
-    #[test]
-    fn durable_snapshot_mode_keeps_the_wal_contiguous_and_recoverable() {
-        // Snapshot read-only transactions still claim commit sequence
-        // numbers; the serve loop must log them through `on_commit` or the
-        // recoverable prefix truncates at the first read's seq.
-        let mut spec = tiny_spec().with_read_mode(ReadMode::Snapshot);
+    fn durable_read_only_commits_keep_the_wal_contiguous_and_recoverable() {
+        // Read-only transactions still claim commit sequence numbers; the
+        // serve loop must log them through `on_commit` or the recoverable
+        // prefix truncates at the first read's seq.
+        let mut spec = tiny_spec();
         spec.backend = crate::backend::BackendKind::Durable;
         spec.max_queue_depth = 100_000;
         let (backend, log_dev, snap_dev) = crate::backend::DurableBackend::in_memory(
@@ -1366,7 +1173,7 @@ mod tests {
                 &run.logs[t],
             );
         }
-        run.verify().expect("durable snapshot run conserves");
+        run.verify().expect("durable run conserves");
         assert!(run.total_read_only() > 0, "the mix served read-only requests");
         let last_seq = backend.ledger().last().expect("ledger is non-empty").0;
         let rec = crate::backend::recover_store(
@@ -1443,58 +1250,6 @@ mod tests {
         let near = clock.now(t0) + 10;
         assert!(clock.wait_if_near(t0, near));
         assert!(clock.now(t0) >= near, "answered true before the tick was due");
-    }
-
-    /// A native report's per-site table comes from the thread logs; a
-    /// `SiteStatsSink` listening to the same engine must arrive at the same
-    /// table, row for row — so everything derived from it
-    /// (`read_only_aborts`, abort ratios) reads the same too. Two threads on
-    /// the hot shape with a yield every few gate passes, so that attempts
-    /// overlap and abort on any host.
-    #[test]
-    fn sites_from_the_logs_are_the_rows_a_sink_on_the_same_engine_tallies() {
-        use gstm_core::{cm::Aggressive, AdmitAll, SiteStatsSink};
-        let mut spec = ServeSpec::hot(3_000);
-        spec.arrival = Arrival::Poisson { mean_gap: 2.0 };
-        spec.max_queue_depth = usize::MAX;
-        let store = ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys);
-        let run =
-            ServeRun::with_backend(spec.clone(), Arc::new(EphemeralBackend::new(store)), 2, 17);
-        let sink = Arc::new(SiteStatsSink::new());
-        let stm = Stm::with_parts(
-            spine_config(&spec, 2),
-            Arc::new(RealGate::new(3)),
-            Arc::clone(&sink) as Arc<dyn gstm_core::EventSink>,
-            Arc::new(AdmitAll),
-            Arc::new(Aggressive),
-        );
-        let clock = WallClock::new(1);
-        std::thread::scope(|scope| {
-            for t in 0..2usize {
-                let (run, stm, clock, spec) = (&run, &stm, &clock, &spec);
-                scope.spawn(move || {
-                    let thread = ThreadId::new(t as u16);
-                    let (schedule, log) = (&run.schedules[t], &run.logs[t]);
-                    serve_schedule(stm, thread, run.backend.as_ref(), schedule, clock, spec, log);
-                });
-            }
-        });
-        run.verify().expect("the run conserves and accounts for every request");
-        let sites = run.sites();
-        assert_eq!(sites, sink.snapshot());
-        // Commits per site are the requests of that kind the thread served.
-        for (t, schedule) in run.schedules.iter().enumerate() {
-            for kind in Request::one_of_each_kind() {
-                let served = schedule.iter().filter(|sr| sr.req.site() == kind.site()).count();
-                let who = Participant::new(ThreadId::new(t as u16), kind.site());
-                let commits = sites.get(&who).map_or(0, |s| s.commits);
-                assert_eq!(commits, served as u64, "{} on thread {t}", kind.kind());
-            }
-        }
-        let aborts: u64 = sites.values().map(|s| s.aborts).sum();
-        let worst = sites.values().map(|s| s.worst_retry).max();
-        assert!(aborts > 0 && worst > Some(0), "nothing aborted: the comparison was vacuous");
-        assert!(sites.values().all(|s| s.holds == 0));
     }
 
     /// A native run of the wide shape on two threads, `requests` each, one
@@ -1581,32 +1336,5 @@ mod tests {
             elapsed.push(ticks);
         }
         panic!("every run outlasted half a check period: {elapsed:?} ticks of 10 ns");
-    }
-
-    /// `read_only_aborts` counts exactly the sites whose kind declares
-    /// `TxnKind::ReadOnly`: each of the six kinds gets its own power of two.
-    #[test]
-    fn read_only_aborts_agrees_with_txn_kind_for_every_request_kind() {
-        let kinds = Request::one_of_each_kind();
-        let sites: Vec<u16> = kinds.iter().map(|r| r.site().raw()).collect();
-        assert_eq!(sites, [0, 1, 2, 3, 4, 5], "one of each, in site order");
-        let mut labels: Vec<_> = kinds.iter().map(Request::kind).collect();
-        labels.dedup();
-        assert_eq!(labels.len(), 6, "six different kinds");
-        let mut report = run_native(&ServeSpec::hot(1), 1, 1, 1, 0);
-        report.sites.clear();
-        let mut want = 0;
-        for (i, req) in kinds.iter().enumerate() {
-            for thread in 0..2 {
-                let who = Participant::new(ThreadId::new(thread), req.site());
-                let aborts = 1 << (2 * i + usize::from(thread));
-                report.sites.insert(who, SiteStats { aborts, ..SiteStats::default() });
-                if req.txn_kind() == TxnKind::ReadOnly {
-                    want += aborts;
-                }
-            }
-        }
-        assert_eq!(report.read_only_aborts(), want);
-        assert_ne!(want, 0);
     }
 }

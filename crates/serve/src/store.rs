@@ -92,18 +92,6 @@ pub enum Request {
         /// Range length (clamped to [`MAX_SCAN_LEN`]).
         len: u64,
     },
-    /// Bounded atomic multi-key read: `count` strided keys starting at
-    /// `start` (wrapping around the keyspace). Unlike [`Request::Scan`]
-    /// the keys are not consecutive, so a `GetMany` crosses shards even
-    /// when a scan of the same length would not.
-    GetMany {
-        /// First key of the stride walk.
-        start: u64,
-        /// Distance between consecutive keys (0 is treated as 1).
-        stride: u64,
-        /// Keys to read (clamped to [`MAX_SCAN_LEN`]).
-        count: u64,
-    },
 }
 
 impl Request {
@@ -132,29 +120,6 @@ impl Request {
         Request::Scan { start, len }
     }
 
-    /// Builds a [`Request::GetMany`] — a read-only request by construction.
-    pub fn get_many(start: u64, stride: u64, count: u64) -> Self {
-        Request::GetMany { start, stride, count }
-    }
-
-    /// How many request kinds — and so transaction sites `0..KINDS` — there
-    /// are.
-    pub(crate) const KINDS: usize = 6;
-
-    /// One request of every kind, in site order: for code that asks
-    /// something of each kind (which sites are read-only) instead of
-    /// keeping a list of its own that a new kind would be missing from.
-    pub(crate) fn one_of_each_kind() -> [Request; Request::KINDS] {
-        [
-            Request::get(0),
-            Request::put(0, 0),
-            Request::cas(0, 0, 0),
-            Request::transfer(0, 1, 1),
-            Request::scan(0, 1),
-            Request::get_many(0, 1, 1),
-        ]
-    }
-
     /// The static transaction site of this request kind (the paper's
     /// `TM_BEGIN(ID)` argument; the model's per-site states key off it).
     pub fn site(&self) -> TxId {
@@ -164,31 +129,15 @@ impl Request {
             Request::Cas { .. } => 2,
             Request::Transfer { .. } => 3,
             Request::Scan { .. } => 4,
-            Request::GetMany { .. } => 5,
         })
     }
 
-    /// Short label of the request kind (metrics, debugging).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Get { .. } => "get",
-            Request::Put { .. } => "put",
-            Request::Cas { .. } => "cas",
-            Request::Transfer { .. } => "transfer",
-            Request::Scan { .. } => "scan",
-            Request::GetMany { .. } => "get_many",
-        }
-    }
-
-    /// The transaction kind this request declares: `Get`, `Scan` and
-    /// `GetMany` never write, so the service runs them as
-    /// [`TxnKind::ReadOnly`] transactions — on a snapshot-mode engine that
-    /// is the zero-abort multi-version read path.
+    /// The transaction kind this request declares: `Get` and `Scan` never
+    /// write, so the service runs them as [`TxnKind::ReadOnly`]
+    /// transactions.
     pub fn txn_kind(&self) -> TxnKind {
         match self {
-            Request::Get { .. } | Request::Scan { .. } | Request::GetMany { .. } => {
-                TxnKind::ReadOnly
-            }
+            Request::Get { .. } | Request::Scan { .. } => TxnKind::ReadOnly,
             Request::Put { .. } | Request::Cas { .. } | Request::Transfer { .. } => TxnKind::Update,
         }
     }
@@ -209,13 +158,6 @@ pub enum Response {
     ScanSum {
         /// Keys visited.
         count: u64,
-        /// Sum of their balances.
-        sum: i64,
-    },
-    /// `GetMany`: keys found and their balance sum.
-    Many {
-        /// Keys that existed.
-        found: u32,
         /// Sum of their balances.
         sum: i64,
     },
@@ -261,7 +203,7 @@ pub trait EntryAccess {
 ///
 /// # Panics
 ///
-/// Panics on a `Scan` or `GetMany` if `keys` (the keyspace size) is zero.
+/// Panics on a `Scan` if `keys` (the keyspace size) is zero.
 #[inline]
 pub fn interpret<A: EntryAccess>(
     req: &Request,
@@ -315,41 +257,13 @@ pub fn interpret<A: EntryAccess>(
                     // the keyspace total is conserved), so the sum wraps.
                     sum = sum.wrapping_add(e.balance);
                 }
-                key = advance(key, 1, keys);
+                // `key < keys`: the next key, wrapping round the keyspace
+                // without the `start + i` sum a caller's `start` can overflow.
+                key = if key + 1 == keys { 0 } else { key + 1 };
             }
             Response::ScanSum { count: len, sum }
         }
-        Request::GetMany { start, stride, count } => {
-            let count = count.min(MAX_SCAN_LEN).min(keys);
-            let stride = stride.max(1) % keys;
-            let mut key = start % keys;
-            let (mut found, mut sum) = (0u32, 0i64);
-            for _ in 0..count {
-                if let Some(e) = access.read(key)? {
-                    found += 1;
-                    sum = sum.wrapping_add(e.balance);
-                }
-                key = advance(key, stride, keys);
-            }
-            Response::Many { found, sum }
-        }
     })
-}
-
-/// `(key + step) % keys` without the intermediate sum `start + i *
-/// stride` risks: `Request` fields are public and caller-supplied, so
-/// the naive form overflows `u64` for large start/stride — panicking
-/// in debug builds and silently wrapping (onto different keys) in
-/// release. With `key < keys` and `step <= keys` one conditional wrap
-/// is exact.
-#[inline]
-fn advance(key: u64, step: u64, keys: u64) -> u64 {
-    debug_assert!(key < keys && step <= keys);
-    if step >= keys - key {
-        step - (keys - key)
-    } else {
-        key + step
-    }
 }
 
 /// The sharded in-memory transactional store.
@@ -621,25 +535,20 @@ mod tests {
             Request::cas(0, 0, 0),
             Request::transfer(0, 1, 1),
             Request::scan(0, 1),
-            Request::get_many(0, 2, 3),
         ];
         let mut sites: Vec<u16> = reqs.iter().map(|r| r.site().index() as u16).collect();
         sites.dedup();
-        assert_eq!(sites.len(), 6, "each kind is its own atomic-block site");
-        assert_eq!(reqs[3].kind(), "transfer");
-        assert_eq!(reqs[5].kind(), "get_many");
+        assert_eq!(sites.len(), 5, "each kind is its own atomic-block site");
     }
 
     #[test]
     fn builders_tag_read_only_intent() {
         assert_eq!(Request::get(1).txn_kind(), TxnKind::ReadOnly);
         assert_eq!(Request::scan(0, 4).txn_kind(), TxnKind::ReadOnly);
-        assert_eq!(Request::get_many(0, 3, 4).txn_kind(), TxnKind::ReadOnly);
         assert_eq!(Request::put(1, 2).txn_kind(), TxnKind::Update);
         assert_eq!(Request::cas(1, 0, 2).txn_kind(), TxnKind::Update);
         assert_eq!(Request::transfer(0, 1, 5).txn_kind(), TxnKind::Update);
         assert_eq!(Request::get(1), Request::Get { key: 1 });
-        assert_eq!(Request::get_many(2, 3, 4), Request::GetMany { start: 2, stride: 3, count: 4 });
     }
 
     #[test]

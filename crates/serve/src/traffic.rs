@@ -56,35 +56,23 @@ impl Arrival {
     }
 }
 
-/// Relative frequencies of the six request kinds, in the order
-/// `[get, put, cas, transfer, scan, get_many]`.
-///
-/// The presets that predate `GetMany` carry a trailing zero weight: the
-/// kind-selection loop never draws a zero-weight kind and consumes no
-/// extra randomness for it, so their request streams are bit-identical to
-/// the five-kind era (the determinism goldens depend on this).
+/// Relative frequencies of the five request kinds, in the order
+/// `[get, put, cas, transfer, scan]`. The kind-selection loop never draws
+/// a zero-weight kind and consumes no extra randomness for it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Mix(pub [u32; 6]);
+pub struct Mix(pub [u32; 5]);
 
 impl Mix {
     /// A read-mostly service mix: 55% get, 20% put, 10% cas, 10% transfer,
     /// 5% scan.
     pub fn read_mostly() -> Self {
-        Mix([55, 20, 10, 10, 5, 0])
+        Mix([55, 20, 10, 10, 5])
     }
 
     /// A transfer-heavy mix that maximizes write-write conflicts: 20% get,
     /// 10% put, 10% cas, 55% transfer, 5% scan.
     pub fn transfer_heavy() -> Self {
-        Mix([20, 10, 10, 55, 5, 0])
-    }
-
-    /// The MVCC study's scan-heavy read-mostly mix: 50% get, 10% put,
-    /// 5% cas, 5% transfer, 15% scan, 15% get_many — 80% of requests are
-    /// read-only multi-key or point reads, the regime where the snapshot
-    /// read path pays off.
-    pub fn mvcc_read() -> Self {
-        Mix([50, 10, 5, 5, 15, 15])
+        Mix([20, 10, 10, 55, 5])
     }
 
     /// The ledger mix: 80% transfers over a Zipf-skewed account graph,
@@ -94,13 +82,7 @@ impl Mix {
     /// block-executor workload: dense write-write conflicts on the hot
     /// accounts, which ordered re-execution resolves without livelock.
     pub fn ledger() -> Self {
-        Mix([12, 0, 0, 80, 8, 0])
-    }
-
-    /// Fraction of the mix that draws read-only request kinds.
-    pub fn read_only_fraction(&self) -> f64 {
-        let ro = self.0[0] + self.0[4] + self.0[5];
-        f64::from(ro) / f64::from(self.total().max(1))
+        Mix([12, 0, 0, 80, 8])
     }
 
     fn total(&self) -> u32 {
@@ -303,8 +285,7 @@ fn draw_request(spec: &TrafficSpec, zipf: &Zipf, rotate: u64, rng: &mut SmallRng
                     }
                     Request::transfer(key, to, rng.gen_range(1..10i64))
                 }
-                4 => Request::scan(key, spec.scan_len),
-                _ => Request::get_many(key, rng.gen_range(1..8u64), spec.scan_len),
+                _ => Request::scan(key, spec.scan_len),
             };
         }
         pick -= w;
@@ -429,28 +410,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mixes_never_draw_get_many() {
-        // The pre-GetMany presets carry a zero sixth weight and an
-        // unchanged total, so their seeded request streams are exactly the
-        // five-kind streams the determinism goldens were recorded against.
-        for mix in [Mix::read_mostly(), Mix::transfer_heavy()] {
-            assert_eq!(mix.0[5], 0);
-            assert_eq!(mix.total(), 100);
-            let s = TrafficSpec { mix, ..spec(Arrival::Poisson { mean_gap: 10.0 }) };
-            let sched = generate_schedule(&s, 13, 0);
-            assert!(
-                sched.iter().all(|r| !matches!(r.req, Request::GetMany { .. })),
-                "zero-weight kind must never be drawn"
-            );
-        }
-    }
-
-    #[test]
     fn ledger_mix_is_transfer_dominated_and_golden_safe() {
         let mix = Mix::ledger();
-        assert_eq!(mix.0[5], 0, "trailing zero weight keeps the legacy draw stream shape");
         assert_eq!(mix.total(), 100);
-        assert!(mix.read_only_fraction() < 0.5, "the ledger is write-heavy");
         let s = TrafficSpec { mix, ..spec(Arrival::Poisson { mean_gap: 10.0 }) };
         let sched = generate_schedule(&s, 13, 0);
         let transfers = sched.iter().filter(|r| matches!(r.req, Request::Transfer { .. })).count();
@@ -464,32 +426,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mvcc_mix_is_read_mostly_and_draws_get_many() {
-        let mix = Mix::mvcc_read();
-        assert!(mix.read_only_fraction() >= 0.75, "mvcc mix must be read-mostly");
-        let s = TrafficSpec { mix, ..spec(Arrival::Poisson { mean_gap: 10.0 }) };
-        let sched = generate_schedule(&s, 13, 0);
-        let many = sched.iter().filter(|r| matches!(r.req, Request::GetMany { .. })).count();
-        let frac = many as f64 / sched.len() as f64;
-        assert!((0.08..=0.25).contains(&frac), "get_many fraction {frac} far from 0.15");
-        let ro = sched.iter().filter(|r| r.req.txn_kind() == gstm_core::TxnKind::ReadOnly).count();
-        assert!(ro as f64 / sched.len() as f64 > 0.7, "stream must be read-mostly");
-        for r in &sched {
-            if let Request::GetMany { stride, count, .. } = r.req {
-                assert!((1..8).contains(&stride));
-                assert_eq!(count, s.scan_len);
-            }
-        }
-    }
-
     fn primary_key(req: &Request) -> u64 {
         match *req {
             Request::Get { key }
             | Request::Put { key, .. }
             | Request::Cas { key, .. }
             | Request::Transfer { from: key, .. } => key,
-            Request::Scan { start, .. } | Request::GetMany { start, .. } => start,
+            Request::Scan { start, .. } => start,
         }
     }
 
@@ -539,7 +482,7 @@ mod tests {
         let s = TrafficSpec {
             zipf_theta: 0.99,
             requests_per_thread: 8_000,
-            mix: Mix([1, 0, 0, 0, 0, 0]),
+            mix: Mix([1, 0, 0, 0, 0]),
             drift: Some(Drift { theta_end: 0.99, phases: 4, hotspot_step: 16 }),
             ..spec(Arrival::Poisson { mean_gap: 5.0 })
         };
@@ -562,7 +505,7 @@ mod tests {
         let s = TrafficSpec {
             zipf_theta: 0.99,
             requests_per_thread: 8_000,
-            mix: Mix([1, 0, 0, 0, 0, 0]),
+            mix: Mix([1, 0, 0, 0, 0]),
             drift: Some(Drift { theta_end: 0.0, phases: 4, hotspot_step: 0 }),
             ..spec(Arrival::Poisson { mean_gap: 5.0 })
         };
@@ -585,7 +528,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "request mix needs at least one nonzero weight")]
     fn a_zero_weight_mix_panics() {
-        let s = TrafficSpec { mix: Mix([0; 6]), ..spec(Arrival::Poisson { mean_gap: 10.0 }) };
+        let s = TrafficSpec { mix: Mix([0; 5]), ..spec(Arrival::Poisson { mean_gap: 10.0 }) };
         generate_schedule(&s, 1, 0);
     }
 

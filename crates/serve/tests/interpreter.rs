@@ -86,14 +86,6 @@ fn literal_cases_hold_on_every_substrate() {
         (Request::scan(6, 4), Response::ScanSum { count: 4, sum: 400 }, vec![]),
         (Request::scan(0, 10_000), Response::ScanSum { count: 8, sum: 800 }, vec![]),
         (Request::scan(u64::MAX, 3), Response::ScanSum { count: 3, sum: 300 }, vec![]),
-        (Request::get_many(0, 2, 4), Response::Many { found: 4, sum: 400 }, vec![]),
-        (Request::get_many(6, 3, 4), Response::Many { found: 4, sum: 400 }, vec![]),
-        (Request::get_many(0, 0, 10_000), Response::Many { found: 8, sum: 800 }, vec![]),
-        (
-            Request::get_many(u64::MAX, u64::MAX - 3, 8),
-            Response::Many { found: 8, sum: 800 },
-            vec![],
-        ),
     ];
     for (req, want_resp, want_writes) in cases {
         for (substrate, resp, writes) in on_every_substrate(&req) {
@@ -104,8 +96,8 @@ fn literal_cases_hold_on_every_substrate() {
 }
 
 /// A request drawn to hit the edges: keys past the keyspace (by a little and
-/// by a lot), self-transfers, amounts at both `i64` limits, starts and
-/// strides at the `u64` limit.
+/// by a lot), self-transfers, amounts at both `i64` limits, scan starts and
+/// lengths at the `u64` limit.
 fn random_request(rng: &mut SmallRng) -> Request {
     fn pick<T: Copy>(rng: &mut SmallRng, edges: &[T], common: T) -> T {
         if rng.gen_bool(0.15) {
@@ -128,7 +120,7 @@ fn random_request(rng: &mut SmallRng) -> Request {
         let common = rng.gen_range(0..40u64);
         pick(rng, &[u64::MAX, u64::MAX - 3, 1 << 63, 0], common)
     };
-    match rng.gen_range(0..6u32) {
+    match rng.gen_range(0..5u32) {
         0 => Request::get(key(rng)),
         1 => Request::put(key(rng), rng.gen_range(0..4u64)),
         2 => Request::cas(key(rng), rng.gen_range(0..4u64), rng.gen_range(0..4u64)),
@@ -139,8 +131,7 @@ fn random_request(rng: &mut SmallRng) -> Request {
             let edges = [i64::MIN, i64::MAX, i64::MIN + 7, i64::MAX - 200, -(i64::MAX - 200)];
             Request::transfer(from, to, pick(rng, &edges, common))
         }
-        4 => Request::scan(word(rng), word(rng)),
-        _ => Request::get_many(word(rng), word(rng), word(rng)),
+        _ => Request::scan(word(rng), word(rng)),
     }
 }
 

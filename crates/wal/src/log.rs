@@ -256,7 +256,15 @@ impl Wal {
             self.write_batch(mine, batch);
             staged = 0;
         }
-        self.in_log.load(Ordering::Relaxed) + staged as u64 >= self.cfg.snapshot_every
+        self.advises(staged as u64)
+    }
+
+    /// Whether the log, with `staged` more records, holds
+    /// [`WalConfig::snapshot_every`] records: the advice [`Wal::append`]
+    /// gives. With `0`, whether a snapshot is still due once every batch is
+    /// flushed.
+    pub fn advises(&self, staged: u64) -> bool {
+        self.in_log.load(Ordering::Relaxed) + staged >= self.cfg.snapshot_every
     }
 
     /// Flushes every slot's batch under assembly (one group commit each).
