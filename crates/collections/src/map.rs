@@ -52,12 +52,8 @@ where
         THashMap { buckets: (0..buckets).map(|_| TVar::new(Vec::new())).collect() }
     }
 
-    /// Number of buckets (conflict granularity).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// The bucket `key` lives in: its hash modulo [`THashMap::bucket_count`].
+    /// The bucket `key` lives in: its hash modulo the bucket count given to
+    /// [`THashMap::new`].
     /// A caller that looks the same keys up again and again can keep this
     /// and address the bucket through [`THashMap::get_in`] /
     /// [`THashMap::insert_in`] without hashing.
@@ -90,7 +86,7 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `bucket` is not below [`THashMap::bucket_count`].
+    /// Panics if `bucket` is not below the map's bucket count.
     pub fn insert_in(
         &self,
         tx: &mut Txn<'_>,
@@ -128,7 +124,7 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `bucket` is not below [`THashMap::bucket_count`].
+    /// Panics if `bucket` is not below the map's bucket count.
     pub fn get_in(&self, tx: &mut Txn<'_>, bucket: usize, key: &K) -> Result<Option<V>, Abort> {
         debug_assert_eq!(bucket, self.bucket_index(key), "key addressed through a foreign bucket");
         let entries = tx.read_arc(&self.buckets[bucket])?;

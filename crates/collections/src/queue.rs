@@ -117,11 +117,6 @@ impl<T: Clone + Send + Sync + 'static> TWorklist<T> {
         TWorklist { shards: lists.into_iter().map(TVar::new).collect() }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Transactionally pushes onto `shard` (wrapped into range).
     ///
     /// # Errors

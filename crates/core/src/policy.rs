@@ -23,11 +23,6 @@ pub trait AdmissionPolicy: Send + Sync {
     /// Returns the number of polls spent (0 = admitted immediately); the
     /// engine emits a [`crate::events::TxEvent::Held`] event when non-zero.
     fn admit(&self, who: Participant, poll: &mut dyn FnMut()) -> u32;
-
-    /// Human-readable policy name for reports.
-    fn name(&self) -> &'static str {
-        "unnamed"
-    }
 }
 
 /// Admits every transaction immediately — the unguided baseline.
@@ -37,10 +32,6 @@ pub struct AdmitAll;
 impl AdmissionPolicy for AdmitAll {
     fn admit(&self, _who: Participant, _poll: &mut dyn FnMut()) -> u32 {
         0
-    }
-
-    fn name(&self) -> &'static str {
-        "admit-all"
     }
 }
 
@@ -56,6 +47,5 @@ mod tests {
             AdmitAll.admit(Participant::new(ThreadId::new(0), TxId::new(0)), &mut || polls += 1);
         assert_eq!(got, 0);
         assert_eq!(polls, 0);
-        assert_eq!(AdmitAll.name(), "admit-all");
     }
 }

@@ -14,12 +14,12 @@
 //! no platform-dependent state.
 //!
 //! ```
-//! use gstm_core::rng::{SliceRandom, SmallRng};
+//! use gstm_core::rng::SmallRng;
 //! let mut rng = SmallRng::seed_from_u64(42);
 //! let d = rng.gen_range(0..6u32);
 //! assert!(d < 6);
 //! let mut cards = [1, 2, 3, 4];
-//! cards.shuffle(&mut rng);
+//! rng.shuffle(&mut cards);
 //! assert_eq!(SmallRng::seed_from_u64(7).next_u64(), SmallRng::seed_from_u64(7).next_u64());
 //! ```
 
@@ -52,7 +52,7 @@ impl SplitMix64 {
 ///
 /// Drop-in for the subset of `rand::rngs::SmallRng` this workspace used:
 /// [`SmallRng::seed_from_u64`], [`SmallRng::gen_range`], [`SmallRng::gen`],
-/// [`SmallRng::gen_bool`] and (via [`SliceRandom`]) slice shuffling.
+/// [`SmallRng::gen_bool`] and [`SmallRng::shuffle`].
 #[derive(Clone, Debug)]
 pub struct SmallRng {
     s: [u64; 4],
@@ -103,6 +103,15 @@ impl SmallRng {
     pub fn gen_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         self.gen::<f64>() < p
+    }
+
+    /// Fisher–Yates shuffle of `items` in place, from the last position
+    /// down, as `rand`'s slice shuffle draws.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.below(i as u64 + 1) as usize;
+            items.swap(i, j);
+        }
     }
 
     /// Uniform `u64` below `bound` via Lemire's widening-multiply method
@@ -349,37 +358,6 @@ impl Zipf {
     }
 }
 
-/// Slice shuffling, mirroring `rand::seq::SliceRandom`.
-pub trait SliceRandom {
-    /// Element type.
-    type Item;
-
-    /// Fisher–Yates shuffle in place.
-    fn shuffle(&mut self, rng: &mut SmallRng);
-
-    /// A uniformly chosen element, `None` when empty.
-    fn choose<'a>(&'a self, rng: &mut SmallRng) -> Option<&'a Self::Item>;
-}
-
-impl<T> SliceRandom for [T] {
-    type Item = T;
-
-    fn shuffle(&mut self, rng: &mut SmallRng) {
-        for i in (1..self.len()).rev() {
-            let j = rng.below(i as u64 + 1) as usize;
-            self.swap(i, j);
-        }
-    }
-
-    fn choose<'a>(&'a self, rng: &mut SmallRng) -> Option<&'a T> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(&self[rng.below(self.len() as u64) as usize])
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,11 +436,22 @@ mod tests {
     fn shuffle_is_a_permutation() {
         let mut rng = SmallRng::seed_from_u64(11);
         let mut v: Vec<u32> = (0..50).collect();
-        v.shuffle(&mut rng);
+        rng.shuffle(&mut v);
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, sorted, "50 elements virtually never shuffle to identity");
+    }
+
+    /// The stream `genome` and `intruder` build their inputs from: a change
+    /// to the draw order moves this permutation and the state after it.
+    #[test]
+    fn shuffle_draws_a_pinned_permutation() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut v: Vec<u32> = (0..10).collect();
+        rng.shuffle(&mut v);
+        assert_eq!(v, [2, 5, 6, 0, 3, 1, 4, 9, 7, 8]);
+        assert_eq!(rng.next_u64(), 0x64cb_5787_54ee_04a8);
     }
 
     #[test]
@@ -626,13 +615,8 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_bool() {
+    fn gen_bool_is_fair() {
         let mut rng = SmallRng::seed_from_u64(13);
-        assert!(Vec::<u8>::new().choose(&mut rng).is_none());
-        let xs = [7u8, 8, 9];
-        for _ in 0..50 {
-            assert!(xs.contains(xs.choose(&mut rng).unwrap()));
-        }
         let heads = (0..2000).filter(|_| rng.gen_bool(0.5)).count();
         assert!((800..1200).contains(&heads), "{heads}");
     }

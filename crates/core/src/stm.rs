@@ -634,11 +634,6 @@ impl<'stm> Txn<'stm> {
         self.attempt
     }
 
-    /// This attempt's declared intent.
-    pub fn kind(&self) -> TxnKind {
-        self.kind
-    }
-
     /// Charges `ticks` of application compute to the machine model.
     ///
     /// In simulation this advances the thread's virtual clock (making the

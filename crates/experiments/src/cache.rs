@@ -48,11 +48,6 @@ impl DiskCache {
         DiskCache { root: root.into() }
     }
 
-    /// The cache's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn model_path(&self, key: &str) -> PathBuf {
         self.root.join("models").join(format!("{}.gtsa", fingerprint_hex(key.as_bytes())))
     }
@@ -181,7 +176,6 @@ pub fn encode_run(out: &RunOutcome, key: &str) -> JsonValue {
         ("version".into(), num(RUN_VERSION)),
         ("key".into(), JsonValue::Str(key.into())),
         ("thread_ticks".into(), nums(&out.thread_ticks)),
-        ("thread_wall_ticks".into(), nums(&out.thread_wall_ticks)),
         ("makespan".into(), num(out.makespan)),
         ("commits".into(), nums(&out.commits)),
         ("aborts".into(), nums(&out.aborts)),
@@ -244,7 +238,6 @@ pub fn decode_run(text: &str, key: &str) -> Option<RunOutcome> {
     };
     Some(RunOutcome {
         thread_ticks: u64_list(v.get("thread_ticks")?)?,
-        thread_wall_ticks: u64_list(v.get("thread_wall_ticks")?)?,
         makespan: as_u64(v.get("makespan")?)?,
         commits: u64_list(v.get("commits")?)?,
         aborts: u64_list(v.get("aborts")?)?,
@@ -272,7 +265,6 @@ mod tests {
         snap.set_gauge("gstm_sim_makespan_ticks", 911);
         RunOutcome {
             thread_ticks: vec![900, 911],
-            thread_wall_ticks: vec![905, 911],
             makespan: 911,
             commits: vec![10, 9],
             aborts: vec![2, 3],
@@ -289,7 +281,6 @@ mod tests {
 
     fn assert_outcomes_equal(a: &RunOutcome, b: &RunOutcome) {
         assert_eq!(a.thread_ticks, b.thread_ticks);
-        assert_eq!(a.thread_wall_ticks, b.thread_wall_ticks);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.commits, b.commits);
         assert_eq!(a.aborts, b.aborts);

@@ -364,6 +364,10 @@ fn main() {
                 opts.threads = t;
             }
             if let Some(o) = flag_number(&args, "--ops") {
+                if o == 0 {
+                    eprintln!("check: --ops must be at least 1, got 0");
+                    std::process::exit(2);
+                }
                 opts.ops_per_thread = o;
             }
             let (body, ok) = gstm_experiments::checkcmd::run_matrix(&opts, &pipe);

@@ -98,7 +98,6 @@ mod tests {
     fn outcome(ticks: Vec<u64>, nd: usize, hist0: &[(u32, u64)]) -> RunOutcome {
         RunOutcome {
             thread_ticks: ticks.clone(),
-            thread_wall_ticks: ticks.clone(),
             makespan: ticks.iter().copied().max().unwrap_or(0),
             commits: vec![1; ticks.len()],
             aborts: vec![0; ticks.len()],

@@ -39,7 +39,7 @@ use gstm_serve::{
     recover_store, store_digest, Arrival, BackendKind, DurableBackend, EphemeralBackend,
     Materializer, Request, ServeRun, ServeSpec, ShardedStore, StoreBackend,
 };
-use gstm_sim::{ChaosConfig, ChaosGate, SimConfig, SimMachine, WaitBarrier};
+use gstm_sim::{ChaosConfig, ChaosGate, SimConfig, SimMachine};
 use gstm_wal::{LogDevice, MemDevice, Wal, WalConfig, WalError};
 
 use crate::checkcmd::{cell_seed, cm_axis, cm_label};
@@ -193,7 +193,7 @@ fn run_seed(cell: CellSpec, opts: &RecoverOptions, run_seed: u64) -> String {
     chaos.arm_kill(Arc::clone(&kill));
 
     let run = ServeRun::with_backend(spec.clone(), Arc::clone(&backend), threads, run_seed);
-    let barrier: Arc<dyn WaitBarrier> = Arc::new(machine.barrier(threads));
+    let barrier = Arc::new(machine.barrier(threads));
     let workers: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
         .map(|t| {
             let stm = Arc::clone(&stm);

@@ -60,7 +60,8 @@ fn an_out_of_range_count_is_rejected_before_any_run() {
     // A thread count past u16::MAX used to panic in `StmConfig::new`
     // (exit 101); `block-smoke --requests 0` ran every lane and then failed
     // its own comparison (exit 1); `check`/`recover` ran 2 threads for
-    // `--threads 0|1` and `recover` 1 request for `--requests 0`, exit 0.
+    // `--threads 0|1` and `recover` 1 request for `--requests 0`, exit 0;
+    // `check --ops 0` ran every cell and reported each as a violation.
     for (args, message) in [
         (
             &["check", "--tiny", "--threads", "70000", "--ops", "1"][..],
@@ -86,6 +87,7 @@ fn an_out_of_range_count_is_rejected_before_any_run() {
             &["recover", "--tiny", "--requests", "0", "--no-cache"],
             "recover: --requests must be at least 1, got 0",
         ),
+        (&["check", "--tiny", "--ops", "0"], "check: --ops must be at least 1, got 0"),
         (&["block-smoke", "--requests", "0"], "block-smoke: --requests must be at least 1, got 0"),
     ] {
         let out = experiments(&dir, args);

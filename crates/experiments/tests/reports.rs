@@ -11,7 +11,6 @@ use gstm_guide::RunOutcome;
 fn outcome(ticks: &[u64], nd: usize) -> RunOutcome {
     RunOutcome {
         thread_ticks: ticks.to_vec(),
-        thread_wall_ticks: ticks.to_vec(),
         makespan: ticks.iter().copied().max().unwrap_or(0),
         commits: vec![10; ticks.len()],
         aborts: vec![2; ticks.len()],

@@ -145,10 +145,6 @@ impl AdmissionPolicy for AdaptivePolicy {
             0
         }
     }
-
-    fn name(&self) -> &'static str {
-        "adaptive-guided"
-    }
 }
 
 /// The loop's one sink: the tracker closes each tuple once, and the closed

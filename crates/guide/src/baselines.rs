@@ -106,10 +106,6 @@ impl AdmissionPolicy for BoundedAbortsPolicy {
         }
         polls
     }
-
-    fn name(&self) -> &'static str {
-        "bounded-aborts"
-    }
 }
 
 /// DeSTM-style determinism: threads may only begin transactions in strict
@@ -179,10 +175,6 @@ impl AdmissionPolicy for DeterministicPolicy {
             }
         }
         polls
-    }
-
-    fn name(&self) -> &'static str {
-        "deterministic"
     }
 }
 

@@ -11,7 +11,7 @@ use gstm_core::{
     StmConfig, ThreadId, TxEvent,
 };
 use gstm_model::{GuidedModel, StateTracker};
-use gstm_sim::{SimConfig, SimMachine, WaitBarrier};
+use gstm_sim::{SimBarrier, SimConfig, SimMachine};
 use gstm_telemetry::{MetricsRegistry, Snapshot, ThreadMetrics};
 
 use crate::adaptive::AdaptivePolicy;
@@ -28,7 +28,7 @@ pub struct WorkerEnv {
     /// Total number of workers.
     pub threads: usize,
     /// All-worker barrier (SynQuake's frame loop synchronizes on this).
-    pub barrier: Arc<dyn WaitBarrier>,
+    pub barrier: Arc<SimBarrier>,
 }
 
 impl std::fmt::Debug for WorkerEnv {
@@ -223,8 +223,6 @@ pub struct RunOutcome {
     /// waits). This is the quantity whose stddev the paper reports: it
     /// "accounts for the number of rollbacks seen by the thread".
     pub thread_ticks: Vec<u64>,
-    /// Per-thread wall-clock-like time including barrier waits.
-    pub thread_wall_ticks: Vec<u64>,
     /// Max thread time — "execution time of the benchmark".
     pub makespan: u64,
     /// Per-thread commit counts.
@@ -352,7 +350,7 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
         let _ids = var_domain.install();
         workload.instantiate(threads, opts.seed)
     };
-    let barrier: Arc<dyn WaitBarrier> = Arc::new(machine.barrier(threads));
+    let barrier = Arc::new(machine.barrier(threads));
     let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
         .map(|i| {
             let env = WorkerEnv {
@@ -400,7 +398,6 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
     };
     RunOutcome {
         thread_ticks: report.active_ticks,
-        thread_wall_ticks: report.thread_ticks,
         makespan: report.makespan,
         commits: tally(|m| &m.commits),
         aborts: tally(|m| &m.aborts),

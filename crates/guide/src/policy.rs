@@ -121,10 +121,6 @@ impl AdmissionPolicy for GuidedPolicy {
         outcome.fetch_add(1, Ordering::Relaxed);
         polls
     }
-
-    fn name(&self) -> &'static str {
-        "guided"
-    }
 }
 
 #[cfg(test)]
@@ -213,11 +209,5 @@ mod tests {
     #[should_panic(expected = "requires a tracker with a model")]
     fn modelless_tracker_rejected() {
         let _ = GuidedPolicy::new(Arc::new(StateTracker::new()), 8);
-    }
-
-    #[test]
-    fn name_is_guided() {
-        let (_t, pol) = policy(1);
-        assert_eq!(AdmissionPolicy::name(&pol), "guided");
     }
 }

@@ -64,9 +64,6 @@ pub trait StoreBackend: Send + Sync {
     /// The in-memory store requests execute against.
     fn store(&self) -> &ShardedStore;
 
-    /// Stable label (tables, cache keys).
-    fn label(&self) -> &'static str;
-
     /// Called by the worker *after* `stm.run` returned for a served
     /// request — off the lock-hold path. `seq` is the engine's global
     /// commit sequence number for that transaction.
@@ -94,10 +91,6 @@ impl EphemeralBackend {
 impl StoreBackend for EphemeralBackend {
     fn store(&self) -> &ShardedStore {
         &self.store
-    }
-
-    fn label(&self) -> &'static str {
-        BackendKind::Ephemeral.label()
     }
 }
 
@@ -379,10 +372,6 @@ impl DurableBackend {
 impl StoreBackend for DurableBackend {
     fn store(&self) -> &ShardedStore {
         &self.store
-    }
-
-    fn label(&self) -> &'static str {
-        BackendKind::Durable.label()
     }
 
     fn on_commit(&self, seq: u64, req: &Request) {

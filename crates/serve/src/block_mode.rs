@@ -33,13 +33,11 @@ use std::sync::{Arc, RwLock};
 
 use gstm_block::{execute_block, stream_block_on, BlockConfig, BlockHooks, BlockPool, BlockStats};
 use gstm_check::BlockRecord;
-use gstm_core::{RealGate, Stm, ThreadId};
+use gstm_core::{RealGate, Stm, StmConfig, ThreadId};
 use gstm_wal::fnv1a64;
 
 use crate::backend::{store_digest, Materializer, StoreBackend};
-use crate::service::{
-    spine_config, NativeReport, ServeClock, ServeMode, ServeSpec, ThreadLog, WallClock,
-};
+use crate::service::{NativeReport, ServeClock, ServeMode, ServeSpec, ThreadLog, WallClock};
 use crate::store::{interpret, Entry, EntryAccess, Request, Response};
 use crate::traffic::{generate_schedules, ScheduledRequest};
 
@@ -284,7 +282,7 @@ pub(crate) fn run_native_block(
         .unwrap_or_else(|e| panic!("invalid block config: {e}"));
     let order = merge_block_order(spec, threads, seed);
     let run = Arc::new(Run {
-        stm: Stm::new_on(spine_config(spec, threads), Arc::new(RealGate::new(yield_every))),
+        stm: Stm::new_on(StmConfig::new(threads), Arc::new(RealGate::new(yield_every))),
         backend,
         clock: WallClock::new(nanos_per_tick),
         seen: AtomicU64::new(0),
@@ -591,7 +589,7 @@ mod tests {
     fn a_request_is_never_admitted_before_it_is_due() {
         let spec = block_spec(100, 256);
         let run = Arc::new(Run {
-            stm: Stm::new_on(spine_config(&spec, 2), Arc::new(RealGate::new(0))),
+            stm: Stm::new_on(StmConfig::new(2), Arc::new(RealGate::new(0))),
             backend: Arc::new(crate::backend::EphemeralBackend::new(ShardedStore::new(
                 spec.shards,
                 spec.buckets_per_shard,
@@ -631,9 +629,6 @@ mod tests {
     impl StoreBackend for LaneProbe {
         fn store(&self) -> &ShardedStore {
             self.inner.store()
-        }
-        fn label(&self) -> &'static str {
-            self.inner.label()
         }
         fn on_commit(&self, seq: u64, req: &Request) {
             self.committers.lock().unwrap().insert(std::thread::current().id());

@@ -80,16 +80,6 @@ pub enum ServeMode {
     },
 }
 
-impl ServeMode {
-    /// Short tag used in cache keys and result tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServeMode::Interleaved => "interleaved",
-            ServeMode::Block { .. } => "block",
-        }
-    }
-}
-
 /// Full description of one serve configuration — store shape, traffic, and
 /// service parameters. Everything that defines the offered load lives
 /// here, so a spec plus a seed fully determines a run's input.
@@ -554,11 +544,6 @@ impl ServeRun {
         }
     }
 
-    /// The backend this run serves from.
-    pub fn backend(&self) -> &Arc<dyn StoreBackend> {
-        &self.backend
-    }
-
     /// Merged sojourn histogram across threads.
     pub fn sojourn_snapshot(&self) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::empty();
@@ -617,11 +602,9 @@ impl WorkloadRun for ServeRun {
         vec![
             ("req_done".into(), done as f64),
             ("req_shed".into(), shed as f64),
-            ("sojourn_mean".into(), s.mean()),
             ("sojourn_p50".into(), s.p(0.50)),
             ("sojourn_p95".into(), s.p(0.95)),
             ("sojourn_p99".into(), s.p(0.99)),
-            ("req_done_ro".into(), self.total_read_only() as f64),
         ]
     }
 }
@@ -648,10 +631,6 @@ impl Workload for ServeWorkload {
 
     fn instantiate(&self, threads: usize, seed: u64) -> Box<dyn WorkloadRun> {
         Box::new(ServeRun::new(self.spec.clone(), threads, seed))
-    }
-
-    fn stm_config(&self, threads: usize) -> StmConfig {
-        spine_config(&self.spec, threads)
     }
 }
 
@@ -722,6 +701,35 @@ const PLACEMENT_CHECK: Duration = Duration::from_millis(1);
 /// 0.1 s slices, 1024 spread 5 and 2048 spread 1, while the overloaded
 /// `wide` run spread after 0.7, 1.2 and 1.8 ms.
 const PLACEMENT_WINDOW: u64 = 1024;
+
+/// What a [`Home`] makes of the arrivals since its window opened.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Window {
+    /// Fewer than [`PLACEMENT_WINDOW`] arrivals: keep counting.
+    Open,
+    /// A full window, at most half of it late (the late share): stay home
+    /// and open the next window.
+    Stay(f64),
+    /// A full window, more than half of it late (the late share): spread.
+    Spread(f64),
+}
+
+/// The spread rule over a window of `arrivals`, `late` of them already due
+/// when their thread reached them. One half because, swept over offered
+/// load on the same VM, co-located threads beat free ones where the late
+/// share read up to 0.42 and lost where it read 0.6 or more (wide and
+/// durable shapes).
+fn judge_window(arrivals: u64, late: u64) -> Window {
+    if arrivals < PLACEMENT_WINDOW {
+        return Window::Open;
+    }
+    let share = late as f64 / arrivals as f64;
+    if 2 * late > arrivals {
+        Window::Spread(share)
+    } else {
+        Window::Stay(share)
+    }
+}
 
 /// A run's serve threads while they share their caller's CPU.
 struct Home {
@@ -805,12 +813,8 @@ impl Home {
     }
 
     /// Runs on the caller's thread until every serve thread has finished:
-    /// every [`PLACEMENT_CHECK`], the arrivals since the window began; once
-    /// they are [`PLACEMENT_WINDOW`] or more, a window in which more than
-    /// half were already due spreads the run, and any other starts the next.
-    /// One half because, swept over offered load on the same VM, co-located
-    /// threads beat free ones where the late share read up to 0.42 and lost
-    /// where it read 0.6 or more (wide and durable shapes).
+    /// every [`PLACEMENT_CHECK`], judges the arrivals since the window began
+    /// ([`judge_window`]) and spreads the run or opens the next window.
     fn watch(&self, logs: &[Arc<ThreadLog>], clock: &WallClock) -> Placement {
         // `late` is released after `done` is bumped and acquired before
         // `done` is read, so a window's late count never exceeds its arrivals.
@@ -827,17 +831,19 @@ impl Home {
         while self.left.load(Ordering::SeqCst) < self.tids.len() {
             std::thread::park_timeout(PLACEMENT_CHECK);
             let now = counts();
-            let (arrivals, late) = (now.0 - from.0, now.1 - from.1);
-            if arrivals < PLACEMENT_WINDOW {
-                continue;
+            match judge_window(now.0 - from.0, now.1 - from.1) {
+                Window::Open => {}
+                Window::Stay(share) => {
+                    placement.late_share = Some(share);
+                    from = now;
+                }
+                Window::Spread(share) => {
+                    placement.late_share = Some(share);
+                    placement.spread_at = Some(clock.now(ThreadId::new(0)));
+                    self.spread();
+                    return placement;
+                }
             }
-            placement.late_share = Some(late as f64 / arrivals as f64);
-            if 2 * late > arrivals {
-                placement.spread_at = Some(clock.now(ThreadId::new(0)));
-                self.spread();
-                return placement;
-            }
-            from = now;
         }
         placement
     }
@@ -924,8 +930,7 @@ pub fn run_native(
         );
     }
     let run = ServeRun::with_backend(spec.clone(), backend, threads, seed);
-    let stm =
-        Arc::new(Stm::new_on(spine_config(spec, threads), Arc::new(RealGate::new(yield_every))));
+    let stm = Arc::new(Stm::new_on(StmConfig::new(threads), Arc::new(RealGate::new(yield_every))));
     let home = Home::of_caller(threads);
     let clock = WallClock::new(nanos_per_tick);
     let placement = std::thread::scope(|scope| {
@@ -1160,7 +1165,7 @@ mod tests {
             2,
             21,
         );
-        let stm = Stm::new_on(spine_config(&spec, 2), Arc::new(RealGate::new(64)));
+        let stm = Stm::new_on(StmConfig::new(2), Arc::new(RealGate::new(64)));
         let clock = WallClock::new(1);
         for t in 0..2usize {
             serve_schedule(
@@ -1267,6 +1272,16 @@ mod tests {
         let placed = affinity::allowed().len() > 1;
         assert_eq!(report.placement.is_some(), placed, "{:?}", report.placement);
         placed
+    }
+
+    /// The spread rule at its edges: a window needs 1,024 arrivals, and one
+    /// late arrival past exactly half spreads the run.
+    #[test]
+    fn a_window_spreads_only_when_full_and_more_than_half_late() {
+        assert_eq!(judge_window(1023, 1023), Window::Open);
+        assert_eq!(judge_window(1024, 512), Window::Stay(0.5));
+        assert_eq!(judge_window(1024, 513), Window::Spread(513.0 / 1024.0));
+        assert_eq!(judge_window(1024, 0), Window::Stay(0.0));
     }
 
     /// 100k req/s for 30 ms, a few per cent of what one CPU serves: the late

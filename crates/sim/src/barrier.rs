@@ -3,20 +3,13 @@
 //! SynQuake's server loop processes each frame "within barriers" (§VIII).
 //! A plain [`std::sync::Barrier`] would block workers *outside* the gate and
 //! hang the simulated scheduler, so workloads synchronize through
-//! [`WaitBarrier`], implemented by [`SimBarrier`] (simulation) and
-//! [`NativeBarrier`] (real threads).
+//! [`SimBarrier`].
 
 use std::sync::Arc;
 
 use gstm_core::ThreadId;
 
 use crate::machine::Shared;
-
-/// A barrier usable from gated worker closures on either machine.
-pub trait WaitBarrier: Send + Sync {
-    /// Blocks `thread` until all parties arrive.
-    fn wait(&self, thread: ThreadId);
-}
 
 /// Barrier on the simulated machine: arrival parks the worker; release
 /// aligns all members' virtual clocks to the slowest member, exactly like a
@@ -34,34 +27,9 @@ impl SimBarrier {
         SimBarrier { id, parties, shared }
     }
 
-    /// Number of parties this barrier waits for.
-    pub fn parties(&self) -> usize {
-        self.parties
-    }
-}
-
-impl WaitBarrier for SimBarrier {
-    fn wait(&self, thread: ThreadId) {
+    /// Blocks `thread` until all parties arrive.
+    pub fn wait(&self, thread: ThreadId) {
         self.shared.barrier(thread.index(), self.id, self.parties);
-    }
-}
-
-/// Barrier for native-thread runs; wraps [`std::sync::Barrier`].
-#[derive(Debug)]
-pub struct NativeBarrier {
-    inner: std::sync::Barrier,
-}
-
-impl NativeBarrier {
-    /// Creates a native barrier for `parties` threads.
-    pub fn new(parties: usize) -> Self {
-        NativeBarrier { inner: std::sync::Barrier::new(parties) }
-    }
-}
-
-impl WaitBarrier for NativeBarrier {
-    fn wait(&self, _thread: ThreadId) {
-        self.inner.wait();
     }
 }
 
@@ -123,15 +91,6 @@ mod tests {
             .collect();
         m.run(workers);
         assert_eq!(counter.into_inner(), 3 * rounds);
-    }
-
-    #[test]
-    fn native_barrier_round_trip() {
-        let b = Arc::new(NativeBarrier::new(2));
-        let b2 = Arc::clone(&b);
-        let h = std::thread::spawn(move || b2.wait(ThreadId::new(1)));
-        b.wait(ThreadId::new(0));
-        h.join().unwrap();
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod chaos;
 mod gate;
 mod machine;
 
-pub use barrier::{NativeBarrier, SimBarrier, WaitBarrier};
+pub use barrier::SimBarrier;
 pub use chaos::{ChaosConfig, ChaosGate, ChaosStats};
 pub use gate::SimGate;
 pub use machine::{RunReport, SimConfig, SimMachine};

@@ -401,7 +401,7 @@ impl SimMachine {
     }
 
     /// Creates a barrier for `parties` workers, usable inside worker
-    /// closures via [`crate::WaitBarrier`].
+    /// closures via [`SimBarrier::wait`](crate::SimBarrier::wait).
     pub fn barrier(&self, parties: usize) -> SimBarrier {
         let id = self.next_barrier.fetch_add(1, Ordering::Relaxed);
         SimBarrier::new(id, parties, Arc::clone(&self.shared))

@@ -8,7 +8,7 @@
 use std::sync::{Arc, Mutex};
 
 use gstm_core::{Gate, ThreadId};
-use gstm_sim::{SimConfig, SimMachine, WaitBarrier};
+use gstm_sim::{SimConfig, SimMachine};
 use gstm_telemetry::MetricsRegistry;
 
 const WORKERS: usize = 8;

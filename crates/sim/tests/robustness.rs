@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use gstm_core::{Gate, ThreadId};
-use gstm_sim::{SimConfig, SimMachine, WaitBarrier};
+use gstm_sim::{SimConfig, SimMachine};
 
 #[test]
 #[should_panic(expected = "deadlock")]

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use gstm_core::rng::{SliceRandom, SmallRng};
+use gstm_core::rng::SmallRng;
 use gstm_core::sync::Mutex;
 
 use gstm_collections::{THashMap, TSet};
@@ -83,7 +83,7 @@ impl Workload for Genome {
         for _ in 0..self.copies {
             pool.extend(&segments);
         }
-        pool.shuffle(&mut rng);
+        rng.shuffle(&mut pool);
         Box::new(GenomeRun {
             pool,
             uniques: uniques.len(),

@@ -9,7 +9,7 @@
 //!
 //! Transaction sites: `a` = dequeue, `b` = reassemble, `c` = record attack.
 
-use gstm_core::rng::{SliceRandom, SmallRng};
+use gstm_core::rng::SmallRng;
 
 use gstm_collections::{THashMap, TQueue, TSet};
 use gstm_core::TxId;
@@ -94,7 +94,7 @@ impl Workload for Intruder {
                 });
             }
         }
-        fragments.shuffle(&mut rng);
+        rng.shuffle(&mut fragments);
         Box::new(IntruderRun {
             params: *self,
             queue: TQueue::seeded(fragments),

@@ -35,7 +35,7 @@ pub use genome::Genome;
 pub use intruder::Intruder;
 pub use kmeans::Kmeans;
 pub use labyrinth::Labyrinth;
-pub use registry::{all_benchmarks, benchmark, BENCHMARK_NAMES};
+pub use registry::{benchmark, BENCHMARK_NAMES};
 pub use size::InputSize;
 pub use ssca2::Ssca2;
 pub use vacation::Vacation;

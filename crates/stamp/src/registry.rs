@@ -28,14 +28,6 @@ pub fn benchmark(name: &str, size: InputSize) -> Option<Box<dyn Workload>> {
     Some(w)
 }
 
-/// The full suite at one input size, in table order.
-pub fn all_benchmarks(size: InputSize) -> Vec<Box<dyn Workload>> {
-    BENCHMARK_NAMES
-        .iter()
-        .map(|name| benchmark(name, size).expect("registry covers its own names"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -47,11 +39,5 @@ mod tests {
             assert_eq!(w.name(), name);
         }
         assert!(benchmark("bayes", InputSize::Small).is_none());
-    }
-
-    #[test]
-    fn all_benchmarks_in_order() {
-        let names: Vec<&str> = all_benchmarks(InputSize::Small).iter().map(|w| w.name()).collect();
-        assert_eq!(names, BENCHMARK_NAMES);
     }
 }

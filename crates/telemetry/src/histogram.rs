@@ -93,16 +93,6 @@ impl HistogramSnapshot {
         self.buckets.iter().sum()
     }
 
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / n as f64
-        }
-    }
-
     /// Upper bound of the bucket containing quantile `q` (0 when empty).
     ///
     /// # Panics
@@ -236,7 +226,6 @@ mod tests {
         assert_eq!(s.sum, 12);
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.buckets[1], 2);
-        assert!((s.mean() - 2.4).abs() < 1e-12);
     }
 
     #[test]

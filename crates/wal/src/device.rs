@@ -115,11 +115,6 @@ impl FileDevice {
         FileDevice { path: path.into(), state: Mutex::default() }
     }
 
-    /// The path the device was opened on (generation 0's file).
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
     /// Closes the write handle (the next `append` reopens the file): an
     /// unlinked file's blocks are only freed when its last handle closes.
     pub fn close(&self) {

@@ -101,24 +101,25 @@ diff -u results/all_fast.txt "$fast_dir/stdout.txt" \
     || { echo "fast pipeline: a paper table moved; regenerate results/all_fast.txt and say why"; exit 1; }
 rm -rf "$fast_dir"
 
+# The four smokes below each run in their own directory under target/, like
+# the two above: the tables they write land there, and each is diffed
+# against the committed one, so a failing run leaves the work tree as it was.
 echo "==> serve smoke: tail-latency study must be deterministic per seed"
-serve_dir="target/gstm-ci-serve-smoke"
+serve_dir="$PWD/target/gstm-ci-serve-smoke"
 rm -rf "$serve_dir"
 mkdir -p "$serve_dir"
-./target/release/experiments serve --tiny --jobs 2 \
-    --cache-dir "$serve_dir/cache" \
-    >"$serve_dir/cold.out" 2>"$serve_dir/cold.err"
-cp results/serve.txt "$serve_dir/cold.txt"
-./target/release/experiments serve --tiny --jobs 2 \
-    --cache-dir "$serve_dir/cache" \
-    >"$serve_dir/warm.out" 2>"$serve_dir/warm.err"
-cp results/serve.txt "$serve_dir/warm.txt"
-./target/release/experiments serve --tiny --jobs 2 --no-cache \
-    >"$serve_dir/nocache.out" 2>"$serve_dir/nocache.err"
+for pass in cold warm; do
+    (cd "$serve_dir" && "$experiments" serve --tiny --jobs 2 --cache-dir cache \
+        >"$pass.out" 2>"$pass.err")
+    cp "$serve_dir/results/serve.txt" "$serve_dir/$pass.txt"
+done
+(cd "$serve_dir" && "$experiments" serve --tiny --jobs 2 --no-cache >nocache.out 2>nocache.err)
 diff -u "$serve_dir/cold.txt" "$serve_dir/warm.txt" \
     || { echo "serve smoke: warm rerun table diverged"; exit 1; }
-diff -u "$serve_dir/cold.txt" results/serve.txt \
+diff -u "$serve_dir/cold.txt" "$serve_dir/results/serve.txt" \
     || { echo "serve smoke: same seed produced different serve table bytes"; exit 1; }
+diff -u results/serve.txt "$serve_dir/cold.txt" \
+    || { echo "serve smoke: results/serve.txt drifted from the committed table"; exit 1; }
 grep -qE "models [1-9][0-9]* hit / 0 miss" "$serve_dir/warm.err" \
     || { echo "serve smoke: warm run retrained instead of hitting the model cache"; exit 1; }
 grep -qE "runs [1-9][0-9]* hit / 0 miss" "$serve_dir/warm.err" \
@@ -126,50 +127,44 @@ grep -qE "runs [1-9][0-9]* hit / 0 miss" "$serve_dir/warm.err" \
 rm -rf "$serve_dir"
 
 echo "==> chaos matrix: opacity oracle must report zero violations"
-cp results/check.txt target/check-committed.txt
-./target/release/experiments check --tiny --seed 7 --jobs 2 \
-    || { echo "chaos matrix: opacity/serializability violations (see results/check.txt)"; exit 1; }
-diff -u target/check-committed.txt results/check.txt \
+check_dir="$PWD/target/gstm-ci-check-smoke"
+rm -rf "$check_dir"
+mkdir -p "$check_dir"
+(cd "$check_dir" && "$experiments" check --tiny --seed 7 --jobs 2) \
+    || { echo "chaos matrix: opacity/serializability violations (see $check_dir/results/check.txt)"; exit 1; }
+diff -u results/check.txt "$check_dir/results/check.txt" \
     || { echo "chaos matrix: results/check.txt drifted from the committed table"; exit 1; }
-rm -f target/check-committed.txt
+rm -rf "$check_dir"
 
 echo "==> recovery smoke: kill-and-recover matrix must pass and replay from cache"
-recover_dir="target/gstm-ci-recover-smoke"
+recover_dir="$PWD/target/gstm-ci-recover-smoke"
 rm -rf "$recover_dir"
 mkdir -p "$recover_dir"
-cp results/recover.txt "$recover_dir/committed.txt"
-./target/release/experiments recover --tiny --seed 7 --jobs 2 \
-    --cache-dir "$recover_dir/cache" \
-    >"$recover_dir/cold.out" 2>"$recover_dir/cold.err" \
-    || { echo "recovery smoke: recovered store diverged from serial history (see results/recover.txt)"; exit 1; }
-./target/release/experiments recover --tiny --seed 7 --jobs 2 \
-    --cache-dir "$recover_dir/cache" \
-    >"$recover_dir/warm.out" 2>"$recover_dir/warm.err" \
-    || { echo "recovery smoke: warm rerun failed"; exit 1; }
+for pass in cold warm; do
+    (cd "$recover_dir" && "$experiments" recover --tiny --seed 7 --jobs 2 --cache-dir cache \
+        >"$pass.out" 2>"$pass.err") \
+        || { echo "recovery smoke: $pass run failed: recovered store diverged from serial history (see $recover_dir/results/recover.txt)"; exit 1; }
+done
 diff -u "$recover_dir/cold.out" "$recover_dir/warm.out" \
     || { echo "recovery smoke: warm rerun output diverged"; exit 1; }
-diff -u "$recover_dir/committed.txt" results/recover.txt \
+diff -u results/recover.txt "$recover_dir/results/recover.txt" \
     || { echo "recovery smoke: results/recover.txt drifted from the committed table"; exit 1; }
 grep -qE "runs [1-9][0-9]* hit / 0 miss" "$recover_dir/warm.err" \
     || { echo "recovery smoke: warm run missed the run cache"; exit 1; }
 rm -rf "$recover_dir"
 
 echo "==> serve-adaptive smoke: online loop must be deterministic and cache-stable"
-adapt_dir="target/gstm-ci-adaptive-smoke"
+adapt_dir="$PWD/target/gstm-ci-adaptive-smoke"
 rm -rf "$adapt_dir"
 mkdir -p "$adapt_dir"
-cp results/serve_adaptive.txt "$adapt_dir/committed.txt"
-./target/release/experiments serve-adaptive --tiny --jobs 2 \
-    --cache-dir "$adapt_dir/cache" \
-    >"$adapt_dir/cold.out" 2>"$adapt_dir/cold.err"
-cp results/serve_adaptive.txt "$adapt_dir/cold.txt"
-./target/release/experiments serve-adaptive --tiny --jobs 2 \
-    --cache-dir "$adapt_dir/cache" \
-    >"$adapt_dir/warm.out" 2>"$adapt_dir/warm.err"
-cp results/serve_adaptive.txt "$adapt_dir/warm.txt"
+for pass in cold warm; do
+    (cd "$adapt_dir" && "$experiments" serve-adaptive --tiny --jobs 2 --cache-dir cache \
+        >"$pass.out" 2>"$pass.err")
+    cp "$adapt_dir/results/serve_adaptive.txt" "$adapt_dir/$pass.txt"
+done
 diff -u "$adapt_dir/cold.txt" "$adapt_dir/warm.txt" \
     || { echo "serve-adaptive smoke: warm rerun table diverged"; exit 1; }
-diff -u "$adapt_dir/committed.txt" results/serve_adaptive.txt \
+diff -u results/serve_adaptive.txt "$adapt_dir/cold.txt" \
     || { echo "serve-adaptive smoke: results/serve_adaptive.txt drifted from the committed table"; exit 1; }
 grep -qE "runs [1-9][0-9]* hit / 0 miss" "$adapt_dir/warm.err" \
     || { echo "serve-adaptive smoke: warm run missed the run cache"; exit 1; }

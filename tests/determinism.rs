@@ -17,11 +17,12 @@
 use std::sync::Arc;
 
 use gstm::core::sync::Mutex;
+use gstm::core::StmConfig;
 use gstm::guide::{
-    run_workload, train, PolicyChoice, RunOptions, RunOutcome, Workload, WorkloadRun,
+    run_workload, train, PolicyChoice, RunOptions, WorkerEnv, Workload, WorkloadRun,
 };
 use gstm::model::parse_states;
-use gstm::serve::{spine_config, DurableBackend, ServeRun, ServeSpec, ShardedStore};
+use gstm::serve::{DurableBackend, ServeRun, ServeSpec, ShardedStore};
 use gstm::stamp::{benchmark, InputSize};
 use gstm::synquake::{Quest, SynQuake};
 use gstm::wal::{LogDevice, MemDevice, Wal, WalConfig};
@@ -36,10 +37,63 @@ fn fnv1a(text: &str) -> u64 {
     hash
 }
 
-/// Renders everything schedule-visible about one run: the full Tseq, the
-/// per-thread virtual finish times (active and wall), makespan, and the
-/// commit/abort tallies plus the telemetry snapshot text.
-fn digest_outcome(label: &str, out: &RunOutcome) -> String {
+/// Runs `inner` with each worker noting its thread's virtual clock as it
+/// returns: the wall-clock-like finish time, barrier waits included, that
+/// `RunOutcome` does not carry beside the active time.
+struct WallClocked<'a> {
+    inner: &'a dyn Workload,
+    wall: Arc<Mutex<Vec<u64>>>,
+}
+
+struct WallClockedRun {
+    inner: Box<dyn WorkloadRun>,
+    wall: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Workload for WallClocked<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn instantiate(&self, threads: usize, seed: u64) -> Box<dyn WorkloadRun> {
+        *self.wall.lock() = vec![0; threads];
+        let inner = self.inner.instantiate(threads, seed);
+        Box::new(WallClockedRun { inner, wall: Arc::clone(&self.wall) })
+    }
+
+    fn stm_config(&self, threads: usize) -> StmConfig {
+        self.inner.stm_config(threads)
+    }
+}
+
+impl WorkloadRun for WallClockedRun {
+    fn worker(&self, env: WorkerEnv) -> Box<dyn FnOnce() + Send> {
+        let (gate, thread) = (Arc::clone(env.stm.gate()), env.thread);
+        let inner = self.inner.worker(env);
+        let wall = Arc::clone(&self.wall);
+        Box::new(move || {
+            inner();
+            wall.lock()[thread.index()] = gate.thread_time(thread);
+        })
+    }
+
+    fn verify(&self) -> Result<(), String> {
+        self.inner.verify()
+    }
+
+    fn stats(&self) -> Vec<(String, f64)> {
+        self.inner.stats()
+    }
+}
+
+/// Runs `workload` and renders everything schedule-visible about the run:
+/// the full Tseq, the per-thread virtual finish times (active and wall),
+/// makespan, and the commit/abort tallies plus the telemetry snapshot
+/// text. Returns the text's digest.
+fn digest_run(label: &str, workload: &dyn Workload, opts: &RunOptions) -> u64 {
+    let clocked = WallClocked { inner: workload, wall: Arc::default() };
+    let out = run_workload(&clocked, opts);
+    let wall = clocked.wall.lock().clone();
     let mut text = format!("== {label} ==\n");
     let events = out.events.as_ref().expect("capture_events was set");
     for (i, tts) in parse_states(events).iter().enumerate() {
@@ -47,11 +101,11 @@ fn digest_outcome(label: &str, out: &RunOutcome) -> String {
     }
     text.push_str(&format!(
         "ticks {:?}\nwall {:?}\nmakespan {}\ncommits {:?}\naborts {:?}\n",
-        out.thread_ticks, out.thread_wall_ticks, out.makespan, out.commits, out.aborts,
+        out.thread_ticks, wall, out.makespan, out.commits, out.aborts,
     ));
     let snapshot = out.telemetry.as_ref().expect("telemetry was set");
     text.push_str(&snapshot.to_text());
-    text
+    fnv1a(&text)
 }
 
 fn measured(threads: usize, seed: u64) -> RunOptions {
@@ -81,22 +135,19 @@ fn golden_digests_are_stable() {
     // One STAMP benchmark: kmeans, small input, default then guided.
     let kmeans = benchmark("kmeans", InputSize::Small).expect("kmeans is known");
     let trained = train(kmeans.as_ref(), &RunOptions::new(threads, 0), &[1, 2, 3], 4.0);
-    let out = run_workload(kmeans.as_ref(), &measured(threads, 7));
-    digests.push(("kmeans/default", fnv1a(&digest_outcome("kmeans/default", &out))));
+    let default = measured(threads, 7);
+    digests.push(("kmeans/default", digest_run("kmeans/default", kmeans.as_ref(), &default)));
     let guided = measured(threads, 7).with_policy(PolicyChoice::guided(Arc::clone(&trained.model)));
-    let out = run_workload(kmeans.as_ref(), &guided);
-    digests.push(("kmeans/guided", fnv1a(&digest_outcome("kmeans/guided", &out))));
+    digests.push(("kmeans/guided", digest_run("kmeans/guided", kmeans.as_ref(), &guided)));
 
     // One SynQuake quest: first testing quest, tiny config, default then
     // guided (trained on the first training quest at the same size).
     let quake = SynQuake::tiny(Quest::testing()[0]);
     let trainer = SynQuake::tiny(Quest::training()[0]);
     let trained = train(&trainer, &RunOptions::new(threads, 0), &[1, 2, 3], 4.0);
-    let out = run_workload(&quake, &measured(threads, 7));
-    digests.push(("synquake/default", fnv1a(&digest_outcome("synquake/default", &out))));
+    digests.push(("synquake/default", digest_run("synquake/default", &quake, &default)));
     let guided = measured(threads, 7).with_policy(PolicyChoice::guided(Arc::clone(&trained.model)));
-    let out = run_workload(&quake, &guided);
-    digests.push(("synquake/guided", fnv1a(&digest_outcome("synquake/guided", &out))));
+    digests.push(("synquake/guided", digest_run("synquake/guided", &quake, &guided)));
 
     for (label, digest) in &digests {
         eprintln!("digest {label} {digest:#018x}");
@@ -132,10 +183,6 @@ impl Workload for DurableServe {
         let (backend, log, snap) = DurableBackend::in_memory(store, cfg);
         *self.devices.lock() = Some((log, snap));
         Box::new(ServeRun::with_backend(spec.clone(), Arc::new(backend), threads, seed))
-    }
-
-    fn stm_config(&self, threads: usize) -> gstm::core::StmConfig {
-        spine_config(&self.spec, threads)
     }
 }
 
