@@ -19,9 +19,6 @@ use crate::ids::ThreadId;
 
 /// Decides how long an aborted transaction backs off before retrying.
 pub trait ContentionManager: Send + Sync {
-    /// Name for reports.
-    fn name(&self) -> &'static str;
-
     /// An invocation (re)starts; `now` is gate time — or 0 for a manager
     /// whose [`reads_time`](ContentionManager::reads_time) says it is not
     /// read.
@@ -50,10 +47,6 @@ pub trait ContentionManager: Send + Sync {
 pub struct Aggressive;
 
 impl ContentionManager for Aggressive {
-    fn name(&self) -> &'static str {
-        "aggressive"
-    }
-
     fn reads_time(&self) -> bool {
         false
     }
@@ -83,10 +76,6 @@ impl Default for Polite {
 }
 
 impl ContentionManager for Polite {
-    fn name(&self) -> &'static str {
-        "polite"
-    }
-
     fn on_abort(&self, _thread: ThreadId, _abort: &Abort, attempt: u32) -> Ticks {
         if self.base == 0 {
             return 0;
@@ -124,10 +113,6 @@ impl Karma {
 }
 
 impl ContentionManager for Karma {
-    fn name(&self) -> &'static str {
-        "karma"
-    }
-
     fn on_access(&self, thread: ThreadId) {
         self.karma[thread.index()].fetch_add(1, Ordering::Relaxed);
     }
@@ -173,10 +158,6 @@ impl Greedy {
 }
 
 impl ContentionManager for Greedy {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
-
     fn on_begin(&self, thread: ThreadId, now: u64) {
         // Keep the first attempt's timestamp across retries: in Greedy the
         // priority of a transaction is its *original* start time.

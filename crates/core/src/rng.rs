@@ -227,137 +227,6 @@ impl SampleRange<f64> for RangeInclusive<f64> {
     }
 }
 
-/// Exponential distribution with a given mean — the inter-arrival sampler
-/// of a Poisson process (`gstm-serve`'s open-loop traffic generator draws
-/// request gaps from this).
-///
-/// ```
-/// use gstm_core::rng::{Exp, SmallRng};
-/// let mut rng = SmallRng::seed_from_u64(1);
-/// let gap = Exp::new(50.0).sample(&mut rng);
-/// assert!(gap >= 0.0);
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct Exp {
-    mean: f64,
-}
-
-impl Exp {
-    /// An exponential distribution with the given mean (`1/λ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `mean` is finite and positive.
-    pub fn new(mean: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0, "mean must be finite and positive");
-        Exp { mean }
-    }
-
-    /// The distribution's mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Draws one value by inversion: `-mean · ln(1 − u)`, `u ∈ [0, 1)`.
-    /// Always finite and non-negative (`1 − u` never reaches 0).
-    pub fn sample(&self, rng: &mut SmallRng) -> f64 {
-        let u: f64 = rng.gen();
-        -self.mean * (1.0 - u).ln()
-    }
-}
-
-/// Zipf distribution over ranks `0..n`: rank `k` is drawn with probability
-/// proportional to `(k + 1)^−θ`. `θ = 0` is uniform; `θ ≈ 1` is the classic
-/// web-object popularity curve (a few very hot keys, a long cold tail).
-///
-/// Sampling inverts the cumulative weight table exactly: a draw takes the
-/// 53 bits `r` that [`SmallRng::gen`] turns into an `f64`, forms the same
-/// point `u = r · 2⁻⁵³ · total`, and returns the first rank whose
-/// cumulative weight exceeds `u`. The top bits of `r` pick one of at least
-/// `2n` equal buckets (at most 2¹⁶), and a table built with the
-/// distribution holds, per bucket, the rank its smallest `r` draws. `u`
-/// never decreases as `r` grows, so every `r` of a bucket draws a rank
-/// between its bucket's entry and the next bucket's, and the draw searches
-/// only those: below the cap, a rank or two on average. That is `O(1)` per
-/// draw on average after an `O(n)` setup, and there is no rejection loop,
-/// so the number of RNG draws per sample is always one, keeping seeded
-/// streams easy to reason about.
-///
-/// ```
-/// use gstm_core::rng::{SmallRng, Zipf};
-/// let mut rng = SmallRng::seed_from_u64(2);
-/// let zipf = Zipf::new(100, 0.9);
-/// assert!(zipf.sample(&mut rng) < 100);
-/// ```
-#[derive(Clone, Debug)]
-pub struct Zipf {
-    /// Cumulative (unnormalized) weights; `cdf[k]` = Σ_{i≤k} (i+1)^−θ.
-    cdf: Vec<f64>,
-    /// `cdf[n − 1]`.
-    total: f64,
-    /// `lo[j]`: the rank drawn by the smallest `r` of bucket `j`
-    /// (`r >> shift == j`); the last entry is `n − 1`.
-    lo: Vec<u32>,
-    /// `53 − log2(bucket count)`.
-    shift: u32,
-}
-
-/// Bucket count cap of [`Zipf`]'s inversion table (as a power of two).
-const ZIPF_MAX_BUCKET_BITS: u32 = 16;
-
-impl Zipf {
-    /// A Zipf distribution over `0..n` with skew `θ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0 or exceeds `u32::MAX`, or if `θ` is negative or
-    /// non-finite.
-    pub fn new(n: usize, theta: f64) -> Self {
-        assert!(n > 0, "Zipf needs a non-empty rank space");
-        assert!(u32::try_from(n).is_ok(), "Zipf rank space exceeds u32::MAX");
-        assert!(theta.is_finite() && theta >= 0.0, "theta must be finite and non-negative");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0f64;
-        for k in 0..n {
-            acc += ((k + 1) as f64).powf(-theta);
-            cdf.push(acc);
-        }
-        let total = acc;
-        let bits = (2 * n).next_power_of_two().trailing_zeros().min(ZIPF_MAX_BUCKET_BITS);
-        let shift = 53 - bits;
-        // One sweep over buckets and ranks together: bucket j's smallest
-        // point is that of r = j << shift, and the rank only moves forward.
-        let mut k = 0;
-        let lo = (0..=1u64 << bits)
-            .map(|j| {
-                let u = unit(j << shift) * total;
-                while k < n && cdf[k] <= u {
-                    k += 1;
-                }
-                k.min(n - 1) as u32
-            })
-            .collect();
-        Zipf { cdf, total, lo, shift }
-    }
-
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Draws one rank in `0..n`.
-    #[inline]
-    pub fn sample(&self, rng: &mut SmallRng) -> usize {
-        let r = rng.next_u64() >> 11;
-        let u = unit(r) * self.total;
-        let j = (r >> self.shift) as usize;
-        // The first rank whose cumulative weight exceeds u lies in
-        // lo[j]..=lo[j + 1] (clamped to the last rank, as lo is).
-        let (first, last) = (self.lo[j] as usize, self.lo[j + 1] as usize);
-        first + self.cdf[first..last].partition_point(|&c| c <= u)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,70 +323,9 @@ mod tests {
         assert_eq!(rng.next_u64(), 0x64cb_5787_54ee_04a8);
     }
 
-    #[test]
-    fn exp_sample_mean_and_support() {
-        let mut rng = SmallRng::seed_from_u64(21);
-        let exp = Exp::new(40.0);
-        let n = 20_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let v = exp.sample(&mut rng);
-            assert!(v.is_finite() && v >= 0.0);
-            sum += v;
-        }
-        let mean = sum / n as f64;
-        // Sample mean of 20k exponentials: well within 5% of the true mean.
-        assert!((mean - 40.0).abs() < 2.0, "sample mean {mean}");
-        assert_eq!(Exp::new(7.5).mean(), 7.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn exp_rejects_bad_mean() {
-        let _ = Exp::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn exp_rejects_nan_mean() {
-        let _ = Exp::new(f64::NAN);
-    }
-
-    /// Draws per shape of the exactness properties: 10⁶ under the optimized
-    /// profile (CI runs these there), a tenth of that in debug builds.
+    /// Draws per bound of the exactness property: 10⁶ under the optimized
+    /// profile (CI runs it there), a tenth of that in debug builds.
     const EXACT_DRAWS: usize = if cfg!(debug_assertions) { 100_000 } else { 1_000_000 };
-
-    /// The bucketed inversion draws what searching the whole cumulative
-    /// table for `gen::<f64>() * total` draws, from the same single RNG
-    /// draw, for every shape: tiny, power-of-two and odd rank spaces,
-    /// uniform to steep skews, and one past the bucket cap.
-    #[test]
-    fn zipf_sample_is_the_partition_point_inversion() {
-        let capped = (1 << ZIPF_MAX_BUCKET_BITS) + 3_000;
-        let shapes = [1, 2, 3, 32, 256, 4096, 5000, capped]
-            .into_iter()
-            .flat_map(|n| [0.0, 0.6, 0.99, 2.0].map(|theta| (n, theta)));
-        for (n, theta) in shapes {
-            let zipf = Zipf::new(n, theta);
-            let buckets = zipf.lo.len() - 1;
-            assert_eq!(buckets < 2 * n, n == capped, "n {n}: {buckets} buckets");
-            let cdf: Vec<f64> = (0..n)
-                .scan(0.0f64, |acc, k| {
-                    *acc += ((k + 1) as f64).powf(-theta);
-                    Some(*acc)
-                })
-                .collect();
-            let total = cdf[n - 1];
-            let (mut fast, mut reference) =
-                (SmallRng::seed_from_u64(n as u64), SmallRng::seed_from_u64(n as u64));
-            for draw in 0..EXACT_DRAWS {
-                let u = reference.gen::<f64>() * total;
-                let want = cdf.partition_point(|&c| c <= u).min(n - 1);
-                assert_eq!(zipf.sample(&mut fast), want, "n {n} theta {theta} draw {draw}");
-            }
-            assert_eq!(fast.s, reference.s, "n {n} theta {theta}: one RNG draw per sample");
-        }
-    }
 
     /// The early accept changes no bounded draw: values, and the RNG state
     /// after them, equal those of computing the rejection threshold first.
@@ -544,74 +352,6 @@ mod tests {
             }
             assert_eq!(fast.s, reference.s, "bound {bound}: the same number of draws");
         }
-    }
-
-    #[test]
-    fn zipf_theta_zero_is_uniform() {
-        let mut rng = SmallRng::seed_from_u64(22);
-        let zipf = Zipf::new(8, 0.0);
-        let mut counts = [0u32; 8];
-        for _ in 0..8000 {
-            counts[zipf.sample(&mut rng)] += 1;
-        }
-        for &c in &counts {
-            assert!((700..1300).contains(&c), "{counts:?}");
-        }
-    }
-
-    #[test]
-    fn zipf_skews_towards_low_ranks() {
-        let mut rng = SmallRng::seed_from_u64(23);
-        let zipf = Zipf::new(1000, 1.0);
-        let mut counts = vec![0u32; 1000];
-        for _ in 0..30_000 {
-            counts[zipf.sample(&mut rng)] += 1;
-        }
-        // Rank 0 must dominate rank 9 and dwarf the deep tail; under θ=1
-        // the expected ratio of rank 0 to rank 9 is 10.
-        assert!(counts[0] > 2 * counts[9], "{} vs {}", counts[0], counts[9]);
-        let head: u32 = counts[..10].iter().sum();
-        let tail: u32 = counts[500..].iter().sum();
-        assert!(head > tail, "head {head} vs tail {tail}");
-    }
-
-    #[test]
-    fn zipf_covers_full_range_and_is_deterministic() {
-        let zipf = Zipf::new(5, 0.5);
-        assert_eq!(zipf.n(), 5);
-        let draw = |seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            (0..64).map(|_| zipf.sample(&mut rng)).collect::<Vec<_>>()
-        };
-        let a = draw(3);
-        assert_eq!(a, draw(3), "same seed, same stream");
-        for rank in 0..5 {
-            assert!(a.contains(&rank), "rank {rank} never drawn: {a:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty rank space")]
-    fn zipf_rejects_empty() {
-        let _ = Zipf::new(0, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "Zipf rank space exceeds u32::MAX")]
-    fn zipf_rejects_a_rank_space_past_u32() {
-        let _ = Zipf::new(u32::MAX as usize + 1, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "theta must be finite and non-negative")]
-    fn zipf_rejects_negative_theta() {
-        let _ = Zipf::new(5, -1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "theta must be finite and non-negative")]
-    fn zipf_rejects_infinite_theta() {
-        let _ = Zipf::new(5, f64::INFINITY);
     }
 
     #[test]

@@ -17,8 +17,9 @@ use crate::metrics::{mean_makespan, mean_nondeterminism, per_thread_improvement}
 use crate::pipeline::{guided_tag, Pipeline, TAG_DEFAULT};
 
 /// What every ablation shares: one benchmark at the first configured thread
-/// count on the test input, a baseline run set every variant is compared
-/// against, and the table the sweep fills.
+/// count on the test input, the default-STM runs every variant is compared
+/// against (the same cached runs for every ablation and the main study),
+/// and the table the sweep fills.
 struct Ablation<'p, 'a> {
     pipe: &'p Pipeline<'a>,
     name: &'static str,
@@ -30,14 +31,8 @@ struct Ablation<'p, 'a> {
 }
 
 impl<'p, 'a> Ablation<'p, 'a> {
-    /// An ablation whose baseline is default STM with `base` applied to
-    /// its options.
-    fn new(
-        pipe: &'p Pipeline<'a>,
-        name: &'static str,
-        columns: &[&str],
-        base: impl Fn(RunOptions) -> RunOptions + Sync,
-    ) -> Self {
+    /// An ablation whose baseline is default STM.
+    fn new(pipe: &'p Pipeline<'a>, name: &'static str, columns: &[&str]) -> Self {
         let cfg = pipe.cfg();
         let mut ablation = Ablation {
             pipe,
@@ -48,7 +43,7 @@ impl<'p, 'a> Ablation<'p, 'a> {
             baseline: Vec::new(),
             table: TextTable::new(columns.iter().map(|c| c.to_string()).collect()),
         };
-        ablation.baseline = ablation.runs(TAG_DEFAULT, base);
+        ablation.baseline = ablation.runs(TAG_DEFAULT, |o| o);
         ablation
     }
 
@@ -62,15 +57,9 @@ impl<'p, 'a> Ablation<'p, 'a> {
     }
 
     /// Guided runs at hold bound `k` under a model compiled at `tfactor`.
-    fn guided(
-        &self,
-        trained: &TrainedModel,
-        k: u32,
-        tfactor: f64,
-        opts: impl Fn(RunOptions) -> RunOptions + Sync,
-    ) -> Vec<RunOutcome> {
+    fn guided(&self, trained: &TrainedModel, k: u32, tfactor: f64) -> Vec<RunOutcome> {
         self.runs(&guided_tag(trained, k, tfactor), |o| {
-            opts(o.with_policy(PolicyChoice::Guided { model: Arc::clone(&trained.model), k }))
+            o.with_policy(PolicyChoice::Guided { model: Arc::clone(&trained.model), k })
         })
     }
 
@@ -120,7 +109,7 @@ fn compared(label: &str) -> [&str; 4] {
 /// 10, we found that ... 4 strikes a balance"): variance reduction vs
 /// slowdown at each setting.
 pub fn ablate_tfactor(pipe: &Pipeline<'_>, name: &'static str) -> String {
-    let mut ab = Ablation::new(pipe, name, &compared("Tfactor"), |o| o);
+    let mut ab = Ablation::new(pipe, name, &compared("Tfactor"));
     for tfactor in [1.0, 2.0, 4.0, 6.0, 8.0, 10.0] {
         ab.progress(&format!("Tfactor={tfactor}"));
         let mut sweep_cfg = pipe.cfg().clone();
@@ -128,7 +117,7 @@ pub fn ablate_tfactor(pipe: &Pipeline<'_>, name: &'static str) -> String {
         let trained = pipe.trained_stamp_with(&sweep_cfg, name, ab.threads);
         // The TSA is tfactor-independent (profiling is unguided), so the
         // sweep value must enter the tag explicitly or runs would collide.
-        let runs = ab.guided(&trained, DEFAULT_K, tfactor, |o| o);
+        let runs = ab.guided(&trained, DEFAULT_K, tfactor);
         ab.compare(format!("{tfactor:.0}"), &runs);
     }
     ab.render("Tfactor sweep")
@@ -137,11 +126,11 @@ pub fn ablate_tfactor(pipe: &Pipeline<'_>, name: &'static str) -> String {
 /// Hold-bound `k` sweep: guidance strength vs progress cost.
 pub fn ablate_k(pipe: &Pipeline<'_>, name: &'static str) -> String {
     let columns = ["k", "mean variance improvement", "holds bailed out", "slowdown (x)"];
-    let mut ab = Ablation::new(pipe, name, &columns, |o| o);
+    let mut ab = Ablation::new(pipe, name, &columns);
     let trained = ab.trained();
     for k in [4u32, 16, 64, 256] {
         ab.progress(&format!("k={k}"));
-        let runs = ab.guided(&trained, k, pipe.cfg().tfactor, |o| o);
+        let runs = ab.guided(&trained, k, pipe.cfg().tfactor);
         let bails: u64 = runs.iter().filter_map(|r| r.hold_stats).map(|h| h.bailed_out).sum();
         let row = vec![k.to_string(), ab.improvement(&runs), bails.to_string(), ab.slowdown(&runs)];
         ab.table.row(row);
@@ -152,7 +141,7 @@ pub fn ablate_k(pipe: &Pipeline<'_>, name: &'static str) -> String {
 /// Contention managers vs guided execution (§IX's claim: CMs raise
 /// throughput but not repeatability).
 pub fn ablate_cm(pipe: &Pipeline<'_>, name: &'static str) -> String {
-    let mut ab = Ablation::new(pipe, name, &compared("Policy"), |o| o);
+    let mut ab = Ablation::new(pipe, name, &compared("Policy"));
     for cm in [CmChoice::Polite, CmChoice::Karma, CmChoice::Greedy] {
         ab.progress(&format!("{cm:?}"));
         // The CM is part of the run key (RunOptions::cm), so TAG_DEFAULT
@@ -164,7 +153,7 @@ pub fn ablate_cm(pipe: &Pipeline<'_>, name: &'static str) -> String {
         ab.compare(format!("{cm:?}"), &runs);
     }
     ab.progress("guided");
-    let runs = ab.guided(&ab.trained(), DEFAULT_K, pipe.cfg().tfactor, |o| o);
+    let runs = ab.guided(&ab.trained(), DEFAULT_K, pipe.cfg().tfactor);
     ab.compare("Guided".into(), &runs);
     ab.render("contention managers vs guidance")
 }
@@ -176,12 +165,6 @@ pub fn ablate_cm(pipe: &Pipeline<'_>, name: &'static str) -> String {
 /// lazy (commit-time) default STM.
 pub fn ablate_detection(pipe: &Pipeline<'_>, name: &'static str) -> String {
     use gstm_core::Detection;
-    let detect = |detection: Detection| {
-        move |mut o: RunOptions| {
-            o.detection = Some(detection);
-            o
-        }
-    };
     let columns = [
         "Detection",
         "policy",
@@ -189,15 +172,21 @@ pub fn ablate_detection(pipe: &Pipeline<'_>, name: &'static str) -> String {
         "mean variance improvement",
         "slowdown vs lazy default (x)",
     ];
-    let mut ab = Ablation::new(pipe, name, &columns, detect(Detection::CommitTime));
+    let mut ab = Ablation::new(pipe, name, &columns);
     let trained = ab.trained();
+    let eager = |o: RunOptions| RunOptions { detection: Some(Detection::EncounterTime), ..o };
     for detection in [Detection::CommitTime, Detection::EncounterTime] {
         for label in ["default", "guided"] {
             ab.progress(&format!("{detection:?} {label}"));
+            // Commit-time detection is the engine default, so its rows are
+            // the baseline and the guided runs the other ablations share.
             let runs = match (detection, label) {
                 (Detection::CommitTime, "default") => ab.baseline.clone(),
-                (_, "default") => ab.runs(TAG_DEFAULT, detect(detection)),
-                _ => ab.guided(&trained, DEFAULT_K, pipe.cfg().tfactor, detect(detection)),
+                (Detection::CommitTime, _) => ab.guided(&trained, DEFAULT_K, pipe.cfg().tfactor),
+                (_, "default") => ab.runs(TAG_DEFAULT, eager),
+                _ => ab.runs(&guided_tag(&trained, DEFAULT_K, pipe.cfg().tfactor), |o| {
+                    eager(o.with_policy(PolicyChoice::guided(Arc::clone(&trained.model))))
+                }),
             };
             let ar = crate::metrics::mean_abort_ratio(&runs);
             let row = vec![
@@ -218,7 +207,7 @@ pub fn ablate_detection(pipe: &Pipeline<'_>, name: &'static str) -> String {
 /// non-determinism and throughput cost of each point on the
 /// speculation/repeatability spectrum.
 pub fn ablate_policy(pipe: &Pipeline<'_>, name: &'static str) -> String {
-    let mut ab = Ablation::new(pipe, name, &compared("Policy"), |o| o);
+    let mut ab = Ablation::new(pipe, name, &compared("Policy"));
     for (label, policy, tag) in [
         (
             "bounded-aborts(3)",
@@ -232,7 +221,7 @@ pub fn ablate_policy(pipe: &Pipeline<'_>, name: &'static str) -> String {
         ab.compare(label.into(), &runs);
     }
     ab.progress("guided");
-    let runs = ab.guided(&ab.trained(), DEFAULT_K, pipe.cfg().tfactor, |o| o);
+    let runs = ab.guided(&ab.trained(), DEFAULT_K, pipe.cfg().tfactor);
     ab.compare("guided".into(), &runs);
     ab.render("admission-policy spectrum")
 }
@@ -244,13 +233,13 @@ pub fn ablate_train(pipe: &Pipeline<'_>, name: &'static str) -> String {
     use gstm_stamp::InputSize;
     let columns =
         ["Training size", "model states", "unknown-state rate", "mean variance improvement"];
-    let mut ab = Ablation::new(pipe, name, &columns, |o| o);
+    let mut ab = Ablation::new(pipe, name, &columns);
     for size in [InputSize::Small, InputSize::Medium] {
         ab.progress(&format!("trained on {size}"));
         let mut sweep = pipe.cfg().clone();
         sweep.train_size = size;
         let trained = pipe.trained_stamp_with(&sweep, name, ab.threads);
-        let runs = ab.guided(&trained, DEFAULT_K, pipe.cfg().tfactor, |o| o);
+        let runs = ab.guided(&trained, DEFAULT_K, pipe.cfg().tfactor);
         let unknown: f64 = runs.iter().map(|r| r.unknown_hits as f64).sum::<f64>()
             / runs.iter().map(|r| r.total_commits() as f64).sum::<f64>().max(1.0);
         let row = vec![

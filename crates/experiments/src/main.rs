@@ -61,10 +61,71 @@ use gstm_experiments::config::ExpConfig;
 use gstm_experiments::pipeline::{Pipeline, StudyPlan, StudyResult};
 use gstm_experiments::progress::{Progress, StderrProgress};
 use gstm_experiments::recovercmd::RecoverOptions;
+use gstm_experiments::servecmd::render_serve;
 use gstm_experiments::study::{merge_run_telemetry, Cell};
 use gstm_experiments::{ablation, report};
 use gstm_guide::RunOutcome;
 use gstm_synquake::Quest;
+
+/// The study a paper output renders from, which its command plans.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Needs {
+    /// None: Table II lists the configuration alone.
+    Config,
+    Stamp,
+    Quake,
+    Serve,
+}
+
+/// Renders one paper output from the resolved studies.
+type Render = fn(&ExpConfig, &StudyResult) -> String;
+
+/// The thread count of Figs. 6 and 7; Figs. 4 and 5 take the first.
+fn last_threads(cfg: &ExpConfig) -> usize {
+    *cfg.threads_list.last().expect("nonempty threads list")
+}
+
+/// Every paper output, in the order `all` prints them. An id names the
+/// output's command and its `results/<id>.txt`; `scripts/doccheck` reads
+/// the commands from these `("<id>", Needs::…` lines.
+static OUTPUTS: [(&str, Needs, Render); 16] = [
+    ("table1", Needs::Stamp, |c, r| report::table1(c, &r.stamp)),
+    ("table2", Needs::Config, |c, _| report::table2(c)),
+    ("table3", Needs::Stamp, |c, r| report::table3(c, &r.stamp)),
+    ("table4", Needs::Stamp, |c, r| report::table4(c, &r.stamp)),
+    ("fig3", Needs::Stamp, |c, r| report::fig3(c, &r.stamp)),
+    ("fig4", Needs::Stamp, |c, r| report::fig_variance(c.threads_list[0], &r.stamp, "Figure 4")),
+    ("fig5", Needs::Stamp, |c, r| report::fig_tails(c.threads_list[0], &r.stamp, "Figure 5", 0)),
+    ("fig6", Needs::Stamp, |c, r| report::fig_variance(last_threads(c), &r.stamp, "Figure 6")),
+    ("fig7", Needs::Stamp, |c, r| {
+        report::fig_tails(last_threads(c), &r.stamp, "Figure 7", last_threads(c) / 2)
+    }),
+    ("fig8", Needs::Stamp, |c, r| report::fig8(c, &r.stamp)),
+    ("fig9", Needs::Stamp, |c, r| report::fig9(c, &r.stamp)),
+    ("fig10", Needs::Stamp, |c, r| report::fig10(c, &r.stamp)),
+    ("table5", Needs::Quake, |c, r| report::table5(c, &r.quake)),
+    ("fig11", Needs::Quake, |c, r| report::fig_quake(c, &r.quake, Quest::Quadrants4, "Figure 11")),
+    ("fig12", Needs::Quake, |c, r| {
+        report::fig_quake(c, &r.quake, Quest::CenterSpread6, "Figure 12")
+    }),
+    ("serve", Needs::Serve, |c, r| render_serve(c, &r.serve)),
+];
+
+/// The paper outputs `command` prints, in `all`'s order: every one for
+/// `all`, Tables I–IV and Figs. 3–10 for `stamp`, Table V and Figs. 11–12
+/// for `quake`, the one it names for a single-output command, and none for
+/// any other command.
+fn paper_outputs(command: &str) -> Vec<&'static (&'static str, Needs, Render)> {
+    OUTPUTS
+        .iter()
+        .filter(|(id, needs, _)| match command {
+            "all" => true,
+            "stamp" => matches!(needs, Needs::Config | Needs::Stamp),
+            "quake" => *needs == Needs::Quake,
+            _ => *id == command,
+        })
+        .collect()
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -270,49 +331,28 @@ fn main() {
     }
 
     let mut outputs: Vec<(String, String)> = Vec::new();
-    let needs_stamp = matches!(
-        command,
-        "table1"
-            | "table3"
-            | "table4"
-            | "fig3"
-            | "fig4"
-            | "fig5"
-            | "fig6"
-            | "fig7"
-            | "fig8"
-            | "fig9"
-            | "fig10"
-            | "stamp"
-            | "all"
-    );
-    let needs_quake = matches!(command, "table5" | "fig11" | "fig12" | "quake" | "all");
-    let needs_serve = matches!(command, "serve" | "all");
+    let paper = paper_outputs(command);
+    let needs = |study| paper.iter().any(|&&(_, needs, _)| needs == study);
 
     // Declare everything the command needs, then resolve the whole plan in
     // one pass: shared training, cached outcomes, `--jobs` fan-out.
     let mut plan = StudyPlan::new();
-    if needs_stamp {
+    if needs(Needs::Stamp) {
         // table1/table3/fig3 only need training; everything else needs the
         // full study. Training dominates anyway, so share one full study.
         plan.stamp_study(&cfg, &gstm_stamp::BENCHMARK_NAMES);
     }
-    if needs_quake {
+    if needs(Needs::Quake) {
         plan.quake_study(&cfg);
     }
-    if needs_serve {
+    if needs(Needs::Serve) {
         plan.serve_study(&cfg);
     }
     if command == "cell" {
         plan.stamp_cell(bench_name, cfg.threads_list[0]);
     }
-    let result = (!plan.is_empty()).then(|| pipe.resolve(&plan));
-    let stamp = result.as_ref().map(|r| &r.stamp).filter(|s| !s.cells.is_empty());
-    let quake = result.as_ref().map(|r| &r.quake).filter(|q| !q.cells.is_empty());
-    let serve = result.as_ref().map(|r| &r.serve).filter(|s| !s.cells.is_empty());
+    let result = pipe.resolve(&plan);
 
-    let threads_a = cfg.threads_list[0];
-    let threads_b = *cfg.threads_list.last().expect("nonempty threads list");
     // serve-adaptive drives the pipeline directly rather than through the
     // study plan; its runs are kept here for --metrics.
     let mut adaptive_runs: Vec<RunOutcome> = Vec::new();
@@ -328,29 +368,6 @@ fn main() {
     };
     match command {
         "block-smoke" => run_block_smoke(&args[1..]),
-        "table2" => emit("table2", report::table2(&cfg)),
-        "table1" => emit("table1", report::table1(&cfg, stamp.unwrap())),
-        "table3" => emit("table3", report::table3(&cfg, stamp.unwrap())),
-        "table4" => emit("table4", report::table4(&cfg, stamp.unwrap())),
-        "fig3" => emit("fig3", report::fig3(&cfg, stamp.unwrap())),
-        "fig4" => emit("fig4", report::fig_variance(threads_a, stamp.unwrap(), "Figure 4")),
-        "fig6" => emit("fig6", report::fig_variance(threads_b, stamp.unwrap(), "Figure 6")),
-        "fig5" => emit("fig5", report::fig_tails(threads_a, stamp.unwrap(), "Figure 5", 0)),
-        "fig7" => {
-            emit("fig7", report::fig_tails(threads_b, stamp.unwrap(), "Figure 7", threads_b / 2))
-        }
-        "fig8" => emit("fig8", report::fig8(&cfg, stamp.unwrap())),
-        "fig9" => emit("fig9", report::fig9(&cfg, stamp.unwrap())),
-        "fig10" => emit("fig10", report::fig10(&cfg, stamp.unwrap())),
-        "table5" => emit("table5", report::table5(&cfg, quake.unwrap())),
-        "fig11" => {
-            emit("fig11", report::fig_quake(&cfg, quake.unwrap(), Quest::Quadrants4, "Figure 11"))
-        }
-        "fig12" => emit(
-            "fig12",
-            report::fig_quake(&cfg, quake.unwrap(), Quest::CenterSpread6, "Figure 12"),
-        ),
-        "serve" => emit("serve", gstm_experiments::servecmd::render_serve(&cfg, serve.unwrap())),
         "serve-adaptive" => {
             let (body, runs) = gstm_experiments::adaptcmd::serve_adaptive_report(&pipe);
             adaptive_runs = runs;
@@ -395,33 +412,8 @@ fn main() {
             emit("recover", body);
         }
         "cell" => {
-            let study = stamp.expect("cell was planned");
-            let cell = study.cell(bench_name, threads_a).expect("planned cell resolved");
+            let cell = result.stamp.cell(bench_name, cfg.threads_list[0]).expect("planned cell");
             emit("cell", render_cell(&cfg, cell));
-        }
-        "stamp" | "quake" | "all" => {
-            if let Some(stamp) = stamp {
-                emit("table1", report::table1(&cfg, stamp));
-                emit("table2", report::table2(&cfg));
-                emit("table3", report::table3(&cfg, stamp));
-                emit("table4", report::table4(&cfg, stamp));
-                emit("fig3", report::fig3(&cfg, stamp));
-                emit("fig4", report::fig_variance(threads_a, stamp, "Figure 4"));
-                emit("fig5", report::fig_tails(threads_a, stamp, "Figure 5", 0));
-                emit("fig6", report::fig_variance(threads_b, stamp, "Figure 6"));
-                emit("fig7", report::fig_tails(threads_b, stamp, "Figure 7", threads_b / 2));
-                emit("fig8", report::fig8(&cfg, stamp));
-                emit("fig9", report::fig9(&cfg, stamp));
-                emit("fig10", report::fig10(&cfg, stamp));
-            }
-            if let Some(quake) = quake {
-                emit("table5", report::table5(&cfg, quake));
-                emit("fig11", report::fig_quake(&cfg, quake, Quest::Quadrants4, "Figure 11"));
-                emit("fig12", report::fig_quake(&cfg, quake, Quest::CenterSpread6, "Figure 12"));
-            }
-            if let Some(serve) = serve {
-                emit("serve", gstm_experiments::servecmd::render_serve(&cfg, serve));
-            }
         }
         "ablate-tfactor" => emit("ablate-tfactor", ablation::ablate_tfactor(&pipe, bench_name)),
         "ablate-k" => emit("ablate-k", ablation::ablate_k(&pipe, bench_name)),
@@ -495,14 +487,18 @@ fn main() {
             }
             emit("inspect-model", body);
         }
+        _ if !paper.is_empty() => {
+            for &&(id, _, render) in &paper {
+                emit(id, render(&cfg, &result));
+            }
+        }
         _ => usage(),
     }
 
     if let Some(path) = &metrics_path {
         use gstm_telemetry::Snapshot;
-        let runs = result.iter().flat_map(StudyResult::runs).chain(&adaptive_runs);
-        let mut merged = merge_run_telemetry(runs);
-        if result.is_some() || !adaptive_runs.is_empty() {
+        let mut merged = merge_run_telemetry(result.runs().chain(&adaptive_runs));
+        if !plan.is_empty() || !adaptive_runs.is_empty() {
             // The pipeline's cache gauges ride along with the run telemetry.
             merged.get_or_insert_with(Snapshot::new).merge(&pipe.gauges().snapshot());
         }

@@ -22,16 +22,15 @@
 //! outcome a pure function of its key, whatever else the process ran
 //! before or concurrently.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gstm_guide::{PolicyChoice, RunOptions, RunOutcome, TrainedModel, Workload, DEFAULT_K};
 use gstm_model::serialize::tsa_digest;
-use gstm_model::{analyze, GuidedModel};
 use gstm_serve::ServeWorkload;
 use gstm_stamp::benchmark;
 use gstm_synquake::{Quest, SynQuake};
-use gstm_telemetry::PipelineGauges;
+use gstm_telemetry::Snapshot;
 
 use crate::cache::DiskCache;
 use crate::config::ExpConfig;
@@ -165,6 +164,67 @@ pub fn guided_tag(trained: &TrainedModel, k: u32, tfactor: f64) -> String {
     format!("policy=guided;k={k};tfactor={tfactor};model={}", tsa_digest(&trained.tsa))
 }
 
+/// Gauge name: trained models served from the cache.
+const GAUGE_MODEL_HITS: &str = "gstm_pipeline_model_cache_hits_total";
+/// Gauge name: trained models that had to be trained (and were then stored).
+const GAUGE_MODEL_MISSES: &str = "gstm_pipeline_model_cache_misses_total";
+/// Gauge name: run outcomes served from the cache.
+const GAUGE_RUN_HITS: &str = "gstm_pipeline_run_cache_hits_total";
+/// Gauge name: run outcomes that had to be executed (and were then stored).
+const GAUGE_RUN_MISSES: &str = "gstm_pipeline_run_cache_misses_total";
+/// Gauge name: study cells resolved by the pipeline.
+const GAUGE_CELLS: &str = "gstm_pipeline_cells_total";
+
+/// Cache effectiveness of one pipeline: a warm rerun must show no model or
+/// run miss, and CI greps [`PipelineGauges::summary`] for
+/// `models N hit / 0 miss` and `runs N hit / 0 miss`.
+///
+/// Plain `AtomicU64`s, so the worker threads bump them without locks;
+/// `Relaxed` suffices because they are read only for reporting, after the
+/// work that bumped them has been joined.
+#[derive(Debug, Default)]
+pub struct PipelineGauges {
+    /// Trained models served from the in-process memo or the disk cache.
+    pub model_hits: AtomicU64,
+    /// Trained models that had to be trained from scratch.
+    pub model_misses: AtomicU64,
+    /// Run outcomes served from the content-addressed cache.
+    pub run_hits: AtomicU64,
+    /// Run outcomes that had to be executed.
+    pub run_misses: AtomicU64,
+    /// Study cells resolved.
+    pub cells: AtomicU64,
+}
+
+impl PipelineGauges {
+    /// The current values as gauges of a [`Snapshot`], so they merge and
+    /// render through the standard exposition formats. They are
+    /// deterministic for a given cache state, so snapshots stay
+    /// byte-identical.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = Snapshot::new();
+        snap.set_gauge(GAUGE_MODEL_HITS, self.model_hits.load(Ordering::Relaxed));
+        snap.set_gauge(GAUGE_MODEL_MISSES, self.model_misses.load(Ordering::Relaxed));
+        snap.set_gauge(GAUGE_RUN_HITS, self.run_hits.load(Ordering::Relaxed));
+        snap.set_gauge(GAUGE_RUN_MISSES, self.run_misses.load(Ordering::Relaxed));
+        snap.set_gauge(GAUGE_CELLS, self.cells.load(Ordering::Relaxed));
+        snap
+    }
+
+    /// One-line human summary, stable enough to grep in CI:
+    /// `pipeline cache: models 3 hit / 0 miss, runs 42 hit / 0 miss, cells 12`.
+    pub fn summary(&self) -> String {
+        format!(
+            "pipeline cache: models {} hit / {} miss, runs {} hit / {} miss, cells {}",
+            self.model_hits.load(Ordering::Relaxed),
+            self.model_misses.load(Ordering::Relaxed),
+            self.run_hits.load(Ordering::Relaxed),
+            self.run_misses.load(Ordering::Relaxed),
+            self.cells.load(Ordering::Relaxed),
+        )
+    }
+}
+
 /// Resolves [`StudyPlan`]s through the cache and the worker pool.
 pub struct Pipeline<'a> {
     cfg: &'a ExpConfig,
@@ -193,7 +253,7 @@ impl<'a> Pipeline<'a> {
             progress,
             cache: None,
             jobs: 1,
-            gauges: PipelineGauges::new(),
+            gauges: PipelineGauges::default(),
             pool_busy: AtomicBool::new(false),
             models: Mutex::new(std::collections::BTreeMap::new()),
         }
@@ -272,24 +332,19 @@ impl<'a> Pipeline<'a> {
         train: impl FnOnce() -> TrainedModel,
     ) -> TrainedModel {
         if let Some(m) = self.models.lock().expect("model memo").get(key) {
-            PipelineGauges::add(&self.gauges.model_hits, 1);
+            self.gauges.model_hits.fetch_add(1, Ordering::Relaxed);
             return m.clone();
         }
         if let Some(cache) = &self.cache {
             if let Some(tsa) = cache.load_model(key) {
-                PipelineGauges::add(&self.gauges.model_hits, 1);
+                self.gauges.model_hits.fetch_add(1, Ordering::Relaxed);
                 self.progress.report(&format!("{what}: model cache hit"));
-                // Analysis and compilation are deterministic functions of
-                // (tsa, tfactor), so a cached automaton reconstructs the
-                // exact TrainedModel the training pass produced.
-                let analysis = analyze(&tsa, tfactor);
-                let model = Arc::new(GuidedModel::compile(tsa.clone(), tfactor));
-                let trained = TrainedModel { tsa, analysis, model };
+                let trained = TrainedModel::new(tsa, tfactor);
                 self.models.lock().expect("model memo").insert(key.to_string(), trained.clone());
                 return trained;
             }
         }
-        PipelineGauges::add(&self.gauges.model_misses, 1);
+        self.gauges.model_misses.fetch_add(1, Ordering::Relaxed);
         self.progress.report(&format!("{what}: training"));
         let trained = train();
         if let Some(cache) = &self.cache {
@@ -367,24 +422,25 @@ impl<'a> Pipeline<'a> {
         opts: &RunOptions,
     ) -> RunOutcome {
         let cacheable = !opts.capture_events;
+        // `resolution=None` names an override no run sets any more; it
+        // stays so that every cached run keeps its key.
         let key = format!(
             "run-v1;{wkey};threads={};seed={};jitter={};cm={:?};detection={:?};\
-             resolution={:?};telemetry={};{policy_tag}",
+             resolution=None;telemetry={};{policy_tag}",
             opts.threads,
             opts.seed,
             gstm_sim::SimConfig::new(opts.threads, opts.seed).jitter_pct,
             opts.cm,
             opts.detection,
-            opts.resolution,
             opts.telemetry,
         );
         if let Some(cache) = &self.cache {
             if cacheable {
                 if let Some(out) = cache.load_run(&key) {
-                    PipelineGauges::add(&self.gauges.run_hits, 1);
+                    self.gauges.run_hits.fetch_add(1, Ordering::Relaxed);
                     return out;
                 }
-                PipelineGauges::add(&self.gauges.run_misses, 1);
+                self.gauges.run_misses.fetch_add(1, Ordering::Relaxed);
             }
         }
         let out = gstm_guide::run_workload(workload, opts);
@@ -404,10 +460,10 @@ impl<'a> Pipeline<'a> {
     pub fn cached_text(&self, key: &str, render: impl FnOnce() -> String) -> String {
         if let Some(cache) = &self.cache {
             if let Some(body) = cache.load_text(key) {
-                PipelineGauges::add(&self.gauges.run_hits, 1);
+                self.gauges.run_hits.fetch_add(1, Ordering::Relaxed);
                 return body;
             }
-            PipelineGauges::add(&self.gauges.run_misses, 1);
+            self.gauges.run_misses.fetch_add(1, Ordering::Relaxed);
         }
         let body = render();
         if let Some(cache) = &self.cache {
@@ -456,7 +512,7 @@ impl<'a> Pipeline<'a> {
                     .with_policy(PolicyChoice::guided(Arc::clone(&trained.model))),
             )
         });
-        PipelineGauges::add(&self.gauges.cells, 1);
+        self.gauges.cells.fetch_add(1, Ordering::Relaxed);
         Cell { workload, threads, trained, default_runs, guided_runs }
     }
 
@@ -597,5 +653,27 @@ mod tests {
         );
         assert_eq!(pipe.gauges().model_misses.load(Ordering::Relaxed), 1);
         assert_eq!(pipe.gauges().model_hits.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn snapshot_exposes_all_gauges() {
+        let g = PipelineGauges::default();
+        g.model_hits.store(3, Ordering::Relaxed);
+        g.run_misses.store(7, Ordering::Relaxed);
+        g.cells.store(12, Ordering::Relaxed);
+        let snap = g.snapshot();
+        assert_eq!(snap.gauge_value(GAUGE_MODEL_HITS), Some(3));
+        assert_eq!(snap.gauge_value(GAUGE_MODEL_MISSES), Some(0));
+        assert_eq!(snap.gauge_value(GAUGE_RUN_MISSES), Some(7));
+        assert_eq!(snap.gauge_value(GAUGE_CELLS), Some(12));
+    }
+
+    #[test]
+    fn summary_is_greppable() {
+        let g = PipelineGauges::default();
+        g.model_hits.store(2, Ordering::Relaxed);
+        g.run_hits.store(5, Ordering::Relaxed);
+        let s = g.summary();
+        assert_eq!(s, "pipeline cache: models 2 hit / 0 miss, runs 5 hit / 0 miss, cells 0");
     }
 }

@@ -7,7 +7,7 @@
 //! training passes, caches outcomes and fans independent cells out across
 //! worker threads.
 
-use gstm_guide::{run_workload, train, RunOptions, RunOutcome, TrainedModel};
+use gstm_guide::{train, train_pooled, RunOptions, RunOutcome, TrainedModel};
 use gstm_serve::{ServeSpec, ServeWorkload};
 use gstm_stamp::benchmark;
 use gstm_synquake::{Quest, SynQuake};
@@ -95,7 +95,7 @@ pub fn merge_run_telemetry<'a>(runs: impl IntoIterator<Item = &'a RunOutcome>) -
 /// (solo-commit round-robin with occasional conflict tuples).
 pub fn synthetic_trained(threads: usize) -> TrainedModel {
     use gstm_core::{Participant, ThreadId, TxId};
-    use gstm_model::{analyze, GuidedModel, TsaBuilder, Tts};
+    use gstm_model::{TsaBuilder, Tts};
     let mut b = TsaBuilder::new();
     let mut run = Vec::new();
     for round in 0..30u16 {
@@ -111,10 +111,7 @@ pub fn synthetic_trained(threads: usize) -> TrainedModel {
         }
     }
     b.add_run(&run);
-    let tsa = b.build();
-    let analysis = analyze(&tsa, 4.0);
-    let model = std::sync::Arc::new(GuidedModel::compile(tsa.clone(), 4.0));
-    TrainedModel { tsa, analysis, model }
+    TrainedModel::new(b.build(), 4.0)
 }
 
 /// Trains the serve model for one spec/thread-count (profiling runs of the
@@ -129,21 +126,10 @@ pub fn train_serve(cfg: &ExpConfig, spec: &ServeSpec, threads: usize) -> Trained
 /// training quests (`4worst_case` and `4moving`), pooling their profiled
 /// transaction sequences into one automaton.
 pub fn train_quake(cfg: &ExpConfig, threads: usize) -> TrainedModel {
-    use gstm_model::{analyze, parse_states, GuidedModel, TsaBuilder};
-
-    let mut builder = TsaBuilder::new();
-    for quest in Quest::training() {
-        let workload =
-            SynQuake { players: cfg.synquake_players, frames: cfg.synquake_frames.0, quest };
-        for &seed in &cfg.train_seeds {
-            let opts = RunOptions::new(threads, seed).capturing();
-            let outcome = run_workload(&workload, &opts);
-            let events = outcome.events.expect("capture enabled");
-            builder.add_run(&parse_states(&events));
-        }
-    }
-    let tsa = builder.build();
-    let analysis = analyze(&tsa, cfg.tfactor);
-    let model = std::sync::Arc::new(GuidedModel::compile(tsa.clone(), cfg.tfactor));
-    TrainedModel { tsa, analysis, model }
+    let [a, b] = Quest::training().map(|quest| SynQuake {
+        players: cfg.synquake_players,
+        frames: cfg.synquake_frames.0,
+        quest,
+    });
+    train_pooled(&[&a, &b], &RunOptions::new(threads, 0), &cfg.train_seeds, cfg.tfactor)
 }

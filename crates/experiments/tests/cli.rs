@@ -105,9 +105,44 @@ fn the_deleted_bench_commands_are_unknown() {
     let dir = scratch("unknown");
     for suffix in ["", "-pipeline", "-wal", "-mvcc", "-adaptive", "-block", "-check"] {
         let cmd = &format!("bench{suffix}");
-        let out = experiments(&dir, &[cmd, "--tiny"]);
+        let out = experiments(&dir, &[cmd, "--tiny", "--cache-dir", "cache"]);
         assert_eq!(out.status.code(), Some(2), "{cmd}");
         assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"), "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "an unknown command writes nothing: {left:?}");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+/// A single-output command prints exactly the block `all` prints under the
+/// same header: both render from one list of the paper's outputs.
+#[test]
+fn a_single_output_command_prints_its_block_of_all() {
+    let dir = scratch("single");
+    let stdout = |command: &str| {
+        let out = experiments(&dir, &[command, "--tiny", "--cache-dir", "cache"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command}: {err}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let all = stdout("all");
+    // Every output opens with its one `== … ==` header line.
+    let starts: Vec<usize> = all
+        .match_indices("== ")
+        .map(|(i, _)| i)
+        .filter(|&i| i == 0 || all.as_bytes()[i - 1] == b'\n')
+        .collect();
+    assert_eq!(starts.len(), 16, "{all}");
+    for command in ["table3", "fig7", "fig12", "serve"] {
+        let single = stdout(command);
+        let header = single.lines().next().expect("a header line");
+        let at: Vec<usize> = (0..starts.len())
+            .filter(|&i| all[starts[i]..].lines().next() == Some(header))
+            .collect();
+        assert_eq!(at.len(), 1, "{command}: `{header}` heads one block of all");
+        let end = starts.get(at[0] + 1).copied().unwrap_or(all.len());
+        assert_eq!(single, &all[starts[at[0]]..end], "{command}");
     }
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use gstm_core::cm::{Aggressive, ContentionManager, Greedy, Karma, Polite};
 use gstm_core::{
-    AdmissionPolicy, AdmitAll, Detection, EventSink, MemorySink, MulticastSink, Resolution, Stm,
-    StmConfig, ThreadId, TxEvent,
+    AdmissionPolicy, AdmitAll, Detection, EventSink, MemorySink, MulticastSink, Stm, StmConfig,
+    ThreadId, TxEvent,
 };
 use gstm_model::{GuidedModel, StateTracker};
 use gstm_sim::{SimBarrier, SimConfig, SimMachine};
@@ -174,8 +174,6 @@ pub struct RunOptions {
     pub capture_events: bool,
     /// Override detection mode (defaults to the workload's config).
     pub detection: Option<Detection>,
-    /// Override resolution mode (defaults to the workload's config).
-    pub resolution: Option<Resolution>,
     /// Return the run's merged [`Snapshot`], with its gauges, in
     /// [`RunOutcome::telemetry`].
     pub telemetry: bool,
@@ -191,7 +189,6 @@ impl RunOptions {
             cm: CmChoice::Aggressive,
             capture_events: false,
             detection: None,
-            resolution: None,
             telemetry: false,
         }
     }
@@ -334,9 +331,6 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
     let mut config = workload.stm_config(threads);
     if let Some(d) = opts.detection {
         config.detection = d;
-    }
-    if let Some(r) = opts.resolution {
-        config.resolution = r;
     }
     let stm = Arc::new(Stm::with_parts(
         config,

@@ -66,4 +66,4 @@ pub use harness::{
     run_workload, CmChoice, PolicyChoice, RunOptions, RunOutcome, WorkerEnv, Workload, WorkloadRun,
 };
 pub use policy::{GuidedPolicy, HoldStats, DEFAULT_K};
-pub use train::{train, TrainedModel};
+pub use train::{train, train_pooled, TrainedModel};

@@ -20,6 +20,15 @@ pub struct TrainedModel {
 }
 
 impl TrainedModel {
+    /// Analyzes `tsa` (§IV) and compiles its runtime model (§VI) with the
+    /// given `Tfactor`. Both are deterministic functions of `(tsa, tfactor)`,
+    /// so a saved automaton rebuilds the model its training pass produced.
+    pub fn new(tsa: Tsa, tfactor: f64) -> Self {
+        let analysis = analyze(&tsa, tfactor);
+        let model = Arc::new(GuidedModel::compile(tsa.clone(), tfactor));
+        TrainedModel { tsa, analysis, model }
+    }
+
     /// Whether the analyzer approved this model for guidance.
     pub fn is_fit(&self) -> bool {
         self.analysis.verdict.is_fit()
@@ -40,23 +49,34 @@ pub fn train(
     train_seeds: &[u64],
     tfactor: f64,
 ) -> TrainedModel {
+    train_pooled(&[workload], base, train_seeds, tfactor)
+}
+
+/// [`train`] over several workloads pooled into one automaton: every
+/// workload in order, each over every training seed in order, so the
+/// automaton numbers its states in that run order (SynQuake trains one
+/// model on two quests).
+pub fn train_pooled(
+    workloads: &[&dyn Workload],
+    base: &RunOptions,
+    train_seeds: &[u64],
+    tfactor: f64,
+) -> TrainedModel {
     let mut builder = TsaBuilder::new();
-    for &seed in train_seeds {
-        let opts = RunOptions {
-            policy: crate::harness::PolicyChoice::Default,
-            capture_events: true,
-            seed,
-            ..base.clone()
-        };
-        let outcome = run_workload(workload, &opts);
-        let events = outcome.events.expect("capture was enabled");
-        let states = parse_states(&events);
-        builder.add_run(&states);
+    for &workload in workloads {
+        for &seed in train_seeds {
+            let opts = RunOptions {
+                policy: crate::harness::PolicyChoice::Default,
+                capture_events: true,
+                seed,
+                ..base.clone()
+            };
+            let outcome = run_workload(workload, &opts);
+            let events = outcome.events.expect("capture was enabled");
+            builder.add_run(&parse_states(&events));
+        }
     }
-    let tsa = builder.build();
-    let analysis = analyze(&tsa, tfactor);
-    let model = Arc::new(GuidedModel::compile(tsa.clone(), tfactor));
-    TrainedModel { tsa, analysis, model }
+    TrainedModel::new(builder.build(), tfactor)
 }
 
 #[cfg(test)]

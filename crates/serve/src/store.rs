@@ -340,11 +340,6 @@ impl ShardedStore {
         store
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Keyspace size.
     pub fn key_count(&self) -> u64 {
         self.keys
@@ -470,7 +465,6 @@ mod tests {
         let store = ShardedStore::new(4, 8, 100);
         assert_eq!(store.total_balance_unlogged(), store.expected_total());
         assert_eq!(store.key_count(), 100);
-        assert_eq!(store.shard_count(), 4);
     }
 
     /// The bucket-at-a-time constructors lay every bucket out exactly as

@@ -37,7 +37,6 @@
 
 pub mod histogram;
 pub mod json;
-pub mod pipeline;
 pub mod registry;
 mod sink;
 pub mod snapshot;
@@ -45,6 +44,5 @@ mod telemetry_dump;
 
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use json::JsonValue;
-pub use pipeline::PipelineGauges;
 pub use registry::{reason_index, MetricsRegistry, ThreadMetrics, ABORT_REASONS};
 pub use snapshot::Snapshot;

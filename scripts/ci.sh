@@ -87,6 +87,11 @@ for cmd in all ablate-tfactor ablate-k ablate-cm ablate-train ablate-policy abla
 done
 grep -q "runs 0 hit" "$smoke_dir/all.cold.err" \
     || { echo "pipeline smoke: cold run unexpectedly hit the run cache"; exit 1; }
+# The six ablation tables, in the loop's order, are results/ablations_tiny.txt
+# byte for byte.
+(cd "$smoke_dir" && cat ablate-{tfactor,k,cm,train,policy,detection}.cold.out) \
+    | diff -u results/ablations_tiny.txt - \
+    || { echo "pipeline smoke: an ablation table moved; regenerate results/ablations_tiny.txt and say why"; exit 1; }
 rm -rf "$smoke_dir"
 
 echo "==> fast pipeline: the stdout of all --fast --no-cache is results/all_fast.txt byte for byte"
@@ -208,10 +213,10 @@ cargo test -q --release --offline -p gstm-serve --test interpreter \
     || { echo "request path: the store substrate answers differently from the plain map or the block lane"; exit 1; }
 release_tests -p gstm-serve --lib -- affinity:: placement_ \
     || { echo "placement: a pin went elsewhere, a light run spread, an overloaded one stayed, or the caller's CPUs changed"; exit 1; }
-release_tests -p gstm-core --lib -- \
-    zipf_sample_is_the_partition_point_inversion \
-    below_matches_the_threshold_loop \
-    || { echo "rng: a bucketed Zipf draw or an early-accepted bounded draw differs from the plain search or the threshold loop"; exit 1; }
+release_tests -p gstm-core --lib -- below_matches_the_threshold_loop \
+    || { echo "rng: an early-accepted bounded draw differs from the threshold loop"; exit 1; }
+release_tests -p gstm-serve --lib -- zipf_sample_is_the_partition_point_inversion \
+    || { echo "traffic: a bucketed Zipf draw differs from the plain search"; exit 1; }
 release_tests -p gstm-guide --lib -- \
     concurrent_reevaluate_claims_each_window_once \
     concurrent_loop_lands_each_tuple_in_one_window_and_retrains_once_per_claim \
