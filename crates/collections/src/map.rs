@@ -2,6 +2,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use gstm_core::{Abort, TVar, Txn};
 
@@ -131,6 +132,42 @@ where
         Ok(entries.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()))
     }
 
+    /// Transactionally reads bucket `bucket`'s shared entry list, uncopied:
+    /// a caller that looks up several keys of one bucket reads it once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates STM conflicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` is not below the map's bucket count.
+    pub fn bucket_in(&self, tx: &mut Txn<'_>, bucket: usize) -> Result<Arc<Vec<(K, V)>>, Abort> {
+        tx.read_arc(&self.buckets[bucket])
+    }
+
+    /// Transactionally replaces bucket `bucket`'s entry list with
+    /// `entries`: a caller that updates several keys of one bucket writes
+    /// it once. Every entry must sit in its key's bucket
+    /// ([`THashMap::bucket_index`]) and every key appear once, or lookups
+    /// miss it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates STM conflicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` is not below the map's bucket count.
+    pub fn replace_bucket_in(
+        &self,
+        tx: &mut Txn<'_>,
+        bucket: usize,
+        entries: Vec<(K, V)>,
+    ) -> Result<(), Abort> {
+        tx.write(&self.buckets[bucket], entries)
+    }
+
     /// Transactionally checks membership.
     ///
     /// # Errors
@@ -223,6 +260,12 @@ where
     /// Non-transactional snapshot of all entries (teardown only).
     pub fn snapshot_unlogged(&self) -> Vec<(K, V)> {
         self.buckets.iter().flat_map(|b| (*b.load_unlogged()).clone()).collect()
+    }
+
+    /// Non-transactional fold over all entries, in [`THashMap::snapshot_unlogged`]
+    /// order, reading each bucket's shared list in place (teardown only).
+    pub fn fold_unlogged<A>(&self, init: A, mut f: impl FnMut(A, &(K, V)) -> A) -> A {
+        self.buckets.iter().fold(init, |acc, b| b.load_unlogged().iter().fold(acc, &mut f))
     }
 
     /// Non-transactional entry count (teardown only).
@@ -423,6 +466,30 @@ mod tests {
         let fresh = Counted(clones.clone());
         assert_eq!(count(&mut || drop(with_tx(|tx| map.insert(tx, 5, fresh.clone())))), 8 + 1);
         assert_eq!(count(&mut || drop(with_tx(|tx| map.remove(tx, &5)))), 8);
+    }
+
+    /// A bucket read by index is the shared list, uncopied; replacing it by
+    /// index is what the next lookup sees; the unlogged fold visits every
+    /// entry once.
+    #[test]
+    fn buckets_read_and_replace_by_index() {
+        let map: THashMap<u32, u32> = THashMap::new(4);
+        for k in 0..12 {
+            map.insert_unlogged(k, k * 10);
+        }
+        let b = map.bucket_index(&5);
+        let stm = Stm::new(StmConfig::new(1));
+        stm.run(ThreadId::new(0), TxId::new(0), |tx| {
+            let shared = map.bucket_in(tx, b)?;
+            assert!(shared.contains(&(5, 50)));
+            let mut entries = shared.to_vec();
+            entries.iter_mut().for_each(|(_, v)| *v += 1);
+            map.replace_bucket_in(tx, b, entries)
+        });
+        assert_eq!(with_tx(|tx| map.get(tx, &5)), Some(51));
+        let total = map.fold_unlogged(0, |sum, &(_, v)| sum + v);
+        assert_eq!(total, map.snapshot_unlogged().iter().map(|&(_, v)| v).sum::<u32>());
+        assert_eq!(map.fold_unlogged(0, |n, _| n + 1), 12);
     }
 
     #[test]

@@ -17,7 +17,11 @@
 //! * **injection** — crash cells saw exactly one accepted kill request,
 //!   the WAL actually died at its point, and the crash lost commits (the
 //!   matrix as a whole must lose commits somewhere, or the kill schedule
-//!   was vacuous).
+//!   was vacuous). The request is placed at a seeded crossing of thread 0
+//!   early enough in its schedule that every run reaches it with traffic
+//!   still to come (`kill_crossing`), so each crash cell crashes by
+//!   construction and these checks test the recovery, not the luck of a
+//!   draw.
 //!
 //! Ephemeral cells are the contrast rows: a crash loses the whole store,
 //! so their "recovery" restarts from the initial state and every served
@@ -31,6 +35,7 @@
 use std::sync::Arc;
 
 use gstm_check::check_recovery;
+use gstm_core::rng::SmallRng;
 use gstm_core::{
     AdmitAll, Gate, KillPoint, KillSwitch, MemorySink, Stm, StmConfig, ThreadId, VarIdDomain,
 };
@@ -51,10 +56,6 @@ const WAL_BATCH: usize = 4;
 /// Snapshot advice interval for every durable cell — small enough that
 /// snapshot-phase crash points are crossed several times per run.
 const WAL_SNAPSHOT_EVERY: u64 = 24;
-/// Per-mille chance that a gate crossing requests the cell's crash. Low
-/// enough that the kill lands well into the run (after snapshots have
-/// installed), high enough that every cell still crashes.
-const KILL_PERMILLE: u32 = 2;
 
 /// Knobs of one recovery-matrix invocation.
 #[derive(Clone, Copy, Debug)]
@@ -132,6 +133,19 @@ fn matrix(tiny: bool) -> Vec<CellSpec> {
     cells
 }
 
+/// Thread 0's crossing that requests a crash cell's crash, drawn from the
+/// cell's chaos seed in `[r / 2, 2 r)` for `r` requests a thread. A request
+/// costs thread 0 about nine to ten gate crossings, so the crash lands
+/// within its first fifth and every point still recurs after it; every
+/// run at both matrix sizes crosses `2 r` (the fewest seen, under the
+/// polite manager's back-off, is three a request), so a crash cell cannot
+/// run out of crossings before its crash is requested.
+fn kill_crossing(chaos_seed: u64, requests_per_thread: usize) -> u64 {
+    let r = requests_per_thread as u64;
+    let mut rng = SmallRng::seed_from_u64(chaos_seed);
+    rng.gen_range(r / 2..2 * r)
+}
+
 /// Extracts a `key=value` token from a report line.
 fn token(line: &str, key: &str) -> Option<u64> {
     line.split_whitespace().find_map(|w| w.strip_prefix(key).and_then(|v| v.parse().ok()))
@@ -176,9 +190,10 @@ fn run_seed(cell: CellSpec, opts: &RecoverOptions, run_seed: u64) -> String {
     // The chaos stream derives from the run seed and the cell's label, so
     // every cell perturbs (and crashes) differently under one base seed.
     let machine = SimMachine::new(SimConfig::new(threads, run_seed));
-    let mut chaos_cfg = ChaosConfig::new(cell_seed(run_seed, &cell.label()));
+    let chaos_seed = cell_seed(run_seed, &cell.label());
+    let mut chaos_cfg = ChaosConfig::new(chaos_seed);
     if let Some(point) = cell.point {
-        chaos_cfg = chaos_cfg.with_kill(point, KILL_PERMILLE);
+        chaos_cfg = chaos_cfg.with_kill(point, kill_crossing(chaos_seed, opts.requests_per_thread));
     }
     let chaos = Arc::new(ChaosGate::new(chaos_cfg, machine.gate(), threads));
     let sink = Arc::new(MemorySink::new());
@@ -333,7 +348,7 @@ fn run_seed(cell: CellSpec, opts: &RecoverOptions, run_seed: u64) -> String {
 /// report line per seed.
 fn run_cell(cell: CellSpec, opts: &RecoverOptions, pipe: &Pipeline<'_>) -> String {
     let key = format!(
-        "recover-v1;{};{};threads={};seeds={}+{};wal=b{WAL_BATCH}s{WAL_SNAPSHOT_EVERY}k{KILL_PERMILLE}",
+        "recover-v2;{};{};threads={};seeds={}+{};wal=b{WAL_BATCH}s{WAL_SNAPSHOT_EVERY};kill=r/2..2r",
         cell.label(),
         opts.spec(cell.backend).cache_key(),
         opts.threads,

@@ -91,7 +91,7 @@ fn cache_keys_are_pinned() {
         [
             "054d64bea75375430ec9577b3345ec40.gtsa",
             "5a748c5e01c5bbec84325b9e84c83e27.gtsa",
-            "e905f3c837fc10e9ffe243bbe756d4d4.gtsa",
+            "5c50b4631fb51b254a949953a5ba74b4.gtsa",
         ]
     );
     // Two seeds x default and guided: 4 kmeans, 8 synquake (two test
@@ -99,20 +99,20 @@ fn cache_keys_are_pinned() {
     assert_eq!(
         runs,
         [
-            "10e18ed61fb474985c53da9db9602d07.json",
             "11cf0d4f7417e738596500f844dd07df.json",
+            "1bec8f88acb4a28c9f94b7719810b7fe.json",
             "2ac798ab5e776140e9e63290fc0d51b3.json",
+            "3752864e806424ac3bfa9e434c6217a5.json",
             "3e2e364b197b8cc830f3db65d4e59484.json",
             "40c3a14578aaf2cbeeb939979ace8679.json",
             "6c6806bcaa752cf309ce0d91b3180d6b.json",
-            "734845abebf8b2e3266d03c27360879f.json",
+            "950a9e247ef8209d09969201c7f13d76.json",
             "99713714fba8f416d2cb86b4b28e5861.json",
             "adadc73baabf1e3624f270234f153032.json",
             "b2daed3867d541591bea7cf035e8625a.json",
+            "ced7b71559976e9723f6e3ed99e8dffd.json",
             "da0366be57656535acfd8245ddec4936.json",
-            "e0d5f81bd530b0a0c3cdc2f3f6a1d2f2.json",
             "e918d65311882a40137d1a429540b2be.json",
-            "f0aa8aae035b55b5e0ddd269d0bcb7ca.json",
             "fc4c60f2ed2c8609b642414f27b2ba47.json",
             "fcc2c756cf9e6c4b5a2f12093f47925c.json",
         ]

@@ -218,14 +218,18 @@ impl ServeSpec {
 
     /// Canonical cache-key fragment: every field that shapes the run, in a
     /// fixed order. Feeds the pipeline's content-addressed run cache, so
-    /// any spec change must change this string.
+    /// any spec change must change this string. The `apply=` token names
+    /// the store's access protocol: how many STM accesses a request makes
+    /// moves every simulated serve run, so a run cached under another
+    /// protocol must not be found.
     pub fn cache_key(&self) -> String {
         let arrival = match self.arrival {
             Arrival::Poisson { mean_gap } => format!("poisson(g={mean_gap})"),
             Arrival::Bursty { mean_gap, burst } => format!("bursty(g={mean_gap},b={burst})"),
         };
         let mut key = format!(
-            "sh={};bk={};keys={};th={};arr={};rq={};qd={};wk={};sc={};mix={:?};be={}",
+            "sh={};bk={};keys={};th={};arr={};rq={};qd={};wk={};sc={};mix={:?};be={};\
+             apply=bucket-once",
             self.shards,
             self.buckets_per_shard,
             self.keys,
@@ -1095,17 +1099,17 @@ mod tests {
         assert_eq!(
             ServeSpec::hot(100).cache_key(),
             "sh=2;bk=2;keys=32;th=0.99;arr=poisson(g=220);rq=100;qd=24;wk=40;sc=8;\
-             mix=[20, 10, 10, 55, 5];be=ephemeral"
+             mix=[20, 10, 10, 55, 5];be=ephemeral;apply=bucket-once"
         );
         assert_eq!(
             ServeSpec::wide(100).cache_key(),
             "sh=8;bk=32;keys=4096;th=0.6;arr=poisson(g=220);rq=100;qd=24;wk=40;sc=8;\
-             mix=[55, 20, 10, 10, 5];be=ephemeral"
+             mix=[55, 20, 10, 10, 5];be=ephemeral;apply=bucket-once"
         );
         assert_eq!(
             ServeSpec::ledger(100).cache_key(),
             "sh=4;bk=8;keys=256;th=0.9;arr=poisson(g=180);rq=100;qd=24;wk=40;sc=8;\
-             mix=[12, 0, 0, 80, 8];be=ephemeral"
+             mix=[12, 0, 0, 80, 8];be=ephemeral;apply=bucket-once"
         );
     }
 

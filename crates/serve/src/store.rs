@@ -25,6 +25,8 @@
 //! Keeping the faces separate lets the workload mix write-heavy traffic
 //! with a machine-checkable invariant.
 
+use std::sync::Arc;
+
 use gstm_collections::THashMap;
 use gstm_core::{Abort, TxId, Txn, TxnKind};
 
@@ -193,9 +195,13 @@ pub trait EntryAccess {
 ///
 /// No request kind reads a key it has already written (a transfer reads
 /// both accounts before writing either), so a substrate need not make its
-/// own writes visible to its reads. Reads and writes are issued in a fixed
-/// order per kind: the simulator charges virtual time per STM access, so
-/// reordering them would move every serve golden.
+/// own writes visible to its reads. A substrate decides how many STM
+/// accesses a call costs: the transactional store reads each bucket once
+/// and defers every write to one write-back per changed bucket after this
+/// function returns ([`ShardedStore::apply`]). The simulator charges
+/// virtual time per STM access, so that count is part of every serve
+/// golden; the goldens moved once, when the store stopped re-reading a
+/// bucket to write it.
 ///
 /// # Errors
 ///
@@ -358,13 +364,23 @@ impl ShardedStore {
     }
 
     /// Executes one request inside the caller's transaction: [`interpret`]
-    /// over the store's transactional maps.
+    /// over the store's transactional maps, each bucket read once and
+    /// written once. A `Get` reads its one bucket directly; every other
+    /// kind runs over a `HeldBuckets` in this frame, which holds the
+    /// first two buckets the request reads and writes back the ones it
+    /// changed after `interpret` returns.
     ///
     /// # Errors
     ///
     /// Propagates STM conflicts (the caller's `Stm::run` retries).
     pub fn apply(&self, tx: &mut Txn<'_>, req: &Request) -> Result<Response, Abort> {
-        interpret(req, self.keys, &mut TxnAccess { store: self, tx })
+        if let Request::Get { .. } = req {
+            return interpret(req, self.keys, &mut TxnAccess { store: self, tx });
+        }
+        let mut access = HeldBuckets { store: self, tx, held: [None, None] };
+        let resp = interpret(req, self.keys, &mut access)?;
+        access.write_back()?;
+        Ok(resp)
     }
 
     /// Applies a block-executor write set inside the caller's transaction:
@@ -409,9 +425,10 @@ impl ShardedStore {
         all
     }
 
-    /// Non-transactional balance total (verification/teardown only).
+    /// Non-transactional balance total (verification/teardown only),
+    /// summed over each bucket's shared list without copying it.
     pub fn total_balance_unlogged(&self) -> i64 {
-        self.shards.iter().flat_map(|s| s.snapshot_unlogged()).map(|(_, e)| e.balance).sum()
+        self.shards.iter().map(|s| s.fold_unlogged(0, |sum, (_, e)| sum + e.balance)).sum()
     }
 
     /// The total every run must conserve.
@@ -447,6 +464,91 @@ impl EntryAccess for TxnAccess<'_, '_> {
     fn write(&mut self, key: u64, entry: Entry) -> Result<(), Abort> {
         let (shard, bucket) = self.store.locate(key);
         self.store.shards[shard].insert_in(self.tx, bucket, key, entry).map(|_| ())
+    }
+}
+
+/// The request-scoped transactional substrate [`ShardedStore::apply`] runs
+/// every request but a `Get` over. The first two distinct buckets a request
+/// reads are read once and held; later reads of them are served from the
+/// held list, and writes go to one private copy of their bucket, written
+/// back once by [`HeldBuckets::write_back`]. Two slots cover every writing
+/// kind (a transfer touches at most two buckets); a `Scan` reads any
+/// further bucket directly.
+struct HeldBuckets<'a, 'tx> {
+    store: &'a ShardedStore,
+    tx: &'a mut Txn<'tx>,
+    held: [Option<HeldBucket>; 2],
+}
+
+/// One bucket a request has read: its shared list and, once written, the
+/// request's private copy.
+struct HeldBucket {
+    shard: usize,
+    bucket: usize,
+    shared: Arc<Vec<(u64, Entry)>>,
+    copy: Option<Vec<(u64, Entry)>>,
+}
+
+impl HeldBuckets<'_, '_> {
+    /// The slot holding `key`'s bucket, reading the bucket into a free slot
+    /// on its first touch; `None` once both slots hold other buckets.
+    #[inline]
+    fn hold(&mut self, key: u64) -> Result<Option<&mut HeldBucket>, Abort> {
+        let (shard, bucket) = self.store.locate(key);
+        let slot = match self
+            .held
+            .iter()
+            .position(|h| h.as_ref().is_none_or(|h| h.shard == shard && h.bucket == bucket))
+        {
+            Some(i) => &mut self.held[i],
+            None => return Ok(None),
+        };
+        if slot.is_none() {
+            let shared = self.store.shards[shard].bucket_in(self.tx, bucket)?;
+            *slot = Some(HeldBucket { shard, bucket, shared, copy: None });
+        }
+        Ok(slot.as_mut())
+    }
+
+    /// Writes every changed bucket back, once each, in the order the
+    /// request first read them.
+    fn write_back(&mut self) -> Result<(), Abort> {
+        for h in self.held.iter_mut().flatten() {
+            if let Some(copy) = h.copy.take() {
+                self.store.shards[h.shard].replace_bucket_in(self.tx, h.bucket, copy)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl EntryAccess for HeldBuckets<'_, '_> {
+    type Err = Abort;
+
+    #[inline]
+    fn read(&mut self, key: u64) -> Result<Option<Entry>, Abort> {
+        match self.hold(key)? {
+            Some(h) => {
+                let entries = h.copy.as_deref().unwrap_or(&h.shared);
+                Ok(entries.iter().find(|(k, _)| *k == key).map(|&(_, e)| e))
+            }
+            None => TxnAccess { store: self.store, tx: &mut *self.tx }.read(key),
+        }
+    }
+
+    #[inline]
+    fn write(&mut self, key: u64, entry: Entry) -> Result<(), Abort> {
+        match self.hold(key)? {
+            Some(h) => {
+                let copy = h.copy.get_or_insert_with(|| h.shared.to_vec());
+                match copy.iter_mut().find(|(k, _)| *k == key) {
+                    Some(slot) => slot.1 = entry,
+                    None => copy.push((key, entry)),
+                }
+                Ok(())
+            }
+            None => TxnAccess { store: self.store, tx: &mut *self.tx }.write(key, entry),
+        }
     }
 }
 
@@ -519,6 +621,55 @@ mod tests {
                 assert_eq!(resp, Response::Value(None));
             }
         }
+    }
+
+    /// A request reads each bucket it touches once through the STM and
+    /// writes each bucket it changes once: on the hot store, counted as the
+    /// oracle's `ReadCheck` events (reads that crossed into shared state)
+    /// and the committed write set.
+    #[test]
+    fn a_request_reads_and_writes_each_bucket_once() {
+        use crate::service::ServeSpec;
+        use gstm_core::{cm::Aggressive, AdmitAll, MemorySink, NullGate, TxEvent};
+        use std::sync::Arc;
+
+        let spec = ServeSpec::hot(0);
+        let store = ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys);
+        let sink = Arc::new(MemorySink::new());
+        let stm = Stm::with_parts(
+            StmConfig::builder(1).check_events(true).build(),
+            Arc::new(NullGate),
+            Arc::clone(&sink) as Arc<dyn gstm_core::EventSink>,
+            Arc::new(AdmitAll),
+            Arc::new(Aggressive),
+        );
+        let counts = |req: Request| {
+            let resp = stm.run(ThreadId::new(0), req.site(), |tx| store.apply(tx, &req));
+            let events = sink.take();
+            let reads = events.iter().filter(|e| matches!(e, TxEvent::ReadCheck { .. })).count();
+            let writes = events.iter().find_map(|e| match e {
+                TxEvent::Commit { writes, .. } => Some(*writes),
+                _ => None,
+            });
+            (resp, reads, writes.expect("one commit"))
+        };
+        let keys: Vec<u64> = (0..spec.keys).collect();
+        let pair = |same: bool| {
+            keys.iter()
+                .flat_map(|&a| keys.iter().map(move |&b| (a, b)))
+                .find(|&(a, b)| a != b && (store.locate(a) == store.locate(b)) == same)
+                .expect("the hot store has both kinds of pair")
+        };
+        let (from, to) = pair(false);
+        assert_eq!(counts(Request::transfer(from, to, 1)), (Response::Transferred(true), 2, 2));
+        let (from, to) = pair(true);
+        assert_eq!(counts(Request::transfer(from, to, 1)), (Response::Transferred(true), 1, 1));
+        assert_eq!(counts(Request::put(from, 9)), (Response::Ok, 1, 1));
+        assert_eq!(counts(Request::cas(from, 9, 3)), (Response::Swapped(true), 1, 1));
+        let (resp, reads, writes) = counts(Request::get(from));
+        assert!(matches!(resp, Response::Value(Some(e)) if e.blob == 3), "{resp:?}");
+        assert_eq!((reads, writes), (1, 0));
+        assert_eq!(store.total_balance_unlogged(), store.expected_total());
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! collected write sets).
 
 use gstm_block::{execute_block, BlockConfig};
+use gstm_collections::THashMap;
 use gstm_core::rng::SmallRng;
 use gstm_core::{Stm, StmConfig, ThreadId};
 use gstm_serve::{
-    apply_with, interpret, recover_store, store_digest, DurableBackend, Entry, Materializer,
-    Request, Response, ShardedStore, StoreBackend, INITIAL_BALANCE,
+    apply_with, generate_schedule, interpret, recover_store, store_digest, DurableBackend, Entry,
+    Materializer, Request, Response, ServeSpec, ShardedStore, StoreBackend, INITIAL_BALANCE,
+    MAX_SCAN_LEN,
 };
 use gstm_wal::{LogDevice, WalConfig};
 
@@ -195,6 +197,57 @@ fn random_requests_agree_step_by_step_on_every_substrate() {
     assert!(count(Response::Transferred(false)) > 100, "refused transfers");
     assert!(count(Response::Value(None)) > 20, "reads of missing keys");
     assert!(count(Response::Swapped(true)) > 20, "swaps that hit");
+}
+
+/// The store's request-scoped bucket buffer means what the plain map WAL
+/// replay uses means: on each preset shape, one thread's generated
+/// schedule, then transfers inside one bucket and across two, requests for
+/// keys past the keyspace and scans over more buckets than the buffer
+/// holds, applied serially through `ShardedStore::apply` in STM
+/// transactions and through `interpret` over a `Materializer`, answer the
+/// same request by request and leave the same entries.
+#[test]
+fn generated_schedules_agree_with_the_plain_map_on_every_preset() {
+    for spec in [ServeSpec::hot(400), ServeSpec::wide(400), ServeSpec::ledger(400)] {
+        let keys = spec.keys;
+        let bucket = |key: u64| {
+            let shard = key % spec.shards as u64;
+            (shard, THashMap::<u64, Entry>::new(spec.buckets_per_shard).bucket_index(&key))
+        };
+        let mut reqs: Vec<Request> =
+            generate_schedule(&spec.traffic(), 11, 0).into_iter().map(|s| s.req).collect();
+        // The first key sharing key 0's bucket and the first in another.
+        let same = (1..keys).find(|&k| bucket(k) == bucket(0)).expect("a bucket holds two keys");
+        let other = (1..keys).find(|&k| bucket(k) != bucket(0)).expect("two buckets");
+        reqs.extend([
+            Request::transfer(0, same, 7),
+            Request::transfer(same, 0, 3),
+            Request::transfer(0, other, 5),
+            Request::put(same, 4),
+            Request::cas(same, 4, 6),
+            Request::transfer(keys + 5, 0, 1),
+            Request::transfer(0, keys + 5, 1),
+            Request::put(keys + 5, 1),
+            Request::cas(keys, 0, 1),
+            Request::get(keys + 5),
+            Request::scan(keys - 3, MAX_SCAN_LEN),
+            Request::scan(0, keys),
+        ]);
+        let buckets_scanned: std::collections::BTreeSet<_> =
+            (0..MAX_SCAN_LEN.min(keys)).map(|i| bucket((keys - 3 + i) % keys)).collect();
+        assert!(buckets_scanned.len() > 2, "{spec:?}: a scan meets more than two buckets");
+
+        let store = ShardedStore::new(spec.shards, spec.buckets_per_shard, keys);
+        let stm = Stm::new(StmConfig::new(1));
+        let mut m = Materializer::initial(keys);
+        for (i, req) in reqs.iter().enumerate() {
+            let via_store = stm.run(ThreadId::new(0), req.site(), |tx| store.apply(tx, req));
+            let Ok(via_map) = interpret(req, keys, &mut m);
+            assert_eq!(via_store, via_map, "{spec:?} step {i}: {req:?}");
+        }
+        assert_eq!(store.entries_unlogged(), m.entries(), "{spec:?}: final entries");
+        assert_eq!(store.total_balance_unlogged(), store.expected_total());
+    }
 }
 
 /// An overflowing transfer decoded from the WAL must replay as the same

@@ -14,12 +14,15 @@
 //!   `AbortReaders` would doom it.
 //!
 //! A fourth, **kill-and-recover** perturbation targets durability rather
-//! than scheduling: at a seeded gate crossing the gate *requests* a crash
-//! at a structural [`KillPoint`] through an armed [`KillSwitch`]. The
+//! than scheduling: at a given crossing of thread 0 (counted in that
+//! thread's program order) the gate *requests* a crash at a structural
+//! [`KillPoint`] through an armed [`KillSwitch`]. The
 //! write-ahead log observes the point as it passes it (mid-batch,
-//! mid-snapshot, post-truncate) and freezes its disk there — the gate
-//! decides *when* under the seed, the log decides *where* structurally,
-//! and recovery experiments replay the surviving bytes.
+//! mid-snapshot, post-truncate) and freezes its disk there — the caller
+//! decides *when* (typically from its seed), the log decides *where*
+//! structurally, and recovery experiments replay the surviving bytes.
+//! Because the request is placed by a crossing index rather than drawn
+//! per crossing, a run that reaches that crossing crashes by construction.
 //!
 //! Determinism: each thread draws from its own seeded RNG in its own
 //! program order, so a given `(seed, workload)` pair injects the identical
@@ -47,11 +50,11 @@ pub struct ChaosConfig {
     pub doom_permille: u32,
     /// Chance (‰) that a batched (commit write-back) crossing is stalled.
     pub commit_delay_permille: u32,
-    /// Chance (‰) that a crossing requests a crash at `kill_point`
-    /// (first request wins; the rate shapes *when* in virtual time the
-    /// crash lands).
-    pub kill_permille: u32,
-    /// The structural crash point a kill request names.
+    /// Thread 0's crossing (0-based, in its program order) that requests a
+    /// crash at `kill_point`.
+    pub kill_at: u64,
+    /// The structural crash point a kill request names; `None` requests
+    /// no crash.
     pub kill_point: Option<KillPoint>,
 }
 
@@ -65,16 +68,16 @@ impl ChaosConfig {
             max_delay: 40,
             doom_permille: 10,
             commit_delay_permille: 200,
-            kill_permille: 0,
+            kill_at: 0,
             kill_point: None,
         }
     }
 
-    /// Enables kill-and-recover injection: crossings request a crash at
-    /// `point` with chance `pm` (‰).
-    pub fn with_kill(mut self, point: KillPoint, pm: u32) -> Self {
+    /// Enables kill-and-recover injection: thread 0's crossing number
+    /// `at` (0-based) requests a crash at `point`.
+    pub fn with_kill(mut self, point: KillPoint, at: u64) -> Self {
         self.kill_point = Some(point);
-        self.kill_permille = pm;
+        self.kill_at = at;
         self
     }
 }
@@ -101,7 +104,8 @@ pub struct ChaosStats {
 pub struct ChaosGate {
     inner: Arc<dyn Gate>,
     cfg: ChaosConfig,
-    rngs: Vec<Mutex<SmallRng>>,
+    /// Per-thread RNG stream and crossings so far.
+    rngs: Vec<Mutex<(SmallRng, u64)>>,
     doom: OnceLock<DoomHandle>,
     kill: OnceLock<Arc<KillSwitch>>,
     delays: AtomicU64,
@@ -118,7 +122,7 @@ impl ChaosGate {
             .map(|i| {
                 let stream =
                     cfg.seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                Mutex::new(SmallRng::seed_from_u64(stream))
+                Mutex::new((SmallRng::seed_from_u64(stream), 0))
             })
             .collect();
         ChaosGate {
@@ -162,7 +166,9 @@ impl ChaosGate {
         let Some(rng) = self.rngs.get(thread.index()) else {
             return 0;
         };
-        let mut rng = rng.lock();
+        let (rng, crossings) = &mut *rng.lock();
+        let crossing = *crossings;
+        *crossings += 1;
         let delay_chance =
             if commit_batch { self.cfg.commit_delay_permille } else { self.cfg.delay_permille };
         let mut extra = 0;
@@ -177,7 +183,7 @@ impl ChaosGate {
                 self.dooms.fetch_add(1, Ordering::SeqCst);
             }
         }
-        if self.cfg.kill_permille > 0 && rng.gen_range(0..1000u32) < self.cfg.kill_permille {
+        if thread.index() == 0 && crossing == self.cfg.kill_at {
             if let (Some(point), Some(switch)) = (self.cfg.kill_point, self.kill.get()) {
                 if switch.request(point) {
                     self.kills.fetch_add(1, Ordering::SeqCst);
@@ -271,16 +277,25 @@ mod tests {
     #[test]
     fn armed_kill_requests_exactly_one_crash() {
         let cfg = ChaosConfig { delay_permille: 0, doom_permille: 0, ..ChaosConfig::new(11) }
-            .with_kill(KillPoint::MidBatch, 1000);
+            .with_kill(KillPoint::MidBatch, 2);
         let gate = ChaosGate::new(cfg, Arc::new(NullGate), 2);
         gate.pass(t(0), 1);
-        assert_eq!(gate.stats().kills, 0, "unarmed gate skips kill draws");
+        assert_eq!(gate.stats().kills, 0, "unarmed gate skips kill requests");
         let switch = Arc::new(KillSwitch::new());
         gate.arm_kill(Arc::clone(&switch));
-        for i in 0..10u16 {
-            gate.pass(t(i % 2), 1);
+        for _ in 0..5 {
+            gate.pass(t(1), 1);
         }
-        assert_eq!(gate.stats().kills, 1, "first request wins, later draws are no-ops");
+        assert_eq!(gate.stats().kills, 0, "only thread 0's crossings count");
+        gate.pass(t(0), 1);
+        assert_eq!(gate.stats().kills, 0, "crossing 1 is before the requested one");
+        gate.pass_batch(t(0), 1, 2);
+        assert_eq!(gate.stats().kills, 1, "crossing 2 requests the crash");
+        assert_eq!(switch.requested(), Some(KillPoint::MidBatch));
+        for _ in 0..10 {
+            gate.pass(t(0), 1);
+        }
+        assert_eq!(gate.stats().kills, 1, "exactly one request");
         assert_eq!(switch.requested(), Some(KillPoint::MidBatch));
         assert!(!switch.is_dead(), "the WAL, not the gate, trips the switch");
     }
