@@ -16,9 +16,14 @@
 //! The table is the commit spine's second shared-write hot spot (DESIGN.md
 //! §3.1c):
 //!
-//! * each stripe's lock word and stamp live together on their own 64-byte
-//!   [`CachePadded`] line, so committers hammering neighbouring stripes
-//!   never false-share;
+//! * each stripe's lock word and stamp live together in one 16-byte,
+//!   16-aligned `Stripe`, so four stripes tile a 64-byte line and none
+//!   straddles two. The table is a flat array like TL2's versioned-lock
+//!   array. Every engine builds its 2^14 stripes and a serve run touches a
+//!   few dozen of them, so the build's stores are the cost that matters:
+//!   256 KiB here, 1 MiB with a line per stripe. Neighbouring stripes can
+//!   false-share; with the serve threads on two CPUs that cost no measured
+//!   capacity (DESIGN.md §3.1c);
 //! * the visible-reader registries are **lazily allocated** per stripe —
 //!   a table serving `AbortReaders`/`WaitForReaders` traffic only pays for
 //!   the registries of stripes that actually see visible readers.
@@ -28,7 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::ids::{CommitSeq, Participant, ThreadId, TxId, VarId};
-use crate::pad::CachePadded;
 
 /// Number of low bits used for the owner + lock flag in a lock word.
 const VERSION_SHIFT: u32 = 17;
@@ -84,9 +88,11 @@ impl LockWord {
 /// entries behind a short lock.
 type ReaderRegistry = Mutex<Vec<(u16, u32)>>;
 
-/// One stripe's contended state — lock word and last-writer stamp —
-/// padded to a cache line so neighbouring stripes never false-share.
+/// One stripe's contended state — lock word and last-writer stamp. Aligned
+/// to its 16-byte size, so four stripes fill a cache line and none
+/// straddles two.
 #[derive(Debug, Default)]
+#[repr(align(16))]
 struct Stripe {
     word: AtomicU64,
     stamp: AtomicU64,
@@ -99,7 +105,7 @@ pub struct StripeIndex(pub u32);
 /// The striped lock table.
 #[derive(Debug)]
 pub struct LockTable {
-    stripes: Vec<CachePadded<Stripe>>,
+    stripes: Vec<Stripe>,
     /// Visible-reader registries; entries are `(thread raw id, nesting
     /// count)`. One `OnceLock<Box<…>>` slot per stripe (16 bytes) instead of
     /// an eager `Mutex<Vec<…>>` (40 bytes, plus its eventual heap): a
@@ -127,7 +133,7 @@ impl LockTable {
         assert!((1..=24).contains(&log2_stripes), "log2_stripes must be in 1..=24");
         let n = 1usize << log2_stripes;
         LockTable {
-            stripes: (0..n).map(|_| CachePadded::new(Stripe::default())).collect(),
+            stripes: (0..n).map(|_| Stripe::default()).collect(),
             readers: visible_readers.then(|| (0..n).map(|_| OnceLock::new()).collect()),
             mask: (n - 1) as u64,
             violations: AtomicU64::new(0),
@@ -354,6 +360,7 @@ impl LockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pad::bytes_apart;
     use crate::rng::SmallRng;
 
     fn p(t: u16, x: u16) -> Participant {
@@ -478,15 +485,35 @@ mod tests {
             let legacy = ((v.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24) & 63) as u32;
             assert_eq!(lt.stripe_of(v), StripeIndex(legacy));
         }
+        // The engine's own size, with indices read off the table before its
+        // stripes were packed: a layout change must move none of them.
+        let lt = LockTable::new(crate::stm::LOG2_STRIPES, false);
+        assert_eq!(lt.len(), 1 << 14);
+        let pinned = [
+            (0u64, 0u32),
+            (1, 14_719),
+            (2, 13_054),
+            (3, 11_389),
+            (7, 4_731),
+            (64, 8_146),
+            (1_000, 6_458),
+            (4_096, 13_479),
+            (123_456_789, 1_220),
+            (0xDEAD_BEEF, 5_934),
+            (u64::MAX, 1_664),
+        ];
+        for (raw, stripe) in pinned {
+            assert_eq!(lt.stripe_of(VarId::from_raw(raw)), StripeIndex(stripe), "var {raw}");
+        }
     }
 
     #[test]
-    fn padded_stripes_own_their_cache_lines() {
-        let lt = LockTable::new(2, false);
-        let a = &lt.stripes[0] as *const _ as usize;
-        let b = &lt.stripes[1] as *const _ as usize;
-        assert_eq!(a % 64, 0, "stripe 0 not line-aligned");
-        assert!(b - a >= 64, "stripes {a:#x}/{b:#x} share a cache line");
+    fn layout_stripes_tile_cache_lines() {
+        assert_eq!(std::mem::size_of::<Stripe>(), 16);
+        assert_eq!(std::mem::align_of::<Stripe>(), 16);
+        let lt = LockTable::new(14, false);
+        assert_eq!(bytes_apart(&lt.stripes[0], &lt.stripes[4]), 64, "four stripes a line");
+        assert_eq!(std::mem::size_of_val(lt.stripes.as_slice()), 256 << 10);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Cache-line padding for contended atomics.
 //!
-//! The commit spine's shared words — the global version clock and every
-//! lock-table stripe — are written by all committers. When two such words
-//! share a 64-byte cache line, every write by one thread invalidates the
-//! line in every other core's cache even though the *other* word was
+//! The commit spine's shared words — the global version clock and the
+//! commit-sequence counter — are written by every committer. When two such
+//! words share a 64-byte cache line, every write by one thread invalidates
+//! the line in every other core's cache even though the *other* word was
 //! untouched (false sharing). [`CachePadded`] aligns its contents to a
-//! 64-byte boundary so each padded value owns its line outright.
+//! 64-byte boundary so each padded value owns its line outright. The
+//! lock-table stripes are not padded: each is written only by the commits
+//! that hash to it, and a table of 2^14 of them is built by every engine,
+//! so four share a line (`lock_table.rs`).
 //!
 //! 64 bytes is the L1 line size on every x86-64 and most AArch64 parts;
 //! over-aligning on machines with smaller lines costs only a little memory,
@@ -176,7 +179,8 @@ impl<T> Index<ThreadId> for PerThread<T> {
 }
 
 /// Bytes between two values' addresses — what the layout tests of the
-/// per-thread slots (engine, gate, sink) compare against the line size.
+/// per-thread slots (engine, gate, sink) and of the lock-table stripes
+/// compare against the line size.
 #[cfg(test)]
 pub(crate) fn bytes_apart<T>(a: &T, b: &T) -> usize {
     (a as *const T as usize).abs_diff(b as *const T as usize)

@@ -293,6 +293,42 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "empty range")]
+    fn empty_inclusive_range_panics() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let (lo, hi) = (5u32, 4);
+        let _ = rng.gen_range(lo..=hi);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn empty_float_range_panics() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let _ = rng.gen_range(1.0..1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn reversed_inclusive_float_range_panics() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let _ = rng.gen_range(2.0..=1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability must be in [0, 1]")]
+    fn probability_above_one_panics() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let _ = rng.gen_bool(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability must be in [0, 1]")]
+    fn nan_probability_panics() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let _ = rng.gen_bool(f64::NAN);
+    }
+
+    #[test]
     fn unit_interval_floats() {
         let mut rng = SmallRng::seed_from_u64(8);
         for _ in 0..1000 {

@@ -73,7 +73,7 @@ pub struct CommitInfo {
 }
 
 /// Lock-table size of every [`Stm`]: `1 << 14` stripes.
-const LOG2_STRIPES: u32 = 14;
+pub(crate) const LOG2_STRIPES: u32 = 14;
 
 /// A software transactional memory instance.
 ///

@@ -185,11 +185,11 @@ release_tests -p gstm-serve --lib -- \
     a_committer_blocked_in_its_device_write_does_not_delay_another \
     || { echo "durable commit path: a crash lost more than its bound, or a committer waited for another's device write"; exit 1; }
 
-echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards), durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, serve-thread placement, exact Zipf and bounded draws, the adaptive loop's window claims, block admission once per transaction, snapshot readers beside writers"
+echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards) and lock-table stripes four to a line, durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, serve-thread placement, exact Zipf and bounded draws, the adaptive loop's window claims, block admission once per transaction, snapshot readers beside writers"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
 release_tests -p gstm-core -p gstm-wal -p gstm-serve --lib -- layout_ \
-    || { echo "layout: two threads' PerThread slots share a cache line"; exit 1; }
+    || { echo "layout: two threads' PerThread slots share a cache line, or the lock table's stripes no longer tile 64-byte lines"; exit 1; }
 for run in $(seq 100); do
     release_tests -p gstm-serve --lib -- --exact \
         backend::tests::concurrent_commits_recover_gap_free \
