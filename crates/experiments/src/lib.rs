@@ -16,10 +16,7 @@
 //! * [`metrics`] — derivations (per-thread stddev, tail metric merges, …);
 //! * [`report`] — one renderer per paper table/figure;
 //! * [`ablation`] — sweeps over the design knobs (Tfactor, k, CMs,
-//!   training size);
-//! * [`adaptcmd`] — the `serve-adaptive` subcommand: online adaptive
-//!   guidance (windowed retraining + §IV gate + hot-swap) under drifting
-//!   traffic.
+//!   training size).
 //!
 //! The `experiments` binary wires these together; see `README.md` for the
 //! command map (e.g. `cargo run -p gstm-experiments --release -- table1`).
@@ -27,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod adaptcmd;
 pub mod cache;
 pub mod checkcmd;
 pub mod config;

@@ -11,9 +11,6 @@
 //!   stamp      (table1+3+4, fig3..10 from one shared study)
 //!   quake      (table5, fig11, fig12)
 //!   serve      (open-loop store service tail-latency study -> serve.txt)
-//!   serve-adaptive             (online adaptive guidance vs a stale static
-//!                               model under drifting traffic ->
-//!                               serve_adaptive.txt)
 //!   all        (everything above)
 //!   cell --bench NAME          (one STAMP cell; deterministic summary — CI smoke)
 //!   sites --bench NAME         (per-site commit/abort statistics of one STAMP
@@ -64,7 +61,6 @@ use gstm_experiments::recovercmd::RecoverOptions;
 use gstm_experiments::servecmd::render_serve;
 use gstm_experiments::study::{merge_run_telemetry, Cell};
 use gstm_experiments::{ablation, report};
-use gstm_guide::RunOutcome;
 use gstm_synquake::Quest;
 
 /// The study a paper output renders from, which its command plans.
@@ -130,7 +126,7 @@ fn paper_outputs(command: &str) -> Vec<&'static (&'static str, Needs, Render)> {
 fn usage() -> ! {
     eprintln!(
         "usage: experiments <table1|table2|table3|table4|table5|fig3..fig12|stamp|quake|serve|\
-         serve-adaptive|all|\
+         all|\
          cell|train-model|inspect-model|sites|block-smoke|check|recover|\
          ablate-tfactor|ablate-k|ablate-cm|ablate-train|ablate-policy|ablate-detection> \
          [--fast|--tiny] [--bench NAME] [--metrics PATH] [--jobs N] \
@@ -353,9 +349,6 @@ fn main() {
     }
     let result = pipe.resolve(&plan);
 
-    // serve-adaptive drives the pipeline directly rather than through the
-    // study plan; its runs are kept here for --metrics.
-    let mut adaptive_runs: Vec<RunOutcome> = Vec::new();
     // check and recover exit 1 after reporting a violation.
     let mut passed = true;
 
@@ -368,11 +361,6 @@ fn main() {
     };
     match command {
         "block-smoke" => run_block_smoke(&args[1..]),
-        "serve-adaptive" => {
-            let (body, runs) = gstm_experiments::adaptcmd::serve_adaptive_report(&pipe);
-            adaptive_runs = runs;
-            emit("serve_adaptive", body);
-        }
         "check" => {
             // The fault-injected chaos matrix judged by the opacity oracle.
             let seed = flag_number(&args, "--seed").unwrap_or(7);
@@ -497,8 +485,8 @@ fn main() {
 
     if let Some(path) = &metrics_path {
         use gstm_telemetry::Snapshot;
-        let mut merged = merge_run_telemetry(result.runs().chain(&adaptive_runs));
-        if !plan.is_empty() || !adaptive_runs.is_empty() {
+        let mut merged = merge_run_telemetry(result.runs());
+        if !plan.is_empty() {
             // The pipeline's cache gauges ride along with the run telemetry.
             merged.get_or_insert_with(Snapshot::new).merge(&pipe.gauges().snapshot());
         }

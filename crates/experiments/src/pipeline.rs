@@ -393,7 +393,7 @@ impl<'a> Pipeline<'a> {
     /// The trained serve model for one (spec, threads). The key embeds the
     /// spec's full cache key, so any change to the store shape or traffic
     /// retrains instead of reusing a stale automaton.
-    pub fn trained_serve(
+    fn trained_serve(
         &self,
         what: &str,
         spec: &gstm_serve::ServeSpec,

@@ -44,7 +44,7 @@ pub fn serve_spec(cfg: &ExpConfig, shape: &str, arrival: &str) -> ServeSpec {
 }
 
 /// Cross-seed coefficient of variation of one workload stat, in percent.
-pub(crate) fn stat_cov_pct(runs: &[RunOutcome], key: &str) -> f64 {
+fn stat_cov_pct(runs: &[RunOutcome], key: &str) -> f64 {
     let xs: Vec<f64> = runs.iter().map(|r| stat(r, key).unwrap_or_default()).collect();
     let m = mean(&xs);
     if m == 0.0 {
@@ -55,7 +55,7 @@ pub(crate) fn stat_cov_pct(runs: &[RunOutcome], key: &str) -> f64 {
 }
 
 /// Mean served throughput in requests per kilotick of makespan.
-pub(crate) fn throughput(runs: &[RunOutcome]) -> f64 {
+fn throughput(runs: &[RunOutcome]) -> f64 {
     let per_run: Vec<f64> = runs
         .iter()
         .map(|r| {
@@ -82,11 +82,10 @@ fn shed_pct(runs: &[RunOutcome]) -> f64 {
 }
 
 /// The latency columns of a serve table.
-pub(crate) const LATENCY_COLUMNS: [&str; 6] =
-    ["p50", "p95", "p99", "p99 CoV%", "thru/ktick", "shed%"];
+const LATENCY_COLUMNS: [&str; 6] = ["p50", "p95", "p99", "p99 CoV%", "thru/ktick", "shed%"];
 
 /// One run set's entries under [`LATENCY_COLUMNS`].
-pub(crate) fn latency_row(runs: &[RunOutcome]) -> [String; 6] {
+fn latency_row(runs: &[RunOutcome]) -> [String; 6] {
     [
         format!("{:.0}", mean_stat(runs, "sojourn_p50")),
         format!("{:.0}", mean_stat(runs, "sojourn_p95")),

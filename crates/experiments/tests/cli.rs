@@ -100,11 +100,21 @@ fn an_out_of_range_count_is_rejected_before_any_run() {
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
+/// The deleted `bench*` commands and the deleted online-retrain study exit
+/// 2 with the usage line and write nothing.
 #[test]
 fn the_deleted_bench_commands_are_unknown() {
     let dir = scratch("unknown");
-    for suffix in ["", "-pipeline", "-wal", "-mvcc", "-adaptive", "-block", "-check"] {
-        let cmd = &format!("bench{suffix}");
+    for cmd in [
+        "bench",
+        "bench-pipeline",
+        "bench-wal",
+        "bench-mvcc",
+        "bench-adaptive",
+        "bench-block",
+        "bench-check",
+        "serve-adaptive",
+    ] {
         let out = experiments(&dir, &[cmd, "--tiny", "--cache-dir", "cache"]);
         assert_eq!(out.status.code(), Some(2), "{cmd}");
         assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"), "{cmd}");

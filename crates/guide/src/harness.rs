@@ -14,7 +14,6 @@ use gstm_model::{GuidedModel, StateTracker};
 use gstm_sim::{SimBarrier, SimConfig, SimMachine};
 use gstm_telemetry::{MetricsRegistry, Snapshot, ThreadMetrics};
 
-use crate::adaptive::AdaptivePolicy;
 use crate::baselines::{BoundedAbortsPolicy, DeterministicPolicy};
 use crate::policy::{GuidedPolicy, HoldStats, DEFAULT_K};
 
@@ -118,17 +117,6 @@ pub enum PolicyChoice {
         /// Hold-retry bound `k`.
         k: u32,
     },
-    /// Adaptive guidance with the online retrain loop engaged
-    /// ([`AdaptivePolicy`]): the model serves through a hot-swap handle at
-    /// [`DEFAULT_K`], windows of [`ADAPTIVE_WINDOW`](crate::ADAPTIVE_WINDOW)
-    /// tuples merge into it on the window-claim cadence, the §IV gate
-    /// decides what ships, and guidance stands down above
-    /// [`ADAPTIVE_MAX_UNKNOWN_PCT`](crate::ADAPTIVE_MAX_UNKNOWN_PCT) unknown
-    /// tuples.
-    AdaptiveOnline {
-        /// Initially served compiled model.
-        model: Arc<GuidedModel>,
-    },
     /// §I's dismissed local approach: priority after `limit` aborts.
     BoundedAborts {
         /// Consecutive aborts before a thread is prioritized.
@@ -143,7 +131,6 @@ impl std::fmt::Debug for PolicyChoice {
         match self {
             PolicyChoice::Default => write!(f, "Default"),
             PolicyChoice::Guided { k, .. } => write!(f, "Guided {{ k: {k} }}"),
-            PolicyChoice::AdaptiveOnline { .. } => write!(f, "AdaptiveOnline"),
             PolicyChoice::BoundedAborts { limit } => {
                 write!(f, "BoundedAborts {{ limit: {limit} }}")
             }
@@ -287,7 +274,6 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
 
     let memory = opts.capture_events.then(MemorySink::new).map(Arc::new);
     let mut guided_policy: Option<Arc<GuidedPolicy>> = None;
-    let mut adaptive_policy: Option<Arc<AdaptivePolicy>> = None;
     let mut policy_sink: Option<Arc<dyn EventSink>> = None;
     let (tracker, policy): (Arc<StateTracker>, Arc<dyn AdmissionPolicy>) = match &opts.policy {
         PolicyChoice::Default => (Arc::new(StateTracker::new()), Arc::new(AdmitAll)),
@@ -296,12 +282,6 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
             let policy = Arc::new(GuidedPolicy::new(Arc::clone(&tracker), *k));
             guided_policy = Some(Arc::clone(&policy));
             (tracker, policy)
-        }
-        PolicyChoice::AdaptiveOnline { model } => {
-            let policy = Arc::new(AdaptivePolicy::new(Arc::clone(model)));
-            guided_policy = Some(Arc::clone(policy.guided()));
-            adaptive_policy = Some(Arc::clone(&policy));
-            (Arc::clone(policy.guided().tracker()), policy)
         }
         PolicyChoice::BoundedAborts { limit } => {
             let policy = Arc::new(BoundedAbortsPolicy::new(threads, *limit, 256));
@@ -314,13 +294,9 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
             (Arc::new(StateTracker::new()), policy)
         }
     };
-    // The adaptive policy feeds its own tracker: it is the loop's one sink.
-    let tracker_sink: Arc<dyn EventSink> = match &adaptive_policy {
-        Some(ap) => Arc::clone(ap) as Arc<dyn EventSink>,
-        None => Arc::clone(&tracker) as Arc<dyn EventSink>,
-    };
-    let mut sink =
-        MulticastSink::new().with(Arc::clone(&registry) as Arc<dyn EventSink>).with(tracker_sink);
+    let mut sink = MulticastSink::new()
+        .with(Arc::clone(&registry) as Arc<dyn EventSink>)
+        .with(Arc::clone(&tracker) as Arc<dyn EventSink>);
     if let Some(ps) = policy_sink {
         sink = sink.with(ps);
     }
@@ -380,9 +356,6 @@ pub fn run_workload(workload: &dyn Workload, opts: &RunOptions) -> RunOutcome {
             registry.set_gauge("gstm_guide_holds_immediate_total", hs.immediate);
             registry.set_gauge("gstm_guide_holds_admitted_later_total", hs.admitted_later);
             registry.set_gauge("gstm_guide_holds_bailed_out_total", hs.bailed_out);
-        }
-        if let Some(ap) = &adaptive_policy {
-            ap.set_gauges(&registry);
         }
         registry.snapshot()
     });

@@ -53,14 +53,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod adaptive;
 mod baselines;
 mod harness;
-mod online;
 mod policy;
 mod train;
 
-pub use adaptive::{AdaptivePolicy, ADAPTIVE_MAX_UNKNOWN_PCT, ADAPTIVE_WINDOW};
 pub use baselines::{BoundedAbortsPolicy, DeterministicPolicy};
 pub use harness::{
     run_workload, CmChoice, PolicyChoice, RunOptions, RunOutcome, WorkerEnv, Workload, WorkloadRun,

@@ -20,7 +20,7 @@ pub const DEFAULT_K: u32 = 16;
 /// Hard cap on total polls per hold, as a multiple of `k` — the progress
 /// guarantee against a system whose state keeps changing without ever
 /// admitting us.
-pub const TOTAL_POLL_FACTOR: u32 = 8;
+pub(crate) const TOTAL_POLL_FACTOR: u32 = 8;
 
 /// Model-driven admission: holds a transaction back while its `(thread, tx)`
 /// pair is not part of any high-probability destination state of the
@@ -80,18 +80,10 @@ impl GuidedPolicy {
             bailed_out: self.bailed_out.load(Ordering::Relaxed),
         }
     }
-
-    /// The tracker this policy consults.
-    pub fn tracker(&self) -> &Arc<StateTracker> {
-        &self.tracker
-    }
 }
 
 impl AdmissionPolicy for GuidedPolicy {
     fn admit(&self, who: Participant, poll: &mut dyn FnMut()) -> u32 {
-        // One handle read per admission: a concurrently installed model
-        // takes effect on the next admit, and the epoch stamp makes any
-        // stale current-state id read as unknown meanwhile.
         let model = self.tracker.model().expect("checked at construction");
         let mut polls = 0;
         let mut stale = 0; // consecutive polls without a state change

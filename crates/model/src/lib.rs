@@ -23,7 +23,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analyzer;
-pub mod online;
 pub mod serialize;
 mod tracker;
 mod tsa;
@@ -31,7 +30,6 @@ mod tseq;
 mod tts;
 
 pub use analyzer::{analyze, ModelAnalysis, Verdict};
-pub use online::{merge, ModelHandle};
 pub use tracker::StateTracker;
 pub use tsa::{GuidedModel, Tsa, TsaBuilder, DEFAULT_MIN_SUPPORT, DEFAULT_TFACTOR};
 pub use tseq::parse_states;

@@ -12,35 +12,27 @@
 //! non-determinism measure `|S|` is available for any run — guided or not —
 //! without buffering the whole event log.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gstm_core::sync::Mutex;
 
 use gstm_core::{EventSink, Participant, TxEvent};
 
-use crate::online::ModelHandle;
 use crate::tsa::GuidedModel;
 use crate::tts::{StateId, StateSpace, Tts};
 
+/// The `current` value while no model state is known.
 const UNKNOWN: u32 = u32::MAX;
-
-/// Packs a resolved state id with the model epoch it was resolved under.
-/// A stale epoch reads back as *unknown*: ids are only meaningful against
-/// the model that produced them, so a hot-swap implicitly clears the
-/// current state until the next commit resolves against the new model.
-fn pack_current(epoch: u64, id: u32) -> u64 {
-    ((epoch & 0xFFFF_FFFF) << 32) | u64::from(id)
-}
 
 /// Live current-state tracker and non-determinism counter.
 #[derive(Debug)]
 pub struct StateTracker {
-    model: Option<Arc<ModelHandle>>,
+    model: Option<Arc<GuidedModel>>,
     pending: Mutex<Vec<Participant>>,
     observed: Mutex<StateSpace>,
-    /// `(epoch << 32) | state_id`, see [`pack_current`].
-    current: AtomicU64,
+    /// The current state's id in `model`, or [`UNKNOWN`].
+    current: AtomicU32,
     transitions: AtomicU64,
     unknown_hits: AtomicU64,
 }
@@ -53,7 +45,7 @@ impl StateTracker {
             model: None,
             pending: Mutex::new(Vec::new()),
             observed: Mutex::new(StateSpace::new()),
-            current: AtomicU64::new(pack_current(0, UNKNOWN)),
+            current: AtomicU32::new(UNKNOWN),
             transitions: AtomicU64::new(0),
             unknown_hits: AtomicU64::new(0),
         }
@@ -61,42 +53,19 @@ impl StateTracker {
 
     /// A tracker that resolves states against `model` for guidance.
     pub fn with_model(model: Arc<GuidedModel>) -> Self {
-        Self::with_handle(Arc::new(ModelHandle::new(model)))
+        StateTracker { model: Some(model), ..StateTracker::new() }
     }
 
-    /// A tracker that resolves states through a shared hot-swap handle:
-    /// [`ModelHandle::install`] replaces the model mid-run, and every state
-    /// id resolved against the old model immediately reads as unknown.
-    pub fn with_handle(handle: Arc<ModelHandle>) -> Self {
-        let mut t = StateTracker::new();
-        t.model = Some(handle);
-        t
-    }
-
-    /// The currently served model, if any.
-    pub fn model(&self) -> Option<Arc<GuidedModel>> {
-        self.model.as_ref().map(|h| h.load())
-    }
-
-    /// The model epoch (number of installs; 0 for a model-less tracker).
-    pub fn model_epoch(&self) -> u64 {
-        self.model.as_ref().map(|h| h.epoch()).unwrap_or(0)
+    /// The model states resolve against, if any.
+    pub fn model(&self) -> Option<&Arc<GuidedModel>> {
+        self.model.as_ref()
     }
 
     /// Current state as a model id; `None` while unknown (before the first
-    /// commit, when the last tuple is absent from the model, or when the
-    /// resolving model has since been swapped out).
+    /// commit, or when the last tuple is absent from the model).
     pub fn current_state(&self) -> Option<StateId> {
-        let packed = self.current.load(Ordering::SeqCst);
-        let id = packed as u32;
-        if id == UNKNOWN {
-            return None;
-        }
-        let live_epoch = self.model.as_ref().map(|h| h.epoch()).unwrap_or(0);
-        if packed >> 32 != live_epoch & 0xFFFF_FFFF {
-            return None;
-        }
-        Some(StateId(id))
+        let id = self.current.load(Ordering::SeqCst);
+        (id != UNKNOWN).then_some(StateId(id))
     }
 
     /// Number of distinct states observed so far — the non-determinism
@@ -132,23 +101,13 @@ impl StateTracker {
                 let tts = Tts::new(aborted, *who);
                 self.observed.lock().intern(&tts);
                 self.transitions.fetch_add(1, Ordering::SeqCst);
-                // Resolve against a consistent (model, epoch) pair: the id
-                // is stamped with the epoch of the model that produced it,
-                // so an install between resolution and a later read makes
-                // the id read back as unknown instead of aliasing a state
-                // of the new model.
-                let next = match &self.model {
-                    Some(handle) => {
-                        let (model, epoch) = handle.load_with_epoch();
-                        match model.lookup(&tts) {
-                            Some(id) => pack_current(epoch, id.0),
-                            None => {
-                                self.unknown_hits.fetch_add(1, Ordering::SeqCst);
-                                pack_current(epoch, UNKNOWN)
-                            }
-                        }
+                let next = match self.model.as_ref().map(|model| model.lookup(&tts)) {
+                    Some(Some(id)) => id.0,
+                    Some(None) => {
+                        self.unknown_hits.fetch_add(1, Ordering::SeqCst);
+                        UNKNOWN
                     }
-                    None => pack_current(0, UNKNOWN),
+                    None => UNKNOWN,
                 };
                 self.current.store(next, Ordering::SeqCst);
                 Some(tts)
@@ -279,44 +238,6 @@ mod tests {
         for (i, (on, off)) in online.iter().zip(&offline).enumerate() {
             assert_eq!(on, off, "tuple {i}: the tracker closed {on}, the parser built {off}");
         }
-    }
-
-    #[test]
-    fn install_invalidates_stale_state_ids() {
-        let mut b = TsaBuilder::new();
-        b.add_run(&[Tts::solo(p(0, 0)), Tts::solo(p(1, 0))]);
-        let handle = Arc::new(ModelHandle::new(Arc::new(GuidedModel::compile(b.build(), 4.0))));
-        let t = StateTracker::with_handle(Arc::clone(&handle));
-        t.record(&commit(0, 0, 1));
-        assert!(t.current_state().is_some());
-
-        // New model interns the same tuples in the *opposite* order, so a
-        // stale id would alias the wrong state if it survived the swap.
-        let mut b2 = TsaBuilder::new();
-        b2.add_run(&[Tts::solo(p(1, 0)), Tts::solo(p(0, 0))]);
-        let new = Arc::new(GuidedModel::compile(b2.build(), 4.0));
-        handle.install(Arc::clone(&new));
-        assert_eq!(t.model_epoch(), 1);
-        assert_eq!(t.current_state(), None, "pre-swap id must read as unknown");
-
-        // The next commit resolves against the new model.
-        t.record(&commit(1, 0, 2));
-        assert_eq!(t.current_state(), new.lookup(&Tts::solo(p(1, 0))));
-        assert_eq!(t.unknown_hits.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn handle_is_shared_across_trackers() {
-        let mut b = TsaBuilder::new();
-        b.add_run(&[Tts::solo(p(0, 0)), Tts::solo(p(1, 0))]);
-        let model = Arc::new(GuidedModel::compile(b.build(), 4.0));
-        let handle = Arc::new(ModelHandle::new(model));
-        let t = StateTracker::with_handle(Arc::clone(&handle));
-        assert!(t.model().is_some());
-        let empty = Arc::new(GuidedModel::compile(TsaBuilder::new().build(), 4.0));
-        handle.install(empty);
-        assert_eq!(t.model_epoch(), 1, "external installs are visible");
-        assert_eq!(t.model().unwrap().tsa().state_count(), 0);
     }
 
     #[test]

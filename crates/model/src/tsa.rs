@@ -115,11 +115,10 @@ impl TsaBuilder {
     /// if `count` two-state runs had been added. Both states are interned
     /// even when `count` is zero (a zero-count call declares the states
     /// without creating an edge); counts saturate instead of wrapping, so
-    /// hostile persisted counts cannot overflow a merge.
+    /// hostile persisted counts cannot overflow.
     ///
-    /// This is the bulk path shared by model decode ([`crate::serialize`])
-    /// and the incremental window merge ([`crate::online`]): restoring an
-    /// edge of frequency `f` costs O(1), not O(f).
+    /// This is model decode's bulk path ([`crate::serialize`]): restoring
+    /// an edge of frequency `f` costs O(1), not O(f).
     pub fn add_transition(&mut self, from: &Tts, to: &Tts, count: u64) -> &mut Self {
         let f = self.space.intern(from);
         let t = self.space.intern(to);
@@ -201,11 +200,6 @@ impl GuidedModel {
             allowed.insert(id.0, set);
         }
         GuidedModel { tsa, allowed, tfactor }
-    }
-
-    /// The underlying automaton.
-    pub fn tsa(&self) -> &Tsa {
-        &self.tsa
     }
 
     /// The `Tfactor` this model was compiled with.

@@ -420,9 +420,7 @@ mod tests {
             for arrival in [Arrival::Poisson { mean_gap }, Arrival::Bursty { mean_gap, burst: 8 }] {
                 for drift in [None, Some(drifting)] {
                     let mut spec = base.clone().with_arrival(arrival);
-                    if let Some(drift) = drift {
-                        spec = spec.with_drift(drift);
-                    }
+                    spec.drift = drift;
                     for seed in 0..20 {
                         for thread in 0..3 {
                             generate_schedule(&spec.traffic(), seed, thread)
@@ -457,9 +455,7 @@ mod tests {
                 for (arrival, drift) in arrivals {
                     for seed in 0..20 {
                         let mut spec = base.clone().with_arrival(arrival);
-                        if let Some(drift) = drift {
-                            spec = spec.with_drift(drift);
-                        }
+                        spec.drift = drift;
                         let mut tagged: Vec<(u64, usize, usize, Request)> = (0..streams)
                             .flat_map(|t| {
                                 generate_schedule(&spec.traffic(), seed, t)

@@ -203,12 +203,6 @@ impl ServeSpec {
         self
     }
 
-    /// Installs a non-stationary traffic schedule.
-    pub fn with_drift(mut self, drift: Drift) -> Self {
-        self.drift = Some(drift);
-        self
-    }
-
     /// Switches to ordered block execution with the given block size
     /// (native runs only).
     pub fn with_block_mode(mut self, block_size: usize) -> Self {
@@ -1119,23 +1113,21 @@ mod tests {
         // spec extends the key.
         let key = ServeSpec::hot(100).cache_key();
         assert!(!key.contains("drift"), "default key must be unchanged: {key}");
-        let drifting = ServeSpec::hot(100)
-            .with_drift(Drift { theta_end: 0.2, phases: 4, hotspot_step: 8 })
-            .cache_key();
+        let drifting_key = |phases| {
+            let mut spec = ServeSpec::hot(100);
+            spec.drift = Some(Drift { theta_end: 0.2, phases, hotspot_step: 8 });
+            spec.cache_key()
+        };
+        let drifting = drifting_key(4);
         assert!(drifting.ends_with(";drift=(te=0.2,ph=4,hs=8)"), "unexpected key: {drifting}");
         assert_ne!(key, drifting);
-        assert_ne!(
-            drifting,
-            ServeSpec::hot(100)
-                .with_drift(Drift { theta_end: 0.2, phases: 8, hotspot_step: 8 })
-                .cache_key(),
-            "every drift knob must feed the key"
-        );
+        assert_ne!(drifting, drifting_key(8), "every drift knob must feed the key");
     }
 
     #[test]
     fn drifting_sim_runs_serve_conserve_and_stay_deterministic() {
-        let spec = tiny_spec().with_drift(Drift { theta_end: 0.3, phases: 4, hotspot_step: 8 });
+        let mut spec = tiny_spec();
+        spec.drift = Some(Drift { theta_end: 0.3, phases: 4, hotspot_step: 8 });
         let a = run_simulated(&spec, &RunOptions::new(3, 5));
         let stats: std::collections::HashMap<_, _> = a.workload_stats.iter().cloned().collect();
         assert_eq!(stats["req_done"] + stats["req_shed"], 3.0 * 120.0);

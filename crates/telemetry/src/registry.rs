@@ -71,7 +71,7 @@ pub struct ThreadMetrics {
 }
 
 /// The registry: a fixed array of shards plus a small gauge table for
-/// low-rate scalar readings (scheduler ticks, policy k, stand-downs).
+/// low-rate scalar readings (scheduler ticks, hold resolutions).
 ///
 /// Gauges go through a mutex because they are set a handful of times per
 /// run from cold paths, never from inside a transaction attempt.
