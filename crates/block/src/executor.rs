@@ -59,7 +59,7 @@ use crate::{BlockConfig, BlockStats};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Blocked {
     /// Block index of the writer being waited on (always `< reader`).
-    pub on: usize,
+    pub(crate) on: usize,
 }
 
 /// The read context handed to a transaction body: resolves reads against
@@ -89,11 +89,6 @@ impl<K: Hash + Ord + Clone, V: Clone> TxnCtx<'_, K, V> {
             reads.push((key.clone(), observed));
         }
         Ok(value)
-    }
-
-    /// This transaction's index in the block order.
-    pub fn index(&self) -> usize {
-        self.reader
     }
 }
 
@@ -447,8 +442,8 @@ const ALONE: Duration = Duration::from_micros(150);
 ///
 /// `base` supplies the pre-block committed state; `run` is the
 /// transaction body — called with the transaction's block index and a
-/// [`TxnCtx`], it returns the write set and output, or propagates
-/// [`Blocked`] from [`TxnCtx::read`]. `run` may be called up to
+/// `TxnCtx`, it returns the write set and output, or propagates
+/// `Blocked` from `TxnCtx::read`. `run` may be called up to
 /// `index + 1` times and must be a pure function of its reads.
 ///
 /// # Panics

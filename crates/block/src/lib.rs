@@ -15,7 +15,7 @@
 //! * Writes go into an [`MvMap`](mvmap::MvMap) keyed `(key, writer index)`.
 //!   A read by transaction `i` resolves to the newest write by a `j < i`
 //!   (or the caller's base state) and records the version it saw.
-//! * The [scheduler](executor) is lock-free: an execution cursor hands
+//! * The scheduler is lock-free: an execution cursor hands
 //!   out transactions, a validation cursor settles them **in block
 //!   order**, one atomic status word per transaction says who owns it. A
 //!   transaction whose reads no longer hold when the cursor reaches it is
@@ -37,23 +37,21 @@
 
 #![warn(missing_docs)]
 
-pub mod executor;
+mod executor;
 pub mod mvmap;
-pub mod pool;
+mod pool;
 
-pub use executor::{
-    execute_block, execute_block_on, stream_block_on, BlockHooks, BlockOutcome, Blocked, TxnCtx,
-};
+pub use executor::{execute_block, execute_block_on, stream_block_on, BlockHooks};
 pub use pool::BlockPool;
 
 /// Knobs of one block execution, validated loudly at construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockConfig {
     /// Maximum transactions per block (callers chop longer sequences).
-    pub block_size: usize,
+    pub(crate) block_size: usize,
     /// Stripes in the multi-version map (they spread lock contention and
     /// never change an outcome).
-    pub parts: usize,
+    pub(crate) parts: usize,
 }
 
 impl BlockConfig {
@@ -62,7 +60,7 @@ impl BlockConfig {
     pub const MAX_PARTS: usize = 4096;
 
     /// Hard cap on `block_size`: a block is a latency batch, not a log.
-    pub const MAX_BLOCK_SIZE: usize = 1 << 20;
+    pub(crate) const MAX_BLOCK_SIZE: usize = 1 << 20;
 
     /// Builds a validated config.
     ///
@@ -88,12 +86,12 @@ impl BlockConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlockStats {
     /// Transaction executions, including the first run of each.
-    pub executions: u64,
+    pub(crate) executions: u64,
     /// Executions beyond each transaction's first (aborted incarnations
     /// re-run).
     pub re_executions: u64,
     /// Validation passes performed.
-    pub validations: u64,
+    pub(crate) validations: u64,
     /// Validations that failed and aborted their transaction.
     pub validation_fails: u64,
     /// Reads that hit an estimate and suspended on the writer.

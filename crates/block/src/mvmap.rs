@@ -20,7 +20,7 @@ use std::sync::{Mutex, MutexGuard};
 
 /// What a transaction's slot for one key currently holds.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Version<V> {
+pub(crate) enum Version<V> {
     /// The writer aborted (or is re-executing): the value is coming but
     /// unknown. Readers must suspend on the writer.
     Estimate {
@@ -108,7 +108,7 @@ impl<K: Hash + Ord + Clone, V: Clone> MvMap<K, V> {
 
     /// The stripe a key hashes to: a pure function of the key (outcomes
     /// never depend on it, but perf reproducibility is nice to have).
-    pub fn stripe_of(&self, key: &K) -> usize {
+    pub(crate) fn stripe_of(&self, key: &K) -> usize {
         let mut h = FxHasher::default();
         key.hash(&mut h);
         ((h.finish() >> 32) % self.stripes.len() as u64) as usize
@@ -143,7 +143,7 @@ impl<K: Hash + Ord + Clone, V: Clone> MvMap<K, V> {
 
     /// Re-checks a recorded read: does `key` still resolve to `observed`
     /// for this reader? An estimate in the way fails conservatively.
-    pub fn still_valid(&self, key: &K, reader: usize, observed: ReadVersion) -> bool {
+    pub(crate) fn still_valid(&self, key: &K, reader: usize, observed: ReadVersion) -> bool {
         match (Self::newest_before(&self.lock(key), key, reader), observed) {
             (None, ReadVersion::Base) => true,
             (
@@ -184,7 +184,7 @@ impl<K: Hash + Ord + Clone, V: Clone> MvMap<K, V> {
 
     /// The abort path: turns `writer`'s published writes of `keys` into
     /// estimates, which suspend later readers until it republishes.
-    pub fn mark_estimates<'a>(
+    pub(crate) fn mark_estimates<'a>(
         &self,
         writer: usize,
         incarnation: u32,
@@ -206,7 +206,7 @@ impl<K: Hash + Ord + Clone, V: Clone> MvMap<K, V> {
     ///
     /// Panics if any estimate survives: a settled block has republished
     /// real values for every transaction's last incarnation.
-    pub fn into_final_writes(self) -> Vec<(K, V)> {
+    pub(crate) fn into_final_writes(self) -> Vec<(K, V)> {
         let mut out: Vec<(K, V)> = Vec::new();
         for stripe in self.stripes {
             // Ascending `(key, writer)`: a key's last entry is its newest.

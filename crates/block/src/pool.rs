@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 
 /// One job offered to the pool: every lane that joins calls the same
 /// closure once, concurrently.
-pub type Job = Arc<dyn Fn() + Send + Sync>;
+pub(crate) type Job = Arc<dyn Fn() + Send + Sync>;
 
 #[derive(Default)]
 struct PoolState {
@@ -74,7 +74,7 @@ impl BlockPool {
     }
 
     /// Number of lanes: the submitting thread plus the helpers.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.helpers.len() + 1
     }
 
@@ -88,7 +88,7 @@ impl BlockPool {
     ///
     /// A panic of the job on any lane is re-raised here once the other
     /// lanes have left it; the pool stays usable.
-    pub fn run(&self, lanes: usize, job: Job) {
+    pub(crate) fn run(&self, lanes: usize, job: Job) {
         let admitted = lanes.min(self.threads()).saturating_sub(1);
         if admitted == 0 {
             return job();

@@ -99,9 +99,9 @@ pub struct BlockReport {
     /// Violations, in discovery order (first divergence per parallel run).
     pub violations: Vec<BlockViolation>,
     /// Parallel runs compared against the reference.
-    pub runs_compared: usize,
+    pub(crate) runs_compared: usize,
     /// Transactions in the reference block.
-    pub txns_compared: usize,
+    pub(crate) txns_compared: usize,
 }
 
 impl BlockReport {
@@ -177,7 +177,7 @@ pub fn check_block_equivalence(
 ///
 /// # Errors
 ///
-/// Returns [`BlockViolation::TotalNotConserved`] when it did not.
+/// Returns `BlockViolation::TotalNotConserved` when it did not.
 pub fn check_conserved_total(got: i64, want: i64) -> Result<(), BlockViolation> {
     if got == want {
         Ok(())

@@ -65,13 +65,11 @@ use std::fmt;
 
 use gstm_core::{Participant, TxEvent, VarId};
 
-pub mod block;
-pub mod recovery;
+mod block;
+mod recovery;
 
-pub use block::{
-    check_block_equivalence, check_conserved_total, BlockRecord, BlockReport, BlockViolation,
-};
-pub use recovery::{check_recovery, RecoveryReport, RecoveryViolation};
+pub use block::{check_block_equivalence, check_conserved_total, BlockRecord};
+pub use recovery::check_recovery;
 
 /// One invariant violation found by [`check_history`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -260,15 +258,15 @@ pub struct OracleReport {
     /// Every violation, in discovery order.
     pub violations: Vec<Violation>,
     /// Read observations examined.
-    pub reads: usize,
+    pub(crate) reads: usize,
     /// Commits examined (writers and read-only).
-    pub commits: usize,
+    pub(crate) commits: usize,
     /// Committed writer transactions among them.
-    pub writers: usize,
+    pub(crate) writers: usize,
     /// Write-backs examined.
-    pub write_backs: usize,
+    pub(crate) write_backs: usize,
     /// Snapshot-mode read observations examined (MVCC read path).
-    pub snapshot_reads: usize,
+    pub(crate) snapshot_reads: usize,
 }
 
 impl OracleReport {

@@ -66,13 +66,13 @@ impl std::fmt::Display for RecoveryViolation {
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryReport {
     /// The underlying history oracle's verdict.
-    pub history: OracleReport,
+    pub(crate) history: OracleReport,
     /// Recovery-specific violations, in discovery order.
     pub violations: Vec<RecoveryViolation>,
     /// Highest commit sequence number in the history.
-    pub max_seq: u64,
+    pub(crate) max_seq: u64,
     /// Commit events examined.
-    pub commits: usize,
+    pub(crate) commits: usize,
 }
 
 impl RecoveryReport {

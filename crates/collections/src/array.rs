@@ -16,7 +16,7 @@ use gstm_core::{Abort, TVar, Txn};
 /// let arr = TArray::new(4, |i| i as i64);
 /// let sum = stm.run(ThreadId::new(0), TxId::new(0), |tx| {
 ///     let mut s = 0;
-///     for i in 0..arr.len() {
+///     for i in 0..4 {
 ///         s += arr.read(tx, i)?;
 ///     }
 ///     Ok(s)
@@ -39,16 +39,6 @@ impl<T: Clone + Send + Sync + 'static> TArray<T> {
     pub fn new(n: usize, init: impl FnMut(usize) -> T) -> Self {
         let mut init = init;
         TArray { cells: (0..n).map(|i| TVar::new(init(i))).collect() }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the array has zero cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// Transactionally reads element `i`.
@@ -105,8 +95,6 @@ mod tests {
     #[test]
     fn init_and_len() {
         let a = TArray::new(3, |i| i * 10);
-        assert_eq!(a.len(), 3);
-        assert!(!a.is_empty());
         assert_eq!(a.snapshot_unlogged(), vec![0, 10, 20]);
     }
 
@@ -124,7 +112,6 @@ mod tests {
     #[test]
     fn empty_array() {
         let a: TArray<u8> = TArray::new(0, |_| 0);
-        assert!(a.is_empty());
         assert!(a.snapshot_unlogged().is_empty());
     }
 

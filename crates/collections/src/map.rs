@@ -168,16 +168,6 @@ where
         tx.write(&self.buckets[bucket], entries)
     }
 
-    /// Transactionally checks membership.
-    ///
-    /// # Errors
-    ///
-    /// Propagates STM conflicts.
-    pub fn contains_key(&self, tx: &mut Txn<'_>, key: &K) -> Result<bool, Abort> {
-        let entries = tx.read_arc(self.bucket_of(key))?;
-        Ok(entries.iter().any(|(k, _)| k == key))
-    }
-
     /// Transactionally removes a key, returning its value if present.
     ///
     /// # Errors
@@ -324,24 +314,6 @@ where
         Ok(self.map.insert(tx, key, ())?.is_none())
     }
 
-    /// Transactionally checks membership.
-    ///
-    /// # Errors
-    ///
-    /// Propagates STM conflicts.
-    pub fn contains(&self, tx: &mut Txn<'_>, key: &K) -> Result<bool, Abort> {
-        self.map.contains_key(tx, key)
-    }
-
-    /// Transactionally removes; returns whether the key was present.
-    ///
-    /// # Errors
-    ///
-    /// Propagates STM conflicts.
-    pub fn remove(&self, tx: &mut Txn<'_>, key: &K) -> Result<bool, Abort> {
-        Ok(self.map.remove(tx, key)?.is_some())
-    }
-
     /// Non-transactional element snapshot (teardown only).
     pub fn snapshot_unlogged(&self) -> Vec<K> {
         self.map.snapshot_unlogged().into_iter().map(|(k, _)| k).collect()
@@ -460,7 +432,6 @@ mod tests {
         };
         assert_eq!(count(&mut || assert!(with_tx(|tx| map.get(tx, &5)).is_some())), 1);
         assert_eq!(count(&mut || assert!(with_tx(|tx| map.get(tx, &50)).is_none())), 0);
-        assert_eq!(count(&mut || assert!(with_tx(|tx| map.contains_key(tx, &5)))), 0);
         assert_eq!(count(&mut || assert!(with_tx(|tx| map.remove(tx, &50)).is_none())), 0);
         // An update copies the bucket exactly once.
         let fresh = Counted(clones.clone());
@@ -495,15 +466,12 @@ mod tests {
     #[test]
     fn set_semantics() {
         let set: TSet<&'static str> = TSet::new(4);
-        let fresh = with_tx(|tx| {
+        with_tx(|tx| {
             assert!(set.insert(tx, "a")?);
             assert!(!set.insert(tx, "a")?);
-            assert!(set.contains(tx, &"a")?);
-            assert!(set.remove(tx, &"a")?);
-            set.contains(tx, &"a")
+            Ok(())
         });
-        assert!(!fresh);
-        assert_eq!(set.len_unlogged(), 0);
+        assert_eq!(set.len_unlogged(), 1);
     }
 
     #[test]

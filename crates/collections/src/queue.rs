@@ -31,12 +31,14 @@ impl<T: Clone + Send + Sync + 'static> TQueue<T> {
         TQueue { head: TVar::new(head), tail: TVar::new(Vec::new()) }
     }
 
-    /// Transactionally enqueues.
+    /// Transactionally enqueues. Only the tests enqueue (intruder drains a
+    /// seeded queue); it is their one way into `dequeue`'s refill branch.
     ///
     /// # Errors
     ///
     /// Propagates STM conflicts.
-    pub fn enqueue(&self, tx: &mut Txn<'_>, item: T) -> Result<(), Abort> {
+    #[cfg(test)]
+    pub(crate) fn enqueue(&self, tx: &mut Txn<'_>, item: T) -> Result<(), Abort> {
         let mut t = tx.read(&self.tail)?;
         t.push(item);
         tx.write(&self.tail, t)
@@ -93,16 +95,6 @@ impl<T> std::fmt::Debug for TWorklist<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> TWorklist<T> {
-    /// Creates a worklist with `shards` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "a worklist needs at least one shard");
-        TWorklist { shards: (0..shards).map(|_| TVar::new(Vec::new())).collect() }
-    }
-
     /// Creates a worklist and distributes `items` round-robin.
     ///
     /// # Panics
@@ -205,14 +197,14 @@ mod tests {
 
     #[test]
     fn worklist_empty_pop_is_none() {
-        let wl: TWorklist<u8> = TWorklist::new(3);
+        let wl: TWorklist<u8> = TWorklist::seeded(3, Vec::new());
         assert_eq!(with_tx(|tx| wl.pop(tx, 1)), None);
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _: TWorklist<u8> = TWorklist::new(0);
+        let _: TWorklist<u8> = TWorklist::seeded(0, Vec::new());
     }
 
     #[test]

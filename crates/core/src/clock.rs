@@ -19,27 +19,19 @@ use crate::pad::CachePadded;
 /// every writing transaction advances it at commit to obtain its *write
 /// version* `wv`. A location whose version exceeds `rv` was modified after
 /// this transaction began and must not be read.
-///
-/// ```
-/// use gstm_core::clock::VersionClock;
-/// let clock = VersionClock::new();
-/// let rv = clock.sample();
-/// let wv = clock.tick();
-/// assert!(wv > rv);
-/// ```
 #[derive(Debug, Default)]
-pub struct VersionClock {
+pub(crate) struct VersionClock {
     value: CachePadded<AtomicU64>,
 }
 
 impl VersionClock {
     /// Creates a clock at version 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VersionClock { value: CachePadded::new(AtomicU64::new(0)) }
     }
 
     /// Samples the current version (a transaction's `rv`).
-    pub fn sample(&self) -> u64 {
+    pub(crate) fn sample(&self) -> u64 {
         // Acquire: a sampled `rv` must see all writes published (Release, in
         // `unlock_publish`) by any commit whose `wv <= rv`; no store follows
         // that would need SeqCst's total order.
@@ -48,7 +40,7 @@ impl VersionClock {
 
     /// Atomically increments the clock and returns the new value (a
     /// committer's `wv`).
-    pub fn tick(&self) -> u64 {
+    pub(crate) fn tick(&self) -> u64 {
         // AcqRel: the RMW must order after this committer's write-set locks
         // (Acquire side) and publish a unique `wv` to later samplers
         // (Release side); uniqueness itself comes from RMW atomicity, which

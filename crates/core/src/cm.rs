@@ -61,12 +61,12 @@ impl ContentionManager for Aggressive {
 #[derive(Debug, Clone, Copy)]
 pub struct Polite {
     /// Backoff after the first abort.
-    pub base: Ticks,
+    pub(crate) base: Ticks,
     /// Exponent cap: backoff saturates at `base << cap`. The pair is not
     /// required to satisfy `base << cap <= u64::MAX` — shifts that would
     /// overflow 64 bits saturate to `Ticks::MAX` instead of panicking
     /// (debug) or wrapping to a tiny backoff (release).
-    pub cap: u32,
+    pub(crate) cap: u32,
 }
 
 impl Default for Polite {
@@ -104,11 +104,6 @@ impl Karma {
     /// per-loss backoff unit.
     pub fn new(max_threads: usize, base: Ticks) -> Self {
         Karma { karma: (0..max_threads).map(|_| AtomicU64::new(0)).collect(), base }
-    }
-
-    /// Current karma of a thread (for tests/reports).
-    pub fn karma_of(&self, thread: ThreadId) -> u64 {
-        self.karma[thread.index()].load(Ordering::Relaxed)
     }
 }
 
@@ -229,8 +224,10 @@ mod tests {
         assert_eq!(k.on_abort(ThreadId::new(0), &abort_by(1), 0), 0);
         // Thread 1 (karma 1) aborted by thread 0 (karma 5): backs off.
         assert!(k.on_abort(ThreadId::new(1), &abort_by(0), 0) > 0);
+        // A commit resets thread 0's karma to 0, below thread 1's 1: now it
+        // backs off.
         k.on_commit(ThreadId::new(0));
-        assert_eq!(k.karma_of(ThreadId::new(0)), 0);
+        assert!(k.on_abort(ThreadId::new(0), &abort_by(1), 0) > 0);
     }
 
     #[test]

@@ -27,17 +27,17 @@ pub enum Resolution {
     /// (LibTM "abort-readers", used for SynQuake in the paper).
     AbortReaders,
     /// Committer waits for registered readers to drain, aborting itself
-    /// after [`READER_WAIT_LIMIT`] polls (LibTM "wait-for-readers").
+    /// after `READER_WAIT_LIMIT` polls (LibTM "wait-for-readers").
     WaitForReaders,
 }
 
 /// [`Resolution::WaitForReaders`] patience: a committer that still finds a
 /// registered reader on a held stripe after this many polls aborts itself.
-pub const READER_WAIT_LIMIT: u32 = 32;
+pub(crate) const READER_WAIT_LIMIT: u32 = 32;
 
 impl Resolution {
     /// Whether this resolution requires visible-reader registries.
-    pub fn needs_visible_readers(self) -> bool {
+    pub(crate) fn needs_visible_readers(self) -> bool {
         !matches!(self, Resolution::SelfAbort)
     }
 }
@@ -87,27 +87,27 @@ pub enum TxnKind {
 ///     .detection(Detection::CommitTime)
 ///     .resolution(Resolution::SelfAbort)
 ///     .build();
-/// assert_eq!(cfg.max_threads, 8);
+/// assert_eq!(cfg, StmConfig::new(8)); // both knobs at their defaults
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StmConfig {
     /// Number of worker threads (thread ids must be `< max_threads`).
     /// The paper pins one thread per core: 8 or 16.
-    pub max_threads: usize,
+    pub(crate) max_threads: usize,
     /// Conflict detection time.
     pub detection: Detection,
     /// Conflict resolution against readers.
-    pub resolution: Resolution,
+    pub(crate) resolution: Resolution,
     /// Emit the oracle's `*Check` event variants (`ReadCheck`,
     /// `WriteBackCheck`, `CommitCheck`, `UnlockCheck`).
     ///
     /// Check events are recorded straight to the sink and never pass the
     /// gate, so enabling them does not perturb virtual-time schedules.
-    pub check_events: bool,
+    pub(crate) check_events: bool,
     /// Read-path strategy for [`TxnKind::ReadOnly`] transactions (default
     /// [`ReadMode::Latest`], the legacy behavior the determinism goldens
     /// pin). See DESIGN.md §3.1d.
-    pub read_mode: ReadMode,
+    pub(crate) read_mode: ReadMode,
 }
 
 impl StmConfig {
@@ -115,7 +115,7 @@ impl StmConfig {
     ///
     /// # Panics
     ///
-    /// Panics with the [`StmConfig::validate`] message if `max_threads` is
+    /// Panics with the `StmConfig::validate` message if `max_threads` is
     /// 0 or exceeds `u16::MAX`.
     pub fn new(max_threads: usize) -> Self {
         let cfg = StmConfig {
@@ -131,7 +131,7 @@ impl StmConfig {
         cfg
     }
 
-    /// Starts a fluent [`StmConfigBuilder`] with defaults for `max_threads`
+    /// Starts a fluent `StmConfigBuilder` with defaults for `max_threads`
     /// threads — the one place every knob (detection, resolution, read
     /// mode, …) is set.
     ///
@@ -149,7 +149,7 @@ impl StmConfig {
     /// [`StmConfig::new`], and so the builder, runs this automatically;
     /// call it directly when a config is assembled field-by-field (struct
     /// literal, deserialization) rather than through either.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.max_threads == 0 || self.max_threads > u16::MAX as usize {
             return Err(format!(
                 "max_threads must be in 1..={}, got {}",
@@ -177,7 +177,7 @@ impl StmConfig {
 /// ```
 /// use gstm_core::{ReadMode, StmConfig};
 /// let cfg = StmConfig::builder(8).read_mode(ReadMode::Snapshot).build();
-/// assert_eq!(cfg.read_mode, ReadMode::Snapshot);
+/// assert_ne!(cfg, StmConfig::new(8)); // the default reads `Latest`
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct StmConfigBuilder {

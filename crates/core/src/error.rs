@@ -93,7 +93,7 @@ pub struct Abort {
     pub reason: AbortReason,
     /// Commit that invalidated us, when attributable (from the stripe's
     /// last-writer stamp).
-    pub culprit: Option<(Participant, CommitSeq)>,
+    pub(crate) culprit: Option<(Participant, CommitSeq)>,
 }
 
 impl Abort {
@@ -103,7 +103,7 @@ impl Abort {
     }
 
     /// Creates an abort attributed to a specific commit.
-    pub fn caused_by(reason: AbortReason, culprit: Participant, seq: CommitSeq) -> Self {
+    pub(crate) fn caused_by(reason: AbortReason, culprit: Participant, seq: CommitSeq) -> Self {
         Abort { reason, culprit: Some((culprit, seq)) }
     }
 }

@@ -63,7 +63,7 @@ pub enum TxEvent {
     },
     /// Oracle instrumentation: a transactional read observed a value.
     ///
-    /// Emitted only when [`crate::StmConfig::check_events`] is set; never
+    /// Emitted only when `StmConfig::check_events` is set; never
     /// emitted for read-own-writes (those observe the transaction's private
     /// redo log, not shared state).
     ReadCheck {
@@ -236,7 +236,7 @@ impl EventSink for NullSink {
 /// Buffers the full transaction sequence in memory (profiling mode).
 ///
 /// ```
-/// use gstm_core::events::{MemorySink, EventSink, TxEvent};
+/// use gstm_core::{MemorySink, EventSink, TxEvent};
 /// use gstm_core::{ThreadId, TxId, Participant};
 /// let sink = MemorySink::new();
 /// sink.record(&TxEvent::Begin {
@@ -260,16 +260,6 @@ impl MemorySink {
     /// Drains and returns all recorded events in arrival order.
     pub fn take(&self) -> Vec<TxEvent> {
         std::mem::take(&mut self.events.lock())
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
     }
 }
 
@@ -344,7 +334,7 @@ mod tests {
         let evs = s.take();
         assert_eq!(evs.len(), 2);
         assert!(matches!(evs[1], TxEvent::Commit { aborts: 3, .. }));
-        assert!(s.is_empty());
+        assert!(s.take().is_empty());
     }
 
     #[test]

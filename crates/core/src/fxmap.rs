@@ -21,7 +21,7 @@ const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Open-addressing `u64 -> u32` map with linear probing and no deletion.
 #[derive(Clone, Debug, Default)]
-pub struct FxMap {
+pub(crate) struct FxMap {
     /// `(key, value)` slots; `EMPTY_KEY` marks a free slot. Length is a
     /// power of two (or zero before first insert).
     slots: Vec<(u64, u32)>,
@@ -30,29 +30,25 @@ pub struct FxMap {
 }
 
 impl FxMap {
-    /// An empty map (no allocation until the first insert).
-    pub fn new() -> Self {
-        FxMap::default()
-    }
-
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the map holds no entries.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Allocated slots — what [`clear`](Self::clear) refills when the map
     /// is not empty.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Removes every entry, keeping the allocation for reuse.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         if self.len > 0 {
             self.slots.fill((EMPTY_KEY, 0));
             self.len = 0;
@@ -69,7 +65,7 @@ impl FxMap {
 
     /// Looks up `key`.
     #[inline]
-    pub fn get(&self, key: u64) -> Option<u32> {
+    pub(crate) fn get(&self, key: u64) -> Option<u32> {
         debug_assert_ne!(key, EMPTY_KEY);
         if self.slots.is_empty() {
             return None;
@@ -90,7 +86,7 @@ impl FxMap {
 
     /// Inserts or overwrites `key`, returning the previous value if any.
     #[inline]
-    pub fn insert(&mut self, key: u64, value: u32) -> Option<u32> {
+    pub(crate) fn insert(&mut self, key: u64, value: u32) -> Option<u32> {
         debug_assert_ne!(key, EMPTY_KEY);
         // Grow at 3/4 occupancy so probe chains stay short.
         if self.slots.is_empty() || (self.len + 1) * 4 > self.slots.len() * 3 {
@@ -132,7 +128,7 @@ mod tests {
 
     #[test]
     fn insert_get_overwrite() {
-        let mut m = FxMap::new();
+        let mut m = FxMap::default();
         assert_eq!(m.get(3), None);
         assert_eq!(m.insert(3, 10), None);
         assert_eq!(m.insert(4, 20), None);
@@ -147,7 +143,7 @@ mod tests {
     fn survives_growth_with_sequential_keys() {
         // Var ids are sequential; make sure probing stays correct across
         // several growth steps.
-        let mut m = FxMap::new();
+        let mut m = FxMap::default();
         for k in 0..10_000u64 {
             assert_eq!(m.insert(k, (k * 3) as u32), None);
         }
@@ -160,7 +156,7 @@ mod tests {
 
     #[test]
     fn clear_keeps_capacity_and_empties() {
-        let mut m = FxMap::new();
+        let mut m = FxMap::default();
         for k in 0..100 {
             m.insert(k, 1);
         }
@@ -176,7 +172,7 @@ mod tests {
     #[test]
     fn colliding_keys_probe_linearly() {
         // Keys crafted to share low hash bits after masking still resolve.
-        let mut m = FxMap::new();
+        let mut m = FxMap::default();
         for k in [1u64, 17, 33, 49, 65, 81] {
             m.insert(k, k as u32);
         }

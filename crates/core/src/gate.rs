@@ -33,34 +33,34 @@ pub type Ticks = u64;
 /// therefore determine overlap, conflicts and measured execution time); the
 /// [`RealGate`] only adds them up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// Starting a transaction (reading the global version clock).
-    pub begin: Ticks,
+    pub(crate) begin: Ticks,
     /// One transactional read (lock-word sample + value copy + re-sample).
-    pub read: Ticks,
+    pub(crate) read: Ticks,
     /// One transactional write (redo-log append).
-    pub write: Ticks,
+    pub(crate) write: Ticks,
     /// Per write-set entry work at commit (lock acquire + write-back).
-    pub commit_entry: Ticks,
+    pub(crate) commit_entry: Ticks,
     /// Per read-set entry validation work at commit.
-    pub validate_entry: Ticks,
+    pub(crate) validate_entry: Ticks,
     /// Fixed cost of an abort (log teardown).
-    pub abort: Ticks,
+    pub(crate) abort: Ticks,
     /// One admission-policy hold poll (guided execution's retry spin — a
     /// hash-map lookup in §VI's implementation, so it is cheap).
-    pub poll: Ticks,
+    pub(crate) poll: Ticks,
     /// Publishing one written value into its cell's version ring at commit
     /// (MVCC snapshot mode only; charged per write-set entry in addition to
     /// `commit_entry`). Never charged under `ReadMode::Latest`, so the
     /// legacy schedules — and the determinism goldens — are untouched.
-    pub version_publish: Ticks,
+    pub(crate) version_publish: Ticks,
 }
 
 /// What every engine step costs. Loosely calibrated to TL2's relative
 /// overheads: reads/writes are cheap, per-entry commit work and the abort
 /// penalty (log unwinding) dominate. Every virtual-time result in the
 /// repository was measured at these values.
-pub const COSTS: CostModel = CostModel {
+pub(crate) const COSTS: CostModel = CostModel {
     begin: 2,
     read: 1,
     write: 1,

@@ -108,7 +108,7 @@ impl From<u16> for TxId {
 ///
 /// Assigned from a process-wide counter at variable creation. The id — not
 /// the address of the value — is hashed into the striped
-/// [lock table](crate::lock_table::LockTable), exactly like TL2 hashes shared
+/// lock table, exactly like TL2 hashes shared
 /// memory addresses into its versioned-lock array.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct VarId(u64);
@@ -121,7 +121,7 @@ impl VarId {
     }
 
     /// Raw 64-bit representation.
-    pub fn raw(self) -> u64 {
+    pub(crate) fn raw(self) -> u64 {
         self.0
     }
 }

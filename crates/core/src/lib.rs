@@ -40,37 +40,34 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod clock;
+mod clock;
 pub mod cm;
-pub mod config;
-pub mod error;
-pub mod events;
-pub mod fxmap;
-pub mod gate;
-pub mod ids;
-pub mod kill;
-pub mod lock_table;
+mod config;
+mod error;
+mod events;
+mod fxmap;
+mod gate;
+mod ids;
+mod kill;
+mod lock_table;
 mod mvcc;
-pub mod pad;
-pub mod policy;
-pub mod readset;
+mod pad;
+mod policy;
+mod readset;
 pub mod rng;
-pub mod site_stats;
-pub mod stm;
+mod site_stats;
+mod stm;
 pub mod sync;
-pub mod tvar;
+mod tvar;
 
-pub use clock::VersionClock;
-pub use config::{
-    Detection, ReadMode, Resolution, StmConfig, StmConfigBuilder, TxnKind, READER_WAIT_LIMIT,
-};
+pub use config::{Detection, ReadMode, Resolution, StmConfig, TxnKind};
 pub use error::{Abort, AbortReason};
 pub use events::{EventSink, MemorySink, MulticastSink, NullSink, TxEvent};
-pub use gate::{CostModel, Gate, NullGate, RealGate, Ticks, COSTS};
+pub use gate::{Gate, NullGate, RealGate, Ticks};
 pub use ids::{CommitSeq, Participant, ThreadId, TxId, VarId};
 pub use kill::{KillPoint, KillSwitch};
-pub use pad::{CachePadded, PerThread};
+pub use pad::PerThread;
 pub use policy::{AdmissionPolicy, AdmitAll};
-pub use site_stats::{SiteStats, SiteStatsSink};
-pub use stm::{retry, CommitInfo, DoomHandle, Stm, Txn};
-pub use tvar::{TVar, VarIdDomain, VarIdDomainGuard};
+pub use site_stats::SiteStatsSink;
+pub use stm::{retry, DoomHandle, Stm, Txn};
+pub use tvar::{TVar, VarIdDomain};

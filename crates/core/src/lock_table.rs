@@ -45,17 +45,17 @@ const OWNER_MASK: u64 = 0xFFFF << OWNER_SHIFT;
 /// nanosecond the space lasts ~52 months; the encode paths assert rather
 /// than silently wrap (a wrapped version would *unlock* a stripe into the
 /// past and corrupt every future validation).
-pub const MAX_VERSION: u64 = u64::MAX >> VERSION_SHIFT;
+pub(crate) const MAX_VERSION: u64 = u64::MAX >> VERSION_SHIFT;
 
 /// Decoded snapshot of one stripe's lock word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LockWord {
+pub(crate) struct LockWord {
     /// Stripe version (monotone, set from committers' `wv`).
-    pub version: u64,
+    pub(crate) version: u64,
     /// Whether the stripe is currently write-locked.
-    pub locked: bool,
+    pub(crate) locked: bool,
     /// Owner thread if locked.
-    pub owner: Option<ThreadId>,
+    pub(crate) owner: Option<ThreadId>,
 }
 
 impl LockWord {
@@ -100,11 +100,11 @@ struct Stripe {
 
 /// Index of a stripe within the table.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct StripeIndex(pub u32);
+pub(crate) struct StripeIndex(pub u32);
 
 /// The striped lock table.
 #[derive(Debug)]
-pub struct LockTable {
+pub(crate) struct LockTable {
     stripes: Vec<Stripe>,
     /// Visible-reader registries; entries are `(thread raw id, nesting
     /// count)`. One `OnceLock<Box<…>>` slot per stripe (16 bytes) instead of
@@ -129,7 +129,7 @@ impl LockTable {
     /// # Panics
     ///
     /// Panics if `log2_stripes` is 0 or greater than 24.
-    pub fn new(log2_stripes: u32, visible_readers: bool) -> Self {
+    pub(crate) fn new(log2_stripes: u32, visible_readers: bool) -> Self {
         assert!((1..=24).contains(&log2_stripes), "log2_stripes must be in 1..=24");
         let n = 1usize << log2_stripes;
         LockTable {
@@ -140,26 +140,16 @@ impl LockTable {
         }
     }
 
-    /// Number of stripes.
-    pub fn len(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// A lock table is never empty.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Maps a variable to its stripe (Fibonacci hashing of the id).
     #[inline]
-    pub fn stripe_of(&self, var: VarId) -> StripeIndex {
+    pub(crate) fn stripe_of(&self, var: VarId) -> StripeIndex {
         let h = var.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         StripeIndex(((h >> 24) & self.mask) as u32)
     }
 
     /// Loads and decodes a stripe's lock word.
     #[inline]
-    pub fn load(&self, s: StripeIndex) -> LockWord {
+    pub(crate) fn load(&self, s: StripeIndex) -> LockWord {
         // Acquire: pairs with the Release stores in `unlock_*` so a reader
         // that observes version `wv` also sees the data written under it.
         LockWord::decode(self.stripes[s.0 as usize].word.load(Ordering::Acquire))
@@ -171,32 +161,32 @@ impl LockTable {
     /// they differ (or the stripe is locked). Same Acquire ordering as
     /// [`LockTable::load`].
     #[inline]
-    pub fn load_raw(&self, s: StripeIndex) -> u64 {
+    pub(crate) fn load_raw(&self, s: StripeIndex) -> u64 {
         self.stripes[s.0 as usize].word.load(Ordering::Acquire)
     }
 
     /// Decodes a raw word obtained from [`LockTable::load_raw`].
     #[inline]
-    pub fn decode_raw(raw: u64) -> LockWord {
+    pub(crate) fn decode_raw(raw: u64) -> LockWord {
         LockWord::decode(raw)
     }
 
     /// Whether a raw word is locked (no decode).
     #[inline]
-    pub fn raw_locked(raw: u64) -> bool {
+    pub(crate) fn raw_locked(raw: u64) -> bool {
         raw & LOCKED_BIT != 0
     }
 
     /// Version field of a raw word (no decode).
     #[inline]
-    pub fn raw_version(raw: u64) -> u64 {
+    pub(crate) fn raw_version(raw: u64) -> u64 {
         raw >> VERSION_SHIFT
     }
 
     /// Attempts to write-lock a stripe for `owner`. Returns the pre-lock
     /// version on success; `Err(observed)` if the stripe was already locked
     /// (by anyone, including `owner` — callers dedup stripes first).
-    pub fn try_lock(&self, s: StripeIndex, owner: ThreadId) -> Result<u64, LockWord> {
+    pub(crate) fn try_lock(&self, s: StripeIndex, owner: ThreadId) -> Result<u64, LockWord> {
         let w = &self.stripes[s.0 as usize].word;
         // Acquire on both the probe and the CAS: acquiring the lock is a
         // lock-acquire in the classical sense — everything the previous
@@ -240,7 +230,7 @@ impl LockTable {
     /// counted in [`LockTable::discipline_violations`]. Debug builds also
     /// assert.
     #[must_use = "a refused unlock means the lock word was not released"]
-    pub fn unlock_publish(&self, s: StripeIndex, owner: ThreadId, new_version: u64) -> bool {
+    pub(crate) fn unlock_publish(&self, s: StripeIndex, owner: ThreadId, new_version: u64) -> bool {
         if !self.owner_check(s, owner) {
             return false;
         }
@@ -259,7 +249,7 @@ impl LockTable {
     /// counted in [`LockTable::discipline_violations`]. Debug builds also
     /// assert.
     #[must_use = "a refused unlock means the lock word was not released"]
-    pub fn unlock_restore(&self, s: StripeIndex, owner: ThreadId, old_version: u64) -> bool {
+    pub(crate) fn unlock_restore(&self, s: StripeIndex, owner: ThreadId, old_version: u64) -> bool {
         if !self.owner_check(s, owner) {
             return false;
         }
@@ -274,12 +264,12 @@ impl LockTable {
 
     /// Number of unlock attempts refused because the caller was not the
     /// stripe's owner. Always zero in a correct engine.
-    pub fn discipline_violations(&self) -> u64 {
+    pub(crate) fn discipline_violations(&self) -> u64 {
         self.violations.load(Ordering::Relaxed)
     }
 
     /// Records that `who`'s commit `seq` last wrote this stripe.
-    pub fn stamp(&self, s: StripeIndex, who: Participant, seq: CommitSeq) {
+    pub(crate) fn stamp(&self, s: StripeIndex, who: Participant, seq: CommitSeq) {
         let enc = (seq.raw() << 32) | ((who.thread.raw() as u64) << 16) | who.tx.raw() as u64;
         // Release: a stamp written before `unlock_publish` must be visible
         // to any aborting reader that attributes its conflict to `seq`.
@@ -290,7 +280,7 @@ impl LockTable {
     ///
     /// The sequence component is truncated to 32 bits; `None` is returned
     /// before the first commit.
-    pub fn last_writer(&self, s: StripeIndex) -> Option<(Participant, CommitSeq)> {
+    pub(crate) fn last_writer(&self, s: StripeIndex) -> Option<(Participant, CommitSeq)> {
         // Acquire: pairs with the Release in `stamp` — attribution is
         // best-effort (a racing commit may overwrite), but never torn.
         let raw = self.stripes[s.0 as usize].stamp.load(Ordering::Acquire);
@@ -307,7 +297,7 @@ impl LockTable {
     /// table was built without reader registries). Reentrant: nested reads
     /// bump a per-thread count. Allocates the stripe's registry on first
     /// use.
-    pub fn register_reader(&self, s: StripeIndex, thread: ThreadId) {
+    pub(crate) fn register_reader(&self, s: StripeIndex, thread: ThreadId) {
         if let Some(slots) = &self.readers {
             let reg = slots[s.0 as usize].get_or_init(|| Box::new(Mutex::new(Vec::new())));
             let mut list = reg.lock();
@@ -320,7 +310,7 @@ impl LockTable {
     }
 
     /// Removes one registration of `thread` from the stripe.
-    pub fn unregister_reader(&self, s: StripeIndex, thread: ThreadId) {
+    pub(crate) fn unregister_reader(&self, s: StripeIndex, thread: ThreadId) {
         if let Some(slots) = &self.readers {
             // A stripe nobody ever registered on has no registry to clean.
             let Some(reg) = slots[s.0 as usize].get() else { return };
@@ -336,7 +326,7 @@ impl LockTable {
 
     /// Visible readers of a stripe, excluding `me`. Empty when registries are
     /// disabled.
-    pub fn readers_excluding(&self, s: StripeIndex, me: ThreadId) -> Vec<ThreadId> {
+    pub(crate) fn readers_excluding(&self, s: StripeIndex, me: ThreadId) -> Vec<ThreadId> {
         match &self.readers {
             Some(slots) => match slots[s.0 as usize].get() {
                 Some(reg) => reg
@@ -352,7 +342,7 @@ impl LockTable {
     }
 
     /// Whether reader registries are enabled.
-    pub fn tracks_readers(&self) -> bool {
+    pub(crate) fn tracks_readers(&self) -> bool {
         self.readers.is_some()
     }
 }
@@ -470,7 +460,7 @@ mod tests {
             let s1 = lt.stripe_of(v);
             let s2 = lt.stripe_of(v);
             assert_eq!(s1, s2);
-            assert!((s1.0 as usize) < lt.len());
+            assert!((s1.0 as usize) < lt.stripes.len());
         }
     }
 
@@ -488,7 +478,7 @@ mod tests {
         // The engine's own size, with indices read off the table before its
         // stripes were packed: a layout change must move none of them.
         let lt = LockTable::new(crate::stm::LOG2_STRIPES, false);
-        assert_eq!(lt.len(), 1 << 14);
+        assert_eq!(lt.stripes.len(), 1 << 14);
         let pinned = [
             (0u64, 0u32),
             (1, 14_719),
@@ -681,7 +671,7 @@ mod tests {
                 let v = VarId::from_raw(rng.gen_range(0..u64::MAX));
                 let s = lt.stripe_of(v);
                 assert_eq!(s, lt.stripe_of(v), "seed {seed}");
-                assert!((s.0 as usize) < lt.len(), "seed {seed}: {v} -> {s:?}");
+                assert!((s.0 as usize) < lt.stripes.len(), "seed {seed}: {v} -> {s:?}");
             }
         }
     }

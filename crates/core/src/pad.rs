@@ -29,31 +29,16 @@ use crate::ids::ThreadId;
 ///
 /// Behaves like a transparent wrapper: `Deref`/`DerefMut` expose the inner
 /// value, so `CachePadded<AtomicU64>` is used exactly like an `AtomicU64`.
-///
-/// ```
-/// use std::sync::atomic::{AtomicU64, Ordering};
-/// use gstm_core::CachePadded;
-///
-/// let word = CachePadded::new(AtomicU64::new(0));
-/// word.store(7, Ordering::Relaxed);
-/// assert_eq!(word.load(Ordering::Relaxed), 7);
-/// assert_eq!(std::mem::align_of_val(&word), 64);
-/// ```
 #[derive(Debug, Default)]
 #[repr(align(64))]
-pub struct CachePadded<T> {
+pub(crate) struct CachePadded<T> {
     value: T,
 }
 
 impl<T> CachePadded<T> {
     /// Wraps `value` on its own cache line.
-    pub const fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         CachePadded { value }
-    }
-
-    /// Unwraps the inner value.
-    pub fn into_inner(self) -> T {
-        self.value
     }
 }
 
@@ -82,8 +67,7 @@ impl<T> DerefMut for CachePadded<T> {
 ///
 /// ```
 /// use std::sync::atomic::{AtomicU64, Ordering};
-/// use gstm_core::pad::PerThread;
-/// use gstm_core::ThreadId;
+/// use gstm_core::{PerThread, ThreadId};
 ///
 /// let hits = PerThread::new(4, AtomicU64::default);
 /// hits[ThreadId::new(2)].fetch_add(1, Ordering::Relaxed);
@@ -129,7 +113,7 @@ impl<T> PerThread<T> {
     }
 
     /// Slot `i`, if in range.
-    pub fn get(&self, i: usize) -> Option<&T> {
+    pub(crate) fn get(&self, i: usize) -> Option<&T> {
         self.slots.get(i).map(|slot| &**slot)
     }
 
@@ -209,7 +193,7 @@ mod tests {
         let word = CachePadded::new(AtomicU64::new(0));
         word.fetch_add(5, Ordering::Relaxed);
         assert_eq!(word.load(Ordering::Relaxed), 5);
-        assert_eq!(CachePadded::new(9u64).into_inner(), 9);
+        assert_eq!(*CachePadded::new(9u64), 9);
     }
 
     #[test]

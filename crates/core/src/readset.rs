@@ -22,7 +22,7 @@ use crate::fxmap::FxMap;
 
 /// Inline capacity of a [`ReadSet`] — covers typical STAMP transactions
 /// without touching the heap.
-pub const INLINE: usize = 16;
+pub(crate) const INLINE: usize = 16;
 
 /// Set size at which a [`ReadSet`] switches membership checks from linear
 /// scans to its exact [`FxMap`] index. Below this the [`StripeFilter`]
@@ -36,17 +36,12 @@ const INDEX_THRESHOLD: usize = 64;
 /// `may_contain` returning `false` proves the stripe was never inserted;
 /// `true` means "possibly present" and the caller must do an exact check.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct StripeFilter(u64);
+pub(crate) struct StripeFilter(u64);
 
 impl StripeFilter {
-    /// An empty filter.
-    pub fn new() -> Self {
-        StripeFilter(0)
-    }
-
     /// Removes all entries.
     #[inline]
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.0 = 0;
     }
 
@@ -59,13 +54,13 @@ impl StripeFilter {
 
     /// Marks a stripe as present.
     #[inline]
-    pub fn insert(&mut self, stripe: u32) {
+    pub(crate) fn insert(&mut self, stripe: u32) {
         self.0 |= Self::bit(stripe);
     }
 
     /// `false` proves absence; `true` requires an exact check.
     #[inline]
-    pub fn may_contain(&self, stripe: u32) -> bool {
+    pub(crate) fn may_contain(&self, stripe: u32) -> bool {
         self.0 & Self::bit(stripe) != 0
     }
 }
@@ -75,7 +70,7 @@ impl StripeFilter {
 /// Replaces the old `BTreeMap<u32, u64>` (the version value was never
 /// read back — inline read validation re-checks the lock word instead).
 #[derive(Clone, Debug, Default)]
-pub struct ReadSet {
+pub(crate) struct ReadSet {
     filter: StripeFilter,
     /// First [`INLINE`] stripes, in insertion order.
     inline: [u32; INLINE],
@@ -88,28 +83,24 @@ pub struct ReadSet {
 }
 
 impl ReadSet {
-    /// An empty read set (no allocation).
-    pub fn new() -> Self {
-        ReadSet::default()
-    }
-
     /// Number of distinct stripes read.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no stripe has been read.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// The larger of the spill vector's and the index's allocated slots.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.spill.capacity().max(self.index.capacity())
     }
 
     /// Empties the set, keeping allocations for reuse across attempts.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.filter.clear();
         self.spill.clear();
         self.index.clear();
@@ -118,7 +109,7 @@ impl ReadSet {
 
     /// Exact membership test.
     #[inline]
-    pub fn contains(&self, stripe: u32) -> bool {
+    pub(crate) fn contains(&self, stripe: u32) -> bool {
         if !self.filter.may_contain(stripe) {
             return false;
         }
@@ -131,7 +122,7 @@ impl ReadSet {
     /// Inserts a stripe; returns `true` if it was not present before (the
     /// "first read of this stripe" predicate reader registration needs).
     #[inline]
-    pub fn insert(&mut self, stripe: u32) -> bool {
+    pub(crate) fn insert(&mut self, stripe: u32) -> bool {
         if self.contains(stripe) {
             return false;
         }
@@ -156,7 +147,7 @@ impl ReadSet {
     }
 
     /// Appends every stripe to `out` in insertion order.
-    pub fn collect_into(&self, out: &mut Vec<u32>) {
+    pub(crate) fn collect_into(&self, out: &mut Vec<u32>) {
         out.extend_from_slice(&self.inline[..self.len.min(INLINE)]);
         out.extend_from_slice(&self.spill);
     }
@@ -168,7 +159,7 @@ mod tests {
 
     #[test]
     fn filter_never_false_negative() {
-        let mut f = StripeFilter::new();
+        let mut f = StripeFilter::default();
         for s in (0..2000).step_by(7) {
             f.insert(s);
         }
@@ -179,7 +170,7 @@ mod tests {
 
     #[test]
     fn insert_is_set_semantics() {
-        let mut rs = ReadSet::new();
+        let mut rs = ReadSet::default();
         assert!(rs.insert(5));
         assert!(!rs.insert(5), "second insert of the same stripe is a no-op");
         assert!(rs.insert(9));
@@ -189,7 +180,7 @@ mod tests {
 
     #[test]
     fn preserves_insertion_order_across_spill_and_index() {
-        let mut rs = ReadSet::new();
+        let mut rs = ReadSet::default();
         let stripes: Vec<u32> = (0..100).map(|i| i * 3 + 1).collect();
         for &s in &stripes {
             assert!(rs.insert(s));
@@ -211,7 +202,7 @@ mod tests {
 
     #[test]
     fn clear_resets_but_keeps_working() {
-        let mut rs = ReadSet::new();
+        let mut rs = ReadSet::default();
         for s in 0..50 {
             rs.insert(s);
         }

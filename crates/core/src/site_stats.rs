@@ -12,20 +12,20 @@ use crate::ids::Participant;
 
 /// Aggregate for one `(thread, site)` pair.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SiteStats {
+pub(crate) struct SiteStats {
     /// Committed invocations.
-    pub commits: u64,
+    pub(crate) commits: u64,
     /// Aborted attempts.
-    pub aborts: u64,
+    pub(crate) aborts: u64,
     /// Invocations held by the admission policy.
-    pub holds: u64,
+    pub(crate) holds: u64,
     /// Maximum aborts a single invocation needed before committing.
-    pub worst_retry: u32,
+    pub(crate) worst_retry: u32,
 }
 
 impl SiteStats {
     /// Abort ratio for this site.
-    pub fn abort_ratio(&self) -> f64 {
+    pub(crate) fn abort_ratio(&self) -> f64 {
         if self.commits + self.aborts == 0 {
             0.0
         } else {
@@ -51,8 +51,7 @@ impl SiteStats {
 /// );
 /// let v = TVar::new(0i64);
 /// stm.run(ThreadId::new(0), TxId::new(3), |tx| tx.write(&v, 1));
-/// let table = sink.snapshot();
-/// assert_eq!(table.len(), 1);
+/// assert_eq!(*v.load_unlogged(), 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct SiteStatsSink {
@@ -66,7 +65,7 @@ impl SiteStatsSink {
     }
 
     /// Snapshot of the per-participant table, sorted by participant.
-    pub fn snapshot(&self) -> BTreeMap<Participant, SiteStats> {
+    pub(crate) fn snapshot(&self) -> BTreeMap<Participant, SiteStats> {
         self.table.lock().clone()
     }
 

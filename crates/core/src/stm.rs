@@ -61,15 +61,13 @@ impl DoomHandle {
 
 /// Summary of a successful commit, returned by [`Txn`]-internal commit.
 #[derive(Clone, Copy, Debug)]
-pub struct CommitInfo {
+pub(crate) struct CommitInfo {
     /// Global commit sequence number.
-    pub seq: CommitSeq,
-    /// Write version published to the written stripes.
-    pub wv: u64,
+    pub(crate) seq: CommitSeq,
     /// Read-set size.
-    pub reads: u32,
+    pub(crate) reads: u32,
     /// Write-set size.
-    pub writes: u32,
+    pub(crate) writes: u32,
 }
 
 /// Lock-table size of every [`Stm`]: `1 << 14` stripes.
@@ -190,11 +188,6 @@ impl Stm {
             broken_early_write_back: std::sync::atomic::AtomicBool::new(false),
             config,
         }
-    }
-
-    /// This instance's configuration.
-    pub fn config(&self) -> &StmConfig {
-        &self.config
     }
 
     /// The gate this instance charges time through.
@@ -624,16 +617,6 @@ impl std::fmt::Debug for Txn<'_> {
 }
 
 impl<'stm> Txn<'stm> {
-    /// The executing thread.
-    pub fn thread(&self) -> ThreadId {
-        self.who.thread
-    }
-
-    /// Zero-based attempt number (= aborts suffered so far this invocation).
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
     /// Charges `ticks` of application compute to the machine model.
     ///
     /// In simulation this advances the thread's virtual clock (making the
@@ -865,7 +848,7 @@ impl<'stm> Txn<'stm> {
         if self.scratch.writes.is_empty() {
             let seq = CommitSeq::new(stm.commit_seq.fetch_add(1, Ordering::SeqCst) + 1);
             self.record_commit_check(seq, self.rv, 0);
-            return Ok(CommitInfo { seq, wv: self.rv, reads: n_reads, writes: 0 });
+            return Ok(CommitInfo { seq, reads: n_reads, writes: 0 });
         }
 
         // Deliberate fault (negative tests only): install the redo log
@@ -989,7 +972,7 @@ impl<'stm> Txn<'stm> {
         }
         self.scratch.held.clear();
         self.record_commit_check(seq, wv, n_writes);
-        Ok(CommitInfo { seq, wv, reads: n_reads, writes: n_writes })
+        Ok(CommitInfo { seq, reads: n_reads, writes: n_writes })
     }
 
     /// Step 5 of the commit protocol: installs the redo log into the cells.
@@ -1329,7 +1312,7 @@ mod tests {
         let stm = Stm::new(StmConfig::new(1));
         let sink = Arc::new(crate::events::MemorySink::new());
         let stm = Stm::with_parts(
-            *stm.config(),
+            stm.config,
             Arc::new(NullGate),
             sink.clone(),
             Arc::new(AdmitAll),
@@ -1592,7 +1575,7 @@ mod tests {
         let h = stm.doom_handle();
         let v = TVar::new(0u32);
         let r = stm.try_run_once(t(0), x(0), |tx| {
-            h.doom(tx.thread());
+            h.doom(tx.who.thread);
             tx.read(&v)
         });
         match r {
@@ -1623,8 +1606,8 @@ mod tests {
         let mut attempts = 0;
         let got = stm.run(t(0), x(0), |tx| {
             attempts += 1;
-            if tx.attempt() == 0 {
-                h.doom(tx.thread());
+            if tx.attempt == 0 {
+                h.doom(tx.who.thread);
             }
             tx.read(&v)
         });
@@ -1666,7 +1649,7 @@ mod tests {
         assert!(got.is_err(), "legacy update txn aborts on the stale read: {got:?}");
         let mut attempts = Vec::new();
         let (va, vb) = stm.run_read_only(t(0), x(1), |tx| {
-            attempts.push(tx.attempt());
+            attempts.push(tx.attempt);
             let va = tx.read(&a)?;
             stm.run(t(1), x(2), |tx2| {
                 tx2.write(&a, 3)?;
@@ -1768,9 +1751,9 @@ mod tests {
         let b = TVar::new(0i64);
         let mut attempts = Vec::new();
         let got = stm.run_read_only(t(0), x(0), |tx| {
-            attempts.push(tx.attempt());
+            attempts.push(tx.attempt);
             let _ = tx.read(&a)?;
-            if tx.attempt() == 0 {
+            if tx.attempt == 0 {
                 stm.run(t(1), x(1), |tx2| tx2.write(&b, 5));
             }
             tx.read(&b)
@@ -1804,7 +1787,7 @@ mod tests {
         let pinned = |v: &TVar<i64>| v.cell().read_at(1).map(|(wv, _)| wv);
         let mut attempts = Vec::new();
         stm.run_read_only(t(1), x(1), |tx| {
-            attempts.push(tx.attempt());
+            attempts.push(tx.attempt);
             // This reader's timestamp pins every version committed below:
             for i in 2..=12 {
                 stm.run(t(0), x(0), |tx2| tx2.write(&v, i));
@@ -1864,7 +1847,7 @@ mod tests {
                         loop {
                             let last = writing.load(Ordering::SeqCst) == 0;
                             let total = stm.run_read_only(t(r), x(1), |tx| {
-                                retried += u64::from(tx.attempt() > 0);
+                                retried += u64::from(tx.attempt > 0);
                                 let mut sum = 0;
                                 for a in accounts {
                                     sum += tx.read(a)?;

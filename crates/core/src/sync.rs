@@ -42,11 +42,6 @@ impl<T> Mutex<T> {
     pub fn into_inner(self) -> T {
         self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: fmt::Debug> fmt::Debug for Mutex<T> {

@@ -45,13 +45,10 @@ thread_local! {
 ///
 /// ```
 /// use gstm_core::{TVar, VarIdDomain};
-/// let ids = || {
-///     let domain = VarIdDomain::new();
-///     let _guard = domain.install();
-///     (TVar::new(0u8).id().raw(), TVar::new(0u8).id().raw())
-/// };
-/// assert_eq!(ids(), (1, 2));
-/// assert_eq!(ids(), (1, 2)); // a fresh domain replays the same sequence
+/// let domain = VarIdDomain::new();
+/// let _guard = domain.install();
+/// // Numbered 1 and 2 in `domain`, whatever the process allocated before.
+/// let (_a, _b) = (TVar::new(0u8), TVar::new(0u8));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct VarIdDomain {
@@ -255,10 +252,11 @@ impl fmt::Debug for VarCell {
 /// Clones of a `TVar` alias the same underlying cell:
 ///
 /// ```
-/// use gstm_core::TVar;
+/// use gstm_core::{Stm, StmConfig, TVar, ThreadId, TxId};
 /// let a = TVar::new(1i64);
 /// let b = a.clone();
-/// assert_eq!(a.id(), b.id());
+/// Stm::new(StmConfig::new(1)).run(ThreadId::new(0), TxId::new(0), |tx| tx.write(&a, 2));
+/// assert_eq!(*b.load_unlogged(), 2);
 /// ```
 ///
 /// Use [`crate::Txn::read`] / [`crate::Txn::write`] inside a transaction;
@@ -278,7 +276,7 @@ impl<T: Send + Sync + 'static> TVar<T> {
 
     /// This variable's globally unique id.
     #[inline]
-    pub fn id(&self) -> VarId {
+    pub(crate) fn id(&self) -> VarId {
         self.cell.id
     }
 
@@ -356,6 +354,7 @@ mod tests {
     fn clone_aliases_cell() {
         let a = TVar::new(5i32);
         let b = a.clone();
+        assert_eq!(a.id(), b.id());
         a.store_unlogged(9);
         assert_eq!(*b.load_unlogged(), 9);
     }
@@ -389,6 +388,7 @@ mod tests {
             [TVar::new(0u8).id(), TVar::new(0u8).id(), TVar::new(0u8).id()]
         };
         assert_eq!(ids(), ids(), "fresh domains must replay the same id sequence");
+        assert_eq!(ids().map(VarId::raw), [1, 2, 3], "a fresh domain numbers from 1");
         // The guard dropped: allocation returns to the global counter.
         let a = TVar::new(0u8).id();
         let b = TVar::new(0u8).id();

@@ -25,7 +25,8 @@ pub struct ExpConfig {
     pub synquake_players: usize,
     /// Requests per thread in the `serve` tail-latency study.
     pub serve_requests: usize,
-    /// Directory results are written to.
+    /// Directory results are written to: `results/` at full scale only, so
+    /// a `--fast` or `--tiny` run never overwrites a committed table.
     pub out_dir: std::path::PathBuf,
     /// Collect telemetry snapshots on every measured run (the CLI's
     /// `--metrics <path>` sets this and writes the merged snapshot there).
@@ -68,6 +69,7 @@ impl ExpConfig {
             synquake_frames: (5, 10),
             synquake_players: 150,
             serve_requests: 200,
+            out_dir: "target/gstm-results/fast".into(),
             ..ExpConfig::full()
         }
     }
@@ -82,6 +84,7 @@ impl ExpConfig {
             synquake_frames: (2, 3),
             synquake_players: 40,
             serve_requests: 80,
+            out_dir: "target/gstm-results/tiny".into(),
             ..ExpConfig::fast()
         }
     }

@@ -47,7 +47,10 @@
 //! Prometheus-style text to PATH plus a compact machine dump to
 //! PATH.machine (parse with `gstm_telemetry::Snapshot::from_machine`).
 //!
-//! Output is printed and archived under `results/`.
+//! Output is printed and archived under `results/` at full scale; `--fast`
+//! and `--tiny` archive under `target/gstm-results/fast/` and
+//! `target/gstm-results/tiny/`, so a smoke run never overwrites a committed
+//! table.
 
 use std::path::Path;
 use std::sync::atomic::Ordering;

@@ -50,7 +50,8 @@ fn a_flag_without_its_value_is_rejected_by_every_command() {
         assert!(err.contains("block-smoke: bad thread count \"0\""), "--threads {threads}: {err}");
         assert!(out.stdout.is_empty(), "--threads {threads} must not run anything");
     }
-    assert!(!dir.join("results").exists(), "a rejected command line leaves nothing behind");
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "a rejected command line leaves nothing behind: {left:?}");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
@@ -96,7 +97,8 @@ fn an_out_of_range_count_is_rejected_before_any_run() {
         assert!(err.contains(message), "{args:?}: {err}");
         assert!(out.stdout.is_empty(), "{args:?} must not run anything");
     }
-    assert!(!dir.join("results").exists(), "a rejected command line leaves nothing behind");
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "a rejected command line leaves nothing behind: {left:?}");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
@@ -157,14 +159,14 @@ fn a_single_output_command_prints_its_block_of_all() {
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
-/// `scripts/ci.sh` diffs `results/{check,recover,…}.txt` against the
-/// committed tables, so a result file that cannot be written must fail the
-/// command instead of passing on the stale copy.
+/// `scripts/ci.sh` diffs each `--tiny` result file against its committed
+/// `results/*_tiny.txt` table, so a result file that cannot be written must
+/// fail the command instead of passing on the stale copy.
 #[test]
 fn an_unwritable_result_file_fails_the_command() {
     let dir = scratch("results");
-    // `results` is a regular file: no `<out_dir>/<id>.txt` can be created.
-    std::fs::write(dir.join("results"), "not a directory").unwrap();
+    // `target` is a regular file: no `<out_dir>/<id>.txt` can be created.
+    std::fs::write(dir.join("target"), "not a directory").unwrap();
     for (args, file) in [
         (&["table2", "--tiny", "--no-cache"][..], "table2.txt"),
         (&["check", "--tiny", "--threads", "2", "--ops", "1"], "check.txt"),
@@ -174,9 +176,21 @@ fn an_unwritable_result_file_fails_the_command() {
         let out = experiments(&dir, args);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
-        let path = std::path::Path::new("results").join(file);
+        let path = std::path::Path::new("target/gstm-results/tiny").join(file);
         assert!(err.contains(&format!("cannot write {}: ", path.display())), "{args:?}: {err}");
     }
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+/// Only a full-scale run writes `results/`: a `--tiny` run from the repo
+/// root used to overwrite the committed tables there.
+#[test]
+fn a_tiny_run_writes_under_target_not_results() {
+    let dir = scratch("tiny-out");
+    let out = experiments(&dir, &["serve", "--tiny", "--no-cache"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!dir.join("results").exists(), "serve --tiny wrote results/");
+    assert!(dir.join("target/gstm-results/tiny/serve.txt").is_file());
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 

@@ -58,7 +58,6 @@ mod harness;
 mod policy;
 mod train;
 
-pub use baselines::{BoundedAbortsPolicy, DeterministicPolicy};
 pub use harness::{
     run_workload, CmChoice, PolicyChoice, RunOptions, RunOutcome, WorkerEnv, Workload, WorkloadRun,
 };

@@ -73,7 +73,7 @@ impl GuidedPolicy {
     }
 
     /// Snapshot of how holds have resolved so far.
-    pub fn hold_stats(&self) -> HoldStats {
+    pub(crate) fn hold_stats(&self) -> HoldStats {
         HoldStats {
             immediate: self.immediate.load(Ordering::Relaxed),
             admitted_later: self.admitted_later.load(Ordering::Relaxed),

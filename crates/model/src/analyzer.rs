@@ -5,17 +5,17 @@ use crate::tsa::Tsa;
 /// Default cutoff for the guidance metric: "if the metric is above 50 ...
 /// most of the transition states in the model are high probability states"
 /// and the model is unfit (§IV; this is how ssca2 is rejected).
-pub const DEFAULT_METRIC_CUTOFF: f64 = 50.0;
+pub(crate) const DEFAULT_METRIC_CUTOFF: f64 = 50.0;
 
 /// Default minimum state count: a model "containing too few states" lacks
 /// the bias needed for guidance (§II-C, Model Analysis).
-pub const DEFAULT_MIN_STATES: usize = 16;
+pub(crate) const DEFAULT_MIN_STATES: usize = 16;
 
 /// Default minimum visit-weighted share of states that contain at least one
 /// aborted participant. Below this the application is "innately nearly
 /// zero aborts" (the paper's ssca2, §VII / Figure 8): guidance has no
 /// rollback non-determinism to remove and only adds overhead.
-pub const DEFAULT_MIN_ABORT_SHARE: f64 = 0.01;
+pub(crate) const DEFAULT_MIN_ABORT_SHARE: f64 = 0.01;
 
 /// Analyzer verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,12 +40,12 @@ impl Verdict {
 #[derive(Clone, Debug)]
 pub struct ModelAnalysis {
     /// Number of states in the automaton.
-    pub states: usize,
+    pub(crate) states: usize,
     /// `Σ_s |S(s)|`: total transition states reachable in the original
     /// (unguided) execution.
     pub reachable_total: usize,
     /// `Σ_s |D(s)|`: total transition states reachable under guidance.
-    pub reachable_guided: usize,
+    pub(crate) reachable_guided: usize,
     /// The guidance metric (percent, lower is better):
     /// visit-weighted `100 · Σ|D(s)| / Σ|S(s)|` (Table I / Table V).
     pub guidance_metric: f64,
@@ -69,8 +69,8 @@ impl std::fmt::Display for ModelAnalysis {
     }
 }
 
-/// Analyzes a TSA against the §IV thresholds: [`DEFAULT_METRIC_CUTOFF`],
-/// [`DEFAULT_MIN_STATES`] and [`DEFAULT_MIN_ABORT_SHARE`].
+/// Analyzes a TSA against the §IV thresholds: `DEFAULT_METRIC_CUTOFF`,
+/// `DEFAULT_MIN_STATES` and `DEFAULT_MIN_ABORT_SHARE`.
 ///
 /// The guidance metric is the ratio of guided-reachable transition states to
 /// all reachable transition states. Each state's contribution is weighted by

@@ -22,15 +22,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod analyzer;
+mod analyzer;
 pub mod serialize;
 mod tracker;
 mod tsa;
 mod tseq;
 mod tts;
 
-pub use analyzer::{analyze, ModelAnalysis, Verdict};
+pub use analyzer::{analyze, ModelAnalysis};
 pub use tracker::StateTracker;
-pub use tsa::{GuidedModel, Tsa, TsaBuilder, DEFAULT_MIN_SUPPORT, DEFAULT_TFACTOR};
+pub use tsa::{GuidedModel, Tsa, TsaBuilder, DEFAULT_MIN_SUPPORT};
 pub use tseq::parse_states;
 pub use tts::{StateId, StateSpace, Tts};

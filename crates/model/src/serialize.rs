@@ -113,16 +113,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Tsa, DecodeError> {
     rebuild(states, edges)
 }
 
-/// Saves the binary form to a file.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn save(tsa: &Tsa, path: &Path) -> Result<(), DecodeError> {
-    std::fs::write(path, to_bytes(tsa))?;
-    Ok(())
-}
-
 /// Loads the binary form from a file.
 ///
 /// # Errors
@@ -261,7 +251,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gstm-model-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.gtsa");
-        save(&tsa, &path).unwrap();
+        std::fs::write(&path, to_bytes(&tsa)).unwrap();
         let back = load(&path).unwrap();
         assert_same(&tsa, &back);
         std::fs::remove_dir_all(&dir).ok();

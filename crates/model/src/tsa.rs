@@ -6,10 +6,6 @@ use gstm_core::Participant;
 
 use crate::tts::{StateId, StateSpace, Tts};
 
-/// Default value of the paper's `Tfactor` knob (§VI: "a Tfactor value of 4
-/// strikes a balance"; the artifact notes some machines need 6).
-pub const DEFAULT_TFACTOR: f64 = 4.0;
-
 /// A probabilistic finite-state automaton over thread transactional states.
 ///
 /// Nodes are interned [`Tts`] tuples; an edge `s → d` with frequency `f`
@@ -119,7 +115,7 @@ impl TsaBuilder {
     ///
     /// This is model decode's bulk path ([`crate::serialize`]): restoring
     /// an edge of frequency `f` costs O(1), not O(f).
-    pub fn add_transition(&mut self, from: &Tts, to: &Tts, count: u64) -> &mut Self {
+    pub(crate) fn add_transition(&mut self, from: &Tts, to: &Tts, count: u64) -> &mut Self {
         let f = self.space.intern(from);
         let t = self.space.intern(to);
         if count > 0 {
@@ -130,7 +126,7 @@ impl TsaBuilder {
     }
 
     /// Number of states interned so far.
-    pub fn state_count(&self) -> usize {
+    pub(crate) fn state_count(&self) -> usize {
         self.space.len()
     }
 
@@ -167,7 +163,6 @@ pub struct GuidedModel {
     /// state id → sorted packed participants allowed from that state.
     /// Low-support states are absent (pruned → admit all).
     allowed: HashMap<u32, Vec<u32>>,
-    tfactor: f64,
 }
 
 /// Minimum outbound observations for a state to constrain admission
@@ -199,12 +194,7 @@ impl GuidedModel {
             set.dedup();
             allowed.insert(id.0, set);
         }
-        GuidedModel { tsa, allowed, tfactor }
-    }
-
-    /// The `Tfactor` this model was compiled with.
-    pub fn tfactor(&self) -> f64 {
-        self.tfactor
+        GuidedModel { tsa, allowed }
     }
 
     /// Whether `who` may begin a transaction from `current` (§V): true iff
@@ -219,7 +209,7 @@ impl GuidedModel {
     }
 
     /// Looks up a runtime tuple in the model's state space.
-    pub fn lookup(&self, tts: &Tts) -> Option<StateId> {
+    pub(crate) fn lookup(&self, tts: &Tts) -> Option<StateId> {
         self.tsa.lookup(tts)
     }
 }
@@ -365,14 +355,5 @@ mod tests {
         let s1 = tsa.lookup(&solo(1)).unwrap();
         let model = GuidedModel::compile(tsa, 4.0);
         assert!(model.admits(s1, p(42, 3)));
-    }
-
-    #[test]
-    fn model_size_is_reported() {
-        let mut b = TsaBuilder::new();
-        // s0 → s1 observed DEFAULT_MIN_SUPPORT times: s0 is not pruned.
-        b.add_transition(&solo(0), &solo(1), DEFAULT_MIN_SUPPORT);
-        let model = GuidedModel::compile(b.build(), 4.0);
-        assert!((model.tfactor() - 4.0).abs() < f64::EPSILON);
     }
 }

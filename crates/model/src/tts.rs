@@ -45,7 +45,7 @@ impl Tts {
     }
 
     /// The committing participant.
-    pub fn committer(&self) -> Participant {
+    pub(crate) fn committer(&self) -> Participant {
         self.committer
     }
 

@@ -97,10 +97,10 @@ impl StoreBackend for EphemeralBackend {
 // --- request / state codecs -------------------------------------------------
 
 /// Fixed encoded size of one request payload: kind byte + three u64 words.
-pub const REQUEST_PAYLOAD_LEN: usize = 1 + 3 * 8;
+pub(crate) const REQUEST_PAYLOAD_LEN: usize = 1 + 3 * 8;
 
 /// Encodes a request as a fixed 25-byte WAL payload.
-pub fn encode_request(req: &Request) -> [u8; REQUEST_PAYLOAD_LEN] {
+pub(crate) fn encode_request(req: &Request) -> [u8; REQUEST_PAYLOAD_LEN] {
     let (kind, a, b, c) = match *req {
         Request::Get { key } => (0u8, key, 0, 0),
         Request::Put { key, blob } => (1, key, blob, 0),
@@ -119,7 +119,7 @@ pub fn encode_request(req: &Request) -> [u8; REQUEST_PAYLOAD_LEN] {
 /// Decodes a WAL payload back into a request. `None` means the payload is
 /// not a valid request record: among others, kind 5, which a retired
 /// multi-key read once used.
-pub fn decode_request(payload: &[u8]) -> Option<Request> {
+pub(crate) fn decode_request(payload: &[u8]) -> Option<Request> {
     if payload.len() != REQUEST_PAYLOAD_LEN {
         return None;
     }
@@ -149,7 +149,7 @@ pub fn encode_state(entries: &[(u64, Entry)]) -> Vec<u8> {
 }
 
 /// Decodes a snapshot payload. `None` on any length mismatch.
-pub fn decode_state(bytes: &[u8]) -> Option<Vec<(u64, Entry)>> {
+pub(crate) fn decode_state(bytes: &[u8]) -> Option<Vec<(u64, Entry)>> {
     if !bytes.len().is_multiple_of(24) {
         return None;
     }

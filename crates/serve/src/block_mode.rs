@@ -43,13 +43,11 @@ use crate::traffic::{generate_schedules, ScheduledRequest};
 
 /// Block-mode extras carried in a [`NativeReport`]: the run's digests
 /// (comparable against [`run_block_reference`] by the schedule-invariance
-/// oracle) plus the executor's counters.
+/// oracle) and the number of blocks.
 #[derive(Clone, Debug)]
 pub struct BlockModeReport {
     /// Per-transaction output digests and the final state digest.
     pub record: BlockRecord,
-    /// Merged executor counters across all blocks.
-    pub stats: BlockStats,
     /// Blocks executed.
     pub blocks: u64,
 }
@@ -301,7 +299,6 @@ pub(crate) fn run_native_block(
     // block would cost more than executing a small block does.
     let pool = BlockPool::new(threads);
     let mut outputs = Vec::with_capacity(run.order.len());
-    let mut stats = BlockStats::default();
     let mut blocks = 0u64;
     for start in (0..run.order.len()).step_by(block_size) {
         let block_shadow = Arc::clone(&shadow);
@@ -317,7 +314,6 @@ pub(crate) fn run_native_block(
             Streamed { run: Arc::clone(&run), start },
         );
         blocks += 1;
-        stats.merge(&outcome.stats);
         // The block's net effect in one go: nothing reads the shadow
         // between blocks, so per-transaction order does not matter here.
         outputs.extend(outcome.outputs.iter().map(response_digest));
@@ -346,11 +342,7 @@ pub(crate) fn run_native_block(
         shed: 0,
         sojourn: log.sojourn.snapshot(),
         elapsed_ticks: clock.now(t0()),
-        block: Some(BlockModeReport {
-            record: BlockRecord { outputs, final_digest },
-            stats,
-            blocks,
-        }),
+        block: Some(BlockModeReport { record: BlockRecord { outputs, final_digest }, blocks }),
         placement: None,
     }
 }
@@ -526,7 +518,6 @@ mod tests {
             assert!(report.done_ro > 0, "the ledger mix has balance checks");
             let block = report.block.expect("block-mode report carries the record");
             assert_eq!(block.blocks, (threads as u64 * 50).div_ceil(16), "fixed chunks");
-            assert_eq!(block.stats.executions, threads as u64 * 50 + block.stats.re_executions);
             let reference = run_block_reference(&spec, threads, 9);
             assert_eq!(block.record, reference, "native run diverged at {threads} threads");
         }

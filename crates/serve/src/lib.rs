@@ -42,27 +42,25 @@
 #![warn(missing_docs)]
 
 mod affinity;
-pub mod backend;
-pub mod block_mode;
-pub mod service;
-pub mod store;
-pub mod traffic;
+mod backend;
+mod block_mode;
+mod service;
+mod store;
+mod traffic;
 
 pub use backend::{
-    decode_request, decode_state, encode_request, encode_state, recover_store, store_digest,
-    BackendKind, DurableBackend, EphemeralBackend, Materializer, RecoveredStore, StoreBackend,
+    encode_state, recover_store, store_digest, BackendKind, DurableBackend, EphemeralBackend,
+    Materializer, StoreBackend,
 };
 pub use block_mode::{
     apply_with, block_parts, execute_block_order, merge_block_order, response_digest,
-    run_block_reference, BlockModeReport,
+    run_block_reference,
 };
 pub use service::{
-    run_native, run_simulated, serve_schedule, spine_config, GateClock, NativeReport, Placement,
-    ServeClock, ServeMode, ServeRun, ServeSpec, ServeWorkload, SpineMode, ThreadLog, WallClock,
+    run_native, run_simulated, serve_schedule, spine_config, NativeReport, Placement, ServeClock,
+    ServeMode, ServeRun, ServeSpec, ServeWorkload, SpineMode, ThreadLog, WallClock,
 };
 pub use store::{
     interpret, Entry, EntryAccess, Request, Response, ShardedStore, INITIAL_BALANCE, MAX_SCAN_LEN,
 };
-pub use traffic::{
-    generate_schedule, generate_schedules, Arrival, Drift, Mix, ScheduledRequest, TrafficSpec,
-};
+pub use traffic::{generate_schedule, Arrival, ScheduledRequest, TrafficSpec};

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use gstm_core::{Gate, RealGate, Stm, StmConfig, ThreadId, TxnKind};
 use gstm_guide::{RunOptions, RunOutcome, WorkerEnv, Workload, WorkloadRun};
-use gstm_telemetry::histogram::{HistogramSnapshot, LogHistogram};
+use gstm_telemetry::{HistogramSnapshot, LogHistogram};
 
 use crate::affinity;
 use crate::backend::{BackendKind, DurableBackend, EphemeralBackend, StoreBackend};
@@ -166,7 +166,7 @@ impl ServeSpec {
     }
 
     /// The ledger shape: a mid-sized account space with strong Zipf skew
-    /// and the [`Mix::ledger`] transfer graph — 80% of traffic atomically
+    /// and the `Mix::ledger` transfer graph — 80% of traffic atomically
     /// moves balance between two skewed accounts, so the conserved-total
     /// oracle ([`gstm_check::check_conserved_total`]) covers essentially
     /// all writes. This is the canonical block-executor workload: hot
@@ -279,13 +279,13 @@ pub trait ServeClock: Send + Sync {
 /// tick total, and idle waits are charged through `pass` in bounded chunks
 /// (each chunk's cost is re-derived from the clock, so simulator jitter
 /// cannot compound into a large overshoot).
-pub struct GateClock {
+pub(crate) struct GateClock {
     gate: Arc<dyn Gate>,
 }
 
 impl GateClock {
     /// Wraps a gate (usually `stm.gate()`).
-    pub fn new(gate: Arc<dyn Gate>) -> Self {
+    pub(crate) fn new(gate: Arc<dyn Gate>) -> Self {
         GateClock { gate }
     }
 }
@@ -399,13 +399,13 @@ impl ServeClock for WallClock {
 #[derive(Debug, Default)]
 pub struct ThreadLog {
     /// Sojourn-latency histogram (ticks), all served requests.
-    pub sojourn: LogHistogram,
+    pub(crate) sojourn: LogHistogram,
     /// Requests served to completion.
-    pub done: AtomicU64,
+    pub(crate) done: AtomicU64,
     /// Read-only requests served to completion.
-    pub done_ro: AtomicU64,
+    pub(crate) done_ro: AtomicU64,
     /// Requests shed by backpressure.
-    pub shed: AtomicU64,
+    pub(crate) shed: AtomicU64,
     /// Served requests that were already due when [`serve_schedule`]
     /// reached them. Only that thread writes it.
     pub(crate) late: AtomicU64,
@@ -508,7 +508,7 @@ impl ServeRun {
     /// thread's schedule. A durable spec gets an in-memory WAL here — the
     /// deterministic simulator disk; native runs that want real files use
     /// [`run_native`], which builds the backend itself.
-    pub fn new(spec: ServeSpec, threads: usize, seed: u64) -> Self {
+    pub(crate) fn new(spec: ServeSpec, threads: usize, seed: u64) -> Self {
         let store = ShardedStore::new(spec.shards, spec.buckets_per_shard, spec.keys);
         let backend: Arc<dyn StoreBackend> = match spec.backend {
             BackendKind::Ephemeral => Arc::new(EphemeralBackend::new(store)),
@@ -543,7 +543,7 @@ impl ServeRun {
     }
 
     /// Merged sojourn histogram across threads.
-    pub fn sojourn_snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn sojourn_snapshot(&self) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::empty();
         for log in &self.logs {
             merged.merge(&log.sojourn.snapshot());
@@ -559,7 +559,7 @@ impl ServeRun {
     }
 
     /// Total read-only requests served across threads.
-    pub fn total_read_only(&self) -> u64 {
+    pub(crate) fn total_read_only(&self) -> u64 {
         self.logs.iter().map(|l| l.done_ro.load(Ordering::Relaxed)).sum()
     }
 
@@ -612,7 +612,7 @@ impl WorkloadRun for ServeRun {
 #[derive(Clone, Debug)]
 pub struct ServeWorkload {
     /// The configuration every run of this workload uses.
-    pub spec: ServeSpec,
+    pub(crate) spec: ServeSpec,
 }
 
 impl ServeWorkload {
@@ -659,7 +659,7 @@ pub struct NativeReport {
     /// Wall time of the whole run, in clock ticks.
     pub elapsed_ticks: u64,
     /// Block-mode extras: the run's output/state digests (for the
-    /// schedule-invariance oracle) and the executor's counters. `None`
+    /// schedule-invariance oracle) and its block count. `None`
     /// under [`ServeMode::Interleaved`].
     pub block: Option<crate::block_mode::BlockModeReport>,
     /// Where the serve threads ran. `None` where they are not placed: block

@@ -347,7 +347,7 @@ impl ShardedStore {
     }
 
     /// Keyspace size.
-    pub fn key_count(&self) -> u64 {
+    pub(crate) fn key_count(&self) -> u64 {
         self.keys
     }
 

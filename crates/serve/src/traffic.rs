@@ -65,13 +65,13 @@ pub struct Mix(pub [u32; 5]);
 impl Mix {
     /// A read-mostly service mix: 55% get, 20% put, 10% cas, 10% transfer,
     /// 5% scan.
-    pub fn read_mostly() -> Self {
+    pub(crate) fn read_mostly() -> Self {
         Mix([55, 20, 10, 10, 5])
     }
 
     /// A transfer-heavy mix that maximizes write-write conflicts: 20% get,
     /// 10% put, 10% cas, 55% transfer, 5% scan.
-    pub fn transfer_heavy() -> Self {
+    pub(crate) fn transfer_heavy() -> Self {
         Mix([20, 10, 10, 55, 5])
     }
 
@@ -81,7 +81,7 @@ impl Mix {
     /// covers essentially the whole write traffic. This is the canonical
     /// block-executor workload: dense write-write conflicts on the hot
     /// accounts, which ordered re-execution resolves without livelock.
-    pub fn ledger() -> Self {
+    pub(crate) fn ledger() -> Self {
         Mix([12, 0, 0, 80, 8])
     }
 
@@ -106,12 +106,12 @@ impl Mix {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Drift {
     /// Zipf exponent at the final phase (start is the spec's `zipf_theta`).
-    pub theta_end: f64,
+    pub(crate) theta_end: f64,
     /// Number of equal-length phases (≥ 2).
-    pub phases: u32,
+    pub(crate) phases: u32,
     /// Keyspace rotation per phase: the hotspot migrates this many keys
     /// between consecutive phases.
-    pub hotspot_step: u64,
+    pub(crate) hotspot_step: u64,
 }
 
 /// One request with its scheduled arrival tick.
@@ -152,7 +152,7 @@ pub struct TrafficSpec {
 ///
 /// Panics if the mix has zero total weight, a burst has fewer than two
 /// requests, or a drift fewer than two phases.
-pub fn generate_schedules(
+pub(crate) fn generate_schedules(
     spec: &TrafficSpec,
     seed: u64,
     threads: Range<usize>,
@@ -161,11 +161,11 @@ pub fn generate_schedules(
     threads.map(|thread| samplers.draw(seed, thread)).collect()
 }
 
-/// One thread's schedule: [`generate_schedules`] of that thread alone.
+/// One thread's schedule: `generate_schedules` of that thread alone.
 ///
 /// # Panics
 ///
-/// Panics as [`generate_schedules`] does.
+/// Panics as `generate_schedules` does.
 pub fn generate_schedule(spec: &TrafficSpec, seed: u64, thread: usize) -> Vec<ScheduledRequest> {
     generate_schedules(spec, seed, thread..thread + 1).pop().expect("one thread, one schedule")
 }

@@ -41,21 +41,21 @@ use gstm_core::{DoomHandle, Gate, KillPoint, KillSwitch, ThreadId, Ticks};
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
     /// RNG seed; per-thread streams are derived from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Chance (‰) that an ordinary crossing charges extra ticks.
-    pub delay_permille: u32,
+    pub(crate) delay_permille: u32,
     /// Injected stalls draw uniformly from `1..=max_delay` ticks.
-    pub max_delay: Ticks,
+    pub(crate) max_delay: Ticks,
     /// Chance (‰) that a crossing dooms the crossing thread's transaction.
-    pub doom_permille: u32,
+    pub(crate) doom_permille: u32,
     /// Chance (‰) that a batched (commit write-back) crossing is stalled.
-    pub commit_delay_permille: u32,
+    pub(crate) commit_delay_permille: u32,
     /// Thread 0's crossing (0-based, in its program order) that requests a
     /// crash at `kill_point`.
-    pub kill_at: u64,
+    pub(crate) kill_at: u64,
     /// The structural crash point a kill request names; `None` requests
     /// no crash.
-    pub kill_point: Option<KillPoint>,
+    pub(crate) kill_point: Option<KillPoint>,
 }
 
 impl ChaosConfig {
@@ -88,7 +88,7 @@ pub struct ChaosStats {
     /// Crossings that were stalled (ordinary and commit-batch combined).
     pub delays: u64,
     /// Total extra ticks injected by those stalls.
-    pub delay_ticks: u64,
+    pub(crate) delay_ticks: u64,
     /// Forced aborts delivered through the doom handle.
     pub dooms: u64,
     /// Crash requests accepted by the kill switch (0 or 1 per run).

@@ -4,7 +4,7 @@
 //! worker thread pinned per core (Table II). This crate substitutes for that
 //! hardware: it is a **discrete-event scheduler** that runs real Rust worker
 //! closures (each on its own OS thread) but serializes every observable step
-//! through [`SimGate`], an implementation of [`gstm_core::Gate`].
+//! through `SimGate`, an implementation of [`gstm_core::Gate`].
 //!
 //! Each `pass(thread, cost)` blocks the worker until the step is granted.
 //! The grant always goes to the runnable worker with the smallest *virtual
@@ -62,6 +62,5 @@ mod gate;
 mod machine;
 
 pub use barrier::SimBarrier;
-pub use chaos::{ChaosConfig, ChaosGate, ChaosStats};
-pub use gate::SimGate;
-pub use machine::{RunReport, SimConfig, SimMachine};
+pub use chaos::{ChaosConfig, ChaosGate};
+pub use machine::{SimConfig, SimMachine};

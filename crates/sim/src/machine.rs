@@ -28,10 +28,10 @@ pub struct SimConfig {
     /// step costs are scaled up by the oversubscription factor — a coarse
     /// processor-sharing model. The experiments follow the paper and run one
     /// worker per core, where the model is exact.
-    pub cores: usize,
+    pub(crate) cores: usize,
     /// RNG seed: the identity of "a run" (the paper averages over 20 runs;
     /// we average over 20 seeds).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Per-step cost jitter in percent (0 disables). Models the timing noise
     /// of real hardware; also the tie-breaker that makes interleavings
     /// differ across seeds.
@@ -388,11 +388,6 @@ impl SimMachine {
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
         self
-    }
-
-    /// This machine's configuration.
-    pub fn config(&self) -> SimConfig {
-        self.shared.config
     }
 
     /// The gate to install into the STM (and to use for `work` charging).

@@ -28,18 +28,18 @@ const BASE_BITS: u32 = 2;
 
 /// The genome benchmark.
 #[derive(Clone, Copy, Debug)]
-pub struct Genome {
+pub(crate) struct Genome {
     /// Genome length in bases.
-    pub genome_len: usize,
+    pub(crate) genome_len: usize,
     /// How many copies of each segment the sequencer receives (duplication
     /// factor of the segment pool).
-    pub copies: usize,
+    pub(crate) copies: usize,
 }
 
 impl Genome {
     /// Size presets.
-    pub fn with_size(size: InputSize) -> Self {
-        Genome { genome_len: size.pick(192, 512, 2048), copies: size.pick(3, 4, 4) }
+    pub(crate) fn with_size(size: InputSize) -> Self {
+        Genome { genome_len: size.pick(192, 512), copies: size.pick(3, 4) }
     }
 }
 

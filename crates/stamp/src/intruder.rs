@@ -31,24 +31,20 @@ const SIGNATURE: &[u8] = b"ATTACK";
 
 /// The intruder benchmark.
 #[derive(Clone, Copy, Debug)]
-pub struct Intruder {
+pub(crate) struct Intruder {
     /// Number of flows.
-    pub flows: usize,
+    pub(crate) flows: usize,
     /// Maximum fragments per flow (each flow draws 1..=max, so flow sizes —
     /// and hence per-thread work — vary, as in real traffic).
-    pub frags_per_flow: usize,
+    pub(crate) frags_per_flow: usize,
     /// Fraction of flows carrying the attack signature, in percent.
-    pub attack_pct: u32,
+    pub(crate) attack_pct: u32,
 }
 
 impl Intruder {
     /// Size presets.
-    pub fn with_size(size: InputSize) -> Self {
-        Intruder {
-            flows: size.pick(48, 288, 768),
-            frags_per_flow: size.pick(3, 4, 6),
-            attack_pct: 10,
-        }
+    pub(crate) fn with_size(size: InputSize) -> Self {
+        Intruder { flows: size.pick(48, 288), frags_per_flow: size.pick(3, 4), attack_pct: 10 }
     }
 }
 

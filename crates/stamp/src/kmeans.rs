@@ -35,20 +35,20 @@ struct ClusterAcc {
 #[derive(Clone, Copy, Debug)]
 pub struct Kmeans {
     /// Number of points.
-    pub points: usize,
+    pub(crate) points: usize,
     /// Number of clusters (= contended accumulator cells).
-    pub clusters: usize,
+    pub(crate) clusters: usize,
     /// Fixed iteration count.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
 }
 
 impl Kmeans {
     /// Size presets: STAMP's kmeans is high-contention with few clusters.
     pub fn with_size(size: InputSize) -> Self {
         Kmeans {
-            points: size.pick(256, 1024, 4096),
-            clusters: size.pick(6, 8, 10),
-            iterations: size.pick(3, 4, 5),
+            points: size.pick(256, 1024),
+            clusters: size.pick(6, 8),
+            iterations: size.pick(3, 4),
         }
     }
 }
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn presets_grow() {
         let s = Kmeans::with_size(InputSize::Small);
-        let l = Kmeans::with_size(InputSize::Large);
-        assert!(l.points > s.points);
+        let m = Kmeans::with_size(InputSize::Medium);
+        assert!(m.points > s.points);
     }
 }

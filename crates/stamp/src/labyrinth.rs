@@ -27,23 +27,19 @@ type Cell = u32;
 
 /// The labyrinth benchmark.
 #[derive(Clone, Copy, Debug)]
-pub struct Labyrinth {
+pub(crate) struct Labyrinth {
     /// Grid width.
-    pub width: usize,
+    pub(crate) width: usize,
     /// Grid height.
-    pub height: usize,
+    pub(crate) height: usize,
     /// Number of route requests.
-    pub routes: usize,
+    pub(crate) routes: usize,
 }
 
 impl Labyrinth {
     /// Size presets.
-    pub fn with_size(size: InputSize) -> Self {
-        Labyrinth {
-            width: size.pick(24, 32, 64),
-            height: size.pick(24, 32, 64),
-            routes: size.pick(24, 48, 128),
-        }
+    pub(crate) fn with_size(size: InputSize) -> Self {
+        Labyrinth { width: size.pick(24, 32), height: size.pick(24, 32), routes: size.pick(24, 48) }
     }
 }
 

@@ -5,13 +5,13 @@
 //!
 //! | app | transactional shape | contention |
 //! |-----|---------------------|------------|
-//! | [`Genome`] | set dedup + map publish/link, 3 barrier phases | medium |
-//! | [`Intruder`] | shared capture queue + reassembly map | high, queue-bound |
+//! | `Genome` | set dedup + map publish/link, 3 barrier phases | medium |
+//! | `Intruder` | shared capture queue + reassembly map | high, queue-bound |
 //! | [`Kmeans`] | per-point accumulator updates into few cells | high |
-//! | [`Labyrinth`] | long claim transactions over grid paths | bursty |
-//! | [`Ssca2`] | one tiny write per edge, scattered | ~zero |
-//! | [`Vacation`] | multi-table reservation DB, random clients | medium |
-//! | [`Yada`] | cavity refinement with variable read/write sets | cascading |
+//! | `Labyrinth` | long claim transactions over grid paths | bursty |
+//! | `Ssca2` | one tiny write per edge, scattered | ~zero |
+//! | `Vacation` | multi-table reservation DB, random clients | medium |
+//! | `Yada` | cavity refinement with variable read/write sets | cascading |
 //!
 //! Inputs are seeded synthetic generators with [`InputSize`] presets
 //! (training = medium, testing = small, as in the paper's artifact). Every
@@ -31,12 +31,12 @@ mod ssca2;
 mod vacation;
 mod yada;
 
-pub use genome::Genome;
-pub use intruder::Intruder;
+pub(crate) use genome::Genome;
+pub(crate) use intruder::Intruder;
 pub use kmeans::Kmeans;
-pub use labyrinth::Labyrinth;
+pub(crate) use labyrinth::Labyrinth;
 pub use registry::{benchmark, BENCHMARK_NAMES};
 pub use size::InputSize;
-pub use ssca2::Ssca2;
-pub use vacation::Vacation;
-pub use yada::Yada;
+pub(crate) use ssca2::Ssca2;
+pub(crate) use vacation::Vacation;
+pub(crate) use yada::Yada;

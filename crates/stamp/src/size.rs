@@ -2,9 +2,10 @@
 //!
 //! STAMP ships small/medium/large data sets per benchmark; the paper trains
 //! models on **medium** and (per the artifact's default workflow) tests on
-//! **small**. Our generators are seeded and synthetic, sized so a full
-//! experiment sweep (7 benchmarks × 2 thread counts × 20 seeds × 2 policies)
-//! completes in CI time on the simulated machine.
+//! **small**, so those are the two presets here. Our generators are seeded
+//! and synthetic, sized so a full experiment sweep (7 benchmarks × 2 thread
+//! counts × 20 seeds × 2 policies) completes in CI time on the simulated
+//! machine.
 
 use std::fmt;
 
@@ -16,17 +17,14 @@ pub enum InputSize {
     Small,
     /// Training size (the artifact's default for model generation).
     Medium,
-    /// Stress size (used by benches, not by the default experiment flow).
-    Large,
 }
 
 impl InputSize {
-    /// Scales a `(small, medium, large)` triple.
-    pub fn pick(self, small: usize, medium: usize, large: usize) -> usize {
+    /// Picks the `small` or `medium` value.
+    pub(crate) fn pick(self, small: usize, medium: usize) -> usize {
         match self {
             InputSize::Small => small,
             InputSize::Medium => medium,
-            InputSize::Large => large,
         }
     }
 }
@@ -36,7 +34,6 @@ impl fmt::Display for InputSize {
         let s = match self {
             InputSize::Small => "small",
             InputSize::Medium => "medium",
-            InputSize::Large => "large",
         };
         f.write_str(s)
     }
@@ -48,9 +45,8 @@ mod tests {
 
     #[test]
     fn pick_selects_by_size() {
-        assert_eq!(InputSize::Small.pick(1, 2, 3), 1);
-        assert_eq!(InputSize::Medium.pick(1, 2, 3), 2);
-        assert_eq!(InputSize::Large.pick(1, 2, 3), 3);
+        assert_eq!(InputSize::Small.pick(1, 2), 1);
+        assert_eq!(InputSize::Medium.pick(1, 2), 2);
     }
 
     /// Every STAMP run's cache key embeds these labels.
@@ -58,6 +54,5 @@ mod tests {
     fn labels_are_pinned() {
         assert_eq!(InputSize::Small.to_string(), "small");
         assert_eq!(InputSize::Medium.to_string(), "medium");
-        assert_eq!(InputSize::Large.to_string(), "large");
     }
 }

@@ -20,17 +20,17 @@ use crate::size::InputSize;
 
 /// The ssca2 benchmark.
 #[derive(Clone, Copy, Debug)]
-pub struct Ssca2 {
+pub(crate) struct Ssca2 {
     /// Node count.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Edge count.
-    pub edges: usize,
+    pub(crate) edges: usize,
 }
 
 impl Ssca2 {
     /// Size presets.
-    pub fn with_size(size: InputSize) -> Self {
-        Ssca2 { nodes: size.pick(256, 1024, 4096), edges: size.pick(512, 2048, 8192) }
+    pub(crate) fn with_size(size: InputSize) -> Self {
+        Ssca2 { nodes: size.pick(256, 1024), edges: size.pick(512, 2048) }
     }
 }
 

@@ -34,24 +34,24 @@ type Reservation = (u8, u32);
 
 /// The vacation benchmark.
 #[derive(Clone, Copy, Debug)]
-pub struct Vacation {
+pub(crate) struct Vacation {
     /// Rows per resource table.
-    pub rows: usize,
+    pub(crate) rows: usize,
     /// Customers.
-    pub customers: usize,
+    pub(crate) customers: usize,
     /// Operations per thread.
-    pub ops_per_thread: usize,
+    pub(crate) ops_per_thread: usize,
     /// Rows examined per reservation query.
-    pub query_span: usize,
+    pub(crate) query_span: usize,
 }
 
 impl Vacation {
     /// Size presets.
-    pub fn with_size(size: InputSize) -> Self {
+    pub(crate) fn with_size(size: InputSize) -> Self {
         Vacation {
-            rows: size.pick(16, 48, 192),
-            customers: size.pick(32, 96, 384),
-            ops_per_thread: size.pick(40, 120, 400),
+            rows: size.pick(16, 48),
+            customers: size.pick(32, 96),
+            ops_per_thread: size.pick(40, 120),
             query_span: 4,
         }
     }

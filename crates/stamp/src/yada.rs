@@ -38,17 +38,17 @@ struct Element {
 
 /// The yada benchmark.
 #[derive(Clone, Copy, Debug)]
-pub struct Yada {
+pub(crate) struct Yada {
     /// Initial mesh size (elements).
-    pub elements: usize,
+    pub(crate) elements: usize,
     /// Fraction of initially bad elements, percent.
-    pub bad_pct: u32,
+    pub(crate) bad_pct: u32,
 }
 
 impl Yada {
     /// Size presets.
-    pub fn with_size(size: InputSize) -> Self {
-        Yada { elements: size.pick(96, 256, 1024), bad_pct: 40 }
+    pub(crate) fn with_size(size: InputSize) -> Self {
+        Yada { elements: size.pick(96, 256), bad_pct: 40 }
     }
 }
 

@@ -14,7 +14,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 
 /// Sample variance with the `N − 1` (Bessel) denominator the paper uses.
 /// Returns 0 for fewer than two samples.
-pub fn sample_variance(xs: &[f64]) -> f64 {
+pub(crate) fn sample_variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }

@@ -28,16 +28,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Streams the rendered table (separator line under the header) into
     /// `out`, writing each cell once — no per-cell or per-row `String`
     /// rebuilding.
@@ -118,7 +108,5 @@ mod tests {
         t.row(vec!["1".into()]);
         let s = t.render();
         assert!(s.contains('1'));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 }

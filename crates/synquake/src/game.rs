@@ -44,11 +44,6 @@ pub struct SynQuake {
 }
 
 impl SynQuake {
-    /// The paper's configuration at a CI-friendly frame count.
-    pub fn new(quest: Quest, frames: u64) -> Self {
-        SynQuake { players: 1000, frames, quest }
-    }
-
     /// A reduced configuration for unit tests.
     pub fn tiny(quest: Quest) -> Self {
         SynQuake { players: 64, frames: 6, quest }

@@ -8,7 +8,7 @@
 //! paper's description:
 //!
 //! * a 1024×1024 map with a cell-granular spatial index and
-//!   object-granularity transactions ([`World`]);
+//!   object-granularity transactions (`World`);
 //! * 1000 players attracted by quest hotspots ([`Quest`]) — training on
 //!   `4worst_case` + `4moving`, testing on `4quadrants` +
 //!   `4center_spread6`;
@@ -25,5 +25,4 @@ mod quest;
 mod world;
 
 pub use game::{stat, SynQuake};
-pub use quest::{Quest, MAP_SIZE};
-pub use world::{cell_of, Player, World, CELLS_PER_SIDE, CELL_SIZE};
+pub use quest::Quest;

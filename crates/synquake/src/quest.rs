@@ -10,7 +10,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Map side length (the paper's 1024×1024 map).
-pub const MAP_SIZE: i32 = 1024;
+pub(crate) const MAP_SIZE: i32 = 1024;
 
 /// The four quest patterns from the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,7 +38,7 @@ impl Quest {
     }
 
     /// Position of hotspot `k` (of 4) at `frame`.
-    pub fn hotspot(self, k: usize, frame: u64) -> (i32, i32) {
+    pub(crate) fn hotspot(self, k: usize, frame: u64) -> (i32, i32) {
         let c = MAP_SIZE / 2;
         let k = (k % 4) as i32;
         match self {
@@ -76,11 +76,6 @@ impl Quest {
             }
         }
     }
-
-    /// All quests.
-    pub fn all() -> [Quest; 4] {
-        [Quest::WorstCase4, Quest::Moving4, Quest::Quadrants4, Quest::CenterSpread6]
-    }
 }
 
 impl fmt::Display for Quest {
@@ -113,9 +108,12 @@ impl FromStr for Quest {
 mod tests {
     use super::*;
 
+    const ALL: [Quest; 4] =
+        [Quest::WorstCase4, Quest::Moving4, Quest::Quadrants4, Quest::CenterSpread6];
+
     #[test]
     fn hotspots_are_in_bounds() {
-        for quest in Quest::all() {
+        for quest in ALL {
             for k in 0..4 {
                 for frame in [0, 7, 100, 9999] {
                     let (x, y) = quest.hotspot(k, frame);
@@ -149,7 +147,7 @@ mod tests {
 
     #[test]
     fn parse_round_trip() {
-        for q in Quest::all() {
+        for q in ALL {
             assert_eq!(q.to_string().parse::<Quest>().unwrap(), q);
         }
         assert!("8corners".parse::<Quest>().is_err());

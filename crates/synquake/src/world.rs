@@ -12,41 +12,41 @@ use gstm_core::{Abort, TVar, Txn};
 use crate::quest::MAP_SIZE;
 
 /// Side length of one spatial grid cell, in map units.
-pub const CELL_SIZE: i32 = 64;
+pub(crate) const CELL_SIZE: i32 = 64;
 
 /// Cells per map side.
-pub const CELLS_PER_SIDE: i32 = MAP_SIZE / CELL_SIZE;
+pub(crate) const CELLS_PER_SIDE: i32 = MAP_SIZE / CELL_SIZE;
 
 /// One player's state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Player {
+pub(crate) struct Player {
     /// Map position.
-    pub x: i32,
+    pub(crate) x: i32,
     /// Map position.
-    pub y: i32,
+    pub(crate) y: i32,
     /// Hit points; respawns at full health when it reaches zero.
-    pub health: i32,
+    pub(crate) health: i32,
     /// Frags scored.
-    pub score: u32,
+    pub(crate) score: u32,
 }
 
 impl Player {
     /// Full health at (re)spawn.
-    pub const FULL_HEALTH: i32 = 100;
+    pub(crate) const FULL_HEALTH: i32 = 100;
 
     /// Spawns a player at a position.
-    pub fn at(x: i32, y: i32) -> Self {
+    pub(crate) fn at(x: i32, y: i32) -> Self {
         Player { x, y, health: Self::FULL_HEALTH, score: 0 }
     }
 
     /// The grid cell this player occupies.
-    pub fn cell(&self) -> usize {
+    pub(crate) fn cell(&self) -> usize {
         cell_of(self.x, self.y)
     }
 }
 
 /// Maps a position to its grid-cell index.
-pub fn cell_of(x: i32, y: i32) -> usize {
+pub(crate) fn cell_of(x: i32, y: i32) -> usize {
     let cx = (x.clamp(0, MAP_SIZE - 1)) / CELL_SIZE;
     let cy = (y.clamp(0, MAP_SIZE - 1)) / CELL_SIZE;
     (cy * CELLS_PER_SIDE + cx) as usize
@@ -54,7 +54,7 @@ pub fn cell_of(x: i32, y: i32) -> usize {
 
 /// The shared world state.
 #[derive(Clone, Debug)]
-pub struct World {
+pub(crate) struct World {
     players: Vec<TVar<Player>>,
     cells: TArray<Vec<u16>>,
     /// Health-pack stock per grid cell.
@@ -62,16 +62,10 @@ pub struct World {
 }
 
 impl World {
-    /// Creates a world with players at the given spawn positions, and the
-    /// spatial grid consistent with them. No items are stocked; see
-    /// [`World::with_items`].
-    pub fn new(spawns: &[(i32, i32)]) -> Self {
-        World::with_items(spawns, 0)
-    }
-
-    /// Creates a world stocking every grid cell with `items_per_cell`
-    /// health packs.
-    pub fn with_items(spawns: &[(i32, i32)], items_per_cell: u32) -> Self {
+    /// Creates a world with players at the given spawn positions, the
+    /// spatial grid consistent with them, and every grid cell stocked with
+    /// `items_per_cell` health packs.
+    pub(crate) fn with_items(spawns: &[(i32, i32)], items_per_cell: u32) -> Self {
         assert!(spawns.len() < u16::MAX as usize, "player ids are u16");
         let players: Vec<TVar<Player>> =
             spawns.iter().map(|&(x, y)| TVar::new(Player::at(x, y))).collect();
@@ -84,17 +78,12 @@ impl World {
         World { players, cells, items: TArray::new(n_cells, |_| items_per_cell) }
     }
 
-    /// Number of players.
-    pub fn player_count(&self) -> usize {
-        self.players.len()
-    }
-
     /// Transactionally reads a player.
     ///
     /// # Errors
     ///
     /// Propagates STM conflicts.
-    pub fn read_player(&self, tx: &mut Txn<'_>, id: u16) -> Result<Player, Abort> {
+    pub(crate) fn read_player(&self, tx: &mut Txn<'_>, id: u16) -> Result<Player, Abort> {
         tx.read(&self.players[id as usize])
     }
 
@@ -104,7 +93,13 @@ impl World {
     /// # Errors
     ///
     /// Propagates STM conflicts.
-    pub fn move_player(&self, tx: &mut Txn<'_>, id: u16, x: i32, y: i32) -> Result<(), Abort> {
+    pub(crate) fn move_player(
+        &self,
+        tx: &mut Txn<'_>,
+        id: u16,
+        x: i32,
+        y: i32,
+    ) -> Result<(), Abort> {
         let var = &self.players[id as usize];
         let mut p = tx.read(var)?;
         let old_cell = p.cell();
@@ -132,7 +127,7 @@ impl World {
     /// # Errors
     ///
     /// Propagates STM conflicts.
-    pub fn damage(&self, tx: &mut Txn<'_>, victim: u16, amount: i32) -> Result<bool, Abort> {
+    pub(crate) fn damage(&self, tx: &mut Txn<'_>, victim: u16, amount: i32) -> Result<bool, Abort> {
         let var = &self.players[victim as usize];
         let mut p = tx.read(var)?;
         p.health -= amount;
@@ -149,7 +144,7 @@ impl World {
     /// # Errors
     ///
     /// Propagates STM conflicts.
-    pub fn credit(&self, tx: &mut Txn<'_>, attacker: u16) -> Result<(), Abort> {
+    pub(crate) fn credit(&self, tx: &mut Txn<'_>, attacker: u16) -> Result<(), Abort> {
         let var = &self.players[attacker as usize];
         let mut p = tx.read(var)?;
         p.score += 1;
@@ -161,7 +156,7 @@ impl World {
     /// # Errors
     ///
     /// Propagates STM conflicts.
-    pub fn cohabitants(&self, tx: &mut Txn<'_>, id: u16) -> Result<Vec<u16>, Abort> {
+    pub(crate) fn cohabitants(&self, tx: &mut Txn<'_>, id: u16) -> Result<Vec<u16>, Abort> {
         let p = self.read_player(tx, id)?;
         let mut list = self.cells.read(tx, p.cell())?;
         list.retain(|&e| e != id);
@@ -174,7 +169,7 @@ impl World {
     /// # Errors
     ///
     /// Returns a description of the inconsistency.
-    pub fn check_consistency(&self) -> Result<(), String> {
+    pub(crate) fn check_consistency(&self) -> Result<(), String> {
         let lists = self.cells.snapshot_unlogged();
         let mut seen = vec![0u32; self.players.len()];
         for (cell, list) in lists.iter().enumerate() {
@@ -200,7 +195,7 @@ impl World {
     }
 
     /// Total score across players (teardown only).
-    pub fn total_score_unlogged(&self) -> u64 {
+    pub(crate) fn total_score_unlogged(&self) -> u64 {
         self.players.iter().map(|p| p.load_unlogged().score as u64).sum()
     }
 
@@ -210,7 +205,7 @@ impl World {
     /// # Errors
     ///
     /// Propagates STM conflicts.
-    pub fn try_pickup(&self, tx: &mut Txn<'_>, id: u16) -> Result<bool, Abort> {
+    pub(crate) fn try_pickup(&self, tx: &mut Txn<'_>, id: u16) -> Result<bool, Abort> {
         let var = &self.players[id as usize];
         let mut p = tx.read(var)?;
         let cell = p.cell();
@@ -225,7 +220,7 @@ impl World {
     }
 
     /// Remaining health packs across the map (teardown only).
-    pub fn items_remaining_unlogged(&self) -> u64 {
+    pub(crate) fn items_remaining_unlogged(&self) -> u64 {
         self.items.snapshot_unlogged().iter().map(|&c| c as u64).sum()
     }
 }
@@ -250,14 +245,14 @@ mod tests {
 
     #[test]
     fn world_starts_consistent() {
-        let w = World::new(&[(0, 0), (100, 100), (1000, 1000)]);
-        assert_eq!(w.player_count(), 3);
+        let w = World::with_items(&[(0, 0), (100, 100), (1000, 1000)], 0);
+        assert_eq!(w.players.len(), 3);
         w.check_consistency().unwrap();
     }
 
     #[test]
     fn move_updates_grid() {
-        let w = World::new(&[(0, 0)]);
+        let w = World::with_items(&[(0, 0)], 0);
         with_tx(&w, |tx| w.move_player(tx, 0, 500, 500));
         w.check_consistency().unwrap();
         let p = with_tx(&w, |tx| w.read_player(tx, 0));
@@ -266,7 +261,7 @@ mod tests {
 
     #[test]
     fn move_clamps_to_map() {
-        let w = World::new(&[(10, 10)]);
+        let w = World::with_items(&[(10, 10)], 0);
         with_tx(&w, |tx| w.move_player(tx, 0, -50, 99999));
         let p = with_tx(&w, |tx| w.read_player(tx, 0));
         assert_eq!((p.x, p.y), (0, MAP_SIZE - 1));
@@ -275,7 +270,7 @@ mod tests {
 
     #[test]
     fn damage_and_respawn() {
-        let w = World::new(&[(0, 0), (1, 1)]);
+        let w = World::with_items(&[(0, 0), (1, 1)], 0);
         let died = with_tx(&w, |tx| w.damage(tx, 1, Player::FULL_HEALTH));
         assert!(died);
         let p = with_tx(&w, |tx| w.read_player(tx, 1));
@@ -314,7 +309,7 @@ mod tests {
 
     #[test]
     fn cohabitants_excludes_self() {
-        let w = World::new(&[(5, 5), (6, 6), (700, 700)]);
+        let w = World::with_items(&[(5, 5), (6, 6), (700, 700)], 0);
         let others = with_tx(&w, |tx| w.cohabitants(tx, 0));
         assert_eq!(others, vec![1]);
     }

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: one per possible bit length of a `u64`, plus zero.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// A lock-free log2-bucket histogram.
 #[derive(Debug)]
@@ -23,12 +23,12 @@ pub struct LogHistogram {
 
 /// Bucket index of a value: 0 for 0, else its bit length.
 #[inline]
-pub fn bucket_of(value: u64) -> usize {
+pub(crate) fn bucket_of(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
 }
 
 /// Inclusive upper bound of bucket `i` (`u64::MAX` for the last).
-pub fn bucket_upper_bound(i: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(i: usize) -> u64 {
     match i {
         0 => 0,
         64 => u64::MAX,
@@ -37,7 +37,7 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 }
 
 /// Inclusive lower bound of bucket `i` (0 for the zero bucket).
-pub fn bucket_lower_bound(i: usize) -> u64 {
+pub(crate) fn bucket_lower_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else {
@@ -77,7 +77,7 @@ impl Default for LogHistogram {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts.
-    pub buckets: [u64; BUCKETS],
+    pub(crate) buckets: [u64; BUCKETS],
     /// Sum of all observed values.
     pub sum: u64,
 }
@@ -93,40 +93,15 @@ impl HistogramSnapshot {
         self.buckets.iter().sum()
     }
 
-    /// Upper bound of the bucket containing quantile `q` (0 when empty).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= q <= 1.0`.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q * n as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper_bound(i);
-            }
-        }
-        bucket_upper_bound(BUCKETS - 1)
-    }
-
     /// Point estimate of quantile `q` with linear interpolation inside the
     /// containing log2 bucket.
     ///
     /// The bucket boundaries are powers of two, so the estimate's relative
     /// error is bounded by the bucket width: **at most ~2×** (and far less
     /// in practice, since the interpolation assumes mass is spread evenly
-    /// across the bucket instead of pinning everything to its upper edge
-    /// the way [`HistogramSnapshot::quantile_bound`] does). Use this for
-    /// p50/p95/p99 reporting; use `quantile_bound` when a conservative
-    /// upper bound is needed. Returns 0.0 when the histogram is empty —
-    /// use [`HistogramSnapshot::try_p`] to distinguish "no data" from a
-    /// genuinely zero quantile.
+    /// across the bucket instead of pinning everything to its upper edge).
+    /// Use this for p50/p95/p99 reporting. Returns 0.0 when the histogram
+    /// is empty.
     ///
     /// # Panics
     ///
@@ -145,7 +120,7 @@ impl HistogramSnapshot {
     /// # Panics
     ///
     /// Panics unless `0.0 <= q <= 1.0`.
-    pub fn try_p(&self, q: f64) -> Option<f64> {
+    pub(crate) fn try_p(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
         let n = self.count();
         if n == 0 {
@@ -229,19 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_walk_the_cdf() {
-        let h = LogHistogram::new();
-        for _ in 0..99 {
-            h.record(1);
-        }
-        h.record(1000);
-        let s = h.snapshot();
-        assert_eq!(s.quantile_bound(0.5), 1);
-        assert_eq!(s.quantile_bound(1.0), 1023, "1000 falls in [512, 1023]");
-        assert_eq!(HistogramSnapshot::empty().quantile_bound(0.9), 0);
-    }
-
-    #[test]
     fn interpolated_quantiles_track_true_values_within_2x() {
         let h = LogHistogram::new();
         // 1000 observations uniform over [1, 1000].
@@ -252,9 +214,6 @@ mod tests {
         for (q, truth) in [(0.5, 500.0), (0.95, 950.0), (0.99, 990.0)] {
             let est = s.p(q);
             assert!(est >= truth / 2.0 && est <= truth * 2.0, "p({q}) = {est}, true {truth}");
-            // The interpolated estimate must never exceed the conservative
-            // bucket upper bound.
-            assert!(est <= s.quantile_bound(q) as f64);
         }
     }
 
@@ -314,12 +273,6 @@ mod tests {
     #[should_panic(expected = "quantile must be in [0, 1]")]
     fn try_p_rejects_bad_q() {
         let _ = HistogramSnapshot::empty().try_p(-0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in [0, 1]")]
-    fn quantile_bound_rejects_bad_q() {
-        let _ = HistogramSnapshot::empty().quantile_bound(1.5);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use gstm_core::events::{EventSink, MulticastSink, MemorySink};
+//! use gstm_core::{EventSink, MulticastSink, MemorySink};
 //! use gstm_telemetry::MetricsRegistry;
 //!
 //! let capture = Arc::new(MemorySink::new());
@@ -35,14 +35,14 @@
 
 #![warn(missing_docs)]
 
-pub mod histogram;
-pub mod json;
-pub mod registry;
+mod histogram;
+mod json;
+mod registry;
 mod sink;
-pub mod snapshot;
+mod snapshot;
 mod telemetry_dump;
 
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use json::JsonValue;
-pub use registry::{reason_index, MetricsRegistry, ThreadMetrics, ABORT_REASONS};
+pub use registry::{MetricsRegistry, ThreadMetrics};
 pub use snapshot::Snapshot;

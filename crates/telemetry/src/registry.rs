@@ -10,15 +10,15 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gstm_core::error::AbortReason;
 use gstm_core::sync::Mutex;
+use gstm_core::AbortReason;
 use std::collections::BTreeMap;
 
 use crate::histogram::{bucket_of, HistogramSnapshot, LogHistogram};
 use crate::snapshot::Snapshot;
 
 /// Stable order of abort-reason labels, matching [`AbortReason::label`].
-pub const ABORT_REASONS: [&str; 7] = [
+pub(crate) const ABORT_REASONS: [&str; 7] = [
     "read-version",
     "locked",
     "write-lock-busy",
@@ -29,7 +29,7 @@ pub const ABORT_REASONS: [&str; 7] = [
 ];
 
 /// Index of `reason` into [`ABORT_REASONS`].
-pub fn reason_index(reason: &AbortReason) -> usize {
+pub(crate) fn reason_index(reason: &AbortReason) -> usize {
     match reason {
         AbortReason::ReadVersion { .. } => 0,
         AbortReason::Locked { .. } => 1,
@@ -48,7 +48,7 @@ pub fn reason_index(reason: &AbortReason) -> usize {
 #[derive(Debug, Default)]
 pub struct ThreadMetrics {
     /// Transaction attempts started (after admission).
-    pub begins: AtomicU64,
+    pub(crate) begins: AtomicU64,
     /// Invocations committed.
     pub commits: AtomicU64,
     /// Attempts aborted.
@@ -56,18 +56,18 @@ pub struct ThreadMetrics {
     /// Invocations held at least once by the admission policy.
     pub holds: AtomicU64,
     /// Total hold polls spent across all held invocations.
-    pub hold_polls: AtomicU64,
+    pub(crate) hold_polls: AtomicU64,
     /// Aborts split by [`ABORT_REASONS`] order.
-    pub aborts_by_reason: [AtomicU64; ABORT_REASONS.len()],
+    pub(crate) aborts_by_reason: [AtomicU64; ABORT_REASONS.len()],
     /// Read-set size at commit.
-    pub reads: LogHistogram,
+    pub(crate) reads: LogHistogram,
     /// Write-set size at commit.
-    pub writes: LogHistogram,
+    pub(crate) writes: LogHistogram,
     /// Exact `aborts-before-commit → commits` map: the tail that the paper's
     /// Figs. 5, 7 and 8 are drawn from. One lock per commit.
     pub retries: Mutex<BTreeMap<u32, u64>>,
     /// Polls per hold episode.
-    pub polls: LogHistogram,
+    pub(crate) polls: LogHistogram,
 }
 
 /// The registry: a fixed array of shards plus a small gauge table for
@@ -148,7 +148,7 @@ fn log2_series(counts: &BTreeMap<u32, u64>) -> HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gstm_core::ids::VarId;
+    use gstm_core::VarId;
 
     #[test]
     fn reason_index_matches_labels() {

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::Ordering::Relaxed;
 
-use gstm_core::events::{EventSink, TxEvent};
+use gstm_core::{EventSink, TxEvent};
 
 use crate::registry::{reason_index, MetricsRegistry};
 
@@ -39,7 +39,7 @@ impl EventSink for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gstm_core::error::{Abort, AbortReason};
+    use gstm_core::{Abort, AbortReason};
     use gstm_core::{CommitSeq, Participant, ThreadId, TxId};
 
     fn who(t: u16) -> Participant {

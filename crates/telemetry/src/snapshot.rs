@@ -37,7 +37,13 @@ impl Snapshot {
     }
 
     /// Sets a per-thread, per-abort-reason counter series.
-    pub fn set_reason_counter(&mut self, name: &str, thread: usize, reason: &str, value: u64) {
+    pub(crate) fn set_reason_counter(
+        &mut self,
+        name: &str,
+        thread: usize,
+        reason: &str,
+        value: u64,
+    ) {
         self.counters.insert(format!("{name}{{thread=\"{thread}\",reason=\"{reason}\"}}"), value);
     }
 
@@ -47,12 +53,13 @@ impl Snapshot {
     }
 
     /// Sets a per-thread histogram series.
-    pub fn set_histogram(&mut self, name: &str, thread: usize, h: HistogramSnapshot) {
+    pub(crate) fn set_histogram(&mut self, name: &str, thread: usize, h: HistogramSnapshot) {
         self.histograms.insert(thread_key(name, thread), h);
     }
 
     /// Reads a per-thread counter (0 when absent).
-    pub fn counter(&self, name: &str, thread: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn counter(&self, name: &str, thread: usize) -> u64 {
         self.counters.get(&thread_key(name, thread)).copied().unwrap_or(0)
     }
 

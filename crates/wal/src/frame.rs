@@ -20,10 +20,10 @@
 //! ```
 
 /// Identifies a snapshot envelope (and its version).
-pub const SNAPSHOT_MAGIC: u64 = 0x6753_544D_5741_4C31; // "gSTMWAL1"
+pub(crate) const SNAPSHOT_MAGIC: u64 = 0x6753_544D_5741_4C31; // "gSTMWAL1"
 
 /// Fixed per-frame overhead: seq + len + checksum.
-pub const FRAME_OVERHEAD: usize = 8 + 4 + 8;
+pub(crate) const FRAME_OVERHEAD: usize = 8 + 4 + 8;
 
 /// FNV-1a 64-bit over `bytes` — the frame and snapshot checksum.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -69,7 +69,7 @@ impl std::error::Error for WalError {}
 
 /// Appends one encoded frame to `out`. Panics on a payload longer than the
 /// `u32` length field can say (truncated, it would fail recovery instead).
-pub fn encode_frame(seq: u64, payload: &[u8], out: &mut Vec<u8>) {
+pub(crate) fn encode_frame(seq: u64, payload: &[u8], out: &mut Vec<u8>) {
     let len = u32::try_from(payload.len())
         .unwrap_or_else(|_| panic!("record {seq}: {} payload bytes overflow u32", payload.len()));
     let start = out.len();
@@ -86,7 +86,7 @@ pub struct DecodedLog {
     /// Complete, checksum-verified frames in append order.
     pub frames: Vec<(u64, Vec<u8>)>,
     /// Whether the device ended in a partial frame (a torn crash tail).
-    pub torn: bool,
+    pub(crate) torn: bool,
 }
 
 /// Decodes a device's bytes into frames.
@@ -127,7 +127,7 @@ pub fn decode_log(bytes: &[u8]) -> Result<DecodedLog, WalError> {
 /// Encodes a snapshot envelope covering commits `1..=upto_seq`. Panics on
 /// a state longer than the `u32` length field can say — at install, while
 /// the log it would replace is still whole.
-pub fn encode_snapshot(upto_seq: u64, state: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_snapshot(upto_seq: u64, state: &[u8]) -> Vec<u8> {
     let len = u32::try_from(state.len()).unwrap_or_else(|_| {
         panic!("snapshot at seq {upto_seq}: {} state bytes overflow u32", state.len())
     });
@@ -147,7 +147,7 @@ pub fn encode_snapshot(upto_seq: u64, state: &[u8]) -> Vec<u8> {
 ///
 /// Returns [`WalError::CorruptSnapshot`] on any magic, length or checksum
 /// mismatch.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<Option<(u64, Vec<u8>)>, WalError> {
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Option<(u64, Vec<u8>)>, WalError> {
     if bytes.is_empty() {
         return Ok(None);
     }

@@ -10,12 +10,12 @@
 //!
 //! The crate is split along the durability stack:
 //!
-//! * [`device`] — the byte-level "disk" seam: a deterministic in-memory
+//! * `device` — the byte-level "disk" seam: a deterministic in-memory
 //!   device for simulator runs and a real file device for native runs;
-//! * [`frame`] — checksummed on-disk framing for log records and the
+//! * `frame` — checksummed on-disk framing for log records and the
 //!   snapshot envelope, distinguishing *torn* tails (normal after a
 //!   crash) from *corrupt* frames (an error);
-//! * [`log`] — the [`Wal`] itself: group-commit batching off the
+//! * `log` — the [`Wal`] itself: group-commit batching off the
 //!   lock-hold path, snapshot install with log truncation, seeded crash
 //!   injection via [`gstm_core::KillSwitch`], and [`recover`] to rebuild
 //!   the `snapshot + tail` prefix from a post-crash disk image.
@@ -39,13 +39,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod device;
-pub mod frame;
-pub mod log;
+mod device;
+mod frame;
+mod log;
 
 pub use device::{FileDevice, LogDevice, MemDevice};
-pub use frame::{
-    decode_log, decode_snapshot, encode_frame, encode_snapshot, fnv1a64, DecodedLog, WalError,
-    FRAME_OVERHEAD, SNAPSHOT_MAGIC,
-};
+pub use frame::{decode_log, fnv1a64, WalError};
 pub use log::{recover, Recovered, Wal, WalConfig, WalStats};

@@ -53,6 +53,21 @@ if [ -n "$unsafe_lines" ]; then
     exit 1
 fi
 
+echo "==> crate surfaces: a library crate exports its lib.rs re-exports, plus five modules other crates name a path through"
+# gstm_core::{cm, rng, sync}, gstm_block::mvmap and gstm_model::serialize are
+# the only `pub mod`s: every other module is private and its items reach
+# other crates through the re-export list in their crate's lib.rs.
+kept_mods='^crates/(core/src/lib\.rs:pub mod (cm|rng|sync)|block/src/lib\.rs:pub mod mvmap|model/src/lib\.rs:pub mod serialize);$'
+pub_mods=$(grep -nH '^pub mod ' crates/*/src/lib.rs \
+    | grep -v '^crates/experiments/' \
+    | sed 's/:[0-9]*:/:/' \
+    | grep -vE "$kept_mods" || true)
+if [ -n "$pub_mods" ]; then
+    echo "$pub_mods"
+    echo "crate surfaces: import through the crate root, or add the module to kept_mods here together with the crate that names a path through it"
+    exit 1
+fi
+
 echo "==> tier-1: release build"
 cargo build --release --offline
 
@@ -71,8 +86,8 @@ smoke_dir="$PWD/target/gstm-ci-pipeline-smoke"
 experiments="$PWD/target/release/experiments"
 rm -rf "$smoke_dir"
 mkdir -p "$smoke_dir"
-# Run inside the smoke directory: `all` writes results/*.txt there instead
-# of over the committed tables.
+# Run inside the smoke directory: `all --tiny` writes its tables under
+# target/gstm-results/tiny/ there.
 for cmd in all ablate-tfactor ablate-k ablate-cm ablate-train ablate-policy ablate-detection; do
     for pass in cold warm; do
         (cd "$smoke_dir" && "$experiments" "$cmd" --tiny --jobs 2 --cache-dir cache \
@@ -98,8 +113,8 @@ echo "==> fast pipeline: the stdout of all --fast --no-cache is results/all_fast
 fast_dir="$PWD/target/gstm-ci-all-fast"
 rm -rf "$fast_dir"
 mkdir -p "$fast_dir"
-# Inside its own directory, like the smoke above: the tables `all` writes
-# land there, not over the committed ones.
+# Inside its own directory, like the smoke above: the tables `all --fast`
+# writes land under its target/gstm-results/fast/.
 (cd "$fast_dir" && "$experiments" all --fast --no-cache --jobs 2 >stdout.txt 2>stderr.txt) \
     || { echo "fast pipeline: all --fast failed (see $fast_dir/stderr.txt)"; exit 1; }
 diff -u results/all_fast.txt "$fast_dir/stdout.txt" \
@@ -107,8 +122,9 @@ diff -u results/all_fast.txt "$fast_dir/stdout.txt" \
 rm -rf "$fast_dir"
 
 # The three smokes below each run in their own directory under target/, like
-# the two above: the tables they write land there, and each is diffed
-# against the committed one, so a failing run leaves the work tree as it was.
+# the two above: a `--tiny` run writes its table under that directory's
+# target/gstm-results/tiny/, and each is diffed against the committed
+# results/*_tiny.txt, so a failing run leaves the work tree as it was.
 echo "==> serve smoke: tail-latency study must be deterministic per seed"
 serve_dir="$PWD/target/gstm-ci-serve-smoke"
 rm -rf "$serve_dir"
@@ -116,15 +132,15 @@ mkdir -p "$serve_dir"
 for pass in cold warm; do
     (cd "$serve_dir" && "$experiments" serve --tiny --jobs 2 --cache-dir cache \
         >"$pass.out" 2>"$pass.err")
-    cp "$serve_dir/results/serve.txt" "$serve_dir/$pass.txt"
+    cp "$serve_dir/target/gstm-results/tiny/serve.txt" "$serve_dir/$pass.txt"
 done
 (cd "$serve_dir" && "$experiments" serve --tiny --jobs 2 --no-cache >nocache.out 2>nocache.err)
 diff -u "$serve_dir/cold.txt" "$serve_dir/warm.txt" \
     || { echo "serve smoke: warm rerun table diverged"; exit 1; }
-diff -u "$serve_dir/cold.txt" "$serve_dir/results/serve.txt" \
+diff -u "$serve_dir/cold.txt" "$serve_dir/target/gstm-results/tiny/serve.txt" \
     || { echo "serve smoke: same seed produced different serve table bytes"; exit 1; }
-diff -u results/serve.txt "$serve_dir/cold.txt" \
-    || { echo "serve smoke: results/serve.txt drifted from the committed table"; exit 1; }
+diff -u results/serve_tiny.txt "$serve_dir/cold.txt" \
+    || { echo "serve smoke: results/serve_tiny.txt drifted from the committed table"; exit 1; }
 grep -qE "models [1-9][0-9]* hit / 0 miss" "$serve_dir/warm.err" \
     || { echo "serve smoke: warm run retrained instead of hitting the model cache"; exit 1; }
 grep -qE "runs [1-9][0-9]* hit / 0 miss" "$serve_dir/warm.err" \
@@ -136,9 +152,9 @@ check_dir="$PWD/target/gstm-ci-check-smoke"
 rm -rf "$check_dir"
 mkdir -p "$check_dir"
 (cd "$check_dir" && "$experiments" check --tiny --seed 7 --jobs 2) \
-    || { echo "chaos matrix: opacity/serializability violations (see $check_dir/results/check.txt)"; exit 1; }
-diff -u results/check.txt "$check_dir/results/check.txt" \
-    || { echo "chaos matrix: results/check.txt drifted from the committed table"; exit 1; }
+    || { echo "chaos matrix: opacity/serializability violations (see $check_dir/target/gstm-results/tiny/check.txt)"; exit 1; }
+diff -u results/check_tiny.txt "$check_dir/target/gstm-results/tiny/check.txt" \
+    || { echo "chaos matrix: results/check_tiny.txt drifted from the committed table"; exit 1; }
 rm -rf "$check_dir"
 
 echo "==> recovery smoke: kill-and-recover matrix must pass and replay from cache"
@@ -148,12 +164,12 @@ mkdir -p "$recover_dir"
 for pass in cold warm; do
     (cd "$recover_dir" && "$experiments" recover --tiny --seed 7 --jobs 2 --cache-dir cache \
         >"$pass.out" 2>"$pass.err") \
-        || { echo "recovery smoke: $pass run failed: recovered store diverged from serial history (see $recover_dir/results/recover.txt)"; exit 1; }
+        || { echo "recovery smoke: $pass run failed: recovered store diverged from serial history (see $recover_dir/target/gstm-results/tiny/recover.txt)"; exit 1; }
 done
 diff -u "$recover_dir/cold.out" "$recover_dir/warm.out" \
     || { echo "recovery smoke: warm rerun output diverged"; exit 1; }
-diff -u results/recover.txt "$recover_dir/results/recover.txt" \
-    || { echo "recovery smoke: results/recover.txt drifted from the committed table"; exit 1; }
+diff -u results/recover_tiny.txt "$recover_dir/target/gstm-results/tiny/recover.txt" \
+    || { echo "recovery smoke: results/recover_tiny.txt drifted from the committed table"; exit 1; }
 grep -qE "runs [1-9][0-9]* hit / 0 miss" "$recover_dir/warm.err" \
     || { echo "recovery smoke: warm run missed the run cache"; exit 1; }
 rm -rf "$recover_dir"
@@ -166,7 +182,7 @@ release_tests -p gstm-serve --lib -- \
     a_committer_blocked_in_its_device_write_does_not_delay_another \
     || { echo "durable commit path: a crash lost more than its bound, or a committer waited for another's device write"; exit 1; }
 
-echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards) and lock-table stripes four to a line, durable concurrency x100, per-request allocation budget, no block-formation wait, single-writer gate slots, the native wait contract, bucket table = hashing, serve-thread placement, exact Zipf and bounded draws, block admission once per transaction, snapshot readers beside writers"
+echo "==> release-profile checks (the profile the benchmark builds): simulator lock-and-condvar hand-off, PerThread slots a line apart (the type and its users: engine, gate, WAL staging, ledger shards) and lock-table stripes four to a line, durable concurrency x100, per-request allocation budget, no block-formation wait and a dense durable block WAL prefix, single-writer gate slots, the native wait contract, bucket table = hashing, serve-thread placement, exact Zipf and bounded draws, block admission once per transaction, snapshot readers beside writers"
 cargo test -q --release --offline -p gstm-sim \
     || { echo "sim: the simulator's tests fail under the optimized profile"; exit 1; }
 release_tests -p gstm-core -p gstm-wal -p gstm-serve --lib -- layout_ \
@@ -179,8 +195,10 @@ for run in $(seq 100); do
 done
 cargo test -q --release --offline --test alloc_budget \
     || { echo "alloc budget: a served request allocates more than its budget"; exit 1; }
-release_tests -p gstm-serve --lib -- a_request_does_not_wait_for_its_block_to_fill \
-    || { echo "block latency: a request waited for its block to fill"; exit 1; }
+release_tests -p gstm-serve --lib -- \
+    a_request_does_not_wait_for_its_block_to_fill \
+    durable_block_run_keeps_the_wal_prefix_dense \
+    || { echo "block latency: a request waited for its block to fill, or a durable block run left a gap in the WAL prefix"; exit 1; }
 release_tests -p gstm-core --lib -- four_threads_passing_on_their_own_slots_lose_no_tick \
     || { echo "gate: a plain load-and-store pass lost a tick on a slot with one writer"; exit 1; }
 release_tests -p gstm-serve --lib -- \
