@@ -19,6 +19,36 @@ use crate::pad::CachePadded;
 /// every writing transaction advances it at commit to obtain its *write
 /// version* `wv`. A location whose version exceeds `rv` was modified after
 /// this transaction began and must not be read.
+///
+/// The clock is private to the engine; the oracle's `CommitCheck` event
+/// shows both samples from outside: a writer's `wv` exceeds its `rv`.
+///
+/// ```
+/// use std::sync::Arc;
+/// use gstm_core::cm::Aggressive;
+/// use gstm_core::{AdmitAll, EventSink, MemorySink, NullGate, Stm, StmConfig};
+/// use gstm_core::{TVar, ThreadId, TxEvent, TxId};
+///
+/// let sink = Arc::new(MemorySink::new());
+/// let stm = Stm::with_parts(
+///     StmConfig::builder(1).check_events(true).build(),
+///     Arc::new(NullGate),
+///     Arc::clone(&sink) as Arc<dyn EventSink>,
+///     Arc::new(AdmitAll),
+///     Arc::new(Aggressive),
+/// );
+/// let a = TVar::new(0i64);
+/// stm.run(ThreadId::new(0), TxId::new(0), |tx| tx.write(&a, 1));
+/// let (rv, wv) = sink
+///     .take()
+///     .into_iter()
+///     .find_map(|e| match e {
+///         TxEvent::CommitCheck { rv, wv, .. } => Some((rv, wv)),
+///         _ => None,
+///     })
+///     .unwrap();
+/// assert!(wv > rv);
+/// ```
 #[derive(Debug, Default)]
 pub(crate) struct VersionClock {
     value: CachePadded<AtomicU64>,

@@ -29,6 +29,21 @@ use crate::ids::ThreadId;
 ///
 /// Behaves like a transparent wrapper: `Deref`/`DerefMut` expose the inner
 /// value, so `CachePadded<AtomicU64>` is used exactly like an `AtomicU64`.
+///
+/// The wrapper is private to the crate; every [`PerThread`] slot is one,
+/// so adjacent slots show its layout from outside.
+///
+/// ```
+/// use std::sync::atomic::{AtomicU64, Ordering};
+/// use gstm_core::PerThread;
+///
+/// let words = PerThread::new(2, AtomicU64::default);
+/// words[0].store(7, Ordering::Relaxed);
+/// assert_eq!(words[0].load(Ordering::Relaxed), 7);
+/// let (a, b) = (&words[0] as *const AtomicU64 as usize, &words[1] as *const AtomicU64 as usize);
+/// assert_eq!(a % 64, 0);
+/// assert_eq!(b - a, 64);
+/// ```
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub(crate) struct CachePadded<T> {

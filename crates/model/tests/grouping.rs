@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use gstm_core::cm::Aggressive;
 use gstm_core::{AdmitAll, MemorySink, Stm, StmConfig, TVar, ThreadId, TxEvent, TxId};
-use gstm_model::{analyze, parse_states, TsaBuilder};
+use gstm_model::{analyze, parse_states, StateTracker, TsaBuilder, Tts};
 use gstm_sim::{SimConfig, SimMachine};
 
 /// Runs a contended workload and returns its event log.
@@ -47,6 +47,22 @@ fn one_state_per_commit() {
     let states = parse_states(&events);
     assert_eq!(states.len(), commits);
     assert!(states.iter().any(|s| !s.aborted().is_empty()), "contended run must have abortees");
+}
+
+#[test]
+fn online_tracker_matches_offline_arrival_states() {
+    let events = contended_events(7, 4);
+    let tracker = StateTracker::new();
+    let online: Vec<Tts> = events.iter().filter_map(|e| tracker.close(e)).collect();
+    let offline = parse_states(&events);
+    assert!(offline.iter().any(|s| !s.aborted().is_empty()), "contended run must have abortees");
+    assert_eq!(online.len(), offline.len());
+    for (i, (on, off)) in online.iter().zip(&offline).enumerate() {
+        assert_eq!(on, off, "tuple {i}: the tracker closed {on}, the parser built {off}");
+    }
+    let distinct: std::collections::HashSet<_> = offline.iter().collect();
+    assert_eq!(tracker.nondeterminism(), distinct.len());
+    assert_eq!(tracker.transition_count() as usize, offline.len());
 }
 
 #[test]
